@@ -18,8 +18,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn small_index_bytes(items: &Tensor) -> Vec<u8> {
-    let dir = scratch("seed");
+/// `tag` keeps the scratch dir private to the calling test: the tests of
+/// this file run in parallel, and a shared dir is removed under a sibling.
+fn small_index_bytes(items: &Tensor, tag: &str) -> Vec<u8> {
+    let dir = scratch(&format!("seed_{tag}"));
     let path = dir.join("index.wriv");
     IvfIndex::build(items, 6, 11).unwrap().save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -30,7 +32,7 @@ fn small_index_bytes(items: &Tensor) -> Vec<u8> {
 #[test]
 fn every_truncation_point_is_rejected() {
     let items = Tensor::randn(&[60, 4], &mut Rng64::seed_from(8));
-    let bytes = small_index_bytes(&items);
+    let bytes = small_index_bytes(&items, "trunc");
     let dir = scratch("trunc");
     let path = dir.join("t.wriv");
     for len in 0..bytes.len() {
@@ -50,7 +52,7 @@ fn every_truncation_point_is_rejected() {
 #[test]
 fn every_single_bit_flip_is_rejected() {
     let items = Tensor::randn(&[60, 4], &mut Rng64::seed_from(8));
-    let bytes = small_index_bytes(&items);
+    let bytes = small_index_bytes(&items, "flip");
     let dir = scratch("flip");
     let path = dir.join("f.wriv");
     for pos in 0..bytes.len() {

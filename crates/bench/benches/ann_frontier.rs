@@ -97,7 +97,7 @@ fn main() {
         index.max_list_len()
     );
 
-    let (exact_resp, exact_report) = replay(&exact, &log);
+    let (exact_resp, exact_report) = replay(&exact, &log, &wr_obs::Telemetry::new());
 
     // Frontier point: cheapest nprobe < nlist/4 clearing the recall gate
     // on a quarter-catalog scan budget.
@@ -113,7 +113,7 @@ fn main() {
         // latency percentiles. The counter delta is taken around this
         // replay only, so harness timing iterations don't pollute it.
         let before = tel.registry.counter("serve.ann.rows_scanned").get();
-        let (resp, report) = replay(&engine, &log);
+        let (resp, report) = replay(&engine, &log, &wr_obs::Telemetry::new());
         let scanned = tel.registry.counter("serve.ann.rows_scanned").get() - before;
         let recall = recall_vs(&exact_resp, &resp);
         let scan_fraction = scanned as f64 / (QUERIES * N_ITEMS) as f64;
@@ -128,7 +128,7 @@ fn main() {
         }
 
         h.bench(format!("replay_{QUERIES}q/nprobe{nprobe}"), || {
-            black_box(replay(&engine, &log));
+            black_box(replay(&engine, &log, &wr_obs::Telemetry::new()));
         });
         h.annotate("nprobe", nprobe as f64);
         h.annotate("qps", report.qps);
@@ -147,7 +147,7 @@ fn main() {
 
     // The exact dense scorer as the frontier's reference row.
     h.bench(format!("replay_{QUERIES}q/exact"), || {
-        black_box(replay(&exact, &log));
+        black_box(replay(&exact, &log, &wr_obs::Telemetry::new()));
     });
     h.annotate("qps", exact_report.qps);
     h.annotate("p50_ms", exact_report.p50_ms);

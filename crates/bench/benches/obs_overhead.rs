@@ -27,10 +27,10 @@
 //! regenerates the checked-in report.
 
 use wr_bench::harness::{black_box, Harness};
-use wr_gateway::{replay_gateway, Gateway, GatewayConfig, GatewayResponse};
+use wr_gateway::{Gateway, GatewayConfig, GatewayResponse};
 use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_obs::Telemetry;
-use wr_serve::{top1_digest, QueryLog, Request, ServeConfig};
+use wr_serve::{replay, top1_digest, QueryLog, Request, ServeConfig};
 use wr_tensor::{Rng64, Tensor};
 
 const N_ITEMS: usize = 512;
@@ -83,7 +83,7 @@ fn gateway() -> Gateway {
 }
 
 /// The replay loop without the replay harness: micro-batch groups of
-/// `MAX_BATCH`, exactly how `replay_gateway` packs them, but with no
+/// `MAX_BATCH`, exactly how `wr_serve::replay` packs them, but with no
 /// clock reads, no histogram, no exemplars — so `off` and `on` time the
 /// gateway itself and only the third row adds the harness.
 fn serve_loop(gw: &Gateway, queries: &[Request]) -> Vec<GatewayResponse> {
@@ -139,7 +139,7 @@ fn main() {
     let tel_full = Telemetry::new();
     tel_full.flight.arm_dump(&dump);
     let gw_full = gateway().with_telemetry(tel_full.clone());
-    let (_, report) = replay_gateway(&gw_full, &log, &tel_full);
+    let (_, report) = replay(&gw_full, &log, &tel_full);
     assert_eq!(
         report.top1_checksum, sum_off,
         "the instrumented replay harness must not move a single result bit"
@@ -151,7 +151,7 @@ fn main() {
     );
     let full_ns = h
         .bench(format!("replay_{QUERIES}q/on_tracing_recorder"), || {
-            black_box(replay_gateway(&gw_full, &log, &tel_full));
+            black_box(replay(&gw_full, &log, &tel_full));
         })
         .min_ns;
     h.annotate("instrumented", 1.0);

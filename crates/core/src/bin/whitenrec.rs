@@ -27,31 +27,36 @@
 //!     (`whiten.pre.*` / `whiten.post.*`); the trace is Chrome
 //!     `trace_event` JSON — open it in Perfetto or `chrome://tracing`.
 //!
+//! whitenrec bench [--shards N [--replicas R]] [--checkpoint model.wrck] …
+//!     Replay a query trace through the serving stack — a bare engine, or
+//!     with `--shards` the sharded gateway — and print the latency report.
+//!     Flags and chaos / telemetry modes: see [`whitenrec::bench`].
+//!
 //! whitenrec list-models
 //!     Print every model name the zoo accepts.
 //! ```
-//!
-//! Arguments are deliberately parsed by hand — the CLI has three verbs and
-//! a flat flag set; a dependency would be heavier than the code.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use whitenrec::data::{DatasetKind, DatasetSpec};
+use whitenrec::cli::{build_context, flag, has_flag, parse_num, parse_opt};
 use whitenrec::models::zoo::WARM_ROSTER;
 use whitenrec::nn::save_params;
 use whitenrec::obs::Telemetry;
 use whitenrec::textsim::EmbeddingReport;
 use whitenrec::train::SeqRecModel;
 use whitenrec::whiten::{whiteness_error, WhiteningMethod, WhiteningTransform, DEFAULT_EPS};
-use whitenrec::{append_records, ExperimentContext, ExperimentRecord};
+use whitenrec::{append_records, ExperimentRecord};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("analyze") => analyze(&args[1..]),
-        Some("train") => train(&args[1..]),
-        Some("list-models") => {
+    let verb = args.first().map_or("", String::as_str);
+    let flags = args.get(1..).unwrap_or_default();
+    let outcome = match verb {
+        "analyze" => analyze(flags),
+        "train" => train(flags),
+        "bench" => whitenrec::bench::run(flags),
+        "list-models" => {
             for name in WARM_ROSTER {
                 println!("{name}");
             }
@@ -59,24 +64,20 @@ fn main() -> ExitCode {
                 println!("{extra}");
             }
             println!("WhitenRec@G=<n>  WhitenRec+@G=<n>  WhitenRec+@<Sum|Concat|Attn>");
-            ExitCode::SUCCESS
+            Ok(())
         }
         _ => {
-            eprintln!("usage: whitenrec <analyze|train|list-models> [flags]\n(see crate docs)");
+            eprintln!("usage: whitenrec <analyze|train|bench|list-models> [flags]\n(see crate docs)");
+            return ExitCode::FAILURE;
+        }
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("whitenrec {verb}: {e}");
             ExitCode::FAILURE
         }
     }
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
 }
 
 /// Does the resume dir already hold WRTS checkpoint generations? (An
@@ -93,38 +94,8 @@ fn dir_has_generations(dir: &Path) -> bool {
         .unwrap_or(false)
 }
 
-fn parse_dataset(args: &[String]) -> Result<DatasetKind, String> {
-    match flag(args, "--dataset").as_deref() {
-        Some("Arts") | None => Ok(DatasetKind::Arts),
-        Some("Toys") => Ok(DatasetKind::Toys),
-        Some("Tools") => Ok(DatasetKind::Tools),
-        Some("Food") => Ok(DatasetKind::Food),
-        Some(other) => Err(format!("unknown dataset {other} (Arts|Toys|Tools|Food)")),
-    }
-}
-
-fn build_context(args: &[String]) -> Result<ExperimentContext, String> {
-    let kind = parse_dataset(args)?;
-    let scale: f32 = flag(args, "--scale")
-        .map(|s| s.parse().map_err(|_| format!("bad --scale {s}")))
-        .transpose()?
-        .unwrap_or(0.2);
-    let spec = DatasetSpec::preset(kind).scaled(scale).scaled_items(2.0);
-    let mut ctx = ExperimentContext::from_spec(spec);
-    if let Some(e) = flag(args, "--epochs") {
-        ctx.train_config.max_epochs = e.parse().map_err(|_| format!("bad --epochs {e}"))?;
-    }
-    Ok(ctx)
-}
-
-fn analyze(args: &[String]) -> ExitCode {
-    let ctx = match build_context(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn analyze(args: &[String]) -> Result<(), String> {
+    let ctx = build_context(args, None)?;
     let emb = &ctx.dataset.embeddings;
     println!(
         "dataset: {} | {} users, {} items, {}-dim embeddings",
@@ -142,18 +113,12 @@ fn analyze(args: &[String]) -> ExitCode {
         let z = WhiteningTransform::fit(emb, method, DEFAULT_EPS).apply(emb);
         println!("  {:<4} {:.4}", method.name(), whiteness_error(&z));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn train(args: &[String]) -> ExitCode {
+fn train(args: &[String]) -> Result<(), String> {
     let model_name = flag(args, "--model").unwrap_or_else(|| "WhitenRec+".into());
-    let mut ctx = match build_context(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut ctx = build_context(args, None)?;
     let trace_out = flag(args, "--trace-out");
     let metrics_out = flag(args, "--metrics-out");
     let telemetry = if trace_out.is_some() || metrics_out.is_some() {
@@ -175,36 +140,19 @@ fn train(args: &[String]) -> ExitCode {
     );
     let resume_dir = flag(args, "--resume-dir");
     if resume_dir.is_some() && cold {
-        eprintln!("--resume-dir is a warm-loop feature (the cold protocol retrains from scratch)");
-        return ExitCode::FAILURE;
+        return Err("--resume-dir is a warm-loop feature (the cold protocol retrains from scratch)".into());
     }
-    let fault_seed = match flag(args, "--fault-seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(seed) => Some(seed),
-            Err(_) => {
-                eprintln!("bad --fault-seed {s}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let fault_seed: Option<u64> = parse_opt(args, "--fault-seed")?;
     if fault_seed.is_some() && resume_dir.is_none() {
-        eprintln!("--fault-seed needs --resume-dir: the drill is crash *and recover*");
-        return ExitCode::FAILURE;
+        return Err("--fault-seed needs --resume-dir: the drill is crash *and recover*".into());
     }
     let trained = if cold {
         ctx.run_cold(&model_name)
     } else if let Some(dir) = resume_dir {
-        let every = match flag(args, "--checkpoint-every") {
-            Some(s) => match s.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("bad --checkpoint-every {s}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => 1,
-        };
+        let every: usize = parse_num(args, "--checkpoint-every", 1)?;
+        if every == 0 {
+            return Err("bad --checkpoint-every 0".into());
+        }
         let policy = whitenrec::train::CheckpointPolicy {
             dir: std::path::PathBuf::from(&dir),
             every,
@@ -216,8 +164,7 @@ fn train(args: &[String]) -> ExitCode {
         let crash_epoch = match fault_seed {
             Some(seed) => {
                 if ctx.train_config.max_epochs < 2 {
-                    eprintln!("--fault-seed needs --epochs >= 2 (the crash lands mid-training)");
-                    return ExitCode::FAILURE;
+                    return Err("--fault-seed needs --epochs >= 2 (the crash lands mid-training)".into());
                 }
                 if dir_has_generations(&policy.dir) {
                     println!("fault drill: generations found in {dir}; disarmed, resuming");
@@ -246,20 +193,16 @@ fn train(args: &[String]) -> ExitCode {
         };
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(Ok(t)) => t,
-            Ok(Err(e)) => {
-                eprintln!("resumable training failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Ok(Err(e)) => return Err(format!("resumable training failed: {e}")),
             Err(payload) => {
-                match payload.downcast::<whitenrec::fault::InducedPanic>() {
-                    Ok(p) => eprintln!(
+                return Err(match payload.downcast::<whitenrec::fault::InducedPanic>() {
+                    Ok(p) => format!(
                         "induced crash at {} epoch {} — run the same command again to resume",
                         p.site,
                         p.index + 1
                     ),
-                    Err(_) => eprintln!("training panicked"),
-                }
-                return ExitCode::FAILURE;
+                    Err(_) => "training panicked".into(),
+                })
             }
         }
     } else {
@@ -275,13 +218,8 @@ fn train(args: &[String]) -> ExitCode {
     println!("test: {}", trained.test_metrics);
 
     if let Some(path) = flag(args, "--save") {
-        match save_params(&path, &trained.model.params()) {
-            Ok(()) => println!("checkpoint written to {path}"),
-            Err(e) => {
-                eprintln!("checkpoint failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        save_params(&path, &trained.model.params()).map_err(|e| format!("checkpoint failed: {e}"))?;
+        println!("checkpoint written to {path}");
     }
     if let Some(path) = flag(args, "--records") {
         let record = ExperimentRecord::from_trained(
@@ -289,30 +227,21 @@ fn train(args: &[String]) -> ExitCode {
             ctx.dataset.spec.kind.name(),
             if cold { "cold" } else { "warm" },
         );
-        if let Err(e) = append_records(&path, &[record]) {
-            eprintln!("record export failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        append_records(&path, &[record]).map_err(|e| format!("record export failed: {e}"))?;
         println!("record appended to {path}");
     }
     if let Some(tel) = &telemetry {
         whitenrec::runtime::record_metrics(&tel.registry);
         let trace = trace_out.as_ref().map(Path::new);
         let metrics = metrics_out.as_ref().map(Path::new);
-        match whitenrec::export_telemetry(tel, trace, metrics) {
-            Ok(()) => {
-                if let Some(p) = &trace_out {
-                    println!("trace -> {p}");
-                }
-                if let Some(p) = &metrics_out {
-                    println!("metrics -> {p}");
-                }
-            }
-            Err(e) => {
-                eprintln!("telemetry export failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        whitenrec::export_telemetry(tel, trace, metrics)
+            .map_err(|e| format!("telemetry export failed: {e}"))?;
+        if let Some(p) = &trace_out {
+            println!("trace -> {p}");
+        }
+        if let Some(p) = &metrics_out {
+            println!("metrics -> {p}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

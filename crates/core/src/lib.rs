@@ -52,6 +52,8 @@ pub use wr_textsim as textsim;
 pub use wr_train as train;
 pub use wr_whiten as whiten;
 
+pub mod bench;
+pub mod cli;
 mod experiment;
 mod export;
 mod pipeline;

@@ -1,6 +1,6 @@
 //! Writing a run's telemetry to disk: Chrome trace + metrics snapshot.
 //!
-//! Both experiment binaries (`whitenrec`, `serve-bench`) accept
+//! Both experiment drivers (`whitenrec train`, `whitenrec bench`) accept
 //! `--trace-out` / `--metrics-out`; this is the shared exit path. Every
 //! export is self-validated before it is written — the JSON is parsed back
 //! with `wr_tensor::Json` and shape-checked, so a malformed trace is a

@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use crate::health::{BreakerConfig, ReplicaCall, ReplicaSet};
-use crate::{ShardMode, ShardPlan};
+use crate::ShardPlan;
 use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
 use wr_obs::{Clock, DeadlineBudget, MonotonicClock, Telemetry, TraceContext};
 use wr_serve::{
-    merge_top_k, BatcherConfig, CatalogShard, EmbeddingCache, MicroBatcher, Request,
-    ResilienceConfig, Response, ScoredItem, ServeConfig,
+    merge_top_k, BatcherConfig, CatalogShard, MicroBatcher, Replay, Request, ResilienceConfig,
+    Response, ScoredItem, ServeConfig,
 };
 use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
@@ -34,11 +34,11 @@ pub struct GatewayConfig {
     /// Replicas per catalog window (`R`). Each replica is a handle clone
     /// of the window's frozen cache behind its own circuit breaker, so
     /// failover and hedging change *which core answers*, never the bits.
-    /// `1` (the default) reproduces the pre-replica gateway exactly —
-    /// byte-for-byte and counter-for-counter.
+    /// With `1` (the default) there is no sibling to fail over to: a
+    /// batch that keeps dying is absorbed into per-request isolation.
     pub replicas: usize,
     /// Hedge a dispatch whose winning attempt took at least this many
-    /// nanoseconds of the gateway clock: one extra strict attempt on a
+    /// nanoseconds of the gateway clock: one extra attempt on a
     /// healthy sibling, bit-compared against the answer in hand
     /// (`gateway.hedge_mismatches` counts disagreements — it must stay
     /// zero). `0` disables hedging.
@@ -172,22 +172,6 @@ impl Gateway {
         Ok(Gateway::assemble(model, shards, plan, cfg))
     }
 
-    /// Replicated gateway: every shard serves the whole catalog through
-    /// handle clones of one shared cache (no copies), micro-batches
-    /// routed round-robin.
-    pub fn replicated(
-        model: Box<dyn SeqRecModel>,
-        n_shards: usize,
-        cfg: GatewayConfig,
-    ) -> Result<Gateway, GatewayError> {
-        let cache = EmbeddingCache::new(model.item_representations());
-        let plan = ShardPlan::replicated(cache.n_items(), n_shards)?;
-        let shards = (0..n_shards)
-            .map(|_| CatalogShard::from_cache(cache.clone(), &cfg.serve))
-            .collect();
-        Ok(Gateway::assemble(model, shards, plan, cfg))
-    }
-
     fn assemble(
         model: Box<dyn SeqRecModel>,
         shards: Vec<CatalogShard>,
@@ -242,11 +226,6 @@ impl Gateway {
         telemetry.registry.counter("gateway.hedges");
         telemetry.registry.counter("gateway.hedge_mismatches");
         telemetry.registry.counter("gateway.breaker_open");
-        telemetry.registry.counter("serve.rejected_overload");
-        telemetry.registry.counter("serve.quarantined_rows");
-        telemetry.registry.counter("serve.retries");
-        telemetry.registry.counter("serve.ann.lists_probed");
-        telemetry.registry.counter("serve.ann.rows_scanned");
         for set in &mut self.sets {
             set.map_replicas(|s| s.with_telemetry(telemetry.clone()));
         }
@@ -369,7 +348,7 @@ impl Gateway {
     }
 
     /// Breaker state labels, `[set][replica]` → `"closed"` / `"open"` /
-    /// `"half-open"` — the bench CLIs export this as the breaker
+    /// `"half-open"` — `whitenrec bench` exports this as the breaker
     /// trajectory snapshot.
     pub fn breaker_states(&self) -> Vec<Vec<&'static str>> {
         self.sets
@@ -417,7 +396,7 @@ impl Gateway {
                 .map(|r| MicroBatcher::sanitize(&r.history))
                 .collect();
             let users = self.model.user_representations(&contexts);
-            let parts = self.fan_out(slice, &users, batch_index, ctx);
+            let parts = self.fan_out(slice, &users, ctx);
             responses.extend(self.merge_group(slice, parts, ctx));
             drop(span);
         }
@@ -450,48 +429,21 @@ impl Gateway {
         Ok(self.serve(requests))
     }
 
-    /// Dispatch one encoded micro-batch. Partitioned mode fans out to all
-    /// shards on the pool (one task per shard — the closure borrows only
-    /// `Sync` state; the model stays on this thread). Replicated mode
-    /// routes the whole batch to one shard, round-robin by batch index.
-    /// Returns `(shard index, per-request responses or None)` — `None`
-    /// when the shard shed load ([`ServeError::Overloaded`]).
+    /// Dispatch one encoded micro-batch to every replica set on the pool
+    /// (one task per set — the closure borrows only `Sync` state; the
+    /// model stays on this thread). Returns `(shard index, per-request
+    /// responses or None)` — `None` when the set shed the batch
+    /// (backpressure or a spent deadline).
     fn fan_out(
         &self,
         slice: &[Request],
         users: &Tensor,
-        batch_index: usize,
         ctx: TraceContext,
     ) -> Vec<(usize, Option<Vec<Response>>)> {
         // One deadline budget per micro-batch, opened on the gateway
         // clock. With `deadline_ns = 0` this is the unlimited budget and
         // the deadline checks below are dead weight-free comparisons.
         let deadline = DeadlineBudget::started_at(self.clock.now_ns(), self.cfg.deadline_ns);
-        if self.plan.mode() == ShardMode::Replicated {
-            let chosen = batch_index % self.sets.len().max(1);
-            if let Some(tel) = &self.telemetry {
-                tel.registry.counter("gateway.fanout_calls").inc();
-            }
-            return match self.sets.get(chosen) {
-                Some(set) => {
-                    let sctx = ctx.child(chosen as u64);
-                    let _span = self.shard_span(chosen, sctx);
-                    let call = ReplicaCall {
-                        shard: chosen,
-                        slice,
-                        users,
-                        ctx: sctx,
-                        deadline,
-                        router_seed: self.cfg.router_seed,
-                        hedge_threshold_ns: self.cfg.hedge_threshold_ns,
-                        clock: &*self.clock,
-                        telemetry: self.telemetry.as_ref(),
-                    };
-                    vec![(chosen, set.dispatch(&call))]
-                }
-                None => Vec::new(),
-            };
-        }
         if let Some(tel) = &self.telemetry {
             tel.registry
                 .counter("gateway.fanout_calls")
@@ -532,22 +484,13 @@ impl Gateway {
                 };
                 sets.get(s).and_then(|set| set.dispatch(&call))
             });
-        results.into_iter().enumerate().map(|(s, p)| (s, p)).collect()
-    }
-
-    /// One span per shard dispatch (precomputed label, `gateway.shard`
-    /// category, child trace context) — only when telemetry is attached.
-    fn shard_span(&self, s: usize, sctx: TraceContext) -> Option<wr_obs::Span<'_>> {
-        let tel = self.telemetry.as_ref()?;
-        let label = self.shard_labels.get(s).cloned().unwrap_or_default();
-        Some(tel.tracer.span_ctx(label, "gateway.shard", sctx))
+        results.into_iter().enumerate().collect()
     }
 
     /// Merge per-shard parts back into per-request answers with
-    /// [`merge_top_k`]. Windows are disjoint (partitioned) or the part
-    /// count is one (replicated), so the merge is exact — no upstream
-    /// dedup needed. Missing parts (shard rejection, isolation fallback)
-    /// degrade the affected responses.
+    /// [`merge_top_k`]. Windows are disjoint, so the merge is exact — no
+    /// upstream dedup needed. Missing parts (shard rejection, isolation
+    /// fallback) degrade the affected responses.
     fn merge_group(
         &self,
         slice: &[Request],
@@ -640,9 +583,40 @@ impl Gateway {
     }
 }
 
+/// Query-log replay through a gateway is [`wr_serve::replay`], the one
+/// replay loop: same timing, percentiles, JSON export and `top1_checksum`
+/// digest as a bare-engine replay — so the two compare as hex strings —
+/// with per-batch wall time in the `gateway.latency_ms` histogram, the
+/// `replay` span under the `gateway` category, and the report's
+/// `n_shards` / `n_degraded` columns filled from the plan and the
+/// degraded flags.
+impl Replay for Gateway {
+    type Answer = GatewayResponse;
+    const LATENCY_HISTOGRAM: &'static str = "gateway.latency_ms";
+    const SPAN_CATEGORY: &'static str = "gateway";
+
+    fn max_batch(&self) -> usize {
+        self.cfg.serve.max_batch
+    }
+
+    fn n_shards(&self) -> usize {
+        self.plan.n_shards()
+    }
+
+    fn answer(&self, group: &[Request]) -> Vec<GatewayResponse> {
+        self.serve(group)
+    }
+
+    fn view(answer: &GatewayResponse) -> (u64, &[ScoredItem], bool) {
+        (answer.id, &answer.items, answer.degraded)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wr_obs::MockClock;
+    use wr_serve::{replay, QueryLog};
     use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
     use wr_tensor::Rng64;
 
@@ -709,19 +683,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn replicated_mode_shares_one_cache() {
-        let gw = Gateway::replicated(model(), 3, cfg()).unwrap();
-        let shards = gw.shards();
-        assert!(shards[0].cache().shares_storage_with(shards[1].cache()));
-        assert!(shards[0].cache().shares_storage_with(shards[2].cache()));
-        // And it answers like a partitioned gateway over the same model.
-        let requests = reqs(9);
-        let repl = gw.serve(&requests);
-        let part = Gateway::partitioned(model(), 3, cfg()).unwrap().serve(&requests);
-        assert_eq!(repl, part);
     }
 
     #[test]
@@ -797,5 +758,48 @@ mod tests {
         assert_eq!(counter("gateway.degraded_responses"), 0);
         // Spans: one per batch + one per shard dispatch.
         assert_eq!(tel.tracer.events().len(), 3 + 9);
+    }
+
+    #[test]
+    fn replay_reports_shards_and_degraded_answers() {
+        let gw = Gateway::partitioned(model(), 3, cfg()).unwrap();
+        let log = QueryLog::synthetic(37, N_ITEMS, 5, 2);
+        let (responses, report) = replay(&gw, &log, &Telemetry::new());
+        assert_eq!(report.n_queries, 37);
+        assert_eq!(report.n_batches, 10); // ceil(37 / 4)
+        assert_eq!(report.n_shards, 3);
+        assert_eq!(report.n_degraded, 0);
+        assert!(report.total_s > 0.0 && report.qps > 0.0);
+        assert!(report.p50_ms <= report.p95_ms && report.p95_ms <= report.p99_ms);
+        // Replay responses match a direct serve of the same queries.
+        assert_eq!(responses, gw.serve(&log.queries));
+        // Shards that shed every full batch: 9 batches of 4 degrade, the
+        // 1-row tail fits the bound.
+        let mut shedding = cfg();
+        shedding.shard_max_rows = 2;
+        let gw = Gateway::partitioned(model(), 3, shedding).unwrap();
+        assert_eq!(replay(&gw, &log, &Telemetry::new()).1.n_degraded, 36);
+    }
+
+    #[test]
+    fn replay_on_a_mock_clock_is_deterministic_and_lands_in_gateway_telemetry() {
+        let gw = Gateway::partitioned(model(), 2, cfg()).unwrap();
+        let log = QueryLog::synthetic(20, N_ITEMS, 5, 3);
+        let tel = Telemetry::with_clock(Arc::new(MockClock::with_tick(1_000_000)));
+        let (_, report) = replay(&gw, &log, &tel);
+        assert_eq!(report.n_batches, 5); // ceil(20 / 4)
+        assert_eq!((report.p50_ms, report.p99_ms, report.mean_ms), (1.0, 1.0, 1.0));
+        let snap = tel.registry.snapshot();
+        let (_, lat) = snap
+            .histograms
+            .iter()
+            .find(|(n, _)| n == "gateway.latency_ms")
+            .unwrap();
+        assert_eq!(lat.count, 5);
+        assert!(tel
+            .tracer
+            .events()
+            .iter()
+            .any(|e| e.name == "replay" && e.cat == "gateway"));
     }
 }

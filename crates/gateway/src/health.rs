@@ -38,13 +38,13 @@
 use std::sync::Mutex;
 
 use wr_obs::{Clock, DeadlineBudget, Telemetry, TraceContext};
-use wr_serve::{CatalogShard, Request, Response, ServeError};
+use wr_serve::{CatalogShard, Request, Response, ServeError, ShardCall};
 use wr_tensor::Tensor;
 
 /// Circuit-breaker knobs, per replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
-    /// Consecutive strict-dispatch failures that open the breaker.
+    /// Consecutive failed dispatches that open the breaker.
     pub failure_threshold: u32,
     /// Nanoseconds (of the gateway clock's timeline) an open breaker
     /// waits before letting a half-open probe through.
@@ -112,14 +112,14 @@ impl HealthTracker {
         }
     }
 
-    /// A strict dispatch on this replica succeeded: close the breaker
-    /// and forget the failure streak.
+    /// A dispatch on this replica answered: close the breaker and forget
+    /// the failure streak.
     pub fn record_success(&self) {
         *self.lock() = BreakerState::Closed { failures: 0 };
     }
 
-    /// A strict dispatch failed (panicked past its retry budget) at
-    /// clock reading `now_ns`. Returns `true` when this failure *opened*
+    /// A dispatch failed (panicked past its retry budget) at clock
+    /// reading `now_ns`. Returns `true` when this failure *opened*
     /// the breaker — the caller counts and flight-records that edge.
     pub fn record_failure(&self, now_ns: u64) -> bool {
         let mut state = self.lock();
@@ -201,6 +201,17 @@ impl ReplicaCall<'_> {
             tel.registry.counter(name).inc();
         }
     }
+
+    /// This batch as one shard call entering a replica at `now_ns`.
+    fn at(&self, now_ns: u64) -> ShardCall<'_> {
+        ShardCall {
+            slice: self.slice,
+            users: self.users,
+            ctx: self.ctx,
+            deadline: self.deadline,
+            now_ns,
+        }
+    }
 }
 
 /// Bit-level equality of two response vectors — the hedge assertion.
@@ -277,17 +288,16 @@ impl ReplicaSet {
 
     /// Serve one encoded micro-batch through the healthiest replica that
     /// will take it. Returns `None` when the set sheds the batch
-    /// (backpressure on the final candidate, or a spent deadline) — the
-    /// gateway degrades those responses, exactly as it did pre-replica.
+    /// (backpressure on every candidate, or a spent deadline) — the
+    /// gateway degrades those responses.
     ///
-    /// Candidates are walked in rotation order, breaker-gated; every
-    /// candidate but the last goes through the *strict* path
-    /// ([`CatalogShard::try_serve_replica`]) so a dead replica surfaces
-    /// as a typed failure and the next sibling answers bit-identically.
-    /// The final candidate uses the absorbing legacy path
-    /// ([`CatalogShard::try_serve_encoded_ctx`]) so a set with one
-    /// usable replica behaves byte-for-byte like the pre-replica
-    /// gateway (same counters, same per-request isolation).
+    /// Candidates are walked in rotation order, breaker-gated, each
+    /// through the one shard call ([`CatalogShard::serve_window`]). A
+    /// replica that panics past its retry budget fails over to the next
+    /// sibling — same window, same cache, bit-identical answer. Only
+    /// when no sibling is left is the failure absorbed into per-request
+    /// isolation ([`CatalogShard::isolate`]), so a set with one usable
+    /// replica degrades request by request instead of losing the window.
     pub(crate) fn dispatch(&self, call: &ReplicaCall<'_>) -> Option<Vec<Response>> {
         let now0 = call.clock.now_ns();
         let n = self.replicas.len();
@@ -301,8 +311,8 @@ impl ReplicaSet {
         }
         if candidates.is_empty() {
             // Every breaker is open. Refusing to answer would degrade the
-            // whole window for a cooldown; forcing one absorbing attempt
-            // keeps availability and lets its success close a breaker.
+            // whole window for a cooldown; forcing one attempt keeps
+            // availability and lets its success close a breaker.
             candidates.push(start.min(n.saturating_sub(1)));
         }
         let last_pos = candidates.len().saturating_sub(1);
@@ -310,76 +320,66 @@ impl ReplicaSet {
             let Some(replica) = self.replicas.get(idx) else {
                 continue;
             };
-            if pos == last_pos {
-                // Last usable candidate: absorb panics into per-request
-                // isolation rather than fail the window (legacy behavior;
-                // with R=1 this is the only path, bit- and
-                // counter-identical to the pre-replica gateway).
-                let t0 = call.clock.now_ns();
-                let part = replica.try_serve_encoded_ctx(call.slice, call.users, call.ctx).ok();
-                if part.is_some() {
-                    if let Some(h) = self.health.get(idx) {
-                        h.record_success();
-                    }
-                    self.maybe_hedge(call, idx, &candidates, part.as_deref(), t0);
-                }
-                return part;
-            }
             let t0 = call.clock.now_ns();
-            match replica.try_serve_replica(call.slice, call.users, call.ctx, call.deadline, t0) {
-                Ok(responses) => {
-                    if let Some(h) = self.health.get(idx) {
-                        h.record_success();
-                    }
-                    self.maybe_hedge(call, idx, &candidates, Some(&responses), t0);
-                    return Some(responses);
-                }
+            let shard_call = call.at(t0);
+            let responses = match replica.serve_window(&shard_call) {
+                Ok(responses) => responses,
+                // No sibling left: absorb. The replica did answer, so
+                // its breaker closes below like any other success.
+                Err(ServeError::Panicked { .. }) if pos == last_pos => replica.isolate(&shard_call),
                 Err(ServeError::Panicked { .. }) => {
-                    let opened = self
-                        .health
-                        .get(idx)
-                        .is_some_and(|h| h.record_failure(call.clock.now_ns()));
+                    let now = call.clock.now_ns();
                     call.count("gateway.failovers");
                     call.note("failover", call.first_id(), idx as u64);
-                    if opened {
-                        call.count("gateway.breaker_open");
-                        call.note("breaker", call.first_id(), idx as u64);
-                        if let Some(tel) = call.telemetry {
-                            tel.flight.trigger("breaker-open");
-                        }
-                    }
-                    // Fall through to the next candidate: same window,
-                    // same cache, bit-identical answer.
+                    self.record_failure(call, idx, now);
+                    continue;
                 }
-                Err(ServeError::Overloaded { .. }) => {
-                    // Backpressure is load, not ill-health: no breaker
-                    // penalty, try the next sibling.
-                }
+                // Backpressure is load, not ill-health: no breaker
+                // penalty, try the next sibling.
+                Err(ServeError::Overloaded { .. }) => continue,
                 Err(ServeError::DeadlineExceeded { .. }) => {
                     // The budget is spent; burning more replicas answers
                     // after the caller hung up. Shed the batch.
                     call.note("deadline", call.first_id(), idx as u64);
                     return None;
                 }
+            };
+            if let Some(h) = self.health.get(idx) {
+                h.record_success();
             }
+            self.maybe_hedge(call, idx, &candidates, &responses, t0);
+            return Some(responses);
         }
         None
     }
 
+    /// Replica `idx` failed past its retry budget at clock reading
+    /// `now_ns`: penalise its breaker, and count and flight-record the
+    /// edge when that opened it.
+    fn record_failure(&self, call: &ReplicaCall<'_>, idx: usize, now_ns: u64) {
+        if self.health.get(idx).is_some_and(|h| h.record_failure(now_ns)) {
+            call.count("gateway.breaker_open");
+            call.note("breaker", call.first_id(), idx as u64);
+            if let Some(tel) = call.telemetry {
+                tel.flight.trigger("breaker-open");
+            }
+        }
+    }
+
     /// Hedge a slow-but-successful attempt: when the winning replica
-    /// took longer than the hedge threshold, fire one more strict
-    /// attempt on the next allowed sibling and *assert* (via counter,
-    /// never a panic — this is the hot path) that the two answers are
-    /// bit-identical. The first finite answer — the one already in hand
-    /// — wins either way; the hedge buys the breaker an extra health
-    /// observation and pins the replica-interchangeability invariant in
-    /// production, not just in tests.
+    /// took longer than the hedge threshold, fire one more attempt on the
+    /// next allowed sibling and *assert* (via counter, never a panic —
+    /// this is the hot path) that the two answers are bit-identical. The
+    /// answer already in hand wins either way; the hedge buys the breaker
+    /// an extra health observation and pins the
+    /// replica-interchangeability invariant in production, not just in
+    /// tests.
     fn maybe_hedge(
         &self,
         call: &ReplicaCall<'_>,
         winner: usize,
         candidates: &[usize],
-        responses: Option<&[Response]>,
+        responses: &[Response],
         t0: u64,
     ) {
         if call.hedge_threshold_ns == 0 {
@@ -397,14 +397,12 @@ impl ReplicaSet {
         };
         call.count("gateway.hedges");
         call.note("hedge", call.first_id(), hedge_idx as u64);
-        let now = call.clock.now_ns();
-        match replica.try_serve_replica(call.slice, call.users, call.ctx, call.deadline, now) {
+        match replica.serve_window(&call.at(call.clock.now_ns())) {
             Ok(hedged) => {
                 if let Some(h) = self.health.get(hedge_idx) {
                     h.record_success();
                 }
-                let identical = responses.is_some_and(|r| bits_identical(r, &hedged));
-                if !identical {
+                if !bits_identical(responses, &hedged) {
                     // Replicas disagreeing on a frozen cache is a real
                     // bug (or genuine divergence); surface it loudly but
                     // keep serving the primary's answer.
@@ -416,17 +414,7 @@ impl ReplicaSet {
                 }
             }
             Err(ServeError::Panicked { .. }) => {
-                let opened = self
-                    .health
-                    .get(hedge_idx)
-                    .is_some_and(|h| h.record_failure(call.clock.now_ns()));
-                if opened {
-                    call.count("gateway.breaker_open");
-                    call.note("breaker", call.first_id(), hedge_idx as u64);
-                    if let Some(tel) = call.telemetry {
-                        tel.flight.trigger("breaker-open");
-                    }
-                }
+                self.record_failure(call, hedge_idx, call.clock.now_ns());
             }
             Err(_) => {} // overload/deadline on a hedge: drop it silently
         }
@@ -436,6 +424,173 @@ impl ReplicaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use wr_fault::{Corruption, FaultInjector, KillAfter, NoSleep, RetryPolicy};
+    use wr_obs::MockClock;
+    use wr_serve::{EmbeddingCache, ResilienceConfig, ServeConfig};
+    use wr_tensor::Rng64;
+
+    /// Counts the rows a replica is asked to score, then (optionally)
+    /// dies like [`KillAfter`] — the table's "who did the work" probe.
+    struct Probe {
+        rows: AtomicU64,
+        kill: Option<KillAfter>,
+    }
+
+    impl FaultInjector for Probe {
+        fn write_error(&self, _: &str, _: u64) -> Option<std::io::Error> {
+            None
+        }
+        fn corrupt(&self, _: &str, _: u64, _: &mut Vec<u8>) -> Option<Corruption> {
+            None
+        }
+        fn poison(&self, _: &str, _: u64, _: &mut [f32]) -> usize {
+            0
+        }
+        fn maybe_panic(&self, site: &str, index: u64, attempt: u32) {
+            self.rows.fetch_add(1, Ordering::Relaxed);
+            if let Some(kill) = &self.kill {
+                kill.maybe_panic(site, index, attempt);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Outcome {
+        Healthy,
+        Panicked,
+        Overloaded,
+        Deadline,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Part {
+        Full,
+        Isolated,
+        Shed,
+    }
+
+    /// The dispatch truth table: `R` replicas × what happens on the first
+    /// candidate of the rotation. 2-request batches, 2 attempts per
+    /// batch, a breaker that opens on the first failure, and a ticking
+    /// clock with a 1 ns hedge threshold, so every answered batch hedges
+    /// on a sibling when one exists. `rows` is the probe count per
+    /// replica in rotation order: a healthy batch offers 2 rows, a dead
+    /// replica sees 1 row per attempt (it dies on the first), isolation
+    /// offers each row once more.
+    #[test]
+    fn dispatch_truth_table() {
+        use Outcome::*;
+        use Part::*;
+        // (R, first-candidate outcome) → (part, rows per candidate,
+        // first candidate's breaker, [failovers, breaker_open, hedges,
+        // hedge_mismatches]).
+        #[rustfmt::skip]
+        let table: &[(usize, Outcome, Part, &[u64], &str, [u64; 4])] = &[
+            (1, Healthy,    Full,     &[2],       "closed", [0, 0, 0, 0]),
+            (2, Healthy,    Full,     &[2, 2],    "closed", [0, 0, 1, 0]),
+            (3, Healthy,    Full,     &[2, 2, 0], "closed", [0, 0, 1, 0]),
+            // No sibling: absorbed into isolation (2 attempts + 2 rows
+            // alone, all dead), which counts as an answer — no failover,
+            // breaker closed.
+            (1, Panicked,   Isolated, &[4],       "closed", [0, 0, 0, 0]),
+            // Failover; the hedge then retries the corpse (2 more rows)
+            // and finds its breaker already open.
+            (2, Panicked,   Full,     &[4, 2],    "open",   [1, 1, 1, 0]),
+            (3, Panicked,   Full,     &[4, 2, 0], "open",   [1, 1, 1, 0]),
+            // Load, not ill-health: next sibling, no breaker penalty.
+            (1, Overloaded, Shed,     &[0],       "closed", [0, 0, 0, 0]),
+            (2, Overloaded, Full,     &[0, 2],    "closed", [0, 0, 1, 0]),
+            (3, Overloaded, Full,     &[0, 2, 0], "closed", [0, 0, 1, 0]),
+            // A spent budget sheds at the first candidate — including
+            // when it is the only one.
+            (1, Deadline,   Shed,     &[0],       "closed", [0, 0, 0, 0]),
+            (2, Deadline,   Shed,     &[0, 0],    "closed", [0, 0, 0, 0]),
+            (3, Deadline,   Shed,     &[0, 0, 0], "closed", [0, 0, 0, 0]),
+        ];
+        let mut rng = Rng64::seed_from(5);
+        let items = Tensor::randn(&[20, 8], &mut rng);
+        let users = Tensor::randn(&[2, 8], &mut rng);
+        let reqs: Vec<Request> = (0..2).map(|id| Request { id, history: vec![] }).collect();
+        let cfg = ServeConfig { k: 3, max_batch: 2, max_seq: 4, filter_seen: true };
+        let resilience = |max_queue_depth| ResilienceConfig {
+            max_queue_depth,
+            retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+        };
+        for (n, outcome, want_part, want_rows, want_breaker, want_counters) in table {
+            let what = format!("R={n}, first candidate {outcome:?}");
+            let tel = Telemetry::with_clock(Arc::new(MockClock::with_tick(10)));
+            let primary = CatalogShard::from_cache(EmbeddingCache::new(items.clone()), &cfg)
+                .with_resilience(resilience(1024))
+                .with_sleeper(Arc::new(NoSleep))
+                .with_telemetry(tel.clone());
+            let breaker = BreakerConfig { failure_threshold: 1, cooldown_ns: u64::MAX / 2 };
+            let mut set = ReplicaSet::new(primary, *n, breaker);
+            let call = ReplicaCall {
+                shard: 0,
+                slice: &reqs,
+                users: &users,
+                ctx: TraceContext::UNTRACED,
+                deadline: match outcome {
+                    Deadline => DeadlineBudget::started_at(0, 5),
+                    _ => DeadlineBudget::unlimited(),
+                },
+                router_seed: 7,
+                hedge_threshold_ns: 1,
+                clock: &*tel.clock,
+                telemetry: Some(&tel),
+            };
+            let first = set.rotation_start(&call);
+            let probes: Vec<Arc<Probe>> = (0..*n)
+                .map(|i| {
+                    let kill = (*outcome == Panicked && i == first).then(KillAfter::serve_rows);
+                    Arc::new(Probe { rows: AtomicU64::new(0), kill })
+                })
+                .collect();
+            let mut i = 0;
+            set.map_replicas(|mut replica| {
+                replica.set_injector(probes[i].clone());
+                if *outcome == Overloaded && i == first {
+                    replica = replica.with_resilience(resilience(1));
+                }
+                i += 1;
+                replica
+            });
+
+            let part = match set.dispatch(&call) {
+                None => Shed,
+                Some(r) if r.iter().all(|resp| resp.items.is_empty()) => Isolated,
+                Some(r) => {
+                    assert!(r.iter().all(|resp| resp.items.len() == 3), "{what}");
+                    Full
+                }
+            };
+            assert_eq!(part, *want_part, "{what}: part");
+            let rows: Vec<u64> = (0..*n)
+                .map(|pos| probes[(first + pos) % n].rows.load(Ordering::Relaxed))
+                .collect();
+            assert_eq!(rows, *want_rows, "{what}: rows scored per candidate");
+            let labels: Vec<&str> = set.health().iter().map(|h| h.state_label()).collect();
+            for (idx, label) in labels.iter().enumerate() {
+                let want = if idx == first { *want_breaker } else { "closed" };
+                assert_eq!(*label, want, "{what}: breaker of replica {idx}");
+            }
+            let snap = tel.registry.snapshot();
+            let counters = ["failovers", "breaker_open", "hedges", "hedge_mismatches"].map(|name| {
+                snap.counters
+                    .iter()
+                    .find(|(n, _)| n.strip_prefix("gateway.") == Some(name))
+                    .map_or(0, |(_, v)| *v)
+            });
+            assert_eq!(counters, *want_counters, "{what}: gateway.* counters");
+            assert_eq!(
+                tel.flight.events().iter().any(|e| e.kind == "deadline"),
+                *outcome == Deadline,
+                "{what}: deadline flight note"
+            );
+        }
+    }
 
     #[test]
     fn breaker_opens_after_threshold_consecutive_failures() {

@@ -9,7 +9,7 @@
 //! This crate is that scale-out layer:
 //!
 //! * [`ShardPlan`] — the deterministic catalog partition (contiguous,
-//!   uneven-capable windows; replicated mode as the degenerate case);
+//!   uneven-capable windows);
 //! * [`Gateway`] — one request router holding one encoder model plus N
 //!   [`wr_serve::CatalogShard`] scoring cores. Histories are encoded
 //!   *once* on the caller thread (the model is not `Sync` — parameters
@@ -21,9 +21,10 @@
 //!   shard bounds its own per-call rows ([`wr_serve::ServeError`]); a
 //!   rejecting or dying shard *degrades* the affected responses (flagged,
 //!   counted) instead of failing the request;
-//! * [`replay_gateway`] — query-log replay with p50/p95/p99 + QPS and the
-//!   shared `top1_checksum` digest, exported in the `wr_bench::harness`
-//!   JSON shape (`gateway-bench` in `wr-core` is the CLI).
+//! * a [`wr_serve::Replay`] impl — the gateway replays query logs through
+//!   the same [`wr_serve::replay`] loop as a bare engine (p50/p95/p99 +
+//!   QPS, the shared `top1_checksum` digest, `shards` / `degraded`
+//!   columns; `whitenrec bench --shards N` in `wr-core` is the CLI).
 //!
 //! # Determinism contract
 //!
@@ -38,9 +39,7 @@
 mod gateway;
 mod health;
 mod plan;
-mod replay;
 
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayResponse};
 pub use health::{BreakerConfig, HealthTracker, ReplicaSet};
-pub use plan::{ShardMode, ShardPlan};
-pub use replay::{replay_gateway, GatewayReport};
+pub use plan::ShardPlan;

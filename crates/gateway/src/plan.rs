@@ -4,24 +4,9 @@ use std::ops::Range;
 
 use crate::GatewayError;
 
-/// How a gateway distributes the catalog across its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMode {
-    /// Each shard owns a contiguous, disjoint window of item rows; every
-    /// micro-batch fans out to all shards and the per-shard top-k lists
-    /// are merged exactly. This is the scale-out mode: per-shard scoring
-    /// cost shrinks with the window.
-    Partitioned,
-    /// Every shard holds the whole catalog (handle clones of one shared
-    /// cache — no copies); micro-batches are routed round-robin to a
-    /// single shard, no merge. The degenerate case, useful for
-    /// throughput replication and as the plan's identity check.
-    Replicated,
-}
-
 /// A deterministic assignment of catalog rows to shards.
 ///
-/// Partitioned windows are contiguous and cover `0..n_items` exactly
+/// Windows are contiguous and cover `0..n_items` exactly
 /// once, in ascending shard order. When `n_items` is not divisible by the
 /// shard count, the first `n_items % n_shards` shards take one extra row
 /// (the standard balanced split), so windows differ in width by at most
@@ -29,7 +14,6 @@ pub enum ShardMode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     n_items: usize,
-    mode: ShardMode,
     ranges: Vec<Range<usize>>,
 }
 
@@ -53,27 +37,7 @@ impl ShardPlan {
             ranges.push(start..start + width);
             start += width;
         }
-        Ok(ShardPlan {
-            n_items,
-            mode: ShardMode::Partitioned,
-            ranges,
-        })
-    }
-
-    /// Full-catalog window repeated `n_shards` times.
-    pub fn replicated(n_items: usize, n_shards: usize) -> Result<ShardPlan, GatewayError> {
-        if n_shards == 0 {
-            return Err(GatewayError::NoShards);
-        }
-        Ok(ShardPlan {
-            n_items,
-            mode: ShardMode::Replicated,
-            ranges: vec![0..n_items; n_shards],
-        })
-    }
-
-    pub fn mode(&self) -> ShardMode {
-        self.mode
+        Ok(ShardPlan { n_items, ranges })
     }
 
     pub fn n_items(&self) -> usize {
@@ -87,12 +51,6 @@ impl ShardPlan {
     /// The global-id windows, one per shard.
     pub fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
-    }
-
-    /// Shard owning global item `id` (partitioned mode; in replicated
-    /// mode every shard owns every id and shard 0 is reported).
-    pub fn shard_of(&self, id: usize) -> Option<usize> {
-        self.ranges.iter().position(|r| r.contains(&id))
     }
 }
 
@@ -131,19 +89,5 @@ mod tests {
                 n_shards: 5
             })
         ));
-        assert!(matches!(
-            ShardPlan::replicated(10, 0),
-            Err(GatewayError::NoShards)
-        ));
-    }
-
-    #[test]
-    fn shard_of_agrees_with_ranges() {
-        let plan = ShardPlan::partitioned(157, 8).unwrap();
-        for id in 0..157 {
-            let s = plan.shard_of(id).unwrap();
-            assert!(plan.ranges()[s].contains(&id));
-        }
-        assert_eq!(plan.shard_of(157), None);
     }
 }

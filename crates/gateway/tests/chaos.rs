@@ -24,7 +24,7 @@ use wr_fault::{FaultPlan, FaultRates, NoSleep};
 use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_serve::{
     merge_top_k, top1_digest, CatalogShard, MicroBatcher, QueryLog, ResilienceConfig,
-    ScoredItem, ServeConfig,
+    ScoredItem, ServeConfig, ShardCall,
 };
 use wr_tensor::{Rng64, Tensor};
 use wr_train::SeqRecModel;
@@ -165,7 +165,7 @@ fn reconstruct(log: &QueryLog, fault_seed: u64) -> Vec<Vec<ScoredItem>> {
         let users = model.user_representations(&contexts);
         let parts: Vec<Vec<wr_serve::Response>> = twins
             .iter()
-            .map(|t| t.serve_encoded(slice, &users))
+            .map(|t| absorb(t, slice, &users))
             .collect();
         for r in 0..slice.len() {
             let partials: Vec<Vec<ScoredItem>> =
@@ -175,6 +175,19 @@ fn reconstruct(log: &QueryLog, fault_seed: u64) -> Vec<Vec<ScoredItem>> {
         start = end;
     }
     merged
+}
+
+/// The one shard call with absorption composed on top — what a replica
+/// set does on its last usable candidate.
+fn absorb(shard: &CatalogShard, slice: &[wr_serve::Request], users: &Tensor) -> Vec<wr_serve::Response> {
+    let call = ShardCall {
+        slice,
+        users,
+        ctx: wr_obs::TraceContext::UNTRACED,
+        deadline: wr_obs::DeadlineBudget::unlimited(),
+        now_ns: 0,
+    };
+    shard.serve_window(&call).unwrap_or_else(|_| shard.isolate(&call))
 }
 
 /// Whether the fault plan permanently kills `serve.row` for this request

@@ -191,10 +191,10 @@ fn replica_counts_do_not_change_a_single_bit() {
 fn replay_reports_share_the_top1_checksum_formula() {
     let log = zipf_trace(300);
     let engine = ServeEngine::new(whitenrec_model(19), serve_cfg());
-    let (_, engine_report) = wr_serve::replay(&engine, &log);
+    let (_, engine_report) = wr_serve::replay(&engine, &log, &wr_obs::Telemetry::new());
     for n_shards in [2usize, 8] {
         let tel = wr_obs::Telemetry::new();
-        let (responses, report) = wr_gateway::replay_gateway(&gateway(n_shards, false), &log, &tel);
+        let (responses, report) = wr_serve::replay(&gateway(n_shards, false), &log, &tel);
         assert_eq!(report.top1_checksum, engine_report.top1_checksum);
         assert_eq!(report.n_degraded, 0);
         assert_eq!(digest_of(&responses), report.top1_checksum);
@@ -227,31 +227,6 @@ fn uneven_partitions_are_real_and_still_exact() {
     let baseline = engine.serve(&log.queries);
     let got = gateway(N_ITEMS, false).serve(&log.queries);
     assert_bit_identical(&got, &baseline, "one-item shards");
-}
-
-/// Replicated mode is the degenerate case of the same contract: every
-/// micro-batch answered by one full-catalog shard, bit-identical to the
-/// single engine, at both thread counts.
-#[test]
-fn replicated_mode_matches_single_engine_too() {
-    let log = zipf_trace(200);
-    let engine = ServeEngine::new(whitenrec_model(19), serve_cfg());
-    let baseline = engine.serve(&log.queries);
-    let gw = Gateway::replicated(
-        whitenrec_model(19),
-        3,
-        GatewayConfig {
-            serve: serve_cfg(),
-            ..GatewayConfig::default()
-        },
-    )
-    .unwrap();
-    for threads in [1usize, 8] {
-        wr_runtime::set_threads(threads);
-        let got = gw.serve(&log.queries);
-        assert_bit_identical(&got, &baseline, &format!("replicated, threads={threads}"));
-    }
-    wr_runtime::set_threads(1);
 }
 
 /// Construction-time shape errors are typed, not panics.

@@ -17,7 +17,9 @@ use std::sync::Arc;
 use wr_fault::{FaultPlan, FaultRates};
 use wr_gateway::ShardPlan;
 use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
-use wr_serve::{merge_top_k, CatalogShard, MicroBatcher, QueryLog, ScoredItem, ServeConfig};
+use wr_serve::{
+    merge_top_k, CatalogShard, MicroBatcher, QueryLog, ScoredItem, ServeConfig, ShardCall,
+};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::SeqRecModel;
 
@@ -241,14 +243,17 @@ fn replica_partials() -> (Vec<CatalogShard>, Vec<CatalogShard>, Vec<Vec<Vec<Scor
             .map(|r| MicroBatcher::sanitize(&r.history))
             .collect();
         let users = model.user_representations(&contexts);
-        let prim: Vec<Vec<wr_serve::Response>> = primaries
-            .iter()
-            .map(|s| s.serve_encoded(slice, &users))
-            .collect();
-        let repl: Vec<Vec<wr_serve::Response>> = replicas
-            .iter()
-            .map(|s| s.serve_encoded(slice, &users))
-            .collect();
+        let call = ShardCall {
+            slice,
+            users: &users,
+            ctx: wr_obs::TraceContext::UNTRACED,
+            deadline: wr_obs::DeadlineBudget::unlimited(),
+            now_ns: 0,
+        };
+        let prim: Vec<Vec<wr_serve::Response>> =
+            primaries.iter().map(|s| s.serve_window(&call).unwrap()).collect();
+        let repl: Vec<Vec<wr_serve::Response>> =
+            replicas.iter().map(|s| s.serve_window(&call).unwrap()).collect();
         for r in 0..slice.len() {
             by_primary.push(prim.iter().map(|p| p[r].items.clone()).collect());
             by_replica.push(repl.iter().map(|p| p[r].items.clone()).collect());

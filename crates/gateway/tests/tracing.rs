@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use wr_fault::{FaultPlan, FaultRates, NoSleep};
-use wr_gateway::{replay_gateway, Gateway, GatewayConfig};
+use wr_gateway::{Gateway, GatewayConfig};
 use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
 use wr_obs::{read_dump, MockClock, Telemetry, TraceContext};
 use wr_serve::{QueryLog, Request, ServeConfig};
@@ -135,7 +135,7 @@ fn latency_exemplars_resolve_to_exported_spans() {
         .unwrap()
         .with_telemetry(tel.clone());
     let log = QueryLog::synthetic_zipf(64, 500, N_ITEMS, MAX_SEQ + 2, 1.1, 7).unwrap();
-    replay_gateway(&gw, &log, &tel);
+    wr_serve::replay(&gw, &log, &tel);
 
     let span_traces: std::collections::BTreeSet<u64> =
         tel.tracer.events().iter().map(|e| e.trace_id).collect();

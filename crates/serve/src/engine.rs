@@ -6,10 +6,9 @@
 //! histories on the caller thread, and a full-catalog [`CatalogShard`]
 //! — the `Sync` scoring core shared with the sharded gateway — does
 //! everything after the encode (scoring, quarantine, top-k extraction,
-//! fault hooks). The per-batch retry/isolation loop stays up here so a
-//! genuine panic in the model forward is contained too.
+//! fault hooks). The shard's retry/isolation loops run a closure that
+//! re-encodes, so a genuine panic in the model forward is contained too.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -17,8 +16,7 @@ use crate::{BatcherConfig, CatalogShard, MicroBatcher, ScoredItem};
 use wr_ann::IvfIndex;
 use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
 use wr_nn::{load_params, restore_params, CheckpointError};
-use wr_obs::{DeadlineBudget, Telemetry, TraceContext};
-use wr_tensor::Tensor;
+use wr_obs::{Telemetry, TraceContext};
 use wr_train::SeqRecModel;
 
 /// One top-k query: an opaque request id plus the user's session history
@@ -108,8 +106,8 @@ pub enum Scorer {
     Ivf { nprobe: usize },
 }
 
-/// Typed serving failures surfaced by [`ServeEngine::try_serve`] and the
-/// strict replica path ([`CatalogShard::try_serve_replica`]).
+/// Typed serving failures surfaced by [`ServeEngine::try_serve`] and
+/// [`CatalogShard::serve_window`].
 #[derive(Debug)]
 pub enum ServeError {
     /// The call exceeded [`ResilienceConfig::max_queue_depth`]. The caller
@@ -256,17 +254,6 @@ impl ServeEngine {
     /// same `Arc`'d matrix), and the `serve.queue_depth` gauge (requests
     /// still waiting after the current batch).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        // Create the degraded-mode counters at 0 eagerly: a metrics export
-        // from a healthy process must still show the recovery counters, so
-        // dashboards can alert on them going *from* zero.
-        telemetry.registry.counter("serve.rejected_overload");
-        telemetry.registry.counter("serve.quarantined_rows");
-        telemetry.registry.counter("serve.retries");
-        // ANN probe accounting, eagerly at 0 for the same reason: an
-        // exact-scorer export still names the counters, so a dashboard
-        // can tell "ANN off" (0) from "ANN missing" (absent).
-        telemetry.registry.counter("serve.ann.lists_probed");
-        telemetry.registry.counter("serve.ann.rows_scanned");
         self.shard = self.shard.with_telemetry(telemetry.clone());
         self.telemetry = Some(telemetry);
         self
@@ -308,12 +295,6 @@ impl ServeEngine {
 
     pub fn n_items(&self) -> usize {
         self.shard.n_items()
-    }
-
-    /// Encode one group of histories and score them against the cache.
-    fn score_group(&self, contexts: &[&[usize]]) -> Tensor {
-        let users = self.model.user_representations(contexts);
-        users.matmul(self.shard.cache().items_t())
     }
 
     /// Answer a batch of queries. Requests are micro-batched in arrival
@@ -385,107 +366,17 @@ impl ServeEngine {
         Ok(self.serve(requests))
     }
 
-    /// [`ServeEngine::try_serve`] under a request deadline: a budget that
-    /// is already spent at clock reading `now_ns` is rejected outright
-    /// ([`ServeError::DeadlineExceeded`]) — answering after the caller
-    /// stopped listening is wasted work. The clock reading is the
-    /// caller's (virtual time flows through `wr_obs::Clock`, so tests
-    /// drive this with a [`wr_obs::MockClock`]); an unlimited budget
-    /// never rejects.
-    pub fn try_serve_deadline(
-        &self,
-        requests: &[Request],
-        deadline: DeadlineBudget,
-        now_ns: u64,
-    ) -> Result<Vec<Response>, ServeError> {
-        if deadline.expired(now_ns) {
-            if let Some(tel) = &self.telemetry {
-                tel.flight.note(
-                    "deadline",
-                    "serve.admission",
-                    TraceContext::UNTRACED,
-                    u64::MAX,
-                    u64::MAX,
-                    tel.clock.now_ns(),
-                );
-            }
-            return Err(ServeError::DeadlineExceeded {
-                elapsed_ns: deadline.elapsed_ns(now_ns),
-                budget_ns: deadline.budget_ns,
-            });
-        }
-        self.try_serve(requests)
-    }
-
     /// Run one micro-batch with containment: panic → bounded retry with
-    /// backoff → per-request isolation. Lives on the engine (not the
-    /// shard) so the model forward is inside the containment boundary;
-    /// per attempt the histories are re-encoded and the shard re-scores.
+    /// backoff → per-request isolation, through the shard's two
+    /// containment loops. The closures re-encode per attempt, so the
+    /// model forward is inside the containment boundary.
     fn serve_group_with_recovery(&self, slice: &[Request], ctx: TraceContext) -> Vec<Response> {
-        let policy = self.shard.resilience().retry;
-        for attempt in 0..policy.max_attempts {
-            match catch_unwind(AssertUnwindSafe(|| self.process_group(slice, attempt, ctx))) {
-                Ok(responses) => return responses,
-                Err(_payload) => {
-                    if let Some(tel) = &self.telemetry {
-                        tel.registry.counter("serve.retries").inc();
-                        tel.flight.note(
-                            "retry",
-                            "serve.row",
-                            ctx,
-                            u64::MAX,
-                            u64::MAX,
-                            tel.clock.now_ns(),
-                        );
-                    }
-                    if attempt + 1 < policy.max_attempts {
-                        self.shard.sleeper().sleep_ns(policy.delay_ns(attempt));
-                    }
-                }
-            }
-        }
-        // The batch keeps dying: isolate requests so the poisoned one
-        // fails alone. Single-request scoring is bit-identical to batched
-        // scoring (the differential suite's contract), so the survivors'
-        // answers match what the healthy batch would have produced.
-        let mut permanent = false;
-        let out: Vec<Response> = slice
-            .iter()
-            .map(|req| {
-                let one = std::slice::from_ref(req);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    self.process_group(one, policy.max_attempts, ctx)
-                })) {
-                    Ok(mut responses) => responses.pop().unwrap_or(Response {
-                        id: req.id,
-                        items: Vec::new(),
-                    }),
-                    Err(_) => {
-                        if let Some(tel) = &self.telemetry {
-                            tel.flight.note(
-                                "panic",
-                                "serve.row",
-                                ctx,
-                                req.id,
-                                u64::MAX,
-                                tel.clock.now_ns(),
-                            );
-                        }
-                        permanent = true;
-                        Response {
-                            id: req.id,
-                            items: Vec::new(),
-                        }
-                    }
-                }
+        self.shard
+            .retry_batch(ctx, |attempt| self.process_group(slice, attempt, ctx))
+            .unwrap_or_else(|_| {
+                self.shard
+                    .isolate_each(slice, ctx, |_, one, attempt| self.process_group(one, attempt, ctx))
             })
-            .collect();
-        if permanent {
-            if let Some(tel) = &self.telemetry {
-                tel.flight.trigger("permanent-panic");
-            }
-        }
-        out
     }
 
     /// Encode one micro-batch and hand it to the scoring core. May panic
@@ -497,7 +388,7 @@ impl ServeEngine {
             .map(|r| MicroBatcher::sanitize(&r.history))
             .collect();
         let users = self.model.user_representations(&contexts);
-        self.shard.process_encoded_ctx(slice, &users, attempt, ctx)
+        self.shard.score(slice, &users, attempt, ctx)
     }
 
     /// Reference scorer for the differential tests: one user at a time, no
@@ -510,7 +401,8 @@ impl ServeEngine {
             .iter()
             .map(|req| {
                 let ctx = MicroBatcher::sanitize(&req.history);
-                let scores = self.score_group(&[ctx]);
+                let users = self.model.user_representations(&[ctx]);
+                let scores = users.matmul(self.shard.cache().items_t());
                 let row = scores.row(0);
                 let mut order: Vec<usize> = (0..row.len()).collect();
                 order.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
@@ -536,13 +428,19 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Single-query convenience (the interactive path). Honors the active
-    /// [`Scorer`], so an IVF engine answers interactively through the
-    /// same index as its batch path.
+    /// Single-query convenience (the interactive path): one request
+    /// through [`ServeEngine::serve`], so it honors the active [`Scorer`],
+    /// the quarantine set and the recovery machinery exactly like the
+    /// batch path.
     pub fn recommend(&self, history: &[usize]) -> Vec<ScoredItem> {
-        let ctx = MicroBatcher::sanitize(history);
-        let users = self.model.user_representations(&[ctx]);
-        self.shard.recommend_encoded(history, &users)
+        let request = Request {
+            id: 0,
+            history: history.to_vec(),
+        };
+        self.serve(std::slice::from_ref(&request))
+            .pop()
+            .map(|r| r.items)
+            .unwrap_or_default()
     }
 }
 
@@ -627,11 +525,23 @@ mod tests {
 
     #[test]
     fn recommend_matches_serve_single() {
-        let engine = tiny_engine(true);
-        let history = vec![2, 9, 4];
-        let solo = engine.recommend(&history);
-        let served = engine.serve(&[Request { id: 7, history }]);
-        assert_eq!(solo, served[0].items);
+        // A healthy cache, and one with NaN rows: the interactive path
+        // must apply the same quarantine as the batch path.
+        let rates = wr_fault::FaultRates {
+            io_error: 0.0,
+            corrupt: 0.0,
+            poison: 0.2,
+            panic: 0.0,
+        };
+        let damaged = tiny_engine(true).with_faults(Arc::new(wr_fault::FaultPlan::with_rates(77, rates)));
+        assert!(!damaged.quarantined_items().is_empty());
+        for engine in [tiny_engine(true), damaged] {
+            let history = vec![2, 9, 4];
+            let solo = engine.recommend(&history);
+            let served = engine.serve(&[Request { id: 0, history }]);
+            assert_eq!(solo, served[0].items);
+            assert!(solo.iter().all(|s| s.score.is_finite()));
+        }
     }
 
     #[test]

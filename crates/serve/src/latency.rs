@@ -1,4 +1,6 @@
-//! Query-log replay with latency percentiles and throughput.
+//! Query-log replay with latency percentiles and throughput — one loop
+//! and one report for every serving front end ([`ServeEngine`] here,
+//! `wr_gateway::Gateway` through its own [`Replay`] impl).
 //!
 //! `wr_bench` cannot be used here (it depends on the workspace root, which
 //! would close a dependency cycle), so this module emits JSON in the same
@@ -6,8 +8,8 @@
 //! extended with percentile fields — downstream tooling that diffs bench
 //! exports parses both.
 //!
-//! Timing flows through `wr-obs`: [`replay_observed`] reads the
-//! telemetry's [`wr_obs::Clock`] (so tests can drive it with a
+//! Timing flows through `wr-obs`: [`replay`] reads the telemetry's
+//! [`wr_obs::Clock`] (so tests can drive it with a
 //! [`wr_obs::MockClock`]) and the percentile math is
 //! [`wr_obs::nearest_rank`] — the single nearest-rank implementation
 //! shared with the histogram type. This module contains no direct
@@ -15,7 +17,7 @@
 
 use wr_obs::{nearest_rank, Histogram, Telemetry};
 
-use crate::{QueryLog, Request, Response, ServeEngine};
+use crate::{QueryLog, Request, Response, ScoredItem, ServeEngine};
 
 /// Latency/throughput summary of one query-log replay.
 ///
@@ -24,13 +26,18 @@ use crate::{QueryLog, Request, Response, ServeEngine};
 /// awaiting that batch would observe. Timing numbers vary run to run (they
 /// are measurements, not results); the served responses themselves are
 /// deterministic, and `top1_checksum` digests them so a replay's output
-/// can be asserted stable across thread counts.
+/// can be asserted stable across thread counts and topologies.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Queries replayed.
     pub n_queries: usize,
     /// Micro-batches dispatched.
     pub n_batches: usize,
+    /// Catalog windows fanned out to (1 for a bare engine).
+    pub n_shards: usize,
+    /// Responses flagged degraded — a shard rejected or isolated them
+    /// (always 0 for a bare engine, which has no such flag).
+    pub n_degraded: usize,
     /// End-to-end wall time of the replay loop, seconds.
     pub total_s: f64,
     /// Queries per second over the whole replay.
@@ -43,18 +50,17 @@ pub struct ReplayReport {
     pub p50_ms: f64,
     pub p95_ms: f64,
     pub p99_ms: f64,
-    /// Order-sensitive digest of `(id, top-1 item)` over all responses;
-    /// thread-count- and batch-composition-independent for a deterministic
-    /// engine.
+    /// [`top1_digest`] over `(id, top-1 item)` of every response;
+    /// thread-count-, batch-composition- and shard-count-independent for
+    /// a healthy deterministic system.
     pub top1_checksum: u64,
 }
 
 /// Order-sensitive FNV-style digest of `(request id, top-1 item)` pairs
 /// (`None` = empty/degraded response, digested as `u64::MAX`). This is
-/// THE `top1_checksum` formula: the serve replay, the gateway replay, and
-/// `scripts/check.sh`'s cross-binary comparisons all share it, so a
-/// sharded replay can be asserted equal to a single-engine replay by
-/// comparing two hex strings.
+/// THE `top1_checksum` formula: every replay and `scripts/check.sh`'s
+/// cross-run comparisons share it, so a sharded replay can be asserted
+/// equal to a single-engine replay by comparing two hex strings.
 pub fn top1_digest(pairs: impl Iterator<Item = (u64, Option<usize>)>) -> u64 {
     let mut acc = 0xcbf29ce484222325u64; // FNV offset basis
     for (id, top) in pairs {
@@ -64,39 +70,68 @@ pub fn top1_digest(pairs: impl Iterator<Item = (u64, Option<usize>)>) -> u64 {
     acc
 }
 
-fn checksum(responses: &[Response]) -> u64 {
-    top1_digest(responses.iter().map(|r| (r.id, r.items.first().map(|s| s.item))))
+/// A serving front end [`replay`] can drive: it answers one packed
+/// micro-batch per call, and names where its replay telemetry lands.
+pub trait Replay {
+    /// The answer to one request.
+    type Answer;
+    /// Histogram observing per-batch wall time, with exemplars.
+    const LATENCY_HISTOGRAM: &'static str;
+    /// Category of the `replay` span wrapping the whole run.
+    const SPAN_CATEGORY: &'static str;
+    /// Micro-batch row bound: the log is replayed in groups of this size.
+    fn max_batch(&self) -> usize;
+    /// Catalog windows each batch fans out to.
+    fn n_shards(&self) -> usize;
+    fn answer(&self, group: &[Request]) -> Vec<Self::Answer>;
+    /// `(request id, items best first, degraded)` of one answer.
+    fn view(answer: &Self::Answer) -> (u64, &[ScoredItem], bool);
 }
 
-/// Replay `log` through `engine` one micro-batch at a time, timing each
-/// batch on a fresh production clock, and return every response plus the
-/// latency report. Equivalent to [`replay_observed`] with telemetry
-/// nobody reads.
-pub fn replay(engine: &ServeEngine, log: &QueryLog) -> (Vec<Response>, ReplayReport) {
-    replay_observed(engine, log, &Telemetry::new())
+impl Replay for ServeEngine {
+    type Answer = Response;
+    const LATENCY_HISTOGRAM: &'static str = "serve.latency_ms";
+    const SPAN_CATEGORY: &'static str = "serve";
+
+    fn max_batch(&self) -> usize {
+        self.config().max_batch
+    }
+
+    fn n_shards(&self) -> usize {
+        1
+    }
+
+    fn answer(&self, group: &[Request]) -> Vec<Response> {
+        self.serve(group)
+    }
+
+    fn view(answer: &Response) -> (u64, &[ScoredItem], bool) {
+        (answer.id, &answer.items, false)
+    }
 }
 
-/// [`replay`] with explicit telemetry: batch wall times come from
-/// `telemetry.clock`, every per-query latency is also observed into the
-/// `serve.latency_ms` histogram, the whole replay is wrapped in a
-/// `replay` span, and the report percentiles are exact nearest-rank over
-/// the raw batch-attributed samples (the histogram carries the same data
-/// at bucket resolution for snapshot export).
+/// Replay `log` through `target` one micro-batch at a time and return
+/// every answer plus the latency report. Batch wall times come from
+/// `telemetry.clock` and are observed into `T::LATENCY_HISTOGRAM`, the
+/// whole replay is wrapped in a `replay` span, and the report percentiles
+/// are exact nearest-rank over the raw batch-attributed samples (the
+/// histogram carries the same data at bucket resolution for snapshot
+/// export). Pass `&Telemetry::new()` when nobody reads the telemetry.
 ///
-/// The log is split into groups of the engine's `max_batch` (the same
-/// grouping [`crate::MicroBatcher::plan`] produces), so each timed `serve`
-/// call dispatches exactly one packed batch.
-pub fn replay_observed(
-    engine: &ServeEngine,
+/// The log is split into groups of the target's `max_batch` (the same
+/// grouping [`crate::MicroBatcher::plan`] produces), so each timed call
+/// dispatches exactly one packed batch.
+pub fn replay<T: Replay>(
+    target: &T,
     log: &QueryLog,
     telemetry: &Telemetry,
-) -> (Vec<Response>, ReplayReport) {
+) -> (Vec<T::Answer>, ReplayReport) {
     let clock = &telemetry.clock;
     let latency_hist = telemetry
         .registry
-        .histogram("serve.latency_ms", &Histogram::default_ms_bounds());
-    let max_batch = engine.config().max_batch.max(1);
-    let mut responses: Vec<Response> = Vec::with_capacity(log.len());
+        .histogram(T::LATENCY_HISTOGRAM, &Histogram::default_ms_bounds());
+    let max_batch = target.max_batch().max(1);
+    let mut responses: Vec<T::Answer> = Vec::with_capacity(log.len());
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(log.len());
     let mut n_batches = 0usize;
 
@@ -106,11 +141,11 @@ pub fn replay_observed(
         let end = (start + max_batch).min(log.len());
         let group: &[Request] = &log.queries[start..end];
         let t_ns = clock.now_ns();
-        let answered = engine.serve(group);
+        let answered = target.answer(group);
         let ms = clock.now_ns().saturating_sub(t_ns) as f64 / 1e6;
-        // Exemplar: each `serve(group)` call sees the group as its batch
-        // 0, so this is exactly the trace id `ServeEngine::serve` minted
-        // for the batch span — the bucket joins back to the span tree.
+        // Exemplar: each call sees the group as its batch 0, so this is
+        // exactly the trace id `serve` minted for the batch span — the
+        // bucket joins back to the span tree.
         let trace_id = group
             .first()
             .map(|r| wr_obs::TraceContext::root(r.id, 0).trace_id)
@@ -125,19 +160,22 @@ pub fn replay_observed(
     let end_ns = clock.now_ns();
     telemetry
         .tracer
-        .record("replay", "serve", replay_start_ns, end_ns);
+        .record("replay", T::SPAN_CATEGORY, replay_start_ns, end_ns);
     let total_s = end_ns.saturating_sub(replay_start_ns) as f64 / 1e9;
 
-    let mut sorted = latencies_ms.clone();
+    let mut sorted = latencies_ms;
     sorted.sort_by(|a, b| a.total_cmp(b));
     let mean_ms = if sorted.is_empty() {
         0.0
     } else {
         sorted.iter().sum::<f64>() / sorted.len() as f64
     };
+    let views = || responses.iter().map(T::view);
     let report = ReplayReport {
         n_queries: log.len(),
         n_batches,
+        n_shards: target.n_shards(),
+        n_degraded: views().filter(|v| v.2).count(),
         total_s,
         qps: if total_s > 0.0 {
             log.len() as f64 / total_s
@@ -149,21 +187,23 @@ pub fn replay_observed(
         p50_ms: nearest_rank(&sorted, 50.0),
         p95_ms: nearest_rank(&sorted, 95.0),
         p99_ms: nearest_rank(&sorted, 99.0),
-        top1_checksum: checksum(&responses),
+        top1_checksum: top1_digest(views().map(|(id, items, _)| (id, items.first().map(|s| s.item)))),
     };
     (responses, report)
 }
 
 impl ReplayReport {
     /// Compact JSON in the `wr_bench::harness` export shape:
-    /// `{"suite":"serve-bench","benches":[{...}]}` with one bench entry
-    /// carrying the percentile and throughput fields.
+    /// `{"suite":"whitenrec-bench","benches":[{...}]}` with one bench
+    /// entry carrying the topology, percentile and throughput fields.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"suite\":\"serve-bench\",\"benches\":[{\"name\":\"replay\",\"iters\":");
+        out.push_str("{\"suite\":\"whitenrec-bench\",\"benches\":[{\"name\":\"replay\",\"iters\":");
         wr_tensor::json::write_f64(&mut out, self.n_queries as f64);
         for (key, val) in [
             ("batches", self.n_batches as f64),
+            ("shards", self.n_shards as f64),
+            ("degraded", self.n_degraded as f64),
             ("total_s", self.total_s),
             ("qps", self.qps),
             ("mean_ms", self.mean_ms),
@@ -235,7 +275,7 @@ mod tests {
     fn replay_answers_everything_and_reports() {
         let engine = tiny_engine();
         let log = QueryLog::synthetic(37, 25, 5, 2);
-        let (responses, report) = replay(&engine, &log);
+        let (responses, report) = replay(&engine, &log, &Telemetry::new());
         assert_eq!(responses.len(), 37);
         assert_eq!(report.n_queries, 37);
         assert_eq!(report.n_batches, 5); // ceil(37 / 8)
@@ -256,7 +296,7 @@ mod tests {
         // batch + 1 end. Batch wall time = exactly 1 ms each.
         let clock = Arc::new(MockClock::with_tick(1_000_000));
         let tel = Telemetry::with_clock(clock);
-        let (_, report) = replay_observed(&engine, &log, &tel);
+        let (_, report) = replay(&engine, &log, &tel);
         assert_eq!(report.n_batches, 3); // ceil(20 / 8)
         assert_eq!(report.p50_ms, 1.0);
         assert_eq!(report.p95_ms, 1.0);
@@ -319,9 +359,9 @@ mod tests {
         let engine = tiny_engine();
         let log = QueryLog::synthetic(24, 25, 5, 4);
         wr_runtime::set_threads(1);
-        let (_, r1) = replay(&engine, &log);
+        let (_, r1) = replay(&engine, &log, &Telemetry::new());
         wr_runtime::set_threads(8);
-        let (_, r8) = replay(&engine, &log);
+        let (_, r8) = replay(&engine, &log, &Telemetry::new());
         wr_runtime::set_threads(1);
         assert_eq!(r1.top1_checksum, r8.top1_checksum);
     }
@@ -330,16 +370,20 @@ mod tests {
     fn report_json_parses_in_harness_shape() {
         let engine = tiny_engine();
         let log = QueryLog::synthetic(9, 25, 4, 6);
-        let (_, report) = replay(&engine, &log);
+        let (_, report) = replay(&engine, &log, &Telemetry::new());
         let parsed = wr_tensor::Json::parse(&report.to_json()).unwrap();
-        assert_eq!(parsed.get("suite").unwrap().as_str().unwrap(), "serve-bench");
+        assert_eq!(parsed.get("suite").unwrap().as_str().unwrap(), "whitenrec-bench");
         let benches = parsed.get("benches").unwrap().as_arr().unwrap();
         assert_eq!(benches.len(), 1);
         let b = &benches[0];
         assert_eq!(b.get("name").unwrap().as_str().unwrap(), "replay");
         assert_eq!(b.get("iters").unwrap().as_usize().unwrap(), 9);
+        // A bare engine reports the gateway columns at their identity.
+        assert_eq!(b.get("shards").unwrap().as_usize().unwrap(), 1);
+        assert_eq!(b.get("degraded").unwrap().as_usize().unwrap(), 0);
         for key in ["qps", "mean_ms", "p50_ms", "p95_ms", "p99_ms"] {
             assert!(b.get(key).unwrap().as_f64().is_some(), "{key}");
         }
+        assert!(b.get("top1_checksum").unwrap().as_str().is_some());
     }
 }

@@ -25,7 +25,9 @@
 //! * [`QueryLog`] + [`replay`] record/replay query traffic (uniform or
 //!   Zipf user-skewed synthetic generation) and report p50/p95/p99
 //!   latency and QPS as a JSON document shaped like the
-//!   `wr_bench::harness` export (`serve-bench` in `wr-core` is the CLI).
+//!   `wr_bench::harness` export (`whitenrec bench` in `wr-core` is the
+//!   CLI); the loop is generic over [`Replay`], so the sharded gateway
+//!   replays through the same code.
 //!
 //! # Determinism contract
 //!
@@ -63,9 +65,9 @@ pub mod topk;
 pub use batcher::{BatcherConfig, MicroBatch, MicroBatcher};
 pub use cache::EmbeddingCache;
 pub use engine::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeEngine, ServeError};
-pub use latency::{replay, replay_observed, top1_digest, ReplayReport};
+pub use latency::{replay, top1_digest, Replay, ReplayReport};
 pub use querylog::{QueryLog, QueryLogError, ZipfError};
-pub use shard::CatalogShard;
+pub use shard::{CatalogShard, ShardCall};
 pub use topk::{batch_top_k, batch_top_k_shifted, merge_top_k};
 
 pub use wr_ann::{AnnError, IvfIndex, SearchStats};

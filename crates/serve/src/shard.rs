@@ -32,7 +32,7 @@ use std::sync::Arc;
 use crate::topk::batch_top_k_shifted;
 use crate::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeError};
 use wr_ann::{IvfIndex, SearchStats};
-use wr_eval::{top_k_filtered, ScoredItem};
+use wr_eval::ScoredItem;
 use wr_fault::{no_faults, SharedInjector, Sleeper, ThreadSleeper};
 use wr_obs::{DeadlineBudget, Telemetry, TraceContext};
 use wr_tensor::Tensor;
@@ -77,6 +77,7 @@ fn slice_rows(full: &Tensor, range: &Range<usize>) -> Tensor {
 /// All methods take *pre-encoded* user representations (`users: [b, d]`,
 /// one row per request, produced by `SeqRecModel::user_representations`
 /// on the caller thread) and answer in **global** item ids.
+#[derive(Clone)]
 pub struct CatalogShard {
     cache: crate::EmbeddingCache,
     /// Global id of this window's first row.
@@ -96,15 +97,36 @@ pub struct CatalogShard {
     sleeper: Arc<dyn Sleeper>,
     /// Optional write-only telemetry (quarantine/retry/ANN counters).
     telemetry: Option<Telemetry>,
-    /// Candidate-retrieval strategy; [`Scorer::Ivf`] requires an index.
-    scorer: Scorer,
-    index: Option<Arc<IvfIndex>>,
+    /// IVF retrieval — the index over this window and its `nprobe` dial,
+    /// stored together so [`Scorer::Ivf`] without an index cannot be
+    /// built. `None` is the dense [`Scorer::Exact`] gemm.
+    ann: Option<(Arc<IvfIndex>, usize)>,
+}
+
+/// One encoded micro-batch addressed to a shard: the requests, their
+/// pre-encoded `users: [b, d]` rows, the trace identity that degraded-mode
+/// flight notes are filed under, and the deadline budget with the
+/// caller's reading of its `wr_obs::Clock` — the shard itself never reads
+/// a clock to decide, so deadline behavior is a pure function of the
+/// caller's virtual timeline.
+pub struct ShardCall<'a> {
+    pub slice: &'a [Request],
+    pub users: &'a Tensor,
+    pub ctx: TraceContext,
+    pub deadline: DeadlineBudget,
+    pub now_ns: u64,
+}
+
+/// The empty answer of a request whose scoring could not complete.
+fn unanswered(req: &Request) -> Response {
+    Response {
+        id: req.id,
+        items: Vec::new(),
+    }
 }
 
 impl CatalogShard {
-    /// Wrap an existing full-catalog cache (window offset 0). Replicated
-    /// deployments clone one cache into every shard — handle clones, the
-    /// underlying matrix is shared.
+    /// Wrap an existing full-catalog cache (window offset 0).
     pub fn from_cache(cache: crate::EmbeddingCache, cfg: &ServeConfig) -> Self {
         let quarantined = non_finite_rows(cache.items());
         CatalogShard {
@@ -117,8 +139,7 @@ impl CatalogShard {
             injector: no_faults(),
             sleeper: Arc::new(ThreadSleeper),
             telemetry: None,
-            scorer: Scorer::Exact,
-            index: None,
+            ann: None,
         }
     }
 
@@ -154,19 +175,7 @@ impl CatalogShard {
     /// bit-identically to its primary — the invariant that makes replica
     /// failover and hedging answer-preserving.
     pub fn replica(&self) -> CatalogShard {
-        CatalogShard {
-            cache: self.cache.clone(),
-            item_offset: self.item_offset,
-            quarantined: self.quarantined.clone(),
-            k: self.k,
-            filter_seen: self.filter_seen,
-            resilience: self.resilience,
-            injector: self.injector.clone(),
-            sleeper: self.sleeper.clone(),
-            telemetry: self.telemetry.clone(),
-            scorer: self.scorer,
-            index: self.index.clone(),
-        }
+        self.clone()
     }
 
     /// Replace this shard's hot-path injector *without* re-snapshotting
@@ -181,7 +190,7 @@ impl CatalogShard {
 
     /// Override degraded-mode knobs (builder-style). `max_queue_depth`
     /// is this shard's per-call row bound for
-    /// [`CatalogShard::try_serve_encoded`] — the gateway's per-shard
+    /// [`CatalogShard::serve_window`] — the gateway's per-shard
     /// backpressure valve.
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
@@ -195,11 +204,23 @@ impl CatalogShard {
         self
     }
 
-    /// Attach write-only telemetry (builder-style): `serve.retries`,
-    /// `serve.quarantined_rows`, and `serve.ann.*` counters. Counter
-    /// registration is the owner's job ([`crate::ServeEngine`] and the
-    /// gateway both register eagerly at attach time).
+    /// Attach write-only telemetry (builder-style): the degraded-mode
+    /// counters (`serve.rejected_overload`, `serve.quarantined_rows`,
+    /// `serve.retries`) and the ANN probe accounting (`serve.ann.*`).
+    /// All are created at 0 eagerly: a metrics export from a healthy
+    /// process must still name them, so dashboards can alert on them
+    /// going *from* zero and tell "ANN off" (0) from "ANN missing"
+    /// (absent).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        for name in [
+            "serve.rejected_overload",
+            "serve.quarantined_rows",
+            "serve.retries",
+            "serve.ann.lists_probed",
+            "serve.ann.rows_scanned",
+        ] {
+            telemetry.registry.counter(name);
+        }
         self.telemetry = Some(telemetry);
         self
     }
@@ -213,8 +234,7 @@ impl CatalogShard {
             (self.cache.n_items(), self.cache.dim()),
             "IVF index shape disagrees with the shard window"
         );
-        self.scorer = Scorer::Ivf { nprobe };
-        self.index = Some(index);
+        self.ann = Some((index, nprobe));
     }
 
     pub fn cache(&self) -> &crate::EmbeddingCache {
@@ -242,19 +262,18 @@ impl CatalogShard {
     }
 
     pub fn scorer(&self) -> Scorer {
-        self.scorer
+        match self.ann {
+            Some((_, nprobe)) => Scorer::Ivf { nprobe },
+            None => Scorer::Exact,
+        }
     }
 
     pub fn ann_index(&self) -> Option<&Arc<IvfIndex>> {
-        self.index.as_ref()
+        self.ann.as_ref().map(|(index, _)| index)
     }
 
     pub fn resilience(&self) -> ResilienceConfig {
         self.resilience
-    }
-
-    pub(crate) fn sleeper(&self) -> &Arc<dyn Sleeper> {
-        &self.sleeper
     }
 
     /// Flight-recorder hook: only fires when telemetry is attached, and
@@ -270,13 +289,13 @@ impl CatalogShard {
     /// faults or genuine bugs); the caller contains it. `attempt` feeds
     /// the injector so transient faults clear on retry.
     pub fn process_encoded(&self, slice: &[Request], users: &Tensor, attempt: u32) -> Vec<Response> {
-        self.process_encoded_ctx(slice, users, attempt, TraceContext::UNTRACED)
+        self.score(slice, users, attempt, TraceContext::UNTRACED)
     }
 
     /// [`CatalogShard::process_encoded`] under a trace identity: the
     /// scoring is bit-identical (the context is write-only), but injected
     /// score poisoning is noted in the flight recorder under `ctx`.
-    pub fn process_encoded_ctx(
+    pub(crate) fn score(
         &self,
         slice: &[Request],
         users: &Tensor,
@@ -286,8 +305,8 @@ impl CatalogShard {
         for req in slice {
             self.injector.maybe_panic("serve.row", req.id, attempt);
         }
-        if let Scorer::Ivf { nprobe } = self.scorer {
-            return self.process_encoded_ann(slice, users, nprobe, ctx);
+        if let Some((index, nprobe)) = &self.ann {
+            return self.score_ann(slice, users, index, *nprobe, ctx);
         }
         let mut scores = users.matmul(self.cache.items_t());
         for (r, req) in slice.iter().enumerate() {
@@ -299,161 +318,66 @@ impl CatalogShard {
         self.extract_top_k(slice, scores, ctx)
     }
 
-    /// [`CatalogShard::process_encoded`] with containment: panic →
-    /// bounded retry with backoff → per-request isolation (each request
-    /// re-scored alone from its own `users` row, so a poisoned request
-    /// fails with an empty item list while its batch peers get their
-    /// normal, bit-identical answers).
-    pub fn serve_encoded(&self, slice: &[Request], users: &Tensor) -> Vec<Response> {
-        self.serve_encoded_ctx(slice, users, TraceContext::UNTRACED)
-    }
-
-    /// [`CatalogShard::serve_encoded`] under a trace identity: retries
-    /// and permanent (isolation-defeating) panics are noted in the flight
-    /// recorder under `ctx`, and a permanent panic triggers a sealed
-    /// flight dump when one is armed.
-    pub fn serve_encoded_ctx(
-        &self,
-        slice: &[Request],
-        users: &Tensor,
-        ctx: TraceContext,
-    ) -> Vec<Response> {
-        let policy = self.resilience.retry;
-        for attempt in 0..policy.max_attempts {
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.process_encoded_ctx(slice, users, attempt, ctx)
-            })) {
-                Ok(responses) => return responses,
-                Err(_payload) => {
-                    if let Some(tel) = &self.telemetry {
-                        tel.registry.counter("serve.retries").inc();
-                    }
-                    self.flight_note("retry", "serve.row", ctx, u64::MAX, u64::MAX);
-                    if attempt + 1 < policy.max_attempts {
-                        self.sleeper.sleep_ns(policy.delay_ns(attempt));
-                    }
-                }
-            }
-        }
-        // The batch keeps dying: isolate requests. Single-row scoring is
-        // bit-identical to batched scoring (row independence — the
-        // differential suite's contract), so survivors' answers match
-        // what the healthy batch would have produced.
-        let mut permanent = false;
-        let out: Vec<Response> = slice
-            .iter()
-            .enumerate()
-            .map(|(r, req)| {
-                let row = Tensor::from_vec(users.row(r).to_vec(), &[1, users.cols()]);
-                let one = std::slice::from_ref(req);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    self.process_encoded_ctx(one, &row, policy.max_attempts, ctx)
-                })) {
-                    Ok(mut responses) => responses.pop().unwrap_or(Response {
-                        id: req.id,
-                        items: Vec::new(),
-                    }),
-                    Err(_) => {
-                        // The victim: this request panics even alone, past
-                        // the retry budget — name it in the flight ring.
-                        self.flight_note("panic", "serve.row", ctx, req.id, u64::MAX);
-                        permanent = true;
-                        Response {
-                            id: req.id,
-                            items: Vec::new(),
-                        }
-                    }
-                }
-            })
-            .collect();
-        if permanent {
-            if let Some(tel) = &self.telemetry {
-                tel.flight.trigger("permanent-panic");
-            }
-        }
-        out
-    }
-
-    /// [`CatalogShard::serve_encoded`] behind per-shard backpressure:
-    /// calls carrying more than `resilience.max_queue_depth` rows are
-    /// rejected (typed, counted) so one slow shard sheds load instead of
-    /// queuing unbounded work. The gateway degrades the affected
-    /// responses rather than failing the whole request.
-    pub fn try_serve_encoded(
-        &self,
-        slice: &[Request],
-        users: &Tensor,
-    ) -> Result<Vec<Response>, ServeError> {
-        self.try_serve_encoded_ctx(slice, users, TraceContext::UNTRACED)
-    }
-
-    /// [`CatalogShard::try_serve_encoded`] under a trace identity;
-    /// backpressure rejections are noted in the flight recorder.
-    pub fn try_serve_encoded_ctx(
-        &self,
-        slice: &[Request],
-        users: &Tensor,
-        ctx: TraceContext,
-    ) -> Result<Vec<Response>, ServeError> {
+    /// THE serve call: per-shard backpressure (calls carrying more than
+    /// `resilience.max_queue_depth` rows are rejected, typed and counted,
+    /// so one slow shard sheds load instead of queuing unbounded work),
+    /// then the deadline (a budget already spent at `call.now_ns` would
+    /// be answered after the caller stopped listening), then scoring
+    /// under bounded retry. A micro-batch that still dies surfaces as
+    /// [`ServeError::Panicked`]: a caller with a sibling replica over the
+    /// same window fails over (bit-identical answer); a caller without
+    /// one absorbs the failure with [`CatalogShard::isolate`].
+    pub fn serve_window(&self, call: &ShardCall<'_>) -> Result<Vec<Response>, ServeError> {
         let limit = self.resilience.max_queue_depth;
-        if slice.len() > limit {
+        if call.slice.len() > limit {
             if let Some(tel) = &self.telemetry {
                 tel.registry.counter("serve.rejected_overload").inc();
             }
-            self.flight_note("overload", "serve.queue", ctx, u64::MAX, u64::MAX);
+            self.flight_note("overload", "serve.queue", call.ctx, u64::MAX, u64::MAX);
             return Err(ServeError::Overloaded {
-                depth: slice.len(),
+                depth: call.slice.len(),
                 limit,
             });
         }
-        Ok(self.serve_encoded_ctx(slice, users, ctx))
-    }
-
-    /// The *strict* replica-dispatch path: backpressure and deadline are
-    /// checked up front, panics are retried up to the policy bound, and a
-    /// micro-batch that still dies surfaces as [`ServeError::Panicked`]
-    /// instead of being absorbed into per-request isolation. A
-    /// replica-aware caller wants the typed failure — a sibling replica
-    /// over the same window answers bit-identically, so failing over
-    /// beats degrading. (The absorbing path, [`serve_encoded_ctx`], stays
-    /// the last line of defense when no replica is left.)
-    ///
-    /// `now_ns` is the caller's reading of its `wr_obs::Clock` — the
-    /// shard itself never reads a clock, so deadline behavior is a pure
-    /// function of the caller's virtual timeline.
-    ///
-    /// [`serve_encoded_ctx`]: CatalogShard::serve_encoded_ctx
-    pub fn try_serve_replica(
-        &self,
-        slice: &[Request],
-        users: &Tensor,
-        ctx: TraceContext,
-        deadline: DeadlineBudget,
-        now_ns: u64,
-    ) -> Result<Vec<Response>, ServeError> {
-        let limit = self.resilience.max_queue_depth;
-        if slice.len() > limit {
-            if let Some(tel) = &self.telemetry {
-                tel.registry.counter("serve.rejected_overload").inc();
-            }
-            self.flight_note("overload", "serve.queue", ctx, u64::MAX, u64::MAX);
-            return Err(ServeError::Overloaded {
-                depth: slice.len(),
-                limit,
-            });
-        }
-        if deadline.expired(now_ns) {
-            self.flight_note("deadline", "serve.queue", ctx, u64::MAX, u64::MAX);
+        if call.deadline.expired(call.now_ns) {
+            self.flight_note("deadline", "serve.queue", call.ctx, u64::MAX, u64::MAX);
             return Err(ServeError::DeadlineExceeded {
-                elapsed_ns: deadline.elapsed_ns(now_ns),
-                budget_ns: deadline.budget_ns,
+                elapsed_ns: call.deadline.elapsed_ns(call.now_ns),
+                budget_ns: call.deadline.budget_ns,
             });
         }
+        self.retry_batch(call.ctx, |attempt| {
+            self.score(call.slice, call.users, attempt, call.ctx)
+        })
+    }
+
+    /// The last line of defense once [`CatalogShard::serve_window`] gave
+    /// up on a batch: every request is re-scored alone from its own
+    /// `users` row, so a poisoned request fails with an empty item list
+    /// while its batch peers get their normal answers. Single-row scoring
+    /// is bit-identical to batched scoring (row independence — the
+    /// differential suite's contract), so survivors' answers match what
+    /// the healthy batch would have produced.
+    pub fn isolate(&self, call: &ShardCall<'_>) -> Vec<Response> {
+        self.isolate_each(call.slice, call.ctx, |r, one, attempt| {
+            let row = Tensor::from_vec(call.users.row(r).to_vec(), &[1, call.users.cols()]);
+            self.score(one, &row, attempt, call.ctx)
+        })
+    }
+
+    /// Bounded retry with backoff around one micro-batch attempt —
+    /// containment site one of two. `try_batch(attempt)` may panic; each
+    /// panic is counted (`serve.retries`) and flight-noted under `ctx`.
+    /// The engine passes a closure that re-encodes, so a genuine panic in
+    /// the model forward is contained by the same loop.
+    pub(crate) fn retry_batch(
+        &self,
+        ctx: TraceContext,
+        try_batch: impl Fn(u32) -> Vec<Response>,
+    ) -> Result<Vec<Response>, ServeError> {
         let policy = self.resilience.retry;
         for attempt in 0..policy.max_attempts {
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.process_encoded_ctx(slice, users, attempt, ctx)
-            })) {
+            match catch_unwind(AssertUnwindSafe(|| try_batch(attempt))) {
                 Ok(responses) => return Ok(responses),
                 Err(_payload) => {
                     if let Some(tel) = &self.telemetry {
@@ -471,35 +395,41 @@ impl CatalogShard {
         })
     }
 
-    /// Single pre-encoded query without fault hooks (the interactive
-    /// path): honors the active scorer, filters seen items, answers in
-    /// global ids.
-    pub fn recommend_encoded(&self, history: &[usize], users: &Tensor) -> Vec<ScoredItem> {
-        if let Scorer::Ivf { nprobe } = self.scorer {
-            let req = Request {
-                id: 0,
-                history: history.to_vec(),
-            };
-            return self
-                .process_encoded_ann(std::slice::from_ref(&req), users, nprobe, TraceContext::UNTRACED)
-                .pop()
-                .map(|r| r.items)
-                .unwrap_or_default();
-        }
-        let scores = users.matmul(self.cache.items_t());
-        let seen: &[usize] = if self.filter_seen { history } else { &[] };
-        if self.item_offset == 0 {
-            return top_k_filtered(scores.row(0), self.k, seen);
-        }
-        let local_seen: Vec<usize> = seen
+    /// Per-request isolation — containment site two of two.
+    /// `try_one(row, request, attempt)` scores one request alone, past the
+    /// retry budget (`attempt = max_attempts`, so transient faults have
+    /// cleared). A request that panics even alone is the victim: named in
+    /// the flight ring, answered empty, and a sealed flight dump is
+    /// triggered when one is armed.
+    pub(crate) fn isolate_each(
+        &self,
+        slice: &[Request],
+        ctx: TraceContext,
+        try_one: impl Fn(usize, &[Request], u32) -> Vec<Response>,
+    ) -> Vec<Response> {
+        let attempt = self.resilience.retry.max_attempts;
+        let mut permanent = false;
+        let out: Vec<Response> = slice
             .iter()
-            .filter_map(|&h| h.checked_sub(self.item_offset))
+            .enumerate()
+            .map(|(r, req)| {
+                let one = std::slice::from_ref(req);
+                match catch_unwind(AssertUnwindSafe(|| try_one(r, one, attempt))) {
+                    Ok(mut responses) => responses.pop().unwrap_or_else(|| unanswered(req)),
+                    Err(_) => {
+                        self.flight_note("panic", "serve.row", ctx, req.id, u64::MAX);
+                        permanent = true;
+                        unanswered(req)
+                    }
+                }
+            })
             .collect();
-        let mut items = top_k_filtered(scores.row(0), self.k, &local_seen);
-        for s in &mut items {
-            s.item += self.item_offset;
+        if permanent {
+            if let Some(tel) = &self.telemetry {
+                tel.flight.trigger("permanent-panic");
+            }
         }
-        items
+        out
     }
 
     /// Score one micro-batch through the IVF index: probe per query in
@@ -507,28 +437,17 @@ impl CatalogShard {
     /// usual thread-count-independent shape). Seen-item filtering and the
     /// item quarantine are applied as candidate exclusions, remapped into
     /// the window.
-    fn process_encoded_ann(
+    fn score_ann(
         &self,
         slice: &[Request],
         users: &Tensor,
+        index: &IvfIndex,
         nprobe: usize,
         ctx: TraceContext,
     ) -> Vec<Response> {
-        let Some(index) = self.index.as_ref() else {
-            // Scorer::Ivf without an index — set_ann enforces the
-            // pairing, but a broken caller gets dense answers, not a
-            // dead batch.
-            let mut scores = users.matmul(self.cache.items_t());
-            for (r, req) in slice.iter().enumerate() {
-                self.injector.poison("serve.score", req.id, scores.row_mut(r));
-            }
-            return self.extract_top_k(slice, scores, ctx);
-        };
         let (k, filter_seen, offset) = (self.k, self.filter_seen, self.item_offset);
         let n_local = self.cache.n_items();
         let quarantined = &self.quarantined;
-        let index_ref: &IvfIndex = index;
-        let users_ref = users;
         let results: Vec<(Vec<ScoredItem>, SearchStats)> =
             wr_runtime::parallel_map(slice.len(), 1, |r| {
                 let mut excluded: Vec<usize> = Vec::new();
@@ -539,7 +458,7 @@ impl CatalogShard {
                     }));
                 }
                 excluded.extend_from_slice(quarantined);
-                index_ref.search_traced(users_ref.row(r), k, nprobe, &excluded, ctx.trace_id)
+                index.search_traced(users.row(r), k, nprobe, &excluded, ctx.trace_id)
             });
         if let Some(tel) = &self.telemetry {
             let (lists, rows) = results.iter().fold((0u64, 0u64), |(l, s), (_, st)| {
@@ -679,6 +598,17 @@ mod tests {
         (items, shard)
     }
 
+    /// An untraced call with an unlimited budget.
+    fn untraced<'a>(slice: &'a [Request], users: &'a Tensor) -> ShardCall<'a> {
+        ShardCall {
+            slice,
+            users,
+            ctx: TraceContext::UNTRACED,
+            deadline: DeadlineBudget::unlimited(),
+            now_ns: 0,
+        }
+    }
+
     #[test]
     fn window_scoring_matches_full_catalog_columns() {
         let (items, shard) = shard_fixture(37, 11..29, 5);
@@ -706,7 +636,7 @@ mod tests {
             Request { id: 0, history: vec![12, 28, 3] },  // 12, 28 in window
             Request { id: 1, history: vec![] },
         ];
-        let responses = shard.serve_encoded(&reqs, &users);
+        let responses = shard.serve_window(&untraced(&reqs, &users)).unwrap();
         // k exceeds the window: all unseen window items come back.
         assert_eq!(responses[0].items.len(), 16);
         assert_eq!(responses[1].items.len(), 18);
@@ -730,13 +660,14 @@ mod tests {
         let reqs: Vec<Request> = (0..3)
             .map(|i| Request { id: i, history: vec![] })
             .collect();
-        match shard.try_serve_encoded(&reqs, &users) {
+        match shard.serve_window(&untraced(&reqs, &users)) {
             Err(ServeError::Overloaded { depth, limit }) => {
                 assert_eq!((depth, limit), (3, 2));
             }
             other => panic!("expected per-shard backpressure rejection, got {other:?}"),
         }
-        assert!(shard.try_serve_encoded(&reqs[..2], &users).is_ok());
+        let two = Tensor::randn(&[2, 8], &mut rng);
+        assert!(shard.serve_window(&untraced(&reqs[..2], &two)).is_ok());
     }
 
     #[test]
@@ -751,8 +682,8 @@ mod tests {
         let reqs: Vec<Request> = (0..4)
             .map(|i| Request { id: i, history: vec![12, 3] })
             .collect();
-        let a = shard.serve_encoded(&reqs, &users);
-        let b = replica.serve_encoded(&reqs, &users);
+        let a = shard.serve_window(&untraced(&reqs, &users)).unwrap();
+        let b = replica.serve_window(&untraced(&reqs, &users)).unwrap();
         assert_eq!(a.len(), b.len());
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.id, rb.id);
@@ -762,45 +693,6 @@ mod tests {
                 assert_eq!(sa.score.to_bits(), sb.score.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn strict_replica_path_surfaces_typed_failures() {
-        let (_, shard) = shard_fixture(20, 0..20, 3);
-        let mut rng = Rng64::seed_from(13);
-        let users = Tensor::randn(&[2, 8], &mut rng);
-        let reqs: Vec<Request> = (0..2)
-            .map(|i| Request { id: i, history: vec![] })
-            .collect();
-        let unlimited = DeadlineBudget::unlimited();
-        // Healthy: answers like the absorbing path.
-        let ok = shard
-            .try_serve_replica(&reqs, &users, TraceContext::UNTRACED, unlimited, 0)
-            .unwrap();
-        assert_eq!(ok, shard.serve_encoded(&reqs, &users));
-        // Expired deadline: typed rejection, nothing scored.
-        let spent = DeadlineBudget::started_at(0, 100);
-        match shard.try_serve_replica(&reqs, &users, TraceContext::UNTRACED, spent, 250) {
-            Err(ServeError::DeadlineExceeded { elapsed_ns, budget_ns }) => {
-                assert_eq!((elapsed_ns, budget_ns), (250, 100));
-            }
-            other => panic!("expected deadline rejection, got {other:?}"),
-        }
-        // A permanently-dead replica: typed panic after the retry budget,
-        // never absorbed into empty-item isolation.
-        let mut dead = shard.replica().with_sleeper(Arc::new(wr_fault::NoSleep));
-        dead.set_injector(Arc::new(wr_fault::KillAfter::serve_rows()));
-        match dead.try_serve_replica(&reqs, &users, TraceContext::UNTRACED, unlimited, 0) {
-            Err(ServeError::Panicked { attempts }) => {
-                assert_eq!(attempts, RetryPolicy::default().max_attempts);
-            }
-            other => panic!("expected typed panic failure, got {other:?}"),
-        }
-        // The primary (same cache handle) is untouched by the replica's
-        // injector swap.
-        assert!(shard
-            .try_serve_replica(&reqs, &users, TraceContext::UNTRACED, unlimited, 0)
-            .is_ok());
     }
 
     #[test]

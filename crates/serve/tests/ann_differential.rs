@@ -94,8 +94,8 @@ fn full_probe_replay_is_bit_identical_to_exact() {
     let mut checksums = Vec::new();
     for threads in [1usize, 8] {
         wr_runtime::set_threads(threads);
-        let (exact_resp, exact_report) = replay(&exact, &log);
-        let (ann_resp, ann_report) = replay(&ann, &log);
+        let (exact_resp, exact_report) = replay(&exact, &log, &wr_obs::Telemetry::new());
+        let (ann_resp, ann_report) = replay(&ann, &log, &wr_obs::Telemetry::new());
         assert_bit_identical(
             &ann_resp,
             &exact_resp,

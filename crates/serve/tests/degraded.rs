@@ -187,12 +187,15 @@ fn poisoned_cache_rows_are_quarantined_and_never_recommended() {
         "rate 0.2 over 60 items must quarantine something"
     );
 
-    for resp in eng.serve(&queries(40, 21)) {
-        for scored in &resp.items {
+    // Both the batch path and the interactive single-query path.
+    let reqs = queries(40, 21);
+    let interactive = reqs.iter().map(|r| (r.id, eng.recommend(&r.history)));
+    let batched = eng.serve(&reqs).into_iter().map(|r| (r.id, r.items));
+    for (id, items) in batched.chain(interactive) {
+        for scored in &items {
             assert!(
                 !expected.contains(&scored.item),
-                "request {} was recommended quarantined item {}",
-                resp.id,
+                "request {id} was recommended quarantined item {}",
                 scored.item
             );
             assert!(scored.score.is_finite());

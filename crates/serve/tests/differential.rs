@@ -166,7 +166,7 @@ fn instrumentation_does_not_change_results() {
         wr_runtime::set_threads(threads);
         let direct = observed_engine.serve(&reqs);
         assert_bit_identical(&direct, &plain, &format!("instrumented, {threads} threads"));
-        let (replayed, _report) = wr_serve::replay_observed(&observed_engine, &log, &tel);
+        let (replayed, _report) = wr_serve::replay(&observed_engine, &log, &tel);
         assert_bit_identical(&replayed, &plain, &format!("replayed, {threads} threads"));
     }
     wr_runtime::set_threads(1);

@@ -36,10 +36,19 @@ cargo test -p wr-serve -q
 echo "== check: serve suites (WR_THREADS=1) =="
 WR_THREADS=1 cargo test -p wr-serve -q
 
-echo "== check: serve-bench smoke replay =="
+# The benchmark (bench/ledger, its own workspace) compiles against the
+# serving crates by path: build it, run its unit tests and its smoke pass
+# (every workload, every gate, no bound checked) so a break of the surface
+# it uses fails here and not in the benchmark driver. Its allocator unit
+# tests measure process-wide peaks and race each other on a multi-core
+# box, so the test binary runs them one at a time.
+echo "== check: bench/ledger smoke =="
+RUST_TEST_THREADS=1 bench/ledger/check.sh
+
+echo "== check: bench smoke replay (bare engine) =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-./target/release/serve-bench --scale 0.05 --epochs 1 --queries 256 \
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 32 --k 10 --check-naive 64 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/report.json" \
     --trace-out "$smoke_dir/trace.json" --metrics-out "$smoke_dir/metrics.json"
@@ -47,13 +56,13 @@ grep -q '"p50_ms"' "$smoke_dir/report.json"
 grep -q '"p95_ms"' "$smoke_dir/report.json"
 grep -q '"p99_ms"' "$smoke_dir/report.json"
 grep -q '"qps"' "$smoke_dir/report.json"
-echo "   serve-bench report ok: $(cat "$smoke_dir/report.json" | head -c 120)…"
+echo "   bench report ok: $(cat "$smoke_dir/report.json" | head -c 120)…"
 
 # Telemetry exports: the trace must be Chrome trace_event JSON (the binary
 # shape-validates before writing; assert the top-level key here too), and
 # the metrics snapshot must carry the serve queue-depth gauge plus the
 # whitening condition-number diagnostics.
-echo "== check: serve-bench telemetry exports =="
+echo "== check: bench telemetry exports =="
 grep -q '"traceEvents"' "$smoke_dir/trace.json"
 grep -q '"ph":"X"' "$smoke_dir/trace.json"
 grep -q '"serve.queue_depth"' "$smoke_dir/metrics.json"
@@ -74,8 +83,8 @@ echo "   trace + metrics ok: $(wc -c < "$smoke_dir/trace.json") / $(wc -c < "$sm
 # --check-naive differential must pass and the replay top1_checksum must
 # equal the exact run's, and the serve.ann.* counters must show the scan
 # actually went through the inverted lists.
-echo "== check: serve-bench ANN smoke (full-probe == exact) =="
-./target/release/serve-bench --scale 0.05 --epochs 1 --queries 256 \
+echo "== check: bench ANN smoke (full-probe == exact) =="
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 32 --k 10 --check-naive 64 \
     --checkpoint "$smoke_dir/smoke.wrck" \
     --ann-nlist 16 --ann-index "$smoke_dir/ivf.wriv" \
@@ -90,12 +99,12 @@ test -s "$smoke_dir/ivf.wriv"
 echo "   ann ok: $ann_sum $(grep -Eo '"serve\.ann\.rows_scanned":[0-9]+' "$smoke_dir/ann-metrics.json")"
 
 # Chaos smoke: replay the same fixture under an armed fault schedule. The
-# binary must exit cleanly (recovering via quarantine/retry/isolation, no
+# replay must exit cleanly (recovering via quarantine/retry/isolation, no
 # --check-naive here — degraded answers intentionally differ) and the
 # metrics export must show nonzero injected faults and a recovery path
 # that actually fired.
-echo "== check: serve-bench chaos smoke (WR_FAULT_SEED) =="
-WR_FAULT_SEED=20240613 ./target/release/serve-bench --scale 0.05 --epochs 1 \
+echo "== check: bench chaos smoke (WR_FAULT_SEED) =="
+WR_FAULT_SEED=20240613 ./target/release/whitenrec bench --scale 0.05 --epochs 1 \
     --queries 256 --batch 32 --k 10 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/chaos-report.json" \
     --metrics-out "$smoke_dir/chaos-metrics.json"
@@ -104,39 +113,39 @@ grep -Eq '"fault\.injected":[1-9]' "$smoke_dir/chaos-metrics.json"
 grep -Eq '"serve\.(quarantined_rows|retries)":[1-9]' "$smoke_dir/chaos-metrics.json"
 echo "   chaos ok: $(grep -Eo '"(fault\.injected|serve\.quarantined_rows|serve\.retries)":[0-9]+' "$smoke_dir/chaos-metrics.json" | tr '\n' ' ')"
 
-# Gateway smoke: replay a Zipf trace through the sharded gateway, reusing
-# the same checkpoint fixture. A healthy 2-shard partitioned gateway must
-# report the same top1_checksum as a 1-shard gateway (the single-engine
-# degenerate case) — the cross-binary face of the differential suite —
-# and the in-binary --check-single differential must pass. The metrics
+# Gateway smoke: replay the same trace through the sharded gateway
+# (--shards), reusing the same checkpoint fixture. A healthy 2-shard
+# gateway must report the same top1_checksum as a 1-shard gateway and as
+# the bare engine above — the cross-run face of the differential suite —
+# and the in-binary --check-naive differential must pass. The metrics
 # export must carry nonzero gateway.* traffic counters.
-echo "== check: gateway-bench smoke (2-shard == 1-shard checksum) =="
-./target/release/gateway-bench --scale 0.05 --epochs 1 --queries 256 \
+echo "== check: bench gateway smoke (2-shard == 1-shard == engine checksum) =="
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 32 --k 10 --shards 1 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gw1-report.json"
-./target/release/gateway-bench --scale 0.05 --epochs 1 --queries 256 \
-    --batch 32 --k 10 --shards 2 --check-single 64 \
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
+    --batch 32 --k 10 --shards 2 --check-naive 64 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gw2-report.json" \
     --metrics-out "$smoke_dir/gw-metrics.json"
 gw1_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gw1-report.json")"
 gw2_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gw2-report.json")"
-[ -n "$gw1_sum" ] && [ "$gw1_sum" = "$gw2_sum" ] \
-    || { echo "   gateway shard-count checksum diverged: $gw1_sum vs $gw2_sum"; exit 1; }
+[ -n "$gw1_sum" ] && [ "$gw1_sum" = "$gw2_sum" ] && [ "$gw1_sum" = "$exact_sum" ] \
+    || { echo "   topology checksum diverged: engine $exact_sum, 1 shard $gw1_sum, 2 shards $gw2_sum"; exit 1; }
 grep -q '"p50_ms"' "$smoke_dir/gw2-report.json"
 grep -q '"p99_ms"' "$smoke_dir/gw2-report.json"
 grep -Eq '"gateway\.requests":[1-9]' "$smoke_dir/gw-metrics.json"
 grep -Eq '"gateway\.fanout_calls":[1-9]' "$smoke_dir/gw-metrics.json"
 grep -q '"gateway.latency_ms"' "$smoke_dir/gw-metrics.json"
 grep -q '"gateway.degraded_responses"' "$smoke_dir/gw-metrics.json"
-echo "   gateway ok: $gw1_sum == $gw2_sum"
+echo "   gateway ok: $exact_sum == $gw1_sum == $gw2_sum"
 
 # Gateway chaos smoke: same fixture, one shard poisoned. The replay must
 # exit cleanly (survivor shards keep answering; the victim degrades the
 # responses it loses) with nonzero injected faults in the export, and the
 # armed schedule must export as a sealed wr-faultlog/v1 artifact so the
 # run's exact injections travel with its bench JSON.
-echo "== check: gateway-bench chaos smoke (one shard poisoned) =="
-WR_FAULT_SEED=20240613 ./target/release/gateway-bench --scale 0.05 --epochs 1 \
+echo "== check: bench gateway chaos smoke (one shard poisoned) =="
+WR_FAULT_SEED=20240613 ./target/release/whitenrec bench --scale 0.05 --epochs 1 \
     --queries 256 --batch 32 --k 10 --shards 3 --poison-shard 1 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gw-chaos-report.json" \
     --metrics-out "$smoke_dir/gw-chaos-metrics.json" \
@@ -155,14 +164,14 @@ echo "   gateway chaos ok: $(grep -Eo '"(fault\.injected|gateway\.degraded_respo
 # clean exit, top1_checksum EQUAL to the healthy 1-shard run (failover
 # moves availability, never bits), zero degraded responses, nonzero
 # gateway.failovers, and a sealed flight dump naming the opened breaker.
-echo "== check: gateway-bench replica failover smoke (--replicas 2 --poison-replica 1) =="
-./target/release/gateway-bench --scale 0.05 --epochs 1 --queries 256 \
+echo "== check: bench replica failover smoke (--replicas 2 --poison-replica 1) =="
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 32 --k 10 --shards 3 --replicas 2 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gwr-report.json"
 gwr_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gwr-report.json")"
 [ -n "$gwr_sum" ] && [ "$gwr_sum" = "$gw1_sum" ] \
     || { echo "   healthy 2-replica checksum diverged: $gwr_sum vs $gw1_sum"; exit 1; }
-./target/release/gateway-bench --scale 0.05 --epochs 1 --queries 256 \
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 32 --k 10 --shards 3 --replicas 2 --poison-replica 1 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gwrk-report.json" \
     --metrics-out "$smoke_dir/gwrk-metrics.json" --obs-dump-dir "$smoke_dir/obs-replica"
@@ -177,13 +186,13 @@ grep -q '"kind":"breaker"' "$smoke_dir/obs-replica/flight.dump.jsonl"
 echo "   replica failover ok: $gwrk_sum == $gw1_sum, $(grep -Eo '"gateway\.(failovers|breaker_open)":[0-9]+' "$smoke_dir/gwrk-metrics.json" | tr '\n' ' ')"
 
 # Live telemetry smoke: chaos replay with the read-only HTTP endpoint up
-# and the flight recorder armed. The binary self-scrapes /metrics and
+# and the flight recorder armed. The bench self-scrapes /metrics and
 # /flight through the real TCP surface (--obs-dump-dir) after the replay;
 # the scrape must carry live gateway.* traffic counters, the flight ring
 # must name the permanently-panicked victim requests, and the sealed
 # incident dump must have been written on the first degradation trigger.
-echo "== check: gateway-bench live telemetry smoke (--obs-listen) =="
-WR_FAULT_SEED=20240613 ./target/release/gateway-bench --scale 0.05 --epochs 1 \
+echo "== check: bench live telemetry smoke (--obs-listen) =="
+WR_FAULT_SEED=20240613 ./target/release/whitenrec bench --scale 0.05 --epochs 1 \
     --queries 256 --batch 32 --k 10 --shards 3 --poison-shard 1 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/obs-report.json" \
     --obs-listen 127.0.0.1:0 --obs-dump-dir "$smoke_dir/obs"
