@@ -1,4 +1,4 @@
-//! The request router: one encoder model, N catalog shards, exact merge.
+//! The request router: one frozen encoder, N catalog shards, exact merge.
 
 use std::sync::Arc;
 
@@ -7,8 +7,8 @@ use crate::ShardPlan;
 use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
 use wr_obs::{Clock, DeadlineBudget, MonotonicClock, Telemetry, TraceContext};
 use wr_serve::{
-    merge_top_k, BatcherConfig, CatalogShard, MicroBatcher, Replay, Request, ResilienceConfig,
-    Response, ScoredItem, ServeConfig,
+    merge_top_k, BatcherConfig, CatalogShard, HistoryEncoder, MicroBatcher, Replay, Request,
+    ResilienceConfig, Response, ScoredItem, ServeConfig,
 };
 use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
@@ -116,9 +116,11 @@ impl From<wr_ann::AnnError> for GatewayError {
 /// `degraded` means a shard *provably* contributed nothing for this
 /// request while its window could still have offered candidates — the
 /// shard rejected the fan-out call (backpressure) or its recovery path
-/// isolated the request to an empty answer. The flag is conservative:
-/// a poisoned-but-answering shard (NaN quarantine fallback) is not
-/// detectable at merge time and stays unflagged.
+/// isolated the request to an empty answer — or the request itself was
+/// rejected at the encode (a history naming an item outside the
+/// catalogue: empty answer, batch peers untouched). The flag is
+/// conservative: a poisoned-but-answering shard (NaN quarantine fallback)
+/// is not detectable at merge time and stays unflagged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayResponse {
     pub id: u64,
@@ -127,16 +129,16 @@ pub struct GatewayResponse {
 }
 
 /// A sharded serving gateway: the catalog cut into [`ShardPlan`] windows,
-/// each behind a [`CatalogShard`], with one shared (non-`Sync`) encoder
-/// model on the caller thread.
+/// each behind a [`CatalogShard`], with one shared [`HistoryEncoder`] —
+/// the model frozen at construction — on the caller thread.
 ///
 /// Per micro-batch the gateway encodes histories once, fans the encoded
 /// `users` tensor out to every shard on the `wr-runtime` pool (the shards
-/// are `Sync`; the pool tasks never touch the model), and merges the
+/// are `Sync`; the pool tasks never touch the encoder), and merges the
 /// per-shard top-k lists with [`merge_top_k`] — exact, because the
 /// windows are disjoint and every shard ranks under the same total order.
 pub struct Gateway {
-    model: Box<dyn SeqRecModel>,
+    encoder: HistoryEncoder,
     /// One replica set per catalog window; `sets[s]` holds `R`
     /// interchangeable [`CatalogShard`] handles over window `s`.
     sets: Vec<ReplicaSet>,
@@ -162,18 +164,19 @@ impl Gateway {
         n_shards: usize,
         cfg: GatewayConfig,
     ) -> Result<Gateway, GatewayError> {
-        let items = model.item_representations();
+        // The tower runs once; windows and encoder are cut from the one `V`.
+        let items = Arc::new(model.item_representations());
         let plan = ShardPlan::partitioned(items.rows(), n_shards)?;
         let shards = plan
             .ranges()
             .iter()
             .map(|range| CatalogShard::from_window(&items, range.clone(), &cfg.serve))
             .collect();
-        Ok(Gateway::assemble(model, shards, plan, cfg))
+        Ok(Gateway::assemble(HistoryEncoder::new(model, items), shards, plan, cfg))
     }
 
     fn assemble(
-        model: Box<dyn SeqRecModel>,
+        encoder: HistoryEncoder,
         shards: Vec<CatalogShard>,
         plan: ShardPlan,
         cfg: GatewayConfig,
@@ -192,7 +195,7 @@ impl Gateway {
         });
         let shard_labels = (0..sets.len()).map(|s| format!("shard{s}")).collect();
         Gateway {
-            model,
+            encoder,
             sets,
             plan,
             batcher,
@@ -260,17 +263,18 @@ impl Gateway {
     }
 
     /// Arm fault injection on one shard (builder-style): its catalog
-    /// window is re-snapshotted through `injector`'s `cache.load` site
+    /// window is re-snapshotted from the encoder's clean `V` through
+    /// `injector`'s `cache.load` site
     /// (global row ids — the same plan damages the same rows no matter
     /// the shard layout) and its hot path consults the injector's
     /// `serve.row` / `serve.score` sites. The other shards stay clean,
     /// which is exactly the chaos suite's "one shard poisoned" shape.
     pub fn with_shard_faults(mut self, shard: usize, injector: SharedInjector) -> Self {
-        let items = self.model.item_representations();
+        let items = self.encoder.items();
         let n_sets = self.sets.len();
         match self.sets.get_mut(shard) {
             Some(set) => set.map_replicas(|mut s| {
-                s.rearm(&items, injector.clone());
+                s.rearm(items, injector.clone());
                 s
             }),
             None => panic!("with_shard_faults: shard {shard} out of range ({n_sets} shards)"),
@@ -362,7 +366,7 @@ impl Gateway {
     }
 
     pub fn model_name(&self) -> String {
-        self.model.name()
+        self.encoder.model().name()
     }
 
     /// Answer a batch of queries. Requests are micro-batched in arrival
@@ -391,13 +395,9 @@ impl Gateway {
                     .set((requests.len() - group.end) as f64);
                 tel.tracer.span_ctx("batch", "gateway", ctx)
             });
-            let contexts: Vec<&[usize]> = slice
-                .iter()
-                .map(|r| MicroBatcher::sanitize(&r.history))
-                .collect();
-            let users = self.model.user_representations(&contexts);
-            let parts = self.fan_out(slice, &users, ctx);
-            responses.extend(self.merge_group(slice, parts, ctx));
+            let encoded = self.encoder.encode_requests(slice);
+            let parts = self.fan_out(slice, &encoded.users, ctx);
+            responses.extend(self.merge_group(slice, parts, &encoded.invalid, ctx));
             drop(span);
         }
         responses
@@ -431,7 +431,7 @@ impl Gateway {
 
     /// Dispatch one encoded micro-batch to every replica set on the pool
     /// (one task per set — the closure borrows only `Sync` state; the
-    /// model stays on this thread). Returns `(shard index, per-request
+    /// encoder stays on this thread). Returns `(shard index, per-request
     /// responses or None)` — `None` when the set shed the batch
     /// (backpressure or a spent deadline).
     fn fan_out(
@@ -451,7 +451,7 @@ impl Gateway {
         }
         // Borrow only the `Sync` pieces into the pool closure: the replica
         // sets, the labels, the clock, the telemetry handle. `self` itself
-        // must stay out — the gateway holds the non-`Sync` encoder model.
+        // must stay out — the encoder keeps the non-`Sync` source model.
         // One pool task per set means each set's breaker state is touched
         // by exactly one thread per batch, keeping trajectories
         // independent of `WR_THREADS`.
@@ -490,11 +490,14 @@ impl Gateway {
     /// Merge per-shard parts back into per-request answers with
     /// [`merge_top_k`]. Windows are disjoint, so the merge is exact — no
     /// upstream dedup needed. Missing parts (shard rejection, isolation
-    /// fallback) degrade the affected responses.
+    /// fallback) degrade the affected responses; the `invalid` rows the
+    /// encoder rejected are answered empty and degraded, whatever the
+    /// shards scored for their placeholder.
     fn merge_group(
         &self,
         slice: &[Request],
         mut parts: Vec<(usize, Option<Vec<Response>>)>,
+        invalid: &[usize],
         ctx: TraceContext,
     ) -> Vec<GatewayResponse> {
         let k = self.cfg.serve.k;
@@ -511,7 +514,8 @@ impl Gateway {
         let mut degraded_total = 0u64;
         for (r, req) in slice.iter().enumerate() {
             partials.clear();
-            let mut degraded = false;
+            let is_invalid = invalid.contains(&r);
+            let mut degraded = is_invalid;
             for (s, part) in parts.iter_mut() {
                 match part {
                     Some(responses) => match responses.get_mut(r) {
@@ -532,7 +536,10 @@ impl Gateway {
                     }
                 }
             }
-            let items = merge_top_k(k, &partials);
+            let mut items = merge_top_k(k, &partials);
+            if is_invalid {
+                items.clear();
+            }
             if degraded {
                 degraded_total += 1;
                 if let Some(tel) = &self.telemetry {

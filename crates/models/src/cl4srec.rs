@@ -4,9 +4,11 @@
 //! augmentations — crop, mask, reorder — with an InfoNCE loss over the two
 //! augmented views of every sequence in the batch.
 
+use std::sync::Arc;
+
 use wr_autograd::{Graph, Var};
 use wr_data::Batch;
-use wr_nn::{Module, Param, Session, TransformerEncoder};
+use wr_nn::{FrozenEncoder, Module, Param, Session, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, SeqRecModel};
 
@@ -183,6 +185,10 @@ impl SeqRecModel for Cl4SRec {
         let (_, hidden) = self.encode_batch(&mut sess, &batch);
         let users = g.gather_rows(hidden, &Self::user_rows(&batch));
         g.value(users)
+    }
+
+    fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
+        self.encoder.freeze(items)
     }
 }
 

@@ -6,9 +6,11 @@
 //! additionally predicts the *category* of its target item from the hidden
 //! state.
 
+use std::sync::Arc;
+
 use wr_autograd::Graph;
 use wr_data::Batch;
-use wr_nn::{Linear, Module, Param, Session, TransformerEncoder};
+use wr_nn::{FrozenEncoder, Linear, Module, Param, Session, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, SeqRecModel};
 
@@ -117,6 +119,10 @@ impl SeqRecModel for S3Rec {
             .map(|b| b * batch.seq + batch.seq - 1)
             .collect();
         g.value(g.gather_rows(hidden, &last))
+    }
+
+    fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
+        self.encoder.freeze(items)
     }
 }
 

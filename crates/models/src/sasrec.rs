@@ -1,8 +1,10 @@
 //! The SASRec chassis shared by most of the zoo.
 
+use std::sync::Arc;
+
 use wr_autograd::{Graph, Var};
 use wr_data::Batch;
-use wr_nn::{Module, Param, Session, TransformerConfig, TransformerEncoder};
+use wr_nn::{FrozenEncoder, Module, Param, Session, TransformerConfig, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, SeqRecModel};
 
@@ -275,6 +277,10 @@ impl SeqRecModel for SasRec {
             .collect();
         let users = g.gather_rows(hidden, &last_rows);
         g.value(users)
+    }
+
+    fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
+        self.encoder.freeze(items)
     }
 
     fn set_train_candidates(&mut self, candidates: Option<Vec<usize>>) {

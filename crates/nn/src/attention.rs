@@ -5,7 +5,7 @@ use wr_autograd::Var;
 use wr_tensor::{Rng64, Tensor};
 
 /// Additive mask value for forbidden attention edges.
-const MASK_NEG: f32 = -1e9;
+pub(crate) const MASK_NEG: f32 = -1e9;
 
 /// Multi-head self-attention over a flattened `[batch*seq, dim]` input.
 ///
@@ -83,11 +83,18 @@ impl Module for MultiHeadSelfAttention {
     }
 }
 
+/// The causal + left-padding rule: with real tokens at `[start, seq)`,
+/// position `i` may attend to `j` iff `j ≤ i` and `j` is a real token (or
+/// `j == i`, so pad rows stay well-defined). Shared by the mask tensor
+/// below and the frozen encoder, which applies it without one.
+pub(crate) fn causal_allowed(i: usize, j: usize, start: usize) -> bool {
+    (j <= i && j >= start) || j == i
+}
+
 /// Build the additive attention mask combining causality with left-padding.
 ///
 /// Sequences are left-padded: a sequence of true length `len` occupies
-/// positions `[seq-len, seq)`. Position `i` may attend to `j` iff `j ≤ i`
-/// and `j` is a real token (or `j == i`, so pad rows stay well-defined).
+/// positions `[seq-len, seq)`; see [`causal_allowed`] for the rule.
 pub fn causal_padding_mask(batch: usize, seq: usize, lengths: &[usize]) -> Tensor {
     assert_eq!(lengths.len(), batch, "one length per sequence");
     let mut mask = Tensor::full(&[batch, seq, seq], MASK_NEG);
@@ -97,8 +104,7 @@ pub fn causal_padding_mask(batch: usize, seq: usize, lengths: &[usize]) -> Tenso
         let start = seq - len;
         for i in 0..seq {
             for j in 0..seq {
-                let allowed = (j <= i && j >= start) || j == i;
-                if allowed {
+                if causal_allowed(i, j, start) {
                     data[b * seq * seq + i * seq + j] = 0.0;
                 }
             }

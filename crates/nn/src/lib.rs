@@ -24,6 +24,7 @@
 mod attention;
 mod checkpoint;
 mod embedding;
+mod frozen;
 mod gru;
 mod linear;
 mod moe;
@@ -38,6 +39,8 @@ pub use checkpoint::{
     CheckpointError,
 };
 pub use embedding::{Embedding, FrozenTable};
+pub use frozen::FrozenEncoder;
+pub(crate) use frozen::{FrozenBlock, FrozenLayerNorm, FrozenLinear};
 pub use gru::{Gru, GruStack};
 pub use linear::{Linear, Mlp, ProjectionHead};
 pub use moe::MoEAdaptor;

@@ -1,6 +1,6 @@
 //! Dense layers and the paper's projection heads.
 
-use crate::{Module, Param, Session};
+use crate::{FrozenLinear, Module, Param, Session};
 use wr_autograd::Var;
 use wr_tensor::{Initializer, Rng64};
 
@@ -36,6 +36,12 @@ impl Linear {
             }
             None => y,
         }
+    }
+
+    /// Snapshot the current weights into a tape-free layer.
+    pub(crate) fn freeze(&self) -> FrozenLinear {
+        let bias = self.bias.as_ref().map(Param::get);
+        FrozenLinear::new(&self.weight.get(), bias.as_ref())
     }
 
     pub fn in_dim(&self) -> usize {

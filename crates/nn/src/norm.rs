@@ -1,6 +1,6 @@
 //! Layer normalization.
 
-use crate::{Module, Param, Session};
+use crate::{FrozenLayerNorm, Module, Param, Session};
 use wr_autograd::Var;
 use wr_tensor::Tensor;
 
@@ -25,6 +25,11 @@ impl LayerNorm {
         let gamma = sess.bind(&self.gamma);
         let beta = sess.bind(&self.beta);
         sess.graph.layer_norm_rows(x, gamma, beta, self.eps)
+    }
+
+    /// Snapshot the current affine parameters into a tape-free layer.
+    pub(crate) fn freeze(&self) -> FrozenLayerNorm {
+        FrozenLayerNorm::new(&self.gamma.get(), &self.beta.get(), self.eps)
     }
 }
 

@@ -1,8 +1,11 @@
 //! Transformer encoder (SASRec-style sequence encoder).
 
+use std::sync::Arc;
+
 use crate::{
     attention::{bidirectional_padding_mask, causal_padding_mask},
-    Embedding, LayerNorm, Linear, Module, MultiHeadSelfAttention, Param, Session,
+    Embedding, FrozenBlock, FrozenEncoder, LayerNorm, Linear, Module, MultiHeadSelfAttention,
+    Param, Session,
 };
 use wr_autograd::Var;
 use wr_tensor::{Rng64, Tensor};
@@ -45,6 +48,20 @@ impl TransformerBlock {
         let h = self.ff2.forward(sess, h);
         let h = sess.dropout(h, self.dropout);
         self.ln2.forward(sess, g.add(x, h))
+    }
+
+    /// Snapshot the current weights into a tape-free block.
+    pub(crate) fn freeze(&self) -> FrozenBlock {
+        FrozenBlock {
+            wq: self.attn.wq.freeze(),
+            wk: self.attn.wk.freeze(),
+            wv: self.attn.wv.freeze(),
+            wo: self.attn.wo.freeze(),
+            ln1: self.ln1.freeze(),
+            ff1: self.ff1.freeze(),
+            ff2: self.ff2.freeze(),
+            ln2: self.ln2.freeze(),
+        }
     }
 }
 
@@ -159,6 +176,32 @@ impl TransformerEncoder {
         // Left padding ⇒ the last real position is always `seq - 1`.
         let last_rows: Vec<usize> = (0..batch).map(|b| b * seq + (seq - 1)).collect();
         sess.graph.gather_rows(h, &last_rows)
+    }
+
+    /// Snapshot this encoder — current weights, positional table — over
+    /// the frozen item matrix `items` into the tape-free
+    /// [`FrozenEncoder`], whose `encode` is bit-identical to gathering
+    /// history rows from `items` and running [`Self::forward_user`] in
+    /// eval mode. Later updates to the parameters do not reach the
+    /// snapshot.
+    ///
+    /// `None` for an encoder the frozen forward does not cover: a
+    /// bidirectional one (its final block computes one query row under
+    /// the causal mask) or one without blocks.
+    pub fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
+        if self.config.bidirectional {
+            return None;
+        }
+        let mut body: Vec<FrozenBlock> = self.blocks.iter().map(TransformerBlock::freeze).collect();
+        let last = body.pop()?;
+        Some(FrozenEncoder::new(
+            items,
+            &self.pos.table.get(),
+            self.input_ln.freeze(),
+            body,
+            last,
+            self.config.heads,
+        ))
     }
 }
 

@@ -1,0 +1,78 @@
+//! Pins the tape-free property without the benchmark: one
+//! `FrozenEncoder::encode` call makes the same small number of heap
+//! allocations however many blocks and heads the encoder has — scratch is
+//! sized once per call, never per op or per head. A test binary of its own
+//! because the counting `#[global_allocator]` is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use wr_nn::{TransformerConfig, TransformerEncoder};
+use wr_tensor::{Rng64, Tensor};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a relaxed counter bump, which touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which is
+    // passed through to `System` as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract, which
+    // is passed through to `System` as is.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by one `encode` of a 4 × 12 batch.
+fn allocations_per_encode(blocks: usize, heads: usize) -> usize {
+    let mut rng = Rng64::seed_from(5);
+    let config = TransformerConfig {
+        dim: 8,
+        heads,
+        blocks,
+        ff_mult: 2,
+        max_seq: 12,
+        dropout: 0.0,
+        bidirectional: false,
+    };
+    let items = Arc::new(Tensor::randn(&[19, 8], &mut rng));
+    let frozen = TransformerEncoder::new(config, &mut rng)
+        .freeze(items)
+        .unwrap();
+    let ids: Vec<usize> = (0..4 * 12).map(|_| rng.below(19)).collect();
+    let lengths = [12, 5, 1, 9];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let users = frozen.encode(&ids, &lengths);
+    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(users.dims(), &[4, 8]);
+    made
+}
+
+// One test function: the counter is process-wide, and a second test running
+// beside this one would allocate into its window.
+#[test]
+fn encode_allocates_a_fixed_handful_whatever_the_depth_and_head_count() {
+    // Small enough (4·12·8·8 multiply-adds per gemm) to stay on the
+    // sequential gemm path, so the pool allocates nothing in the window.
+    let shallow = allocations_per_encode(1, 1);
+    let deep = allocations_per_encode(3, 4);
+    assert_eq!(
+        shallow, deep,
+        "scratch must be sized per call, not per block or head"
+    );
+    assert!(shallow <= 12, "{shallow} allocations for one encode");
+}

@@ -27,20 +27,24 @@ pub struct EmbeddingCache {
 }
 
 impl EmbeddingCache {
-    /// Wrap a projected item matrix `V: [n_items, d]`.
-    pub fn new(items: Tensor) -> Self {
+    /// Wrap a projected item matrix `V: [n_items, d]` — an owned tensor,
+    /// or an `Arc` the caller keeps sharing (the engine's encoder reads
+    /// the same buffer).
+    pub fn new(items: impl Into<Arc<Tensor>>) -> Self {
+        let items = items.into();
         assert!(items.rank() == 2, "EmbeddingCache expects [n_items, d]");
         let items_t = items.transpose();
         EmbeddingCache {
-            items: Arc::new(items),
+            items,
             items_t: Arc::new(items_t),
         }
     }
 
     /// Snapshot a trained model's item representations (the tower output
     /// `V` of Eq. 2). For WhitenRec this bakes the whitened table *and*
-    /// the trained projection head into one frozen matrix, so serving
-    /// never re-runs the tower.
+    /// the trained projection head into one frozen matrix; the serving
+    /// encode looks history rows up in the same snapshot
+    /// ([`crate::HistoryEncoder`]), so serving never re-runs the tower.
     pub fn from_model(model: &dyn SeqRecModel) -> Self {
         EmbeddingCache::new(model.item_representations())
     }

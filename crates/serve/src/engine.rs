@@ -2,17 +2,18 @@
 //! hardened for degraded-mode operation (admission control, per-batch
 //! panic containment, NaN/Inf quarantine, bounded retry).
 //!
-//! The engine is a thin composition: the (non-`Sync`) model encodes
-//! histories on the caller thread, and a full-catalog [`CatalogShard`]
-//! — the `Sync` scoring core shared with the sharded gateway — does
-//! everything after the encode (scoring, quarantine, top-k extraction,
-//! fault hooks). The shard's retry/isolation loops run a closure that
-//! re-encodes, so a genuine panic in the model forward is contained too.
+//! The engine is a thin composition: a [`HistoryEncoder`] — the model
+//! frozen at construction — encodes histories on the caller thread, and a
+//! full-catalog [`CatalogShard`] — the `Sync` scoring core shared with
+//! the sharded gateway — does everything after the encode (scoring,
+//! quarantine, top-k extraction, fault hooks). The shard's
+//! retry/isolation loops run a closure that re-encodes, so a genuine
+//! panic in the encode is contained too.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::{BatcherConfig, CatalogShard, MicroBatcher, ScoredItem};
+use crate::{BatcherConfig, CatalogShard, HistoryEncoder, MicroBatcher, ScoredItem};
 use wr_ann::IvfIndex;
 use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
 use wr_nn::{load_params, restore_params, CheckpointError};
@@ -147,12 +148,14 @@ impl std::error::Error for ServeError {}
 
 /// Online inference over a trained sequential recommender.
 ///
-/// Construction snapshots the model's item representations into an
+/// Construction runs the item tower once and snapshots its output into an
 /// [`crate::EmbeddingCache`] (for WhitenRec: whitened table → trained
-/// projection head, baked into one frozen `V`), so per-query work is only
+/// projection head, baked into one frozen `V`) and into the
+/// [`HistoryEncoder`] that looks history rows up in it, so per-query work
+/// is only
 ///
 /// ```text
-/// encode histories → users: [b, d]   (transformer forward, batched)
+/// encode histories → users: [b, d]   (V lookup + tape-free transformer)
 /// score            → users · Vᵀ      (one gemm against the shared cache)
 /// extract          → top-k per row   (bounded heap, pool-parallel)
 /// ```
@@ -166,7 +169,7 @@ impl std::error::Error for ServeError {}
 /// representations upstream or fall back to [`ServeEngine::serve_naive`]
 /// semantics at the call site.
 pub struct ServeEngine {
-    model: Box<dyn SeqRecModel>,
+    encoder: HistoryEncoder,
     /// The full catalog as a single window at offset 0. Scoring,
     /// quarantine, extraction, and the fault hooks all live here.
     shard: CatalogShard,
@@ -183,14 +186,16 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Serve an in-memory model.
     pub fn new(model: Box<dyn SeqRecModel>, cfg: ServeConfig) -> Self {
-        let items = model.item_representations();
-        let shard = CatalogShard::from_cache(crate::EmbeddingCache::new(items), &cfg);
+        // The tower runs once; cache and encoder share the one `V`.
+        let items = Arc::new(model.item_representations());
+        let shard = CatalogShard::from_cache(crate::EmbeddingCache::new(items.clone()), &cfg);
+        let encoder = HistoryEncoder::new(model, items);
         let batcher = MicroBatcher::new(BatcherConfig {
             max_batch: cfg.max_batch,
             max_seq: cfg.max_seq,
         });
         ServeEngine {
-            model,
+            encoder,
             shard,
             batcher,
             cfg,
@@ -219,13 +224,13 @@ impl ServeEngine {
     }
 
     /// Attach a fault injector (builder-style). The item cache is
-    /// re-snapshotted through the injector's `cache.load` site so poisoned
-    /// rows are quarantined exactly as a damaged on-disk cache would be;
-    /// `serve.row` / `serve.score` faults are injected per request on the
-    /// hot path and absorbed by retry, isolation, and quarantine.
+    /// re-snapshotted from the encoder's clean `V` through the injector's
+    /// `cache.load` site so poisoned rows are quarantined exactly as a
+    /// damaged on-disk cache would be; `serve.row` / `serve.score` faults
+    /// are injected per request on the hot path and absorbed by retry,
+    /// isolation, and quarantine.
     pub fn with_faults(mut self, injector: SharedInjector) -> Self {
-        let items = self.model.item_representations();
-        self.shard.rearm(&items, injector);
+        self.shard.rearm(self.encoder.items(), injector);
         self
     }
 
@@ -290,7 +295,7 @@ impl ServeEngine {
     }
 
     pub fn model_name(&self) -> String {
-        self.model.name()
+        self.encoder.model().name()
     }
 
     pub fn n_items(&self) -> usize {
@@ -306,7 +311,9 @@ impl ServeEngine {
     /// poisoned request fails alone (empty item list) while its batch
     /// peers get their normal, bit-identical answers. Score rows carrying
     /// NaN/+Inf fall back to a full-sort path that skips non-finite
-    /// candidates (counted as `serve.quarantined_rows`).
+    /// candidates (counted as `serve.quarantined_rows`). A request whose
+    /// history names an item outside the catalogue is answered with an
+    /// empty list without disturbing its batch.
     pub fn serve(&self, requests: &[Request]) -> Vec<Response> {
         let mut responses = Vec::with_capacity(requests.len());
         for (batch_index, group) in self.batcher.plan(requests.len()).into_iter().enumerate() {
@@ -383,25 +390,30 @@ impl ServeEngine {
     /// (induced faults or genuine bugs); the caller contains it.
     /// `attempt` feeds the injector so transient faults clear on retry.
     fn process_group(&self, slice: &[Request], attempt: u32, ctx: TraceContext) -> Vec<Response> {
-        let contexts: Vec<&[usize]> = slice
-            .iter()
-            .map(|r| MicroBatcher::sanitize(&r.history))
-            .collect();
-        let users = self.model.user_representations(&contexts);
-        self.shard.score(slice, &users, attempt, ctx)
+        let encoded = self.encoder.encode_requests(slice);
+        let mut responses = self.shard.score(slice, &encoded.users, attempt, ctx);
+        for &r in &encoded.invalid {
+            if let Some(response) = responses.get_mut(r) {
+                response.items.clear();
+            }
+        }
+        responses
     }
 
     /// Reference scorer for the differential tests: one user at a time, no
     /// micro-batching, no bounded heap — a full sort of every score row
     /// under the same (`total_cmp`, ascending index) policy, then filter
-    /// and truncate. Deliberately shares *no* extraction code with
-    /// [`ServeEngine::serve`] beyond the model forward and the cache.
+    /// and truncate. Deliberately shares *no* code with
+    /// [`ServeEngine::serve`] beyond the cache: it encodes through the
+    /// model's taped forward, so every serve ≡ naive comparison is also a
+    /// frozen-vs-taped bit comparison.
     pub fn serve_naive(&self, requests: &[Request]) -> Vec<Response> {
+        let model = self.encoder.model();
         requests
             .iter()
             .map(|req| {
                 let ctx = MicroBatcher::sanitize(&req.history);
-                let users = self.model.user_representations(&[ctx]);
+                let users = model.user_representations(&[ctx]);
                 let scores = users.matmul(self.shard.cache().items_t());
                 let row = scores.row(0);
                 let mut order: Vec<usize> = (0..row.len()).collect();

@@ -13,15 +13,20 @@
 //!   transpose) once behind `Arc`s, so every worker thread of the
 //!   `wr-runtime` pool scores against the same buffer — no per-request
 //!   copies;
+//! * [`HistoryEncoder`] is the one serving encode: the model frozen at
+//!   construction into a tape-free `wr_nn::FrozenEncoder` that looks
+//!   history rows up in `V` (the item tower runs once per build, never per
+//!   micro-batch), with the taped `user_representations` kept behind the
+//!   same call for models without a frozen form;
 //! * [`ServeEngine`] restores a `wr_nn::checkpoint`, encodes each
 //!   micro-batch of histories, scores `users · Vᵀ`, and extracts top-k
 //!   with seen-item filtering via the bounded-heap scorer shared with
 //!   `wr_eval` ([`wr_eval::top_k_filtered`]), parallelized over the batch;
-//! * [`CatalogShard`] is the `Sync` half of the engine on its own: one
+//! * [`CatalogShard`] is the scoring half of the engine on its own: one
 //!   (window of the) frozen catalog plus quarantine/retry/ANN machinery,
 //!   scoring *pre-encoded* user representations — the unit `wr-gateway`
-//!   fans out across the pool while the non-`Sync` model stays on the
-//!   caller thread;
+//!   fans out across the pool while the encode stays on the caller
+//!   thread;
 //! * [`QueryLog`] + [`replay`] record/replay query traffic (uniform or
 //!   Zipf user-skewed synthetic generation) and report p50/p95/p99
 //!   latency and QPS as a JSON document shaped like the
@@ -56,6 +61,7 @@
 
 mod batcher;
 mod cache;
+mod encode;
 mod engine;
 mod latency;
 mod querylog;
@@ -64,6 +70,7 @@ pub mod topk;
 
 pub use batcher::{BatcherConfig, MicroBatch, MicroBatcher};
 pub use cache::EmbeddingCache;
+pub use encode::{EncodedBatch, HistoryEncoder};
 pub use engine::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeEngine, ServeError};
 pub use latency::{replay, top1_digest, Replay, ReplayReport};
 pub use querylog::{QueryLog, QueryLogError, ZipfError};

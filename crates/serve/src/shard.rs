@@ -5,13 +5,15 @@
 //!
 //! # Why this split exists
 //!
-//! The model half of serving (`Box<dyn SeqRecModel>`) is *not* `Sync` —
-//! parameters live behind `Rc<RefCell<…>>` for the autograd tape — so an
-//! engine can never be fanned out across `wr-runtime` pool threads. The
-//! catalog half is the opposite: a frozen `Arc`'d matrix and a handful of
-//! `Send + Sync` hooks (injector, sleeper, telemetry). [`CatalogShard`]
-//! is that second half on its own: encode once on the caller thread, then
-//! hand the `users` tensor to any number of shards concurrently.
+//! The model half of serving ([`crate::HistoryEncoder`]) keeps the
+//! source `Box<dyn SeqRecModel>`, which is *not* `Sync` — parameters live
+//! behind `Rc<RefCell<…>>` for the autograd tape — so an engine can never
+//! be fanned out across `wr-runtime` pool threads, and the encode is done
+//! once per micro-batch anyway. The catalog half is a frozen `Arc`'d
+//! matrix and a handful of `Send + Sync` hooks (injector, sleeper,
+//! telemetry). [`CatalogShard`] is that second half on its own: encode
+//! once on the caller thread, then hand the `users` tensor to any number
+//! of shards concurrently.
 //!
 //! # Catalog windows
 //!
@@ -71,12 +73,12 @@ fn slice_rows(full: &Tensor, range: &Range<usize>) -> Tensor {
 /// quarantine of non-finite rows, fault-injection hooks, bounded retry
 /// with per-request isolation, optional IVF retrieval, write-only
 /// telemetry. Everything inside is `Send + Sync`, so shards are fanned
-/// out across the `wr-runtime` pool by the gateway while the (non-Sync)
-/// model stays on the caller thread.
+/// out across the `wr-runtime` pool by the gateway while the encode
+/// stays on the caller thread.
 ///
 /// All methods take *pre-encoded* user representations (`users: [b, d]`,
-/// one row per request, produced by `SeqRecModel::user_representations`
-/// on the caller thread) and answer in **global** item ids.
+/// one row per request, produced by [`crate::HistoryEncoder`] on the
+/// caller thread) and answer in **global** item ids.
 #[derive(Clone)]
 pub struct CatalogShard {
     cache: crate::EmbeddingCache,
@@ -369,7 +371,7 @@ impl CatalogShard {
     /// containment site one of two. `try_batch(attempt)` may panic; each
     /// panic is counted (`serve.retries`) and flight-noted under `ctx`.
     /// The engine passes a closure that re-encodes, so a genuine panic in
-    /// the model forward is contained by the same loop.
+    /// the encode is contained by the same loop.
     pub(crate) fn retry_batch(
         &self,
         ctx: TraceContext,

@@ -225,7 +225,7 @@ impl Tensor {
 }
 
 /// GELU with the tanh approximation used by BERT.
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
+pub fn gelu_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }

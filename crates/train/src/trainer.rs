@@ -7,12 +7,14 @@
 //! grad-norm histograms and wraps each epoch in a trace span; [`fit`] is
 //! the same loop with throwaway telemetry.
 
+use std::sync::Arc;
+
 use crate::resume::{
     latest_valid_train_checkpoint, save_train_checkpoint, TrainCheckpoint,
 };
 use crate::{Adam, LrSchedule};
 use wr_data::{Batch, Batcher, EvalCase};
-use wr_nn::{CheckpointError, Param};
+use wr_nn::{CheckpointError, FrozenEncoder, Param};
 use wr_obs::{Clock, Telemetry};
 use wr_tensor::{Rng64, Tensor};
 
@@ -35,6 +37,17 @@ pub trait SeqRecModel {
 
     /// User representations for the given contexts → `[batch, d]`.
     fn user_representations(&self, contexts: &[&[usize]]) -> Tensor;
+
+    /// Snapshot the model for serving: a tape-free, `Send + Sync` encoder
+    /// over `items` (this model's [`Self::item_representations`], computed
+    /// once by the caller and shared) whose `encode` is bit-identical to
+    /// [`Self::user_representations`]. Later training or parameter
+    /// restores do not reach the snapshot. `None` (the default) for
+    /// architectures without a frozen form; serving keeps the taped
+    /// `user_representations` for those.
+    fn freeze(&self, _items: Arc<Tensor>) -> Option<FrozenEncoder> {
+        None
+    }
 
     /// Restrict the *training* softmax to a candidate item set (cold-start
     /// protocol: items absent from the training catalog must not receive
@@ -70,6 +83,10 @@ impl SeqRecModel for Box<dyn SeqRecModel> {
 
     fn user_representations(&self, contexts: &[&[usize]]) -> Tensor {
         (**self).user_representations(contexts)
+    }
+
+    fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
+        (**self).freeze(items)
     }
 
     fn set_train_candidates(&mut self, candidates: Option<Vec<usize>>) {

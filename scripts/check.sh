@@ -98,6 +98,17 @@ grep -Eq '"serve\.ann\.lists_probed":[1-9]' "$smoke_dir/ann-metrics.json"
 test -s "$smoke_dir/ivf.wriv"
 echo "   ann ok: $ann_sum $(grep -Eo '"serve\.ann\.rows_scanned":[0-9]+' "$smoke_dir/ann-metrics.json")"
 
+# Taped-encode smoke: GRU4Rec has no frozen form (`SeqRecModel::freeze` →
+# None), so this replay goes through the other arm of the serving encode
+# seam — the taped `user_representations` — and must still equal the naive
+# reference. Every other smoke here serves a model with a frozen encoder.
+echo "== check: bench taped-encode smoke (--model GRU4Rec, no frozen form) =="
+./target/release/whitenrec bench --model GRU4Rec --scale 0.05 --epochs 1 \
+    --queries 256 --batch 32 --k 10 --check-naive 64 \
+    --out "$smoke_dir/gru-report.json"
+grep -Eq '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gru-report.json"
+echo "   taped encode ok: $(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gru-report.json")"
+
 # Chaos smoke: replay the same fixture under an armed fault schedule. The
 # replay must exit cleanly (recovering via quarantine/retry/isolation, no
 # --check-naive here — degraded answers intentionally differ) and the
