@@ -12,6 +12,7 @@ use wr_nn::{FrozenEncoder, Module, Param, Session, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, SeqRecModel};
 
+use crate::sasrec::{inference_users, last_rows};
 use crate::{IdTower, ItemTower, ModelConfig};
 
 /// The three augmentation operators of CL4SRec.
@@ -103,10 +104,6 @@ impl Cl4SRec {
         (v, hidden)
     }
 
-    fn user_rows(batch: &Batch) -> Vec<usize> {
-        (0..batch.batch).map(|b| b * batch.seq + batch.seq - 1).collect()
-    }
-
     /// InfoNCE between two aligned views `[b, d]`: positives are matching
     /// rows, negatives are every other row of the second view.
     fn info_nce(&self, g: &Graph, a: Var, b: Var) -> Var {
@@ -153,8 +150,8 @@ impl SeqRecModel for Cl4SRec {
         // Contrastive loss between the two augmented views.
         let (_, h1) = self.encode_batch(&mut sess, &b1);
         let (_, h2) = self.encode_batch(&mut sess, &b2);
-        let u1 = g.gather_rows(h1, &Self::user_rows(&b1));
-        let u2 = g.gather_rows(h2, &Self::user_rows(&b2));
+        let u1 = g.gather_rows(h1, &last_rows(&b1));
+        let u2 = g.gather_rows(h2, &last_rows(&b2));
         let nce = self.info_nce(&g, u1, u2);
 
         let loss = g.add(main, g.scale(nce, self.lambda));
@@ -168,8 +165,8 @@ impl SeqRecModel for Cl4SRec {
         let batch = Batch::inference(contexts, self.config.max_seq);
         let g = Graph::new();
         let mut sess = Session::eval(&g);
-        let (v, hidden) = self.encode_batch(&mut sess, &batch);
-        let users = g.gather_rows(hidden, &Self::user_rows(&batch));
+        let v = self.tower.all_items(&mut sess);
+        let users = inference_users(&self.encoder, &mut sess, v, &batch);
         let logits = g.matmul(users, g.transpose(v));
         g.value(logits)
     }
@@ -183,7 +180,7 @@ impl SeqRecModel for Cl4SRec {
         let g = Graph::new();
         let mut sess = Session::eval(&g);
         let (_, hidden) = self.encode_batch(&mut sess, &batch);
-        let users = g.gather_rows(hidden, &Self::user_rows(&batch));
+        let users = g.gather_rows(hidden, &last_rows(&batch));
         g.value(users)
     }
 

@@ -14,6 +14,7 @@ use wr_nn::{FrozenEncoder, Linear, Module, Param, Session, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, SeqRecModel};
 
+use crate::sasrec::{inference_users, last_rows};
 use crate::{IdTower, ItemTower, ModelConfig};
 
 /// S³-Rec-lite model.
@@ -90,14 +91,7 @@ impl SeqRecModel for S3Rec {
         let g = Graph::new();
         let mut sess = Session::eval(&g);
         let v = self.tower.all_items(&mut sess);
-        let seq_emb = g.gather_rows(v, &batch.items);
-        let hidden =
-            self.encoder
-                .forward_hidden(&mut sess, seq_emb, batch.batch, batch.seq, &batch.lengths);
-        let last: Vec<usize> = (0..batch.batch)
-            .map(|b| b * batch.seq + batch.seq - 1)
-            .collect();
-        let users = g.gather_rows(hidden, &last);
+        let users = inference_users(&self.encoder, &mut sess, v, &batch);
         let logits = g.matmul(users, g.transpose(v));
         g.value(logits)
     }
@@ -115,10 +109,7 @@ impl SeqRecModel for S3Rec {
         let hidden =
             self.encoder
                 .forward_hidden(&mut sess, seq_emb, batch.batch, batch.seq, &batch.lengths);
-        let last: Vec<usize> = (0..batch.batch)
-            .map(|b| b * batch.seq + batch.seq - 1)
-            .collect();
-        g.value(g.gather_rows(hidden, &last))
+        g.value(g.gather_rows(hidden, &last_rows(&batch)))
     }
 
     fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {

@@ -71,6 +71,40 @@ impl ModelConfig {
     }
 }
 
+/// Rows of the padded `[batch * seq, dim]` hidden states that hold the user
+/// representations: left padding puts every sequence's last real position
+/// at `seq - 1`.
+pub(crate) fn last_rows(batch: &Batch) -> Vec<usize> {
+    (0..batch.batch)
+        .map(|b| b * batch.seq + batch.seq - 1)
+        .collect()
+}
+
+/// The chassis' one inference encode: user rows `[batch, dim]` for a packed
+/// inference batch over the item-matrix node `v`, as a node on the
+/// session's graph. Snapshots the encoder over `v`'s value and runs the
+/// frozen forward — the encoder serving runs, so the evaluator
+/// ranks exactly what serving ranks, bit for bit equal to the taped
+/// forward. Only an encoder that does not freeze (no blocks, non-finite
+/// weights) takes the taped arm.
+pub(crate) fn inference_users(
+    encoder: &TransformerEncoder,
+    sess: &mut Session,
+    v: Var,
+    batch: &Batch,
+) -> Var {
+    let g = sess.graph;
+    match encoder.freeze(Arc::new(g.value(v))) {
+        Some(frozen) => g.constant(frozen.encode(&batch.items, &batch.lengths)),
+        None => {
+            let seq_emb = g.gather_rows(v, &batch.items);
+            let hidden =
+                encoder.forward_hidden(sess, seq_emb, batch.batch, batch.seq, &batch.lengths);
+            g.gather_rows(hidden, &last_rows(batch))
+        }
+    }
+}
+
 /// SASRec with a pluggable item tower — this one type *is* SASRec^ID,
 /// SASRec^T, SASRec^T+ID, WhitenRec, WhitenRec+, and UniSRec depending on
 /// the tower and loss it's built with (see [`crate::zoo`]).
@@ -251,11 +285,8 @@ impl SeqRecModel for SasRec {
         let batch = Batch::inference(contexts, self.config.max_seq);
         let g = Graph::new();
         let mut sess = Session::eval(&g);
-        let (v, hidden) = self.forward(&mut sess, &batch);
-        let last_rows: Vec<usize> = (0..batch.batch)
-            .map(|b| b * batch.seq + batch.seq - 1)
-            .collect();
-        let users = g.gather_rows(hidden, &last_rows);
+        let v = self.tower.all_items(&mut sess);
+        let users = inference_users(&self.encoder, &mut sess, v, &batch);
         let logits = self.logits(&g, users, v);
         g.value(logits)
     }
@@ -272,11 +303,7 @@ impl SeqRecModel for SasRec {
         let g = Graph::new();
         let mut sess = Session::eval(&g);
         let (_, hidden) = self.forward(&mut sess, &batch);
-        let last_rows: Vec<usize> = (0..batch.batch)
-            .map(|b| b * batch.seq + batch.seq - 1)
-            .collect();
-        let users = g.gather_rows(hidden, &last_rows);
-        g.value(users)
+        g.value(g.gather_rows(hidden, &last_rows(&batch)))
     }
 
     fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {

@@ -1,11 +1,15 @@
-//! `freeze().encode(ctx)` ≡ `user_representations(ctx)`, bit for bit, for
-//! every item tower of the SASRec chassis and both full-softmax losses —
-//! including the empty-history context and contexts longer than `max_seq`
-//! — and the frozen encoder is a snapshot: training or restoring the
-//! source model afterwards does not reach it.
+//! `freeze().encode(ctx)` ≡ `user_representations(ctx)`, and
+//! `score(ctx)` — which encodes through the frozen encoder — ≡ the
+//! prediction layer over the taped `user_representations` ×
+//! `item_representations`, bit for bit, for every item tower of the SASRec
+//! chassis and both full-softmax losses — including the empty-history
+//! context and contexts longer than `max_seq` — and the frozen encoder is
+//! a snapshot: training or restoring the source model afterwards does not
+//! reach it.
 
 use std::sync::Arc;
 
+use wr_autograd::Graph;
 use wr_data::{Batch, PAD_ITEM};
 use wr_models::{
     Bert4Rec, Cl4SRec, DifSr, EnsembleTower, Fdsa, Gru4Rec, IdTower, ItemTower, LossKind,
@@ -124,6 +128,38 @@ fn assert_frozen_matches_taped(model: &dyn SeqRecModel, what: &str) {
     }
 }
 
+/// `model.score` against the taped reference: the prediction layer of
+/// `loss` (the arithmetic of the chassis' `logits`) over the taped
+/// `user_representations` and `item_representations`.
+fn assert_score_matches_taped(model: &dyn SeqRecModel, loss: LossKind, what: &str) {
+    let owned = contexts();
+    let refs: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
+    let reference = |contexts: &[&[usize]]| {
+        let g = Graph::new();
+        let users = g.constant(model.user_representations(contexts));
+        let items = g.constant(model.item_representations());
+        let logits = match loss {
+            LossKind::CosineSoftmax { tau } => {
+                let un = g.l2_normalize_rows(users);
+                let vn = g.l2_normalize_rows(items);
+                g.scale(g.matmul(un, g.transpose(vn)), 1.0 / tau)
+            }
+            _ => g.matmul(users, g.transpose(items)),
+        };
+        g.value(logits)
+    };
+    let got = model.score(&refs);
+    assert_eq!(got.dims(), &[refs.len(), N_ITEMS], "{what}");
+    assert_eq!(bits(&got), bits(&reference(&refs)), "{what}: batched score");
+    for (r, ctx) in refs.iter().enumerate() {
+        assert_eq!(
+            bits(&model.score(&[ctx])),
+            bits(&reference(&[ctx])),
+            "{what}: score of row {r} alone"
+        );
+    }
+}
+
 #[test]
 fn every_chassis_tower_and_loss_freezes_bit_identically() {
     for loss in [LossKind::Softmax, LossKind::CosineSoftmax { tau: 0.07 }] {
@@ -131,7 +167,9 @@ fn every_chassis_tower_and_loss_freezes_bit_identically() {
         for (name, tower) in towers(&mut rng) {
             let mut model = SasRec::new(name, tower, loss, config(), &mut rng);
             train_a_little(&mut model, &mut rng);
-            assert_frozen_matches_taped(&model, &format!("{name} / {loss:?}"));
+            let what = format!("{name} / {loss:?}");
+            assert_frozen_matches_taped(&model, &what);
+            assert_score_matches_taped(&model, loss, &what);
         }
     }
 }
@@ -143,9 +181,11 @@ fn the_id_tower_auxiliary_loss_models_freeze_too() {
     let mut s3 = S3Rec::new(categories, config(), &mut rng);
     train_a_little(&mut s3, &mut rng);
     assert_frozen_matches_taped(&s3, "S3Rec");
+    assert_score_matches_taped(&s3, LossKind::Softmax, "S3Rec");
     let mut cl = Cl4SRec::new(N_ITEMS, config(), &mut rng);
     train_a_little(&mut cl, &mut rng);
     assert_frozen_matches_taped(&cl, "CL4SRec");
+    assert_score_matches_taped(&cl, LossKind::Softmax, "CL4SRec");
 }
 
 #[test]
@@ -192,12 +232,57 @@ fn models_without_a_frozen_form_keep_the_taped_encode() {
         Box::new(Bert4Rec::new(N_ITEMS, config(), &mut rng)),
         Box::new(DifSr::new(categories, config(), &mut rng)),
     ];
-    for model in models {
+    for mut model in models {
+        train_a_little(model.as_mut(), &mut rng);
         let items = Arc::new(model.item_representations());
         assert!(
             model.freeze(items).is_none(),
             "{} has no frozen form",
             model.name()
         );
+        // … and their `score` is still the taped forward.
+        assert_score_matches_taped(model.as_ref(), LossKind::Softmax, &model.name());
+    }
+}
+
+#[test]
+fn a_non_finite_model_does_not_freeze_and_scores_through_the_tape() {
+    // A masked non-finite operand poisons the taped row (`0.0 · NaN`) but
+    // would never be read by the frozen encoder, so such a model has no
+    // frozen form and `score` stays on the tape — the two cannot disagree.
+    let mut rng = Rng64::seed_from(35);
+    let build = |rng: &mut Rng64| {
+        let tower = IdTower::new(N_ITEMS, config().dim, rng);
+        let mut model = SasRec::new(
+            "poisoned",
+            Box::new(tower),
+            LossKind::Softmax,
+            config(),
+            rng,
+        );
+        train_a_little(&mut model, rng);
+        model
+    };
+
+    let nan_pad_row = build(&mut rng);
+    nan_pad_row.tower.params()[0].update(|t| t.row_mut(PAD_ITEM)[0] = f32::NAN);
+    let inf_wk = build(&mut rng);
+    inf_wk.encoder.blocks[0]
+        .attn
+        .wk
+        .weight
+        .update(|t| t.data_mut()[0] = f32::INFINITY);
+
+    for (model, what) in [(nan_pad_row, "NaN in V[PAD_ITEM]"), (inf_wk, "Inf in wk")] {
+        let items = Arc::new(model.item_representations());
+        assert!(model.freeze(items).is_none(), "{what}");
+        let owned = contexts();
+        let refs: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
+        let got = model.score(&refs);
+        assert!(
+            got.data().iter().any(|v| v.is_nan()),
+            "{what}: the poison must reach a score"
+        );
+        assert_score_matches_taped(&model, LossKind::Softmax, what);
     }
 }

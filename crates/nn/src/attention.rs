@@ -1,11 +1,13 @@
 //! Multi-head causal self-attention.
 
+use std::ops::Range;
+
 use crate::{Linear, Module, Param, Session};
 use wr_autograd::Var;
 use wr_tensor::{Rng64, Tensor};
 
 /// Additive mask value for forbidden attention edges.
-pub(crate) const MASK_NEG: f32 = -1e9;
+const MASK_NEG: f32 = -1e9;
 
 /// Multi-head self-attention over a flattened `[batch*seq, dim]` input.
 ///
@@ -83,31 +85,31 @@ impl Module for MultiHeadSelfAttention {
     }
 }
 
-/// The causal + left-padding rule: with real tokens at `[start, seq)`,
-/// position `i` may attend to `j` iff `j ≤ i` and `j` is a real token (or
-/// `j == i`, so pad rows stay well-defined). Shared by the mask tensor
-/// below and the frozen encoder, which applies it without one.
-pub(crate) fn causal_allowed(i: usize, j: usize, start: usize) -> bool {
-    (j <= i && j >= start) || j == i
+/// The causal + left-padding rule, as the contiguous key range a query may
+/// read: with real tokens at `[start, seq)`, position `i` attends to every
+/// real `j ≤ i`, and a pad position (`i < start`, which includes the last
+/// position of an empty history, `start = seq`) attends to itself alone so
+/// its softmax stays well-defined. The one statement of the rule: the mask
+/// tensor below is built from it and the frozen encoder iterates it
+/// directly, without a mask.
+pub(crate) fn allowed_keys(i: usize, start: usize) -> Range<usize> {
+    start.min(i)..i + 1
 }
 
 /// Build the additive attention mask combining causality with left-padding.
 ///
 /// Sequences are left-padded: a sequence of true length `len` occupies
-/// positions `[seq-len, seq)`; see [`causal_allowed`] for the rule.
+/// positions `[seq-len, seq)`; see [`allowed_keys`] for the rule.
 pub fn causal_padding_mask(batch: usize, seq: usize, lengths: &[usize]) -> Tensor {
     assert_eq!(lengths.len(), batch, "one length per sequence");
     let mut mask = Tensor::full(&[batch, seq, seq], MASK_NEG);
     let data = mask.data_mut();
     for (b, &len) in lengths.iter().enumerate() {
-        let len = len.min(seq);
-        let start = seq - len;
+        let start = seq - len.min(seq);
         for i in 0..seq {
-            for j in 0..seq {
-                if causal_allowed(i, j, start) {
-                    data[b * seq * seq + i * seq + j] = 0.0;
-                }
-            }
+            let row = b * seq * seq + i * seq;
+            let keys = allowed_keys(i, start);
+            data[row + keys.start..row + keys.end].fill(0.0);
         }
     }
     mask
@@ -137,6 +139,45 @@ pub fn bidirectional_padding_mask(batch: usize, seq: usize, lengths: &[usize]) -
 mod tests {
     use super::*;
     use wr_autograd::Graph;
+
+    /// The rule pair by pair, as the taped mask has always applied it —
+    /// the specification [`allowed_keys`] is pinned against.
+    fn causal_allowed(i: usize, j: usize, start: usize) -> bool {
+        (j <= i && j >= start) || j == i
+    }
+
+    #[test]
+    fn allowed_keys_is_exactly_the_pairwise_rule() {
+        for seq in 1..=8usize {
+            // `start = seq` is the empty history: every row, the last
+            // included, attends only to itself.
+            for start in 0..=seq {
+                for i in 0..seq {
+                    let pairwise: Vec<usize> =
+                        (0..seq).filter(|&j| causal_allowed(i, j, start)).collect();
+                    let range: Vec<usize> = allowed_keys(i, start).collect();
+                    assert_eq!(range, pairwise, "seq {seq} start {start} i {i}");
+                    assert!(range.contains(&i), "a query always reads itself");
+                }
+                // … and the mask tensor is that range, nothing else.
+                let mask = causal_padding_mask(1, seq, &[seq - start]);
+                for i in 0..seq {
+                    for j in 0..seq {
+                        let want = if causal_allowed(i, j, start) {
+                            0.0
+                        } else {
+                            MASK_NEG
+                        };
+                        assert_eq!(
+                            mask.data()[i * seq + j],
+                            want,
+                            "seq {seq} start {start} ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn mask_structure() {

@@ -6,21 +6,51 @@
 //! mutability — so the type is `Send + Sync` by construction and
 //! "inference has no tape" is a property of the type rather than a
 //! runtime mode. Build one with [`crate::TransformerEncoder::freeze`].
+//! It is the one inference encode of the repo: the serving engine and the
+//! SASRec-chassis models' `score` (hence the offline evaluator) both call
+//! [`FrozenEncoder::encode`].
 //!
-//! [`FrozenEncoder::encode`] is bit-identical to the taped
-//! `tower → forward_user` pipeline because it performs the same scalar
-//! operations in the same order through the same kernels
-//! ([`wr_tensor::gemm`], [`wr_tensor::dot`],
-//! [`wr_tensor::softmax_in_place`], [`wr_tensor::gelu_scalar`]); what it
-//! drops is everything around the arithmetic: the per-call tower run
-//! (history rows are looked up in `V`), the per-op operand clones, the
-//! per-head slice/reshape/concat copies and the `[b, t, t]` mask tensor.
+//! **One sequence at a time, keys instead of a mask.** The input is the
+//! packed, left-padded `wr_data::Batch` (`[batch * max_seq]` ids). Each
+//! sequence runs through the blocks on its own, over all `max_seq`
+//! positions, in scratch that is one sequence's footprint whatever the
+//! batch holds; a query reads only the contiguous key range
+//! [`allowed_keys`](crate::attention) permits, so there is no mask value
+//! and no `max_seq × max_seq` score matrix; and a history the batch
+//! already holds (a hot user under skewed traffic) is not encoded twice.
+//! What one call costs — time and bytes — therefore follows the batch's
+//! shape and how many distinct histories it holds, not how long they are:
+//! the pad positions are still encoded (DESIGN.md §6 has the
+//! measurement behind that choice).
+//!
+//! [`FrozenEncoder::encode`] is bit-identical to the taped, padded
+//! `tower → forward_user` pipeline for every finite model (a non-finite
+//! one does not freeze): it performs the same scalar operations in the
+//! same order through the same kernels ([`wr_tensor::gemm`],
+//! [`wr_tensor::dot`], [`wr_tensor::softmax_in_place`],
+//! [`wr_tensor::gelu_scalar`]). (1) Every row-wise kernel produces a row
+//! from that row's inputs alone, so a row's bits do not depend on which
+//! rows are computed beside it — one sequence or a batch of them. (2) A
+//! masked score is `dot · scale − 1e9`, and the row maximum is always an
+//! allowed score (a query may read itself), so the softmax's
+//! `exp(x − max)` of a masked score is exactly `+0.0`. (3) Dropping
+//! `+0.0` terms from the softmax's sequential sum, and `0.0 · v` terms
+//! from an accumulator that starts at `+0.0` (and so can never be `−0.0`),
+//! changes no bit — given finite `v`, which `freeze` checks. What the
+//! frozen forward drops is everything around the arithmetic: the per-call
+//! tower run (history rows are looked up in `V`), the per-op operand
+//! clones, the per-head slice/reshape/concat copies, the `[b, t, t]` mask
+//! tensor, the masked (query, key) pairs and the batch-sized planes.
 //! Scratch is sized once per call and dropped on return.
 
 use std::sync::Arc;
 
-use crate::attention::{causal_allowed, MASK_NEG};
+use crate::attention::allowed_keys;
 use wr_tensor::{dot, gelu_scalar, gemm, softmax_in_place, Tensor};
+
+fn all_finite(values: &[f32]) -> bool {
+    values.iter().all(|v| v.is_finite())
+}
 
 /// `y = x W + b` over plain slices.
 #[derive(Debug, Clone)]
@@ -45,6 +75,10 @@ impl FrozenLinear {
             n_in,
             n_out,
         }
+    }
+
+    fn is_finite(&self) -> bool {
+        all_finite(&self.weight) && self.bias.as_deref().map_or(true, all_finite)
     }
 
     /// `out[..rows * n_out] = x[..rows * n_in] · W (+ b)`.
@@ -85,6 +119,10 @@ impl FrozenLayerNorm {
         }
     }
 
+    fn is_finite(&self) -> bool {
+        all_finite(&self.gamma) && all_finite(&self.beta)
+    }
+
     /// The arithmetic of `Graph::layer_norm_rows`, row by row.
     fn apply(&self, x: &mut [f32]) {
         let cols = self.gamma.len();
@@ -114,10 +152,11 @@ pub(crate) struct FrozenBlock {
     pub(crate) ln2: FrozenLayerNorm,
 }
 
-/// Per-call working memory: five `[rows, dim]` planes, the feed-forward
-/// plane and one attention row. Allocated once per [`FrozenEncoder::encode`]
-/// and dropped on return — nothing is held between calls, which is what
-/// keeps the encoder free of interior mutability.
+/// Per-call working memory: five `[max_seq, dim]` planes, the feed-forward
+/// plane and one attention row — the footprint of one sequence, whatever
+/// the batch holds. Allocated once per [`FrozenEncoder::encode`] and
+/// dropped on return — nothing is held between calls, which is what keeps
+/// the encoder free of interior mutability.
 struct Scratch {
     q: Vec<f32>,
     k: Vec<f32>,
@@ -128,55 +167,48 @@ struct Scratch {
     scores: Vec<f32>,
 }
 
-/// Shape of one packed batch.
+/// One left-padded sequence: `seq` rows, real tokens at `[start, seq)`
+/// (`start = seq` for an empty history).
 #[derive(Clone, Copy)]
-struct Dims {
-    batch: usize,
+struct Shape {
+    start: usize,
     seq: usize,
     dim: usize,
     heads: usize,
 }
 
-/// Causal multi-head attention into `s.ctx`. With `last_only` the
-/// queries are the compacted last-position rows (`s.q` is
-/// `[batch, dim]`, one query per sequence); otherwise every position
-/// queries (`s.q` is `[batch * seq, dim]`). Keys and values always
-/// span all positions.
-fn attend(s: &mut Scratch, starts: &[usize], dims: Dims, last_only: bool) {
-    let Dims {
-        batch,
+/// Causal multi-head attention into `s.ctx`. With `last_only` the one
+/// query is the last position, compacted to row 0 of `s.q` and `s.ctx`;
+/// otherwise every position queries. A query visits only the keys the
+/// mask rule lets it read.
+fn attend(s: &mut Scratch, shape: Shape, last_only: bool) {
+    let Shape {
+        start,
         seq,
         dim,
         heads,
-    } = dims;
+    } = shape;
     let dh = dim / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let scores = &mut s.scores[..seq];
-    let first_query = if last_only { seq - 1 } else { 0 };
-    for b in 0..batch {
-        let start = starts[b];
-        for i in first_query..seq {
-            let q_row = if last_only { b } else { b * seq + i };
-            for h in 0..heads {
-                let lo = h * dh;
-                let q = &s.q[q_row * dim + lo..q_row * dim + lo + dh];
-                for (j, score) in scores.iter_mut().enumerate() {
-                    let k_row = (b * seq + j) * dim + lo;
-                    let mask = if causal_allowed(i, j, start) {
-                        0.0
-                    } else {
-                        MASK_NEG
-                    };
-                    *score = dot(q, &s.k[k_row..k_row + dh]) * scale + mask;
-                }
-                softmax_in_place(scores);
-                let out = &mut s.ctx[q_row * dim + lo..q_row * dim + lo + dh];
-                out.fill(0.0);
-                for (p, &a) in scores.iter().enumerate() {
-                    let v_row = (b * seq + p) * dim + lo;
-                    for (c, &bv) in out.iter_mut().zip(&s.v[v_row..v_row + dh]) {
-                        *c += a * bv;
-                    }
+    let queries = if last_only { seq - 1..seq } else { 0..seq };
+    for row in queries {
+        let q_row = if last_only { 0 } else { row };
+        let keys = allowed_keys(row, start);
+        let scores = &mut s.scores[..keys.len()];
+        for h in 0..heads {
+            let lo = h * dh;
+            let q = &s.q[q_row * dim + lo..q_row * dim + lo + dh];
+            for (score, k_row) in scores.iter_mut().zip(keys.clone()) {
+                let k = &s.k[k_row * dim + lo..k_row * dim + lo + dh];
+                *score = dot(q, k) * scale;
+            }
+            softmax_in_place(scores);
+            let out = &mut s.ctx[q_row * dim + lo..q_row * dim + lo + dh];
+            out.fill(0.0);
+            for (&a, v_row) in scores.iter().zip(keys.clone()) {
+                let v = &s.v[v_row * dim + lo..v_row * dim + lo + dh];
+                for (c, &bv) in out.iter_mut().zip(v) {
+                    *c += a * bv;
                 }
             }
         }
@@ -184,6 +216,14 @@ fn attend(s: &mut Scratch, starts: &[usize], dims: Dims, last_only: bool) {
 }
 
 impl FrozenBlock {
+    fn is_finite(&self) -> bool {
+        [&self.wq, &self.wk, &self.wv, &self.wo, &self.ff1, &self.ff2]
+            .iter()
+            .all(|l| l.is_finite())
+            && self.ln1.is_finite()
+            && self.ln2.is_finite()
+    }
+
     /// Everything after attention for `rows` rows of `x`: output
     /// projection, residual + LayerNorm, feed-forward, residual +
     /// LayerNorm. `s.ctx[..rows * dim]` holds the attention output.
@@ -205,40 +245,34 @@ impl FrozenBlock {
         self.ln2.apply(x);
     }
 
-    /// The block over every position: `h` is `[batch * seq, dim]` in and
-    /// out.
-    fn forward_full(&self, h: &mut [f32], s: &mut Scratch, starts: &[usize], dims: Dims) {
-        let rows = dims.batch * dims.seq;
-        self.wq.apply(h, &mut s.q, rows);
-        self.wk.apply(h, &mut s.k, rows);
-        self.wv.apply(h, &mut s.v, rows);
-        attend(s, starts, dims, false);
-        self.finish(h, s, rows, dims.dim);
+    /// The block over every position of one sequence: `h` is
+    /// `[seq, dim]` in and out.
+    fn forward_full(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
+        self.wq.apply(h, &mut s.q, shape.seq);
+        self.wk.apply(h, &mut s.k, shape.seq);
+        self.wv.apply(h, &mut s.v, shape.seq);
+        attend(s, shape, false);
+        self.finish(h, s, shape.seq, shape.dim);
     }
 
-    /// The final block, for the one row per sequence the caller reads.
-    /// Keys and values are still computed for every position, but the
-    /// query, attention, output projection, both LayerNorms and the
-    /// feed-forward run for the last position only. Legal bit for bit:
-    /// every kernel on the path accumulates one output row from that
-    /// row's inputs alone (gemm over `p = 0..k` in order whether the row
-    /// sits in a 4-row group or the tail; attention scores are per-row
-    /// dots), so a row's bits do not depend on which other rows are
-    /// computed. On return `h[..batch * dim]` holds the user rows.
-    fn forward_last(&self, h: &mut [f32], s: &mut Scratch, starts: &[usize], dims: Dims) {
-        let Dims {
-            batch, seq, dim, ..
-        } = dims;
-        self.wk.apply(h, &mut s.k, batch * seq);
-        self.wv.apply(h, &mut s.v, batch * seq);
-        // Left padding ⇒ the last real position is always `seq - 1`.
-        for b in 0..batch {
-            let last = (b * seq + seq - 1) * dim;
-            h.copy_within(last..last + dim, b * dim);
-        }
-        self.wq.apply(h, &mut s.q, batch);
-        attend(s, starts, dims, true);
-        self.finish(h, s, batch, dim);
+    /// The final block, for the one row the caller reads. Keys and values
+    /// are still computed for every position, but the query, attention,
+    /// output projection, both LayerNorms and the feed-forward run for the
+    /// last position only. Legal bit for bit: every kernel on the path
+    /// accumulates one output row from that row's inputs alone (gemm over
+    /// `p = 0..k` in order whether the row sits in a 4-row group or the
+    /// tail; attention scores are per-row dots), so a row's bits do not
+    /// depend on which other rows are computed. On return `h[..dim]` holds
+    /// the user row.
+    fn forward_last(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
+        let Shape { seq, dim, .. } = shape;
+        self.wk.apply(h, &mut s.k, seq);
+        self.wv.apply(h, &mut s.v, seq);
+        // Left padding ⇒ the last row is the position the caller reads.
+        h.copy_within((seq - 1) * dim..seq * dim, 0);
+        self.wq.apply(h, &mut s.q, 1);
+        attend(s, shape, true);
+        self.finish(h, s, 1, dim);
     }
 }
 
@@ -297,6 +331,17 @@ impl FrozenEncoder {
         }
     }
 
+    /// Whether every snapshotted weight, the positional table and the
+    /// item matrix are finite — the condition under which skipping masked
+    /// keys is bit-identical to masking them.
+    pub(crate) fn is_finite(&self) -> bool {
+        all_finite(self.items.data())
+            && all_finite(&self.pos)
+            && self.input_ln.is_finite()
+            && self.body.iter().all(FrozenBlock::is_finite)
+            && self.last.is_finite()
+    }
+
     /// The padded sequence length every batch must be packed to.
     pub fn max_seq(&self) -> usize {
         self.max_seq
@@ -304,57 +349,69 @@ impl FrozenEncoder {
 
     /// User representations `[batch, dim]` for one packed inference batch
     /// in the `wr_data::Batch` layout: `items` is `[batch * max_seq]`
-    /// left-padded item ids, `lengths[b]` the true length of sequence `b`.
+    /// left-padded item ids, `lengths[b]` the true length of sequence `b`
+    /// (clamped to `max_seq`; `0` reads the last, pad, position).
     ///
     /// Bit-identical to the taped `tower.all_items → gather_rows →
     /// forward_user` of the model this encoder was frozen from. Panics on
     /// an item id outside the catalogue — callers validate requests before
     /// packing them.
     pub fn encode(&self, items: &[usize], lengths: &[usize]) -> Tensor {
-        let dims = Dims {
-            batch: lengths.len(),
-            seq: self.max_seq,
-            dim: self.dim,
-            heads: self.heads,
-        };
-        let Dims {
-            batch, seq, dim, ..
-        } = dims;
+        let (batch, seq, dim) = (lengths.len(), self.max_seq, self.dim);
         assert!(batch > 0, "empty batch");
         assert_eq!(items.len(), batch * seq, "items must be [batch * max_seq]");
-        let rows = batch * seq;
 
-        // Item rows + positional rows (`g.add(x, p)`), then input LN.
-        let mut h = vec![0.0f32; rows * dim];
-        for ((out, &item), pos) in h
-            .chunks_exact_mut(dim)
-            .zip(items)
-            .zip(self.pos.chunks_exact(dim).cycle())
-        {
-            for ((o, x), p) in out.iter_mut().zip(self.items.row(item)).zip(pos) {
-                *o = x + p;
-            }
-        }
-        self.input_ln.apply(&mut h);
-
-        let starts: Vec<usize> = lengths.iter().map(|&len| seq - len.min(seq)).collect();
         let blocks = self.body.iter().chain(std::iter::once(&self.last));
         let ff_width = blocks.map(|b| b.ff1.n_out).max().unwrap_or(0);
-        let plane = || vec![0.0f32; rows * dim];
+        let plane = || vec![0.0f32; seq * dim];
+        let mut h = plane();
         let mut scratch = Scratch {
             q: plane(),
             k: plane(),
             v: plane(),
             ctx: plane(),
             tmp: plane(),
-            ff: vec![0.0f32; rows * ff_width],
+            ff: vec![0.0f32; seq * ff_width],
             scores: vec![0.0f32; seq],
         };
-        for block in &self.body {
-            block.forward_full(&mut h, &mut scratch, &starts, dims);
+        // The ids a user row is computed from: those at the positions its
+        // last query reads, directly or through earlier blocks.
+        let read = |b: usize| {
+            let end = (b + 1) * seq;
+            &items[end - lengths[b].min(seq).max(1)..end]
+        };
+        let mut users = vec![0.0f32; batch * dim];
+        for b in 0..batch {
+            // A history the batch already holds — a hot user under skewed
+            // traffic — takes the row computed for it.
+            if let Some(twin) = (0..b).find(|&a| read(a) == read(b)) {
+                users.copy_within(twin * dim..(twin + 1) * dim, b * dim);
+                continue;
+            }
+            // Item rows + positional rows (`g.add(x, p)`), then input LN.
+            let ids = &items[b * seq..(b + 1) * seq];
+            for ((out, &id), pos) in h
+                .chunks_exact_mut(dim)
+                .zip(ids)
+                .zip(self.pos.chunks_exact(dim))
+            {
+                for ((o, x), p) in out.iter_mut().zip(self.items.row(id)).zip(pos) {
+                    *o = x + p;
+                }
+            }
+            self.input_ln.apply(&mut h);
+            let shape = Shape {
+                start: seq - lengths[b].min(seq),
+                seq,
+                dim,
+                heads: self.heads,
+            };
+            for block in &self.body {
+                block.forward_full(&mut h, &mut scratch, shape);
+            }
+            self.last.forward_last(&mut h, &mut scratch, shape);
+            users[b * dim..(b + 1) * dim].copy_from_slice(&h[..dim]);
         }
-        self.last.forward_last(&mut h, &mut scratch, &starts, dims);
-        h.truncate(batch * dim);
-        Tensor::from_vec(h, &[batch, dim])
+        Tensor::from_vec(users, &[batch, dim])
     }
 }

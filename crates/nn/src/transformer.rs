@@ -187,21 +187,26 @@ impl TransformerEncoder {
     ///
     /// `None` for an encoder the frozen forward does not cover: a
     /// bidirectional one (its final block computes one query row under
-    /// the causal mask) or one without blocks.
+    /// the causal mask), one without blocks, or one whose weights,
+    /// positional table or `items` hold a NaN or an infinity — the taped
+    /// forward lets a masked non-finite operand poison a row
+    /// (`0.0 · NaN`), the frozen one never reads it, so such a model
+    /// keeps the taped forward and the two never disagree.
     pub fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
         if self.config.bidirectional {
             return None;
         }
         let mut body: Vec<FrozenBlock> = self.blocks.iter().map(TransformerBlock::freeze).collect();
         let last = body.pop()?;
-        Some(FrozenEncoder::new(
+        let frozen = FrozenEncoder::new(
             items,
             &self.pos.table.get(),
             self.input_ln.freeze(),
             body,
             last,
             self.config.heads,
-        ))
+        );
+        frozen.is_finite().then_some(frozen)
     }
 }
 

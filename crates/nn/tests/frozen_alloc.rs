@@ -1,8 +1,10 @@
 //! Pins the tape-free property without the benchmark: one
 //! `FrozenEncoder::encode` call makes the same small number of heap
 //! allocations however many blocks and heads the encoder has — scratch is
-//! sized once per call, never per op or per head. A test binary of its own
-//! because the counting `#[global_allocator]` is process-wide.
+//! sized once per call, never per op or per head — and the bytes it asks
+//! for are one sequence's working set plus the output, whatever the
+//! histories' lengths and however many the batch holds. A test binary of
+//! its own because the counting `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,14 +16,16 @@ use wr_tensor::{Rng64, Tensor};
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a relaxed counter bump, which touches no allocator state.
+// only addition is two relaxed counter bumps, which touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which is
     // passed through to `System` as is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -62,6 +66,33 @@ fn allocations_per_encode(blocks: usize, heads: usize) -> usize {
     made
 }
 
+/// Bytes allocated by one `encode` of `batch` histories of `len` items
+/// at `max_seq = 50`.
+fn bytes_per_encode(batch: usize, len: usize) -> usize {
+    const SEQ: usize = 50;
+    let mut rng = Rng64::seed_from(6);
+    let config = TransformerConfig {
+        dim: 8,
+        heads: 2,
+        blocks: 2,
+        ff_mult: 1,
+        max_seq: SEQ,
+        dropout: 0.0,
+        bidirectional: false,
+    };
+    let items = Arc::new(Tensor::randn(&[19, 8], &mut rng));
+    let frozen = TransformerEncoder::new(config, &mut rng)
+        .freeze(items)
+        .unwrap();
+    let ids: Vec<usize> = (0..batch * SEQ).map(|_| rng.below(19)).collect();
+    let lengths = vec![len; batch];
+    let before = BYTES.load(Ordering::Relaxed);
+    let users = frozen.encode(&ids, &lengths);
+    let made = BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(users.dims(), &[batch, 8]);
+    made
+}
+
 // One test function: the counter is process-wide, and a second test running
 // beside this one would allocate into its window.
 #[test]
@@ -75,4 +106,14 @@ fn encode_allocates_a_fixed_handful_whatever_the_depth_and_head_count() {
         "scratch must be sized per call, not per block or head"
     );
     assert!(shallow <= 12, "{shallow} allocations for one encode");
+
+    // What a call asks the allocator for does not move with the lengths
+    // of the histories it is handed …
+    let (short, full) = (bytes_per_encode(16, 1), bytes_per_encode(16, 50));
+    assert_eq!(short, full, "16 x len 1 vs 16 x len 50");
+    // … and is one sequence's scratch plus the `[batch, dim]` output, not
+    // batch-sized planes: sixteen histories cost sixteen output rows (and
+    // nothing else) more than one.
+    let one = bytes_per_encode(1, 50);
+    assert_eq!(full - one, 15 * 8 * std::mem::size_of::<f32>());
 }

@@ -40,11 +40,17 @@ fn encoder(
     enc
 }
 
-/// A packed batch: random ids, lengths cycling through 1, mid, = seq and
-/// > seq (which the forward clamps).
+/// The lengths the key ranges must get right: 1, mid, = seq, > seq
+/// (which the forward clamps) and 0 (the empty history, read from the
+/// last pad position).
+fn length_choices(seq: usize) -> [usize; 5] {
+    [1, (seq / 2).max(1), seq, seq + 7, 0]
+}
+
+/// A packed batch: random ids, lengths cycling through [`length_choices`].
 fn packed(batch: usize, seq: usize, rng: &mut Rng64) -> (Vec<usize>, Vec<usize>) {
     let ids: Vec<usize> = (0..batch * seq).map(|_| rng.below(N_ITEMS)).collect();
-    let choices = [1, (seq / 2).max(1), seq, seq + 7];
+    let choices = length_choices(seq);
     let lengths = (0..batch).map(|b| choices[b % choices.len()]).collect();
     (ids, lengths)
 }
@@ -80,10 +86,20 @@ fn frozen_forward_is_bit_identical_to_the_taped_forward() {
                     let frozen = enc
                         .freeze(items.clone())
                         .expect("causal encoder with blocks");
-                    for batch in [1usize, 3, 16, 65] {
-                        let (ids, lengths) = packed(batch, seq, &mut rng);
-                        let want = taped(&enc, &items, &ids, &lengths);
-                        let got = frozen.encode(&ids, &lengths);
+                    let mut cases: Vec<(Vec<usize>, Vec<usize>)> = [1usize, 3, 16, 65]
+                        .iter()
+                        .map(|&batch| packed(batch, seq, &mut rng))
+                        .collect();
+                    if seq == 50 {
+                        // The paper's regime at its extreme: one real
+                        // position in fifty, for every row of the batch.
+                        let (ids, _) = packed(16, seq, &mut rng);
+                        cases.push((ids, vec![1; 16]));
+                    }
+                    for (ids, lengths) in &cases {
+                        let batch = lengths.len();
+                        let want = taped(&enc, &items, ids, lengths);
+                        let got = frozen.encode(ids, lengths);
                         assert_eq!(got.dims(), want.dims());
                         assert_eq!(
                             bits(&got),
@@ -97,22 +113,90 @@ fn frozen_forward_is_bit_identical_to_the_taped_forward() {
     }
 }
 
+/// Every ordering of `items`.
+fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut all = Vec::new();
+    for (i, &head) in items.iter().enumerate() {
+        let mut rest = items.to_vec();
+        rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, head);
+            all.push(tail);
+        }
+    }
+    all
+}
+
 #[test]
 fn a_row_does_not_depend_on_its_batch_peers() {
+    // Sequences share one scratch, one after the other: whatever lengths
+    // surround a row, and in whatever order, its bits are those of the
+    // row encoded alone.
+    const SEQ: usize = 6;
     let mut rng = Rng64::seed_from(42);
     let items = Arc::new(Tensor::randn(&[N_ITEMS, DIM], &mut rng));
-    let frozen = encoder(2, 2, 2, 6, 7).freeze(items).unwrap();
-    let (ids, lengths) = packed(5, 6, &mut rng);
-    let together = frozen.encode(&ids, &lengths);
-    for b in 0..5 {
-        let alone = frozen.encode(&ids[b * 6..(b + 1) * 6], &lengths[b..b + 1]);
+    let frozen = encoder(2, 2, 2, SEQ, 7).freeze(items).unwrap();
+    for lengths in permutations(&length_choices(SEQ)) {
+        let batch = lengths.len();
+        let ids: Vec<usize> = (0..batch * SEQ).map(|_| rng.below(N_ITEMS)).collect();
+        let together = frozen.encode(&ids, &lengths);
+        for b in 0..batch {
+            let alone = frozen.encode(&ids[b * SEQ..(b + 1) * SEQ], &lengths[b..b + 1]);
+            assert_eq!(
+                bits(&alone),
+                together
+                    .row(b)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                "row {b} of lengths {lengths:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_repeated_history_takes_the_row_of_its_first_occurrence() {
+    // A batch that holds one history several times (a hot user) encodes
+    // it once. "The same history" is the ids the row is computed from —
+    // the last `len` of them, whatever sits in the pad positions — so the
+    // copies differ in their pad ids here, and in `len` where both clamp
+    // to `max_seq` or both read the one pad position.
+    const SEQ: usize = 6;
+    let mut rng = Rng64::seed_from(45);
+    let items = Arc::new(Tensor::randn(&[N_ITEMS, DIM], &mut rng));
+    let enc = encoder(2, 2, 2, SEQ, 9);
+    let frozen = enc.freeze(items.clone()).unwrap();
+    let history: Vec<usize> = (0..SEQ).map(|_| rng.below(N_ITEMS)).collect();
+    let other: Vec<usize> = (0..SEQ).map(|_| rng.below(N_ITEMS)).collect();
+    let repack = |len: usize, rng: &mut Rng64| -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..SEQ).map(|_| rng.below(N_ITEMS)).collect();
+        let real = len.clamp(1, SEQ);
+        ids[SEQ - real..].copy_from_slice(&history[SEQ - real..]);
+        ids
+    };
+    for lengths in [
+        vec![3, 3, 3, 3],
+        vec![SEQ, SEQ + 7, 2, SEQ],
+        vec![0, 1, 4, 0],
+        vec![1, 0, 0, 1],
+    ] {
+        let mut ids = Vec::new();
+        for (b, &len) in lengths.iter().enumerate() {
+            ids.extend(if b == 2 {
+                other.clone()
+            } else {
+                repack(len, &mut rng)
+            });
+        }
+        let got = frozen.encode(&ids, &lengths);
         assert_eq!(
-            bits(&alone),
-            together
-                .row(b)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
+            bits(&got),
+            bits(&taped(&enc, &items, &ids, &lengths)),
+            "lengths {lengths:?}"
         );
     }
 }
@@ -158,4 +242,28 @@ fn encoders_the_frozen_forward_does_not_cover_are_not_frozen() {
     bidirectional.config.bidirectional = true;
     assert!(bidirectional.freeze(items.clone()).is_none());
     assert!(encoder(2, 0, 2, 4, 1).freeze(items).is_none());
+}
+
+#[test]
+fn a_non_finite_snapshot_is_not_frozen() {
+    // Skipping masked keys equals masking them only on finite operands
+    // (`0.0 · NaN` poisons the taped row, the frozen one never reads it),
+    // so a model with one keeps the taped forward.
+    let finite = Arc::new(Tensor::zeros(&[N_ITEMS, DIM]));
+    assert!(encoder(2, 2, 2, 4, 1).freeze(finite.clone()).is_some());
+
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut items = Tensor::zeros(&[N_ITEMS, DIM]);
+        items.row_mut(0)[3] = poison; // V[PAD_ITEM]
+        assert!(encoder(2, 2, 2, 4, 1).freeze(Arc::new(items)).is_none());
+
+        // Any one parameter: attention and feed-forward weights and
+        // biases, LayerNorm affines, the positional table.
+        let n_params = encoder(2, 2, 2, 4, 1).params().len();
+        for p in 0..n_params {
+            let enc = encoder(2, 2, 2, 4, 1);
+            enc.params()[p].update(|t| t.data_mut()[0] = poison);
+            assert!(enc.freeze(finite.clone()).is_none(), "parameter {p}");
+        }
+    }
 }

@@ -7,10 +7,14 @@
 //! over a `TextTower` built from a whitened pre-trained embedding table
 //! (zoo `whiten_relaxed`, G=4), Softmax loss — the WhitenRec+ family.
 
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
-use wr_serve::{QueryLog, Request, ServeConfig, ServeEngine};
+use std::sync::Arc;
+
+use wr_data::{Batch, PAD_ITEM};
+use wr_eval::top_k_filtered;
+use wr_models::{zoo, IdTower, LossKind, ModelConfig, SasRec, TextTower};
+use wr_serve::{HistoryEncoder, MicroBatcher, QueryLog, Request, ServeConfig, ServeEngine};
 use wr_tensor::{Rng64, Tensor};
-use wr_train::SeqRecModel;
+use wr_train::{Adam, AdamConfig, SeqRecModel};
 
 const N_ITEMS: usize = 60;
 const MAX_SEQ: usize = 10;
@@ -189,6 +193,150 @@ fn filtering_never_leaks_seen_items_under_batching() {
                 req.id,
                 s.item
             );
+        }
+    }
+}
+
+/// A few optimizer steps, so the served weights are not the initial ones.
+fn train_a_little(model: &mut dyn SeqRecModel, seed: u64) {
+    let mut rng = Rng64::seed_from(seed);
+    let sequences: Vec<Vec<usize>> = (0..12)
+        .map(|u| {
+            (0..MAX_SEQ + 1)
+                .map(|t| (u * 7 + t * 11) % N_ITEMS)
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[usize]> = sequences.iter().map(Vec::as_slice).collect();
+    let batch = Batch::from_sequences(&refs, MAX_SEQ);
+    let mut optimizer = Adam::new(AdamConfig {
+        lr: 1e-2,
+        ..AdamConfig::default()
+    });
+    for _ in 0..3 {
+        assert!(model
+            .train_step(&batch, &mut optimizer, &mut rng)
+            .is_finite());
+    }
+}
+
+#[test]
+fn serving_ranks_exactly_what_the_evaluator_scores() {
+    // `SeqRecModel::score` — what `evaluate_cases` and the trainer's
+    // validation rank — and `ServeEngine::serve` share one encoder, so the
+    // served top-k is the top-k of the evaluator's score row: same ids,
+    // same score bits, for empty, short, full and over-long histories.
+    let trained = |seed| {
+        let mut model = whitenrec_model(seed, seed);
+        train_a_little(model.as_mut(), seed);
+        model
+    };
+    let offline = trained(17);
+    let cfg = ServeConfig {
+        k: 10,
+        max_batch: 8,
+        max_seq: MAX_SEQ,
+        filter_seen: true,
+    };
+    let engine = ServeEngine::new(trained(17), cfg);
+
+    let mut reqs = queries(60, 7);
+    reqs[0].history.clear();
+    reqs[1].history.truncate(1);
+    let contexts: Vec<&[usize]> = reqs
+        .iter()
+        .map(|r| MicroBatcher::sanitize(&r.history))
+        .collect();
+    let scores = offline.score(&contexts);
+    let served = engine.serve(&reqs);
+    assert_eq!(served.len(), reqs.len());
+    for (r, (req, resp)) in reqs.iter().zip(&served).enumerate() {
+        let want = top_k_filtered(scores.row(r), cfg.k, &req.history);
+        assert_eq!(resp.items.len(), want.len(), "k at {r}");
+        for (got, want) in resp.items.iter().zip(&want) {
+            assert_eq!(got.item, want.item, "item in response {r}");
+            assert_eq!(
+                got.score.to_bits(),
+                want.score.to_bits(),
+                "score bits in response {r}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_non_finite_model_is_served_through_the_taped_encode() {
+    // The frozen encoder never reads a masked operand, the taped
+    // forward multiplies it by zero — equal on finite values only. A model
+    // with a NaN or an infinity therefore has no frozen form and serving
+    // encodes it through the tape: the user rows the engine scores are the
+    // reference's, NaNs included (from there the shard's score quarantine
+    // answers a poisoned row from its finite scores, as it always has).
+    let build = |poison: fn(&SasRec)| {
+        let mut rng = Rng64::seed_from(18);
+        let config = ModelConfig {
+            dim: 16,
+            heads: 2,
+            blocks: 2,
+            max_seq: MAX_SEQ,
+            dropout: 0.0,
+            ..ModelConfig::default()
+        };
+        let tower = IdTower::new(N_ITEMS, config.dim, &mut rng);
+        let mut model = SasRec::new(
+            "poisoned",
+            Box::new(tower),
+            LossKind::Softmax,
+            config,
+            &mut rng,
+        );
+        train_a_little(&mut model, 18);
+        poison(&model);
+        Box::new(model)
+    };
+    let nan_pad_row: fn(&SasRec) =
+        |m| m.tower.params()[0].update(|t| t.row_mut(PAD_ITEM)[0] = f32::NAN);
+    let inf_wk: fn(&SasRec) = |m| {
+        let wk = &m.encoder.blocks[0].attn.wk;
+        wk.weight.update(|t| t.data_mut()[0] = f32::INFINITY);
+    };
+
+    let mut reqs = queries(40, 8);
+    reqs[0].history.clear();
+    let contexts: Vec<&[usize]> = reqs
+        .iter()
+        .map(|r| MicroBatcher::sanitize(&r.history))
+        .collect();
+    for (poison, what) in [(nan_pad_row, "NaN in V[PAD_ITEM]"), (inf_wk, "Inf in wk")] {
+        let reference = build(poison);
+        let items = Arc::new(reference.item_representations());
+        assert!(
+            reference.freeze(items.clone()).is_none(),
+            "{what}: must not freeze"
+        );
+
+        let want = reference.user_representations(&contexts);
+        assert!(
+            want.data().iter().any(|v| !v.is_finite()),
+            "{what}: the poison must reach a user row, or the case proves nothing"
+        );
+        let got = HistoryEncoder::new(build(poison), items).encode_requests(&reqs);
+        assert!(got.invalid.is_empty());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.users),
+            bits(&want),
+            "{what}: serving encode vs taped"
+        );
+
+        let cfg = ServeConfig {
+            k: 10,
+            max_batch: 8,
+            max_seq: MAX_SEQ,
+            filter_seen: true,
+        };
+        for resp in ServeEngine::new(build(poison), cfg).serve(&reqs) {
+            assert!(resp.items.iter().all(|s| s.score.is_finite()), "{what}");
         }
     }
 }

@@ -29,13 +29,18 @@ pub trait SeqRecModel {
     /// One optimization step on `batch`; returns the training loss.
     fn train_step(&mut self, batch: &Batch, optimizer: &mut Adam, rng: &mut Rng64) -> f32;
 
-    /// Score every item for each context → `[batch, n_items]`.
+    /// Score every item for each context → `[batch, n_items]`. Models
+    /// with a frozen form encode through it — the encoder serving runs,
+    /// bit-identical to the taped forward — so serving ranks what the
+    /// evaluator ranks; the others run the taped forward.
     fn score(&self, contexts: &[&[usize]]) -> Tensor;
 
     /// Projected item representation matrix `V` (for Fig. 6/7 analyses).
     fn item_representations(&self) -> Tensor;
 
-    /// User representations for the given contexts → `[batch, d]`.
+    /// User representations for the given contexts → `[batch, d]`, always
+    /// through the taped forward: the reference [`Self::freeze`] and
+    /// [`Self::score`] are pinned against.
     fn user_representations(&self, contexts: &[&[usize]]) -> Tensor;
 
     /// Snapshot the model for serving: a tape-free, `Send + Sync` encoder
@@ -43,7 +48,8 @@ pub trait SeqRecModel {
     /// once by the caller and shared) whose `encode` is bit-identical to
     /// [`Self::user_representations`]. Later training or parameter
     /// restores do not reach the snapshot. `None` (the default) for
-    /// architectures without a frozen form; serving keeps the taped
+    /// architectures without a frozen form and for a model holding a
+    /// non-finite weight or item row; serving keeps the taped
     /// `user_representations` for those.
     fn freeze(&self, _items: Arc<Tensor>) -> Option<FrozenEncoder> {
         None
