@@ -117,7 +117,9 @@ impl Graph {
         self.inner.borrow().values[v.id].dims().to_vec()
     }
 
-    /// Gradient of the last `backward` call w.r.t. `v`, if any was produced.
+    /// Gradient of the `backward` call w.r.t. the leaf `v`, if any was
+    /// produced. Interior nodes hand their gradient on to their operands
+    /// and keep none.
     pub fn grad(&self, v: Var) -> Option<Tensor> {
         self.inner.borrow().grads[v.id].clone()
     }
@@ -149,7 +151,12 @@ impl Graph {
     /// Run the backward pass from a scalar `loss` node.
     ///
     /// Panics if `loss` is not a single-element tensor. Gradients are
-    /// accumulated only into nodes that transitively depend on a parameter.
+    /// accumulated only into nodes that transitively depend on a parameter,
+    /// and no other gradient is computed (see [`accumulate`]).
+    ///
+    /// The pass consumes the tape: every interior node's op, saved
+    /// byproducts and gradient are moved into its backward rule, so only
+    /// leaves hold a gradient afterwards and a second call does nothing.
     pub fn backward(&self, loss: Var) {
         let mut inner = self.inner.borrow_mut();
         assert_eq!(
@@ -161,23 +168,29 @@ impl Graph {
         inner.grads[loss.id] = Some(Tensor::ones(&seed_dims));
 
         for id in (0..=loss.id).rev() {
-            if inner.grads[id].is_none() || !inner.requires[id] {
+            // A leaf has no operands to pass its gradient on to; it keeps it
+            // for `grad()`.
+            if !inner.requires[id] || matches!(inner.ops[id], Op::Leaf) {
                 continue;
             }
-            // wr-check: allow(R1) — Some is guaranteed by the is_none()
-            // continue two lines above.
-            let g = inner.grads[id].take().unwrap();
-            backward_step(&mut inner, id, &g);
-            inner.grads[id] = Some(g);
+            if let Some(g) = inner.grads[id].take() {
+                backward_step(&mut inner, id, g);
+            }
         }
     }
 }
 
-/// Accumulate `delta` into `grads[target]`, allocating on first touch.
-fn accumulate(inner: &mut Inner, target: usize, delta: Tensor) {
+/// Accumulate `delta(values)` into `grads[target]`, allocating on first touch.
+///
+/// This is the only place a backward rule's result enters the tape, and
+/// `delta` runs only when `target` requires a gradient: an operand that is a
+/// constant (or depends on none but constants) costs no arithmetic and no
+/// allocation, whichever op it feeds. `values` are the tape's forward values.
+fn accumulate(inner: &mut Inner, target: usize, delta: impl FnOnce(&[Tensor]) -> Tensor) {
     if !inner.requires[target] {
         return;
     }
+    let delta = delta(&inner.values);
     match &mut inner.grads[target] {
         Some(existing) => existing.add_assign_(&delta),
         slot @ None => *slot = Some(delta),
@@ -185,263 +198,220 @@ fn accumulate(inner: &mut Inner, target: usize, delta: Tensor) {
 }
 
 /// Dispatch one node's backward rule. `g` is the upstream gradient with the
-/// same shape as the node's value.
-fn backward_step(inner: &mut Inner, id: usize, g: &Tensor) {
-    // `ops` is only read here; split borrows via raw indexing on `inner`.
-    // Using a match on a reference keeps this a single dispatch point.
+/// same shape as the node's value; the rule owns it, along with the node's
+/// op and saved byproducts, and hands it to its last consumer.
+fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
     let op = std::mem::replace(&mut inner.ops[id], Op::Leaf);
-    match &op {
+    let aux = std::mem::replace(&mut inner.aux[id], Aux::None);
+    match op {
         Op::Leaf => {}
         Op::Add(a, b) => {
-            accumulate(inner, a.id, g.clone());
-            accumulate(inner, b.id, g.clone());
+            accumulate(inner, a.id, |_| g.clone());
+            accumulate(inner, b.id, |_| g);
         }
         Op::Sub(a, b) => {
-            accumulate(inner, a.id, g.clone());
-            accumulate(inner, b.id, g.neg());
+            accumulate(inner, a.id, |_| g.clone());
+            accumulate(inner, b.id, |_| g.neg());
         }
         Op::Mul(a, b) => {
-            let da = g.mul(&inner.values[b.id]);
-            let db = g.mul(&inner.values[a.id]);
-            accumulate(inner, a.id, da);
-            accumulate(inner, b.id, db);
+            accumulate(inner, a.id, |v| g.mul(&v[b.id]));
+            accumulate(inner, b.id, |v| g.mul(&v[a.id]));
         }
         Op::Div(a, b) => {
-            let bv = &inner.values[b.id];
-            let da = g.div(bv);
-            let db = g.mul(&inner.values[a.id]).div(bv).div(bv).neg();
-            accumulate(inner, a.id, da);
-            accumulate(inner, b.id, db);
+            accumulate(inner, a.id, |v| g.div(&v[b.id]));
+            accumulate(inner, b.id, |v| g.mul(&v[a.id]).div(&v[b.id]).div(&v[b.id]).neg());
         }
-        Op::Neg(a) => accumulate(inner, a.id, g.neg()),
-        Op::Scale(a, s) => accumulate(inner, a.id, g.scale(*s)),
-        Op::AddScalar(a) => accumulate(inner, a.id, g.clone()),
-        Op::Exp(a) => {
-            // y = exp(x) saved as the node's value
-            let da = g.mul(&inner.values[id]);
-            accumulate(inner, a.id, da);
-        }
-        Op::Ln(a) => {
-            let da = g.div(&inner.values[a.id]);
-            accumulate(inner, a.id, da);
-        }
-        Op::Relu(a) => {
-            let x = &inner.values[a.id];
-            let mut da = g.clone();
-            for (d, &xv) in da.data_mut().iter_mut().zip(x.data()) {
+        Op::Neg(a) => accumulate(inner, a.id, |_| g.neg()),
+        Op::Scale(a, s) => accumulate(inner, a.id, |_| {
+            let mut da = g;
+            da.scale_(s);
+            da
+        }),
+        Op::AddScalar(a) => accumulate(inner, a.id, |_| g),
+        // y = exp(x) saved as the node's value
+        Op::Exp(a) => accumulate(inner, a.id, |v| g.mul(&v[id])),
+        Op::Ln(a) => accumulate(inner, a.id, |v| g.div(&v[a.id])),
+        Op::Relu(a) => accumulate(inner, a.id, |v| {
+            let mut da = g;
+            for (d, &xv) in da.data_mut().iter_mut().zip(v[a.id].data()) {
                 if xv <= 0.0 {
                     *d = 0.0;
                 }
             }
-            accumulate(inner, a.id, da);
-        }
-        Op::Gelu(a) => {
-            let x = &inner.values[a.id];
-            let mut da = g.clone();
-            for (d, &xv) in da.data_mut().iter_mut().zip(x.data()) {
+            da
+        }),
+        Op::Gelu(a) => accumulate(inner, a.id, |v| {
+            let mut da = g;
+            for (d, &xv) in da.data_mut().iter_mut().zip(v[a.id].data()) {
                 *d *= gelu_derivative(xv);
             }
-            accumulate(inner, a.id, da);
-        }
-        Op::Sigmoid(a) => {
-            let y = &inner.values[id];
-            let mut da = g.clone();
-            for (d, &yv) in da.data_mut().iter_mut().zip(y.data()) {
+            da
+        }),
+        Op::Sigmoid(a) => accumulate(inner, a.id, |v| {
+            let mut da = g;
+            for (d, &yv) in da.data_mut().iter_mut().zip(v[id].data()) {
                 *d *= yv * (1.0 - yv);
             }
-            accumulate(inner, a.id, da);
-        }
-        Op::Tanh(a) => {
-            let y = &inner.values[id];
-            let mut da = g.clone();
-            for (d, &yv) in da.data_mut().iter_mut().zip(y.data()) {
+            da
+        }),
+        Op::Tanh(a) => accumulate(inner, a.id, |v| {
+            let mut da = g;
+            for (d, &yv) in da.data_mut().iter_mut().zip(v[id].data()) {
                 *d *= 1.0 - yv * yv;
             }
-            accumulate(inner, a.id, da);
-        }
+            da
+        }),
         Op::Matmul(a, b) => {
-            let da = g.matmul_nt(&inner.values[b.id]);
-            let db = inner.values[a.id].matmul_tn(g);
-            accumulate(inner, a.id, da);
-            accumulate(inner, b.id, db);
+            accumulate(inner, a.id, |v| g.matmul_nt(&v[b.id]));
+            accumulate(inner, b.id, |v| v[a.id].matmul_tn(&g));
         }
         Op::Bmm(a, b) => {
-            let da = g.bmm_nt(&inner.values[b.id]);
-            let db = inner.values[a.id].bmm_tn(g);
-            accumulate(inner, a.id, da);
-            accumulate(inner, b.id, db);
+            accumulate(inner, a.id, |v| g.bmm_nt(&v[b.id]));
+            accumulate(inner, b.id, |v| v[a.id].bmm_tn(&g));
         }
         Op::BmmNt(a, b) => {
             // C = A @ B^T  =>  dA = dC @ B,  dB = dC^T @ A
-            let da = g.bmm(&inner.values[b.id]);
-            let db = g.bmm_tn(&inner.values[a.id]);
-            accumulate(inner, a.id, da);
-            accumulate(inner, b.id, db);
+            accumulate(inner, a.id, |v| g.bmm(&v[b.id]));
+            accumulate(inner, b.id, |v| g.bmm_tn(&v[a.id]));
         }
-        Op::Transpose(a) => accumulate(inner, a.id, g.transpose()),
-        Op::Reshape(a) => {
-            let dims = inner.values[a.id].dims().to_vec();
-            accumulate(inner, a.id, g.reshape(&dims));
-        }
-        Op::SliceCols(a, start, _end) => {
-            let src = &inner.values[a.id];
-            let mut da = Tensor::zeros(src.dims());
+        Op::Transpose(a) => accumulate(inner, a.id, |_| g.transpose()),
+        Op::Reshape(a) => accumulate(inner, a.id, |v| g.reshape(v[a.id].dims())),
+        Op::SliceCols(a, start, _end) => accumulate(inner, a.id, |v| {
+            let mut da = Tensor::zeros(v[a.id].dims());
             let w = g.cols();
             for r in 0..g.rows() {
-                let dst = da.row_mut(r);
-                dst[*start..*start + w].copy_from_slice(g.row(r));
+                da.row_mut(r)[start..start + w].copy_from_slice(g.row(r));
             }
-            accumulate(inner, a.id, da);
-        }
+            da
+        }),
         Op::ConcatCols(parts) => {
             let mut offset = 0;
             for p in parts {
                 let w = inner.values[p.id].cols();
-                let dp = g.slice_cols(offset, offset + w);
+                accumulate(inner, p.id, |_| g.slice_cols(offset, offset + w));
                 offset += w;
-                accumulate(inner, p.id, dp);
             }
         }
         Op::ConcatRows(parts) => {
             let mut offset = 0;
             for p in parts {
                 let h = inner.values[p.id].rows();
-                let dp = g.slice_rows(offset, offset + h);
+                accumulate(inner, p.id, |_| g.slice_rows(offset, offset + h));
                 offset += h;
-                accumulate(inner, p.id, dp);
             }
         }
         Op::AddRowBroadcast(a, row) => {
-            accumulate(inner, a.id, g.clone());
-            accumulate(inner, row.id, g.sum_rows());
+            accumulate(inner, row.id, |_| g.sum_rows());
+            accumulate(inner, a.id, |_| g);
         }
         Op::MulRowBroadcast(a, row) => {
-            let da = g.mul_row_broadcast(&inner.values[row.id]);
-            let drow = g.mul(&inner.values[a.id]).sum_rows();
-            accumulate(inner, a.id, da);
-            accumulate(inner, row.id, drow);
+            accumulate(inner, a.id, |v| g.mul_row_broadcast(&v[row.id]));
+            accumulate(inner, row.id, |v| g.mul(&v[a.id]).sum_rows());
         }
-        Op::GatherRows(table, indices) => {
-            let cols = inner.values[table.id].cols();
-            let mut dt = Tensor::zeros(inner.values[table.id].dims());
+        Op::GatherRows(table, indices) => accumulate(inner, table.id, |v| {
+            let mut dt = Tensor::zeros(v[table.id].dims());
             for (r, &ix) in indices.iter().enumerate() {
-                let grow = g.row(r);
-                let trow = dt.row_mut(ix);
-                for (t, &gv) in trow.iter_mut().zip(grow) {
+                for (t, &gv) in dt.row_mut(ix).iter_mut().zip(g.row(r)) {
                     *t += gv;
                 }
-                debug_assert_eq!(grow.len(), cols);
             }
-            accumulate(inner, table.id, dt);
-        }
-        Op::SoftmaxRows(a) => {
-            let y = &inner.values[id];
-            let mut da = g.clone();
+            dt
+        }),
+        Op::SoftmaxRows(a) => accumulate(inner, a.id, |v| {
+            let y = &v[id];
+            let mut da = g;
             for r in 0..y.rows() {
                 softmax_backward_row(da.row_mut(r), y.row(r));
             }
-            accumulate(inner, a.id, da);
-        }
-        Op::Softmax3dLast(a) => {
-            let y = &inner.values[id];
-            let dims = y.dims().to_vec();
-            let last = dims[dims.len() - 1];
-            let rows = y.numel() / last;
-            let mut da = g.clone();
-            let yv = y.data();
-            for r in 0..rows {
-                let range = r * last..(r + 1) * last;
-                softmax_backward_row(&mut da.data_mut()[range.clone()], &yv[range]);
+            da
+        }),
+        Op::Softmax3dLast(a) => accumulate(inner, a.id, |v| {
+            let y = &v[id];
+            let last = y.dims()[y.rank() - 1];
+            let mut da = g;
+            for (dy, yr) in da.data_mut().chunks_mut(last).zip(y.data().chunks(last)) {
+                softmax_backward_row(dy, yr);
             }
-            accumulate(inner, a.id, da);
-        }
-        Op::AddMask2d(a, _mask) => accumulate(inner, a.id, g.clone()),
+            da
+        }),
+        Op::AddMask2d(a, _mask) => accumulate(inner, a.id, |_| g),
         Op::LayerNormRows { x, gamma, beta } => {
-            let (xhat, inv_std) = match &inner.aux[id] {
-                Aux::Two(a, b) => (a.clone(), b.clone()),
-                _ => unreachable!("LayerNorm aux missing"),
+            let Aux::Two(xhat, inv_std) = aux else {
+                unreachable!("LayerNorm aux missing")
             };
-            let gm = inner.values[gamma.id].clone();
-            let n = xhat.cols() as f32;
-
-            // dBeta and dGamma.
-            accumulate(inner, beta.id, g.sum_rows());
-            accumulate(inner, gamma.id, g.mul(&xhat).sum_rows());
-
+            accumulate(inner, beta.id, |_| g.sum_rows());
+            accumulate(inner, gamma.id, |_| g.mul(&xhat).sum_rows());
             // dX per row: inv_std/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
-            let dxhat = g.mul_row_broadcast(&gm);
-            let mut dx = Tensor::zeros(xhat.dims());
-            for r in 0..xhat.rows() {
-                let dh = dxhat.row(r);
-                let xh = xhat.row(r);
-                let s1: f32 = dh.iter().sum();
-                let s2: f32 = dh.iter().zip(xh).map(|(a, b)| a * b).sum();
-                let is = inv_std.data()[r];
-                for (j, out) in dx.row_mut(r).iter_mut().enumerate() {
-                    *out = is / n * (n * dh[j] - s1 - xh[j] * s2);
+            accumulate(inner, x.id, |v| {
+                let n = xhat.cols() as f32;
+                let dxhat = g.mul_row_broadcast(&v[gamma.id]);
+                let mut dx = Tensor::zeros(xhat.dims());
+                for r in 0..xhat.rows() {
+                    let dh = dxhat.row(r);
+                    let xh = xhat.row(r);
+                    let s1: f32 = dh.iter().sum();
+                    let s2: f32 = dh.iter().zip(xh).map(|(a, b)| a * b).sum();
+                    let is = inv_std.data()[r];
+                    for (j, out) in dx.row_mut(r).iter_mut().enumerate() {
+                        *out = is / n * (n * dh[j] - s1 - xh[j] * s2);
+                    }
                 }
-            }
-            accumulate(inner, x.id, dx);
+                dx
+            });
         }
         Op::Dropout(a) => {
-            let mask = match &inner.aux[id] {
-                Aux::One(m) => m.clone(),
-                _ => unreachable!("Dropout aux missing"),
+            let Aux::One(mask) = aux else {
+                unreachable!("Dropout aux missing")
             };
-            accumulate(inner, a.id, g.mul(&mask));
+            accumulate(inner, a.id, |_| g.mul(&mask));
         }
         Op::CrossEntropy { logits, targets } => {
-            let softmax = match &inner.aux[id] {
-                Aux::One(s) => s.clone(),
-                _ => unreachable!("CrossEntropy aux missing"),
+            let Aux::One(softmax) = aux else {
+                unreachable!("CrossEntropy aux missing")
             };
-            let b = targets.len() as f32;
-            let scale = g.item() / b;
-            let mut dl = softmax;
-            for (r, &t) in targets.iter().enumerate() {
-                *dl.at2_mut(r, t) -= 1.0;
-            }
-            dl.scale_(scale);
-            accumulate(inner, logits.id, dl);
+            accumulate(inner, logits.id, |_| {
+                let scale = g.item() / targets.len() as f32;
+                let mut dl = softmax;
+                for (r, &t) in targets.iter().enumerate() {
+                    *dl.at2_mut(r, t) -= 1.0;
+                }
+                dl.scale_(scale);
+                dl
+            });
         }
         Op::L2NormalizeRows(a) => {
-            let (y, norms) = match &inner.aux[id] {
-                Aux::Two(y, n) => (y.clone(), n.clone()),
-                _ => unreachable!("L2Normalize aux missing"),
+            let Aux::Two(y, norms) = aux else {
+                unreachable!("L2Normalize aux missing")
             };
-            let mut da = Tensor::zeros(y.dims());
-            for r in 0..y.rows() {
-                let yr = y.row(r);
-                let gr = g.row(r);
-                let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-                let n = norms.data()[r];
-                for (j, out) in da.row_mut(r).iter_mut().enumerate() {
-                    *out = (gr[j] - yr[j] * dot) / n;
+            accumulate(inner, a.id, |_| {
+                let mut da = Tensor::zeros(y.dims());
+                for r in 0..y.rows() {
+                    let yr = y.row(r);
+                    let gr = g.row(r);
+                    let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
+                    let n = norms.data()[r];
+                    for (j, out) in da.row_mut(r).iter_mut().enumerate() {
+                        *out = (gr[j] - yr[j] * dot) / n;
+                    }
                 }
-            }
-            accumulate(inner, a.id, da);
+                da
+            });
         }
-        Op::MeanAll(a) => {
-            let numel = inner.values[a.id].numel() as f32;
-            let dims = inner.values[a.id].dims().to_vec();
-            accumulate(inner, a.id, Tensor::full(&dims, g.item() / numel));
-        }
-        Op::SumAll(a) => {
-            let dims = inner.values[a.id].dims().to_vec();
-            accumulate(inner, a.id, Tensor::full(&dims, g.item()));
-        }
-        Op::MaskRows(a, mask) => {
-            let mut da = g.clone();
-            for r in 0..da.rows() {
-                let m = mask[r];
+        Op::MeanAll(a) => accumulate(inner, a.id, |v| {
+            let x = &v[a.id];
+            Tensor::full(x.dims(), g.item() / x.numel() as f32)
+        }),
+        Op::SumAll(a) => accumulate(inner, a.id, |v| Tensor::full(v[a.id].dims(), g.item())),
+        Op::MaskRows(a, mask) => accumulate(inner, a.id, |_| {
+            let mut da = g;
+            for (r, &m) in mask.iter().enumerate() {
                 for v in da.row_mut(r) {
                     *v *= m;
                 }
             }
-            accumulate(inner, a.id, da);
-        }
+            da
+        }),
     }
-    inner.ops[id] = op;
 }
 
 /// In-place `dy → dx` for one softmax row: `dx = y ⊙ (dy − (dy·y))`.
@@ -495,5 +465,36 @@ mod tests {
         g.backward(loss);
         assert!(g.grad(p).is_some());
         assert!(g.grad(c).is_none());
+    }
+
+    #[test]
+    fn a_constant_input_costs_no_gradient_and_changes_none() {
+        // The same two-layer graph over a frozen table and over a trainable
+        // one: the weights' gradients are the same bits, and only the
+        // trainable table gets a gradient of its own.
+        let mut rng = wr_tensor::Rng64::seed_from(11);
+        let table = Tensor::randn(&[9, 6], &mut rng);
+        let w1 = Tensor::randn(&[6, 5], &mut rng);
+        let w2 = Tensor::randn(&[5, 3], &mut rng);
+        let run = |frozen: bool| {
+            let g = Graph::new();
+            let t = if frozen {
+                g.constant(table.clone())
+            } else {
+                g.param(table.clone())
+            };
+            let (p1, p2) = (g.param(w1.clone()), g.param(w2.clone()));
+            let hidden = g.gelu(g.matmul(t, p1));
+            let loss = g.cross_entropy(g.matmul(hidden, p2), &[0, 2, 1, 1, 0, 2, 2, 0, 1]);
+            g.backward(loss);
+            (g.grad(t), g.grad(p1).unwrap(), g.grad(p2).unwrap())
+        };
+        let (dt_frozen, d1_frozen, d2_frozen) = run(true);
+        let (dt_trained, d1_trained, d2_trained) = run(false);
+        assert!(dt_frozen.is_none());
+        assert_eq!(dt_trained.unwrap().dims(), &[9, 6]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&d1_frozen), bits(&d1_trained));
+        assert_eq!(bits(&d2_frozen), bits(&d2_trained));
     }
 }

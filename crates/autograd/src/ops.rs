@@ -1,6 +1,7 @@
 //! Forward constructors: each method runs the op eagerly and records it on
 //! the tape.
 
+use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
@@ -11,8 +12,18 @@ impl Graph {
         vars.iter().any(|&v| self.requires(v))
     }
 
-    fn val(&self, v: Var) -> Tensor {
-        self.inner.borrow().values[v.id].clone()
+    /// Borrow a node's forward value. The borrow must end before `push`
+    /// (which borrows the tape mutably): keep it inside the statement that
+    /// computes the new value, or in a block of its own.
+    fn val(&self, v: Var) -> Ref<'_, Tensor> {
+        Ref::map(self.inner.borrow(), |inner| &inner.values[v.id])
+    }
+
+    /// Run `f` over the borrowed forward values of `parts`.
+    fn with_vals<R>(&self, parts: &[Var], f: impl FnOnce(&[&Tensor]) -> R) -> R {
+        let inner = self.inner.borrow();
+        let vals: Vec<&Tensor> = parts.iter().map(|p| &inner.values[p.id]).collect();
+        f(&vals)
     }
 
     // ----- arithmetic -----------------------------------------------------
@@ -124,18 +135,14 @@ impl Graph {
 
     /// Concatenate matrix nodes along columns.
     pub fn concat_cols(&self, parts: &[Var]) -> Var {
-        let vals: Vec<Tensor> = parts.iter().map(|&p| self.val(p)).collect();
-        let refs: Vec<&Tensor> = vals.iter().collect();
-        let out = Tensor::concat_cols(&refs);
+        let out = self.with_vals(parts, Tensor::concat_cols);
         let requires = self.any_requires(parts);
         self.push(out, Op::ConcatCols(parts.to_vec()), Aux::None, requires)
     }
 
     /// Concatenate matrix nodes along rows.
     pub fn concat_rows(&self, parts: &[Var]) -> Var {
-        let vals: Vec<Tensor> = parts.iter().map(|&p| self.val(p)).collect();
-        let refs: Vec<&Tensor> = vals.iter().collect();
-        let out = Tensor::concat_rows(&refs);
+        let out = self.with_vals(parts, Tensor::concat_rows);
         let requires = self.any_requires(parts);
         self.push(out, Op::ConcatRows(parts.to_vec()), Aux::None, requires)
     }
@@ -177,7 +184,7 @@ impl Graph {
     /// Zero out entire rows (padding positions): row `r` is multiplied by
     /// `mask[r]` (typically 0.0 or 1.0).
     pub fn mask_rows(&self, a: Var, mask: &[f32]) -> Var {
-        let mut out = self.val(a);
+        let mut out = self.val(a).clone();
         assert_eq!(out.rows(), mask.len(), "mask_rows: length mismatch");
         for r in 0..out.rows() {
             let m = mask[r];
@@ -203,12 +210,10 @@ impl Graph {
 
     /// Softmax over the last axis of a rank-3 node (attention weights).
     pub fn softmax3d_last(&self, a: Var) -> Var {
-        let v = self.val(a);
-        assert_eq!(v.rank(), 3, "softmax3d_last requires rank-3");
-        let dims = v.dims().to_vec();
-        let last = dims[2];
-        let rows = v.numel() / last;
-        let mut out = v;
+        let mut out = self.val(a).clone();
+        assert_eq!(out.rank(), 3, "softmax3d_last requires rank-3");
+        let last = out.dims()[2];
+        let rows = out.numel() / last;
         for r in 0..rows {
             wr_tensor::softmax_in_place(&mut out.data_mut()[r * last..(r + 1) * last]);
         }
@@ -218,11 +223,10 @@ impl Graph {
     /// Add a constant `[t, t]` mask to every batch slice of a `[b, t, t]`
     /// node (causal masking: forbidden entries hold large negatives).
     pub fn add_mask2d(&self, a: Var, mask: &Tensor) -> Var {
-        let v = self.val(a);
-        assert_eq!(v.rank(), 3, "add_mask2d requires rank-3");
-        let (b, t1, t2) = (v.dims()[0], v.dims()[1], v.dims()[2]);
+        let mut out = self.val(a).clone();
+        assert_eq!(out.rank(), 3, "add_mask2d requires rank-3");
+        let (b, t1, t2) = (out.dims()[0], out.dims()[1], out.dims()[2]);
         assert_eq!(mask.dims(), &[t1, t2], "add_mask2d: mask shape mismatch");
-        let mut out = v;
         let md = mask.data();
         for i in 0..b {
             for (o, &m) in out.data_mut()[i * t1 * t2..(i + 1) * t1 * t2]
@@ -243,21 +247,24 @@ impl Graph {
     /// LayerNorm over the last axis of a matrix node:
     /// `y = γ ⊙ (x − mean)/sqrt(var + eps) + β` per row.
     pub fn layer_norm_rows(&self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let xv = self.val(x);
-        assert!(xv.rank() == 2, "layer_norm_rows requires a matrix");
-        let (rows, cols) = (xv.rows(), xv.cols());
-        let mut xhat = Tensor::zeros(&[rows, cols]);
-        let mut inv_std = Tensor::zeros(&[rows]);
-        for r in 0..rows {
-            let row = xv.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let is = 1.0 / (var + eps).sqrt();
-            inv_std.data_mut()[r] = is;
-            for (o, &v) in xhat.row_mut(r).iter_mut().zip(row) {
-                *o = (v - mean) * is;
+        let (xhat, inv_std) = {
+            let xv = self.val(x);
+            assert!(xv.rank() == 2, "layer_norm_rows requires a matrix");
+            let (rows, cols) = (xv.rows(), xv.cols());
+            let mut xhat = Tensor::zeros(&[rows, cols]);
+            let mut inv_std = Tensor::zeros(&[rows]);
+            for r in 0..rows {
+                let row = xv.row(r);
+                let mean = row.iter().sum::<f32>() / cols as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+                let is = 1.0 / (var + eps).sqrt();
+                inv_std.data_mut()[r] = is;
+                for (o, &v) in xhat.row_mut(r).iter_mut().zip(row) {
+                    *o = (v - mean) * is;
+                }
             }
-        }
+            (xhat, inv_std)
+        };
         let out = xhat
             .mul_row_broadcast(&self.val(gamma))
             .add_row_broadcast(&self.val(beta));
@@ -276,27 +283,29 @@ impl Graph {
             return a;
         }
         assert!(p < 1.0, "dropout probability must be < 1");
-        let v = self.val(a);
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let mask_data: Vec<f32> = (0..v.numel())
-            .map(|_| if rng.chance(keep) { scale } else { 0.0 })
-            .collect();
-        let mask = Tensor::from_vec(mask_data, v.dims());
-        let out = v.mul(&mask);
+        let (out, mask) = {
+            let v = self.val(a);
+            let mask_data: Vec<f32> = (0..v.numel())
+                .map(|_| if rng.chance(keep) { scale } else { 0.0 })
+                .collect();
+            let mask = Tensor::from_vec(mask_data, v.dims());
+            (v.mul(&mask), mask)
+        };
         self.push(out, Op::Dropout(a), Aux::One(mask), self.requires(a))
     }
 
     /// Normalize each row of a matrix node to unit L2 norm.
     pub fn l2_normalize_rows(&self, a: Var) -> Var {
-        let v = self.val(a);
-        assert!(v.rank() == 2, "l2_normalize_rows requires a matrix");
-        let mut y = v.clone();
-        let mut norms = Tensor::zeros(&[v.rows()]);
-        for r in 0..v.rows() {
-            let norm = v.row(r).iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
+        let mut y = self.val(a).clone();
+        assert!(y.rank() == 2, "l2_normalize_rows requires a matrix");
+        let mut norms = Tensor::zeros(&[y.rows()]);
+        for r in 0..y.rows() {
+            let row = y.row_mut(r);
+            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
             norms.data_mut()[r] = norm;
-            for o in y.row_mut(r) {
+            for o in row {
                 *o /= norm;
             }
         }
@@ -316,13 +325,15 @@ impl Graph {
     /// Fused softmax + NLL: numerically stable and avoids materializing the
     /// log-probabilities on the tape.
     pub fn cross_entropy(&self, logits: Var, targets: &[usize]) -> Var {
-        let lv = self.val(logits);
-        assert!(lv.rank() == 2, "cross_entropy requires matrix logits");
-        assert_eq!(lv.rows(), targets.len(), "cross_entropy: batch mismatch");
-        let softmax = lv.softmax_rows();
+        let softmax = {
+            let lv = self.val(logits);
+            assert!(lv.rank() == 2, "cross_entropy requires matrix logits");
+            assert_eq!(lv.rows(), targets.len(), "cross_entropy: batch mismatch");
+            lv.softmax_rows()
+        };
         let mut loss = 0.0f64;
         for (r, &t) in targets.iter().enumerate() {
-            assert!(t < lv.cols(), "cross_entropy: target {t} out of range");
+            assert!(t < softmax.cols(), "cross_entropy: target {t} out of range");
             loss -= (softmax.at2(r, t).max(1e-12) as f64).ln();
         }
         let loss = (loss / targets.len() as f64) as f32;

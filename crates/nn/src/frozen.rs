@@ -260,8 +260,8 @@ impl FrozenBlock {
     /// output projection, both LayerNorms and the feed-forward run for the
     /// last position only. Legal bit for bit: every kernel on the path
     /// accumulates one output row from that row's inputs alone (gemm over
-    /// `p = 0..k` in order whether the row sits in a 4-row group or the
-    /// tail; attention scores are per-row dots), so a row's bits do not
+    /// `p = 0..k` in order whether the row sits in a full register tile or
+    /// the tail; attention scores are per-row dots), so a row's bits do not
     /// depend on which other rows are computed. On return `h[..dim]` holds
     /// the user row.
     fn forward_last(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
