@@ -1,9 +1,12 @@
 //! Pins dead-gradient elimination by what it allocates: `backward` through
 //! `constant[n × 256] · param[256 × 32]` must never materialize the
-//! `[n × 256]` gradient of the constant. A test binary of its own because
-//! the counting `#[global_allocator]` is process-wide.
+//! `[n × 256]` gradient of the constant. A test binary of its own because a
+//! `#[global_allocator]` is process-wide; what it counts is not — only the
+//! thread that armed [`COUNTING`], because libtest's main thread allocates
+//! beside the test thread whenever it likes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wr_autograd::Graph;
@@ -13,13 +16,34 @@ struct Counting;
 
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the length of the measured call. The
+    /// `const` initialiser makes access allocation-free, which an allocator
+    /// needs of anything it reads.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Bytes `f` allocates on the calling thread.
+fn counted_bytes(f: impl FnOnce()) -> usize {
+    let before = BYTES.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    BYTES.load(Ordering::Relaxed) - before
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a relaxed counter bump, which touches no allocator state.
+// only addition is a thread-local read and a relaxed counter bump, which
+// touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which is
     // passed through to `System` as is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // `try_with`: a thread still allocates while its locals are being
+        // torn down, and the allocator must not panic then.
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -44,9 +68,7 @@ fn backward_allocates_nothing_for_a_constant_operand() {
     let weight = g.param(Tensor::randn(&[256, 32], &mut rng));
     let loss = g.sum_all(g.matmul(table, weight));
 
-    let before = BYTES.load(Ordering::Relaxed);
-    g.backward(loss);
-    let allocated = BYTES.load(Ordering::Relaxed) - before;
+    let allocated = counted_bytes(|| g.backward(loss));
 
     assert!(g.grad(table).is_none());
     assert_eq!(g.grad(weight).map(|t| t.dims().to_vec()), Some(vec![256, 32]));

@@ -1,6 +1,6 @@
 //! Covariance, condition number and spectral statistics.
 
-use crate::{jacobi::sym_eig, Result};
+use crate::{jacobi::sym_eigvals, Result};
 use wr_tensor::Tensor;
 
 /// Covariance of a `d × n` matrix whose *columns* are samples
@@ -41,9 +41,9 @@ pub fn covariance_of_rows(x: &Tensor, eps: f32) -> Tensor {
 /// numerically singular matrices; the paper plots κ on a log scale, so a
 /// huge-but-finite value carries the same signal as infinity.
 pub fn condition_number(a: &Tensor, floor: f32) -> Result<f32> {
-    let eig = sym_eig(a)?;
-    let lmax = eig.values.first().copied().unwrap_or(0.0).max(floor);
-    let lmin = eig.values.last().copied().unwrap_or(0.0).max(floor);
+    let values = sym_eigvals(a)?;
+    let lmax = values.first().copied().unwrap_or(0.0).max(floor);
+    let lmin = values.last().copied().unwrap_or(0.0).max(floor);
     Ok(lmax / lmin)
 }
 
@@ -52,8 +52,8 @@ pub fn condition_number(a: &Tensor, floor: f32) -> Result<f32> {
 /// A fully whitened `d × d` covariance has effective rank ≈ `d`; an
 /// anisotropic one collapses toward 1.
 pub fn effective_rank(a: &Tensor) -> Result<f32> {
-    let eig = sym_eig(a)?;
-    let positive: Vec<f32> = eig.values.iter().cloned().filter(|&l| l > 0.0).collect();
+    let values = sym_eigvals(a)?;
+    let positive: Vec<f32> = values.iter().cloned().filter(|&l| l > 0.0).collect();
     let total: f32 = positive.iter().sum();
     if total <= 0.0 {
         return Ok(0.0);

@@ -1,4 +1,76 @@
 //! Cyclic Jacobi eigendecomposition for symmetric matrices.
+//!
+//! One 256 × 256 [`sym_eig`] is the ZCA fit, and the ZCA fit is the set-up
+//! of everything: every whitened table, checkpoint, golden value and
+//! generated dataset in the repository rests on the exact bits this module
+//! returns. So, as for the gemm (`wr_tensor::matmul`), the arithmetic is a
+//! contract and only the memory walk is free.
+//!
+//! **The contract.** The method is cyclic-by-row Jacobi in `f64` on the
+//! symmetrized input: sweep until the off-diagonal norm — the upper
+//! triangle's squares summed row-major ascending — is `≤ TOL · ‖A‖_F`, at
+//! most [`MAX_SWEEPS`] sweeps, then one re-check against `TOL.max(1e-9)`.
+//! A sweep visits the pivots `p` ascending, then `q > p` ascending, skips a
+//! pivot whose `|m[p][q]| < 1e-300`, and derives `θ → t → c → s` from
+//! `m[p][p]`, `m[q][q]`, `m[p][q]` by the formula in [`diagonalize_with`].
+//! The rotation then replaces, for every `k`, first the column pair
+//! `(m[k][p], m[k][q])`, then the row pair `(m[p][k], m[q][k])`, and the
+//! eigenvector pair `(v[k][p], v[k][q])` by `(c·a − s·b, s·a + c·b)`, the
+//! multiplies and the add rounded separately (no fused multiply-add).
+//! Every element of `M` and `V` therefore sees one fixed sequence of such
+//! updates on fixed operand values; eigenvalues are the diagonal, sorted
+//! descending by `total_cmp`. The textbook three-loop form of exactly this
+//! is kept in the tests below and every entry point is compared with it
+//! bit for bit.
+//!
+//! **What is free, and used.** The textbook column and eigenvector loops
+//! walk *down* a row-major matrix (a 2 KB stride at `n = 256`), which is
+//! where 95 % of set-up went. Three moves take every access onto rows
+//! without touching an operand:
+//!
+//! 1. *Lazy column steps.* Within pass `p`, rotation `(p, q)` reads rows
+//!    `p` and `q` whole and nothing else — its three angle entries live in
+//!    those rows. Any other row `k` is touched only by the column step, and
+//!    only at columns `p` and `q`. So row `k`'s column steps for the whole
+//!    pass form a chain along that row with `m[k][p]` carried in a scalar
+//!    ([`chain`]), and the chain may run at any time before row `k` is next
+//!    read whole: a prefix when `k` becomes the `q` row of a rotation, the
+//!    rest when the pass ends. A per-row cursor into the pass's rotation
+//!    list is the whole bookkeeping ([`catch_up`]). Rows `p` and `q` take
+//!    the rotation's own column step eagerly, then the row update. Each
+//!    step reads what the textbook loop would have read, in the same
+//!    expression. A chain step waits on the one before it, so
+//!    [`CHAIN_ROWS`] rows run their chains together.
+//! 2. *`V` is kept transposed* while rotating (`vt[p]`, `vt[q]` are rows
+//!    and every element sees the same `c·a − s·b`, `s·a + c·b`), and is
+//!    transposed back by the sort-and-extract copy.
+//! 3. *One [`rotate_rows`]* takes the two rows as disjoint slices, for `M`
+//!    and `Vᵀ` alike, so the compiler vectorizes it.
+//!
+//! Loop structure, `V`'s orientation, the number of rows in flight and the
+//! vector width cannot move a bit, because none of them changes an
+//! operand, an expression or the order of updates any one element sees.
+//!
+//! **What is not free: symmetry.** The working matrix is *not* bitwise
+//! symmetric after the first rotation: the pivot block's two off-diagonal
+//! entries come from different expressions, and the difference spreads (on
+//! a 32-d covariance 481 of the 496 mirrored pairs are bitwise unequal
+//! after the first sweep, all of them after the fourth). Storing the upper
+//! triangle only, or mirroring the row update into the columns, changes
+//! bits; full storage and both updates stay.
+//!
+//! **Dispatch.** The solver body is safe Rust, instantiated twice as
+//! `matmul.rs` does it: under `#[target_feature(enable = "avx2")]` (four
+//! `f64` lanes in `rotate_rows`) and at the build's baseline (two lanes —
+//! the only arm on pre-AVX2 x86 and on every other architecture).
+//! `is_x86_feature_detected!("avx2")` picks once per call. `fma` stays off
+//! in both: a fused multiply-add rounds once where the contract rounds
+//! twice. A faster *method* (Householder tridiagonalization + implicit QL)
+//! would move every downstream value and give up the relative accuracy on
+//! small eigenvalues that ZCA's `λ^{-1/2}` needs; it belongs to a round
+//! that re-pins everything (ROADMAP 3(c)), not here.
+
+use std::ops::Range;
 
 use crate::{LinalgError, Result};
 use wr_tensor::Tensor;
@@ -48,11 +120,44 @@ const MAX_SWEEPS: usize = 64;
 /// the matrix norm.
 const TOL: f64 = 1e-12;
 
+/// Rows whose column chains run together in [`chain`]. A chain step waits
+/// for the step before it (a multiply, then a subtract); this many
+/// independent rows fill that latency.
+const CHAIN_ROWS: usize = 8;
+
 /// Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
 ///
 /// The input is symmetrized (`(A + Aᵀ)/2`) to absorb round-off asymmetry.
 /// Internal arithmetic is `f64`.
 pub fn sym_eig(a: &Tensor) -> Result<SymEig> {
+    sym_eig_by(a, diagonalize)
+}
+
+/// [`sym_eig`] on a given instantiation of the solver (the tests reach the
+/// baseline arm through this).
+fn sym_eig_by(
+    a: &Tensor,
+    solve: fn(&mut [f64], &mut [f64], usize) -> Result<()>,
+) -> Result<SymEig> {
+    let (n, mut m) = working_copy(a)?;
+    let mut vt = vec![0.0f64; n * n];
+    for i in 0..n {
+        vt[i * n + i] = 1.0;
+    }
+    solve(&mut m, &mut vt, n)?;
+    Ok(extract(&m, &vt, n))
+}
+
+/// The eigenvalues of [`sym_eig`] alone, bit for bit, descending — the same
+/// sweeps with no eigenvector matrix to rotate and none to build.
+pub fn sym_eigvals(a: &Tensor) -> Result<Vec<f32>> {
+    let (n, mut m) = working_copy(a)?;
+    diagonalize(&mut m, &mut [], n)?;
+    Ok(descending(&m, n).1)
+}
+
+/// Validate `a` and symmetrize it into an `f64` working copy.
+fn working_copy(a: &Tensor) -> Result<(usize, Vec<f64>)> {
     if a.rank() != 2 || a.rows() != a.cols() {
         return Err(LinalgError::NotSquare {
             rows: if a.rank() == 2 { a.rows() } else { 0 },
@@ -63,33 +168,100 @@ pub fn sym_eig(a: &Tensor) -> Result<SymEig> {
         return Err(LinalgError::NonFinite);
     }
     let n = a.rows();
-    // Symmetrize into an f64 working copy.
     let mut m = vec![0.0f64; n * n];
     for i in 0..n {
         for j in 0..n {
             m[i * n + j] = 0.5 * (a.at2(i, j) as f64 + a.at2(j, i) as f64);
         }
     }
-    let mut v = vec![0.0f64; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
+    Ok((n, m))
+}
+
+/// The diagonal of the diagonalized `m`, sorted descending: each value's
+/// original position, and the values as `f32`.
+fn descending(m: &[f64], n: usize) -> (Vec<usize>, Vec<f32>) {
+    let mut order: Vec<usize> = (0..n).collect();
+    let eigvals: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
+    order.sort_by(|&i, &j| eigvals[j].total_cmp(&eigvals[i]));
+    let values = order.iter().map(|&i| eigvals[i] as f32).collect();
+    (order, values)
+}
+
+/// Sort descending and turn the rows of `vt` back into eigenvector columns.
+fn extract(m: &[f64], vt: &[f64], n: usize) -> SymEig {
+    let (order, values) = descending(m, n);
+    let mut vectors = Tensor::zeros(&[n, n]);
+    for row in 0..n {
+        for (new_col, &old_col) in order.iter().enumerate() {
+            *vectors.at2_mut(row, new_col) = vt[old_col * n + row] as f32;
+        }
     }
+    SymEig { values, vectors }
+}
+
+/// Diagonalize `m` in place on the widest registers the CPU has, applying
+/// every rotation to the rows of `vt` as well (`n × n`, or empty when only
+/// the spectrum is wanted).
+fn diagonalize(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `diagonalize_avx2` requires only that the running CPU has
+        // AVX2, which the line above just established.
+        return unsafe { diagonalize_avx2(m, vt, n) };
+    }
+    diagonalize_with(m, vt, n)
+}
+
+/// [`diagonalize_with`] compiled for AVX2: `rotate_rows` moves four `f64`
+/// a register.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+// SAFETY: the body is safe Rust; the one obligation, stated above, is the
+// target feature itself and is discharged by the caller's runtime check.
+unsafe fn diagonalize_avx2(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+    diagonalize_with(m, vt, n)
+}
+
+/// A rotation of the current pass that was not skipped: the column `q` it
+/// pairs with the pass's `p`, its cosine and its sine.
+struct Rotation {
+    q: usize,
+    c: f64,
+    s: f64,
+}
+
+/// The solver body (module doc: the contract, and why this loop structure
+/// keeps it).
+#[inline(always)]
+fn diagonalize_with(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+    debug_assert_eq!(m.len(), n * n);
+    debug_assert!(vt.is_empty() || vt.len() == n * n);
+    let vt_width = if vt.is_empty() { 0 } else { n };
+    // The pass's rotations so far, and how many of them each row's column
+    // chain has taken.
+    let mut rots: Vec<Rotation> = Vec::with_capacity(n);
+    let mut applied = vec![0usize; n];
 
     let frob: f64 = m.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-300);
-    let mut converged = false;
     for _sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0f64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[i * n + j] * m[i * n + j];
-            }
-        }
-        if (2.0 * off).sqrt() <= TOL * frob {
-            converged = true;
-            break;
+        if off_diagonal_norm(m, n) <= TOL * frob {
+            return Ok(());
         }
         for p in 0..n {
+            rots.clear();
+            applied.fill(0);
             for q in (p + 1)..n {
+                if applied[q] < rots.len() {
+                    // Row `q` is about to be read whole. Its block-mates
+                    // (blocks of `CHAIN_ROWS` rows from `p + 1`) come along:
+                    // at a block's first row that is a full block with one
+                    // long chain each; after it, a step or two per row.
+                    let block_end = q + CHAIN_ROWS - (q - p - 1) % CHAIN_ROWS;
+                    catch_up(m, n, p, &rots, &mut applied, q..block_end.min(n));
+                }
                 let apq = m[p * n + q];
                 if apq.abs() < 1e-300 {
                     continue;
@@ -106,63 +278,358 @@ pub fn sym_eig(a: &Tensor) -> Result<SymEig> {
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
 
-                // Update rows/cols p and q of m.
-                for k in 0..n {
-                    let mkp = m[k * n + p];
-                    let mkq = m[k * n + q];
-                    m[k * n + p] = c * mkp - s * mkq;
-                    m[k * n + q] = s * mkp + c * mkq;
+                // The rotation's own 2×2 block: the column step on rows p
+                // and q, which the row update below reads.
+                for row in [p, q] {
+                    let (at_p, at_q) = (row * n + p, row * n + q);
+                    let (mkp, mkq) = (m[at_p], m[at_q]);
+                    m[at_p] = c * mkp - s * mkq;
+                    m[at_q] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m[p * n + k];
-                    let mqk = m[q * n + k];
-                    m[p * n + k] = c * mpk - s * mqk;
-                    m[q * n + k] = s * mpk + c * mqk;
-                }
-                // Accumulate the rotation into V.
-                for k in 0..n {
-                    let vkp = v[k * n + p];
-                    let vkq = v[k * n + q];
-                    v[k * n + p] = c * vkp - s * vkq;
-                    v[k * n + q] = s * vkp + c * vkq;
-                }
+                rotate_rows(m, n, p, q, c, s);
+                // Accumulate the rotation into Vᵀ.
+                rotate_rows(vt, vt_width, p, q, c, s);
+                rots.push(Rotation { q, c, s });
+                applied[q] = rots.len();
             }
+            // Rows above `p` take the whole chain, rows below it what their
+            // prefix left; row `p` took every step eagerly.
+            catch_up(m, n, p, &rots, &mut applied, 0..p);
+            catch_up(m, n, p, &rots, &mut applied, (p + 1)..n);
         }
     }
-    if !converged {
-        let mut off = 0.0f64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[i * n + j] * m[i * n + j];
-            }
-        }
-        // One more check: after the final sweep the matrix may have landed
-        // within tolerance without re-testing.
-        if (2.0 * off).sqrt() > TOL.max(1e-9) * frob {
-            return Err(LinalgError::NoConvergence {
-                off_diagonal_norm: (2.0 * off).sqrt(),
-            });
-        }
+    // One more check: after the final sweep the matrix may have landed
+    // within tolerance without re-testing.
+    let off = off_diagonal_norm(m, n);
+    if off > TOL.max(1e-9) * frob {
+        return Err(LinalgError::NoConvergence {
+            off_diagonal_norm: off,
+        });
     }
+    Ok(())
+}
 
-    // Extract and sort descending.
-    let mut order: Vec<usize> = (0..n).collect();
-    let eigvals: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
-    order.sort_by(|&i, &j| eigvals[j].total_cmp(&eigvals[i]));
-
-    let values: Vec<f32> = order.iter().map(|&i| eigvals[i] as f32).collect();
-    let mut vectors = Tensor::zeros(&[n, n]);
-    for (new_col, &old_col) in order.iter().enumerate() {
-        for row in 0..n {
-            *vectors.at2_mut(row, new_col) = v[row * n + old_col] as f32;
+/// `√(2 Σ_{i<j} m[i][j]²)`, the upper triangle summed row-major ascending.
+#[inline(always)]
+fn off_diagonal_norm(m: &[f64], n: usize) -> f64 {
+    let mut off = 0.0f64;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            off += m[i * n + j] * m[i * n + j];
         }
     }
-    Ok(SymEig { values, vectors })
+    (2.0 * off).sqrt()
+}
+
+/// Rows `p` and `q > p` of a row-major matrix `width` wide become
+/// `(c·p − s·q, s·p + c·q)`, element by element.
+#[inline(always)]
+fn rotate_rows(mat: &mut [f64], width: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (upper, lower) = mat.split_at_mut(q * width);
+    let row_p = &mut upper[p * width..(p + 1) * width];
+    let row_q = &mut lower[..width];
+    for (a, b) in row_p.iter_mut().zip(row_q) {
+        let (x, y) = (*a, *b);
+        *a = c * x - s * y;
+        *b = s * x + c * y;
+    }
+}
+
+/// Bring the column chains of `rows` up to date with every rotation of pass
+/// `p` so far. Rows go `CHAIN_ROWS` at a time: each is first advanced alone
+/// to the block's furthest cursor, then the block runs the rest together.
+/// The rows short of a full block run alone.
+#[inline(always)]
+fn catch_up(
+    m: &mut [f64],
+    n: usize,
+    p: usize,
+    rots: &[Rotation],
+    applied: &mut [usize],
+    rows: Range<usize>,
+) {
+    let mut k0 = rows.start;
+    while k0 < rows.end {
+        let k1 = (k0 + CHAIN_ROWS).min(rows.end);
+        let cursors = &mut applied[k0..k1];
+        let common = if cursors.len() == CHAIN_ROWS {
+            cursors.iter().fold(0, |a, &b| a.max(b))
+        } else {
+            rots.len()
+        };
+        for (k, &cursor) in (k0..k1).zip(cursors.iter()) {
+            chain::<1>(m, n, k, p, &rots[cursor..common]);
+        }
+        chain::<CHAIN_ROWS>(m, n, k0, p, &rots[common..]);
+        cursors.fill(rots.len());
+        k0 = k1;
+    }
+}
+
+/// The column steps of `rots`, in order, on the `R` rows from `k0`: per row,
+/// `m[k][p]` is carried in a register along the chain and each step reads
+/// and writes `m[k][q]` — what the textbook column loop does to row `k`,
+/// one rotation after another.
+#[inline(always)]
+fn chain<const R: usize>(m: &mut [f64], n: usize, k0: usize, p: usize, rots: &[Rotation]) {
+    // Nothing to do must also mean nothing touched: `catch_up` hands a short
+    // block an empty list, and rows `k0..k0 + R` need not all exist then.
+    if rots.is_empty() {
+        return;
+    }
+    let mut x = [0.0f64; R];
+    for (r, x) in x.iter_mut().enumerate() {
+        *x = m[(k0 + r) * n + p];
+    }
+    for rot in rots {
+        for (r, x) in x.iter_mut().enumerate() {
+            let at = (k0 + r) * n + rot.q;
+            let y = m[at];
+            m[at] = rot.s * *x + rot.c * y;
+            *x = rot.c * *x - rot.s * y;
+        }
+    }
+    for (r, &x) in x.iter().enumerate() {
+        m[(k0 + r) * n + p] = x;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::covariance_of_rows;
+    use wr_tensor::Rng64;
+
+    /// The contract, executable: the three-loop cyclic Jacobi exactly as it
+    /// stood before the kernel stopped walking down columns. Every entry
+    /// point must reproduce its `values` and `vectors` bit for bit.
+    fn textbook(a: &Tensor) -> Result<SymEig> {
+        if a.rank() != 2 || a.rows() != a.cols() {
+            return Err(LinalgError::NotSquare {
+                rows: if a.rank() == 2 { a.rows() } else { 0 },
+                cols: if a.rank() == 2 { a.cols() } else { 0 },
+            });
+        }
+        if a.non_finite_count() > 0 {
+            return Err(LinalgError::NonFinite);
+        }
+        let n = a.rows();
+        // Symmetrize into an f64 working copy.
+        let mut m = vec![0.0f64; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                m[i * n + j] = 0.5 * (a.at2(i, j) as f64 + a.at2(j, i) as f64);
+            }
+        }
+        let mut v = vec![0.0f64; n * n];
+        for i in 0..n {
+            v[i * n + i] = 1.0;
+        }
+
+        let frob: f64 = m.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-300);
+        let mut converged = false;
+        for _sweep in 0..MAX_SWEEPS {
+            let mut off = 0.0f64;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    off += m[i * n + j] * m[i * n + j];
+                }
+            }
+            if (2.0 * off).sqrt() <= TOL * frob {
+                converged = true;
+                break;
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = m[p * n + q];
+                    if apq.abs() < 1e-300 {
+                        continue;
+                    }
+                    let app = m[p * n + p];
+                    let aqq = m[q * n + q];
+                    // Rotation that annihilates m[p][q].
+                    let theta = (aqq - app) / (2.0 * apq);
+                    let t = if theta >= 0.0 {
+                        1.0 / (theta + (1.0 + theta * theta).sqrt())
+                    } else {
+                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = t * c;
+
+                    // Update rows/cols p and q of m.
+                    for k in 0..n {
+                        let mkp = m[k * n + p];
+                        let mkq = m[k * n + q];
+                        m[k * n + p] = c * mkp - s * mkq;
+                        m[k * n + q] = s * mkp + c * mkq;
+                    }
+                    for k in 0..n {
+                        let mpk = m[p * n + k];
+                        let mqk = m[q * n + k];
+                        m[p * n + k] = c * mpk - s * mqk;
+                        m[q * n + k] = s * mpk + c * mqk;
+                    }
+                    // Accumulate the rotation into V.
+                    for k in 0..n {
+                        let vkp = v[k * n + p];
+                        let vkq = v[k * n + q];
+                        v[k * n + p] = c * vkp - s * vkq;
+                        v[k * n + q] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        if !converged {
+            let mut off = 0.0f64;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    off += m[i * n + j] * m[i * n + j];
+                }
+            }
+            // One more check: after the final sweep the matrix may have landed
+            // within tolerance without re-testing.
+            if (2.0 * off).sqrt() > TOL.max(1e-9) * frob {
+                return Err(LinalgError::NoConvergence {
+                    off_diagonal_norm: (2.0 * off).sqrt(),
+                });
+            }
+        }
+
+        // Extract and sort descending.
+        let mut order: Vec<usize> = (0..n).collect();
+        let eigvals: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
+        order.sort_by(|&i, &j| eigvals[j].total_cmp(&eigvals[i]));
+
+        let values: Vec<f32> = order.iter().map(|&i| eigvals[i] as f32).collect();
+        let mut vectors = Tensor::zeros(&[n, n]);
+        for (new_col, &old_col) in order.iter().enumerate() {
+            for row in 0..n {
+                *vectors.at2_mut(row, new_col) = v[row * n + old_col] as f32;
+            }
+        }
+        Ok(SymEig { values, vectors })
+    }
+
+    /// Sizes around every block edge of the kernel: `CHAIN_ROWS` = 8 and its
+    /// multiples ± 1, the 2- and 4-lane tails of `rotate_rows`, the empty
+    /// and 1 × 1 matrices. ≤ 96 so the debug-build reference stays fast.
+    const SIZES: [usize; 20] = [
+        0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 33, 47, 64, 65, 96,
+    ];
+
+    /// Random symmetric `n × n`, eigenvalues of both signs.
+    fn indefinite(n: usize, rng: &mut Rng64) -> Tensor {
+        let a = Tensor::randn(&[n, n], rng);
+        a.add(&a.transpose())
+    }
+
+    /// The matrices the system hands the solver, and the ones that exercise
+    /// its skip: name and matrix.
+    fn cases(n: usize) -> Vec<(&'static str, Tensor)> {
+        if n == 0 {
+            return vec![("empty", Tensor::zeros(&[0, 0]))];
+        }
+        let mut rng = Rng64::seed_from(1000 + n as u64);
+        let diagonal = |rng: &mut Rng64| {
+            let mut d = Tensor::zeros(&[n, n]);
+            for i in 0..n {
+                *d.at2_mut(i, i) = rng.normal();
+            }
+            d
+        };
+        // Blocks of 3 and 5 rows alternating; everything outside them is an
+        // exact zero, so most pivots are skipped and some are not.
+        let mut blocks = Tensor::zeros(&[n, n]);
+        let (mut start, mut size) = (0, 3);
+        while start < n {
+            let end = (start + size).min(n);
+            let block = indefinite(end - start, &mut rng);
+            for i in start..end {
+                for j in start..end {
+                    *blocks.at2_mut(i, j) = block.at2(i - start, j - start);
+                }
+            }
+            start = end;
+            size = 8 - size;
+        }
+        let mut one_pair = diagonal(&mut rng);
+        let (i, j) = (n / 3, (2 * n) / 3);
+        if i != j {
+            *one_pair.at2_mut(i, j) = 0.3;
+            *one_pair.at2_mut(j, i) = 0.3;
+        }
+        vec![
+            (
+                "covariance, rows >> n",
+                covariance_of_rows(&Tensor::randn(&[4 * n + 8, n], &mut rng), 1e-5),
+            ),
+            (
+                // Rank-deficient plus the ε ridge: `seq_heavy`'s regime.
+                "covariance, rows < n",
+                covariance_of_rows(&Tensor::randn(&[n.div_ceil(2), n], &mut rng), 1e-5),
+            ),
+            ("indefinite", indefinite(n, &mut rng)),
+            ("diagonal", diagonal(&mut rng)),
+            ("block-diagonal", blocks),
+            ("diagonal but one pair", one_pair),
+        ]
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_same_bits(got: &SymEig, want: &SymEig, what: &str) {
+        assert_eq!(bits(&got.values), bits(&want.values), "{what}: values");
+        assert_eq!(got.vectors.dims(), want.vectors.dims(), "{what}: shape");
+        assert_eq!(
+            bits(got.vectors.data()),
+            bits(want.vectors.data()),
+            "{what}: vectors"
+        );
+    }
+
+    /// `solve` against the textbook loop over every size and kind.
+    fn assert_matches_textbook(solve: impl Fn(&Tensor) -> Result<SymEig>) {
+        for n in SIZES {
+            for (kind, a) in cases(n) {
+                let want = textbook(&a).unwrap();
+                let got = solve(&a).unwrap();
+                assert_same_bits(&got, &want, &format!("{kind}, n = {n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sym_eig_matches_the_textbook_loop_bit_for_bit() {
+        assert_matches_textbook(sym_eig);
+    }
+
+    /// The instantiation an AVX2 box never dispatches to.
+    #[test]
+    fn baseline_arm_matches_the_textbook_loop_bit_for_bit() {
+        assert_matches_textbook(|a| sym_eig_by(a, diagonalize_with));
+    }
+
+    #[test]
+    fn sym_eigvals_equals_sym_eig_values_bit_for_bit() {
+        for n in SIZES {
+            for (kind, a) in cases(n) {
+                let want = textbook(&a).unwrap().values;
+                let got = sym_eigvals(&a).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{kind}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_matrix_has_an_empty_decomposition() {
+        let e = sym_eig(&Tensor::zeros(&[0, 0])).unwrap();
+        assert!(e.values.is_empty());
+        assert_eq!(e.vectors.dims(), &[0, 0]);
+        assert!(sym_eigvals(&Tensor::zeros(&[0, 0])).unwrap().is_empty());
+    }
 
     fn reconstruct(e: &SymEig) -> Tensor {
         e.rebuild_with(|x| x)
@@ -236,7 +703,11 @@ mod tests {
     fn rejects_non_square() {
         assert!(matches!(
             sym_eig(&Tensor::zeros(&[2, 3])),
-            Err(LinalgError::NotSquare { .. })
+            Err(LinalgError::NotSquare { rows: 2, cols: 3 })
+        ));
+        assert!(matches!(
+            sym_eigvals(&Tensor::zeros(&[2, 3])),
+            Err(LinalgError::NotSquare { rows: 2, cols: 3 })
         ));
     }
 
@@ -244,6 +715,7 @@ mod tests {
     fn rejects_non_finite() {
         let a = Tensor::from_vec(vec![1.0, f32::NAN, f32::NAN, 1.0], &[2, 2]);
         assert!(matches!(sym_eig(&a), Err(LinalgError::NonFinite)));
+        assert!(matches!(sym_eigvals(&a), Err(LinalgError::NonFinite)));
     }
 
     #[test]

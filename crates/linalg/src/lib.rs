@@ -6,7 +6,8 @@
 //!
 //! Provided decompositions:
 //! * [`sym_eig`] — cyclic Jacobi eigendecomposition of a symmetric matrix,
-//!   eigenvalues sorted descending.
+//!   eigenvalues sorted descending; [`sym_eigvals`] is the same sweep for
+//!   callers that read the spectrum only.
 //! * [`cholesky`] — lower-triangular Cholesky factor of an SPD matrix.
 //! * [`svd_thin`] — thin SVD of a rectangular matrix via the Gram matrix.
 //! * [`pinv`] — Moore–Penrose pseudoinverse.
@@ -23,7 +24,7 @@ mod svd;
 
 pub use cholesky::{cholesky, solve_lower_triangular, solve_upper_triangular};
 pub use cov::{condition_number, covariance, covariance_of_rows, effective_rank};
-pub use jacobi::{sym_eig, SymEig};
+pub use jacobi::{sym_eig, sym_eigvals, SymEig};
 pub use pinv::pinv;
 pub use power::top_singular_values;
 pub use svd::{singular_values, svd_thin, Svd};

@@ -1,6 +1,9 @@
 //! Thin singular value decomposition via the Gram matrix.
 
-use crate::{jacobi::sym_eig, Result};
+use crate::{
+    jacobi::{sym_eig, sym_eigvals},
+    Result,
+};
 use wr_tensor::Tensor;
 
 /// Thin SVD `A = U diag(σ) Vᵀ` of an `m × n` matrix with `r = min(m, n)`.
@@ -59,8 +62,8 @@ pub fn svd_thin(a: &Tensor) -> Result<Svd> {
 pub fn singular_values(a: &Tensor) -> Result<Vec<f32>> {
     let (m, n) = (a.rows(), a.cols());
     let gram = if m >= n { a.matmul_tn(a) } else { a.matmul_nt(a) };
-    let eig = sym_eig(&gram)?;
-    Ok(eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect())
+    let values = sym_eigvals(&gram)?;
+    Ok(values.iter().map(|&l| l.max(0.0).sqrt()).collect())
 }
 
 impl Svd {

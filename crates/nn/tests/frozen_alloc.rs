@@ -4,9 +4,12 @@
 //! sized once per call, never per op or per head — and the bytes it asks
 //! for are one sequence's working set plus the output, whatever the
 //! histories' lengths and however many the batch holds. A test binary of
-//! its own because the counting `#[global_allocator]` is process-wide.
+//! its own because a `#[global_allocator]` is process-wide; what it counts
+//! is not — only the thread that armed [`COUNTING`], because libtest's main
+//! thread allocates beside the test thread whenever it likes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -18,14 +21,42 @@ struct Counting;
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the length of the measured call. The
+    /// `const` initialiser makes access allocation-free, which an allocator
+    /// needs of anything it reads.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// What `f` allocates on the calling thread: (result, allocations, bytes).
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (
+        out,
+        ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+        BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is two relaxed counter bumps, which touch no allocator state.
+// only addition is a thread-local read and two relaxed counter bumps, which
+// touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which is
     // passed through to `System` as is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // `try_with`: a thread still allocates while its locals are being
+        // torn down, and the allocator must not panic then.
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -59,9 +90,7 @@ fn allocations_per_encode(blocks: usize, heads: usize) -> usize {
         .unwrap();
     let ids: Vec<usize> = (0..4 * 12).map(|_| rng.below(19)).collect();
     let lengths = [12, 5, 1, 9];
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let users = frozen.encode(&ids, &lengths);
-    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (users, made, _) = counted(|| frozen.encode(&ids, &lengths));
     assert_eq!(users.dims(), &[4, 8]);
     made
 }
@@ -86,15 +115,13 @@ fn bytes_per_encode(batch: usize, len: usize) -> usize {
         .unwrap();
     let ids: Vec<usize> = (0..batch * SEQ).map(|_| rng.below(19)).collect();
     let lengths = vec![len; batch];
-    let before = BYTES.load(Ordering::Relaxed);
-    let users = frozen.encode(&ids, &lengths);
-    let made = BYTES.load(Ordering::Relaxed) - before;
+    let (users, _, made) = counted(|| frozen.encode(&ids, &lengths));
     assert_eq!(users.dims(), &[batch, 8]);
     made
 }
 
-// One test function: the counter is process-wide, and a second test running
-// beside this one would allocate into its window.
+// One test function: the counters are shared, and a second test measuring
+// beside this one would add its own thread's allocations to them.
 #[test]
 fn encode_allocates_a_fixed_handful_whatever_the_depth_and_head_count() {
     // Small enough (4·12·8·8 multiply-adds per gemm) to stay on the

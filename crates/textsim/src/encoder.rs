@@ -241,6 +241,35 @@ mod tests {
         assert_eq!(a.data(), b.data());
     }
 
+    /// `ill_conditioned_mixing` is the one place that hands `sym_eig`
+    /// *indefinite* matrices (`A + Aᵀ`), and every generated dataset sits
+    /// downstream of it. The digest was computed with the textbook
+    /// three-loop Jacobi (PR 16's tree); an eigensolver edit that moves one
+    /// bit of an eigenvector moves it.
+    #[test]
+    fn encoder_output_bits_are_pinned() {
+        let c = Catalog::generate(CatalogConfig {
+            n_items: 40,
+            ..CatalogConfig::default()
+        });
+        let config = PlmConfig {
+            dim: 24,
+            ..PlmConfig::default()
+        };
+        let e = PlmEncoder::new(c.config.n_factors, config).encode(&c);
+        assert_eq!(e.dims(), &[40, 24]);
+        let mut digest = 0xcbf29ce484222325u64; // FNV-1a over the f32 bits
+        for v in e.data() {
+            for byte in v.to_bits().to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+        assert_eq!(
+            digest, 0x7c623b196fd23836,
+            "encoder output moved: {digest:#018x}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn wrong_factor_count_panics() {
