@@ -15,7 +15,7 @@ use wr_data::{warm_split, DatasetKind, DatasetSpec};
 use wr_models::{zoo, LossKind, ModelConfig, Popularity, SasRec, TextTower};
 use wr_nn::{load_params, restore_params, save_params};
 use wr_tensor::Rng64;
-use wr_train::{fit, Adam, AdamConfig, SeqRecModel, TrainConfig};
+use wr_train::{evaluate, fit, Adam, AdamConfig, SeqRecModel, TrainConfig};
 use whitenrec::TableWriter;
 
 fn main() {
@@ -103,9 +103,7 @@ fn main() {
 
     let tgt_split = warm_split(&target.sequences);
     let tgt_test: Vec<_> = tgt_split.test.iter().take(1200).cloned().collect();
-    let eval = |m: &dyn SeqRecModel| {
-        wr_eval::evaluate_cases(&tgt_test, &[20, 50], 256, true, |ctx| m.score(ctx))
-    };
+    let eval = |m: &dyn SeqRecModel| evaluate(m, &tgt_test, &wr_eval::DEFAULT_KS, 256);
     let zero_shot = eval(&transferred);
 
     // --- reference points on the target domain ----------------------------

@@ -2,8 +2,8 @@
 //!
 //! The offline workspace carries no criterion; this keeps the same shape —
 //! named benches, auto-calibrated iteration counts, mean/min reporting —
-//! in ~100 lines, plus JSON export so runs can be checked in and diffed
-//! (`BENCH_pr1.json` at the repo root is produced this way).
+//! in ~100 lines, plus JSON export (`WR_BENCH_OUT`) so two runs can be
+//! diffed.
 //!
 //! Timing methodology: one warm-up call sizes the iteration count so each
 //! bench runs for roughly [`target_time`]; every iteration is timed

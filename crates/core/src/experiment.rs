@@ -1,7 +1,7 @@
 //! Shared context for the per-table/figure experiment binaries.
 
 use wr_data::{cold_split, warm_split, ColdSplit, DatasetKind, DatasetSpec, ReadyDataset, WarmSplit};
-use wr_eval::MetricSet;
+use wr_eval::{MetricSet, DEFAULT_KS};
 use wr_models::{zoo, ModelConfig};
 use wr_obs::Telemetry;
 use wr_tensor::Rng64;
@@ -237,9 +237,7 @@ impl ExperimentContext {
 
     /// Full-ranking evaluation with history exclusion at K ∈ {20, 50}.
     pub fn evaluate(&self, model: &dyn SeqRecModel, cases: &[wr_data::EvalCase]) -> MetricSet {
-        wr_eval::evaluate_cases(cases, &[20, 50], self.train_config.eval_batch, true, |ctx| {
-            model.score(ctx)
-        })
+        wr_train::evaluate(model, cases, &DEFAULT_KS, self.train_config.eval_batch)
     }
 }
 

@@ -164,15 +164,16 @@ impl Gateway {
         n_shards: usize,
         cfg: GatewayConfig,
     ) -> Result<Gateway, GatewayError> {
-        // The tower runs once; windows and encoder are cut from the one `V`.
-        let items = Arc::new(model.item_representations());
+        // The tower runs once; the windows are cut from the encoder's `V`.
+        let encoder = HistoryEncoder::new(model);
+        let items = encoder.model_snapshot().items();
         let plan = ShardPlan::partitioned(items.rows(), n_shards)?;
         let shards = plan
             .ranges()
             .iter()
-            .map(|range| CatalogShard::from_window(&items, range.clone(), &cfg.serve))
+            .map(|range| CatalogShard::from_window(items, range.clone(), &cfg.serve))
             .collect();
-        Ok(Gateway::assemble(HistoryEncoder::new(model, items), shards, plan, cfg))
+        Ok(Gateway::assemble(encoder, shards, plan, cfg))
     }
 
     fn assemble(
@@ -270,7 +271,7 @@ impl Gateway {
     /// `serve.row` / `serve.score` sites. The other shards stay clean,
     /// which is exactly the chaos suite's "one shard poisoned" shape.
     pub fn with_shard_faults(mut self, shard: usize, injector: SharedInjector) -> Self {
-        let items = self.encoder.items();
+        let items = self.encoder.model_snapshot().items();
         let n_sets = self.sets.len();
         match self.sets.get_mut(shard) {
             Some(set) => set.map_replicas(|mut s| {

@@ -41,23 +41,6 @@ impl Bert4Rec {
     fn mask_token(&self) -> usize {
         self.n_items
     }
-
-    /// Scores over real items (the mask token row is excluded).
-    fn score_batch(&self, batch: &Batch) -> Tensor {
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let table = sess.bind(&self.emb.table);
-        let seq_emb = g.gather_rows(table, &batch.items);
-        let hidden =
-            self.encoder
-                .forward_hidden(&mut sess, seq_emb, batch.batch, batch.seq, &batch.lengths);
-        let last: Vec<usize> = (0..batch.batch)
-            .map(|b| b * batch.seq + batch.seq - 1)
-            .collect();
-        let users = g.gather_rows(hidden, &last);
-        let items = g.slice_cols(g.transpose(table), 0, self.n_items);
-        g.value(g.matmul(users, items))
-    }
 }
 
 impl SeqRecModel for Bert4Rec {
@@ -106,26 +89,12 @@ impl SeqRecModel for Bert4Rec {
         value
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        // Append the mask token to each context: predict what fills it.
-        let appended: Vec<Vec<usize>> = contexts
-            .iter()
-            .map(|c| {
-                let mut v = c.to_vec();
-                v.push(self.mask_token());
-                v
-            })
-            .collect();
-        let refs: Vec<&[usize]> = appended.iter().map(|c| c.as_slice()).collect();
-        let batch = Batch::inference(&refs, self.config.max_seq);
-        self.score_batch(&batch)
-    }
-
     fn item_representations(&self) -> Tensor {
         self.emb.table.get().slice_rows(0, self.n_items)
     }
 
     fn user_representations(&self, contexts: &[&[usize]]) -> Tensor {
+        // Append the mask token to each context: predict what fills it.
         let appended: Vec<Vec<usize>> = contexts
             .iter()
             .map(|c| {
@@ -179,15 +148,6 @@ impl SeqRecModel for Popularity {
 
     fn train_step(&mut self, _batch: &Batch, _optimizer: &mut Adam, _rng: &mut Rng64) -> f32 {
         0.0
-    }
-
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let n = self.counts.len();
-        let mut out = Tensor::zeros(&[contexts.len(), n]);
-        for r in 0..contexts.len() {
-            out.row_mut(r).copy_from_slice(&self.counts);
-        }
-        out
     }
 
     fn item_representations(&self) -> Tensor {

@@ -206,18 +206,6 @@ impl SeqRecModel for DifSr {
         value
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let batch = Batch::inference(contexts, self.config.max_seq);
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let (v, hidden) = self.forward(&mut sess, &batch);
-        let last: Vec<usize> = (0..batch.batch)
-            .map(|b| b * batch.seq + batch.seq - 1)
-            .collect();
-        let users = g.gather_rows(hidden, &last);
-        g.value(g.matmul(users, g.transpose(v)))
-    }
-
     fn item_representations(&self) -> Tensor {
         self.tower.emb.table.get()
     }

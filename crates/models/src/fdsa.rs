@@ -113,15 +113,6 @@ impl SeqRecModel for Fdsa {
         value
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let batch = Batch::inference(contexts, self.config.max_seq);
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let (v, users) = self.forward(&mut sess, &batch);
-        let logits = g.matmul(users, g.transpose(v));
-        g.value(logits)
-    }
-
     fn item_representations(&self) -> Tensor {
         self.id_tower.emb.table.get()
     }

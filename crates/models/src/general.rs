@@ -103,14 +103,6 @@ impl SeqRecModel for Bm3Lite {
         value
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let v = self.tower.all_items(&mut sess);
-        let users = mean_pool_users(&g, v, contexts);
-        g.value(g.matmul(users, g.transpose(v)))
-    }
-
     fn item_representations(&self) -> Tensor {
         let g = Graph::new();
         let mut sess = Session::eval(&g);
@@ -267,14 +259,6 @@ impl SeqRecModel for GrcnLite {
         g.backward(loss);
         optimizer.step(&g, sess.bindings());
         value
-    }
-
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let v = self.items_with_graph(&mut sess);
-        let users = mean_pool_users(&g, v, contexts);
-        g.value(g.matmul(users, g.transpose(v)))
     }
 
     fn item_representations(&self) -> Tensor {

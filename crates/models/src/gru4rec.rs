@@ -56,19 +56,6 @@ impl SeqRecModel for Gru4Rec {
         value
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let batch = Batch::inference(contexts, self.config.max_seq);
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let v = self.tower.all_items(&mut sess);
-        let seq_emb = g.gather_rows(v, &batch.items);
-        let users = self
-            .gru
-            .forward_user(&mut sess, seq_emb, batch.batch, batch.seq, &batch.lengths);
-        let logits = g.matmul(users, g.transpose(v));
-        g.value(logits)
-    }
-
     fn item_representations(&self) -> Tensor {
         self.tower.emb.table.get()
     }

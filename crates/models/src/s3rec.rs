@@ -14,7 +14,7 @@ use wr_nn::{FrozenEncoder, Linear, Module, Param, Session, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, SeqRecModel};
 
-use crate::sasrec::{inference_users, last_rows};
+use crate::sasrec::last_rows;
 use crate::{IdTower, ItemTower, ModelConfig};
 
 /// S³-Rec-lite model.
@@ -84,16 +84,6 @@ impl SeqRecModel for S3Rec {
         g.backward(loss);
         optimizer.step(&g, sess.bindings());
         value
-    }
-
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let batch = Batch::inference(contexts, self.config.max_seq);
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let v = self.tower.all_items(&mut sess);
-        let users = inference_users(&self.encoder, &mut sess, v, &batch);
-        let logits = g.matmul(users, g.transpose(v));
-        g.value(logits)
     }
 
     fn item_representations(&self) -> Tensor {

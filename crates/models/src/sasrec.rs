@@ -6,7 +6,7 @@ use wr_autograd::{Graph, Var};
 use wr_data::Batch;
 use wr_nn::{FrozenEncoder, Module, Param, Session, TransformerConfig, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
-use wr_train::{Adam, SeqRecModel};
+use wr_train::{Adam, ModelSnapshot, SeqRecModel};
 
 use crate::ItemTower;
 
@@ -78,31 +78,6 @@ pub(crate) fn last_rows(batch: &Batch) -> Vec<usize> {
     (0..batch.batch)
         .map(|b| b * batch.seq + batch.seq - 1)
         .collect()
-}
-
-/// The chassis' one inference encode: user rows `[batch, dim]` for a packed
-/// inference batch over the item-matrix node `v`, as a node on the
-/// session's graph. Snapshots the encoder over `v`'s value and runs the
-/// frozen forward — the encoder serving runs, so the evaluator
-/// ranks exactly what serving ranks, bit for bit equal to the taped
-/// forward. Only an encoder that does not freeze (no blocks, non-finite
-/// weights) takes the taped arm.
-pub(crate) fn inference_users(
-    encoder: &TransformerEncoder,
-    sess: &mut Session,
-    v: Var,
-    batch: &Batch,
-) -> Var {
-    let g = sess.graph;
-    match encoder.freeze(Arc::new(g.value(v))) {
-        Some(frozen) => g.constant(frozen.encode(&batch.items, &batch.lengths)),
-        None => {
-            let seq_emb = g.gather_rows(v, &batch.items);
-            let hidden =
-                encoder.forward_hidden(sess, seq_emb, batch.batch, batch.seq, &batch.lengths);
-            g.gather_rows(hidden, &last_rows(batch))
-        }
-    }
 }
 
 /// SASRec with a pluggable item tower — this one type *is* SASRec^ID,
@@ -281,14 +256,20 @@ impl SeqRecModel for SasRec {
         value
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let batch = Batch::inference(contexts, self.config.max_seq);
-        let g = Graph::new();
-        let mut sess = Session::eval(&g);
-        let v = self.tower.all_items(&mut sess);
-        let users = inference_users(&self.encoder, &mut sess, v, &batch);
-        let logits = self.logits(&g, users, v);
-        g.value(logits)
+    /// The one scoring override in the zoo: a cosine-softmax model ranks by
+    /// `cos(s, v) / τ`, its training [`Self::logits`] over the snapshot's
+    /// `users` and `V` as constants. Every other loss — sampled softmax
+    /// and BPR included — ranks by the raw product, like the default.
+    fn score_with(&self, snapshot: &ModelSnapshot, contexts: &[&[usize]]) -> Tensor {
+        match self.loss {
+            LossKind::CosineSoftmax { .. } => {
+                let g = Graph::new();
+                let users = g.constant(snapshot.users(self, contexts));
+                let v = g.constant(Tensor::clone(snapshot.items()));
+                g.value(self.logits(&g, users, v))
+            }
+            _ => snapshot.inner_products(self, contexts),
+        }
     }
 
     fn item_representations(&self) -> Tensor {

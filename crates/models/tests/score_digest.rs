@@ -1,0 +1,200 @@
+//! `score` is pinned, bit for bit, for every model the repo can build.
+//!
+//! The digests below were computed with the ten hand-written
+//! `SeqRecModel::score` bodies of PR 17's tree, before they were replaced
+//! by the one provided method (`users · Vᵀ` over a `ModelSnapshot`); a
+//! change to the scoring path that moves one bit of one model's score
+//! moves its digest. Covered: every name `zoo::build` accepts — called
+//! through `Box<dyn SeqRecModel>`, so a provided method the box forgets
+//! to forward (the cosine arm of the two UniSRec rows) shows here — plus
+//! the models built directly, each after a few optimizer steps, on the
+//! empty-history context, a single item, a mid-length history, one of
+//! exactly `max_seq`, one longer, and a repeated item; batched and one
+//! row at a time, and once more against a snapshot built beforehand (how
+//! `wr_train::evaluate` scores).
+
+use wr_data::{Batch, PAD_ITEM};
+use wr_models::{zoo, Bert4Rec, Bm3Lite, DifSr, GrcnLite, ModelConfig, Popularity};
+use wr_tensor::{Rng64, Tensor};
+use wr_train::{Adam, AdamConfig, ModelSnapshot, SeqRecModel};
+
+const N_ITEMS: usize = 24;
+const TEXT_DIM: usize = 16;
+
+fn config() -> ModelConfig {
+    ModelConfig {
+        dim: 8,
+        heads: 2,
+        blocks: 2,
+        ff_mult: 2,
+        max_seq: 6,
+        dropout: 0.1,
+        proj_layers: 2,
+        seed: 5,
+    }
+}
+
+fn sequences() -> Vec<Vec<usize>> {
+    (0..8)
+        .map(|u| (0..7).map(|t| (u * 3 + t * 5) % N_ITEMS).collect())
+        .collect()
+}
+
+/// A few optimizer steps, so biases are non-zero and LayerNorms are not
+/// the identity affine by the time the model is scored.
+fn train_a_little<M: SeqRecModel>(model: &mut M, rng: &mut Rng64) {
+    let sequences = sequences();
+    let refs: Vec<&[usize]> = sequences.iter().map(Vec::as_slice).collect();
+    let batch = Batch::from_sequences(&refs, config().max_seq);
+    let mut optimizer = Adam::new(AdamConfig {
+        lr: 1e-2,
+        ..AdamConfig::default()
+    });
+    for _ in 0..3 {
+        assert!(model.train_step(&batch, &mut optimizer, rng).is_finite());
+    }
+}
+
+fn contexts() -> Vec<Vec<usize>> {
+    vec![
+        vec![PAD_ITEM],                               // MicroBatcher's empty-history context
+        vec![7],                                      // length 1
+        vec![3, 9, 1],                                // mid
+        vec![2, 4, 6, 8, 10, 12],                     // = max_seq
+        (0..15).map(|i| (i * 7) % N_ITEMS).collect(), // > max_seq: truncated
+        vec![5, 5, 5, 5],                             // repeated item
+    ]
+}
+
+fn fnv1a(digest: &mut u64, t: &Tensor) {
+    for v in t.data() {
+        for byte in v.to_bits().to_le_bytes() {
+            *digest = (*digest ^ byte as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+/// FNV-1a over the bits of the batched score, then of every row scored
+/// alone. Generic over `M` so a `Box<dyn SeqRecModel>` is scored through
+/// the box's own `impl SeqRecModel`.
+fn score_digest<M: SeqRecModel>(model: &M) -> u64 {
+    let owned = contexts();
+    let refs: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
+    let batched = model.score(&refs);
+    assert_eq!(batched.dims(), &[refs.len(), N_ITEMS], "{}", model.name());
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&model.score_with(&ModelSnapshot::of(model), &refs)) == bits(&batched),
+        "{}: score_with a snapshot built once differs from score",
+        model.name()
+    );
+    let mut digest = 0xcbf29ce484222325u64;
+    fnv1a(&mut digest, &batched);
+    for (r, ctx) in refs.iter().enumerate() {
+        let alone = model.score(&[ctx]);
+        assert!(
+            bits(&alone) == batched.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{}: row {r} alone differs from its batched row",
+            model.name()
+        );
+        fnv1a(&mut digest, &alone);
+    }
+    digest
+}
+
+fn assert_pinned(name: &str, got: u64, pinned: &[(&str, u64)]) {
+    let want = pinned
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no pinned digest for {name}: {got:#018x}"))
+        .1;
+    assert_eq!(got, want, "{name}: score moved: {got:#018x}");
+}
+
+/// Every name `zoo::build` accepts: the Table III roster, the extra
+/// baselines, and one of each parameterized form.
+const ZOO: [(&str, u64); 25] = [
+    ("GRCN", 0x6d67ed26c9d43505),
+    ("BM3", 0xa3fd9468262d934d),
+    ("SASRec(ID)", 0x035ff209fbac2961),
+    ("CL4SRec", 0x7f0c04f70d1f6cf5),
+    ("SASRec(T)", 0xb46eeed0043a327d),
+    ("SASRec(T+ID)", 0x9e9477946eb29ea9),
+    ("S3Rec", 0x87bf223415ccd55d),
+    ("FDSA", 0x02dd558b63d0baf5),
+    ("UniSRec(T)", 0x22e5f3fd06b2ec31),
+    ("UniSRec(T+ID)", 0xc396c269dc57c43d),
+    ("VQRec", 0x483c883f3b5991e1),
+    ("WhitenRec", 0xc17b1b008794640d),
+    ("WhitenRec+", 0x22494965320235c5),
+    ("DIF-SR", 0x7dd453005aa1d715),
+    ("GRU4Rec", 0x3a3394f245af5dad),
+    ("BERT4Rec", 0x551254e111ac2c0d),
+    ("Pop", 0x2111aea958efbd25),
+    ("WhitenRec(T+ID)", 0x5aa28f6e1798c6dd),
+    ("WhitenRec+(T+ID)", 0xc3bad95e25302255),
+    ("WhitenRec@G=8", 0x89bff6e32cf5162d),
+    ("WhitenRec+@G=8", 0xb7dcb2401ebea8c1),
+    ("WhitenRec+(GatedID)", 0x384a90f209ead255),
+    ("WhitenRec+@Sum", 0x22494965320235c5),
+    ("WhitenRec+@Concat", 0xf26ee4db752719a5),
+    ("WhitenRec+@Attn", 0x242b6afd9357c6a5),
+];
+
+#[test]
+fn every_zoo_model_scores_the_pinned_bits_through_the_box() {
+    let mut rng = Rng64::seed_from(42);
+    let emb = Tensor::randn(&[N_ITEMS, TEXT_DIM], &mut rng);
+    let cats: Vec<usize> = (0..N_ITEMS).map(|i| i % 4).collect();
+    let seqs = sequences();
+    let inputs = zoo::ZooInputs {
+        embeddings: &emb,
+        item_categories: &cats,
+        train_sequences: &seqs,
+        relaxed_groups: 4,
+    };
+    for name in zoo::WARM_ROSTER {
+        assert!(ZOO.iter().any(|(n, _)| *n == name), "{name} not swept");
+    }
+    for (name, _) in ZOO {
+        let mut rng = Rng64::seed_from(7);
+        let mut model: Box<dyn SeqRecModel> = zoo::build(name, &inputs, config(), &mut rng);
+        train_a_little(&mut model, &mut rng);
+        assert_pinned(name, score_digest(&model), &ZOO);
+    }
+}
+
+const DIRECT: [(&str, u64); 5] = [
+    ("BM3", 0x415b98c70b86e2fd),
+    ("GRCN", 0xa9192bb5b30cdf4d),
+    ("Pop", 0x2111aea958efbd25),
+    ("BERT4Rec", 0x70b6e0b2cb4036d5),
+    ("DIF-SR", 0xd678002f5332fdc5),
+];
+
+#[test]
+fn directly_built_models_score_the_pinned_bits() {
+    let mut rng = Rng64::seed_from(43);
+    let emb = Tensor::randn(&[N_ITEMS, TEXT_DIM], &mut rng);
+    let cats: Vec<usize> = (0..N_ITEMS).map(|i| i % 4).collect();
+    let seqs = sequences();
+
+    let mut bm3 = Bm3Lite::new(emb.clone(), config(), &mut rng);
+    train_a_little(&mut bm3, &mut rng);
+    assert_pinned("BM3", score_digest(&bm3), &DIRECT);
+
+    let mut grcn = GrcnLite::new(emb, &seqs, 4, config(), &mut rng);
+    train_a_little(&mut grcn, &mut rng);
+    assert_pinned("GRCN", score_digest(&grcn), &DIRECT);
+
+    let pop = Popularity::new(&seqs, N_ITEMS);
+    assert_pinned("Pop", score_digest(&pop), &DIRECT);
+
+    let mut bert = Bert4Rec::new(N_ITEMS, config(), &mut rng);
+    train_a_little(&mut bert, &mut rng);
+    assert_pinned("BERT4Rec", score_digest(&bert), &DIRECT);
+
+    let mut dif = DifSr::new(cats, config(), &mut rng);
+    train_a_little(&mut dif, &mut rng);
+    assert_pinned("DIF-SR", score_digest(&dif), &DIRECT);
+}

@@ -267,6 +267,12 @@ pub fn load_params(path: impl AsRef<Path>) -> Result<BTreeMap<String, Tensor>, C
                 .map_err(|e| CheckpointError::Format(e.to_string()))?,
         );
     }
+    if buf.remaining() != 0 {
+        return Err(CheckpointError::Format(format!(
+            "{} trailing bytes after the last entry",
+            buf.remaining()
+        )));
+    }
     Ok(map)
 }
 
@@ -449,6 +455,29 @@ mod tests {
         tail.extend_from_slice(&u64::MAX.to_le_bytes()); // dim
         tail.extend_from_slice(&u64::MAX.to_le_bytes()); // numel
         assert!(matches!(craft(&tail), Err(CheckpointError::Format(_))));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn trailing_bytes_under_a_valid_footer_are_rejected() {
+        // Extra bytes after the declared entries, sealed with a
+        // recomputed CRC: the footer is honest, the layout is not.
+        let a = Param::new("w", Tensor::zeros(&[2, 2]));
+        let path = tmp("trailing");
+        save_params(&path, &[a]).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let mut bytes = clean[..clean.len() - FOOTER_LEN].to_vec();
+        bytes.extend_from_slice(&[0xAB; 5]);
+        let crc = wr_fault::crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(FOOTER_MAGIC);
+        std::fs::write(&path, &bytes).unwrap();
+        match load_params(&path) {
+            Err(CheckpointError::Format(msg)) => assert!(msg.contains("trailing"), "{msg}"),
+            other => panic!("trailing bytes must be a format error, got {other:?}"),
+        }
+        std::fs::write(&path, &clean).unwrap();
+        assert!(load_params(&path).is_ok());
         std::fs::remove_file(path).ok();
     }
 

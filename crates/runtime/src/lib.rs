@@ -52,8 +52,9 @@
 //! pool — the runtime itself never reads `Instant::now`, per wr-check R4)
 //! aggregated into histograms, plus counters for dispatches and for jobs
 //! executed by workers vs. the participating caller. [`pool_stats`] exposes
-//! the counters (the `parallel_scaling` bench exports them so a single-CPU
-//! container is detectable from the artifact), and [`record_metrics`]
+//! the counters (the benchmark ledger reads their deltas over one round as
+//! `runtime.par_dispatches_per_batch` / `runtime.worker_job_share`, so a
+//! single-CPU container is detectable from its report), and [`record_metrics`]
 //! copies everything into a caller's [`wr_obs::Registry`] snapshot. All of
 //! it is write-only: no telemetry value feeds scheduling or results, and
 //! the sequential `WR_THREADS=1` fast path takes no timestamps at all.
@@ -527,8 +528,8 @@ pub fn parallel_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(
 /// `jobs_by_workers` vs. `jobs_by_caller` is the load split between spawned
 /// pool workers and the dispatching thread (which always participates);
 /// on a single-CPU container `available_parallelism` is 1 and virtually all
-/// jobs run on the caller — which is exactly what the `parallel_scaling`
-/// bench exports this struct to make visible.
+/// jobs run on the caller — which is what the ledger's
+/// `runtime.worker_job_share` makes visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Current thread target ([`threads`]).

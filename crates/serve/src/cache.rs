@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use wr_tensor::Tensor;
-use wr_train::SeqRecModel;
+use wr_train::ModelSnapshot;
 use wr_whiten::{GroupWhitening, WhiteningMethod};
 
 /// The frozen item matrix a serving process scores against, stored once.
@@ -27,33 +27,34 @@ pub struct EmbeddingCache {
 }
 
 impl EmbeddingCache {
-    /// Wrap a projected item matrix `V: [n_items, d]` — an owned tensor,
-    /// or an `Arc` the caller keeps sharing (the engine's encoder reads
-    /// the same buffer).
-    pub fn new(items: impl Into<Arc<Tensor>>) -> Self {
-        let items = items.into();
+    /// Wrap a projected item matrix `V: [n_items, d]`, materializing its
+    /// transpose.
+    pub fn new(items: Tensor) -> Self {
         assert!(items.rank() == 2, "EmbeddingCache expects [n_items, d]");
         let items_t = items.transpose();
         EmbeddingCache {
-            items,
+            items: Arc::new(items),
             items_t: Arc::new(items_t),
         }
     }
 
-    /// Snapshot a trained model's item representations (the tower output
-    /// `V` of Eq. 2). For WhitenRec this bakes the whitened table *and*
-    /// the trained projection head into one frozen matrix; the serving
-    /// encode looks history rows up in the same snapshot
-    /// ([`crate::HistoryEncoder`]), so serving never re-runs the tower.
-    pub fn from_model(model: &dyn SeqRecModel) -> Self {
-        EmbeddingCache::new(model.item_representations())
+    /// The cache of a trained model: handles onto the `V` and `Vᵀ` its
+    /// [`ModelSnapshot`] already holds (for WhitenRec, the whitened table
+    /// *and* the trained projection head baked into one frozen matrix), so
+    /// the scorer and the serving encode ([`crate::HistoryEncoder`]) read
+    /// one buffer and nothing is transposed twice.
+    pub fn of_snapshot(snapshot: &ModelSnapshot) -> Self {
+        EmbeddingCache {
+            items: snapshot.items().clone(),
+            items_t: snapshot.items_t().clone(),
+        }
     }
 
     /// Build the paper's frozen whitened table directly from raw text
     /// embeddings: relaxed group whitening with `groups` groups (`groups =
     /// 1` is full ZCA, Eq. 4–6). This is the table a WhitenRec tower is
     /// constructed around; callers that serve a full model should prefer
-    /// [`EmbeddingCache::from_model`], which also includes the projection.
+    /// [`EmbeddingCache::of_snapshot`], which also includes the projection.
     pub fn whitened(raw: &Tensor, groups: usize, eps: f32) -> Self {
         let gw = GroupWhitening::fit(raw, groups, WhiteningMethod::Zca, eps);
         EmbeddingCache::new(gw.apply(raw))

@@ -1,21 +1,18 @@
 //! The one serving encode: request histories → user representations.
 //!
 //! [`crate::ServeEngine`] and the sharded gateway both encode through a
-//! [`HistoryEncoder`]. It is snapshotted once at construction: the model's
-//! item matrix `V` (computed once, shared with the scoring cache) and,
-//! for every model with a frozen form, a [`FrozenEncoder`] — tape-free,
-//! `Send + Sync`, looking history rows up in `V` instead of re-running
-//! the item tower. Models without one (`SeqRecModel::freeze` → `None`)
-//! keep the taped `user_representations` behind the same call; which arm
-//! runs is decided by the model type, never by a caller.
-
-use std::sync::Arc;
+//! [`HistoryEncoder`]. It takes a [`ModelSnapshot`] of the model once at
+//! construction — the item matrix `V`, its transpose (both shared with
+//! the scoring cache) and, for every model with a frozen form, the
+//! tape-free encoder that looks history rows up in `V` instead of
+//! re-running the item tower — the snapshot the offline evaluator scores
+//! against. This type adds what only serving needs: histories arrive
+//! from outside the program, so they are checked against the catalogue
+//! and empty ones get the pad context.
 
 use crate::{MicroBatcher, Request};
-use wr_data::Batch;
-use wr_nn::FrozenEncoder;
 use wr_tensor::Tensor;
-use wr_train::SeqRecModel;
+use wr_train::{ModelSnapshot, SeqRecModel};
 
 /// One encoded micro-batch.
 pub struct EncodedBatch {
@@ -31,22 +28,16 @@ pub struct EncodedBatch {
 /// The model half of serving, frozen at construction.
 pub struct HistoryEncoder {
     model: Box<dyn SeqRecModel>,
-    /// The clean `V: [n_items, d]` snapshot. Never injector-poisoned —
-    /// fault drills re-arm scoring caches *from* it — so encoding is
-    /// unaffected by cache damage.
-    items: Arc<Tensor>,
-    frozen: Option<FrozenEncoder>,
+    /// Never injector-poisoned — fault drills re-arm scoring caches
+    /// *from* its clean `V` — so encoding is unaffected by cache damage.
+    snapshot: ModelSnapshot,
 }
 
 impl HistoryEncoder {
-    /// Freeze `model` over `items`, the output of its `item_representations`.
-    pub fn new(model: Box<dyn SeqRecModel>, items: Arc<Tensor>) -> Self {
-        let frozen = model.freeze(items.clone());
-        HistoryEncoder {
-            model,
-            items,
-            frozen,
-        }
+    /// Snapshot `model`: the item tower runs once, here.
+    pub fn new(model: Box<dyn SeqRecModel>) -> Self {
+        let snapshot = ModelSnapshot::of(&*model);
+        HistoryEncoder { model, snapshot }
     }
 
     /// The source model: the taped reference (`serve_naive`) and the
@@ -55,15 +46,16 @@ impl HistoryEncoder {
         &*self.model
     }
 
-    /// The clean item matrix `V` the encoder was frozen over.
-    pub fn items(&self) -> &Tensor {
-        &self.items
+    /// The snapshot the encoder runs: the clean `V`, `Vᵀ` and the frozen
+    /// encoder.
+    pub fn model_snapshot(&self) -> &ModelSnapshot {
+        &self.snapshot
     }
 
     /// Encode one micro-batch. Bit-identical to the model's taped
     /// `user_representations` over the same (sanitized) histories.
     pub fn encode_requests(&self, slice: &[Request]) -> EncodedBatch {
-        let n_items = self.items.rows();
+        let n_items = self.snapshot.items().rows();
         let mut invalid = Vec::new();
         let contexts: Vec<&[usize]> = slice
             .iter()
@@ -77,13 +69,7 @@ impl HistoryEncoder {
                 }
             })
             .collect();
-        let users = match &self.frozen {
-            Some(frozen) => {
-                let batch = Batch::inference(&contexts, frozen.max_seq());
-                frozen.encode(&batch.items, &batch.lengths)
-            }
-            None => self.model.user_representations(&contexts),
-        };
+        let users = self.snapshot.users(&*self.model, &contexts);
         EncodedBatch { users, invalid }
     }
 }

@@ -3,7 +3,7 @@
 //! panic containment, NaN/Inf quarantine, bounded retry).
 //!
 //! The engine is a thin composition: a [`HistoryEncoder`] — the model
-//! frozen at construction — encodes histories on the caller thread, and a
+//! snapshotted at construction — encodes histories on the caller thread, and a
 //! full-catalog [`CatalogShard`] — the `Sync` scoring core shared with
 //! the sharded gateway — does everything after the encode (scoring,
 //! quarantine, top-k extraction, fault hooks). The shard's
@@ -148,10 +148,11 @@ impl std::error::Error for ServeError {}
 
 /// Online inference over a trained sequential recommender.
 ///
-/// Construction runs the item tower once and snapshots its output into an
-/// [`crate::EmbeddingCache`] (for WhitenRec: whitened table → trained
-/// projection head, baked into one frozen `V`) and into the
-/// [`HistoryEncoder`] that looks history rows up in it, so per-query work
+/// Construction takes one `wr_train::ModelSnapshot` of the model — the
+/// item tower runs once (for WhitenRec: whitened table → trained
+/// projection head, baked into one frozen `V`) — held by the
+/// [`HistoryEncoder`] that looks history rows up in it and shared, `V`
+/// and `Vᵀ` both, with the [`crate::EmbeddingCache`], so per-query work
 /// is only
 ///
 /// ```text
@@ -162,12 +163,15 @@ impl std::error::Error for ServeError {}
 ///
 /// # Scoring contract
 ///
-/// The engine scores by raw inner product against the cached `V`, which
-/// reproduces `model.score` bit-for-bit for every Softmax-loss model in
-/// the zoo (the WhitenRec family, SASRec variants). Cosine-loss models
-/// (UniSRec) normalize inside `score`; serve those by caching normalized
-/// representations upstream or fall back to [`ServeEngine::serve_naive`]
-/// semantics at the call site.
+/// The engine scores by raw inner product against the cached `V` — the
+/// computation `SeqRecModel::score` and `wr_train::evaluate` run over the
+/// same snapshot type, so for every model that ranks by the raw product
+/// (all but one arm of the zoo) the served top-k is the top-k of the
+/// evaluator's score row, bit for bit. The exception is a cosine-softmax
+/// model (UniSRec): it overrides `score_with` and is *evaluated* by
+/// `cos(s, v) / τ`, but is still *served* — here and by
+/// [`ServeEngine::serve_naive`] — by the inner product. That gap is open
+/// (ROADMAP, correctness aim).
 pub struct ServeEngine {
     encoder: HistoryEncoder,
     /// The full catalog as a single window at offset 0. Scoring,
@@ -186,10 +190,10 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Serve an in-memory model.
     pub fn new(model: Box<dyn SeqRecModel>, cfg: ServeConfig) -> Self {
-        // The tower runs once; cache and encoder share the one `V`.
-        let items = Arc::new(model.item_representations());
-        let shard = CatalogShard::from_cache(crate::EmbeddingCache::new(items.clone()), &cfg);
-        let encoder = HistoryEncoder::new(model, items);
+        // The tower runs once; cache and encoder share the one `V` and `Vᵀ`.
+        let encoder = HistoryEncoder::new(model);
+        let cache = crate::EmbeddingCache::of_snapshot(encoder.model_snapshot());
+        let shard = CatalogShard::from_cache(cache, &cfg);
         let batcher = MicroBatcher::new(BatcherConfig {
             max_batch: cfg.max_batch,
             max_seq: cfg.max_seq,
@@ -230,7 +234,7 @@ impl ServeEngine {
     /// are injected per request on the hot path and absorbed by retry,
     /// isolation, and quarantine.
     pub fn with_faults(mut self, injector: SharedInjector) -> Self {
-        self.shard.rearm(self.encoder.items(), injector);
+        self.shard.rearm(self.encoder.model_snapshot().items(), injector);
         self
     }
 
@@ -406,12 +410,17 @@ impl ServeEngine {
     /// and truncate. Deliberately shares *no* code with
     /// [`ServeEngine::serve`] beyond the cache: it encodes through the
     /// model's taped forward, so every serve ≡ naive comparison is also a
-    /// frozen-vs-taped bit comparison.
+    /// frozen-vs-taped bit comparison. It does apply `serve`'s input rule:
+    /// a history naming an item outside the catalogue is answered empty.
     pub fn serve_naive(&self, requests: &[Request]) -> Vec<Response> {
         let model = self.encoder.model();
+        let n_items = self.n_items();
         requests
             .iter()
             .map(|req| {
+                if req.history.iter().any(|&item| item >= n_items) {
+                    return crate::shard::unanswered(req);
+                }
                 let ctx = MicroBatcher::sanitize(&req.history);
                 let users = model.user_representations(&[ctx]);
                 let scores = users.matmul(self.shard.cache().items_t());
@@ -571,6 +580,10 @@ mod tests {
         let engine = tiny_engine(true);
         let handle = engine.cache().clone();
         assert!(handle.shares_storage_with(engine.cache()));
+        // A healthy engine's cache *is* the encoder snapshot's `V` and
+        // `Vᵀ`: nothing is transposed twice.
+        let of_snapshot = crate::EmbeddingCache::of_snapshot(engine.encoder.model_snapshot());
+        assert!(of_snapshot.shares_storage_with(engine.cache()));
     }
 
     #[test]

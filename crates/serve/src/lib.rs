@@ -10,14 +10,17 @@
 //!   fixed-shape batches (left padding + length masking, the exact
 //!   `wr_data::Batch` conventions the models were trained with);
 //! * [`EmbeddingCache`] stores the projected item matrix `V` (and its
-//!   transpose) once behind `Arc`s, so every worker thread of the
-//!   `wr-runtime` pool scores against the same buffer — no per-request
-//!   copies;
-//! * [`HistoryEncoder`] is the one serving encode: the model frozen at
-//!   construction into a tape-free `wr_nn::FrozenEncoder` that looks
-//!   history rows up in `V` (the item tower runs once per build, never per
-//!   micro-batch), with the taped `user_representations` kept behind the
-//!   same call for models without a frozen form;
+//!   transpose) once behind `Arc`s — the snapshot's own two, on a healthy
+//!   engine — so every worker thread of the `wr-runtime` pool scores
+//!   against the same buffer — no per-request copies;
+//! * [`HistoryEncoder`] is the one serving encode: a
+//!   `wr_train::ModelSnapshot` of the model taken at construction — the
+//!   type `SeqRecModel::score` and `wr_train::evaluate` score against —
+//!   whose tape-free `wr_nn::FrozenEncoder` looks history rows up in `V`
+//!   (the item tower runs once per build, never per micro-batch), with the
+//!   taped `user_representations` kept behind the same call for models
+//!   without a frozen form; it adds the catalogue-bounds check and the
+//!   empty-history pad context that only serving needs;
 //! * [`ServeEngine`] restores a `wr_nn::checkpoint`, encodes each
 //!   micro-batch of histories, scores `users · Vᵀ`, and extracts top-k
 //!   with seen-item filtering via the bounded-heap scorer shared with

@@ -119,8 +119,8 @@ pub struct ShardCall<'a> {
     pub now_ns: u64,
 }
 
-/// The empty answer of a request whose scoring could not complete.
-fn unanswered(req: &Request) -> Response {
+/// The empty answer of a request that could not be, or must not be, scored.
+pub(crate) fn unanswered(req: &Request) -> Response {
     Response {
         id: req.id,
         items: Vec::new(),

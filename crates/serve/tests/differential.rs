@@ -91,6 +91,35 @@ fn batched_matches_naive_scorer() {
 }
 
 #[test]
+fn a_history_outside_the_catalogue_is_answered_empty_by_both_paths() {
+    // A recorded trace is not checked against the catalogue it is replayed
+    // on: the reference has to answer an unknown id the way the system
+    // does (empty, by `item >= n_items`), not die in the embedding lookup,
+    // and the request's batch peers must not notice it.
+    let engine = engine(11, 16);
+    let clean = queries(40, 9);
+    let mut reqs = clean.clone();
+    reqs[5].history = vec![3, N_ITEMS + 939];
+    reqs[17].history = vec![N_ITEMS];
+    reqs[18].history.push(usize::MAX);
+    let batched = engine.serve(&reqs);
+    let naive = engine.serve_naive(&reqs);
+    assert_bit_identical(&batched, &naive, "batched vs naive, unknown ids");
+    let untouched = engine.serve(&clean);
+    for (r, resp) in batched.iter().enumerate() {
+        if [5, 17, 18].contains(&r) {
+            assert!(resp.items.is_empty(), "request {r} names an unknown item");
+        } else {
+            assert_bit_identical(
+                std::slice::from_ref(resp),
+                std::slice::from_ref(&untouched[r]),
+                "a peer of an unknown-id request",
+            );
+        }
+    }
+}
+
+#[test]
 fn batch_size_does_not_change_results() {
     // The same queries served under different micro-batch bounds (1 row
     // per batch up to everything in one batch) must agree bit-for-bit:
@@ -320,7 +349,7 @@ fn a_non_finite_model_is_served_through_the_taped_encode() {
             want.data().iter().any(|v| !v.is_finite()),
             "{what}: the poison must reach a user row, or the case proves nothing"
         );
-        let got = HistoryEncoder::new(build(poison), items).encode_requests(&reqs);
+        let got = HistoryEncoder::new(build(poison)).encode_requests(&reqs);
         assert!(got.invalid.is_empty());
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(

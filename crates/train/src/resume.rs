@@ -229,6 +229,12 @@ fn decode(raw: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
             }
         });
     }
+    if !cur.buf.is_empty() {
+        return Err(CheckpointError::Format(format!(
+            "{} trailing bytes after the last parameter",
+            cur.buf.len()
+        )));
+    }
     Ok(TrainCheckpoint {
         epoch_next,
         rng_state,
@@ -364,6 +370,23 @@ mod tests {
             assert!(load_train_checkpoint(&path).is_err(), "flip {byte} accepted");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trailing_bytes_under_a_valid_footer_are_rejected() {
+        // Extra bytes after the declared parameters, sealed with a
+        // recomputed CRC: the footer is honest, the layout is not.
+        let clean = encode(&sample(4, 3)).unwrap();
+        assert!(decode(&clean).is_ok());
+        let mut bytes = clean[..clean.len() - FOOTER_LEN].to_vec();
+        bytes.extend_from_slice(&[0xAB; 5]);
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(FOOTER_MAGIC);
+        match decode(&bytes) {
+            Err(CheckpointError::Format(msg)) => assert!(msg.contains("trailing"), "{msg}"),
+            other => panic!("trailing bytes must be a format error, got {other:?}"),
+        }
     }
 
     #[test]

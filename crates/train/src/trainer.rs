@@ -12,13 +12,24 @@ use std::sync::Arc;
 use crate::resume::{
     latest_valid_train_checkpoint, save_train_checkpoint, TrainCheckpoint,
 };
-use crate::{Adam, LrSchedule};
+use crate::{evaluate, Adam, LrSchedule, ModelSnapshot};
 use wr_data::{Batch, Batcher, EvalCase};
 use wr_nn::{CheckpointError, FrozenEncoder, Param};
 use wr_obs::{Clock, Telemetry};
 use wr_tensor::{Rng64, Tensor};
 
 /// Interface every model in the zoo implements.
+///
+/// A model supplies its two halves of the paper's prediction layer
+/// `ŷ = s · Vᵀ` — [`Self::item_representations`] (`V`) and
+/// [`Self::user_representations`] (`s`) — plus [`Self::train_step`], and
+/// optionally [`Self::freeze`] when its sequence encoder has a tape-free
+/// form. Scoring is *provided*: [`Self::score`] and [`Self::score_with`]
+/// are `users · Vᵀ` over a [`ModelSnapshot`], the same snapshot serving
+/// holds, so no model writes the product itself. Override
+/// [`Self::score_with`] only when the model ranks by something other than
+/// the raw inner product (the cosine-softmax arm of `SasRec` normalises
+/// and scales); never override [`Self::score`].
 pub trait SeqRecModel {
     /// Display name (Table III row label).
     fn name(&self) -> String;
@@ -29,11 +40,22 @@ pub trait SeqRecModel {
     /// One optimization step on `batch`; returns the training loss.
     fn train_step(&mut self, batch: &Batch, optimizer: &mut Adam, rng: &mut Rng64) -> f32;
 
-    /// Score every item for each context → `[batch, n_items]`. Models
-    /// with a frozen form encode through it — the encoder serving runs,
-    /// bit-identical to the taped forward — so serving ranks what the
-    /// evaluator ranks; the others run the taped forward.
-    fn score(&self, contexts: &[&[usize]]) -> Tensor;
+    /// Score every item for each context → `[batch, n_items]`: a fresh
+    /// [`ModelSnapshot`] and [`Self::score_with`]. A caller scoring more
+    /// than one batch of an unchanged model builds the snapshot once
+    /// itself ([`crate::evaluate`] does).
+    fn score(&self, contexts: &[&[usize]]) -> Tensor {
+        self.score_with(&ModelSnapshot::of(self), contexts)
+    }
+
+    /// [`Self::score`] against a snapshot taken of this model earlier:
+    /// `users · Vᵀ`, where models with a frozen form encode through it —
+    /// the encoder serving runs, bit-identical to the taped forward — so
+    /// serving ranks what the evaluator ranks; the others run the taped
+    /// forward.
+    fn score_with(&self, snapshot: &ModelSnapshot, contexts: &[&[usize]]) -> Tensor {
+        snapshot.inner_products(self, contexts)
+    }
 
     /// Projected item representation matrix `V` (for Fig. 6/7 analyses).
     fn item_representations(&self) -> Tensor;
@@ -66,6 +88,9 @@ pub trait SeqRecModel {
     }
 }
 
+/// Forwards every method a model can override — the provided ones
+/// included, or a boxed cosine-loss model would silently score by the
+/// default inner product.
 impl SeqRecModel for Box<dyn SeqRecModel> {
     fn name(&self) -> String {
         (**self).name()
@@ -83,6 +108,10 @@ impl SeqRecModel for Box<dyn SeqRecModel> {
         (**self).score(contexts)
     }
 
+    fn score_with(&self, snapshot: &ModelSnapshot, contexts: &[&[usize]]) -> Tensor {
+        (**self).score_with(snapshot, contexts)
+    }
+
     fn item_representations(&self) -> Tensor {
         (**self).item_representations()
     }
@@ -97,6 +126,10 @@ impl SeqRecModel for Box<dyn SeqRecModel> {
 
     fn set_train_candidates(&mut self, candidates: Option<Vec<usize>>) {
         (**self).set_train_candidates(candidates)
+    }
+
+    fn param_count(&self) -> usize {
+        (**self).param_count()
     }
 }
 
@@ -395,7 +428,7 @@ fn run_loop<M: SeqRecModel>(
         let train_loss = (loss_sum / n_batches.max(1) as f64) as f32;
 
         let valid_ndcg = if !validation.is_empty() && epoch % config.eval_every == 0 {
-            Some(validation_ndcg(model, validation, config))
+            Some(evaluate(model, validation, &[20], config.eval_batch).ndcg_at(20))
         } else {
             None
         };
@@ -492,42 +525,6 @@ fn grad_norm_bounds() -> Vec<f64> {
     bounds
 }
 
-/// NDCG@20 of `model` on validation cases (history-excluded full ranking).
-fn validation_ndcg<M: SeqRecModel>(model: &M, cases: &[EvalCase], config: TrainConfig) -> f32 {
-    let metrics = wr_eval_shim::evaluate(model, cases, config.eval_batch);
-    metrics
-}
-
-/// Minimal inline evaluator (full wr-eval integration lives in the harness;
-/// the trainer only needs NDCG@20 for early stopping, and keeping this
-/// local avoids a circular dev-dependency).
-mod wr_eval_shim {
-    use super::SeqRecModel;
-    use wr_data::EvalCase;
-
-    pub fn evaluate<M: SeqRecModel>(model: &M, cases: &[EvalCase], batch: usize) -> f32 {
-        let mut dcg = 0.0f64;
-        for chunk in cases.chunks(batch.max(1)) {
-            let contexts: Vec<&[usize]> = chunk.iter().map(|c| c.context.as_slice()).collect();
-            let scores = model.score(&contexts);
-            for (row, case) in chunk.iter().enumerate() {
-                let s = scores.row(row);
-                let ts = s[case.target];
-                let mut rank = 0usize;
-                for (i, &v) in s.iter().enumerate() {
-                    if i != case.target && !case.context.contains(&i) && v >= ts {
-                        rank += 1;
-                    }
-                }
-                if rank < 20 {
-                    dcg += 1.0 / ((rank as f64) + 2.0).log2();
-                }
-            }
-        }
-        (dcg / cases.len().max(1) as f64) as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +536,6 @@ mod tests {
     /// scored against all item embeddings. Enough to exercise the loop.
     struct ToyModel {
         emb: Embedding,
-        n_items: usize,
     }
 
     impl ToyModel {
@@ -547,7 +543,6 @@ mod tests {
             let mut rng = Rng64::seed_from(seed);
             ToyModel {
                 emb: Embedding::new(n_items, 8, &mut rng),
-                n_items,
             }
         }
 
@@ -602,18 +597,6 @@ mod tests {
             g.backward(loss);
             optimizer.step(&g, sess.bindings());
             value
-        }
-
-        fn score(&self, contexts: &[&[usize]]) -> Tensor {
-            let table = self.emb.table.get();
-            let mut out = Tensor::zeros(&[contexts.len(), self.n_items]);
-            for (r, ctx) in contexts.iter().enumerate() {
-                let u = self.user_vec(ctx);
-                for i in 0..self.n_items {
-                    out.row_mut(r)[i] = u.iter().zip(table.row(i)).map(|(a, b)| a * b).sum();
-                }
-            }
-            out
         }
 
         fn item_representations(&self) -> Tensor {
@@ -711,7 +694,7 @@ mod tests {
         };
         let report = fit(&mut model, &mut opt, train, &valid.clone(), config, |_, _| {});
         // Re-evaluating restored weights reproduces the best metric.
-        let again = super::wr_eval_shim::evaluate(&model, &valid, 64);
+        let again = evaluate(&model, &valid, &[20], 64).ndcg_at(20);
         assert!(
             (again - report.best_valid_ndcg).abs() < 1e-5,
             "restored {again} vs best {}",

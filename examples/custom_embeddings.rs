@@ -10,10 +10,9 @@
 //! ```
 
 use whitenrec::data::{warm_split, Batcher};
-use whitenrec::eval::evaluate_cases;
 use whitenrec::models::{zoo, EnsembleTower, LossKind, ModelConfig, SasRec};
 use whitenrec::tensor::{Rng64, Tensor};
-use whitenrec::train::{fit, Adam, AdamConfig, SeqRecModel, TrainConfig};
+use whitenrec::train::{evaluate, fit, Adam, AdamConfig, TrainConfig};
 use whitenrec::whiten::EnsembleMode;
 
 fn main() {
@@ -83,7 +82,7 @@ fn main() {
         |_, rec| println!("epoch {:>2}: loss {:.4}", rec.epoch, rec.train_loss),
     );
 
-    let metrics = evaluate_cases(&split.test, &[10, 20], 128, true, |ctx| model.score(ctx));
+    let metrics = evaluate(&model, &split.test, &[10, 20], 128);
     println!("\n{} epochs, best valid N@20 {:.4}", report.epochs.len(), report.best_valid_ndcg);
     println!("test: {metrics}");
 
