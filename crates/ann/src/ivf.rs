@@ -19,41 +19,35 @@
 //! `p` order, the same float-add sequence `wr_tensor::matmul`'s gemm uses
 //! per output element, and the candidate set is the full catalog.
 //!
-//! # WRIV v1 wire format (little-endian, CRC-sealed)
+//! # WRIV v1 wire format (a `wr_fault::sealed` envelope around)
 //!
 //! ```text
-//! magic "WRIV" | u32 version=1 | u64 build_seed
-//! u32 nlist | u32 dim | u64 n_items
+//! u64 build_seed | u32 nlist | u32 dim | u64 n_items
 //! centroids: nlist·dim f32
 //! per list: u32 len | u32 ids…
-//! footer:   u32 crc32(everything above) | magic "VIRW"
 //! ```
 //!
 //! Only the quantizer (centroids + list membership) is persisted — never
 //! the vectors. [`IvfIndex::load`] re-attaches the catalog tensor and
 //! rebuilds the packed scan copy from it, so a stale index can disagree
 //! with the serving table only in *shape* (caught as [`AnnError::Mismatch`]),
-//! never silently in values. The file is untrusted input: magic/version/
-//! footer checks, `checked_mul` size guards against hostile headers, and
-//! an exact-partition check (every id in `0..n_items` exactly once).
+//! never silently in values. Beyond the envelope's own rules the loader
+//! checks `nlist ≤ n_items` and an exact partition (every id in
+//! `0..n_items` exactly once).
 
-use std::fs::File;
-use std::io::Read;
 use std::path::Path;
 
 use wr_eval::{merge_top_k, ScoredItem, TopK};
-use wr_fault::{crc32, write_atomic};
+use wr_fault::sealed::{self, SealError};
+use wr_fault::write_atomic;
 use wr_tensor::Tensor;
 
 use crate::kmeans::{fit_kmeans, KMeansConfig};
 use crate::AnnError;
 
 const MAGIC: &[u8; 4] = b"WRIV";
-const FOOTER_MAGIC: &[u8; 4] = b"VIRW";
 /// Current WRIV wire-format version.
 pub const WRIV_VERSION: u32 = 1;
-/// Bytes of the integrity footer: u32 CRC + reversed magic.
-const FOOTER_LEN: usize = 8;
 /// Iteration cap for the build-time quantizer fit.
 const BUILD_MAX_ITERS: usize = 25;
 
@@ -258,11 +252,9 @@ impl IvfIndex {
         (merge_top_k(k, &partials), stats)
     }
 
-    /// Serialize the quantizer to the WRIV v1 wire form, footer included.
+    /// Serialize the quantizer to the sealed WRIV v1 wire form.
     fn encode(&self) -> Vec<u8> {
         let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&WRIV_VERSION.to_le_bytes());
         buf.extend_from_slice(&self.build_seed.to_le_bytes());
         buf.extend_from_slice(&(self.nlist() as u32).to_le_bytes());
         buf.extend_from_slice(&(self.dim as u32).to_le_bytes());
@@ -276,10 +268,7 @@ impl IvfIndex {
                 buf.extend_from_slice(&id.to_le_bytes());
             }
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(FOOTER_MAGIC);
-        buf
+        sealed::seal(MAGIC, WRIV_VERSION, &buf)
     }
 
     /// Persist the quantizer crash-safely (temp → fsync → rename → dir
@@ -297,47 +286,16 @@ impl IvfIndex {
     /// `items` is [`AnnError::Mismatch`] — the "index built against a
     /// different catalog" failure mode.
     pub fn load(path: impl AsRef<Path>, items: &Tensor) -> Result<IvfIndex, AnnError> {
-        let mut raw = Vec::new();
-        File::open(path)?.read_to_end(&mut raw)?;
-        IvfIndex::decode(&raw, items)
+        IvfIndex::decode(&std::fs::read(path)?, items)
     }
 
     fn decode(raw: &[u8], items: &Tensor) -> Result<IvfIndex, AnnError> {
-        // Footer first: reject torn/bit-flipped bytes before parsing.
-        if raw.len() < FOOTER_LEN + 4 {
-            return Err(AnnError::Corrupt(format!(
-                "file too short for a sealed index ({} bytes)",
-                raw.len()
-            )));
-        }
-        let (payload, footer) = raw.split_at(raw.len() - FOOTER_LEN);
-        if &footer[4..] != FOOTER_MAGIC {
-            return Err(AnnError::Corrupt(
-                "missing WRIV integrity footer (truncated or pre-seal file)".into(),
-            ));
-        }
-        let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(AnnError::Corrupt(format!(
-                "crc mismatch: footer {stored:08x} vs payload {actual:08x}"
-            )));
-        }
-
-        let mut cur = Cursor { buf: payload };
-        if cur.take(4, "magic")? != MAGIC {
-            return Err(AnnError::Format("not a WRIV file".into()));
-        }
-        let version = cur.get_u32_le("version")?;
-        if version != WRIV_VERSION {
-            return Err(AnnError::Format(format!(
-                "unsupported WRIV version {version} (expected {WRIV_VERSION})"
-            )));
-        }
-        let build_seed = cur.get_u64_le("build seed")?;
-        let nlist = cur.get_u32_le("nlist")? as usize;
-        let dim = cur.get_u32_le("dim")? as usize;
-        let n_items = cur.get_u64_le("n_items")? as usize;
+        let mut r = sealed::open(MAGIC, WRIV_VERSION, raw)?;
+        let build_seed = r.u64("build seed")?;
+        // A list is at least its length field.
+        let nlist = r.count("nlist", 4)?;
+        let dim = r.u32("dim")? as usize;
+        let n_items = r.u64("n_items")? as usize;
         if nlist == 0 || nlist > n_items {
             return Err(AnnError::Format(format!(
                 "hostile header: nlist {nlist} vs n_items {n_items}"
@@ -352,28 +310,17 @@ impl IvfIndex {
         }
         let cent_len = nlist
             .checked_mul(dim)
-            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| AnnError::Format("hostile header: centroid size overflow".into()))?;
-        let cent_bytes = cur.take(cent_len, "centroids")?;
-        let mut cent = Vec::with_capacity(nlist * dim);
-        for c in cent_bytes.chunks_exact(4) {
-            cent.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-        }
-        let centroids = Tensor::from_vec(cent, &[nlist, dim]);
+        let centroids = Tensor::try_from_vec(r.f32s(cent_len, "centroids")?, &[nlist, dim])
+            .map_err(|e| AnnError::Format(e.to_string()))?;
 
         let mut lists: Vec<Vec<u32>> = Vec::with_capacity(nlist);
         let mut seen = vec![false; n_items];
         for l in 0..nlist {
-            let len = cur.get_u32_le("list length")? as usize;
-            if len > n_items {
-                return Err(AnnError::Format(format!(
-                    "hostile header: list {l} claims {len} ids (> {n_items})"
-                )));
-            }
-            let id_bytes = cur.take(len * 4, "list ids")?;
+            let len = r.count("list length", 4)?;
             let mut ids = Vec::with_capacity(len);
-            for c in id_bytes.chunks_exact(4) {
-                let id = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            for _ in 0..len {
+                let id = r.u32("list id")?;
                 if id as usize >= n_items {
                     return Err(AnnError::Format(format!(
                         "list {l} id {id} out of range (n_items {n_items})"
@@ -387,12 +334,7 @@ impl IvfIndex {
             }
             lists.push(ids);
         }
-        if cur.remaining() != 0 {
-            return Err(AnnError::Format(format!(
-                "{} trailing bytes after the last list",
-                cur.remaining()
-            )));
-        }
+        r.finish()?;
         if !seen.iter().all(|&s| s) {
             return Err(AnnError::Format("lists do not cover the catalog".into()));
         }
@@ -400,39 +342,12 @@ impl IvfIndex {
     }
 }
 
-/// Fallible little-endian reader (mirrors the WRCK loader's; WRIV files
-/// are untrusted input and every short read must be a typed error).
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], AnnError> {
-        if self.buf.len() < n {
-            return Err(AnnError::Format(format!(
-                "truncated {what}: need {n} bytes, have {}",
-                self.buf.len()
-            )));
+impl From<SealError> for AnnError {
+    fn from(e: SealError) -> Self {
+        match e {
+            SealError::Corrupt(m) => AnnError::Corrupt(m),
+            SealError::Format(m) => AnnError::Format(m),
         }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn get_u32_le(&mut self, what: &str) -> Result<u32, AnnError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn get_u64_le(&mut self, what: &str) -> Result<u64, AnnError> {
-        let b = self.take(8, what)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_le_bytes(arr))
     }
 }
 
@@ -540,6 +455,25 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn golden_bytes_are_what_every_earlier_commit_wrote() {
+        // (len, crc32) of this literal fixture under the encoder as it was
+        // before `wr_fault::sealed` existed: files written by any earlier
+        // commit still load, and a rollback can read files written now.
+        let items =
+            Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, -1.0, 0.5, 0.25, -2.0, 3.0, 3.0], &[5, 2]);
+        let centroids = Tensor::from_vec(vec![0.5, 0.5, -0.375, -0.75, 3.0, 3.0], &[3, 2]);
+        let lists = vec![vec![0, 1], vec![2, 3], vec![4]];
+        let index = IvfIndex::assemble(centroids, lists, &items, 0xC0FFEE);
+        let bytes = index.encode();
+        assert_eq!((bytes.len(), wr_fault::crc32(&bytes)), (96, 0x898d_c2d9));
+        let loaded = IvfIndex::decode(&bytes, &items).unwrap();
+        assert_eq!(loaded.build_seed(), 0xC0FFEE);
+        assert_eq!(loaded.lists, index.lists);
+        assert_eq!(loaded.centroids, index.centroids);
+        assert_eq!(loaded.packed, index.packed);
     }
 
     #[test]

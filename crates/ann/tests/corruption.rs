@@ -1,15 +1,16 @@
-//! WRIV corruption sweep (mirrors the WRCK checkpoint hardening).
+//! WRIV corruption sweep and hostile headers.
 //!
 //! The index file is untrusted input on the serving hot path: a torn
 //! write, a flipped bit, or a hostile header must surface as a typed
 //! `AnnError` — never a panic, never a silently wrong index. The sweep
-//! is exhaustive: *every* truncation point and *every* single-bit flip
-//! of a real file must be rejected.
+//! (`wr_fault::sealed::damaged`, shared with WRCK and WRTS) is
+//! exhaustive: *every* truncation point and *every* single-bit flip of a
+//! real file must be `Corrupt`.
 
 use std::path::PathBuf;
 
 use wr_ann::{AnnError, IvfIndex};
-use wr_fault::crc32;
+use wr_fault::sealed::{damaged, seal};
 use wr_tensor::{Rng64, Tensor};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -18,73 +19,32 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// `tag` keeps the scratch dir private to the calling test: the tests of
-/// this file run in parallel, and a shared dir is removed under a sibling.
-fn small_index_bytes(items: &Tensor, tag: &str) -> Vec<u8> {
-    let dir = scratch(&format!("seed_{tag}"));
-    let path = dir.join("index.wriv");
-    IvfIndex::build(items, 6, 11).unwrap().save(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    bytes
-}
-
 #[test]
-fn every_truncation_point_is_rejected() {
+fn every_truncation_and_every_bit_flip_is_corrupt() {
     let items = Tensor::randn(&[60, 4], &mut Rng64::seed_from(8));
-    let bytes = small_index_bytes(&items, "trunc");
-    let dir = scratch("trunc");
-    let path = dir.join("t.wriv");
-    for len in 0..bytes.len() {
-        std::fs::write(&path, &bytes[..len]).unwrap();
-        let err = IvfIndex::load(&path, &items).expect_err(&format!("truncated to {len} bytes"));
-        assert!(
-            matches!(err, AnnError::Corrupt(_)),
-            "truncation to {len} gave {err:?}"
-        );
+    let dir = scratch("sweep");
+    let path = dir.join("index.wriv");
+    IvfIndex::build(&items, 6, 11).unwrap().save(&path).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    for (what, bad) in damaged(&clean) {
+        std::fs::write(&path, &bad).unwrap();
+        let got = IvfIndex::load(&path, &items);
+        assert!(matches!(got, Err(AnnError::Corrupt(_))), "{what}: {got:?}");
     }
     // The untouched file still loads.
-    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(&path, &clean).unwrap();
     IvfIndex::load(&path, &items).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn every_single_bit_flip_is_rejected() {
-    let items = Tensor::randn(&[60, 4], &mut Rng64::seed_from(8));
-    let bytes = small_index_bytes(&items, "flip");
-    let dir = scratch("flip");
-    let path = dir.join("f.wriv");
-    for pos in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut damaged = bytes.clone();
-            damaged[pos] ^= 1 << bit;
-            std::fs::write(&path, &damaged).unwrap();
-            let err = IvfIndex::load(&path, &items)
-                .expect_err(&format!("bit {bit} of byte {pos} flipped"));
-            assert!(
-                matches!(err, AnnError::Corrupt(_)),
-                "flip at {pos}.{bit} gave {err:?}"
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Hand-build a sealed WRIV file from a raw (pre-footer) payload so the
-/// hostile-header paths — which sit *behind* the CRC gate — are reachable.
-fn sealed(payload: &[u8]) -> Vec<u8> {
-    let mut out = payload.to_vec();
-    let crc = crc32(payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(b"VIRW");
-    out
+/// Seal a hand-built WRIV body so the hostile-header paths — which sit
+/// *behind* the CRC gate — are reachable.
+fn sealed(body: &[u8]) -> Vec<u8> {
+    seal(b"WRIV", 1, body)
 }
 
 fn tiny_payload(nlist: u32, dim: u32, n_items: u64, lists: &[&[u32]]) -> Vec<u8> {
     let mut p = Vec::new();
-    p.extend_from_slice(b"WRIV");
-    p.extend_from_slice(&1u32.to_le_bytes()); // version
     p.extend_from_slice(&0u64.to_le_bytes()); // seed
     p.extend_from_slice(&nlist.to_le_bytes());
     p.extend_from_slice(&dim.to_le_bytes());
@@ -161,17 +121,18 @@ fn hostile_headers_are_typed_errors() {
         AnnError::Format(_)
     ));
 
-    // Wrong magic and wrong version (resealed so the CRC gate passes).
-    let mut wrong_magic = tiny_payload(1, 1, 2, &[&[0, 1]]);
-    wrong_magic[..4].copy_from_slice(b"NOPE");
+    // Wrong magic and wrong version behind an honest seal (the CRC does
+    // not cover the footer magic, so WRIV's can be pasted on).
+    let mut wrong_magic = seal(b"NOPE", 1, &tiny_payload(1, 1, 2, &[&[0, 1]]));
+    let footer_magic = wrong_magic.len() - 4;
+    wrong_magic[footer_magic..].copy_from_slice(b"VIRW");
     assert!(matches!(
-        load_bytes("magic", &sealed(&wrong_magic), &items).unwrap_err(),
+        load_bytes("magic", &wrong_magic, &items).unwrap_err(),
         AnnError::Format(_)
     ));
-    let mut v9 = tiny_payload(1, 1, 2, &[&[0, 1]]);
-    v9[4..8].copy_from_slice(&9u32.to_le_bytes());
+    let v9 = seal(b"WRIV", 9, &tiny_payload(1, 1, 2, &[&[0, 1]]));
     assert!(matches!(
-        load_bytes("version", &sealed(&v9), &items).unwrap_err(),
+        load_bytes("version", &v9, &items).unwrap_err(),
         AnnError::Format(_)
     ));
 

@@ -17,6 +17,7 @@
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{FaultInjector, NoFaults};
 
@@ -97,6 +98,11 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 /// Write `bytes` to `path` crash-safely: temp file in the same directory
 /// → `sync_all` → atomic rename → best-effort parent-directory fsync.
 ///
+/// The temp name is unique per call (pid + a process-wide counter), so
+/// threads racing to replace one destination — the flight recorder's
+/// triggers all dump to one path — each rename a complete file of their
+/// own; the last rename wins and a reader never sees a mixture.
+///
 /// The injector is consulted twice, mirroring the two real-world failure
 /// classes: [`FaultInjector::write_error`] (site = `"<stem>.write"`)
 /// surfaces an I/O error *before* anything is written, and
@@ -120,7 +126,9 @@ pub fn write_atomic_with(
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("artifact");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}-{call}", std::process::id()));
     let result = (|| -> io::Result<()> {
         let mut f = File::create(&tmp)?;
         f.write_all(&outgoing)?;
@@ -216,6 +224,52 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
             .count();
         assert_eq!(litter, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_tear_it() {
+        // Four threads replace one sealed file 400 times each while a
+        // reader polls it: what the gateway's fan-out does to the flight
+        // recorder's dump path. With one temp name per process the writers
+        // truncated and renamed each other's temp file.
+        const WRITERS: usize = 4;
+        const WRITES: usize = 400;
+        let dir = tmp_dir("race");
+        let path = dir.join("dump.jsonl");
+        write_atomic(&path, seal_lines("generation zero\n".to_string()).as_bytes()).unwrap();
+        let start = std::sync::Barrier::new(WRITERS + 1);
+        let reads = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (path, start) = (&path, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..WRITES {
+                            // Lengths differ by writer, so a shared temp file
+                            // shows as a torn body, not only as an `Err`.
+                            let body = format!("writer {w} write {i}\n").repeat(20 * (w + 1));
+                            let written = write_atomic(path, seal_lines(body).as_bytes());
+                            assert!(written.is_ok(), "writer {w} write {i}: {written:?}");
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            let mut reads = 0usize;
+            while !writers.iter().all(|w| w.is_finished()) {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let footer = text.trim_end().rsplit('\n').next().unwrap();
+                assert!(footer.starts_with(CRC_LINE_PREFIX), "read {reads}: no footer");
+                assert!(verify_lines(&text).is_ok(), "read {reads}: footer does not verify");
+                reads += 1;
+            }
+            reads
+        });
+        assert!(reads > 0);
+        assert!(verify_lines(&std::fs::read_to_string(&path).unwrap()).is_ok());
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["dump.jsonl"], "temp litter");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,6 +19,9 @@
 //! * [`atomic_io`] — crash-safe persistence: `write_atomic` (write temp →
 //!   fsync → rename → fsync dir) and the workspace's one [`crc32`]
 //!   implementation, used by the checkpoint/dataset integrity footers.
+//! * [`sealed`] — the binary envelope (`magic | version | body | crc32 |
+//!   reversed magic`) the `WRCK`, `WRTS` and `WRIV` files share: one
+//!   `seal`, one `open`, one fallible reader, one generation fallback.
 //! * [`backoff`] — [`RetryPolicy`] (bounded exponential backoff) and the
 //!   [`Sleeper`] trait so tests drive retries without ever sleeping.
 //!
@@ -33,6 +36,7 @@ pub mod atomic_io;
 pub mod backoff;
 pub mod faultlog;
 mod plan;
+pub mod sealed;
 
 pub use atomic_io::{
     crc32, seal_lines, verify_lines, write_atomic, write_atomic_with, CRC_LINE_PREFIX,

@@ -1,93 +1,34 @@
 //! Binary model checkpoints.
 //!
-//! Format (`WRCK` v2, little-endian, length-prefixed, CRC-sealed):
+//! Format (`WRCK` v2, a `wr_fault::sealed` envelope around):
 //!
 //! ```text
-//! magic "WRCK" | u32 version=2 | u32 n_entries
-//! per entry: u32 name_len | name bytes (utf-8)
-//!            u32 n_dims   | u64 dims…
-//!            u64 n_values | f32 values…
-//! footer:    u32 crc32(everything above) | magic "KCRW"
+//! u32 n_entries
+//! per entry: u32 name_len | name bytes (utf-8) | tensor
+//! tensor:    u32 n_dims | u64 dims… | u64 n_values | f32 values…
 //! ```
 //!
-//! v2 hardens the v1 layout for crash safety end to end:
+//! [`save_params`] lands the sealed bytes via `wr_fault::write_atomic`,
+//! [`load_params`] rejects a torn or bit-flipped file with the typed
+//! [`CheckpointError::Corrupt`] before any entry is decoded, and
+//! [`latest_valid_checkpoint`] falls back to the newest `*.wrck`
+//! generation that still loads. v1 files (no footer) predate the seal and
+//! are `Corrupt`; the operator re-saves from source to upgrade.
 //!
-//! * **Atomic persistence** — [`save_params`] serializes to memory and
-//!   lands the bytes via `wr_fault::write_atomic` (temp file → fsync →
-//!   rename → directory fsync), so a `kill -9` mid-save leaves either the
-//!   previous complete generation or the new one, never a torn file.
-//! * **Integrity footer** — the trailing CRC32 (IEEE) covers every byte
-//!   of the header and entries; [`load_params`] recomputes it and rejects
-//!   any mismatch with the typed [`CheckpointError::Corrupt`], so a torn
-//!   or bit-flipped checkpoint is *never* silently loaded.
-//! * **Generation fallback** — [`latest_valid_checkpoint`] scans a
-//!   directory of `*.wrck` generations newest-first and returns the first
-//!   one that passes full validation, so recovery degrades to the
-//!   previous good generation instead of failing outright.
-//!
-//! v1 files (no footer) predate the integrity guarantee and are rejected
-//! with a `Corrupt` error naming the missing footer; the operator re-saves
-//! from source to upgrade.
+//! [`put_tensor`] / [`get_tensor`] are the workspace's one tensor wire
+//! form; `WRTS` train checkpoints (`wr_train::resume`) call them too.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::Param;
-use wr_fault::{crc32, write_atomic_with, FaultInjector, NoFaults};
+use wr_fault::sealed::{self, Reader, SealError};
+use wr_fault::{write_atomic_with, FaultInjector, NoFaults};
 use wr_tensor::Tensor;
 
-/// Little-endian reader over a byte slice (the offline workspace has no
-/// `bytes` crate; this covers exactly what the checkpoint format needs).
-///
-/// Every getter is fallible: checkpoint files are untrusted input, so a
-/// truncated or corrupted buffer must surface as a [`CheckpointError`],
-/// never a panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        if self.buf.len() < n {
-            return Err(CheckpointError::Format(format!(
-                "truncated {what}: need {n} bytes, have {}",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn get_u32_le(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        let bytes = self.take(4, what)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-    }
-
-    fn get_u64_le(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        let bytes = self.take(8, what)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn get_f32_le(&mut self, what: &str) -> Result<f32, CheckpointError> {
-        let bytes = self.take(4, what)?;
-        Ok(f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-    }
-}
-
 const MAGIC: &[u8; 4] = b"WRCK";
-const FOOTER_MAGIC: &[u8; 4] = b"KCRW";
 const VERSION: u32 = 2;
-/// Bytes of the integrity footer: u32 CRC + footer magic.
-const FOOTER_LEN: usize = 8;
 
 /// Errors from checkpoint IO.
 #[derive(Debug)]
@@ -122,37 +63,64 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+impl From<SealError> for CheckpointError {
+    fn from(e: SealError) -> Self {
+        match e {
+            SealError::Corrupt(m) => CheckpointError::Corrupt(m),
+            SealError::Format(m) => CheckpointError::Format(m),
+        }
+    }
+}
+
+/// Append `t` in the tensor wire form (module doc).
+pub fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
+    buf.extend_from_slice(&(t.rank() as u32).to_le_bytes());
+    for &d in t.dims() {
+        buf.extend_from_slice(&(d as u64).to_le_bytes());
+    }
+    buf.extend_from_slice(&(t.numel() as u64).to_le_bytes());
+    for &v in t.data() {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Read one tensor; `what` names it in the error.
+pub fn get_tensor(r: &mut Reader<'_>, what: &str) -> Result<Tensor, CheckpointError> {
+    let rank = r.u32(what)? as usize;
+    // Real models are rank ≤ 4; a hostile rank must not size `dims`.
+    if rank > 32 {
+        return Err(CheckpointError::Format(format!("{what}: absurd rank {rank}")));
+    }
+    let mut dims = Vec::with_capacity(rank);
+    for _ in 0..rank {
+        dims.push(r.u64(what)? as usize);
+    }
+    let numel = r.u64(what)? as usize;
+    if dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)) != Some(numel) {
+        return Err(CheckpointError::Format(format!(
+            "{what}: {numel} values vs dims {dims:?}"
+        )));
+    }
+    Tensor::try_from_vec(r.f32s(numel, what)?, &dims)
+        .map_err(|e| CheckpointError::Format(e.to_string()))
+}
+
 /// Stable checkpoint key for the `i`-th parameter: layer names repeat
 /// across identical blocks, so entries are keyed by position + name.
 fn entry_key(index: usize, p: &Param) -> String {
     format!("{index:04}:{}", p.name())
 }
 
-/// Serialize `params` to the v2 wire form, integrity footer included.
+/// Serialize `params` to the sealed v2 wire form.
 fn encode_params(params: &[Param]) -> Vec<u8> {
-    let mut buf: Vec<u8> = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
+    let mut body = (params.len() as u32).to_le_bytes().to_vec();
     for (i, p) in params.iter().enumerate() {
         let key = entry_key(i, p);
-        let name = key.as_bytes();
-        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        buf.extend_from_slice(name);
-        let value = p.get();
-        buf.extend_from_slice(&(value.rank() as u32).to_le_bytes());
-        for &d in value.dims() {
-            buf.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        buf.extend_from_slice(&(value.numel() as u64).to_le_bytes());
-        for &v in value.data() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        body.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        body.extend_from_slice(key.as_bytes());
+        put_tensor(&mut body, &p.get());
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.extend_from_slice(FOOTER_MAGIC);
-    buf
+    sealed::seal(MAGIC, VERSION, &body)
 }
 
 /// Save parameters to `path`, keyed by position + name (a model's
@@ -180,29 +148,19 @@ pub fn save_params_with(
     Ok(())
 }
 
-/// Verify the integrity footer and return the payload (header + entries)
-/// it seals.
-fn check_footer(raw: &[u8]) -> Result<&[u8], CheckpointError> {
-    if raw.len() < FOOTER_LEN + 4 {
-        return Err(CheckpointError::Corrupt(format!(
-            "file too short for a sealed checkpoint ({} bytes)",
-            raw.len()
-        )));
+fn decode_params(raw: &[u8]) -> Result<BTreeMap<String, Tensor>, CheckpointError> {
+    let mut r = sealed::open(MAGIC, VERSION, raw)?;
+    let mut map = BTreeMap::new();
+    // An entry is at least a name length, a rank and a value count.
+    for _ in 0..r.count("entry count", 16)? {
+        let name_len = r.u32("name length")? as usize;
+        let name = String::from_utf8(r.take(name_len, "name")?.to_vec())
+            .map_err(|_| CheckpointError::Format("non-utf8 name".into()))?;
+        let value = get_tensor(&mut r, &format!("entry {name}"))?;
+        map.insert(name, value);
     }
-    let (payload, footer) = raw.split_at(raw.len() - FOOTER_LEN);
-    if &footer[4..] != FOOTER_MAGIC {
-        return Err(CheckpointError::Corrupt(
-            "missing integrity footer (truncated file, or a pre-v2 checkpoint)".into(),
-        ));
-    }
-    let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(CheckpointError::Corrupt(format!(
-            "crc mismatch: footer {stored:08x} vs payload {actual:08x}"
-        )));
-    }
-    Ok(payload)
+    r.finish()?;
+    Ok(map)
 }
 
 /// Load all entries of a checkpoint into a name → tensor map.
@@ -212,93 +170,17 @@ fn check_footer(raw: &[u8]) -> Result<&[u8], CheckpointError> {
 /// decoded. The map is a `BTreeMap` so any caller that iterates it
 /// (printing, diffing, re-serializing) sees a deterministic key order.
 pub fn load_params(path: impl AsRef<Path>) -> Result<BTreeMap<String, Tensor>, CheckpointError> {
-    let mut input = File::open(path)?;
-    let mut raw = Vec::new();
-    input.read_to_end(&mut raw)?;
-    let payload = check_footer(&raw)?;
-    let mut buf = Cursor { buf: payload };
-
-    let magic = buf.take(4, "magic")?;
-    if magic != MAGIC {
-        return Err(CheckpointError::Format("bad magic".into()));
-    }
-    let version = buf.get_u32_le("version")?;
-    if version != VERSION {
-        return Err(CheckpointError::Format(format!("unsupported version {version}")));
-    }
-    let n = buf.get_u32_le("entry count")? as usize;
-
-    let mut map = BTreeMap::new();
-    for _ in 0..n {
-        let name_len = buf.get_u32_le("name length")? as usize;
-        let name = String::from_utf8(buf.take(name_len, "name")?.to_vec())
-            .map_err(|_| CheckpointError::Format("non-utf8 name".into()))?;
-        let rank = buf.get_u32_le("rank")? as usize;
-        // A hostile rank would otherwise drive a huge allocation below;
-        // real models are rank ≤ 4.
-        if rank > 32 {
-            return Err(CheckpointError::Format(format!("entry {name}: absurd rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(buf.get_u64_le("dimension")? as usize);
-        }
-        let numel = buf.get_u64_le("value count")? as usize;
-        let expected: Option<usize> =
-            dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
-        if expected != Some(numel) {
-            return Err(CheckpointError::Format(format!(
-                "entry {name}: {numel} values vs dims {dims:?}"
-            )));
-        }
-        let byte_len = numel.checked_mul(4).ok_or_else(|| {
-            CheckpointError::Format(format!("entry {name}: value count overflows"))
-        })?;
-        if buf.remaining() < byte_len {
-            return Err(CheckpointError::Format("truncated values".into()));
-        }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(buf.get_f32_le("value")?);
-        }
-        map.insert(
-            name,
-            Tensor::try_from_vec(data, &dims)
-                .map_err(|e| CheckpointError::Format(e.to_string()))?,
-        );
-    }
-    if buf.remaining() != 0 {
-        return Err(CheckpointError::Format(format!(
-            "{} trailing bytes after the last entry",
-            buf.remaining()
-        )));
-    }
-    Ok(map)
+    decode_params(&std::fs::read(path)?)
 }
 
 /// Scan `dir` for `*.wrck` checkpoints and return the newest one that
 /// passes full validation (footer CRC and entry decode), or `None` when
-/// no generation survives.
-///
-/// Generation order is the lexicographic filename order — checkpoint
-/// writers embed a zero-padded counter (e.g. `epoch-000004.wrck`) so the
-/// newest generation sorts last. A corrupt newest generation falls back
-/// to the one before it instead of failing recovery outright.
+/// no generation survives (`wr_fault::sealed::newest_valid`: filename
+/// order is generation order, a corrupt newest generation falls back to
+/// the one before it).
 pub fn latest_valid_checkpoint(dir: impl AsRef<Path>) -> Result<Option<PathBuf>, CheckpointError> {
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(dir.as_ref())? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("wrck") {
-            candidates.push(path);
-        }
-    }
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
-        if load_params(&path).is_ok() {
-            return Ok(Some(path));
-        }
-    }
-    Ok(None)
+    let newest = sealed::newest_valid(dir.as_ref(), "wrck", |p| load_params(p))?;
+    Ok(newest.map(|(path, _)| path))
 }
 
 /// Restore parameter values in place from a loaded map. Every parameter
@@ -409,44 +291,27 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_point_errors_never_panics() {
-        let mut rng = Rng64::seed_from(3);
-        let a = Param::new("w", Tensor::randn(&[4, 3], &mut rng));
-        let path = tmp("every_trunc");
-        save_params(&path, &[a]).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        for cut in 0..bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            assert!(load_params(&path).is_err(), "cut at {cut} must error");
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn hostile_headers_error_instead_of_allocating() {
-        let path = tmp("hostile");
+        // Sealed with a *valid* footer so the hostile header — not the
+        // CRC check — is what the loader has to survive; padded so the
+        // entry-count bound passes and the field under test is met.
         let craft = |entry_tail: &[u8]| {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(MAGIC);
-            bytes.extend_from_slice(&VERSION.to_le_bytes());
-            bytes.extend_from_slice(&1u32.to_le_bytes()); // one entry
-            bytes.extend_from_slice(entry_tail);
-            // Seal with a *valid* footer so the hostile header — not the
-            // CRC check — is what the loader has to survive.
-            let crc = wr_fault::crc32(&bytes);
-            bytes.extend_from_slice(&crc.to_le_bytes());
-            bytes.extend_from_slice(FOOTER_MAGIC);
-            std::fs::write(&path, &bytes).unwrap();
-            load_params(&path)
+            let mut body = 1u32.to_le_bytes().to_vec(); // one entry
+            body.extend_from_slice(entry_tail);
+            body.resize(body.len().max(4 + 16), 0);
+            match decode_params(&sealed::seal(MAGIC, VERSION, &body)) {
+                Err(CheckpointError::Format(msg)) => msg,
+                other => panic!("expected a format error, got {other:?}"),
+            }
         };
         // name_len far beyond the buffer.
-        assert!(matches!(craft(&u32::MAX.to_le_bytes()), Err(CheckpointError::Format(_))));
+        assert!(craft(&u32::MAX.to_le_bytes()).contains("truncated name"));
         // Absurd rank.
         let mut tail = Vec::new();
         tail.extend_from_slice(&1u32.to_le_bytes()); // name_len = 1
         tail.push(b'w');
         tail.extend_from_slice(&u32::MAX.to_le_bytes()); // rank
-        assert!(matches!(craft(&tail), Err(CheckpointError::Format(_))));
+        assert!(craft(&tail).contains("absurd rank"));
         // numel that would overflow numel * 4.
         let mut tail = Vec::new();
         tail.extend_from_slice(&1u32.to_le_bytes());
@@ -454,31 +319,44 @@ mod tests {
         tail.extend_from_slice(&1u32.to_le_bytes()); // rank = 1
         tail.extend_from_slice(&u64::MAX.to_le_bytes()); // dim
         tail.extend_from_slice(&u64::MAX.to_le_bytes()); // numel
-        assert!(matches!(craft(&tail), Err(CheckpointError::Format(_))));
-        std::fs::remove_file(path).ok();
+        assert!(craft(&tail).contains("overflows"));
     }
 
     #[test]
     fn trailing_bytes_under_a_valid_footer_are_rejected() {
         // Extra bytes after the declared entries, sealed with a
         // recomputed CRC: the footer is honest, the layout is not.
-        let a = Param::new("w", Tensor::zeros(&[2, 2]));
-        let path = tmp("trailing");
-        save_params(&path, &[a]).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        let mut bytes = clean[..clean.len() - FOOTER_LEN].to_vec();
-        bytes.extend_from_slice(&[0xAB; 5]);
-        let crc = wr_fault::crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes.extend_from_slice(FOOTER_MAGIC);
-        std::fs::write(&path, &bytes).unwrap();
-        match load_params(&path) {
+        let clean = encode_params(&[Param::new("w", Tensor::zeros(&[2, 2]))]);
+        assert!(decode_params(&clean).is_ok());
+        let mut body = clean[8..clean.len() - 8].to_vec();
+        body.extend_from_slice(&[0xAB; 5]);
+        match decode_params(&sealed::seal(MAGIC, VERSION, &body)) {
             Err(CheckpointError::Format(msg)) => assert!(msg.contains("trailing"), "{msg}"),
             other => panic!("trailing bytes must be a format error, got {other:?}"),
         }
-        std::fs::write(&path, &clean).unwrap();
-        assert!(load_params(&path).is_ok());
-        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn golden_bytes_are_what_every_earlier_commit_wrote() {
+        // (len, crc32) of this literal fixture under the encoder as it was
+        // before `wr_fault::sealed` existed: files written by any earlier
+        // commit still load, and a rollback can read files written now.
+        let params = [
+            Param::new("tower.w", Tensor::from_vec(vec![0.5, -1.25, 2.0, 3.5, -0.0, 1e-3], &[2, 3])),
+            Param::new("tower.b", Tensor::from_slice(&[1.0, -2.0, 0.25])),
+            Param::new("tau", Tensor::scalar(0.07)),
+            Param::new("empty", Tensor::zeros(&[0, 4])),
+        ];
+        let bytes = encode_params(&params);
+        assert_eq!((bytes.len(), wr_fault::crc32(&bytes)), (206, 0x2669_c84d));
+        let loaded = decode_params(&bytes).unwrap();
+        assert_eq!(loaded.len(), params.len());
+        for (i, p) in params.iter().enumerate() {
+            let back = &loaded[&entry_key(i, p)];
+            assert_eq!(back.dims(), p.dims());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(back), bits(&p.get()));
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ mod transformer;
 
 pub use attention::{bidirectional_padding_mask, causal_padding_mask, MultiHeadSelfAttention};
 pub use checkpoint::{
-    latest_valid_checkpoint, load_params, restore_params, save_params, save_params_with,
-    CheckpointError,
+    get_tensor, latest_valid_checkpoint, load_params, put_tensor, restore_params, save_params,
+    save_params_with, CheckpointError,
 };
 pub use embedding::{Embedding, FrozenTable};
 pub use frozen::FrozenEncoder;

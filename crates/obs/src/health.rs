@@ -7,11 +7,11 @@
 //! whitening fixes exactly that. This module computes those statistics on
 //! a raw row-major `f32` matrix so any layer can record them against a
 //! [`crate::Registry`] without depending on the tensor stack (`wr-obs`
-//! sits *below* `wr-runtime`, which `wr-tensor` depends on; the small
-//! amount of f64 linear algebra here — covariance + cyclic Jacobi
-//! eigenvalues — is deliberately self-contained and mirrors
-//! `wr_linalg`'s semantics, cross-checked by tests at the whitening
-//! layer).
+//! sits *below* `wr-runtime`, which `wr-tensor` depends on). The one
+//! thing it cannot compute down here is an eigendecomposition, so the
+//! caller hands in the covariance spectrum: `wr_whiten`'s
+//! `record_embedding_health` takes it from `wr_linalg::sym_eigvals`, the
+//! solver behind `wr_eval::item_condition_number` and Fig. 7.
 //!
 //! Metrics (embeddings `x_1 … x_n ∈ R^d`, `Σ` the column-centered
 //! population covariance, eigenvalues `λ_1 ≥ … ≥ λ_d ≥ 0`, singular
@@ -21,8 +21,9 @@
 //!   pairs; the paper's headline anisotropy number (≈0.85 raw, ≈0 white).
 //! * **top-k singular mass** — `Σ_{i≤k} σ_i / Σ_i σ_i`: how much of the
 //!   spectrum the leading `k` directions hold (≈1 collapsed, `k/d` white).
-//! * **condition number** — `λ_max / max(λ_min, floor)`, same floor
-//!   semantics as `wr_eval::item_condition_number` (→ 1 when whitened).
+//! * **condition number** — `λ_max / max(λ_min, floor)`, equal to
+//!   `wr_eval::item_condition_number` whenever the floor is not reached
+//!   (→ 1 when whitened).
 //! * **uniformity** — `log E[exp(−2‖x̂_i − x̂_j‖²)]` over sampled pairs of
 //!   L2-normalized rows (Wang & Isola); lower = more uniform.
 //! * **alignment** — `E[‖x̂_i − ŷ_i‖²]` over row-aligned pairs of two
@@ -104,88 +105,6 @@ fn dot(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
-/// Column-centered population covariance (d×d, row-major f64).
-fn covariance(data: &[f32], rows: usize, cols: usize) -> Vec<f64> {
-    let mut mean = vec![0.0f64; cols];
-    for i in 0..rows {
-        for (m, v) in mean.iter_mut().zip(row(data, cols, i)) {
-            *m += *v as f64;
-        }
-    }
-    for m in &mut mean {
-        *m /= rows as f64;
-    }
-    let mut cov = vec![0.0f64; cols * cols];
-    for i in 0..rows {
-        let r = row(data, cols, i);
-        for a in 0..cols {
-            let da = r[a] as f64 - mean[a];
-            for b in a..cols {
-                cov[a * cols + b] += da * (r[b] as f64 - mean[b]);
-            }
-        }
-    }
-    let scale = 1.0 / rows as f64;
-    for a in 0..cols {
-        for b in a..cols {
-            let v = cov[a * cols + b] * scale;
-            cov[a * cols + b] = v;
-            cov[b * cols + a] = v;
-        }
-    }
-    cov
-}
-
-/// Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, returned
-/// descending. Values only — no vectors — which keeps this ~50 lines.
-fn jacobi_eigenvalues(mut a: Vec<f64>, d: usize) -> Vec<f64> {
-    const MAX_SWEEPS: usize = 64;
-    for _ in 0..MAX_SWEEPS {
-        let mut off = 0.0;
-        for p in 0..d {
-            for q in (p + 1)..d {
-                off += a[p * d + q] * a[p * d + q];
-            }
-        }
-        if off.sqrt() <= 1e-12 * (1.0 + frobenius(&a, d)) {
-            break;
-        }
-        for p in 0..d {
-            for q in (p + 1)..d {
-                let apq = a[p * d + q];
-                if apq.abs() <= f64::MIN_POSITIVE {
-                    continue;
-                }
-                let app = a[p * d + p];
-                let aqq = a[q * d + q];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                for k in 0..d {
-                    let akp = a[k * d + p];
-                    let akq = a[k * d + q];
-                    a[k * d + p] = c * akp - s * akq;
-                    a[k * d + q] = s * akp + c * akq;
-                }
-                for k in 0..d {
-                    let apk = a[p * d + k];
-                    let aqk = a[q * d + k];
-                    a[p * d + k] = c * apk - s * aqk;
-                    a[q * d + k] = s * apk + c * aqk;
-                }
-            }
-        }
-    }
-    let mut eig: Vec<f64> = (0..d).map(|i| a[i * d + i]).collect();
-    eig.sort_by(|x, y| y.total_cmp(x));
-    eig
-}
-
-fn frobenius(a: &[f64], d: usize) -> f64 {
-    (0..d * d).map(|i| a[i] * a[i]).sum::<f64>().sqrt()
-}
-
 /// Deterministic sampled `i ≠ j` index pairs (with replacement).
 fn sample_pairs(rows: usize, samples: usize, seed: u64) -> Vec<(usize, usize)> {
     let mut rng = SplitMix64(seed);
@@ -202,7 +121,9 @@ fn sample_pairs(rows: usize, samples: usize, seed: u64) -> Vec<(usize, usize)> {
 }
 
 impl EmbeddingHealth {
-    /// Compute all diagnostics for a row-major `rows × cols` matrix.
+    /// Compute all diagnostics for a row-major `rows × cols` matrix whose
+    /// column-centered population covariance has the eigenvalues
+    /// `spectrum`, descending.
     ///
     /// Errors (rather than panicking) on shape mismatch, fewer than two
     /// rows, or zero columns — health probes must never take down the
@@ -211,6 +132,7 @@ impl EmbeddingHealth {
         data: &[f32],
         rows: usize,
         cols: usize,
+        spectrum: &[f32],
         cfg: &HealthConfig,
     ) -> Result<EmbeddingHealth, String> {
         if cols == 0 || rows < 2 {
@@ -218,10 +140,11 @@ impl EmbeddingHealth {
                 "embedding health needs at least 2 rows and 1 column, got {rows}x{cols}"
             ));
         }
-        if data.len() != rows * cols {
+        if data.len() != rows * cols || spectrum.len() != cols {
             return Err(format!(
-                "embedding health: data length {} != {rows}x{cols}",
-                data.len()
+                "embedding health: data length {} / spectrum length {} != {rows}x{cols}",
+                data.len(),
+                spectrum.len()
             ));
         }
 
@@ -258,14 +181,12 @@ impl EmbeddingHealth {
             0.0
         };
 
-        // Spectrum of the covariance.
-        let cov = covariance(data, rows, cols);
-        let eig = jacobi_eigenvalues(cov, cols);
-        let lambda_max = eig.first().copied().unwrap_or(0.0).max(0.0);
-        let lambda_min = eig.last().copied().unwrap_or(0.0).max(0.0);
+        let eig: Vec<f64> = spectrum.iter().map(|&l| (l as f64).max(0.0)).collect();
+        let lambda_max = eig.first().copied().unwrap_or(0.0);
+        let lambda_min = eig.last().copied().unwrap_or(0.0);
         let condition_number = lambda_max / lambda_min.max(cfg.cond_floor);
 
-        let sigmas: Vec<f64> = eig.iter().map(|l| l.max(0.0).sqrt()).collect();
+        let sigmas: Vec<f64> = eig.iter().map(|l| l.sqrt()).collect();
         let total: f64 = sigmas.iter().sum();
         let k = cfg.top_k.clamp(1, cols);
         let top: f64 = sigmas.iter().take(k).sum();
@@ -361,96 +282,46 @@ mod tests {
         let cols = 4;
         let one_row = [0.3f32, -1.2, 0.7, 2.0];
         let data: Vec<f32> = (0..rows).flat_map(|_| one_row).collect();
-        let h = EmbeddingHealth::compute(&data, rows, cols, &HealthConfig::default()).unwrap();
+        // All rows identical → zero covariance in every direction; the
+        // spectrum is degenerate and the floor kicks in.
+        let h = EmbeddingHealth::compute(&data, rows, cols, &[0.0; 4], &HealthConfig::default())
+            .unwrap();
         assert!(
             (h.mean_pairwise_cosine - 1.0).abs() < 1e-9,
             "cosine {} should be 1 for identical rows",
             h.mean_pairwise_cosine
         );
-        // All rows identical → zero covariance in every direction except
-        // numerically; the spectrum is degenerate and the floor kicks in.
         assert!(h.top_k_singular_mass <= 1.0 + 1e-12);
+        assert!(h.condition_number.abs() < 1e-12, "0 / floor, got {}", h.condition_number);
     }
 
     #[test]
-    fn isotropic_random_data_has_low_cosine_and_condition() {
-        let data = random_matrix(512, 8, 11);
-        let cfg = HealthConfig {
-            top_k: 2,
-            ..HealthConfig::default()
-        };
-        let h = EmbeddingHealth::compute(&data, 512, 8, &cfg).unwrap();
-        assert!(
-            h.mean_pairwise_cosine.abs() < 0.15,
-            "iid rows should be near-orthogonal on average, got {}",
-            h.mean_pairwise_cosine
-        );
-        assert!(
-            h.condition_number < 3.0,
-            "iid covariance should be well-conditioned, got {}",
-            h.condition_number
-        );
-        // 2 of 8 roughly equal directions ≈ 1/4 of the mass.
-        assert!(h.top_k_singular_mass > 0.15 && h.top_k_singular_mass < 0.4);
-    }
-
-    #[test]
-    fn collapsed_data_is_flagged_by_every_spectral_metric() {
-        // Rank-1 structure plus a whisper of noise: x_i = s_i * u + eps.
-        let rows = 256;
-        let cols = 8;
-        let u: Vec<f64> = (0..cols).map(|c| (c as f64 + 1.0).sin()).collect();
-        let mut rng = SplitMix64(3);
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows {
-            // Positive scales: every row points the same way, so the mean
-            // pairwise cosine saturates as well as the spectrum collapsing.
-            let s = ((rng.next() % 1000) as f64 + 1.0) / 1000.0;
-            for uc in &u {
-                let eps = ((rng.next() % 1000) as f64 / 1000.0 - 0.5) * 1e-3;
-                data.push((s * uc + eps) as f32);
-            }
-        }
+    fn spectral_metrics_follow_the_given_spectrum() {
+        // λ = (4, 1, −ε): σ = (2, 1, 0), so the top direction holds 2/3 of
+        // the mass; a slightly negative tail (solver round-off on a
+        // singular covariance) is clamped to 0 and floored.
+        let data = random_matrix(8, 3, 1);
         let cfg = HealthConfig {
             top_k: 1,
+            cond_floor: 0.5,
             ..HealthConfig::default()
         };
-        let h = EmbeddingHealth::compute(&data, rows, cols, &cfg).unwrap();
-        assert!(
-            h.mean_pairwise_cosine.abs() > 0.5,
-            "rank-1 rows are parallel up to sign, got {}",
-            h.mean_pairwise_cosine
-        );
-        assert!(
-            h.top_k_singular_mass > 0.9,
-            "one direction should hold the mass, got {}",
-            h.top_k_singular_mass
-        );
-        assert!(
-            h.condition_number > 1e3,
-            "collapsed spectrum should be ill-conditioned, got {}",
-            h.condition_number
-        );
-    }
-
-    #[test]
-    fn jacobi_matches_known_eigenvalues() {
-        // [[2,1],[1,2]] → eigenvalues 3 and 1.
-        let eig = jacobi_eigenvalues(vec![2.0, 1.0, 1.0, 2.0], 2);
-        assert!((eig[0] - 3.0).abs() < 1e-10);
-        assert!((eig[1] - 1.0).abs() < 1e-10);
-        // Diagonal matrix passes through.
-        let eig = jacobi_eigenvalues(vec![5.0, 0.0, 0.0, 0.5], 2);
-        assert!((eig[0] - 5.0).abs() < 1e-12);
-        assert!((eig[1] - 0.5).abs() < 1e-12);
+        let h = EmbeddingHealth::compute(&data, 8, 3, &[4.0, 1.0, -1e-9], &cfg).unwrap();
+        assert!((h.top_k_singular_mass - 2.0 / 3.0).abs() < 1e-12);
+        assert!((h.condition_number - 8.0).abs() < 1e-12);
+        let h = EmbeddingHealth::compute(&data, 8, 3, &[4.0, 1.0, 0.25], &cfg).unwrap();
+        assert!((h.condition_number - 8.0).abs() < 1e-12, "0.25 is under the 0.5 floor");
+        let h = EmbeddingHealth::compute(&data, 8, 3, &[4.0, 2.0, 1.0], &cfg).unwrap();
+        assert!((h.condition_number - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn health_is_deterministic() {
         let data = random_matrix(64, 6, 42);
         let cfg = HealthConfig::default();
-        let a = EmbeddingHealth::compute(&data, 64, 6, &cfg).unwrap();
-        let b = EmbeddingHealth::compute(&data, 64, 6, &cfg).unwrap();
+        let spectrum = [0.1, 0.09, 0.085, 0.08, 0.07, 0.06];
+        let a = EmbeddingHealth::compute(&data, 64, 6, &spectrum, &cfg).unwrap();
+        let b = EmbeddingHealth::compute(&data, 64, 6, &spectrum, &cfg).unwrap();
         assert_eq!(a.mean_pairwise_cosine.to_bits(), b.mean_pairwise_cosine.to_bits());
         assert_eq!(a.condition_number.to_bits(), b.condition_number.to_bits());
         assert_eq!(a.uniformity.to_bits(), b.uniformity.to_bits());
@@ -458,15 +329,19 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_error_instead_of_panicking() {
-        assert!(EmbeddingHealth::compute(&[], 0, 4, &HealthConfig::default()).is_err());
-        assert!(EmbeddingHealth::compute(&[1.0], 1, 1, &HealthConfig::default()).is_err());
-        assert!(EmbeddingHealth::compute(&[1.0; 6], 2, 4, &HealthConfig::default()).is_err());
+        let cfg = HealthConfig::default();
+        assert!(EmbeddingHealth::compute(&[], 0, 4, &[0.0; 4], &cfg).is_err());
+        assert!(EmbeddingHealth::compute(&[1.0], 1, 1, &[0.0], &cfg).is_err());
+        assert!(EmbeddingHealth::compute(&[1.0; 6], 2, 4, &[0.0; 4], &cfg).is_err());
+        // A spectrum that is not one eigenvalue per column.
+        assert!(EmbeddingHealth::compute(&[1.0; 8], 2, 4, &[0.0; 3], &cfg).is_err());
     }
 
     #[test]
     fn record_writes_every_gauge() {
         let data = random_matrix(32, 4, 5);
-        let h = EmbeddingHealth::compute(&data, 32, 4, &HealthConfig::default()).unwrap();
+        let h = EmbeddingHealth::compute(&data, 32, 4, &[1.0; 4], &HealthConfig::default())
+            .unwrap();
         let reg = Registry::new();
         h.record(&reg, "emb");
         let snap = reg.snapshot();

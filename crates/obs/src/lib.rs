@@ -28,9 +28,9 @@
 //! its only dependency is `wr-fault` (itself dependency-free), for the
 //! CRC-sealed atomic flight dumps — and `wr-runtime` (which everything
 //! else builds on) depends on it to time pool jobs. That is why the
-//! health module carries its own small f64 eigensolver instead of using
-//! `wr-linalg`, and why JSON is written by local helpers instead of
-//! `wr_tensor::json` (same dialect; parse-compatibility is asserted by
+//! health module is handed the covariance spectrum by its caller instead
+//! of using `wr-linalg`, and why JSON is written by local helpers instead
+//! of `wr_tensor::json` (same dialect; parse-compatibility is asserted by
 //! root integration tests).
 //!
 //! **Determinism contract.** Telemetry is strictly write-only with

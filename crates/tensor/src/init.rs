@@ -197,7 +197,7 @@ mod tests {
             assert_eq!(a.next_u64(), b.next_u64());
         }
         // All-zero snapshots are remapped, never honored.
-        let mut z = Rng64::from_state([0; 4]);
+        let z = Rng64::from_state([0; 4]);
         assert_ne!(z.state(), [0; 4]);
     }
 

@@ -1,17 +1,15 @@
 //! WRTS v1 train-state checkpoints: everything a killed training run
 //! needs to continue **bit-identically**.
 //!
-//! Format (`WRTS` v1, little-endian, CRC-sealed, atomic on disk):
+//! Format (`WRTS` v1, a `wr_fault::sealed` envelope around):
 //!
 //! ```text
-//! magic "WRTS" | u32 version=1
 //! u64 epoch_next | u64 rng_state[4] | u64 adam_step
 //! u32 best_valid (f32 bits) | u64 best_epoch | u64 stale
 //! u32 n_params
 //! per param: tensor value | tensor best_snapshot
 //!            u8 has_moments | [tensor m | tensor v]
-//! footer:    u32 crc32(everything above) | magic "STRW"
-//! tensor:    u32 rank | u64 dims… | u64 numel | f32 values…
+//! tensor:    the `wr_nn::put_tensor` wire form
 //! ```
 //!
 //! The captured state is deliberately wider than "the weights": resuming
@@ -22,24 +20,19 @@
 //! best metric / staleness), all keyed by parameter *position* — runtime
 //! `Param::id`s are process-local and never serialized.
 //!
-//! Persistence goes through `wr_fault::write_atomic`, and loads verify
-//! the CRC footer before decoding, so a crash mid-save or a flipped bit
-//! surfaces as [`CheckpointError::Corrupt`] and recovery falls back to
-//! the previous generation via [`latest_valid_train_checkpoint`].
+//! A crash mid-save or a flipped bit surfaces as
+//! [`CheckpointError::Corrupt`] and recovery falls back to the previous
+//! generation via [`latest_valid_train_checkpoint`].
 
-use std::fs::File;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use crate::AdamStateExport;
-use wr_fault::{crc32, write_atomic};
-use wr_nn::CheckpointError;
+use wr_fault::{sealed, write_atomic};
+use wr_nn::{get_tensor, put_tensor, CheckpointError};
 use wr_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"WRTS";
-const FOOTER_MAGIC: &[u8; 4] = b"STRW";
 const VERSION: u32 = 1;
-const FOOTER_LEN: usize = 8;
 
 /// A resumable snapshot of the training loop, taken at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,76 +56,6 @@ pub struct TrainCheckpoint {
     pub stale: usize,
 }
 
-fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
-    buf.extend_from_slice(&(t.rank() as u32).to_le_bytes());
-    for &d in t.dims() {
-        buf.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    buf.extend_from_slice(&(t.numel() as u64).to_le_bytes());
-    for &v in t.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Little-endian reader mirroring the one in `wr_nn::checkpoint`; every
-/// getter is fallible because checkpoint bytes are untrusted input.
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        if self.buf.len() < n {
-            return Err(CheckpointError::Format(format!(
-                "truncated {what}: need {n} bytes, have {}",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn get_u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn get_u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        let b = self.take(8, what)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn get_tensor(&mut self, what: &str) -> Result<Tensor, CheckpointError> {
-        let rank = self.get_u32(what)? as usize;
-        if rank > 32 {
-            return Err(CheckpointError::Format(format!("{what}: absurd rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.get_u64(what)? as usize);
-        }
-        let numel = self.get_u64(what)? as usize;
-        let expected: Option<usize> = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
-        if expected != Some(numel) {
-            return Err(CheckpointError::Format(format!(
-                "{what}: {numel} values vs dims {dims:?}"
-            )));
-        }
-        let byte_len = numel
-            .checked_mul(4)
-            .ok_or_else(|| CheckpointError::Format(format!("{what}: value count overflows")))?;
-        let raw = self.take(byte_len, what)?;
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Tensor::try_from_vec(data, &dims).map_err(|e| CheckpointError::Format(e.to_string()))
-    }
-}
-
 fn encode(cp: &TrainCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     if cp.params.len() != cp.best_snapshot.len() || cp.params.len() != cp.adam.slots.len() {
         return Err(CheckpointError::Mismatch(format!(
@@ -143,8 +66,6 @@ fn encode(cp: &TrainCheckpoint) -> Result<Vec<u8>, CheckpointError> {
         )));
     }
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(cp.epoch_next as u64).to_le_bytes());
     for s in cp.rng_state {
         buf.extend_from_slice(&s.to_le_bytes());
@@ -166,61 +87,34 @@ fn encode(cp: &TrainCheckpoint) -> Result<Vec<u8>, CheckpointError> {
             None => buf.push(0),
         }
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.extend_from_slice(FOOTER_MAGIC);
-    Ok(buf)
+    Ok(sealed::seal(MAGIC, VERSION, &buf))
 }
 
 fn decode(raw: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    if raw.len() < FOOTER_LEN + 4 {
-        return Err(CheckpointError::Corrupt(format!(
-            "file too short for a sealed train checkpoint ({} bytes)",
-            raw.len()
-        )));
-    }
-    let (payload, footer) = raw.split_at(raw.len() - FOOTER_LEN);
-    if &footer[4..] != FOOTER_MAGIC {
-        return Err(CheckpointError::Corrupt("missing integrity footer".into()));
-    }
-    let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(CheckpointError::Corrupt(format!(
-            "crc mismatch: footer {stored:08x} vs payload {actual:08x}"
-        )));
-    }
-
-    let mut cur = Cursor { buf: payload };
-    if cur.take(4, "magic")? != MAGIC {
-        return Err(CheckpointError::Format("bad magic".into()));
-    }
-    let version = cur.get_u32("version")?;
-    if version != VERSION {
-        return Err(CheckpointError::Format(format!("unsupported version {version}")));
-    }
-    let epoch_next = cur.get_u64("epoch_next")? as usize;
+    let mut r = sealed::open(MAGIC, VERSION, raw)?;
+    let epoch_next = r.u64("epoch_next")? as usize;
     let mut rng_state = [0u64; 4];
     for s in &mut rng_state {
-        *s = cur.get_u64("rng state")?;
+        *s = r.u64("rng state")?;
     }
-    let adam_step = cur.get_u64("adam step")?;
-    let best_valid = f32::from_bits(cur.get_u32("best_valid")?);
-    let best_epoch = cur.get_u64("best_epoch")? as usize;
-    let stale = cur.get_u64("stale")? as usize;
-    let n = cur.get_u32("param count")? as usize;
+    let adam_step = r.u64("adam step")?;
+    let best_valid = f32::from_bits(r.u32("best_valid")?);
+    let best_epoch = r.u64("best_epoch")? as usize;
+    let stale = r.u64("stale")? as usize;
+    // A parameter is at least two empty tensors (rank + value count each)
+    // and a moment flag.
+    let n = r.count("param count", 2 * 12 + 1)?;
     let mut params = Vec::with_capacity(n);
     let mut best_snapshot = Vec::with_capacity(n);
     let mut slots = Vec::with_capacity(n);
     for i in 0..n {
-        params.push(cur.get_tensor(&format!("param {i}"))?);
-        best_snapshot.push(cur.get_tensor(&format!("snapshot {i}"))?);
-        let has = cur.take(1, "moment flag")?[0];
-        slots.push(match has {
+        params.push(get_tensor(&mut r, &format!("param {i}"))?);
+        best_snapshot.push(get_tensor(&mut r, &format!("snapshot {i}"))?);
+        slots.push(match r.u8("moment flag")? {
             0 => None,
             1 => Some((
-                cur.get_tensor(&format!("moment m {i}"))?,
-                cur.get_tensor(&format!("moment v {i}"))?,
+                get_tensor(&mut r, &format!("moment m {i}"))?,
+                get_tensor(&mut r, &format!("moment v {i}"))?,
             )),
             other => {
                 return Err(CheckpointError::Format(format!(
@@ -229,12 +123,7 @@ fn decode(raw: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
             }
         });
     }
-    if !cur.buf.is_empty() {
-        return Err(CheckpointError::Format(format!(
-            "{} trailing bytes after the last parameter",
-            cur.buf.len()
-        )));
-    }
+    r.finish()?;
     Ok(TrainCheckpoint {
         epoch_next,
         rng_state,
@@ -264,33 +153,17 @@ pub fn save_train_checkpoint(
 /// Load and fully validate a train checkpoint. A torn or bit-flipped
 /// file is rejected with [`CheckpointError::Corrupt`] before decoding.
 pub fn load_train_checkpoint(path: impl AsRef<Path>) -> Result<TrainCheckpoint, CheckpointError> {
-    let mut input = File::open(path)?;
-    let mut raw = Vec::new();
-    input.read_to_end(&mut raw)?;
-    decode(&raw)
+    decode(&std::fs::read(path)?)
 }
 
 /// Scan `dir` for `*.wrts` checkpoints and return the newest one that
 /// fully validates, with its path — or `None` when no generation
 /// survives. Filename order is generation order (writers zero-pad the
-/// epoch counter), mirroring `wr_nn::latest_valid_checkpoint`.
+/// epoch counter).
 pub fn latest_valid_train_checkpoint(
     dir: impl AsRef<Path>,
 ) -> Result<Option<(PathBuf, TrainCheckpoint)>, CheckpointError> {
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(dir.as_ref())? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("wrts") {
-            candidates.push(path);
-        }
-    }
-    candidates.sort();
-    for path in candidates.into_iter().rev() {
-        if let Ok(cp) = load_train_checkpoint(&path) {
-            return Ok(Some((path, cp)));
-        }
-    }
-    Ok(None)
+    Ok(sealed::newest_valid(dir.as_ref(), "wrts", |p| load_train_checkpoint(p))?)
 }
 
 #[cfg(test)]
@@ -355,21 +228,12 @@ mod tests {
 
     #[test]
     fn every_truncation_and_bit_flip_is_rejected() {
-        let dir = tmp_dir("sweep");
-        let path = dir.join("train-000002.wrts");
-        save_train_checkpoint(&path, &sample(3, 2)).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        for cut in 0..clean.len() {
-            std::fs::write(&path, &clean[..cut]).unwrap();
-            assert!(load_train_checkpoint(&path).is_err(), "cut {cut} accepted");
+        let clean = encode(&sample(3, 2)).unwrap();
+        for (what, bad) in sealed::damaged(&clean) {
+            let got = decode(&bad);
+            assert!(matches!(got, Err(CheckpointError::Corrupt(_))), "{what}: {got:?}");
         }
-        for byte in (0..clean.len()).step_by(11) {
-            let mut bad = clean.clone();
-            bad[byte] ^= 0x40;
-            std::fs::write(&path, &bad).unwrap();
-            assert!(load_train_checkpoint(&path).is_err(), "flip {byte} accepted");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(decode(&clean).unwrap(), sample(3, 2));
     }
 
     #[test]
@@ -378,15 +242,37 @@ mod tests {
         // recomputed CRC: the footer is honest, the layout is not.
         let clean = encode(&sample(4, 3)).unwrap();
         assert!(decode(&clean).is_ok());
-        let mut bytes = clean[..clean.len() - FOOTER_LEN].to_vec();
-        bytes.extend_from_slice(&[0xAB; 5]);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes.extend_from_slice(FOOTER_MAGIC);
-        match decode(&bytes) {
+        let mut body = clean[8..clean.len() - 8].to_vec();
+        body.extend_from_slice(&[0xAB; 5]);
+        match decode(&sealed::seal(MAGIC, VERSION, &body)) {
             Err(CheckpointError::Format(msg)) => assert!(msg.contains("trailing"), "{msg}"),
             other => panic!("trailing bytes must be a format error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn golden_bytes_are_what_every_earlier_commit_wrote() {
+        // (len, crc32) of this literal fixture under the encoder as it was
+        // before `wr_fault::sealed` existed: files written by any earlier
+        // commit still load, and a rollback can read files written now.
+        let w = Tensor::from_vec(vec![0.5, -1.25, 2.0, 3.5, -0.0, 1e-3], &[2, 3]);
+        let b = Tensor::from_slice(&[1.0, -2.0, 0.25]);
+        let cp = TrainCheckpoint {
+            epoch_next: 5,
+            rng_state: [1, 0x0123_4567_89AB_CDEF, u64::MAX, 42],
+            params: vec![w.clone(), b.clone()],
+            best_snapshot: vec![w.scale(0.5), b.clone()],
+            adam: AdamStateExport {
+                step: 17,
+                slots: vec![Some((w.scale(0.1), w.scale(0.01))), None],
+            },
+            best_valid: 0.3125,
+            best_epoch: 3,
+            stale: 2,
+        };
+        let bytes = encode(&cp).unwrap();
+        assert_eq!((bytes.len(), wr_fault::crc32(&bytes)), (362, 0xaaad_02c8));
+        assert_eq!(decode(&bytes).unwrap(), cp);
     }
 
     #[test]

@@ -10,10 +10,24 @@
 //! Telemetry is write-only: the returned tensor is exactly what
 //! [`group_whiten`] produces.
 
+use wr_linalg::{covariance_of_rows, sym_eigvals};
 use wr_obs::{EmbeddingHealth, HealthConfig, Telemetry};
 use wr_tensor::Tensor;
 
 use crate::{GroupWhitening, WhiteningMethod};
+
+/// [`EmbeddingHealth`] of `x` (row-sample `[n, d]`) under `cfg`, on the
+/// spectrum of its covariance from `wr_linalg::sym_eigvals` — the solver
+/// behind the ZCA fit and Fig. 7's κ, so the gauge and the figure cannot
+/// disagree. Degenerate shapes and non-finite tables are an `Err`.
+fn embedding_health(x: &Tensor, cfg: &HealthConfig) -> Result<EmbeddingHealth, String> {
+    let dims = x.dims();
+    if dims.len() != 2 || dims[0] < 2 || dims[1] == 0 {
+        return Err(format!("embedding health wants a matrix of ≥ 2 rows, got {dims:?}"));
+    }
+    let spectrum = sym_eigvals(&covariance_of_rows(x, 0.0)).map_err(|e| e.to_string())?;
+    EmbeddingHealth::compute(x.data(), dims[0], dims[1], &spectrum, cfg)
+}
 
 /// Compute [`EmbeddingHealth`] for `x` (row-sample `[n, d]`) and record it
 /// under `prefix` in `telemetry.registry`. Returns the health struct so
@@ -24,12 +38,8 @@ pub fn record_embedding_health(
     prefix: &str,
     x: &Tensor,
 ) -> Result<EmbeddingHealth, String> {
-    let dims = x.dims();
-    if dims.len() != 2 {
-        return Err(format!("embedding health wants a 2-D matrix, got {dims:?}"));
-    }
     let _span = telemetry.tracer.span(format!("{prefix}.health"), "whiten");
-    let health = EmbeddingHealth::compute(x.data(), dims[0], dims[1], &HealthConfig::default())?;
+    let health = embedding_health(x, &HealthConfig::default())?;
     health.record(&telemetry.registry, prefix);
     Ok(health)
 }
@@ -142,19 +152,84 @@ mod tests {
     }
 
     #[test]
-    fn health_cross_checks_the_eval_crate_semantics() {
-        // wr-obs carries its own eigensolver (it sits below wr-linalg);
-        // make sure its condition number agrees with the tensor-stack one.
+    fn health_condition_number_is_the_eval_crate_s() {
+        // One solver: the gauge is `wr_eval::item_condition_number` (Fig. 7),
+        // computed in f64 from the same f32 spectrum.
         let x = anisotropic(128, 6, 77);
         let tel = Telemetry::new();
         let h = record_embedding_health(&tel, "x", &x).unwrap();
-        let reference = wr_eval::item_condition_number(&x).unwrap() as f64;
-        let ratio = h.condition_number / reference;
+        let reference = wr_eval::item_condition_number(&x).unwrap();
+        assert_eq!((h.condition_number as f32).to_bits(), reference.to_bits());
+    }
+
+    #[test]
+    fn degenerate_and_non_finite_tables_are_errors_not_panics() {
+        let tel = Telemetry::new();
+        for dims in [&[4][..], &[1, 4], &[0, 4], &[4, 0]] {
+            assert!(record_embedding_health(&tel, "x", &Tensor::zeros(dims)).is_err());
+        }
+        let mut poisoned = anisotropic(8, 3, 1);
+        poisoned.row_mut(2)[1] = f32::NAN;
+        assert!(record_embedding_health(&tel, "x", &poisoned).is_err());
+        assert!(tel.registry.snapshot().gauges.is_empty());
+    }
+
+    #[test]
+    fn isotropic_random_data_has_low_cosine_and_condition() {
+        let x = Tensor::rand_uniform(&[512, 8], -0.5, 0.5, &mut Rng64::seed_from(11));
+        let cfg = HealthConfig {
+            top_k: 2,
+            ..HealthConfig::default()
+        };
+        let h = embedding_health(&x, &cfg).unwrap();
         assert!(
-            ratio > 0.9 && ratio < 1.1,
-            "obs condition number {} vs wr-eval {} (ratio {ratio})",
-            h.condition_number,
-            reference
+            h.mean_pairwise_cosine.abs() < 0.15,
+            "iid rows should be near-orthogonal on average, got {}",
+            h.mean_pairwise_cosine
+        );
+        assert!(
+            h.condition_number < 3.0,
+            "iid covariance should be well-conditioned, got {}",
+            h.condition_number
+        );
+        // 2 of 8 roughly equal directions ≈ 1/4 of the mass.
+        assert!(h.top_k_singular_mass > 0.15 && h.top_k_singular_mass < 0.4);
+    }
+
+    #[test]
+    fn collapsed_data_is_flagged_by_every_spectral_metric() {
+        // Rank-1 structure plus a whisper of noise: x_i = s_i * u + eps.
+        let (rows, cols) = (256, 8);
+        let u: Vec<f32> = (0..cols).map(|c| (c as f32 + 1.0).sin()).collect();
+        let mut rng = Rng64::seed_from(3);
+        let mut x = Tensor::zeros(&[rows, cols]);
+        for r in 0..rows {
+            // Positive scales: every row points the same way, so the mean
+            // pairwise cosine saturates as well as the spectrum collapsing.
+            let s = rng.uniform_in(1e-3, 1.0);
+            for (v, uc) in x.row_mut(r).iter_mut().zip(&u) {
+                *v = s * uc + rng.uniform_in(-0.5e-3, 0.5e-3);
+            }
+        }
+        let cfg = HealthConfig {
+            top_k: 1,
+            ..HealthConfig::default()
+        };
+        let h = embedding_health(&x, &cfg).unwrap();
+        assert!(
+            h.mean_pairwise_cosine.abs() > 0.5,
+            "rank-1 rows are parallel up to sign, got {}",
+            h.mean_pairwise_cosine
+        );
+        assert!(
+            h.top_k_singular_mass > 0.9,
+            "one direction should hold the mass, got {}",
+            h.top_k_singular_mass
+        );
+        assert!(
+            h.condition_number > 1e3,
+            "collapsed spectrum should be ill-conditioned, got {}",
+            h.condition_number
         );
     }
 }

@@ -11,11 +11,12 @@ cd "$(dirname "$0")/.."
 echo "== check: cargo build --release (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
-# `cargo build --workspace` compiles libraries and binaries only; the
-# micro-benches under crates/bench/benches are neither built nor run by
-# anything below, so type-check them here or a trait change rots them.
-echo "== check: cargo check -p wr-bench --benches (-D warnings) =="
-RUSTFLAGS="-D warnings" cargo check --release --offline -p wr-bench --benches
+# `cargo build --workspace` compiles libraries and binaries only: tests
+# and examples would never be held to `-D warnings`, and the micro-benches
+# under crates/bench/benches are neither built nor run by anything below,
+# so type-check every target here or a trait change rots them.
+echo "== check: cargo check --workspace --all-targets (-D warnings) =="
+RUSTFLAGS="-D warnings" cargo check --release --offline --workspace --all-targets
 
 # Semantic rules (R6–R8) gate against the committed suppression budget in
 # check_baseline.json: any unsuppressed finding fails, and the justified
