@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wr_tensor::Tensor;
+use wr_tensor::{gelu_grad_scalar, Tensor};
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the graph
 /// that created it.
@@ -234,16 +234,15 @@ fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
         Op::Relu(a) => accumulate(inner, a.id, |v| {
             let mut da = g;
             for (d, &xv) in da.data_mut().iter_mut().zip(v[a.id].data()) {
-                if xv <= 0.0 {
-                    *d = 0.0;
-                }
+                // A select, not a conditional store: this form vectorizes.
+                *d = if xv <= 0.0 { 0.0 } else { *d };
             }
             da
         }),
         Op::Gelu(a) => accumulate(inner, a.id, |v| {
             let mut da = g;
             for (d, &xv) in da.data_mut().iter_mut().zip(v[a.id].data()) {
-                *d *= gelu_derivative(xv);
+                *d *= gelu_grad_scalar(xv);
             }
             da
         }),
@@ -422,19 +421,13 @@ fn softmax_backward_row(dy: &mut [f32], y: &[f32]) {
     }
 }
 
-/// Derivative of the tanh-approximated GELU.
-fn gelu_derivative(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044_715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn leaf_bookkeeping() {
@@ -468,6 +461,37 @@ mod tests {
     }
 
     #[test]
+    fn relu_backward_equals_the_conditional_store_it_replaced() {
+        // Every special activation under every special upstream gradient,
+        // then random pairs.
+        let specials = [0.0, -0.0, 1.5, -1.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut rng = wr_tensor::Rng64::seed_from(3);
+        let mut x = Tensor::randn(&[600], &mut rng).data().to_vec();
+        let mut upstream = Tensor::randn(&[600], &mut rng).data().to_vec();
+        for a in specials {
+            for u in specials {
+                x.push(a);
+                upstream.push(u);
+            }
+        }
+        let n = x.len();
+
+        let g = Graph::new();
+        let p = g.param(Tensor::from_vec(x.clone(), &[n]));
+        let weights = g.constant(Tensor::from_vec(upstream.clone(), &[n]));
+        let loss = g.sum_all(g.mul(g.relu(p), weights));
+        g.backward(loss);
+
+        let mut want = upstream;
+        for (d, &xv) in want.iter_mut().zip(&x) {
+            if xv <= 0.0 {
+                *d = 0.0;
+            }
+        }
+        assert_eq!(bits(&g.grad(p).unwrap()), bits(&Tensor::from_vec(want, &[n])));
+    }
+
+    #[test]
     fn a_constant_input_costs_no_gradient_and_changes_none() {
         // The same two-layer graph over a frozen table and over a trainable
         // one: the weights' gradients are the same bits, and only the
@@ -493,7 +517,6 @@ mod tests {
         let (dt_trained, d1_trained, d2_trained) = run(false);
         assert!(dt_frozen.is_none());
         assert_eq!(dt_trained.unwrap().dims(), &[9, 6]);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&d1_frozen), bits(&d1_trained));
         assert_eq!(bits(&d2_frozen), bits(&d2_trained));
     }

@@ -29,7 +29,7 @@ pub use error::TensorError;
 pub use init::{Initializer, Rng64};
 pub use json::Json;
 pub use matmul::{dot, gemm};
-pub use ops::{gelu_scalar, softmax_in_place};
+pub use ops::{gelu_grad_scalar, gelu_scalar, softmax_in_place, tanh_scalar};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

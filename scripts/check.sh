@@ -26,6 +26,22 @@ RUSTFLAGS="-D warnings" cargo check --release --offline --workspace --all-target
 echo "== check: wr-check static analysis (--ratchet) =="
 ./target/release/wr-check --ratchet
 
+# `wr_tensor::tanh_scalar` is the only tanh a model may reach (DESIGN.md
+# §5c "Activations"): libm's `tanhf` is not correctly rounded, so a raw
+# `f32::tanh` on one model's path would make its scores depend on the
+# box's C library again without failing any differential (both sides of
+# each call the same kernel). Scans the non-test part of every source
+# file (up to its `#[cfg(test)]`); the one `.tanh()` allowed is
+# `Graph::tanh` calling `Tensor::tanh`, which maps `tanh_scalar`.
+echo "== check: no libm tanh on the model path =="
+raw_tanh="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /f32::tanh|\.tanh\(\)/ { print FILENAME ":" FNR ": " $0 }' \
+    | grep -v '^crates/autograd/src/ops\.rs:.*self\.val(a)\.tanh()' || true)"
+[ -z "$raw_tanh" ] \
+    || { echo "   raw tanh outside wr_tensor::tanh_scalar:"; echo "$raw_tanh"; exit 1; }
+
 echo "== check: cargo test (default threads) =="
 cargo test --workspace -q
 
