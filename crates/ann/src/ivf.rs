@@ -3,21 +3,34 @@
 //! # Layout
 //!
 //! Build partitions the catalog `V: [n_items, dim]` into `nlist` inverted
-//! lists by nearest centroid. The scanned vectors live in a *packed* copy
-//! — rows reordered so each list is contiguous — which turns a probe into
-//! a streaming scan instead of `n` random row fetches. Item ids ride along
-//! (`packed_ids`) so results come back in catalog coordinates. Within a
-//! list, ids ascend (rows are assigned in ascending order), which makes
-//! the scan order — and therefore every tie-break — deterministic.
+//! lists by nearest centroid. Within a list, ids ascend (rows are assigned
+//! in ascending order), which makes the scan order — and therefore every
+//! tie-break — deterministic. The scanned vectors live in **column
+//! panels**: each list's rows, [`PANEL`] at a time, are stored transposed
+//! as a contiguous `[dim, w]` block (`w = PANEL`, or what is left of the
+//! list), list after list in one buffer — the only copy of the vectors the
+//! index holds. A panel is exactly the right-hand operand of a
+//! `[1, dim] · [dim, w]` product, so a probe is a handful of
+//! [`wr_tensor::gemm`] calls into a stack array; the centroids are kept in
+//! the same layout and ranked the same way. The panel width is a constant
+//! and the score buffer lives on the stack, so what a query allocates
+//! follows `(nlist, k)` and the length of its exclusion list — never how
+//! k-means happened to size the lists.
 //!
 //! # Exactness dial
 //!
 //! `nprobe` picks how many lists a query visits, ordered by descending
 //! `dot(query, centroid)` (the MIPS probe heuristic; ties → lower list
 //! index). `nprobe = nlist` visits everything and is **bit-identical** to
-//! the exact scorer: the per-item score is accumulated in plain ascending
-//! `p` order, the same float-add sequence `wr_tensor::matmul`'s gemm uses
-//! per output element, and the candidate set is the full catalog.
+//! the exact scorer, by construction rather than by imitation: the exact
+//! scorer is `users · Vᵀ` through `wr_tensor::gemm`, whose contract fixes
+//! each output element's sum (start from `c`, add `a·b` for `p` ascending,
+//! multiply and add rounded separately) and nothing else — not which
+//! columns share a call, nor how many. A panel column holds the same
+//! `dim` values as the item's column of `Vᵀ`, so the same kernel gives
+//! the same bits, and every non-excluded row is offered to **one**
+//! [`TopK`] for the whole probe — a single accumulator over a disjoint
+//! union is the merge of its parts.
 //!
 //! # WRIV v1 wire format (a `wr_fault::sealed` envelope around)
 //!
@@ -29,18 +42,19 @@
 //!
 //! Only the quantizer (centroids + list membership) is persisted — never
 //! the vectors. [`IvfIndex::load`] re-attaches the catalog tensor and
-//! rebuilds the packed scan copy from it, so a stale index can disagree
+//! rebuilds the panels from it, so a stale index can disagree
 //! with the serving table only in *shape* (caught as [`AnnError::Mismatch`]),
 //! never silently in values. Beyond the envelope's own rules the loader
 //! checks `nlist ≤ n_items` and an exact partition (every id in
 //! `0..n_items` exactly once).
 
+use std::borrow::Cow;
 use std::path::Path;
 
-use wr_eval::{merge_top_k, ScoredItem, TopK};
+use wr_eval::{ScoredItem, TopK};
 use wr_fault::sealed::{self, SealError};
 use wr_fault::write_atomic;
-use wr_tensor::Tensor;
+use wr_tensor::{gemm, Tensor};
 
 use crate::kmeans::{fit_kmeans, KMeansConfig};
 use crate::AnnError;
@@ -50,6 +64,9 @@ const MAGIC: &[u8; 4] = b"WRIV";
 pub const WRIV_VERSION: u32 = 1;
 /// Iteration cap for the build-time quantizer fit.
 const BUILD_MAX_ITERS: usize = 25;
+/// Rows per column panel: the width of one gemm call and of the stack
+/// array its scores land in.
+const PANEL: usize = 64;
 
 /// Per-query probe accounting, surfaced so the serving layer can bridge
 /// it into `serve.ann.*` counters without this crate depending on wr-obs.
@@ -71,29 +88,45 @@ pub struct SearchStats {
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     centroids: Tensor, // [nlist, dim]
+    /// The centroids again, as column panels (rows `0..nlist`).
+    centroid_panels: Vec<f32>,
     lists: Vec<Vec<u32>>,
-    /// Catalog rows reordered list-by-list for streaming scans.
-    packed: Vec<f32>,
-    /// `packed_ids[r]` = catalog id of packed row `r`.
-    packed_ids: Vec<u32>,
-    /// List `l` owns packed rows `offsets[l]..offsets[l+1]`.
+    /// Catalog rows as column panels, list by list (see the module doc).
+    panels: Vec<f32>,
+    /// Rows in the lists before `l`: its panels start at float
+    /// `offsets[l] * dim` of `panels`.
     offsets: Vec<usize>,
     dim: usize,
     n_items: usize,
     build_seed: u64,
 }
 
-/// Plain ascending-`p` dot product. This is deliberately *not*
-/// `wr_tensor`'s unrolled `dot` (4-way split accumulators change the
-/// float-add order); it matches the gemm's per-element accumulation
-/// sequence so `nprobe = nlist` reproduces exact scores bit-for-bit.
-#[inline]
-fn dot_gemm_order(a: &[f32], b: &[f32]) -> f32 {
-    let mut s = 0.0f32;
-    for p in 0..a.len() {
-        s += a[p] * b[p];
+/// Append rows `ids` of `table` to `out` as column panels: for every
+/// [`PANEL`] ids, a `[dim, w]` row-major block whose column `c` is row
+/// `ids[c]`.
+fn pack_panels(table: &Tensor, ids: &[u32], out: &mut Vec<f32>) {
+    for chunk in ids.chunks(PANEL) {
+        for p in 0..table.cols() {
+            out.extend(chunk.iter().map(|&id| table.row(id as usize)[p]));
+        }
     }
-    s
+}
+
+/// `sink(r, dot(query, row r))` for the `count` rows held in `panels`,
+/// `r` ascending. The dot products are `gemm`'s, one panel per call.
+fn score_panels(query: &[f32], panels: &[f32], count: usize, mut sink: impl FnMut(usize, f32)) {
+    let dim = query.len();
+    for first in (0..count).step_by(PANEL) {
+        let w = (count - first).min(PANEL);
+        let mut scores = [0.0f32; PANEL];
+        let panel = panels.get(first * dim..(first + w) * dim);
+        if let (Some(panel), Some(out)) = (panel, scores.get_mut(..w)) {
+            gemm(query, panel, out, 1, dim, w);
+        }
+        for (c, &s) in scores.iter().take(w).enumerate() {
+            sink(first + c, s);
+        }
+    }
 }
 
 impl IvfIndex {
@@ -118,27 +151,27 @@ impl IvfIndex {
         Ok(IvfIndex::assemble(fit.centroids, lists, items, seed))
     }
 
-    /// Pack the catalog rows into list order; `lists` must partition
-    /// `0..items.rows()`.
+    /// Pack the catalog rows into per-list column panels; `lists` must
+    /// partition `0..items.rows()`.
     fn assemble(centroids: Tensor, lists: Vec<Vec<u32>>, items: &Tensor, seed: u64) -> IvfIndex {
         let n_items = items.rows();
         let dim = items.cols();
-        let mut packed = Vec::with_capacity(n_items * dim);
-        let mut packed_ids = Vec::with_capacity(n_items);
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        offsets.push(0);
+        let mut panels = Vec::with_capacity(n_items * dim);
+        let mut offsets = Vec::with_capacity(lists.len());
+        let mut rows = 0;
         for list in &lists {
-            for &id in list {
-                packed.extend_from_slice(items.row(id as usize));
-                packed_ids.push(id);
-            }
-            offsets.push(packed_ids.len());
+            offsets.push(rows);
+            pack_panels(items, list, &mut panels);
+            rows += list.len();
         }
+        let centroid_ids: Vec<u32> = (0..centroids.rows() as u32).collect();
+        let mut centroid_panels = Vec::with_capacity(centroids.numel());
+        pack_panels(&centroids, &centroid_ids, &mut centroid_panels);
         IvfIndex {
             centroids,
+            centroid_panels,
             lists,
-            packed,
-            packed_ids,
+            panels,
             offsets,
             dim,
             n_items,
@@ -176,9 +209,10 @@ impl IvfIndex {
     /// Probe order for `query`: list indices by descending centroid inner
     /// product, ties to the lower index.
     fn probe_order(&self, query: &[f32]) -> Vec<(usize, f32)> {
-        let mut scored: Vec<(usize, f32)> = (0..self.nlist())
-            .map(|l| (l, dot_gemm_order(query, self.centroids.row(l))))
-            .collect();
+        let mut scored: Vec<(usize, f32)> = Vec::with_capacity(self.nlist());
+        score_panels(query, &self.centroid_panels, self.nlist(), |l, s| {
+            scored.push((l, s))
+        });
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored
     }
@@ -220,36 +254,42 @@ impl IvfIndex {
             self.dim
         );
         let nprobe = nprobe.clamp(1, self.nlist());
-        let mut skip: Vec<u32> = excluded.iter().map(|&i| i as u32).collect();
-        skip.sort_unstable();
-        skip.dedup();
+        // Ids stay `usize` end to end: an exclusion that cannot name an
+        // indexed row (≥ 2³² included) matches nothing instead of wrapping
+        // onto a real one. A caller that hands over a strictly ascending
+        // list (the serving shard does) is read in place.
+        let mut skip = Cow::Borrowed(excluded);
+        if !excluded.windows(2).all(|w| w[0] < w[1]) {
+            let owned = skip.to_mut();
+            owned.sort_unstable();
+            owned.dedup();
+        }
 
-        let order = self.probe_order(query);
-        let mut partials: Vec<Vec<ScoredItem>> = Vec::with_capacity(nprobe);
+        let mut acc = TopK::new(k);
         let mut stats = SearchStats {
             trace_id,
             ..SearchStats::default()
         };
-        for &(l, _) in order.iter().take(nprobe) {
+        for &(l, _) in self.probe_order(query).iter().take(nprobe) {
             stats.lists_probed += 1;
-            // `l < nlist` and `offsets.len() == nlist + 1` by construction;
-            // checked reads keep a corrupt index from panicking a probe.
-            let (Some(&lo), Some(&hi)) = (self.offsets.get(l), self.offsets.get(l + 1)) else {
+            // `l < nlist == offsets.len()` by construction; checked reads
+            // keep a corrupt index from panicking a probe.
+            let start = self.offsets.get(l).map(|&rows| rows * self.dim);
+            let (Some(ids), Some(panels)) = (
+                self.lists.get(l),
+                start.and_then(|at| self.panels.get(at..)),
+            ) else {
                 continue;
             };
-            let mut acc = TopK::new(k);
-            for r in lo..hi {
-                let id = self.packed_ids[r];
-                if skip.binary_search(&id).is_ok() {
-                    continue;
+            score_panels(query, panels, ids.len(), |r, score| {
+                let Some(&id) = ids.get(r) else { return };
+                if skip.binary_search(&(id as usize)).is_err() {
+                    acc.push(id as usize, score);
+                    stats.rows_scanned += 1;
                 }
-                let row = &self.packed[r * self.dim..(r + 1) * self.dim];
-                acc.push(id as usize, dot_gemm_order(query, row));
-                stats.rows_scanned += 1;
-            }
-            partials.push(acc.into_sorted());
+            });
         }
-        (merge_top_k(k, &partials), stats)
+        (acc.into_sorted(), stats)
     }
 
     /// Serialize the quantizer to the sealed WRIV v1 wire form.
@@ -282,7 +322,7 @@ impl IvfIndex {
     ///
     /// The file is untrusted: integrity footer, magic, version, size
     /// arithmetic, and the id partition are all validated before the
-    /// packed scan copy is rebuilt from `items`. Shape disagreement with
+    /// panels are rebuilt from `items`. Shape disagreement with
     /// `items` is [`AnnError::Mismatch`] — the "index built against a
     /// different catalog" failure mode.
     pub fn load(path: impl AsRef<Path>, items: &Tensor) -> Result<IvfIndex, AnnError> {
@@ -357,6 +397,18 @@ mod tests {
     use wr_eval::top_k_filtered;
     use wr_tensor::Rng64;
 
+    /// The gemm's per-element contract written as the plain loop it is
+    /// (DESIGN.md §5c): start from zero, add `a·b` for `p` ascending. The
+    /// reference the panel scan is held to — the index itself has no
+    /// scalar dot.
+    fn dot_gemm_order(a: &[f32], b: &[f32]) -> f32 {
+        let mut s = 0.0f32;
+        for p in 0..a.len() {
+            s += a[p] * b[p];
+        }
+        s
+    }
+
     fn catalog(n: usize, dim: usize, seed: u64) -> Tensor {
         let mut rng = Rng64::seed_from(seed);
         Tensor::randn(&[n, dim], &mut rng)
@@ -413,6 +465,96 @@ mod tests {
         assert!(top.iter().all(|s| s.item != 17 && s.item != 40));
         assert_eq!(top, exact_top_k(&items, &q, 5, &[17, 40]));
         assert_eq!(stats.rows_scanned, 118);
+    }
+
+    /// A hand-assembled index whose lists have exactly `lens` rows: ids are
+    /// dealt out in ascending order, list by list in rotation, so every
+    /// list's ids ascend but no list is a contiguous id range.
+    fn index_with_list_lengths(lens: &[usize], dim: usize, seed: u64) -> (Tensor, IvfIndex) {
+        let n: usize = lens.iter().sum();
+        let items = catalog(n, dim, seed);
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); lens.len()];
+        let mut l = 0;
+        for id in 0..n as u32 {
+            while lists[l].len() == lens[l] {
+                l = (l + 1) % lens.len();
+            }
+            lists[l].push(id);
+            l = (l + 1) % lens.len();
+        }
+        let centroids = catalog(lens.len(), dim, seed + 1);
+        let index = IvfIndex::assemble(centroids, lists, &items, seed);
+        (items, index)
+    }
+
+    #[test]
+    fn full_probe_matches_exact_bitwise_at_every_panel_edge() {
+        // Empty, single-row, one short of a panel, exactly one, one over,
+        // two and a bit; inner dimensions around the gemm's strip widths.
+        let lens = [0usize, 1, 63, 64, 65, 131];
+        let n: usize = lens.iter().sum();
+        for dim in [1usize, 7, 64, 65] {
+            let (items, index) = index_with_list_lengths(&lens, dim, 30 + dim as u64);
+            for (l, &len) in lens.iter().enumerate() {
+                assert_eq!(index.list(l).len(), len);
+            }
+            let mut rng = Rng64::seed_from(dim as u64);
+            for trial in 0..6 {
+                let q: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+                let excluded: Vec<usize> = (0..trial).map(|_| rng.below(n)).collect();
+                let mut distinct = excluded.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                for k in [1usize, 10, n] {
+                    let (got, stats) = index.search(&q, k, index.nlist(), &excluded);
+                    let want = exact_top_k(&items, &q, k, &excluded);
+                    assert_eq!(got.len(), want.len(), "dim {dim} k {k}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.item, w.item, "dim {dim} k {k}");
+                        assert_eq!(g.score.to_bits(), w.score.to_bits(), "dim {dim} k {k}");
+                    }
+                    assert_eq!(stats.lists_probed, lens.len());
+                    assert_eq!(stats.rows_scanned, n - distinct.len(), "skipped ⇒ uncounted");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_hold_each_list_transposed_and_survive_a_reload() {
+        let lens = [0usize, 1, 63, 64, 65, 131];
+        let (items, index) = index_with_list_lengths(&lens, 7, 5);
+        let dim = index.dim();
+        assert_eq!(index.panels.len(), items.numel(), "panels replace the row copy, no second one");
+        for l in 0..index.nlist() {
+            let ids = index.list(l);
+            for (r, &id) in ids.iter().enumerate() {
+                let first = r / PANEL * PANEL;
+                let w = (ids.len() - first).min(PANEL);
+                for p in 0..dim {
+                    let at = (index.offsets[l] + first) * dim + p * w + (r - first);
+                    assert_eq!(index.panels[at].to_bits(), items.row(id as usize)[p].to_bits());
+                }
+            }
+        }
+        let loaded = IvfIndex::decode(&index.encode(), &items).unwrap();
+        assert_eq!(loaded.panels, index.panels);
+        assert_eq!(loaded.centroid_panels, index.centroid_panels);
+        assert_eq!(loaded.offsets, index.offsets);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_exclusion_beyond_u32_names_no_row() {
+        // `(1 << 32) + 3` narrowed with `as u32` is 3: the exclusion used
+        // to wrap onto a real row and silently remove it from the answer.
+        let items = catalog(16, 4, 13);
+        let index = IvfIndex::build(&items, 2, 1).unwrap();
+        let q: Vec<f32> = items.row(3).to_vec();
+        let (top, stats) = index.search(&q, 16, index.nlist(), &[(1usize << 32) + 3, 99]);
+        assert!(top.iter().any(|s| s.item == 3), "item 3 must still be returned");
+        assert_eq!(top, exact_top_k(&items, &q, 16, &[]));
+        assert_eq!(stats.rows_scanned, 16);
     }
 
     #[test]
@@ -473,7 +615,7 @@ mod tests {
         assert_eq!(loaded.build_seed(), 0xC0FFEE);
         assert_eq!(loaded.lists, index.lists);
         assert_eq!(loaded.centroids, index.centroids);
-        assert_eq!(loaded.packed, index.packed);
+        assert_eq!(loaded.panels, index.panels);
     }
 
     #[test]

@@ -20,8 +20,8 @@ mod uniformity;
 pub use conditioning::item_condition_number;
 pub use coverage::{catalog_coverage, popularity_percentile, top_k};
 pub use ranking::{
-    evaluate_cases, history_map, merge_top_k, per_case_pairs, rank_of_target, top_k_filtered,
-    MetricSet, RankAccumulator, ScoredItem, TopK, DEFAULT_KS,
+    evaluate_cases, history_map, merge_top_k, order_key, per_case_pairs, rank_of_target,
+    top_k_filtered, MetricSet, RankAccumulator, ScoredItem, TopK, DEFAULT_KS,
 };
 pub use tsne::{radial_dispersion, tsne_2d, TsneConfig};
 pub use ttest::{paired_t_test, TTestResult};

@@ -184,110 +184,188 @@ pub struct ScoredItem {
     pub score: f32,
 }
 
-/// Bounded-heap entry ordered so the heap's maximum is the *worst* kept
-/// candidate: lower score is worse; at equal scores the higher item index
-/// is worse (so the kept set, and the final list, prefer lower indices).
-#[derive(Debug, Clone, Copy)]
-struct WorstFirst {
-    score: f32,
-    item: usize,
+/// The order-preserving integer key of a score: `order_key(a) < order_key(b)`
+/// exactly when `a.total_cmp(&b)` is `Less` — `-NaN < -∞ < … < -0.0 < +0.0
+/// < … < +∞ < +NaN`. It is the bit trick `total_cmp` itself is built on
+/// (flip the magnitude bits of a negative), written out here because the
+/// selector compares keys, not floats: this function is the one definition
+/// of the repo-wide score order that [`TopK`] and the serving layer's
+/// poison test share.
+#[inline]
+pub fn order_key(score: f32) -> i32 {
+    let b = score.to_bits() as i32;
+    b ^ (((b >> 31) as u32) >> 1) as i32
 }
 
-impl PartialEq for WorstFirst {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
+/// A candidate's place in the repo-wide order as one integer: the score's
+/// key above the complemented item index, so the greater `rank` is the
+/// better candidate (higher score; at equal scores the lower index) and
+/// every comparison the selector makes is a single branch-free compare.
+#[inline]
+fn rank(e: &ScoredItem) -> i128 {
+    ((order_key(e.score) as i128) << 64) | (!e.item as u64 as i128)
 }
 
-impl Eq for WorstFirst {}
-
-impl PartialOrd for WorstFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WorstFirst {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // `total_cmp` (not `partial_cmp`) so NaNs have a fixed place in the
-        // order and the comparator is total — the repo-wide tie policy.
-        other
-            .score
-            .total_cmp(&self.score)
-            .then(self.item.cmp(&other.item))
-    }
-}
+/// Scores per block of [`TopK::scan`]: one floor test covers this many,
+/// and a block with a hit gets one bit each in a `u32` mask.
+const BLOCK: usize = u32::BITS as usize;
 
 /// Bounded top-`k` accumulator over `(item, score)` pairs — the one
-/// bounded-heap extraction every ranking consumer shares.
+/// selector every ranking consumer shares.
 ///
-/// Push candidates in any order; [`TopK::into_sorted`] returns at most `k`
-/// of them, best first, under the repo-wide total order (descending
-/// `total_cmp` score, ascending item index on ties). The heap holds the
-/// *worst* kept candidate at its top, so each push is `O(log k)` and a
-/// full scan of `n` candidates is `O(n log k)` — never a full sort.
+/// Offer candidates in any order ([`TopK::push`]) or a whole contiguous
+/// score slice at once ([`TopK::scan`]); [`TopK::into_sorted`] returns at
+/// most `k` of them, best first, under the repo-wide total order
+/// (descending `total_cmp` score, ascending item index on ties).
 ///
-/// Consumers: [`top_k_filtered`] (dense score rows), [`merge_top_k`]
-/// (partial-list merging), the `wr-ann` inverted-list scan, and
-/// `wr_serve::batch_top_k`'s per-segment extraction.
+/// The kept candidates form a binary heap with the *worst* one at the
+/// root, and the root's [`order_key`] is cached as the **floor**: once `k`
+/// candidates are held, "can this one enter?" is one integer compare
+/// against the floor (a tie on the key falls through to the item index),
+/// and only the few that pass pay the `O(log k)` replacement. No
+/// arithmetic is ever done on a score — keys are compared, scores are
+/// carried — so neither block size nor vector width can move a result.
+///
+/// Consumers: [`top_k_filtered`] and `wr_serve::batch_top_k` (dense score
+/// rows, through `scan`), [`merge_top_k`] and the `wr-ann` inverted-list
+/// scan (through `push`).
 pub struct TopK {
-    heap: std::collections::BinaryHeap<WorstFirst>,
+    /// Once `k` are held, a heap: `entries[0]` ranks last among them.
+    entries: Vec<ScoredItem>,
     k: usize,
+    /// `order_key` of `entries[0]` once `k` candidates are held; until
+    /// then `i32::MIN`, which every key passes.
+    floor: i32,
 }
 
 impl TopK {
     pub fn new(k: usize) -> TopK {
         TopK {
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            entries: Vec::with_capacity(k),
             k,
+            floor: i32::MIN,
         }
     }
 
     /// Offer one candidate. Kept only while it beats the current worst of
     /// the `k` best seen so far.
     pub fn push(&mut self, item: usize, score: f32) {
-        if self.k == 0 {
-            return;
+        let cand = ScoredItem { item, score };
+        if self.admits(&cand) {
+            self.insert(cand);
         }
-        let entry = WorstFirst { score, item };
-        if self.heap.len() < self.k {
-            self.heap.push(entry);
-        } else if let Some(worst) = self.heap.peek() {
-            // `entry < worst` means the candidate is strictly better than
-            // the worst kept item under the total order above.
-            if entry < *worst {
-                self.heap.pop();
-                self.heap.push(entry);
+    }
+
+    /// Whether `cand` would be kept: there is room, or it outranks the
+    /// worst candidate held.
+    fn admits(&self, cand: &ScoredItem) -> bool {
+        let outranks = |worst| rank(cand) > rank(worst);
+        self.entries.len() < self.k || self.entries.first().is_some_and(outranks)
+    }
+
+    /// Keep a candidate [`TopK::admits`] said yes to. The first `k` are
+    /// only collected; the `k`-th sorts them worst first, and an ascending
+    /// array is a heap.
+    fn insert(&mut self, cand: ScoredItem) {
+        if self.entries.len() == self.k {
+            self.replace_worst(cand);
+        } else {
+            self.entries.push(cand);
+            if self.entries.len() < self.k {
+                return;
+            }
+            self.entries.sort_unstable_by_key(rank);
+        }
+        self.floor = order_key(self.entries[0].score);
+    }
+
+    /// Offer `scores[i]` as item `first_item + i` for every `i`, skipping
+    /// the items listed in `seen`, and return the smallest and largest
+    /// [`order_key`] among **all** of `scores` (`(i32::MAX, i32::MIN)` for
+    /// an empty slice) — a caller that must know whether the row held a
+    /// NaN or an infinity reads it off the pair instead of walking the row
+    /// a second time.
+    ///
+    /// Equivalent to `push` in ascending `i`, but a block of scores is
+    /// first tested against the floor in one branch-free pass the
+    /// compiler vectorises; only a block with a hit is looked at again —
+    /// its hits gathered into a bit mask, the set bits pushed — and `seen`
+    /// is consulted only for those, as the slice it is: no mask is built.
+    /// The floor may rise while a block's hits are offered; each is
+    /// decided against the heap of the moment, so a stale bit costs a
+    /// compare, never a result.
+    pub fn scan(&mut self, first_item: usize, scores: &[f32], seen: &[usize]) -> (i32, i32) {
+        let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+        for (b, block) in scores.chunks(BLOCK).enumerate() {
+            let floor = self.floor;
+            let mut hit = false;
+            for &s in block {
+                let key = order_key(s);
+                lo = lo.min(key);
+                hi = hi.max(key);
+                hit |= key >= floor;
+            }
+            if !hit {
+                continue;
+            }
+            let mut hits = 0u32;
+            for (i, &s) in block.iter().enumerate() {
+                hits |= ((order_key(s) >= floor) as u32) << i;
+            }
+            while hits != 0 {
+                let i = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                let cand = ScoredItem { item: first_item + b * BLOCK + i, score: block[i] };
+                if self.admits(&cand) && !seen.contains(&cand.item) {
+                    self.insert(cand);
+                }
             }
         }
+        (lo, hi)
     }
 
     /// Candidates kept so far (saturates at `k`).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Drain into the final best-first list.
-    pub fn into_sorted(self) -> Vec<ScoredItem> {
-        let mut out: Vec<ScoredItem> = self
-            .heap
-            .into_iter()
-            .map(|e| ScoredItem {
-                item: e.item,
-                score: e.score,
-            })
-            .collect();
-        out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.item.cmp(&b.item)));
-        out
+    /// The final best-first list (sorted in place: no second buffer).
+    pub fn into_sorted(mut self) -> Vec<ScoredItem> {
+        self.entries.sort_unstable_by_key(|e| std::cmp::Reverse(rank(e)));
+        self.entries
+    }
+
+    /// Put `cand` in place of the root: the hole left by the root moves
+    /// down, each time taking the later-ranked child, until `cand` ranks
+    /// no earlier than both children of the hole.
+    fn replace_worst(&mut self, cand: ScoredItem) {
+        let n = self.entries.len();
+        let mut hole = 0;
+        loop {
+            let left = 2 * hole + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let right_ranks_later =
+                right < n && rank(&self.entries[right]) < rank(&self.entries[left]);
+            let child = left + right_ranks_later as usize;
+            if rank(&self.entries[child]) >= rank(&cand) {
+                break;
+            }
+            self.entries[hole] = self.entries[child];
+            hole = child;
+        }
+        self.entries[hole] = cand;
     }
 }
 
-/// K-way merge of per-list / per-shard partial top-k results into one
-/// global top-`k`, under the same total order every partial was extracted
+/// K-way merge of per-shard partial top-k results into one global
+/// top-`k`, under the same total order every partial was extracted
 /// with (`total_cmp` descending, ascending item index on ties).
 ///
 /// Exact by construction: the global top-`k` of a disjoint union is a
@@ -296,8 +374,10 @@ impl TopK {
 /// simply contribute fewer candidates). Items appearing in *multiple*
 /// partials are offered once per appearance — callers merging overlapping
 /// candidate sets (replicated shards) must deduplicate upstream; the
-/// in-tree callers (ANN inverted lists, `batch_top_k` column segments)
-/// partition their items, so duplicates cannot arise.
+/// in-tree caller (the gateway's cross-shard merge) partitions the
+/// catalog into disjoint windows, so duplicates cannot arise. Within one
+/// scan no merge is needed: a single [`TopK`] fed every part *is* the
+/// merge of the parts.
 pub fn merge_top_k(k: usize, partials: &[Vec<ScoredItem>]) -> Vec<ScoredItem> {
     let mut acc = TopK::new(k);
     for part in partials {
@@ -315,31 +395,12 @@ pub fn merge_top_k(k: usize, partials: &[Vec<ScoredItem>]) -> Vec<ScoredItem> {
 /// ranking site in the workspace uses). Item ids listed in `seen` are
 /// excluded from the candidates; out-of-range ids in `seen` are ignored.
 ///
-/// Runs in `O(n log k)` with a bounded min-heap ([`TopK`]), so
-/// full-catalog scoring at serving time never sorts the whole row.
+/// One [`TopK::scan`] over the row: `O(n)` integer compares plus
+/// `O(log k)` for each candidate that passes the floor, so full-catalog
+/// scoring at serving time never sorts the whole row.
 pub fn top_k_filtered(scores: &[f32], k: usize, seen: &[usize]) -> Vec<ScoredItem> {
-    if k == 0 || scores.is_empty() {
-        return Vec::new();
-    }
-    let mut seen_mask: Option<Vec<bool>> = None;
-    if !seen.is_empty() {
-        let mut m = vec![false; scores.len()];
-        for &s in seen {
-            if s < m.len() {
-                m[s] = true;
-            }
-        }
-        seen_mask = Some(m);
-    }
-    let mut acc = TopK::new(k);
-    for (item, &score) in scores.iter().enumerate() {
-        if let Some(m) = &seen_mask {
-            if m[item] {
-                continue;
-            }
-        }
-        acc.push(item, score);
-    }
+    let mut acc = TopK::new(k.min(scores.len()));
+    acc.scan(0, scores, seen);
     acc.into_sorted()
 }
 
@@ -578,6 +639,100 @@ mod tests {
             let global = top_k_filtered(&scores, k, &[]);
             assert_eq!(merged, global, "trial {trial} n={n} k={k}");
         }
+    }
+
+    /// One value of every class `total_cmp` tells apart, ascending.
+    fn float_classes() -> Vec<f32> {
+        vec![
+            f32::from_bits(0xFFFF_FFFF), // -NaN, largest payload
+            f32::from_bits(0xFFC0_0000), // -NaN
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1.5,
+            -f32::MIN_POSITIVE,
+            -1e-45, // negative subnormal
+            -0.0,
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            1.5,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7FFF_FFFF), // +NaN, largest payload
+        ]
+    }
+
+    #[test]
+    fn order_key_is_total_cmp() {
+        let classes = float_classes();
+        for (i, &a) in classes.iter().enumerate() {
+            for (j, &b) in classes.iter().enumerate() {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{a:?} vs {b:?}");
+                assert_eq!(a.total_cmp(&b), i.cmp(&j), "the list above is ascending");
+            }
+        }
+        use wr_tensor::Rng64;
+        let mut rng = Rng64::seed_from(3);
+        let mut any_bits =
+            || f32::from_bits((rng.below(1 << 16) << 16 | rng.below(1 << 16)) as u32);
+        for _ in 0..20_000 {
+            let (a, b) = (any_bits(), any_bits());
+            assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn push_in_any_item_order_matches_a_full_sort() {
+        use wr_tensor::Rng64;
+        let classes = float_classes();
+        let mut rng = Rng64::seed_from(61);
+        for trial in 0..60 {
+            let n = rng.below(90);
+            let mut pairs: Vec<ScoredItem> = (0..n)
+                .map(|item| {
+                    let score = match trial % 3 {
+                        0 => rng.normal(),
+                        1 => (rng.below(4) as f32) * 0.5,
+                        _ => classes[rng.below(classes.len())],
+                    };
+                    ScoredItem { item: item * 3 + 1, score }
+                })
+                .collect();
+            // Fisher–Yates: the order a k-way merge meets its candidates in
+            // has nothing to do with their ids.
+            for i in (1..n).rev() {
+                pairs.swap(i, rng.below(i + 1));
+            }
+            let mut sorted = pairs.clone();
+            sorted.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.item.cmp(&b.item)));
+            for k in [0, 1, 7, n.saturating_sub(1), n, n + 5] {
+                let mut acc = TopK::new(k);
+                for s in &pairs {
+                    acc.push(s.item, s.score);
+                }
+                assert_eq!(acc.len(), k.min(n));
+                let got = acc.into_sorted();
+                let want = &sorted[..k.min(n)];
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(want) {
+                    assert_eq!(g.item, w.item, "trial {trial} k {k}");
+                    assert_eq!(g.score.to_bits(), w.score.to_bits(), "trial {trial} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_reports_the_extreme_keys_of_the_whole_slice() {
+        // Seen items and items below the floor still count: the pair
+        // describes the slice, not the kept set.
+        let scores = [0.5, f32::NEG_INFINITY, 3.0, -2.0, f32::NAN];
+        let mut acc = TopK::new(1);
+        let (lo, hi) = acc.scan(10, &scores, &[11, 14]);
+        assert_eq!((lo, hi), (order_key(f32::NEG_INFINITY), order_key(f32::NAN)));
+        assert_eq!(acc.into_sorted(), vec![ScoredItem { item: 12, score: 3.0 }]);
+        assert_eq!(TopK::new(3).scan(0, &[], &[]), (i32::MAX, i32::MIN));
     }
 
     #[test]

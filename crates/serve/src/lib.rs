@@ -23,8 +23,9 @@
 //!   empty-history pad context that only serving needs;
 //! * [`ServeEngine`] restores a `wr_nn::checkpoint`, encodes each
 //!   micro-batch of histories, scores `users · Vᵀ`, and extracts top-k
-//!   with seen-item filtering via the bounded-heap scorer shared with
-//!   `wr_eval` ([`wr_eval::top_k_filtered`]), parallelized over the batch;
+//!   with seen-item filtering through the one selector shared with
+//!   `wr_eval` ([`wr_eval::TopK`], one `scan` per row), parallelized over
+//!   the batch;
 //! * [`CatalogShard`] is the scoring half of the engine on its own: one
 //!   (window of the) frozen catalog plus quarantine/retry/ANN machinery,
 //!   scoring *pre-encoded* user representations — the unit `wr-gateway`

@@ -31,10 +31,10 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::topk::batch_top_k_shifted;
+use crate::topk::batch_scan;
 use crate::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeError};
 use wr_ann::{IvfIndex, SearchStats};
-use wr_eval::ScoredItem;
+use wr_eval::{order_key, ScoredItem};
 use wr_fault::{no_faults, SharedInjector, Sleeper, ThreadSleeper};
 use wr_obs::{DeadlineBudget, Telemetry, TraceContext};
 use wr_tensor::Tensor;
@@ -47,11 +47,14 @@ pub(crate) fn non_finite_rows(items: &Tensor) -> Vec<usize> {
         .collect()
 }
 
-/// A score that must disqualify its row from the fast path: NaN poisons
-/// every comparison, +Inf pins the top slot. The shard's own quarantine
-/// mask (`NEG_INFINITY`) is *not* poison — it deliberately sorts last.
-pub(crate) fn is_poisoned(v: f32) -> bool {
-    v.is_nan() || (v.is_infinite() && v > 0.0)
+/// Whether a row whose scores' [`order_key`]s span `lo..=hi` holds a score
+/// that must disqualify it from the fast path: NaN poisons every
+/// comparison, +Inf pins the top slot. Under the total order +Inf and
+/// +NaN are everything above `f32::MAX` and -NaN everything below -Inf,
+/// so the two extremes decide it. The shard's own quarantine mask
+/// (`NEG_INFINITY`) is *not* poison — it deliberately sorts last.
+pub(crate) fn is_poisoned((lo, hi): (i32, i32)) -> bool {
+    hi > order_key(f32::MAX) || lo < order_key(f32::NEG_INFINITY)
 }
 
 /// Copy rows `range` of `full: [n, d]` into an owned `[range.len(), d]`
@@ -452,14 +455,17 @@ impl CatalogShard {
         let quarantined = &self.quarantined;
         let results: Vec<(Vec<ScoredItem>, SearchStats)> =
             wr_runtime::parallel_map(slice.len(), 1, |r| {
-                let mut excluded: Vec<usize> = Vec::new();
-                if filter_seen {
-                    excluded.extend(slice[r].history.iter().filter_map(|&h| {
-                        let local = h.checked_sub(offset)?;
-                        (local < n_local).then_some(local)
-                    }));
-                }
+                // Built once, sorted and deduplicated, so the index reads
+                // it in place; sized by the request, not grown.
+                let history: &[usize] = if filter_seen { &slice[r].history } else { &[] };
+                let mut excluded = Vec::with_capacity(history.len() + quarantined.len());
+                excluded.extend(history.iter().filter_map(|&h| {
+                    let local = h.checked_sub(offset)?;
+                    (local < n_local).then_some(local)
+                }));
                 excluded.extend_from_slice(quarantined);
+                excluded.sort_unstable();
+                excluded.dedup();
                 index.search_traced(users.row(r), k, nprobe, &excluded, ctx.trace_id)
             });
         if let Some(tel) = &self.telemetry {
@@ -498,9 +504,6 @@ impl CatalogShard {
                 }
             }
         }
-        let poisoned: Vec<bool> = (0..slice.len())
-            .map(|r| scores.row(r).iter().copied().any(is_poisoned))
-            .collect();
         let seen: Vec<&[usize]> = slice
             .iter()
             .map(|r| {
@@ -511,27 +514,29 @@ impl CatalogShard {
                 }
             })
             .collect();
-        let lists = batch_top_k_shifted(&scores, self.k, &seen, self.item_offset);
-        let n_poisoned = poisoned.iter().filter(|&&p| p).count();
+        // One pass per row selects the top-k and reports the extremes of
+        // the row's score keys, which is all the poison test needs.
+        let rows = batch_scan(&scores, self.k, &seen, self.item_offset);
+        let n_poisoned = rows.iter().filter(|(_, keys)| is_poisoned(*keys)).count();
         if n_poisoned > 0 {
             if let Some(tel) = &self.telemetry {
                 tel.registry
                     .counter("serve.quarantined_rows")
                     .add(n_poisoned as u64);
             }
-            for (r, req) in slice.iter().enumerate() {
-                if poisoned.get(r).copied().unwrap_or(false) {
+            for (req, (_, keys)) in slice.iter().zip(&rows) {
+                if is_poisoned(*keys) {
                     self.flight_note("quarantine", "serve.score", ctx, req.id, u64::MAX);
                 }
             }
         }
         slice
             .iter()
-            .zip(lists)
+            .zip(rows)
             .enumerate()
-            .map(|(r, (req, items))| {
-                let items = if poisoned.get(r).copied().unwrap_or(false) {
-                    // batch_top_k's total_cmp would rank NaN/+Inf first;
+            .map(|(r, (req, (items, keys)))| {
+                let items = if is_poisoned(keys) {
+                    // The selector's total_cmp order ranks NaN/+Inf first;
                     // re-rank this row from scratch, finite scores only.
                     self.quarantined_row_top_k(scores.row(r), &req.history)
                 } else {
@@ -609,6 +614,43 @@ mod tests {
             deadline: DeadlineBudget::unlimited(),
             now_ns: 0,
         }
+    }
+
+    #[test]
+    fn poison_by_key_is_the_scalar_definition_on_every_float_class() {
+        // What the fast path used to ask of every score, one at a time.
+        let scalar = |v: f32| v.is_nan() || (v.is_infinite() && v > 0.0);
+        let classes = [
+            f32::from_bits(0xFFFF_FFFF), // -NaN
+            f32::from_bits(0xFFC0_0000), // -NaN
+            f32::NEG_INFINITY,           // the quarantine mask: legal
+            f32::MIN,
+            -1.5,
+            -1e-45,
+            -0.0,
+            0.0,
+            1e-45,
+            1.5,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7FFF_FFFF), // +NaN
+        ];
+        for &v in &classes {
+            assert_eq!(is_poisoned((order_key(v), order_key(v))), scalar(v), "{v:?}");
+            // Inside a row, at every position of a block and across two.
+            for n in [1usize, 31, 32, 33, 70] {
+                for at in 0..n {
+                    let mut row = vec![0.25f32; n];
+                    row[at] = v;
+                    row[(at + 1) % n] = f32::NEG_INFINITY;
+                    let keys = wr_eval::TopK::new(3).scan(0, &row, &[at]);
+                    let want = row.iter().copied().any(scalar);
+                    assert_eq!(is_poisoned(keys), want, "{v:?} at {at} of {n}");
+                }
+            }
+        }
+        assert!(!is_poisoned(wr_eval::TopK::new(3).scan(0, &[], &[])), "an empty row is clean");
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Batch-parallel top-k extraction over a score matrix.
 //!
-//! The per-row scan is *segmented*: each score row is cut into
-//! fixed-width column segments, each segment feeds its own bounded heap
-//! ([`wr_eval::TopK`]), and the partials are combined with
-//! [`merge_top_k`] — the same k-way merge the IVF list-scan and any
-//! future sharded gateway use. The top-k of a disjoint union equals the
-//! merge of per-part top-ks under one total order (`total_cmp`
-//! descending, ascending item-index tie-break), so the segmented scan is
-//! *exactly* — bit-for-bit — the single-pass [`wr_eval::top_k_filtered`]
-//! result; the tests pin that equivalence.
+//! Each row is one [`wr_eval::TopK::scan`]: the selector holds the
+//! order-preserving integer key of the worst candidate it keeps (the
+//! *floor*), tests the row a block of scores at a time against it in a
+//! branch-free pass, and looks again only at a block with a hit — about
+//! half the blocks of a 1 000-score row, fewer the longer the row — so a
+//! row costs about one integer compare an element plus a heap replacement
+//! for each of the few dozen candidates that pass (≈ 60 of 1 225 at
+//! `k = 10`). A candidate is looked up in the request's seen
+//! list only then, in the list as the request carries it; nothing is
+//! built per row. The order is `total_cmp` descending with the ascending
+//! item index on ties, so the result is *exactly* — bit-for-bit — what a
+//! full sort of the row would put first; the tests pin that against a
+//! sort that shares no code with the selector.
 
 pub use wr_eval::merge_top_k;
 use wr_eval::{ScoredItem, TopK};
@@ -19,43 +23,21 @@ use wr_tensor::Tensor;
 /// tiny batches should not fan out one row at a time.
 const ROW_GRAIN: usize = 2;
 
-/// Columns per scan segment. Wide enough that the heap, not the merge,
-/// dominates; narrow enough that a segment's scores stay cache-resident.
-const SEGMENT: usize = 4096;
-
-/// Top-`k` of one score row via segmented scan + k-way merge. `seen_mask`
-/// is the row-length exclusion bitmap (seen items skipped before the
-/// heap, exactly as [`wr_eval::top_k_filtered`] skips them). Returned
-/// item ids are shifted by `item_base` — column `c` reports as
-/// `item_base + c` — so a catalog-window row answers in global ids. The
-/// shift preserves the tie order (it is monotone in the column index).
-fn row_top_k_segmented(row: &[f32], k: usize, seen_mask: &[bool], item_base: usize) -> Vec<ScoredItem> {
-    let n = row.len();
-    let n_segments = n.div_ceil(SEGMENT).max(1);
-    let mut partials: Vec<Vec<ScoredItem>> = Vec::with_capacity(n_segments);
-    for s in 0..n_segments {
-        let lo = s * SEGMENT;
-        let hi = (lo + SEGMENT).min(n);
-        let mut acc = TopK::new(k);
-        for item in lo..hi {
-            if !seen_mask[item] {
-                acc.push(item_base + item, row[item]);
-            }
-        }
-        partials.push(acc.into_sorted());
-    }
-    merge_top_k(k, &partials)
-}
+/// One row's answer: its top-k, and the smallest and largest
+/// [`wr_eval::order_key`] among the row's scores (what `TopK::scan`
+/// returns) for a caller that must know whether the row held a NaN or an
+/// infinity.
+pub(crate) type RowScan = (Vec<ScoredItem>, (i32, i32));
 
 /// Top-`k` per row of `scores: [batch, n_items]`, excluding each row's
 /// `seen` items, parallelized over the batch on the `wr-runtime` pool.
 ///
 /// Each row is extracted by exactly one pool task into its own output
 /// slot (`parallel_chunks_mut` over the result vector, chunk boundaries
-/// independent of thread count), and the per-row segmented scorer is
-/// deterministic (`total_cmp`, index tie-break) — so the output is
-/// bit-identical for any `WR_THREADS`, and bit-identical to the unsplit
-/// [`wr_eval::top_k_filtered`] scan.
+/// independent of thread count), and the selector is deterministic
+/// (`total_cmp`, index tie-break) — so the output is bit-identical for
+/// any `WR_THREADS`, and bit-identical to [`wr_eval::top_k_filtered`]
+/// row by row.
 ///
 /// `seen` must have one entry per batch row.
 pub fn batch_top_k(scores: &Tensor, k: usize, seen: &[&[usize]]) -> Vec<Vec<ScoredItem>> {
@@ -64,21 +46,33 @@ pub fn batch_top_k(scores: &Tensor, k: usize, seen: &[&[usize]]) -> Vec<Vec<Scor
 
 /// [`batch_top_k`] over a catalog *window*: `scores` holds columns
 /// `[item_base, item_base + n_items)` of the global catalog, `seen` lists
-/// **global** item ids (entries outside the window are ignored — they
-/// belong to some other shard), and the returned items are global ids.
+/// **global** item ids (entries outside the window match no candidate —
+/// they belong to some other shard), and the returned items are global
+/// ids: column `c` is offered as item `item_base + c`.
 ///
-/// With `item_base = 0` this is exactly `batch_top_k` — the window case
-/// only shifts the mask lookup on the way in and the reported ids on the
-/// way out, so per-shard results from disjoint windows merge into the
-/// full-catalog answer bit-for-bit (see [`merge_top_k`]). The mask is
-/// built in place per row (set, scan, unset) rather than remapping each
-/// seen list into a fresh allocation on the hot path.
+/// With `item_base = 0` this is exactly `batch_top_k`. The shift is
+/// monotone in the column index, so it preserves the tie order, and
+/// per-shard results from disjoint windows merge into the full-catalog
+/// answer bit-for-bit (see [`merge_top_k`]).
 pub fn batch_top_k_shifted(
     scores: &Tensor,
     k: usize,
     seen: &[&[usize]],
     item_base: usize,
 ) -> Vec<Vec<ScoredItem>> {
+    batch_scan(scores, k, seen, item_base)
+        .into_iter()
+        .map(|(items, _)| items)
+        .collect()
+}
+
+/// [`batch_top_k_shifted`] with each row's score-key extremes kept.
+pub(crate) fn batch_scan(
+    scores: &Tensor,
+    k: usize,
+    seen: &[&[usize]],
+    item_base: usize,
+) -> Vec<RowScan> {
     assert!(scores.rank() == 2, "batch_top_k expects [batch, n_items]");
     assert_eq!(
         scores.rows(),
@@ -86,28 +80,19 @@ pub fn batch_top_k_shifted(
         "one seen-list per batch row required"
     );
     let rows = scores.rows();
-    let n_items = scores.cols();
-    let mut out: Vec<Vec<ScoredItem>> = vec![Vec::new(); rows];
+    let k = k.min(scores.cols());
+    let mut out: Vec<RowScan> = vec![(Vec::new(), (i32::MAX, i32::MIN)); rows];
     let chunk = wr_runtime::chunk_len(rows, ROW_GRAIN);
     wr_runtime::parallel_chunks_mut(&mut out, chunk, |ci, slot_chunk| {
         let base = ci * chunk;
-        let mut mask = vec![false; n_items];
         for (off, slot) in slot_chunk.iter_mut().enumerate() {
             let row = base + off;
             // `row < rows == seen.len()` because the chunks partition
             // `out`; the checked lookup keeps the pool closure panic-free.
             let row_seen: &[usize] = seen.get(row).copied().unwrap_or(&[]);
-            for &s in row_seen {
-                if let Some(m) = s.checked_sub(item_base).and_then(|l| mask.get_mut(l)) {
-                    *m = true;
-                }
-            }
-            *slot = row_top_k_segmented(scores.row(row), k, &mask, item_base);
-            for &s in row_seen {
-                if let Some(m) = s.checked_sub(item_base).and_then(|l| mask.get_mut(l)) {
-                    *m = false;
-                }
-            }
+            let mut acc = TopK::new(k);
+            let keys = acc.scan(item_base, scores.row(row), row_seen);
+            *slot = (acc.into_sorted(), keys);
         }
     });
     out
@@ -135,11 +120,11 @@ mod tests {
     }
 
     #[test]
-    fn segmented_scan_is_bit_identical_to_unsplit() {
-        // Rows wider than one segment, quantized scores so ties straddle
-        // segment boundaries — the hard case for the merge.
+    fn wide_rows_with_ties_match_the_per_row_scorer() {
+        // Rows hundreds of blocks wide, quantized scores so ties straddle
+        // every block boundary.
         let mut rng = Rng64::seed_from(9);
-        let cols = SEGMENT * 2 + 513;
+        let cols = 4096 * 2 + 513;
         let data: Vec<f32> = (0..3 * cols).map(|_| (rng.below(7) as f32) * 0.5).collect();
         let scores = Tensor::from_vec(data, &[3, cols]);
         let seen_store: Vec<Vec<usize>> = (0..3)
@@ -155,6 +140,91 @@ mod tests {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "row {r}");
             }
         }
+    }
+
+    /// The shape `serve_naive` uses — every unseen column, fully sorted by
+    /// (`total_cmp` descending, index ascending), truncated — sharing no
+    /// code with `TopK`.
+    fn full_sort_reference(
+        row: &[f32],
+        k: usize,
+        seen: &[usize],
+        item_base: usize,
+    ) -> Vec<ScoredItem> {
+        let mut unseen = vec![true; row.len()];
+        for c in seen.iter().filter_map(|s| s.checked_sub(item_base)) {
+            if c < row.len() {
+                unseen[c] = false;
+            }
+        }
+        let mut cols: Vec<usize> = (0..row.len()).filter(|&c| unseen[c]).collect();
+        cols.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
+        cols.truncate(k);
+        cols.into_iter()
+            .map(|c| ScoredItem { item: item_base + c, score: row[c] })
+            .collect()
+    }
+
+    #[test]
+    fn selector_matches_a_full_sort_on_every_float_class_and_edge() {
+        let neg_nan = f32::from_bits(0xFFC0_0001);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            neg_nan,
+            f32::MAX,
+            f32::MIN,
+            1e-40,
+            -1e-40,
+        ];
+        let mut rng = Rng64::seed_from(77);
+        let mut checked = 0usize;
+        for n in [0usize, 1, 15, 16, 17, 1225, 4097] {
+            for item_base in [0usize, 57] {
+                // One row per kind: gaussian, every float class mixed in,
+                // all-equal, and quantised (ties across block boundaries).
+                let mut special_or_normal = |_| match rng.below(3) {
+                    0 => specials[rng.below(specials.len())],
+                    _ => rng.normal(),
+                };
+                let mixed: Vec<f32> = (0..n).map(&mut special_or_normal).collect();
+                let rows: [Vec<f32>; 4] = [
+                    (0..n).map(|_| rng.normal()).collect(),
+                    mixed,
+                    vec![0.25; n],
+                    (0..n).map(|_| (rng.below(5) as f32 - 2.0) * 0.5).collect(),
+                ];
+                let data: Vec<f32> = rows.iter().flatten().copied().collect();
+                let scores = Tensor::from_vec(data, &[rows.len(), n]);
+                let everything: Vec<usize> = (item_base..item_base + n).collect();
+                let elsewhere: Vec<usize> =
+                    (0..item_base.min(8)).chain(item_base + n..item_base + n + 8).collect();
+                let duplicated: Vec<usize> = (0..12)
+                    .map(|i| item_base + (i % 4) * (n / 5))
+                    .chain([item_base + n / 2; 3])
+                    .collect();
+                for seen_one in [&[][..], &everything, &elsewhere, &duplicated] {
+                    let seen = vec![seen_one; rows.len()];
+                    for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+                        let got = batch_top_k_shifted(&scores, k, &seen, item_base);
+                        for (r, row) in rows.iter().enumerate() {
+                            let want = full_sort_reference(row, k, seen_one, item_base);
+                            assert_eq!(got[r].len(), want.len(), "n {n} k {k} row {r}");
+                            for (g, w) in got[r].iter().zip(&want) {
+                                let at = format!("n {n} k {k} row {r} base {item_base}");
+                                assert_eq!(g.item, w.item, "{at}");
+                                assert_eq!(g.score.to_bits(), w.score.to_bits(), "{at}");
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 7 * 2 * 4 * 5 * 4);
     }
 
     #[test]

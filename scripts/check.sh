@@ -42,6 +42,23 @@ raw_tanh="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 [ -z "$raw_tanh" ] \
     || { echo "   raw tanh outside wr_tensor::tanh_scalar:"; echo "$raw_tanh"; exit 1; }
 
+# `wr_tensor::gemm` is the only dot product the retrieval and serving
+# crates may take (DESIGN.md §5c, §10a): full-probe IVF ≡ exact holds
+# because both sides *are* the gemm kernel, not because a loop imitates
+# its summation order. A hand-copied `s += a[p] * b[p]` kept the bits and
+# cost 6× unnoticed (one dependent chain where the kernel keeps 16+ in
+# flight), so a second spelling of the order fails here, by shape and by
+# the old name. Non-test source only; the tests keep the plain loop as
+# their reference.
+echo "== check: no scalar dot in crates/ann, crates/serve =="
+scalar_dot="$(find crates/ann/src crates/serve/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /fn dot_gemm_order|\+= *[A-Za-z_.]+\[[A-Za-z_]+\] *\* *[A-Za-z_.]+\[[A-Za-z_]+\]/ {
+        print FILENAME ":" FNR ": " $0 }')"
+[ -z "$scalar_dot" ] \
+    || { echo "   scalar dot outside wr_tensor::gemm:"; echo "$scalar_dot"; exit 1; }
+
 echo "== check: cargo test (default threads) =="
 cargo test --workspace -q
 
