@@ -322,6 +322,38 @@ mod tests {
     }
 
     #[test]
+    fn grad_attention() {
+        use wr_tensor::{AttentionKeys, AttentionRule};
+        // Three sequences of four positions — empty, partly padded, full —
+        // under both rules, two heads, with and without dropout (the same
+        // seed on every rebuild, so the dropped weights are the same and
+        // the loss stays a smooth function of the operands).
+        let (seq, dim, heads) = (4, 4, 2);
+        let lengths = [0, 2, 4];
+        let operands: Vec<Tensor> = (0..3).map(|i| rnd(&[lengths.len() * seq, dim], 29 + i)).collect();
+        let w = rnd(&[lengths.len() * seq, dim], 32);
+        for rule in [AttentionRule::Causal, AttentionRule::Bidirectional] {
+            let keys = AttentionKeys::new(rule, seq, &lengths);
+            for p in [0.0, 0.3] {
+                let report = check_gradients(&operands, 1e-2, |g, ps| {
+                    let vars: Vec<Var> = ps.iter().map(|t| g.param(t.clone())).collect();
+                    let mut rng = Rng64::seed_from(7);
+                    let y = g.attention(vars[0], vars[1], vars[2], heads, &keys, Some((p, &mut rng)));
+                    let weighted = g.mul(y, g.constant(w.clone()));
+                    (vars, g.sum_all(weighted))
+                });
+                assert!(
+                    report.passed(TOL),
+                    "{rule:?} dropout {p}: max rel err {} at {:?}",
+                    report.max_rel_error,
+                    report.worst
+                );
+                assert_eq!(report.checked, 3 * lengths.len() * seq * dim);
+            }
+        }
+    }
+
+    #[test]
     fn grad_dropout_scales_mask() {
         // With a fixed RNG the mask is deterministic within one graph, so
         // check dy/dx equals the mask itself.

@@ -2,8 +2,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use wr_tensor::{gelu_grad_scalar, Tensor};
+use wr_tensor::{dot, gelu_grad_scalar, AttentionKeys, Tensor};
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the graph
 /// that created it.
@@ -51,6 +52,7 @@ pub(crate) enum Op {
     MeanAll(Var),
     SumAll(Var),
     MaskRows(Var, Rc<Vec<f32>>),
+    Attention { q: Var, k: Var, v: Var, heads: usize, keys: Rc<AttentionKeys> },
 }
 
 /// Saved forward byproducts a backward rule needs.
@@ -61,7 +63,9 @@ pub(crate) enum Aux {
 }
 
 pub(crate) struct Inner {
-    pub values: Vec<Tensor>,
+    /// Forward values. Behind `Arc` so that a frozen table its owner
+    /// already shares enters the tape by reference ([`Graph::constant`]).
+    pub values: Vec<Arc<Tensor>>,
     pub grads: Vec<Option<Tensor>>,
     pub ops: Vec<Op>,
     pub aux: Vec<Aux>,
@@ -102,14 +106,16 @@ impl Graph {
         self.push(value, Op::Leaf, Aux::None, true)
     }
 
-    /// Register a constant input. No gradient is ever computed for it.
-    pub fn constant(&self, value: Tensor) -> Var {
+    /// Register a constant input. No gradient is ever computed for it. An
+    /// `Arc<Tensor>` is taken as is — the tape holds the handle, not a copy
+    /// of the data.
+    pub fn constant(&self, value: impl Into<Arc<Tensor>>) -> Var {
         self.push(value, Op::Leaf, Aux::None, false)
     }
 
     /// Read a copy of a node's forward value.
     pub fn value(&self, v: Var) -> Tensor {
-        self.inner.borrow().values[v.id].clone()
+        Tensor::clone(&self.inner.borrow().values[v.id])
     }
 
     /// Inspect a node's shape without cloning the data.
@@ -133,10 +139,16 @@ impl Graph {
         self.len() == 0
     }
 
-    pub(crate) fn push(&self, value: Tensor, op: Op, aux: Aux, requires: bool) -> Var {
+    pub(crate) fn push(
+        &self,
+        value: impl Into<Arc<Tensor>>,
+        op: Op,
+        aux: Aux,
+        requires: bool,
+    ) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.values.len();
-        inner.values.push(value);
+        inner.values.push(value.into());
         inner.grads.push(None);
         inner.ops.push(op);
         inner.aux.push(aux);
@@ -186,7 +198,7 @@ impl Graph {
 /// `delta` runs only when `target` requires a gradient: an operand that is a
 /// constant (or depends on none but constants) costs no arithmetic and no
 /// allocation, whichever op it feeds. `values` are the tape's forward values.
-fn accumulate(inner: &mut Inner, target: usize, delta: impl FnOnce(&[Tensor]) -> Tensor) {
+fn accumulate(inner: &mut Inner, target: usize, delta: impl FnOnce(&[Arc<Tensor>]) -> Tensor) {
     if !inner.requires[target] {
         return;
     }
@@ -410,6 +422,28 @@ fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
             }
             da
         }),
+        Op::Attention { q, k, v, heads, keys } => {
+            let (weights, factors) = match aux {
+                Aux::One(weights) => (weights, None),
+                Aux::Two(weights, factors) => (weights, Some(factors)),
+                Aux::None => unreachable!("Attention aux missing"),
+            };
+            let operands = [q, k, v];
+            let deltas = attention_backward(
+                operands.map(|x| &*inner.values[x.id]),
+                operands.map(|x| inner.requires[x.id]),
+                &g,
+                heads,
+                &keys,
+                weights.data(),
+                factors.as_ref().map(Tensor::data),
+            );
+            for (target, delta) in operands.into_iter().zip(deltas) {
+                if let Some(delta) = delta {
+                    accumulate(inner, target.id, |_| delta);
+                }
+            }
+        }
     }
 }
 
@@ -419,6 +453,93 @@ fn softmax_backward_row(dy: &mut [f32], y: &[f32]) {
     for (d, &yv) in dy.iter_mut().zip(y) {
         *d = yv * (*d - dot);
     }
+}
+
+/// `[dq, dk, dv]` of [`Graph::attention`] for the operands that `need` one
+/// (no buffer is made for the others), from the upstream `g`, the saved
+/// softmax rows `weights` and dropout `factors` — both stored at allowed
+/// keys only, in the forward's (head, sequence, query, key) order.
+///
+/// Bit for bit the backward of the per-head chain the node replaced
+/// (`bmm` ← `dropout` ← `softmax3d_last` ← mask `add` ← `scale` ←
+/// `bmm_nt`), which the tests hold it to. Per (head, sequence, query `i`)
+/// over the allowed keys `j`, ascending: `dA[j] = dot(g_i, v_j)` (the NT
+/// contract, whole); `· factor`; the chain's own softmax rule; `· scale`;
+/// then `dq_i = Σ_j dS[j]·k_j` from `+0.0` (NN order) and
+/// `dk_j += dS[j]·q_i`, `dv_j += (y·factor)[j]·g_i` with queries ascending
+/// inside a sequence (TN order). Every term skipped at a masked key is the
+/// `y = +0.0` the chain computed there times a finite number, added to an
+/// accumulator that started at `+0.0`.
+fn attention_backward(
+    [q, k, v]: [&Tensor; 3],
+    need: [bool; 3],
+    g: &Tensor,
+    heads: usize,
+    keys: &AttentionKeys,
+    weights: &[f32],
+    factors: Option<&[f32]>,
+) -> [Option<Tensor>; 3] {
+    let (seq, dim) = (keys.seq(), q.cols());
+    let dh = dim / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let [mut dq, mut dk, mut dv] = need.map(|needed| needed.then(|| vec![0.0f32; q.numel()]));
+    let (q, k, v, g) = (q.data(), k.data(), v.data(), g.data());
+    let mut ds_row = vec![0.0f32; seq];
+    let mut at = 0;
+    for lo in (0..heads).map(|h| h * dh) {
+        for b in 0..keys.batch() {
+            // Head columns of position `row` of this sequence.
+            let head = |row: usize| {
+                let first = (b * seq + row) * dim + lo;
+                first..first + dh
+            };
+            for i in 0..seq {
+                let row_keys = keys.of(b, i);
+                let n = row_keys.len();
+                let y = &weights[at..at + n];
+                let f = factors.map(|f| &f[at..at + n]);
+                at += n;
+                let g_i = &g[head(i)];
+                if let Some(dv) = &mut dv {
+                    for (m, j) in row_keys.clone().enumerate() {
+                        let a = f.map_or(y[m], |f| y[m] * f[m]);
+                        for (d, &gv) in dv[head(j)].iter_mut().zip(g_i) {
+                            *d += a * gv;
+                        }
+                    }
+                }
+                if dq.is_none() && dk.is_none() {
+                    continue;
+                }
+                let ds = &mut ds_row[..n];
+                for (m, j) in row_keys.clone().enumerate() {
+                    let da = dot(g_i, &v[head(j)]);
+                    ds[m] = f.map_or(da, |f| da * f[m]);
+                }
+                softmax_backward_row(ds, y);
+                for d in ds.iter_mut() {
+                    *d *= scale;
+                }
+                if let Some(dq) = &mut dq {
+                    let dq_i = &mut dq[head(i)];
+                    for (&s, j) in ds.iter().zip(row_keys.clone()) {
+                        for (d, &kv) in dq_i.iter_mut().zip(&k[head(j)]) {
+                            *d += s * kv;
+                        }
+                    }
+                }
+                if let Some(dk) = &mut dk {
+                    let q_i = &q[head(i)];
+                    for (&s, j) in ds.iter().zip(row_keys) {
+                        for (d, &qv) in dk[head(j)].iter_mut().zip(q_i) {
+                            *d += s * qv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    [dq, dk, dv].map(|d| d.map(|d| Tensor::from_vec(d, &[keys.batch() * seq, dim])))
 }
 
 #[cfg(test)]

@@ -5,7 +5,15 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
-use wr_tensor::{Rng64, Tensor};
+use wr_tensor::{AttentionKeys, HeadKv, Rng64, Tensor};
+
+/// Inverted dropout at probability `p`: `(keep, 1 / keep)`. A kept element
+/// is multiplied by the second number, a dropped one by `0.0`.
+fn keep_and_scale(p: f32) -> (f32, f32) {
+    assert!(p < 1.0, "dropout probability must be < 1");
+    let keep = 1.0 - p;
+    (keep, 1.0 / keep)
+}
 
 impl Graph {
     fn any_requires(&self, vars: &[Var]) -> bool {
@@ -16,13 +24,13 @@ impl Graph {
     /// (which borrows the tape mutably): keep it inside the statement that
     /// computes the new value, or in a block of its own.
     fn val(&self, v: Var) -> Ref<'_, Tensor> {
-        Ref::map(self.inner.borrow(), |inner| &inner.values[v.id])
+        Ref::map(self.inner.borrow(), |inner| &*inner.values[v.id])
     }
 
     /// Run `f` over the borrowed forward values of `parts`.
     fn with_vals<R>(&self, parts: &[Var], f: impl FnOnce(&[&Tensor]) -> R) -> R {
         let inner = self.inner.borrow();
-        let vals: Vec<&Tensor> = parts.iter().map(|p| &inner.values[p.id]).collect();
+        let vals: Vec<&Tensor> = parts.iter().map(|p| &*inner.values[p.id]).collect();
         f(&vals)
     }
 
@@ -244,6 +252,120 @@ impl Graph {
         )
     }
 
+    /// Multi-head scaled-dot-product self-attention over left-padded
+    /// sequences, as one node: `q`, `k`, `v` are `[batch · seq, dim]`, head
+    /// `h` is columns `h·dh..(h+1)·dh` of each (read in place), and the
+    /// output `[batch · seq, dim]` holds every head's rows in its columns.
+    ///
+    /// **The rule.** Query `i` of sequence `b` reads exactly `keys.of(b, i)`
+    /// ([`wr_tensor::allowed_keys`]), ascending, through the one row kernel
+    /// [`HeadKv::attend`]: no mask, no `[batch, seq, seq]` tensor, no
+    /// per-head copy. The values, the three gradients and the position the
+    /// RNG is left at equal — to the bit, for finite operands — those of
+    /// the chain it replaced (`slice_cols` → `reshape` → `bmm_nt` → `scale`
+    /// → `add` mask → `softmax3d_last` → `dropout` → `bmm` → `reshape` →
+    /// `concat_cols`), which `crates/nn/tests/attention_chain.rs` keeps as
+    /// the reference. A non-finite operand at a masked key is never read here,
+    /// where the chain's `0.0 · NaN` let it poison the row.
+    ///
+    /// **The draw order** is part of that contract. With `dropout =
+    /// Some((p, rng))`, `p > 0`, the attention weights are dropped as
+    /// `Graph::dropout` over a `[batch, seq, seq]` tensor per head drew
+    /// them: heads outermost, then sequence, query, key — `seq` Bernoullis
+    /// per (head, sequence, query), of which the ones at allowed keys are
+    /// applied and the rest discarded.
+    ///
+    /// **Saved for the backward:** per head, the softmax row and (under
+    /// dropout) the factors at allowed keys only — `heads · keys.pairs()`
+    /// floats each.
+    pub fn attention(
+        &self,
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        keys: &AttentionKeys,
+        dropout: Option<(f32, &mut Rng64)>,
+    ) -> Var {
+        let mut dropout = dropout
+            .filter(|(p, _)| *p > 0.0)
+            .map(|(p, rng)| (keep_and_scale(p), rng));
+        let (batch, seq) = (keys.batch(), keys.seq());
+        let saved = heads * keys.pairs();
+        let (out, weights, factors) = {
+            let (qv, kv, vv) = (self.val(q), self.val(k), self.val(v));
+            assert!(qv.rank() == 2, "attention requires matrices");
+            assert_eq!(qv.rows(), batch * seq, "attention: one length per sequence");
+            assert!(
+                qv.dims() == kv.dims() && qv.dims() == vv.dims(),
+                "attention: q, k, v shapes differ"
+            );
+            let dim = qv.cols();
+            assert!(
+                heads >= 1 && dim % heads == 0,
+                "dim {dim} must divide into {heads} heads"
+            );
+            let dh = dim / heads;
+            let scale = 1.0 / (dh as f32).sqrt();
+            let mut weights = vec![0.0f32; saved];
+            let mut factors = vec![0.0f32; if dropout.is_some() { saved } else { 0 }];
+            let mut draws = vec![0.0f32; seq];
+            let mut out = vec![0.0f32; batch * seq * dim];
+            let mut at = 0;
+            for lo in (0..heads).map(|h| h * dh) {
+                for b in 0..batch {
+                    let rows = b * seq * dim..(b + 1) * seq * dim;
+                    let head = HeadKv {
+                        k: &kv.data()[rows.clone()][lo..],
+                        v: &vv.data()[rows.clone()][lo..],
+                        stride: dim,
+                        scale,
+                    };
+                    for i in 0..seq {
+                        let row_keys = keys.of(b, i);
+                        let saved_row = at..at + row_keys.len();
+                        at = saved_row.end;
+                        if let Some(((keep, kept), rng)) = &mut dropout {
+                            for d in draws.iter_mut() {
+                                *d = if rng.chance(*keep) { *kept } else { 0.0 };
+                            }
+                            let row_factors = &mut factors[saved_row.clone()];
+                            for (f, j) in row_factors.iter_mut().zip(row_keys.clone()) {
+                                *f = draws[j];
+                            }
+                        }
+                        let first = rows.start + i * dim + lo;
+                        head.attend(
+                            &qv.data()[first..first + dh],
+                            row_keys,
+                            dropout.is_some().then(|| &factors[saved_row.clone()]),
+                            &mut weights[saved_row.clone()],
+                            &mut out[first..first + dh],
+                        );
+                    }
+                }
+            }
+            (Tensor::from_vec(out, &[batch * seq, dim]), weights, factors)
+        };
+        let weights = Tensor::from_vec(weights, &[saved]);
+        let aux = match dropout {
+            Some(_) => Aux::Two(weights, Tensor::from_vec(factors, &[saved])),
+            None => Aux::One(weights),
+        };
+        self.push(
+            out,
+            Op::Attention {
+                q,
+                k,
+                v,
+                heads,
+                keys: Rc::new(keys.clone()),
+            },
+            aux,
+            self.any_requires(&[q, k, v]),
+        )
+    }
+
     /// LayerNorm over the last axis of a matrix node:
     /// `y = γ ⊙ (x − mean)/sqrt(var + eps) + β` per row.
     pub fn layer_norm_rows(&self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
@@ -282,9 +404,7 @@ impl Graph {
         if p <= 0.0 {
             return a;
         }
-        assert!(p < 1.0, "dropout probability must be < 1");
-        let keep = 1.0 - p;
-        let scale = 1.0 / keep;
+        let (keep, scale) = keep_and_scale(p);
         let (out, mask) = {
             let v = self.val(a);
             let mask_data: Vec<f32> = (0..v.numel())

@@ -1,19 +1,21 @@
-//! Multi-head causal self-attention.
-
-use std::ops::Range;
+//! Multi-head self-attention.
 
 use crate::{Linear, Module, Param, Session};
 use wr_autograd::Var;
-use wr_tensor::{Rng64, Tensor};
+use wr_tensor::{allowed_keys, AttentionKeys, AttentionRule, Rng64, Tensor};
 
 /// Additive mask value for forbidden attention edges.
 const MASK_NEG: f32 = -1e9;
 
 /// Multi-head self-attention over a flattened `[batch*seq, dim]` input.
 ///
-/// The caller provides an additive attention mask of shape
-/// `[batch, seq, seq]` (build one with [`causal_padding_mask`]); masked
-/// entries hold a large negative value.
+/// The four projections are ordinary [`Linear`] nodes; everything between
+/// them is the one `wr_autograd::Graph::attention` node, which reads only
+/// the keys the caller's [`AttentionKeys`] allow — the rule, the dropout
+/// draw order and what the node saves for its backward are documented
+/// there. No mask tensor is involved: the two builders below are for
+/// models that assemble their own score (DIF-SR) and for tests, which
+/// check the node against the masked chain.
 #[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     pub wq: Linear,
@@ -39,40 +41,15 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// `x` is `[batch*seq, dim]`; `mask` is `[batch, seq, seq]` additive.
-    pub fn forward(&self, sess: &mut Session, x: Var, batch: usize, seq: usize, mask: &Tensor) -> Var {
-        let g = sess.graph;
-        assert_eq!(g.dims(x), vec![batch * seq, self.dim], "attention input shape");
-        assert_eq!(mask.dims(), &[batch, seq, seq], "attention mask shape");
-
+    /// `x` is `[keys.batch() * keys.seq(), dim]`, left-padded.
+    pub fn forward(&self, sess: &mut Session, x: Var, keys: &AttentionKeys) -> Var {
+        let rows = keys.batch() * keys.seq();
+        assert_eq!(sess.graph.dims(x), vec![rows, self.dim], "attention input shape");
         let q = self.wq.forward(sess, x);
         let k = self.wk.forward(sess, x);
         let v = self.wv.forward(sess, x);
-
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mask_var = g.constant(mask.clone());
-
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let (lo, hi) = (h * dh, (h + 1) * dh);
-            let qh = g.reshape(g.slice_cols(q, lo, hi), &[batch, seq, dh]);
-            let kh = g.reshape(g.slice_cols(k, lo, hi), &[batch, seq, dh]);
-            let vh = g.reshape(g.slice_cols(v, lo, hi), &[batch, seq, dh]);
-
-            let scores = g.scale(g.bmm_nt(qh, kh), scale);
-            let scores = g.add(scores, mask_var);
-            let attn = g.softmax3d_last(scores);
-            let attn = sess.dropout(attn, self.dropout);
-            let out = g.bmm(attn, vh); // [batch, seq, dh]
-            head_outputs.push(g.reshape(out, &[batch * seq, dh]));
-        }
-        let concat = if head_outputs.len() == 1 {
-            head_outputs[0]
-        } else {
-            g.concat_cols(&head_outputs)
-        };
-        self.wo.forward(sess, concat)
+        let mixed = sess.attention(q, k, v, self.heads, keys, self.dropout);
+        self.wo.forward(sess, mixed)
     }
 }
 
@@ -83,17 +60,6 @@ impl Module for MultiHeadSelfAttention {
             .flat_map(|l| l.params())
             .collect()
     }
-}
-
-/// The causal + left-padding rule, as the contiguous key range a query may
-/// read: with real tokens at `[start, seq)`, position `i` attends to every
-/// real `j ≤ i`, and a pad position (`i < start`, which includes the last
-/// position of an empty history, `start = seq`) attends to itself alone so
-/// its softmax stays well-defined. The one statement of the rule: the mask
-/// tensor below is built from it and the frozen encoder iterates it
-/// directly, without a mask.
-pub(crate) fn allowed_keys(i: usize, start: usize) -> Range<usize> {
-    start.min(i)..i + 1
 }
 
 /// Build the additive attention mask combining causality with left-padding.
@@ -108,8 +74,9 @@ pub fn causal_padding_mask(batch: usize, seq: usize, lengths: &[usize]) -> Tenso
         let start = seq - len.min(seq);
         for i in 0..seq {
             let row = b * seq * seq + i * seq;
-            let keys = allowed_keys(i, start);
-            data[row + keys.start..row + keys.end].fill(0.0);
+            for j in allowed_keys(AttentionRule::Causal, i, start, seq) {
+                data[row + j] = 0.0;
+            }
         }
     }
     mask
@@ -140,39 +107,36 @@ mod tests {
     use super::*;
     use wr_autograd::Graph;
 
-    /// The rule pair by pair, as the taped mask has always applied it —
-    /// the specification [`allowed_keys`] is pinned against.
-    fn causal_allowed(i: usize, j: usize, start: usize) -> bool {
-        (j <= i && j >= start) || j == i
+    /// The rule pair by pair, as the masks have always applied it; the
+    /// same specification `wr_tensor::allowed_keys` is pinned against.
+    fn allowed(bidirectional: bool, i: usize, j: usize, start: usize) -> bool {
+        j == i || (j >= start && (bidirectional || j <= i))
     }
 
     #[test]
-    fn allowed_keys_is_exactly_the_pairwise_rule() {
+    fn mask_tensors_are_exactly_the_pairwise_rule() {
         for seq in 1..=8usize {
             // `start = seq` is the empty history: every row, the last
             // included, attends only to itself.
             for start in 0..=seq {
-                for i in 0..seq {
-                    let pairwise: Vec<usize> =
-                        (0..seq).filter(|&j| causal_allowed(i, j, start)).collect();
-                    let range: Vec<usize> = allowed_keys(i, start).collect();
-                    assert_eq!(range, pairwise, "seq {seq} start {start} i {i}");
-                    assert!(range.contains(&i), "a query always reads itself");
-                }
-                // … and the mask tensor is that range, nothing else.
-                let mask = causal_padding_mask(1, seq, &[seq - start]);
-                for i in 0..seq {
-                    for j in 0..seq {
-                        let want = if causal_allowed(i, j, start) {
-                            0.0
-                        } else {
-                            MASK_NEG
-                        };
-                        assert_eq!(
-                            mask.data()[i * seq + j],
-                            want,
-                            "seq {seq} start {start} ({i}, {j})"
-                        );
+                let masks = [
+                    causal_padding_mask(1, seq, &[seq - start]),
+                    bidirectional_padding_mask(1, seq, &[seq - start]),
+                ];
+                for (bidirectional, mask) in [false, true].into_iter().zip(&masks) {
+                    for i in 0..seq {
+                        for j in 0..seq {
+                            let want = if allowed(bidirectional, i, j, start) {
+                                0.0
+                            } else {
+                                MASK_NEG
+                            };
+                            assert_eq!(
+                                mask.data()[i * seq + j],
+                                want,
+                                "bidirectional {bidirectional} seq {seq} start {start} ({i}, {j})"
+                            );
+                        }
                     }
                 }
             }
@@ -212,8 +176,8 @@ mod tests {
         let g = Graph::new();
         let mut s = Session::eval(&g);
         let x = g.constant(Tensor::randn(&[b * t, 8], &mut rng));
-        let mask = causal_padding_mask(b, t, &[5, 5]);
-        let y = attn.forward(&mut s, x, b, t, &mask);
+        let keys = AttentionKeys::new(AttentionRule::Causal, t, &[5, 5]);
+        let y = attn.forward(&mut s, x, &keys);
         assert_eq!(g.dims(y), vec![b * t, 8]);
     }
 
@@ -222,8 +186,8 @@ mod tests {
         // Changing the last item must not change earlier positions' outputs.
         let mut rng = Rng64::seed_from(2);
         let attn = MultiHeadSelfAttention::new(4, 1, 0.0, &mut rng);
-        let (b, t) = (1, 4);
-        let mask = causal_padding_mask(b, t, &[4]);
+        let t = 4;
+        let keys = AttentionKeys::new(AttentionRule::Causal, t, &[4]);
 
         let base = Tensor::randn(&[t, 4], &mut rng);
         let mut changed = base.clone();
@@ -235,7 +199,7 @@ mod tests {
             let g = Graph::new();
             let mut s = Session::eval(&g);
             let x = g.constant(input.clone());
-            let y = attn.forward(&mut s, x, b, t, &mask);
+            let y = attn.forward(&mut s, x, &keys);
             g.value(y)
         };
         let y1 = run(&base);
@@ -272,8 +236,8 @@ mod tests {
             let g = Graph::new();
             let mut s = Session::eval(&g);
             let x = g.constant(input);
-            let mask = causal_padding_mask(1, t, &[2]);
-            let y = attn.forward(&mut s, x, 1, t, &mask);
+            let keys = AttentionKeys::new(AttentionRule::Causal, t, &[2]);
+            let y = attn.forward(&mut s, x, &keys);
             g.value(y)
         };
         let y_zero = run(0.0);

@@ -1,5 +1,7 @@
 //! Trainable and frozen embedding tables.
 
+use std::sync::Arc;
+
 use crate::{Module, Param, Session};
 use wr_autograd::Var;
 use wr_tensor::{Initializer, Rng64, Tensor};
@@ -47,14 +49,17 @@ impl Module for Embedding {
 /// their `+ID` counterparts (Table IX).
 #[derive(Debug, Clone)]
 pub struct FrozenTable {
-    table: Tensor,
+    /// Shared with every tape [`Self::all`] has entered.
+    table: Arc<Tensor>,
 }
 
 impl FrozenTable {
     /// `table` is `[vocab, dim]`, rows are item vectors.
     pub fn new(table: Tensor) -> Self {
         assert!(table.rank() == 2, "FrozenTable expects a matrix");
-        FrozenTable { table }
+        FrozenTable {
+            table: Arc::new(table),
+        }
     }
 
     pub fn forward(&self, sess: &mut Session, indices: &[usize]) -> Var {
@@ -63,9 +68,10 @@ impl FrozenTable {
         sess.graph.constant(rows)
     }
 
-    /// The full table as a constant node (for whole-catalog scoring).
+    /// The full table as a constant node (for whole-catalog scoring): the
+    /// tape takes a handle to the table, not a copy of it.
     pub fn all(&self, sess: &mut Session) -> Var {
-        sess.graph.constant(self.table.clone())
+        sess.graph.constant(Arc::clone(&self.table))
     }
 
     pub fn raw(&self) -> &Tensor {

@@ -15,7 +15,7 @@
 //! sequence runs through the blocks on its own, over all `max_seq`
 //! positions, in scratch that is one sequence's footprint whatever the
 //! batch holds; a query reads only the contiguous key range
-//! [`allowed_keys`](crate::attention) permits, so there is no mask value
+//! [`allowed_keys`] permits, so there is no mask value
 //! and no `max_seq × max_seq` score matrix; and a history the batch
 //! already holds (a hot user under skewed traffic) is not encoded twice.
 //! What one call costs — time and bytes — therefore follows the batch's
@@ -27,26 +27,20 @@
 //! `tower → forward_user` pipeline for every finite model (a non-finite
 //! one does not freeze): it performs the same scalar operations in the
 //! same order through the same kernels ([`wr_tensor::gemm`],
-//! [`wr_tensor::dot`], [`wr_tensor::softmax_in_place`],
-//! [`wr_tensor::gelu_scalar`]). (1) Every row-wise kernel produces a row
-//! from that row's inputs alone, so a row's bits do not depend on which
-//! rows are computed beside it — one sequence or a batch of them. (2) A
-//! masked score is `dot · scale − 1e9`, and the row maximum is always an
-//! allowed score (a query may read itself), so the softmax's
-//! `exp(x − max)` of a masked score is exactly `+0.0`. (3) Dropping
-//! `+0.0` terms from the softmax's sequential sum, and `0.0 · v` terms
-//! from an accumulator that starts at `+0.0` (and so can never be `−0.0`),
-//! changes no bit — given finite `v`, which `freeze` checks. What the
-//! frozen forward drops is everything around the arithmetic: the per-call
-//! tower run (history rows are looked up in `V`), the per-op operand
-//! clones, the per-head slice/reshape/concat copies, the `[b, t, t]` mask
-//! tensor, the masked (query, key) pairs and the batch-sized planes.
+//! [`wr_tensor::gelu_scalar`], and for attention the very row the taped
+//! `Graph::attention` node runs, [`wr_tensor::HeadKv::attend`] over
+//! [`allowed_keys`] — that part is shared code, not a restatement; its
+//! argument for skipping masked keys is in `wr_tensor`'s attention module).
+//! Every row-wise kernel produces a row from that row's inputs alone, so a
+//! row's bits do not depend on which rows are computed beside it — one
+//! sequence or a batch of them. What the frozen forward drops is everything
+//! around the arithmetic: the per-call tower run (history rows are looked
+//! up in `V`), the per-op operand clones and the batch-sized planes.
 //! Scratch is sized once per call and dropped on return.
 
 use std::sync::Arc;
 
-use crate::attention::allowed_keys;
-use wr_tensor::{dot, gelu_scalar, gemm, softmax_in_place, Tensor};
+use wr_tensor::{allowed_keys, gelu_scalar, gemm, AttentionRule, HeadKv, Tensor};
 
 fn all_finite(values: &[f32]) -> bool {
     values.iter().all(|v| v.is_finite())
@@ -180,7 +174,8 @@ struct Shape {
 /// Causal multi-head attention into `s.ctx`. With `last_only` the one
 /// query is the last position, compacted to row 0 of `s.q` and `s.ctx`;
 /// otherwise every position queries. A query visits only the keys the
-/// mask rule lets it read.
+/// mask rule lets it read, through the row kernel the taped
+/// `Graph::attention` node runs.
 fn attend(s: &mut Scratch, shape: Shape, last_only: bool) {
     let Shape {
         start,
@@ -193,24 +188,18 @@ fn attend(s: &mut Scratch, shape: Shape, last_only: bool) {
     let queries = if last_only { seq - 1..seq } else { 0..seq };
     for row in queries {
         let q_row = if last_only { 0 } else { row };
-        let keys = allowed_keys(row, start);
-        let scores = &mut s.scores[..keys.len()];
-        for h in 0..heads {
-            let lo = h * dh;
-            let q = &s.q[q_row * dim + lo..q_row * dim + lo + dh];
-            for (score, k_row) in scores.iter_mut().zip(keys.clone()) {
-                let k = &s.k[k_row * dim + lo..k_row * dim + lo + dh];
-                *score = dot(q, k) * scale;
-            }
-            softmax_in_place(scores);
-            let out = &mut s.ctx[q_row * dim + lo..q_row * dim + lo + dh];
-            out.fill(0.0);
-            for (&a, v_row) in scores.iter().zip(keys.clone()) {
-                let v = &s.v[v_row * dim + lo..v_row * dim + lo + dh];
-                for (c, &bv) in out.iter_mut().zip(v) {
-                    *c += a * bv;
-                }
-            }
+        let keys = allowed_keys(AttentionRule::Causal, row, start, seq);
+        let weights = &mut s.scores[..keys.len()];
+        for lo in (0..heads).map(|h| h * dh) {
+            let head = HeadKv {
+                k: &s.k[lo..],
+                v: &s.v[lo..],
+                stride: dim,
+                scale,
+            };
+            let at = q_row * dim + lo;
+            let (q, out) = (&s.q[at..at + dh], &mut s.ctx[at..at + dh]);
+            head.attend(q, keys.clone(), None, weights, out);
         }
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use crate::Param;
 use wr_autograd::{Graph, Var};
-use wr_tensor::Rng64;
+use wr_tensor::{AttentionKeys, Rng64};
 
 /// One forward(+backward) pass over a fresh graph.
 ///
@@ -65,6 +65,21 @@ impl<'g> Session<'g> {
         } else {
             x
         }
+    }
+
+    /// [`Graph::attention`] whose attention-weight dropout `p` draws from
+    /// this session's RNG in training mode and is off in eval mode.
+    pub fn attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        keys: &AttentionKeys,
+        p: f32,
+    ) -> Var {
+        let dropout = self.train.then_some((p, &mut self.rng));
+        self.graph.attention(q, k, v, heads, keys, dropout)
     }
 
     /// All `(param, var)` bindings made during this session, in bind order.

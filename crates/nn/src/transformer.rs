@@ -3,12 +3,11 @@
 use std::sync::Arc;
 
 use crate::{
-    attention::{bidirectional_padding_mask, causal_padding_mask},
     Embedding, FrozenBlock, FrozenEncoder, LayerNorm, Linear, Module, MultiHeadSelfAttention,
     Param, Session,
 };
 use wr_autograd::Var;
-use wr_tensor::{Rng64, Tensor};
+use wr_tensor::{AttentionKeys, AttentionRule, Rng64, Tensor};
 
 /// One post-norm Transformer block: self-attention and a pointwise
 /// feed-forward network, each wrapped in residual + LayerNorm (the RecBole
@@ -35,10 +34,11 @@ impl TransformerBlock {
         }
     }
 
-    pub fn forward(&self, sess: &mut Session, x: Var, batch: usize, seq: usize, mask: &Tensor) -> Var {
+    /// `x` is `[keys.batch() * keys.seq(), dim]`, left-padded.
+    pub fn forward(&self, sess: &mut Session, x: Var, keys: &AttentionKeys) -> Var {
         let g = sess.graph;
         // Attention sublayer.
-        let a = self.attn.forward(sess, x, batch, seq, mask);
+        let a = self.attn.forward(sess, x, keys);
         let a = sess.dropout(a, self.dropout);
         let x = self.ln1.forward(sess, g.add(x, a));
         // Feed-forward sublayer.
@@ -151,13 +151,15 @@ impl TransformerEncoder {
         h = self.input_ln.forward(sess, h);
         h = sess.dropout(h, self.config.dropout);
 
-        let mask = if self.config.bidirectional {
-            bidirectional_padding_mask(batch, seq, lengths)
+        assert_eq!(lengths.len(), batch, "one length per sequence");
+        let rule = if self.config.bidirectional {
+            AttentionRule::Bidirectional
         } else {
-            causal_padding_mask(batch, seq, lengths)
+            AttentionRule::Causal
         };
+        let keys = AttentionKeys::new(rule, seq, lengths);
         for block in &self.blocks {
-            h = block.forward(sess, h, batch, seq, &mask);
+            h = block.forward(sess, h, &keys);
         }
         h
     }
@@ -187,11 +189,13 @@ impl TransformerEncoder {
     ///
     /// `None` for an encoder the frozen forward does not cover: a
     /// bidirectional one (its final block computes one query row under
-    /// the causal mask), one without blocks, or one whose weights,
-    /// positional table or `items` hold a NaN or an infinity — the taped
-    /// forward lets a masked non-finite operand poison a row
-    /// (`0.0 · NaN`), the frozen one never reads it, so such a model
-    /// keeps the taped forward and the two never disagree.
+    /// the causal rule), one without blocks, or one whose weights,
+    /// positional table or `items` hold a NaN or an infinity — every
+    /// pinned score was produced by arithmetic in which a masked
+    /// non-finite operand poisoned its row (`0.0 · NaN`), and skipping
+    /// masked keys equals that arithmetic for finite operands only, so a
+    /// non-finite model is never served from a snapshot: it keeps the
+    /// taped forward.
     pub fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
         if self.config.bidirectional {
             return None;

@@ -16,6 +16,7 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+mod attention;
 mod error;
 mod init;
 pub mod json;
@@ -25,6 +26,7 @@ mod reduce;
 mod shape;
 mod tensor;
 
+pub use attention::{allowed_keys, AttentionKeys, AttentionRule, HeadKv, Keys};
 pub use error::TensorError;
 pub use init::{Initializer, Rng64};
 pub use json::Json;

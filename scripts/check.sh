@@ -59,6 +59,26 @@ scalar_dot="$(find crates/ann/src crates/serve/src -name '*.rs' -print0 | sort -
 [ -z "$scalar_dot" ] \
     || { echo "   scalar dot outside wr_tensor::gemm:"; echo "$scalar_dot"; exit 1; }
 
+# The Transformer's attention is one tape node over allowed keys
+# (`Graph::attention`, DESIGN.md §5c "Attention and dropout order"): the
+# encoder path builds no `[batch, seq, seq]` tensor and no per-head copy.
+# So the encoder may not build a mask, and `MultiHeadSelfAttention` may not
+# reach for the ops the per-head chain was made of — a second attention
+# path would keep every bit and cost the chain's `seq²` again, unnoticed.
+# Non-test source only: the mask builders stay defined in attention.rs for
+# DIF-SR's own block, and the tests assemble the chain as their reference.
+echo "== check: no mask and no per-head chain on the encoder path =="
+chain="$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    FILENAME ~ /transformer\.rs$/ && /_padding_mask\(/ { print FILENAME ":" FNR ": " $0 }
+    FILENAME ~ /attention\.rs$/ && /(slice_cols|reshape|bmm|bmm_nt|softmax3d_last)\(/ {
+        print FILENAME ":" FNR ": " $0 }' \
+    crates/nn/src/transformer.rs crates/nn/src/attention.rs)"
+[ -z "$chain" ] \
+    || { echo "   mask or per-head chain on the encoder path:"; echo "$chain"; exit 1; }
+
 echo "== check: cargo test (default threads) =="
 cargo test --workspace -q
 

@@ -8,16 +8,19 @@ use whitenrec::autograd::{check_gradients, Graph, Var};
 use whitenrec::nn::{
     causal_padding_mask, LayerNorm, Linear, Session,
 };
-use whitenrec::tensor::{Rng64, Tensor};
+use whitenrec::tensor::{AttentionKeys, AttentionRule, Rng64, Tensor};
 
 /// Build a 1-head attention + LN + linear-head next-item objective with
-/// explicitly threaded parameters so the checker can perturb them.
+/// explicitly threaded parameters so the checker can perturb them. With
+/// `node_heads` the attention is the `Graph::attention` node over that many
+/// heads (what the encoder records) instead of the op-by-op chain.
 fn mini_model_loss(
     g: &Graph,
     params: &[Tensor],
     item_table: &Tensor,
     seq_items: &[usize],
     target: usize,
+    node_heads: Option<usize>,
 ) -> (Vec<Var>, Var) {
     let dim = item_table.cols();
     let t = seq_items.len();
@@ -33,14 +36,19 @@ fn mini_model_loss(
     let q = g.matmul(x, wq);
     let k = g.matmul(x, wk);
     let v = g.matmul(x, wv);
-    let q3 = g.reshape(q, &[1, t, dim]);
-    let k3 = g.reshape(k, &[1, t, dim]);
-    let v3 = g.reshape(v, &[1, t, dim]);
-    let scores = g.scale(g.bmm_nt(q3, k3), 1.0 / (dim as f32).sqrt());
-    let mask = causal_padding_mask(1, t, &[t]);
-    let scores = g.add(scores, g.constant(mask));
-    let attn = g.softmax3d_last(scores);
-    let h = g.reshape(g.bmm(attn, v3), &[t, dim]);
+    let h = if let Some(heads) = node_heads {
+        let keys = AttentionKeys::new(AttentionRule::Causal, t, &[t]);
+        g.attention(q, k, v, heads, &keys, None)
+    } else {
+        let q3 = g.reshape(q, &[1, t, dim]);
+        let k3 = g.reshape(k, &[1, t, dim]);
+        let v3 = g.reshape(v, &[1, t, dim]);
+        let scores = g.scale(g.bmm_nt(q3, k3), 1.0 / (dim as f32).sqrt());
+        let mask = causal_padding_mask(1, t, &[t]);
+        let scores = g.add(scores, g.constant(mask));
+        let attn = g.softmax3d_last(scores);
+        g.reshape(g.bmm(attn, v3), &[t, dim])
+    };
 
     let last = g.gather_rows(h, &[t - 1]); // [1, dim]
     let user = g.matmul(last, wproj);
@@ -64,16 +72,19 @@ fn composed_model_gradients_match_finite_differences() {
         Tensor::randn(&[dim, dim], &mut rng).scale(0.4),
     ];
 
-    let report = check_gradients(&params, 1e-2, |g, ps| {
-        mini_model_loss(g, ps, &item_table, &seq, target)
-    });
-    assert!(
-        report.passed(3e-2),
-        "composed gradient check failed: max rel err {} at {:?} over {} elements",
-        report.max_rel_error,
-        report.worst,
-        report.checked
-    );
+    // The chain, then the node at one head (the same function) and at two.
+    for node_heads in [None, Some(1), Some(2)] {
+        let report = check_gradients(&params, 1e-2, |g, ps| {
+            mini_model_loss(g, ps, &item_table, &seq, target, node_heads)
+        });
+        assert!(
+            report.passed(3e-2),
+            "composed gradient check failed ({node_heads:?}): max rel err {} at {:?} over {} elements",
+            report.max_rel_error,
+            report.worst,
+            report.checked
+        );
+    }
 }
 
 #[test]
