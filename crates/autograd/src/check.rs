@@ -327,30 +327,56 @@ mod tests {
         // Three sequences of four positions — empty, partly padded, full —
         // under both rules, two heads, with and without dropout (the same
         // seed on every rebuild, so the dropped weights are the same and
-        // the loss stays a smooth function of the operands).
+        // the loss stays a smooth function of the operands), over every
+        // position and over the rows a packed layout holds (1 + 2 + 4: the
+        // empty history keeps its last pad).
         let (seq, dim, heads) = (4, 4, 2);
         let lengths = [0, 2, 4];
-        let operands: Vec<Tensor> = (0..3).map(|i| rnd(&[lengths.len() * seq, dim], 29 + i)).collect();
-        let w = rnd(&[lengths.len() * seq, dim], 32);
         for rule in [AttentionRule::Causal, AttentionRule::Bidirectional] {
-            let keys = AttentionKeys::new(rule, seq, &lengths);
-            for p in [0.0, 0.3] {
-                let report = check_gradients(&operands, 1e-2, |g, ps| {
-                    let vars: Vec<Var> = ps.iter().map(|t| g.param(t.clone())).collect();
-                    let mut rng = Rng64::seed_from(7);
-                    let y = g.attention(vars[0], vars[1], vars[2], heads, &keys, Some((p, &mut rng)));
-                    let weighted = g.mul(y, g.constant(w.clone()));
-                    (vars, g.sum_all(weighted))
-                });
-                assert!(
-                    report.passed(TOL),
-                    "{rule:?} dropout {p}: max rel err {} at {:?}",
-                    report.max_rel_error,
-                    report.worst
-                );
-                assert_eq!(report.checked, 3 * lengths.len() * seq * dim);
+            for keys in [
+                AttentionKeys::new(rule, seq, &lengths),
+                AttentionKeys::packed(rule, seq, &lengths),
+            ] {
+                let operands: Vec<Tensor> = (0..3).map(|i| rnd(&[keys.rows(), dim], 29 + i)).collect();
+                let w = rnd(&[keys.rows(), dim], 32);
+                for p in [0.0, 0.3] {
+                    let report = check_gradients(&operands, 1e-2, |g, ps| {
+                        let vars: Vec<Var> = ps.iter().map(|t| g.param(t.clone())).collect();
+                        let mut rng = Rng64::seed_from(7);
+                        let y = g.attention(vars[0], vars[1], vars[2], heads, &keys, Some((p, &mut rng)));
+                        let weighted = g.mul(y, g.constant(w.clone()));
+                        (vars, g.sum_all(weighted))
+                    });
+                    assert!(
+                        report.passed(TOL),
+                        "{rule:?} {} rows dropout {p}: max rel err {} at {:?}",
+                        keys.rows(),
+                        report.max_rel_error,
+                        report.worst
+                    );
+                    assert_eq!(report.checked, 3 * keys.rows() * dim);
+                }
             }
         }
+    }
+
+    #[test]
+    fn grad_scatter_rows() {
+        let a = rnd(&[3, 4], 33);
+        // Weighted, so that a gradient landing in the wrong row shows.
+        let w = rnd(&[6, 4], 34);
+        let report = check_gradients(&[a], 1e-2, |g, ps| {
+            let v = g.param(ps[0].clone());
+            let spread = g.scatter_rows(v, &[1, 2, 5], 6);
+            (vec![v], g.sum_all(g.mul(spread, g.constant(w.clone()))))
+        });
+        assert!(report.passed(TOL), "max rel err {}", report.max_rel_error);
+        assert_eq!(report.checked, 12);
+
+        let g = Graph::new();
+        let v = g.constant(Tensor::ones(&[2, 2]));
+        let spread = g.value(g.scatter_rows(v, &[0, 2], 3));
+        assert_eq!(spread.data(), &[1.0, 1.0, 0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub(crate) enum Op {
     AddRowBroadcast(Var, Var),
     MulRowBroadcast(Var, Var),
     GatherRows(Var, Rc<Vec<usize>>),
+    ScatterRows(Var, Rc<Vec<usize>>),
     SoftmaxRows(Var),
     Softmax3dLast(Var),
     AddMask2d(Var, Rc<Tensor>),
@@ -328,6 +329,7 @@ fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
             }
             dt
         }),
+        Op::ScatterRows(a, indices) => accumulate(inner, a.id, |_| g.gather_rows(&indices)),
         Op::SoftmaxRows(a) => accumulate(inner, a.id, |v| {
             let y = &v[id];
             let mut da = g;
@@ -479,21 +481,21 @@ fn attention_backward(
     weights: &[f32],
     factors: Option<&[f32]>,
 ) -> [Option<Tensor>; 3] {
-    let (seq, dim) = (keys.seq(), q.cols());
+    let dim = q.cols();
     let dh = dim / heads;
     let scale = 1.0 / (dh as f32).sqrt();
     let [mut dq, mut dk, mut dv] = need.map(|needed| needed.then(|| vec![0.0f32; q.numel()]));
     let (q, k, v, g) = (q.data(), k.data(), v.data(), g.data());
-    let mut ds_row = vec![0.0f32; seq];
+    let mut ds_row = vec![0.0f32; keys.seq()];
     let mut at = 0;
     for lo in (0..heads).map(|h| h * dh) {
         for b in 0..keys.batch() {
-            // Head columns of position `row` of this sequence.
+            // Head columns of held row `row` of this sequence.
             let head = |row: usize| {
-                let first = (b * seq + row) * dim + lo;
+                let first = (keys.first_row(b) + row) * dim + lo;
                 first..first + dh
             };
-            for i in 0..seq {
+            for i in 0..keys.held(b) {
                 let row_keys = keys.of(b, i);
                 let n = row_keys.len();
                 let y = &weights[at..at + n];
@@ -539,7 +541,7 @@ fn attention_backward(
             }
         }
     }
-    [dq, dk, dv].map(|d| d.map(|d| Tensor::from_vec(d, &[keys.batch() * seq, dim])))
+    [dq, dk, dv].map(|d| d.map(|d| Tensor::from_vec(d, &[keys.rows(), dim])))
 }
 
 #[cfg(test)]

@@ -189,6 +189,33 @@ impl Graph {
         )
     }
 
+    /// The inverse of [`Self::gather_rows`] over distinct rows: a `[rows,
+    /// cols]` node whose row `indices[r]` is row `r` of `a` and whose other
+    /// rows are `+0.0` and carry no gradient. `indices` must ascend
+    /// strictly.
+    pub fn scatter_rows(&self, a: Var, indices: &[usize], rows: usize) -> Var {
+        let out = {
+            let v = self.val(a);
+            assert!(v.rank() == 2, "scatter_rows requires a matrix");
+            assert_eq!(v.rows(), indices.len(), "scatter_rows: one index per row");
+            assert!(
+                indices.windows(2).all(|w| w[0] < w[1]) && indices.iter().all(|&ix| ix < rows),
+                "scatter_rows: indices must ascend strictly below {rows}"
+            );
+            let mut out = Tensor::zeros(&[rows, v.cols()]);
+            for (r, &ix) in indices.iter().enumerate() {
+                out.row_mut(ix).copy_from_slice(v.row(r));
+            }
+            out
+        };
+        self.push(
+            out,
+            Op::ScatterRows(a, Rc::new(indices.to_vec())),
+            Aux::None,
+            self.requires(a),
+        )
+    }
+
     /// Zero out entire rows (padding positions): row `r` is multiplied by
     /// `mask[r]` (typically 0.0 or 1.0).
     pub fn mask_rows(&self, a: Var, mask: &[f32]) -> Var {
@@ -253,27 +280,35 @@ impl Graph {
     }
 
     /// Multi-head scaled-dot-product self-attention over left-padded
-    /// sequences, as one node: `q`, `k`, `v` are `[batch · seq, dim]`, head
-    /// `h` is columns `h·dh..(h+1)·dh` of each (read in place), and the
-    /// output `[batch · seq, dim]` holds every head's rows in its columns.
+    /// sequences, as one node: `q`, `k`, `v` are `[keys.rows(), dim]` — the
+    /// rows `keys` holds of each sequence, stacked — head `h` is columns
+    /// `h·dh..(h+1)·dh` of each (read in place), and the output `[keys.rows(),
+    /// dim]` holds every head's rows in its columns.
     ///
-    /// **The rule.** Query `i` of sequence `b` reads exactly `keys.of(b, i)`
-    /// ([`wr_tensor::allowed_keys`]), ascending, through the one row kernel
-    /// [`HeadKv::attend`]: no mask, no `[batch, seq, seq]` tensor, no
-    /// per-head copy. The values, the three gradients and the position the
-    /// RNG is left at equal — to the bit, for finite operands — those of
-    /// the chain it replaced (`slice_cols` → `reshape` → `bmm_nt` → `scale`
-    /// → `add` mask → `softmax3d_last` → `dropout` → `bmm` → `reshape` →
-    /// `concat_cols`), which `crates/nn/tests/attention_chain.rs` keeps as
-    /// the reference. A non-finite operand at a masked key is never read here,
-    /// where the chain's `0.0 · NaN` let it poison the row.
+    /// **The rule.** Query `i` of sequence `b` (row `keys.first_row(b) + i`)
+    /// reads exactly `keys.of(b, i)` ([`wr_tensor::allowed_keys`]),
+    /// ascending, through the one row kernel [`HeadKv::attend`]: no mask, no
+    /// `[batch, seq, seq]` tensor, no per-head copy. Over the every-position
+    /// layout ([`AttentionKeys::new`]) the values, the three gradients and
+    /// the position the RNG is left at equal — to the bit, for finite
+    /// operands — those of the chain it replaced (`slice_cols` → `reshape` →
+    /// `bmm_nt` → `scale` → `add` mask → `softmax3d_last` → `dropout` → `bmm`
+    /// → `reshape` → `concat_cols`), which
+    /// `crates/nn/tests/attention_chain.rs` keeps as the reference; over a
+    /// packed layout they equal the every-position ones at the rows held
+    /// (`crates/nn/tests/packed_rows.rs`). A non-finite operand at a masked
+    /// key is never read here, where the chain's `0.0 · NaN` let it poison
+    /// the row.
     ///
-    /// **The draw order** is part of that contract. With `dropout =
-    /// Some((p, rng))`, `p > 0`, the attention weights are dropped as
-    /// `Graph::dropout` over a `[batch, seq, seq]` tensor per head drew
-    /// them: heads outermost, then sequence, query, key — `seq` Bernoullis
-    /// per (head, sequence, query), of which the ones at allowed keys are
-    /// applied and the rest discarded.
+    /// **The draw order** is part of that contract, and follows `keys.seq()`,
+    /// not the rows held. With `dropout = Some((p, rng))`, `p > 0`, the
+    /// attention weights are dropped as `Graph::dropout` over a `[batch,
+    /// seq, seq]` tensor per head drew them: heads outermost, then sequence,
+    /// query, key — `seq` Bernoullis per (head, sequence, query), of which
+    /// the ones at allowed keys are applied and the rest discarded. A
+    /// position the layout does not hold still advances the generator
+    /// ([`Rng64::skip`]): `seq` steps for an absent query, one for an absent
+    /// key of a held query.
     ///
     /// **Saved for the backward:** per head, the softmax row and (under
     /// dropout) the factors at allowed keys only — `heads · keys.pairs()`
@@ -295,7 +330,7 @@ impl Graph {
         let (out, weights, factors) = {
             let (qv, kv, vv) = (self.val(q), self.val(k), self.val(v));
             assert!(qv.rank() == 2, "attention requires matrices");
-            assert_eq!(qv.rows(), batch * seq, "attention: one length per sequence");
+            assert_eq!(qv.rows(), keys.rows(), "attention: one row per held position");
             assert!(
                 qv.dims() == kv.dims() && qv.dims() == vv.dims(),
                 "attention: q, k, v shapes differ"
@@ -310,22 +345,29 @@ impl Graph {
             let mut weights = vec![0.0f32; saved];
             let mut factors = vec![0.0f32; if dropout.is_some() { saved } else { 0 }];
             let mut draws = vec![0.0f32; seq];
-            let mut out = vec![0.0f32; batch * seq * dim];
+            let mut out = vec![0.0f32; keys.rows() * dim];
             let mut at = 0;
             for lo in (0..heads).map(|h| h * dh) {
                 for b in 0..batch {
-                    let rows = b * seq * dim..(b + 1) * seq * dim;
+                    let held = keys.held(b);
+                    let absent = seq - held;
+                    let rows = keys.first_row(b) * dim..(keys.first_row(b) + held) * dim;
                     let head = HeadKv {
                         k: &kv.data()[rows.clone()][lo..],
                         v: &vv.data()[rows.clone()][lo..],
                         stride: dim,
                         scale,
                     };
-                    for i in 0..seq {
+                    if let Some((_, rng)) = &mut dropout {
+                        rng.skip(absent * seq);
+                    }
+                    for i in 0..held {
                         let row_keys = keys.of(b, i);
                         let saved_row = at..at + row_keys.len();
                         at = saved_row.end;
                         if let Some(((keep, kept), rng)) = &mut dropout {
+                            rng.skip(absent);
+                            let draws = &mut draws[..held];
                             for d in draws.iter_mut() {
                                 *d = if rng.chance(*keep) { *kept } else { 0.0 };
                             }
@@ -345,7 +387,7 @@ impl Graph {
                     }
                 }
             }
-            (Tensor::from_vec(out, &[batch * seq, dim]), weights, factors)
+            (Tensor::from_vec(out, &[keys.rows(), dim]), weights, factors)
         };
         let weights = Tensor::from_vec(weights, &[saved]);
         let aux = match dropout {
@@ -401,17 +443,55 @@ impl Graph {
     /// Inverted dropout with keep-probability `1 - p`. Pass `p = 0` (or use
     /// eval-mode code paths) to disable.
     pub fn dropout(&self, a: Var, p: f32, rng: &mut Rng64) -> Var {
+        let numel = self.val(a).numel();
+        self.dropout_runs(a, p, rng, [(0, numel)])
+    }
+
+    /// [`Self::dropout`] of the `[keys.rows(), width]` node `a`, drawing as
+    /// over the padded `[keys.batch() · keys.seq(), width]` plane: the
+    /// positions a sequence does not hold advance `rng` by `width` steps
+    /// each and store nothing, so the rows held get the factors the padded
+    /// plane gave them and `rng` is left where it left it.
+    pub fn dropout_held(&self, a: Var, p: f32, rng: &mut Rng64, keys: &AttentionKeys) -> Var {
+        let (rows, width) = {
+            let v = self.val(a);
+            assert!(v.rank() == 2, "dropout_held requires a matrix");
+            (v.rows(), v.cols())
+        };
+        assert_eq!(rows, keys.rows(), "dropout_held: one row per held position");
+        let runs = (0..keys.batch())
+            .map(|b| ((keys.seq() - keys.held(b)) * width, keys.held(b) * width));
+        self.dropout_runs(a, p, rng, runs)
+    }
+
+    /// The one dropout body. `runs` covers `a`'s elements in order as
+    /// `(skipped, drawn)` pairs: `skipped` generator steps nothing is kept
+    /// of, then one Bernoulli for each of the next `drawn` elements.
+    fn dropout_runs(
+        &self,
+        a: Var,
+        p: f32,
+        rng: &mut Rng64,
+        runs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Var {
         if p <= 0.0 {
             return a;
         }
         let (keep, scale) = keep_and_scale(p);
         let (out, mask) = {
             let v = self.val(a);
-            let mask_data: Vec<f32> = (0..v.numel())
-                .map(|_| if rng.chance(keep) { scale } else { 0.0 })
-                .collect();
-            let mask = Tensor::from_vec(mask_data, v.dims());
-            (v.mul(&mask), mask)
+            let mut mask = Vec::with_capacity(v.numel());
+            let mut out = Vec::with_capacity(v.numel());
+            for (skipped, drawn) in runs {
+                rng.skip(skipped);
+                for &x in &v.data()[mask.len()..mask.len() + drawn] {
+                    let factor = if rng.chance(keep) { scale } else { 0.0 };
+                    mask.push(factor);
+                    out.push(x * factor);
+                }
+            }
+            assert_eq!(mask.len(), v.numel(), "dropout: runs must cover the node");
+            (Tensor::from_vec(out, v.dims()), Tensor::from_vec(mask, v.dims()))
         };
         self.push(out, Op::Dropout(a), Aux::One(mask), self.requires(a))
     }

@@ -60,25 +60,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Bytes `backward` allocates through one attention node over `[512, 32]`
-/// operands of which `trainable` are parameters, under a trainable output
-/// projection.
-fn attention_backward_bytes(trainable: [bool; 3]) -> usize {
-    let (seq, dim) = (32, 32);
-    let lengths = [0usize, 1, 3, 7, 9, 12, 20, 32, 40, 5, 5, 5, 5, 5, 5, 5];
+const DIM: usize = 32;
+
+/// Bytes `backward` allocates through one attention node over `[keys.rows(),
+/// 32]` operands of which `trainable` are parameters, under a trainable
+/// output projection.
+fn attention_backward_bytes(keys: &AttentionKeys, trainable: [bool; 3]) -> usize {
     let mut rng = Rng64::seed_from(8);
     let g = Graph::new();
     let [q, k, v] = trainable.map(|train| {
-        let operand = Tensor::randn(&[lengths.len() * seq, dim], &mut rng);
+        let operand = Tensor::randn(&[keys.rows(), DIM], &mut rng);
         if train {
             g.param(operand)
         } else {
             g.constant(operand)
         }
     });
-    let keys = AttentionKeys::new(AttentionRule::Causal, seq, &lengths);
-    let mixed = g.attention(q, k, v, 2, &keys, Some((0.2, &mut rng)));
-    let weight = g.param(Tensor::randn(&[dim, 4], &mut rng));
+    let mixed = g.attention(q, k, v, 2, keys, Some((0.2, &mut rng)));
+    let weight = g.param(Tensor::randn(&[DIM, 4], &mut rng));
     let loss = g.sum_all(g.matmul(mixed, weight));
     let allocated = counted_bytes(|| g.backward(loss));
     for (operand, train) in [q, k, v].into_iter().zip(trainable) {
@@ -92,21 +91,28 @@ fn attention_backward_bytes(trainable: [bool; 3]) -> usize {
 #[test]
 fn backward_allocates_nothing_for_a_constant_operand() {
     // Constant q, k, v: the node is skipped whole (what is left is the
-    // projection's own `[32, 4]` and `[512, 4]` gradients). One trainable
-    // operand: its `[512, 32]` gradient and the upstream one the projection
-    // hands the node, not the other two.
-    let plane = 512 * 32 * std::mem::size_of::<f32>();
-    let none = attention_backward_bytes([false; 3]);
-    assert!(none < plane / 4, "constant q, k, v: backward allocated {none} B");
-    for only in 0..3 {
-        let one = attention_backward_bytes([0, 1, 2].map(|i| i == only));
-        assert!(
-            one < 3 * plane,
-            "operand {only} alone trainable: backward allocated {one} B, a gradient is {plane} B"
-        );
+    // projection's own `[32, 4]` and `[rows, 4]` gradients). One trainable
+    // operand: its `[rows, 32]` gradient and the upstream one the projection
+    // hands the node, not the other two. Over every position (512 rows) and
+    // over the rows a packed layout holds (152).
+    let lengths = [0usize, 1, 3, 7, 9, 12, 20, 32, 40, 5, 5, 5, 5, 5, 5, 5];
+    for keys in [
+        AttentionKeys::new(AttentionRule::Causal, 32, &lengths),
+        AttentionKeys::packed(AttentionRule::Causal, 32, &lengths),
+    ] {
+        let plane = keys.rows() * DIM * std::mem::size_of::<f32>();
+        let none = attention_backward_bytes(&keys, [false; 3]);
+        assert!(none < plane / 4, "constant q, k, v: backward allocated {none} B");
+        for only in 0..3 {
+            let one = attention_backward_bytes(&keys, [0, 1, 2].map(|i| i == only));
+            assert!(
+                one < 3 * plane,
+                "operand {only} alone trainable: backward allocated {one} B, a gradient is {plane} B"
+            );
+        }
+        let all = attention_backward_bytes(&keys, [true; 3]);
+        assert!(all > 4 * plane, "q, k, v trainable: {all} B");
     }
-    let all = attention_backward_bytes([true; 3]);
-    assert!(all > 4 * plane, "q, k, v trainable: {all} B");
 
     const N: usize = 512;
     let mut rng = Rng64::seed_from(7);

@@ -1,8 +1,10 @@
 //! Pins the bytes of the taped paths by what they allocate: a WhitenRec+
 //! train step at the paper's `max_seq` 50 stays under a ceiling taken from
-//! PR 22 (14.3 MB with the attention node; the per-head chain before it
-//! asked for 25.0 MB, the difference being `[batch, seq, seq]` tensors and
-//! two table copies), and a frozen table enters a tape by reference —
+//! PR 23 (3.35 MB with the encoder running over the 88 rows the batch
+//! holds of its 800; 14.3 MB at PR 22, when every layer ran over the pad
+//! rows too; 25.0 MB with the per-head chain before that, the difference
+//! being `[batch, seq, seq]` tensors and two table copies), and a frozen
+//! table enters a tape by reference —
 //! running the item tower on an eval session allocates less than one copy
 //! of the table it reads (3.2 MB over a 4.2-MB table; 7.4 MB when
 //! `FrozenTable::all` cloned it). A test binary of its
@@ -130,7 +132,7 @@ fn tower_bytes() -> (usize, usize) {
 #[test]
 fn taped_paths_allocate_no_seq_squared_tensor_and_no_table_copy() {
     let step = train_step_bytes();
-    assert!(step < 15_000_000, "one train step allocated {step} B");
+    assert!(step < 3_600_000, "one train step allocated {step} B");
 
     let (tower, table) = tower_bytes();
     assert!(

@@ -7,7 +7,8 @@ use wr_tensor::{allowed_keys, AttentionKeys, AttentionRule, Rng64, Tensor};
 /// Additive mask value for forbidden attention edges.
 const MASK_NEG: f32 = -1e9;
 
-/// Multi-head self-attention over a flattened `[batch*seq, dim]` input.
+/// Multi-head self-attention over the flattened rows of a batch of
+/// left-padded sequences.
 ///
 /// The four projections are ordinary [`Linear`] nodes; everything between
 /// them is the one `wr_autograd::Graph::attention` node, which reads only
@@ -41,10 +42,10 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// `x` is `[keys.batch() * keys.seq(), dim]`, left-padded.
+    /// `x` is `[keys.rows(), dim]`: the rows `keys` holds of each
+    /// left-padded sequence, stacked.
     pub fn forward(&self, sess: &mut Session, x: Var, keys: &AttentionKeys) -> Var {
-        let rows = keys.batch() * keys.seq();
-        assert_eq!(sess.graph.dims(x), vec![rows, self.dim], "attention input shape");
+        assert_eq!(sess.graph.dims(x), vec![keys.rows(), self.dim], "attention input shape");
         let q = self.wq.forward(sess, x);
         let k = self.wk.forward(sess, x);
         let v = self.wv.forward(sess, x);

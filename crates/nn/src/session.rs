@@ -58,13 +58,22 @@ impl<'g> Session<'g> {
         v
     }
 
+    /// The session's RNG when dropout at `p` is live: training mode, `p > 0`.
+    fn dropout_rng(&mut self, p: f32) -> Option<&mut Rng64> {
+        (self.train && p > 0.0).then_some(&mut self.rng)
+    }
+
     /// Dropout that is a no-op in eval mode.
     pub fn dropout(&mut self, x: Var, p: f32) -> Var {
-        if self.train && p > 0.0 {
-            self.graph.dropout(x, p, &mut self.rng)
-        } else {
-            x
-        }
+        let g = self.graph;
+        self.dropout_rng(p).map_or(x, |rng| g.dropout(x, p, rng))
+    }
+
+    /// [`Self::dropout`] over the rows `keys` holds, drawn as over the
+    /// padded plane ([`Graph::dropout_held`]).
+    pub fn dropout_held(&mut self, x: Var, p: f32, keys: &AttentionKeys) -> Var {
+        let g = self.graph;
+        self.dropout_rng(p).map_or(x, |rng| g.dropout_held(x, p, rng, keys))
     }
 
     /// [`Graph::attention`] whose attention-weight dropout `p` draws from

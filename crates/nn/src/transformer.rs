@@ -34,19 +34,21 @@ impl TransformerBlock {
         }
     }
 
-    /// `x` is `[keys.batch() * keys.seq(), dim]`, left-padded.
+    /// `x` is `[keys.rows(), dim]`: the rows `keys` holds of each
+    /// left-padded sequence, stacked. Dropout draws as over the padded
+    /// plane whatever `keys` holds.
     pub fn forward(&self, sess: &mut Session, x: Var, keys: &AttentionKeys) -> Var {
         let g = sess.graph;
         // Attention sublayer.
         let a = self.attn.forward(sess, x, keys);
-        let a = sess.dropout(a, self.dropout);
+        let a = sess.dropout_held(a, self.dropout, keys);
         let x = self.ln1.forward(sess, g.add(x, a));
         // Feed-forward sublayer.
         let h = self.ff1.forward(sess, x);
         let h = g.gelu(h);
-        let h = sess.dropout(h, self.dropout);
+        let h = sess.dropout_held(h, self.dropout, keys);
         let h = self.ff2.forward(sess, h);
-        let h = sess.dropout(h, self.dropout);
+        let h = sess.dropout_held(h, self.dropout, keys);
         self.ln2.forward(sess, g.add(x, h))
     }
 
@@ -134,6 +136,15 @@ impl TransformerEncoder {
 
     /// Full hidden states `[batch*seq, dim]` for flattened item embeddings
     /// `x` (`[batch*seq, dim]`, left-padded) with true `lengths`.
+    ///
+    /// Runs over the rows the batch holds: the last `max(len, 1)`
+    /// positions of each sequence ([`AttentionKeys::packed`]) are gathered
+    /// out of `x`, pass through input LayerNorm, dropout and every block as
+    /// one `[Σ held, dim]` plane, and are scattered back. The other rows of
+    /// the result are `+0.0` and carry no gradient: no real query reads a
+    /// pad key, so nothing a caller gathers from the result — or any
+    /// parameter's gradient, or where the session's RNG is left — depends
+    /// on them (DESIGN.md §5c, §6).
     pub fn forward_hidden(
         &self,
         sess: &mut Session,
@@ -144,24 +155,25 @@ impl TransformerEncoder {
     ) -> Var {
         let g = sess.graph;
         assert!(seq <= self.config.max_seq, "sequence longer than max_seq");
-        // Positional embeddings, tiled across the batch.
-        let pos_idx: Vec<usize> = (0..batch).flat_map(|_| 0..seq).collect();
-        let p = self.pos.forward(sess, &pos_idx);
-        let mut h = g.add(x, p);
-        h = self.input_ln.forward(sess, h);
-        h = sess.dropout(h, self.config.dropout);
-
         assert_eq!(lengths.len(), batch, "one length per sequence");
+        assert_eq!(g.dims(x), vec![batch * seq, self.config.dim], "one row per position");
         let rule = if self.config.bidirectional {
             AttentionRule::Bidirectional
         } else {
             AttentionRule::Causal
         };
-        let keys = AttentionKeys::new(rule, seq, lengths);
+        let keys = AttentionKeys::packed(rule, seq, lengths);
+        let rows = keys.padded_rows();
+        // Positional embeddings of the positions held.
+        let pos_idx: Vec<usize> = rows.iter().map(|r| r % seq).collect();
+        let p = self.pos.forward(sess, &pos_idx);
+        let mut h = g.add(g.gather_rows(x, &rows), p);
+        h = self.input_ln.forward(sess, h);
+        h = sess.dropout_held(h, self.config.dropout, &keys);
         for block in &self.blocks {
             h = block.forward(sess, h, &keys);
         }
-        h
+        g.scatter_rows(h, &rows, batch * seq)
     }
 
     /// User representations `[batch, dim]`: the hidden state at each

@@ -118,13 +118,15 @@ fn node_equals_the_chain_in_values_gradients_and_rng_position() {
 }
 
 #[test]
-fn a_nan_only_pad_positions_read_stays_in_the_pad_rows() {
+fn a_nan_only_pad_positions_read_reaches_no_row() {
     // The equivalence above is for finite operands. A NaN in the
     // positional row of a position that is a pad in every sequence of the
     // batch: the chain multiplied it by a masked weight (`0.0 · NaN`) and
-    // lost every row of the sequence; the node never reads a masked key, so
-    // only the pad rows themselves — which nothing downstream gathers —
-    // carry it. `freeze` refuses such a model either way.
+    // lost every row of the sequence; the node never reads a masked key,
+    // and the encoder runs over the rows the batch holds, so the NaN is
+    // read by nothing — every row of `hidden` is finite and every pad row
+    // is the `+0.0` the scatter left. `freeze` refuses such a model either
+    // way.
     let config = TransformerConfig {
         dim: 8,
         heads: 2,
@@ -153,8 +155,18 @@ fn a_nan_only_pad_positions_read_stays_in_the_pad_rows() {
     ));
     for (b, &len) in lengths.iter().enumerate() {
         for i in 0..seq {
-            let finite = hidden.row(b * seq + i).iter().all(|v| v.is_finite());
-            assert_eq!(finite, i != 0, "sequence {b} (length {len}) position {i}");
+            let row = hidden.row(b * seq + i);
+            assert!(
+                row.iter().all(|v| v.is_finite()),
+                "sequence {b} (length {len}) position {i}"
+            );
+            // Held: the real positions, and an empty history's last pad.
+            if i < seq - len.max(1) {
+                assert!(
+                    row.iter().all(|v| v.to_bits() == 0),
+                    "pad row {i} of sequence {b} (length {len})"
+                );
+            }
         }
     }
 

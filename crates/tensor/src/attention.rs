@@ -15,6 +15,13 @@
 //! terms dropped here are `+0.0` addends and `0.0 · v` products that could
 //! not have changed either — for finite `v`, which is the condition
 //! `TransformerEncoder::freeze` checks.
+//!
+//! **Rows nobody reads need not exist.** A real query reads real keys
+//! only, so [`AttentionKeys`] also says which positions of a sequence the
+//! planes hold a row for: all of them ([`AttentionKeys::new`], the padded
+//! reference layout) or the last `max(len, 1)` ([`AttentionKeys::packed`],
+//! what the taped encoder runs over). A non-finite operand that only pad
+//! positions would have read is then read by nothing at all.
 
 use std::ops::Range;
 
@@ -73,22 +80,67 @@ pub fn allowed_keys(rule: AttentionRule, i: usize, start: usize, seq: usize) -> 
 }
 
 /// The key layout of one left-padded batch: the rule, the padded length
-/// and where each sequence's real tokens start.
+/// and, per sequence, which of its `seq` positions the `q` / `k` / `v`
+/// planes hold a row for — always its last `held`, stacked sequence after
+/// sequence, so sequence `b`'s rows are `first_row(b)..first_row(b) +
+/// held(b)` and query / key indices are local to them.
+///
+/// The layout is data, not a mode: [`Self::new`] holds every position (the
+/// padded plane, `first_row(b) = b · seq`), [`Self::packed`] only the
+/// positions something downstream reads. Both describe the same attention
+/// and the same RNG stream — `seq` stays the shape the dropout draws are
+/// counted over (DESIGN.md §5c "Attention and dropout order").
 #[derive(Debug, Clone)]
 pub struct AttentionKeys {
     rule: AttentionRule,
     seq: usize,
+    /// Per sequence: where its real tokens start among the rows it holds.
     starts: Vec<usize>,
+    /// Sequence `b` holds rows `first_rows[b]..first_rows[b + 1]`.
+    first_rows: Vec<usize>,
 }
 
 impl AttentionKeys {
-    /// Sequence `b` holds `lengths[b]` real tokens (clamped to `seq`) at
-    /// the end of its `seq` positions.
+    /// Every position held: sequence `b` holds `lengths[b]` real tokens
+    /// (clamped to `seq`) at the end of its `seq` rows.
     pub fn new(rule: AttentionRule, seq: usize, lengths: &[usize]) -> Self {
+        Self::holding(rule, seq, lengths.iter().map(|&len| (seq, seq - len.min(seq))))
+    }
+
+    /// Only the last `max(len, 1)` positions held (`len` clamped to `seq`):
+    /// a history's real tokens and no pad, and for an empty history its
+    /// final pad position, which reads itself — the rows
+    /// `wr_nn::FrozenEncoder` reads too.
+    pub fn packed(rule: AttentionRule, seq: usize, lengths: &[usize]) -> Self {
+        assert!(seq >= 1, "a sequence holds at least one position");
+        Self::holding(
+            rule,
+            seq,
+            lengths.iter().map(|&len| match len.min(seq) {
+                0 => (1, 1),
+                real => (real, 0),
+            }),
+        )
+    }
+
+    /// From each sequence's `(rows held, start of its real tokens among
+    /// them)`.
+    fn holding(
+        rule: AttentionRule,
+        seq: usize,
+        held: impl Iterator<Item = (usize, usize)>,
+    ) -> Self {
+        let mut starts = Vec::new();
+        let mut first_rows = vec![0];
+        for (held, start) in held {
+            starts.push(start);
+            first_rows.push(first_rows[starts.len() - 1] + held);
+        }
         AttentionKeys {
             rule,
             seq,
-            starts: lengths.iter().map(|&len| seq - len.min(seq)).collect(),
+            starts,
+            first_rows,
         }
     }
 
@@ -102,17 +154,43 @@ impl AttentionKeys {
         self.seq
     }
 
-    /// The keys query `i` of sequence `b` reads.
+    /// Rows of the whole batch: `Σ held(b)`.
+    pub fn rows(&self) -> usize {
+        self.first_rows[self.batch()]
+    }
+
+    /// Rows sequence `b` holds: its last `held(b)` positions.
+    pub fn held(&self, b: usize) -> usize {
+        self.first_rows[b + 1] - self.first_rows[b]
+    }
+
+    /// Sequence `b`'s first row in the planes.
+    pub fn first_row(&self, b: usize) -> usize {
+        self.first_rows[b]
+    }
+
+    /// The held rows as rows of the padded `[batch · seq, _]` plane,
+    /// ascending: row `r` is position `r % seq` of sequence `r / seq`.
+    pub fn padded_rows(&self) -> Vec<usize> {
+        let mut rows = Vec::with_capacity(self.rows());
+        for b in 0..self.batch() {
+            rows.extend((b + 1) * self.seq - self.held(b)..(b + 1) * self.seq);
+        }
+        rows
+    }
+
+    /// The keys query `i` of sequence `b` reads, both local to the
+    /// sequence's held rows.
     #[inline]
     pub fn of(&self, b: usize, i: usize) -> Keys {
-        allowed_keys(self.rule, i, self.starts[b], self.seq)
+        allowed_keys(self.rule, i, self.starts[b], self.held(b))
     }
 
     /// Allowed (query, key) pairs over the whole batch — the softmax
     /// entries one head computes.
     pub fn pairs(&self) -> usize {
         (0..self.batch())
-            .map(|b| (0..self.seq).map(|i| self.of(b, i).len()).sum::<usize>())
+            .map(|b| (0..self.held(b)).map(|i| self.of(b, i).len()).sum::<usize>())
             .sum()
     }
 }
@@ -198,6 +276,37 @@ mod tests {
                     assert_eq!(layout.of(1, 0).collect::<Vec<_>>()[0], 0);
                     assert_eq!(layout.pairs(), pairs);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_packed_layout_holds_the_last_rows_and_reads_the_same_keys() {
+        for rule in [Causal, Bidirectional] {
+            for seq in 1..=6usize {
+                let lengths: Vec<usize> = (0..=seq + 2).collect();
+                let padded = AttentionKeys::new(rule, seq, &lengths);
+                let packed = AttentionKeys::packed(rule, seq, &lengths);
+                assert_eq!((padded.rows(), padded.batch()), (lengths.len() * seq, lengths.len()));
+                assert_eq!(padded.padded_rows(), (0..padded.rows()).collect::<Vec<_>>());
+                let mut rows = Vec::new();
+                let mut pairs = 0;
+                for (b, &len) in lengths.iter().enumerate() {
+                    let held = len.min(seq).max(1);
+                    assert_eq!((padded.held(b), padded.first_row(b)), (seq, b * seq));
+                    assert_eq!((packed.held(b), packed.first_row(b)), (held, rows.len()));
+                    // Local query `i` is padded position `absent + i`, and
+                    // so are its keys.
+                    let absent = seq - held;
+                    for i in 0..held {
+                        let want: Vec<usize> = padded.of(b, absent + i).map(|j| j - absent).collect();
+                        assert_eq!(packed.of(b, i).collect::<Vec<_>>(), want, "{rule:?} {seq} {len} {i}");
+                        pairs += want.len();
+                        rows.push(b * seq + absent + i);
+                    }
+                }
+                assert_eq!(packed.padded_rows(), rows);
+                assert_eq!((packed.rows(), packed.pairs(), packed.seq()), (rows.len(), pairs, seq));
             }
         }
     }

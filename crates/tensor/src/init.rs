@@ -34,11 +34,19 @@ impl Rng64 {
 
     /// Next raw 64-bit output (xoshiro256++).
     fn next_u64(&mut self) -> u64 {
-        let s = &mut self.state;
+        let s = &self.state;
         let result = s[0]
             .wrapping_add(s[3])
             .rotate_left(23)
             .wrapping_add(s[0]);
+        self.step();
+        result
+    }
+
+    /// One state update of xoshiro256++, no output computed.
+    #[inline]
+    fn step(&mut self) {
+        let s = &mut self.state;
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -46,7 +54,18 @@ impl Rng64 {
         s[0] ^= s[3];
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
-        result
+    }
+
+    /// Advance the stream past `n` draws without computing them: the state
+    /// afterwards is the one `n` calls of [`Self::chance`] (or any other
+    /// single-output draw) leave. xoshiro256++ has no O(1) jump of
+    /// arbitrary length, so this is `n` state updates — the price a packed
+    /// layout pays to keep the draws of the rows it does not hold
+    /// (DESIGN.md §5c "Attention and dropout order").
+    pub fn skip(&mut self, n: usize) {
+        for _ in 0..n {
+            self.step();
+        }
     }
 
     /// Uniform in `[0, 1)`.

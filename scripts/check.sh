@@ -79,6 +79,21 @@ chain="$(awk '
 [ -z "$chain" ] \
     || { echo "   mask or per-head chain on the encoder path:"; echo "$chain"; exit 1; }
 
+# The taped encoder runs over the rows a batch holds (`AttentionKeys::packed`,
+# DESIGN.md §6): pad positions pass through no layer. A layout-less
+# `dropout(` in transformer.rs would draw as if its node were the whole
+# plane — the RNG stream, and with it every trained number, moves with the
+# lengths — and positions tiled across the batch are the padded forward
+# coming back. Non-test source only; `crates/nn/tests/packed_rows.rs`
+# assembles the padded forward as its reference.
+echo "== check: the encoder draws by layout and tiles no positions =="
+padded="$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /\.dropout\(|flat_map\(\|_\| *0\.\.seq\)/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/nn/src/transformer.rs)"
+[ -z "$padded" ] \
+    || { echo "   layout-less dropout or tiled positions in the encoder:"; echo "$padded"; exit 1; }
+
 echo "== check: cargo test (default threads) =="
 cargo test --workspace -q
 
