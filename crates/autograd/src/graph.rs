@@ -21,8 +21,6 @@ pub(crate) enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    Div(Var, Var),
-    Neg(Var),
     Scale(Var, f32),
     AddScalar(Var),
     Exp(Var),
@@ -40,12 +38,10 @@ pub(crate) enum Op {
     ConcatCols(Vec<Var>),
     ConcatRows(Vec<Var>),
     AddRowBroadcast(Var, Var),
-    MulRowBroadcast(Var, Var),
     GatherRows(Var, Rc<Vec<usize>>),
     ScatterRows(Var, Rc<Vec<usize>>),
     SoftmaxRows(Var),
     Softmax3dLast(Var),
-    AddMask2d(Var, Rc<Tensor>),
     LayerNormRows { x: Var, gamma: Var, beta: Var },
     Dropout(Var),
     CrossEntropy { logits: Var, targets: Rc<Vec<usize>> },
@@ -230,11 +226,6 @@ fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
             accumulate(inner, a.id, |v| g.mul(&v[b.id]));
             accumulate(inner, b.id, |v| g.mul(&v[a.id]));
         }
-        Op::Div(a, b) => {
-            accumulate(inner, a.id, |v| g.div(&v[b.id]));
-            accumulate(inner, b.id, |v| g.mul(&v[a.id]).div(&v[b.id]).div(&v[b.id]).neg());
-        }
-        Op::Neg(a) => accumulate(inner, a.id, |_| g.neg()),
         Op::Scale(a, s) => accumulate(inner, a.id, |_| {
             let mut da = g;
             da.scale_(s);
@@ -316,10 +307,6 @@ fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
             accumulate(inner, row.id, |_| g.sum_rows());
             accumulate(inner, a.id, |_| g);
         }
-        Op::MulRowBroadcast(a, row) => {
-            accumulate(inner, a.id, |v| g.mul_row_broadcast(&v[row.id]));
-            accumulate(inner, row.id, |v| g.mul(&v[a.id]).sum_rows());
-        }
         Op::GatherRows(table, indices) => accumulate(inner, table.id, |v| {
             let mut dt = Tensor::zeros(v[table.id].dims());
             for (r, &ix) in indices.iter().enumerate() {
@@ -347,7 +334,6 @@ fn backward_step(inner: &mut Inner, id: usize, g: Tensor) {
             }
             da
         }),
-        Op::AddMask2d(a, _mask) => accumulate(inner, a.id, |_| g),
         Op::LayerNormRows { x, gamma, beta } => {
             let Aux::Two(xhat, inv_std) = aux else {
                 unreachable!("LayerNorm aux missing")

@@ -5,7 +5,7 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
-use wr_tensor::{AttentionKeys, HeadKv, Rng64, Tensor};
+use wr_tensor::{layer_norm_row, AttentionKeys, HeadKv, Rng64, Tensor};
 
 /// Inverted dropout at probability `p`: `(keep, 1 / keep)`. A kept element
 /// is multiplied by the second number, a dropped one by `0.0`.
@@ -49,16 +49,6 @@ impl Graph {
     pub fn mul(&self, a: Var, b: Var) -> Var {
         let out = self.val(a).mul(&self.val(b));
         self.push(out, Op::Mul(a, b), Aux::None, self.any_requires(&[a, b]))
-    }
-
-    pub fn div(&self, a: Var, b: Var) -> Var {
-        let out = self.val(a).div(&self.val(b));
-        self.push(out, Op::Div(a, b), Aux::None, self.any_requires(&[a, b]))
-    }
-
-    pub fn neg(&self, a: Var) -> Var {
-        let out = self.val(a).neg();
-        self.push(out, Op::Neg(a), Aux::None, self.requires(a))
     }
 
     pub fn scale(&self, a: Var, s: f32) -> Var {
@@ -167,17 +157,6 @@ impl Graph {
         )
     }
 
-    /// Multiply every row of a matrix node elementwise by a vector node.
-    pub fn mul_row_broadcast(&self, a: Var, row: Var) -> Var {
-        let out = self.val(a).mul_row_broadcast(&self.val(row));
-        self.push(
-            out,
-            Op::MulRowBroadcast(a, row),
-            Aux::None,
-            self.any_requires(&[a, row]),
-        )
-    }
-
     /// Embedding lookup: gather rows of `table` at `indices`.
     pub fn gather_rows(&self, table: Var, indices: &[usize]) -> Var {
         let out = self.val(table).gather_rows(indices);
@@ -253,30 +232,6 @@ impl Graph {
             wr_tensor::softmax_in_place(&mut out.data_mut()[r * last..(r + 1) * last]);
         }
         self.push(out, Op::Softmax3dLast(a), Aux::None, self.requires(a))
-    }
-
-    /// Add a constant `[t, t]` mask to every batch slice of a `[b, t, t]`
-    /// node (causal masking: forbidden entries hold large negatives).
-    pub fn add_mask2d(&self, a: Var, mask: &Tensor) -> Var {
-        let mut out = self.val(a).clone();
-        assert_eq!(out.rank(), 3, "add_mask2d requires rank-3");
-        let (b, t1, t2) = (out.dims()[0], out.dims()[1], out.dims()[2]);
-        assert_eq!(mask.dims(), &[t1, t2], "add_mask2d: mask shape mismatch");
-        let md = mask.data();
-        for i in 0..b {
-            for (o, &m) in out.data_mut()[i * t1 * t2..(i + 1) * t1 * t2]
-                .iter_mut()
-                .zip(md)
-            {
-                *o += m;
-            }
-        }
-        self.push(
-            out,
-            Op::AddMask2d(a, Rc::new(mask.clone())),
-            Aux::None,
-            self.requires(a),
-        )
     }
 
     /// Multi-head scaled-dot-product self-attention over left-padded
@@ -411,27 +366,26 @@ impl Graph {
     /// LayerNorm over the last axis of a matrix node:
     /// `y = γ ⊙ (x − mean)/sqrt(var + eps) + β` per row.
     pub fn layer_norm_rows(&self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        let (xhat, inv_std) = {
-            let xv = self.val(x);
+        let (out, xhat, inv_std) = {
+            let (xv, gv, bv) = (self.val(x), self.val(gamma), self.val(beta));
             assert!(xv.rank() == 2, "layer_norm_rows requires a matrix");
             let (rows, cols) = (xv.rows(), xv.cols());
+            assert!(
+                gv.numel() == cols && bv.numel() == cols,
+                "layer_norm_rows: affine lengths"
+            );
+            let mut out = xv.clone();
             let mut xhat = Tensor::zeros(&[rows, cols]);
             let mut inv_std = Tensor::zeros(&[rows]);
             for r in 0..rows {
-                let row = xv.row(r);
-                let mean = row.iter().sum::<f32>() / cols as f32;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-                let is = 1.0 / (var + eps).sqrt();
+                let (mean, is) = layer_norm_row(out.row_mut(r), gv.data(), bv.data(), eps);
                 inv_std.data_mut()[r] = is;
-                for (o, &v) in xhat.row_mut(r).iter_mut().zip(row) {
+                for (o, &v) in xhat.row_mut(r).iter_mut().zip(xv.row(r)) {
                     *o = (v - mean) * is;
                 }
             }
-            (xhat, inv_std)
+            (out, xhat, inv_std)
         };
-        let out = xhat
-            .mul_row_broadcast(&self.val(gamma))
-            .add_row_broadcast(&self.val(beta));
         self.push(
             out,
             Op::LayerNormRows { x, gamma, beta },

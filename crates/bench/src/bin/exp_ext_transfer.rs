@@ -45,8 +45,6 @@ fn main() {
         max_seq: cfg.max_seq,
         eval_batch: 256,
         seed: 77,
-        eval_every: 1,
-        lr_schedule: None,
     };
 
     // --- train WhitenRec on the source domain -----------------------------

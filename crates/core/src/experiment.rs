@@ -1,6 +1,6 @@
 //! Shared context for the per-table/figure experiment binaries.
 
-use wr_data::{cold_split, warm_split, ColdSplit, DatasetKind, DatasetSpec, ReadyDataset, WarmSplit};
+use wr_data::{cold_split, warm_split, ColdSplit, DatasetSpec, ReadyDataset, WarmSplit};
 use wr_eval::{MetricSet, DEFAULT_KS};
 use wr_models::{zoo, ModelConfig};
 use wr_obs::Telemetry;
@@ -32,15 +32,6 @@ pub struct ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Build a context at `scale` × the ~1/10-of-paper preset.
-    ///
-    /// `scale = 1.0` is the largest the harness defaults to on one core;
-    /// tests use ≤ 0.3.
-    pub fn prepare(kind: DatasetKind, scale: f32) -> Self {
-        let spec = DatasetSpec::preset(kind).scaled(scale);
-        Self::from_spec(spec)
-    }
-
     pub fn from_spec(spec: DatasetSpec) -> Self {
         let dataset = spec.build();
         let warm = warm_split(&dataset.sequences);
@@ -57,8 +48,6 @@ impl ExperimentContext {
                 max_seq: ModelConfig::default().max_seq,
                 eval_batch: 256,
                 seed: 77,
-                eval_every: 1,
-                lr_schedule: None,
             },
             relaxed_groups: 4,
             eval_cap: 2000,
@@ -263,6 +252,7 @@ pub struct TrainedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wr_data::DatasetKind;
 
     fn tiny_context() -> ExperimentContext {
         let spec = DatasetSpec::tiny(DatasetKind::Arts);

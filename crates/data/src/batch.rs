@@ -175,10 +175,13 @@ mod tests {
     #[test]
     fn inference_batch_has_full_context() {
         let c: &[usize] = &[5, 6, 7];
-        let b = Batch::inference(&[c], 5);
+        let long: &[usize] = &[1, 2, 3, 4, 5, 6, 7]; // truncated to the last 5
+        let b = Batch::inference(&[c, long], 5);
         assert_eq!(&b.items[0..5], &[PAD_ITEM, PAD_ITEM, 5, 6, 7]);
+        assert_eq!(&b.items[5..10], &[3, 4, 5, 6, 7]);
         assert!(b.targets.is_empty());
-        assert_eq!(b.lengths[0], 3);
+        assert_eq!(b.lengths, vec![3, 5]);
+        assert_eq!((b.batch, b.seq), (2, 5));
     }
 
     #[test]

@@ -34,7 +34,3 @@ pub use io::{
 pub use spec::{DatasetKind, DatasetSpec, ReadyDataset};
 pub use split::{cold_split, warm_split, ColdSplit, EvalCase, WarmSplit};
 pub use stats::{dataset_stats, DatasetStats};
-
-/// Maximum items kept per user sequence before splitting (the paper uses
-/// max length 50; our scaled default is 30 — see `TransformerConfig`).
-pub const DEFAULT_MAX_SEQ: usize = 30;

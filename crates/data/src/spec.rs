@@ -76,15 +76,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Scale only the user count (controls interaction density — the
-    /// items-per-interaction ratio drives how much ID embeddings overfit).
-    pub fn scaled_users(mut self, f: f32) -> Self {
-        assert!(f > 0.0);
-        self.interactions.n_users =
-            ((self.interactions.n_users as f32 * f).round() as usize).max(32);
-        self
-    }
-
     /// Scale only the catalog size. Growing items at fixed users thins the
     /// interactions available per item, pushing ID embeddings into the
     /// overparameterized regime the paper's 20k–40k-item catalogs live in.

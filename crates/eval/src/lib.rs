@@ -11,14 +11,12 @@
 //! * [`paired_t_test`] — the significance stars in Tables III/IV.
 
 mod conditioning;
-mod coverage;
 mod ranking;
 mod tsne;
 mod ttest;
 mod uniformity;
 
 pub use conditioning::item_condition_number;
-pub use coverage::{catalog_coverage, popularity_percentile, top_k};
 pub use ranking::{
     evaluate_cases, history_map, merge_top_k, order_key, per_case_pairs, rank_of_target,
     top_k_filtered, MetricSet, RankAccumulator, ScoredItem, TopK, DEFAULT_KS,

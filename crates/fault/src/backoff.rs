@@ -46,12 +46,6 @@ impl RetryPolicy {
         }
         delay.min(self.cap_ns)
     }
-
-    /// Sum of every delay a fully exhausted retry loop would wait.
-    pub fn worst_case_total_ns(&self) -> u64 {
-        (0..self.max_attempts.saturating_sub(1))
-            .fold(0u64, |acc, a| acc.saturating_add(self.delay_ns(a)))
-    }
 }
 
 /// How a retry loop waits between attempts.
@@ -98,17 +92,15 @@ mod tests {
         assert_eq!(p.delay_ns(2), 100_000);
         assert_eq!(p.delay_ns(3), 500_000); // capped
         assert_eq!(p.delay_ns(30), 500_000); // saturates, never overflows
-        assert_eq!(
-            p.worst_case_total_ns(),
-            1_000 + 10_000 + 100_000 + 500_000 + 500_000
-        );
     }
 
     #[test]
     fn default_policy_is_tightly_bounded() {
         let p = RetryPolicy::default();
         assert_eq!(p.max_attempts, 3);
-        assert!(p.worst_case_total_ns() < 100_000_000, "must stay under 100 ms");
+        // Every delay a fully exhausted retry loop would wait.
+        let worst_case_ns: u64 = (0..p.max_attempts - 1).map(|a| p.delay_ns(a)).sum();
+        assert!(worst_case_ns < 100_000_000, "must stay under 100 ms");
     }
 
     #[test]

@@ -7,18 +7,28 @@ use crate::ShardPlan;
 use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
 use wr_obs::{Clock, DeadlineBudget, MonotonicClock, Telemetry, TraceContext};
 use wr_serve::{
-    merge_top_k, BatcherConfig, CatalogShard, HistoryEncoder, MicroBatcher, Replay, Request,
+    merge_top_k, CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, Replay, Request,
     ResilienceConfig, Response, ScoredItem, ServeConfig,
 };
 use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
 
+/// What the gateway reports its micro-batches and refused calls under.
+const GATEWAY: FrontEnd = FrontEnd {
+    category: "gateway",
+    batches: "gateway.batches",
+    requests: "gateway.requests",
+    queue_depth: "gateway.queue_depth",
+    rejected_overload: "gateway.rejected_overload",
+    admission: "gateway.admission",
+};
+
 /// Gateway knobs: the per-shard serving configuration plus the two
 /// load-shedding bounds that distinguish a gateway from a lone engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
-    /// Per-shard serving knobs (`k`, micro-batch bound, `max_seq`,
-    /// seen-filtering). The gateway's merge honors the same `k`.
+    /// Per-shard serving knobs (`k`, micro-batch bound, seen-filtering).
+    /// The gateway's merge honors the same `k`.
     pub serve: ServeConfig,
     /// Global admission bound: [`Gateway::try_serve`] rejects calls
     /// carrying more requests than this ([`GatewayError::Overloaded`]).
@@ -190,10 +200,7 @@ impl Gateway {
             .into_iter()
             .map(|s| ReplicaSet::new(s.with_resilience(resilience), cfg.replicas, cfg.breaker))
             .collect();
-        let batcher = MicroBatcher::new(BatcherConfig {
-            max_batch: cfg.serve.max_batch,
-            max_seq: cfg.serve.max_seq,
-        });
+        let batcher = MicroBatcher::new(cfg.serve.max_batch);
         let shard_labels = (0..sets.len()).map(|s| format!("shard{s}")).collect();
         Gateway {
             encoder,
@@ -374,58 +381,20 @@ impl Gateway {
     /// order; per micro-batch the histories are encoded once and fanned
     /// out to the shards; responses come back in request order.
     pub fn serve(&self, requests: &[Request]) -> Vec<GatewayResponse> {
-        let mut responses = Vec::with_capacity(requests.len());
-        for (batch_index, group) in self.batcher.plan(requests.len()).into_iter().enumerate() {
-            // The plan covers 0..len by contract; the checked slice keeps
-            // a buggy plan from panicking mid-batch.
-            let Some(slice) = requests.get(group.clone()) else {
-                continue;
-            };
-            // Deterministic trace identity for this micro-batch — pure
-            // function of (first request id, batch index), so a replay
-            // harness predicts it without plumbing state through us.
-            let ctx = TraceContext::root(
-                slice.first().map(|r| r.id).unwrap_or(0),
-                batch_index as u64,
-            );
-            let span = self.telemetry.as_ref().map(|tel| {
-                tel.registry.counter("gateway.batches").inc();
-                tel.registry.counter("gateway.requests").add(slice.len() as u64);
-                tel.registry
-                    .gauge("gateway.queue_depth")
-                    .set((requests.len() - group.end) as f64);
-                tel.tracer.span_ctx("batch", "gateway", ctx)
-            });
+        GATEWAY.each_batch(&self.batcher, requests, self.telemetry.as_ref(), |slice, ctx| {
             let encoded = self.encoder.encode_requests(slice);
             let parts = self.fan_out(slice, &encoded.users, ctx);
-            responses.extend(self.merge_group(slice, parts, &encoded.invalid, ctx));
-            drop(span);
-        }
-        responses
+            self.merge_group(slice, parts, &encoded.invalid, ctx)
+        })
     }
 
     /// [`Gateway::serve`] behind global admission control: calls carrying
     /// more than [`GatewayConfig::max_queue_depth`] requests are rejected
     /// outright (typed, counted) instead of queuing unbounded work.
     pub fn try_serve(&self, requests: &[Request]) -> Result<Vec<GatewayResponse>, GatewayError> {
-        let limit = self.cfg.max_queue_depth;
-        if requests.len() > limit {
-            if let Some(tel) = &self.telemetry {
-                tel.registry.counter("gateway.rejected_overload").inc();
-                tel.flight.note(
-                    "overload",
-                    "gateway.admission",
-                    TraceContext::UNTRACED,
-                    u64::MAX,
-                    u64::MAX,
-                    tel.clock.now_ns(),
-                );
-                tel.flight.trigger("overload");
-            }
-            return Err(GatewayError::Overloaded {
-                depth: requests.len(),
-                limit,
-            });
+        let (depth, limit) = (requests.len(), self.cfg.max_queue_depth);
+        if !GATEWAY.admits(depth, limit, self.telemetry.as_ref()) {
+            return Err(GatewayError::Overloaded { depth, limit });
         }
         Ok(self.serve(requests))
     }

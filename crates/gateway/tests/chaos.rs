@@ -17,20 +17,21 @@
 //! Every shard uses [`wr_fault::NoSleep`]: no test ever sleeps, retry
 //! storms included.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{chaos_rates, digest_of, zipf_trace, MAX_SEQ, N_ITEMS};
+
 use wr_gateway::{Gateway, GatewayConfig, GatewayResponse};
-use wr_fault::{FaultPlan, FaultRates, NoSleep};
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
+use wr_fault::{FaultPlan, NoSleep};
 use wr_serve::{
-    merge_top_k, top1_digest, CatalogShard, MicroBatcher, QueryLog, ResilienceConfig,
+    merge_top_k, CatalogShard, MicroBatcher, QueryLog, ResilienceConfig,
     ScoredItem, ServeConfig, ShardCall,
 };
-use wr_tensor::{Rng64, Tensor};
+use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
 
-const N_ITEMS: usize = 157;
-const MAX_SEQ: usize = 10;
 const N_SHARDS: usize = 3;
 /// The shard the chaos plan poisons (the middle window).
 const VICTIM: usize = 1;
@@ -38,35 +39,11 @@ const VICTIM: usize = 1;
 const FAULT_SEED: u64 = 20240613;
 
 fn whitenrec_model(seed: u64) -> Box<dyn SeqRecModel> {
-    let mut table_rng = Rng64::seed_from(seed);
-    let raw = Tensor::randn(&[N_ITEMS, 24], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(seed);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 2,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
-        "whitenrec-gw-chaos",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+    common::whitenrec_model("whitenrec-gw-chaos", seed)
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        k: 10,
-        max_batch: 16,
-        max_seq: MAX_SEQ,
-        filter_seen: true,
-    }
+    common::serve_cfg(10, 16, MAX_SEQ)
 }
 
 fn gateway_cfg() -> GatewayConfig {
@@ -78,15 +55,6 @@ fn gateway_cfg() -> GatewayConfig {
 
 /// Rates dense enough that a ~200-query replay reliably hits transient
 /// panics, permanent panics, and score poisoning on the victim shard.
-fn chaos_rates() -> FaultRates {
-    FaultRates {
-        io_error: 0.0,
-        corrupt: 0.0,
-        poison: 0.25,
-        panic: 0.25,
-    }
-}
-
 fn clean_gateway() -> Gateway {
     Gateway::partitioned(whitenrec_model(19), N_SHARDS, gateway_cfg())
         .unwrap()
@@ -98,14 +66,6 @@ fn chaos_gateway(fault_seed: u64) -> Gateway {
         VICTIM,
         Arc::new(FaultPlan::with_rates(fault_seed, chaos_rates())),
     )
-}
-
-fn zipf_trace(n: usize) -> QueryLog {
-    QueryLog::synthetic_zipf(n, 3_000, N_ITEMS, MAX_SEQ + 3, 1.1, 97).unwrap()
-}
-
-fn digest_of(responses: &[GatewayResponse]) -> u64 {
-    top1_digest(responses.iter().map(|r| (r.id, r.items.first().map(|s| s.item))))
 }
 
 fn assert_bit_identical(a: &[GatewayResponse], b: &[GatewayResponse], what: &str) {

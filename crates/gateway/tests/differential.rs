@@ -14,47 +14,24 @@
 //! user-skewed generator, so hot users replay identical sessions through
 //! different micro-batches along the way.
 
+mod common;
+
+use common::{digest_of, zipf_trace, MAX_SEQ, N_ITEMS};
 use wr_gateway::{Gateway, GatewayConfig, GatewayError, GatewayResponse};
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
-use wr_serve::{top1_digest, QueryLog, Request, ServeConfig, ServeEngine};
-use wr_tensor::{Rng64, Tensor};
+use wr_serve::{
+    top1_digest, Request, ResilienceConfig, ServeConfig, ServeEngine, ServeError,
+};
 use wr_train::SeqRecModel;
 
-const N_ITEMS: usize = 157;
-const MAX_SEQ: usize = 10;
 const NLIST: usize = 4;
 const ANN_SEED: u64 = 51;
 
 fn whitenrec_model(seed: u64) -> Box<dyn SeqRecModel> {
-    let mut table_rng = Rng64::seed_from(seed);
-    let raw = Tensor::randn(&[N_ITEMS, 24], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(seed);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 2,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
-        "whitenrec-gw-diff",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+    common::whitenrec_model("whitenrec-gw-diff", seed)
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        k: 10,
-        max_batch: 32,
-        max_seq: MAX_SEQ,
-        filter_seen: true,
-    }
+    common::serve_cfg(10, 32, MAX_SEQ)
 }
 
 fn gateway(n_shards: usize, ivf: bool) -> Gateway {
@@ -77,13 +54,6 @@ fn gateway(n_shards: usize, ivf: bool) -> Gateway {
     }
 }
 
-fn zipf_trace(n: usize) -> QueryLog {
-    QueryLog::synthetic_zipf(n, 3_000, N_ITEMS, MAX_SEQ + 3, 1.1, 97).unwrap()
-}
-
-/// Bit-level equality of a gateway run against the single-engine
-/// reference: ids, items, and score bit patterns (an `==` on f32 would
-/// conflate -0.0/0.0 and reject NaN).
 fn assert_bit_identical(got: &[GatewayResponse], want: &[wr_serve::Response], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: response count");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -101,15 +71,6 @@ fn assert_bit_identical(got: &[GatewayResponse], want: &[wr_serve::Response], wh
     }
 }
 
-fn digest_of(responses: &[GatewayResponse]) -> u64 {
-    top1_digest(responses.iter().map(|r| (r.id, r.items.first().map(|s| s.item))))
-}
-
-/// THE acceptance gate: one 2048-query Zipf replay, served by the single
-/// engine once and then by gateways at shard counts {1, 2, 3, 8}, each at
-/// WR_THREADS 1 and 8, dense and IVF(nprobe = nlist). Every combination
-/// must reproduce the single-engine answers bit for bit, checksum
-/// included.
 #[test]
 fn sharded_is_bit_identical_to_single_engine_across_shards_threads_scorers() {
     let log = zipf_trace(2048);
@@ -275,6 +236,73 @@ fn gateway_telemetry_is_write_only_and_nonzero() {
     let events = tel.tracer.events();
     assert_eq!(events.iter().filter(|e| e.cat == "gateway").count(), 3);
     assert_eq!(events.iter().filter(|e| e.cat == "gateway.shard").count(), 9);
+}
+
+/// Admission control is one function under both front ends
+/// (`wr_serve::FrontEnd::admits`): the same over-limit call is refused by
+/// the engine and by the gateway with the same `depth` / `limit`, each
+/// counting one rejection and noting one `overload` flight event under
+/// its own names, and a call exactly at the limit is admitted and
+/// answered identically by both.
+#[test]
+fn both_front_ends_refuse_the_same_overload_and_admit_at_the_limit() {
+    const LIMIT: usize = 40; // two micro-batches of 32
+    let log = zipf_trace(LIMIT + 1);
+    let engine_tel = wr_obs::Telemetry::new();
+    let engine = ServeEngine::new(whitenrec_model(19), serve_cfg())
+        .with_resilience(ResilienceConfig {
+            max_queue_depth: LIMIT,
+            ..ResilienceConfig::default()
+        })
+        .with_telemetry(engine_tel.clone());
+    let gateway_tel = wr_obs::Telemetry::new();
+    let gw = Gateway::partitioned(
+        whitenrec_model(19),
+        3,
+        GatewayConfig {
+            serve: serve_cfg(),
+            max_queue_depth: LIMIT,
+            ..GatewayConfig::default()
+        },
+    )
+    .unwrap()
+    .with_telemetry(gateway_tel.clone());
+
+    match engine.try_serve(&log.queries) {
+        Err(ServeError::Overloaded { depth, limit }) => {
+            assert_eq!((depth, limit), (LIMIT + 1, LIMIT), "engine")
+        }
+        other => panic!("engine admitted {:?}", other.map(|r| r.len())),
+    }
+    match gw.try_serve(&log.queries) {
+        Err(GatewayError::Overloaded { depth, limit }) => {
+            assert_eq!((depth, limit), (LIMIT + 1, LIMIT), "gateway")
+        }
+        other => panic!("gateway admitted {:?}", other.map(|r| r.len())),
+    }
+
+    let at_limit = &log.queries[..LIMIT];
+    let want = engine.try_serve(at_limit).expect("a call at the limit fits");
+    let got = gw.try_serve(at_limit).expect("a call at the limit fits");
+    assert_bit_identical(&got, &want, "at-limit call");
+
+    // One rejection and one note each, from the refused call alone.
+    for (tel, counter, site) in [
+        (&engine_tel, "serve.rejected_overload", "serve.admission"),
+        (&gateway_tel, "gateway.rejected_overload", "gateway.admission"),
+    ] {
+        let snap = tel.registry.snapshot();
+        let rejected = snap.counters.iter().find(|(n, _)| n == counter).map(|(_, v)| *v);
+        assert_eq!(rejected, Some(1), "{counter}");
+        let notes: Vec<String> = tel
+            .flight
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == "overload")
+            .map(|e| e.site)
+            .collect();
+        assert_eq!(notes, [site], "{counter}: overload flight notes");
+    }
 }
 
 /// A gateway query with an all-seen window still answers exactly: the

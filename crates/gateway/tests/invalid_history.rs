@@ -6,8 +6,10 @@
 //! Before the seam existed the gateway encoded outside both containment
 //! loops, so one such id unwound out of the whole `Gateway::serve` call.
 
+mod common;
+
 use wr_gateway::{Gateway, GatewayConfig};
-use wr_models::{Gru4Rec, IdTower, LossKind, ModelConfig, SasRec};
+use wr_models::{Gru4Rec, ModelConfig};
 use wr_serve::{Request, ScoredItem, ServeConfig, ServeEngine};
 use wr_tensor::Rng64;
 use wr_train::SeqRecModel;
@@ -16,41 +18,21 @@ const N_ITEMS: usize = 45;
 const K: usize = 10;
 
 fn config() -> ModelConfig {
-    ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 2,
-        max_seq: 8,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    }
+    common::model_config(2, 8)
 }
 
 /// `frozen`: the SASRec chassis (served from the frozen encoder);
 /// otherwise GRU4Rec (no frozen form — the taped arm of the same seam).
 fn model(frozen: bool) -> Box<dyn SeqRecModel> {
-    let mut rng = Rng64::seed_from(23);
     if frozen {
-        let tower = IdTower::new(N_ITEMS, config().dim, &mut rng);
-        Box::new(SasRec::new(
-            "sasrec",
-            Box::new(tower),
-            LossKind::Softmax,
-            config(),
-            &mut rng,
-        ))
+        common::id_model("sasrec", N_ITEMS, config(), 23)
     } else {
-        Box::new(Gru4Rec::new(N_ITEMS, config(), &mut rng))
+        Box::new(Gru4Rec::new(N_ITEMS, config(), &mut Rng64::seed_from(23)))
     }
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        k: K,
-        max_batch: 4,
-        max_seq: config().max_seq,
-        filter_seen: true,
-    }
+    common::serve_cfg(K, 4, config().max_seq)
 }
 
 fn gateway(frozen: bool, shards: usize, replicas: usize) -> Gateway {

@@ -12,15 +12,16 @@
 //! quarantine — and checks the merge against a full-sort reference over
 //! the union of offered candidates, item ids and score bits both.
 
+mod common;
+
 use std::sync::Arc;
 
 use wr_fault::{FaultPlan, FaultRates};
 use wr_gateway::ShardPlan;
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_serve::{
     merge_top_k, CatalogShard, MicroBatcher, QueryLog, ScoredItem, ServeConfig, ShardCall,
 };
-use wr_tensor::{Rng64, Tensor};
+use wr_tensor::Rng64;
 use wr_train::SeqRecModel;
 
 /// The reference: sort every offered candidate under the shared policy,
@@ -169,35 +170,12 @@ const RS_K: usize = 10;
 const RS_VICTIM: usize = 1;
 
 fn rs_model() -> Box<dyn SeqRecModel> {
-    let mut table_rng = Rng64::seed_from(23);
-    let raw = Tensor::randn(&[RS_ITEMS, 20], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(23);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 1,
-        max_seq: RS_MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
-        "whitenrec-merge-prop",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+    let config = common::model_config(1, RS_MAX_SEQ);
+    common::whitenrec_model_of("whitenrec-merge-prop", RS_ITEMS, 20, config, 23)
 }
 
 fn rs_serve_cfg() -> ServeConfig {
-    ServeConfig {
-        k: RS_K,
-        max_batch: 16,
-        max_seq: RS_MAX_SEQ,
-        filter_seen: true,
-    }
+    common::serve_cfg(RS_K, 16, RS_MAX_SEQ)
 }
 
 /// Primaries for every window (the victim rearmed so its window holds

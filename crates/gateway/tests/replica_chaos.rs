@@ -25,18 +25,18 @@
 //! All engines use [`wr_fault::NoSleep`] and all clocks are
 //! [`wr_obs::MockClock`]: no test ever sleeps or reads wall time.
 
+mod common;
+
 use std::sync::Arc;
+
+use common::{digest_of, zipf_trace, MAX_SEQ};
 
 use wr_fault::{KillAfter, NoSleep};
 use wr_gateway::{Gateway, GatewayConfig, GatewayResponse};
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_obs::{MockClock, Telemetry};
-use wr_serve::{top1_digest, QueryLog, ServeConfig, ServeEngine};
-use wr_tensor::{Rng64, Tensor};
+use wr_serve::{top1_digest, ServeConfig, ServeEngine};
 use wr_train::SeqRecModel;
 
-const N_ITEMS: usize = 157;
-const MAX_SEQ: usize = 10;
 const N_SHARDS: usize = 3;
 const N_REPLICAS: usize = 2;
 /// The replica of every set that the chaos arm kills.
@@ -46,35 +46,11 @@ const VICTIM_REPLICA: usize = 1;
 const KILL_FROM: u64 = 600;
 
 fn whitenrec_model(seed: u64) -> Box<dyn SeqRecModel> {
-    let mut table_rng = Rng64::seed_from(seed);
-    let raw = Tensor::randn(&[N_ITEMS, 24], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(seed);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 2,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
-        "whitenrec-gw-replica",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+    common::whitenrec_model("whitenrec-gw-replica", seed)
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        k: 10,
-        max_batch: 32,
-        max_seq: MAX_SEQ,
-        filter_seen: true,
-    }
+    common::serve_cfg(10, 32, MAX_SEQ)
 }
 
 fn gateway_cfg() -> GatewayConfig {
@@ -102,14 +78,6 @@ fn chaos_gateway() -> (Gateway, Telemetry) {
         );
     }
     (gw, tel)
-}
-
-fn zipf_trace(n: usize) -> QueryLog {
-    QueryLog::synthetic_zipf(n, 3_000, N_ITEMS, MAX_SEQ + 3, 1.1, 97).unwrap()
-}
-
-fn digest_of(responses: &[GatewayResponse]) -> u64 {
-    top1_digest(responses.iter().map(|r| (r.id, r.items.first().map(|s| s.item))))
 }
 
 fn counter(tel: &Telemetry, name: &str) -> u64 {

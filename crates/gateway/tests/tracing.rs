@@ -7,14 +7,16 @@
 //! determinism is asserted) a frozen [`wr_obs::MockClock`], so no test
 //! ever sleeps or depends on wall time.
 
+mod common;
+
 use std::sync::Arc;
 
-use wr_fault::{FaultPlan, FaultRates, NoSleep};
+use common::chaos_rates;
+
+use wr_fault::{FaultPlan, NoSleep};
 use wr_gateway::{Gateway, GatewayConfig};
-use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
 use wr_obs::{read_dump, MockClock, Telemetry, TraceContext};
-use wr_serve::{QueryLog, Request, ServeConfig};
-use wr_tensor::Rng64;
+use wr_serve::{QueryLog, Request};
 use wr_train::SeqRecModel;
 
 const N_ITEMS: usize = 60;
@@ -24,32 +26,12 @@ const VICTIM: usize = 1;
 const FAULT_SEED: u64 = 20240613;
 
 fn model() -> Box<dyn SeqRecModel> {
-    let mut rng = Rng64::seed_from(33);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 1,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    Box::new(SasRec::new(
-        "gw-tracing",
-        Box::new(IdTower::new(N_ITEMS, config.dim, &mut rng)),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+    common::id_model("gw-tracing", N_ITEMS, common::model_config(1, MAX_SEQ), 33)
 }
 
 fn cfg() -> GatewayConfig {
     GatewayConfig {
-        serve: ServeConfig {
-            k: 5,
-            max_batch: 4,
-            max_seq: MAX_SEQ,
-            filter_seen: true,
-        },
+        serve: common::serve_cfg(5, 4, MAX_SEQ),
         ..GatewayConfig::default()
     }
 }
@@ -61,15 +43,6 @@ fn reqs(n: usize) -> Vec<Request> {
             history: vec![(i % 7) + 1, (i % 5) + 2],
         })
         .collect()
-}
-
-fn chaos_rates() -> FaultRates {
-    FaultRates {
-        io_error: 0.0,
-        corrupt: 0.0,
-        poison: 0.25,
-        panic: 0.25,
-    }
 }
 
 fn chaos_gateway(tel: &Telemetry) -> Gateway {

@@ -1,4 +1,4 @@
-//! Cholesky factorization and triangular solves.
+//! Cholesky factorization and the forward triangular solve.
 
 use crate::{LinalgError, Result};
 use wr_tensor::Tensor;
@@ -62,25 +62,6 @@ pub fn solve_lower_triangular(l: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(x.into_iter().map(|v| v as f32).collect(), &[n, m])
 }
 
-/// Solve `U X = B` for upper-triangular `U` (back substitution).
-pub fn solve_upper_triangular(u: &Tensor, b: &Tensor) -> Tensor {
-    assert!(u.rank() == 2 && u.rows() == u.cols(), "U must be square");
-    assert_eq!(u.rows(), b.rows(), "dimension mismatch in backward solve");
-    let n = u.rows();
-    let m = b.cols();
-    let mut x = vec![0.0f64; n * m];
-    for col in 0..m {
-        for i in (0..n).rev() {
-            let mut sum = b.at2(i, col) as f64;
-            for k in (i + 1)..n {
-                sum -= u.at2(i, k) as f64 * x[k * m + col];
-            }
-            x[i * m + col] = sum / u.at2(i, i) as f64;
-        }
-    }
-    Tensor::from_vec(x.into_iter().map(|v| v as f32).collect(), &[n, m])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn triangular_solves_invert() {
-        let a = spd(8, 4);
-        let l = cholesky(&a).unwrap();
+    fn forward_solve_inverts() {
+        let l = cholesky(&spd(8, 4)).unwrap();
         let b = spd(8, 5); // arbitrary right-hand sides
-        // Solve A X = B via L L^T X = B.
         let y = solve_lower_triangular(&l, &b);
-        let x = solve_upper_triangular(&l.transpose(), &y);
-        let err = a.matmul(&x).sub(&b).frob_norm() / b.frob_norm();
+        let err = l.matmul(&y).sub(&b).frob_norm() / b.frob_norm();
         assert!(err < 1e-3, "solve error {err}");
     }
 

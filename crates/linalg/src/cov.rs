@@ -47,27 +47,6 @@ pub fn condition_number(a: &Tensor, floor: f32) -> Result<f32> {
     Ok(lmax / lmin)
 }
 
-/// Effective rank: `exp(H(p))` where `p` is the eigenvalue distribution.
-///
-/// A fully whitened `d × d` covariance has effective rank ≈ `d`; an
-/// anisotropic one collapses toward 1.
-pub fn effective_rank(a: &Tensor) -> Result<f32> {
-    let values = sym_eigvals(a)?;
-    let positive: Vec<f32> = values.iter().cloned().filter(|&l| l > 0.0).collect();
-    let total: f32 = positive.iter().sum();
-    if total <= 0.0 {
-        return Ok(0.0);
-    }
-    let entropy: f32 = positive
-        .iter()
-        .map(|&l| {
-            let p = l / total;
-            -p * p.ln()
-        })
-        .sum();
-    Ok(entropy.exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,18 +84,6 @@ mod tests {
         let k = condition_number(&a, 1e-12).unwrap();
         assert!((k - 4.0).abs() < 1e-4);
         assert!((condition_number(&Tensor::eye(5), 1e-12).unwrap() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn effective_rank_extremes() {
-        // isotropic: effective rank = d
-        let er = effective_rank(&Tensor::eye(6)).unwrap();
-        assert!((er - 6.0).abs() < 1e-3);
-        // rank-1: effective rank = 1
-        let mut a = Tensor::zeros(&[6, 6]);
-        *a.at2_mut(0, 0) = 10.0;
-        let er1 = effective_rank(&a).unwrap();
-        assert!((er1 - 1.0).abs() < 1e-3);
     }
 
     #[test]

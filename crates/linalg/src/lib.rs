@@ -13,20 +13,18 @@
 //! * [`pinv`] — Moore–Penrose pseudoinverse.
 //!
 //! Plus the statistics the paper's analysis needs: [`covariance`],
-//! [`condition_number`], [`effective_rank`].
+//! [`condition_number`].
 
 mod cholesky;
 mod cov;
 mod jacobi;
 mod pinv;
-mod power;
 mod svd;
 
-pub use cholesky::{cholesky, solve_lower_triangular, solve_upper_triangular};
-pub use cov::{condition_number, covariance, covariance_of_rows, effective_rank};
+pub use cholesky::{cholesky, solve_lower_triangular};
+pub use cov::{condition_number, covariance, covariance_of_rows};
 pub use jacobi::{sym_eig, sym_eigvals, SymEig};
 pub use pinv::pinv;
-pub use power::top_singular_values;
 pub use svd::{singular_values, svd_thin, Svd};
 
 /// Numerical failure modes for the decompositions.

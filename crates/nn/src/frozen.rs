@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use wr_tensor::{allowed_keys, gelu_scalar, gemm, AttentionRule, HeadKv, Tensor};
+use wr_tensor::{allowed_keys, gelu_scalar, gemm, layer_norm_row, AttentionRule, HeadKv, Tensor};
 
 fn all_finite(values: &[f32]) -> bool {
     values.iter().all(|v| v.is_finite())
@@ -117,18 +117,11 @@ impl FrozenLayerNorm {
         all_finite(&self.gamma) && all_finite(&self.beta)
     }
 
-    /// The arithmetic of `Graph::layer_norm_rows`, row by row.
+    /// [`wr_tensor::layer_norm_row`] — the row `Graph::layer_norm_rows`
+    /// runs — over every row of `x`.
     fn apply(&self, x: &mut [f32]) {
-        let cols = self.gamma.len();
-        for row in x.chunks_exact_mut(cols) {
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let is = 1.0 / (var + self.eps).sqrt();
-            for ((v, g), b) in row.iter_mut().zip(&self.gamma).zip(&self.beta) {
-                let xhat = (*v - mean) * is;
-                *v = xhat * g;
-                *v += b;
-            }
+        for row in x.chunks_exact_mut(self.gamma.len()) {
+            layer_norm_row(row, &self.gamma, &self.beta, self.eps);
         }
     }
 }

@@ -111,16 +111,12 @@ impl DeadlineBudget {
         DeadlineBudget { start_ns, budget_ns }
     }
 
-    /// No deadline: `expired` is always false, `remaining_ns` is `u64::MAX`.
+    /// No deadline: `expired` is always false.
     pub fn unlimited() -> Self {
         DeadlineBudget {
             start_ns: 0,
             budget_ns: 0,
         }
-    }
-
-    pub fn is_unlimited(&self) -> bool {
-        self.budget_ns == 0
     }
 
     /// Nanoseconds spent since `start_ns` at clock reading `now_ns`
@@ -132,15 +128,6 @@ impl DeadlineBudget {
     /// Whether the budget is spent at clock reading `now_ns`.
     pub fn expired(&self, now_ns: u64) -> bool {
         self.budget_ns != 0 && self.elapsed_ns(now_ns) >= self.budget_ns
-    }
-
-    /// Nanoseconds left at clock reading `now_ns`; `u64::MAX` when
-    /// unlimited, `0` when expired.
-    pub fn remaining_ns(&self, now_ns: u64) -> u64 {
-        if self.budget_ns == 0 {
-            return u64::MAX;
-        }
-        self.budget_ns.saturating_sub(self.elapsed_ns(now_ns))
     }
 }
 
@@ -179,21 +166,16 @@ mod tests {
         let clock = MockClock::new();
         let budget = DeadlineBudget::started_at(clock.now_ns(), 1_000);
         assert!(!budget.expired(clock.now_ns()));
-        assert_eq!(budget.remaining_ns(clock.now_ns()), 1_000);
         clock.advance(400);
         assert_eq!(budget.elapsed_ns(clock.now_ns()), 400);
-        assert_eq!(budget.remaining_ns(clock.now_ns()), 600);
         clock.advance(600);
         assert!(budget.expired(clock.now_ns()));
-        assert_eq!(budget.remaining_ns(clock.now_ns()), 0);
     }
 
     #[test]
     fn unlimited_budget_never_expires() {
         let budget = DeadlineBudget::unlimited();
-        assert!(budget.is_unlimited());
         assert!(!budget.expired(u64::MAX));
-        assert_eq!(budget.remaining_ns(u64::MAX), u64::MAX);
         // A clock reading before start_ns saturates to zero elapsed.
         let late_start = DeadlineBudget::started_at(500, 100);
         assert_eq!(late_start.elapsed_ns(10), 0);

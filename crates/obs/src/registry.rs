@@ -453,21 +453,6 @@ impl Registry {
         }
     }
 
-    /// Adopt an externally owned histogram under `name` (e.g. the runtime
-    /// pool's job timers live in the pool and are adopted into whichever
-    /// registry snapshots them). First registration wins; re-adopting the
-    /// same instance is a no-op. Kind collisions leave the registry
-    /// untouched and hand back the caller's own instance.
-    pub fn adopt_histogram(&self, name: &str, h: &Arc<Histogram>) -> Arc<Histogram> {
-        match self.entry(name, || Entry::Histogram(h.clone())) {
-            Entry::Histogram(existing) => existing,
-            _ => {
-                self.note_kind_collision();
-                h.clone()
-            }
-        }
-    }
-
     /// Count a metric registered under one kind and requested as another.
     /// The counter makes the misuse visible in every snapshot without
     /// making registration fallible on the hot path.
@@ -721,7 +706,8 @@ mod tests {
 
     #[test]
     fn exemplars_retain_last_k_per_bucket_and_survive_snapshots() {
-        let h = Histogram::new(&[1.0, 10.0]);
+        let reg = Registry::new();
+        let h = reg.histogram("lat", &[1.0, 10.0]);
         // Six exemplars into the middle bucket: only the last 4 survive.
         for id in 1..=6u64 {
             h.observe_exemplar(5.0, id);
@@ -739,8 +725,6 @@ mod tests {
         let s2 = h.snapshot();
         assert_eq!(s1.exemplars, s2.exemplars);
         // And the ids appear as hex strings in the JSON export.
-        let reg = Registry::new();
-        reg.adopt_histogram("lat", &Arc::new(h));
         let json = reg.to_json();
         assert!(json.contains("\"exemplars\":[["), "{json}");
         assert!(json.contains(&format!("\"{:016x}\"", 77)), "{json}");

@@ -63,11 +63,6 @@ impl TraceContext {
         span_id: 0,
     };
 
-    /// Whether this context carries a minted identity.
-    pub fn is_traced(&self) -> bool {
-        self.trace_id != 0
-    }
-
     /// Mint the root context for a micro-batch: derived from the id of
     /// the batch's first request and the batch's index within the call.
     /// Deterministic — a replay harness computes the same ids without

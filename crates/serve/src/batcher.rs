@@ -1,48 +1,18 @@
-//! Request micro-batching: variable-length histories → fixed-shape batches.
+//! Request micro-batching: the grouping of a call's requests, the one loop
+//! that walks the groups, and the one admission check in front of it.
 
 use std::ops::Range;
 
-use wr_data::{Batch, PAD_ITEM};
+use crate::Request;
+use wr_data::PAD_ITEM;
+use wr_obs::{Telemetry, TraceContext};
 
-/// Knobs for the micro-batcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatcherConfig {
-    /// Maximum rows per packed batch.
-    pub max_batch: usize,
-    /// Fixed sequence length every history is padded/truncated to (must
-    /// match the served model's `max_seq`, or positions will disagree with
-    /// the training-time layout).
-    pub max_seq: usize,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig {
-            max_batch: 64,
-            max_seq: 20,
-        }
-    }
-}
-
-/// One packed batch: the padded [`Batch`] plus the request rows it covers.
-#[derive(Debug, Clone)]
-pub struct MicroBatch {
-    /// Fixed-shape inference batch (`[len, max_seq]`, left-padded).
-    pub batch: Batch,
-    /// Range of request indices (in arrival order) this batch covers.
-    pub requests: Range<usize>,
-}
-
-/// Packs request histories into bounded, fixed-shape inference batches.
-///
-/// Requests are grouped *in arrival order* — no reordering, no
-/// length-bucketing — so responses can be stitched back positionally and
-/// results are independent of queue timing. Each group is at most
-/// `max_batch` rows; within a group, histories are left-padded to
-/// `max_seq` with [`PAD_ITEM`] and truncated to their most recent
-/// `max_seq` items, exactly as [`Batch::inference`] does for the offline
-/// evaluation path (pad positions are excluded from attention by the
-/// length masks the models build from `Batch::lengths`).
+/// Splits a call's requests into bounded groups, *in arrival order* — no
+/// reordering, no length-bucketing — so responses can be stitched back
+/// positionally and results are independent of queue timing. Each group
+/// is at most `max_batch` rows. Padding and truncation to the served
+/// model's `max_seq` happen in the encode (`wr_train::ModelSnapshot::users`
+/// behind [`crate::HistoryEncoder`]), not here.
 ///
 /// Empty histories (brand-new sessions) are mapped to the single-item
 /// context `[PAD_ITEM]`: the pad embedding is the model's "no signal"
@@ -50,21 +20,16 @@ pub struct MicroBatch {
 /// a panic.
 #[derive(Debug, Clone, Copy)]
 pub struct MicroBatcher {
-    cfg: BatcherConfig,
+    max_batch: usize,
 }
 
 /// The fallback context for an empty history.
 const EMPTY_HISTORY: [usize; 1] = [PAD_ITEM];
 
 impl MicroBatcher {
-    pub fn new(cfg: BatcherConfig) -> Self {
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        assert!(cfg.max_seq >= 1, "max_seq must be at least 1");
-        MicroBatcher { cfg }
-    }
-
-    pub fn config(&self) -> BatcherConfig {
-        self.cfg
+    pub fn new(max_batch: usize) -> Self {
+        assert!(max_batch >= 1, "max_batch must be at least 1");
+        MicroBatcher { max_batch }
     }
 
     /// Substitute the pad-token context for empty histories.
@@ -79,34 +44,100 @@ impl MicroBatcher {
     /// Split `n` requests (by index, arrival order) into batch-sized ranges.
     ///
     /// The decomposition depends only on `n` and `max_batch` — never on
-    /// thread count or history contents — so a replay packs identically
+    /// thread count or history contents — so a replay groups identically
     /// every time.
-    pub fn plan(&self, n: usize) -> Vec<Range<usize>> {
-        let mut groups = Vec::with_capacity(n.div_ceil(self.cfg.max_batch.max(1)));
+    fn plan(&self, n: usize) -> Vec<Range<usize>> {
+        let mut groups = Vec::with_capacity(n.div_ceil(self.max_batch));
         let mut start = 0;
         while start < n {
-            let end = (start + self.cfg.max_batch).min(n);
+            let end = (start + self.max_batch).min(n);
             groups.push(start..end);
             start = end;
         }
         groups
     }
+}
 
-    /// Pack histories into padded fixed-shape batches.
-    pub fn pack(&self, histories: &[&[usize]]) -> Vec<MicroBatch> {
-        self.plan(histories.len())
-            .into_iter()
-            .map(|range| {
-                let contexts: Vec<&[usize]> = histories[range.clone()]
-                    .iter()
-                    .map(|h| Self::sanitize(h))
-                    .collect();
-                MicroBatch {
-                    batch: Batch::inference(&contexts, self.cfg.max_seq),
-                    requests: range,
-                }
-            })
-            .collect()
+/// The names one front end — the engine, the gateway — reports its
+/// micro-batches and its refused calls under. Literals, so that a metric
+/// name in a dashboard or in `scripts/check.sh` is found by grep, and so
+/// that the serve path formats no string.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontEnd {
+    /// Category of the per-micro-batch `batch` span.
+    pub category: &'static str,
+    /// Counter: micro-batches run.
+    pub batches: &'static str,
+    /// Counter: requests those micro-batches carried.
+    pub requests: &'static str,
+    /// Gauge: requests of the call still waiting behind the current batch.
+    pub queue_depth: &'static str,
+    /// Counter: calls refused by [`FrontEnd::admits`].
+    pub rejected_overload: &'static str,
+    /// Flight-recorder site of the refusal note.
+    pub admission: &'static str,
+}
+
+impl FrontEnd {
+    /// The micro-batch loop: `requests` in `batcher`'s groups, each handed
+    /// to `per_batch` with its trace identity inside a `batch` span, the
+    /// answers concatenated in request order.
+    pub fn each_batch<A>(
+        &self,
+        batcher: &MicroBatcher,
+        requests: &[Request],
+        telemetry: Option<&Telemetry>,
+        mut per_batch: impl FnMut(&[Request], TraceContext) -> Vec<A>,
+    ) -> Vec<A> {
+        let mut answers = Vec::with_capacity(requests.len());
+        for (batch_index, group) in batcher.plan(requests.len()).into_iter().enumerate() {
+            // The plan covers 0..len by contract; the checked slice keeps
+            // a buggy plan from panicking mid-batch.
+            let Some(slice) = requests.get(group.clone()) else {
+                continue;
+            };
+            // Deterministic trace identity for this micro-batch — pure
+            // function of (first request id, batch index), so a replay
+            // harness predicts it without plumbing state through us.
+            let ctx = TraceContext::root(
+                slice.first().map(|r| r.id).unwrap_or(0),
+                batch_index as u64,
+            );
+            let span = telemetry.map(|tel| {
+                tel.registry.counter(self.batches).inc();
+                tel.registry.counter(self.requests).add(slice.len() as u64);
+                tel.registry
+                    .gauge(self.queue_depth)
+                    .set((requests.len() - group.end) as f64);
+                tel.tracer.span_ctx("batch", self.category, ctx)
+            });
+            answers.extend(per_batch(slice, ctx));
+            drop(span);
+        }
+        answers
+    }
+
+    /// Admission control: whether a call carrying `depth` requests fits
+    /// under `limit`. A refusal is counted, noted in the flight recorder
+    /// and raised as its `overload` trigger; the caller owes its typed
+    /// error and scores nothing.
+    pub fn admits(&self, depth: usize, limit: usize, telemetry: Option<&Telemetry>) -> bool {
+        if depth <= limit {
+            return true;
+        }
+        if let Some(tel) = telemetry {
+            tel.registry.counter(self.rejected_overload).inc();
+            tel.flight.note(
+                "overload",
+                self.admission,
+                TraceContext::UNTRACED,
+                u64::MAX,
+                u64::MAX,
+                tel.clock.now_ns(),
+            );
+            tel.flight.trigger("overload");
+        }
+        false
     }
 }
 
@@ -114,13 +145,9 @@ impl MicroBatcher {
 mod tests {
     use super::*;
 
-    fn batcher(max_batch: usize, max_seq: usize) -> MicroBatcher {
-        MicroBatcher::new(BatcherConfig { max_batch, max_seq })
-    }
-
     #[test]
     fn plan_covers_all_requests_in_order() {
-        let b = batcher(4, 8);
+        let b = MicroBatcher::new(4);
         assert_eq!(b.plan(0), Vec::<std::ops::Range<usize>>::new());
         assert_eq!(b.plan(3), vec![0..3]);
         assert_eq!(b.plan(4), vec![0..4]);
@@ -128,39 +155,14 @@ mod tests {
     }
 
     #[test]
-    fn pack_produces_fixed_shape_left_padded_batches() {
-        let b = batcher(2, 4);
-        let h1: &[usize] = &[5, 6];
-        let h2: &[usize] = &[1, 2, 3, 4, 5, 6, 7]; // truncated to last 4
-        let h3: &[usize] = &[9];
-        let packed = b.pack(&[h1, h2, h3]);
-        assert_eq!(packed.len(), 2);
-        let first = &packed[0];
-        assert_eq!(first.requests, 0..2);
-        assert_eq!(first.batch.seq, 4);
-        assert_eq!(&first.batch.items[0..4], &[PAD_ITEM, PAD_ITEM, 5, 6]);
-        assert_eq!(&first.batch.items[4..8], &[4, 5, 6, 7]);
-        assert_eq!(first.batch.lengths, vec![2, 4]);
-        let second = &packed[1];
-        assert_eq!(second.requests, 2..3);
-        assert_eq!(&second.batch.items[0..4], &[PAD_ITEM, PAD_ITEM, PAD_ITEM, 9]);
-        // Inference batches never carry training targets.
-        assert!(first.batch.targets.is_empty());
-    }
-
-    #[test]
     fn empty_history_becomes_pad_context() {
-        let b = batcher(8, 3);
-        let empty: &[usize] = &[];
-        let packed = b.pack(&[empty]);
-        assert_eq!(packed.len(), 1);
-        assert_eq!(&packed[0].batch.items[..], &[PAD_ITEM, PAD_ITEM, PAD_ITEM]);
-        assert_eq!(packed[0].batch.lengths, vec![1]);
+        assert_eq!(MicroBatcher::sanitize(&[]), &[PAD_ITEM]);
+        assert_eq!(MicroBatcher::sanitize(&[3, 1]), &[3, 1]);
     }
 
     #[test]
     fn plan_is_independent_of_thread_count() {
-        let b = batcher(3, 4);
+        let b = MicroBatcher::new(3);
         wr_runtime::set_threads(1);
         let p1 = b.plan(11);
         wr_runtime::set_threads(8);
@@ -172,9 +174,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_batch")]
     fn zero_max_batch_rejected() {
-        MicroBatcher::new(BatcherConfig {
-            max_batch: 0,
-            max_seq: 4,
-        });
+        MicroBatcher::new(0);
     }
 }

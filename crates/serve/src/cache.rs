@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use wr_tensor::Tensor;
 use wr_train::ModelSnapshot;
-use wr_whiten::{GroupWhitening, WhiteningMethod};
 
 /// The frozen item matrix a serving process scores against, stored once.
 ///
@@ -48,16 +47,6 @@ impl EmbeddingCache {
             items: snapshot.items().clone(),
             items_t: snapshot.items_t().clone(),
         }
-    }
-
-    /// Build the paper's frozen whitened table directly from raw text
-    /// embeddings: relaxed group whitening with `groups` groups (`groups =
-    /// 1` is full ZCA, Eq. 4–6). This is the table a WhitenRec tower is
-    /// constructed around; callers that serve a full model should prefer
-    /// [`EmbeddingCache::of_snapshot`], which also includes the projection.
-    pub fn whitened(raw: &Tensor, groups: usize, eps: f32) -> Self {
-        let gw = GroupWhitening::fit(raw, groups, WhiteningMethod::Zca, eps);
-        EmbeddingCache::new(gw.apply(raw))
     }
 
     /// The item matrix `V: [n_items, d]`.
@@ -123,25 +112,6 @@ mod tests {
             }
         }
         assert_eq!(cache.items().data(), v.data());
-    }
-
-    #[test]
-    fn whitened_table_is_white() {
-        let mut rng = Rng64::seed_from(3);
-        let mixer = Tensor::randn(&[8, 8], &mut rng);
-        let raw = Tensor::randn(&[400, 8], &mut rng).matmul(&mixer);
-        let cache = EmbeddingCache::whitened(&raw, 1, 1e-6);
-        let cov = wr_linalg::covariance_of_rows(cache.items(), 0.0);
-        for i in 0..8 {
-            for j in 0..8 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!(
-                    (cov.at2(i, j) - expect).abs() < 0.1,
-                    "cov[{i}][{j}] = {}",
-                    cov.at2(i, j)
-                );
-            }
-        }
     }
 
     #[test]

@@ -13,12 +13,22 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::{BatcherConfig, CatalogShard, HistoryEncoder, MicroBatcher, ScoredItem};
+use crate::{CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, ScoredItem};
 use wr_ann::IvfIndex;
 use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
 use wr_nn::{load_params, restore_params, CheckpointError};
 use wr_obs::{Telemetry, TraceContext};
 use wr_train::SeqRecModel;
+
+/// What the engine reports its micro-batches and refused calls under.
+const ENGINE: FrontEnd = FrontEnd {
+    category: "serve",
+    batches: "serve.batches",
+    requests: "serve.requests",
+    queue_depth: "serve.queue_depth",
+    rejected_overload: "serve.rejected_overload",
+    admission: "serve.admission",
+};
 
 /// One top-k query: an opaque request id plus the user's session history
 /// (most recent item last, the convention of `wr_data`).
@@ -42,7 +52,11 @@ pub struct ServeConfig {
     pub k: usize,
     /// Micro-batch row bound.
     pub max_batch: usize,
-    /// Padded sequence length (must equal the model's training `max_seq`).
+    /// Read by nothing: histories are padded and truncated to the served
+    /// snapshot's own length (`wr_nn::FrozenEncoder::max_seq`, or the
+    /// model's config on the taped arm), whatever this says. Kept because
+    /// `bench/ledger` builds `ServeConfig` by literal; the next benchmark
+    /// PR drops it (ROADMAP item 3).
     pub max_seq: usize,
     /// Exclude items already in the user's history from the candidates
     /// (the RecBole convention the offline eval uses).
@@ -194,10 +208,7 @@ impl ServeEngine {
         let encoder = HistoryEncoder::new(model);
         let cache = crate::EmbeddingCache::of_snapshot(encoder.model_snapshot());
         let shard = CatalogShard::from_cache(cache, &cfg);
-        let batcher = MicroBatcher::new(BatcherConfig {
-            max_batch: cfg.max_batch,
-            max_seq: cfg.max_seq,
-        });
+        let batcher = MicroBatcher::new(cfg.max_batch);
         ServeEngine {
             encoder,
             shard,
@@ -319,35 +330,15 @@ impl ServeEngine {
     /// history names an item outside the catalogue is answered with an
     /// empty list without disturbing its batch.
     pub fn serve(&self, requests: &[Request]) -> Vec<Response> {
-        let mut responses = Vec::with_capacity(requests.len());
-        for (batch_index, group) in self.batcher.plan(requests.len()).into_iter().enumerate() {
-            // The batcher's plan covers 0..len by contract; the checked
-            // slice keeps a buggy plan from panicking mid-batch.
-            let Some(slice) = requests.get(group.clone()) else {
-                continue;
-            };
-            // Deterministic trace identity for this micro-batch — pure
-            // function of (first request id, batch index), so a replay
-            // harness predicts it without plumbing state through us.
-            let ctx = TraceContext::root(
-                slice.first().map(|r| r.id).unwrap_or(0),
-                batch_index as u64,
-            );
-            let span = self.telemetry.as_ref().map(|tel| {
-                tel.registry.counter("serve.batches").inc();
-                tel.registry.counter("serve.requests").add(slice.len() as u64);
+        let telemetry = self.telemetry.as_ref();
+        ENGINE.each_batch(&self.batcher, requests, telemetry, |slice, ctx| {
+            if let Some(tel) = telemetry {
                 tel.registry
                     .counter("serve.cache_scored_rows")
                     .add(slice.len() as u64);
-                tel.registry
-                    .gauge("serve.queue_depth")
-                    .set((requests.len() - group.end) as f64);
-                tel.tracer.span_ctx("batch", "serve", ctx)
-            });
-            responses.extend(self.serve_group_with_recovery(slice, ctx));
-            drop(span);
-        }
-        responses
+            }
+            self.serve_group_with_recovery(slice, ctx)
+        })
     }
 
     /// [`ServeEngine::serve`] behind admission control: calls carrying
@@ -355,24 +346,9 @@ impl ServeEngine {
     /// rejected outright (typed, counted) instead of queuing unbounded
     /// work behind the micro-batcher.
     pub fn try_serve(&self, requests: &[Request]) -> Result<Vec<Response>, ServeError> {
-        let limit = self.shard.resilience().max_queue_depth;
-        if requests.len() > limit {
-            if let Some(tel) = &self.telemetry {
-                tel.registry.counter("serve.rejected_overload").inc();
-                tel.flight.note(
-                    "overload",
-                    "serve.admission",
-                    TraceContext::UNTRACED,
-                    u64::MAX,
-                    u64::MAX,
-                    tel.clock.now_ns(),
-                );
-                tel.flight.trigger("overload");
-            }
-            return Err(ServeError::Overloaded {
-                depth: requests.len(),
-                limit,
-            });
+        let (depth, limit) = (requests.len(), self.shard.resilience().max_queue_depth);
+        if !ENGINE.admits(depth, limit, self.telemetry.as_ref()) {
+            return Err(ServeError::Overloaded { depth, limit });
         }
         Ok(self.serve(requests))
     }

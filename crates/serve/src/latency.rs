@@ -118,9 +118,9 @@ impl Replay for ServeEngine {
 /// histogram carries the same data at bucket resolution for snapshot
 /// export). Pass `&Telemetry::new()` when nobody reads the telemetry.
 ///
-/// The log is split into groups of the target's `max_batch` (the same
-/// grouping [`crate::MicroBatcher::plan`] produces), so each timed call
-/// dispatches exactly one packed batch.
+/// The log is split into groups of the target's `max_batch` — the
+/// grouping [`crate::MicroBatcher`] would make of the whole log — so each
+/// timed call runs exactly one micro-batch.
 pub fn replay<T: Replay>(
     target: &T,
     log: &QueryLog,

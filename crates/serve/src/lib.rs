@@ -6,9 +6,13 @@
 //! into a subsystem that answers top-k next-item queries for batches of
 //! live user histories:
 //!
-//! * [`MicroBatcher`] packs variable-length session histories into
-//!   fixed-shape batches (left padding + length masking, the exact
-//!   `wr_data::Batch` conventions the models were trained with);
+//! * [`MicroBatcher`] groups a call's requests, in arrival order, into
+//!   micro-batches of at most `max_batch` rows, and [`FrontEnd`] is the
+//!   one loop over those groups and the one admission check in front of
+//!   it, under the engine's metric names or the gateway's (padding to the
+//!   model's `max_seq` is the encode's job: `wr_train::ModelSnapshot::users`
+//!   packs with `wr_data::Batch::inference`, the conventions the models
+//!   were trained with);
 //! * [`EmbeddingCache`] stores the projected item matrix `V` (and its
 //!   transpose) once behind `Arc`s — the snapshot's own two, on a healthy
 //!   engine — so every worker thread of the `wr-runtime` pool scores
@@ -72,7 +76,7 @@ mod querylog;
 mod shard;
 pub mod topk;
 
-pub use batcher::{BatcherConfig, MicroBatch, MicroBatcher};
+pub use batcher::{FrontEnd, MicroBatcher};
 pub use cache::EmbeddingCache;
 pub use encode::{EncodedBatch, HistoryEncoder};
 pub use engine::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeEngine, ServeError};

@@ -313,6 +313,25 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 }
 
+/// LayerNorm of one row, in place: `xhat = (v − mean) · inv_std`, then
+/// `v = xhat · γ`, then `v += β`, each step rounded on its own. Returns
+/// `(mean, inv_std)`; `(x − mean) · inv_std` over the row as it was gives
+/// `xhat` back to the bit. The one statement of the row under the taped
+/// `Graph::layer_norm_rows` and the frozen encoder.
+#[inline]
+pub fn layer_norm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) -> (f32, f32) {
+    let cols = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / cols;
+    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols;
+    let inv_std = 1.0 / (var + eps).sqrt();
+    for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
+        let xhat = (*v - mean) * inv_std;
+        *v = xhat * g;
+        *v += b;
+    }
+    (mean, inv_std)
+}
+
 /// Numerically-stable softmax over a slice, in place.
 pub fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);

@@ -27,19 +27,6 @@ impl Tensor {
         self.data().iter().cloned().fold(f32::INFINITY, f32::min)
     }
 
-    /// Index of the maximum element (first occurrence).
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in self.data().iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Frobenius norm.
     pub fn frob_norm(&self) -> f32 {
         self.data().iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -112,7 +99,6 @@ mod tests {
         assert_eq!(t.mean(), 2.0 / 3.0);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.argmax(), 2);
         assert!((t.frob_norm() - 14.0f32.sqrt()).abs() < 1e-6);
     }
 

@@ -39,11 +39,6 @@ impl Shape {
         }
         strides
     }
-
-    /// True when this shape describes a matrix.
-    pub fn is_matrix(&self) -> bool {
-        self.rank() == 2
-    }
 }
 
 impl fmt::Display for Shape {

@@ -109,10 +109,6 @@ impl Tensor {
         &mut self.data
     }
 
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// The single value of a scalar or one-element tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(

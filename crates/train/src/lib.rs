@@ -10,7 +10,6 @@
 
 mod adam;
 mod resume;
-mod schedule;
 mod snapshot;
 mod trainer;
 
@@ -18,7 +17,6 @@ pub use adam::{Adam, AdamConfig, AdamStateExport};
 pub use resume::{
     latest_valid_train_checkpoint, load_train_checkpoint, save_train_checkpoint, TrainCheckpoint,
 };
-pub use schedule::LrSchedule;
 pub use snapshot::{evaluate, ModelSnapshot};
 pub use trainer::{
     fit, fit_observed, fit_resumable, CheckpointPolicy, EpochRecord, SeqRecModel, TrainConfig,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::resume::{
     latest_valid_train_checkpoint, save_train_checkpoint, TrainCheckpoint,
 };
-use crate::{evaluate, Adam, LrSchedule, ModelSnapshot};
+use crate::{evaluate, Adam, ModelSnapshot};
 use wr_data::{Batch, Batcher, EvalCase};
 use wr_nn::{CheckpointError, FrozenEncoder, Param};
 use wr_obs::{Clock, Telemetry};
@@ -143,11 +143,6 @@ pub struct TrainConfig {
     pub patience: usize,
     pub eval_batch: usize,
     pub seed: u64,
-    /// Evaluate validation every `eval_every` epochs (1 = every epoch).
-    pub eval_every: usize,
-    /// Optional learning-rate schedule applied before each epoch
-    /// (None = keep the optimizer's configured LR).
-    pub lr_schedule: Option<LrSchedule>,
 }
 
 impl Default for TrainConfig {
@@ -159,8 +154,6 @@ impl Default for TrainConfig {
             patience: 10,
             eval_batch: 128,
             seed: 2024,
-            eval_every: 1,
-            lr_schedule: None,
         }
     }
 }
@@ -170,7 +163,7 @@ impl Default for TrainConfig {
 pub struct EpochRecord {
     pub epoch: usize,
     pub train_loss: f32,
-    /// Validation NDCG@20 (None on epochs where eval was skipped).
+    /// Validation NDCG@20 (None when there is no validation set).
     pub valid_ndcg: Option<f32>,
     pub seconds: f64,
 }
@@ -409,9 +402,6 @@ fn run_loop<M: SeqRecModel>(
     let start_ns = clock.now_ns();
 
     for epoch in start.epoch_next..config.max_epochs {
-        if let Some(schedule) = config.lr_schedule {
-            optimizer.config.lr = schedule.at(epoch);
-        }
         let epoch_span = telemetry.tracer.span(format!("epoch{epoch}"), "train");
         let epoch_start_ns = clock.now_ns();
         let mut loss_sum = 0.0f64;
@@ -427,7 +417,7 @@ fn run_loop<M: SeqRecModel>(
         }
         let train_loss = (loss_sum / n_batches.max(1) as f64) as f32;
 
-        let valid_ndcg = if !validation.is_empty() && epoch % config.eval_every == 0 {
+        let valid_ndcg = if !validation.is_empty() {
             Some(evaluate(model, validation, &[20], config.eval_batch).ndcg_at(20))
         } else {
             None
@@ -700,31 +690,6 @@ mod tests {
             "restored {again} vs best {}",
             report.best_valid_ndcg
         );
-    }
-
-    #[test]
-    fn lr_schedule_is_applied_per_epoch() {
-        let (train, valid) = toy_data(8, 20);
-        let mut model = ToyModel::new(8, 9);
-        let mut opt = Adam::new(AdamConfig {
-            lr: 123.0, // overwritten by the schedule
-            ..AdamConfig::default()
-        });
-        let config = TrainConfig {
-            max_epochs: 3,
-            batch_size: 8,
-            max_seq: 10,
-            patience: 10,
-            lr_schedule: Some(crate::LrSchedule::Step {
-                lr: 0.4,
-                gamma: 0.5,
-                every: 1,
-            }),
-            ..TrainConfig::default()
-        };
-        fit(&mut model, &mut opt, train, &valid, config, |_, _| {});
-        // After epoch 2 the schedule set lr = 0.4 * 0.5^2 = 0.1.
-        assert!((opt.config.lr - 0.1).abs() < 1e-6, "lr = {}", opt.config.lr);
     }
 
     #[test]

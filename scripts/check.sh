@@ -12,9 +12,10 @@ echo "== check: cargo build --release (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
 # `cargo build --workspace` compiles libraries and binaries only: tests
-# and examples would never be held to `-D warnings`, and the micro-benches
-# under crates/bench/benches are neither built nor run by anything below,
-# so type-check every target here or a trait change rots them.
+# and examples would never be held to `-D warnings`, and the one
+# micro-bench left (crates/bench/benches/eigen.rs) is neither built nor
+# run by anything below, so type-check every target here or a signature
+# change rots it.
 echo "== check: cargo check --workspace --all-targets (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo check --release --offline --workspace --all-targets
 
@@ -99,17 +100,6 @@ cargo test --workspace -q
 
 echo "== check: cargo test (WR_THREADS=1) =="
 WR_THREADS=1 cargo test --workspace -q
-
-# The serving crate's differential suite is the determinism gate for the
-# online path (batched == naive scorer, thread-count-independent); run it
-# explicitly under both pool configurations even though the workspace
-# passes above, so a future filtered/partial workspace run can't silently
-# drop it.
-echo "== check: serve suites (default threads) =="
-cargo test -p wr-serve -q
-
-echo "== check: serve suites (WR_THREADS=1) =="
-WR_THREADS=1 cargo test -p wr-serve -q
 
 # The benchmark (bench/ledger, its own workspace) compiles against the
 # serving crates by path: build it, run its unit tests and its smoke pass
