@@ -10,18 +10,19 @@
 //! SASRec-chassis models' `score` (hence the offline evaluator) both call
 //! [`FrozenEncoder::encode`].
 //!
-//! **One sequence at a time, keys instead of a mask.** The input is the
-//! packed, left-padded `wr_data::Batch` (`[batch * max_seq]` ids). Each
-//! sequence runs through the blocks on its own, over all `max_seq`
-//! positions, in scratch that is one sequence's footprint whatever the
-//! batch holds; a query reads only the contiguous key range
-//! [`allowed_keys`] permits, so there is no mask value
-//! and no `max_seq × max_seq` score matrix; and a history the batch
-//! already holds (a hot user under skewed traffic) is not encoded twice.
-//! What one call costs — time and bytes — therefore follows the batch's
-//! shape and how many distinct histories it holds, not how long they are:
-//! the pad positions are still encoded (DESIGN.md §6 has the
-//! measurement behind that choice).
+//! **One sequence at a time, over the rows it holds, keys instead of a
+//! mask.** The input is the packed, left-padded `wr_data::Batch`
+//! (`[batch * max_seq]` ids). Each sequence runs through the blocks on its
+//! own, over its last `max(min(len, max_seq), 1)` positions only — its
+//! real tokens, or an empty history's final pad — the rows the taped
+//! forward's `AttentionKeys::packed` holds; pad positions are never
+//! looked up, normalised or multiplied. A query reads only the contiguous
+//! key range [`allowed_keys`] permits, so there is no mask value and no
+//! `max_seq × max_seq` score matrix, and a history the batch already holds
+//! (a hot user under skewed traffic) is not encoded twice. What one call
+//! costs in time therefore follows the histories' lengths; what it asks
+//! for in bytes does not — scratch is one `max_seq` sequence's footprint
+//! whatever the batch holds (DESIGN.md §6 has the measurements).
 //!
 //! [`FrozenEncoder::encode`] is bit-identical to the taped, padded
 //! `tower → forward_user` pipeline for every finite model (a non-finite
@@ -140,10 +141,12 @@ pub(crate) struct FrozenBlock {
 }
 
 /// Per-call working memory: five `[max_seq, dim]` planes, the feed-forward
-/// plane and one attention row — the footprint of one sequence, whatever
-/// the batch holds. Allocated once per [`FrozenEncoder::encode`] and
-/// dropped on return — nothing is held between calls, which is what keeps
-/// the encoder free of interior mutability.
+/// plane and one attention row — the footprint of one full-length
+/// sequence, whatever the batch holds; a shorter history uses a `[held,
+/// dim]` prefix of each, so the bytes a call asks for do not follow the
+/// lengths. Allocated once per [`FrozenEncoder::encode`] and dropped on
+/// return — nothing is held between calls, which is what keeps the encoder
+/// free of interior mutability.
 struct Scratch {
     q: Vec<f32>,
     k: Vec<f32>,
@@ -154,8 +157,9 @@ struct Scratch {
     scores: Vec<f32>,
 }
 
-/// One left-padded sequence: `seq` rows, real tokens at `[start, seq)`
-/// (`start = seq` for an empty history).
+/// The rows of one sequence the blocks run over: `seq` of them (its last
+/// `held` positions), real tokens at `[start, seq)` — `start = 0`, or `1`
+/// for an empty history's lone pad row.
 #[derive(Clone, Copy)]
 struct Shape {
     start: usize,
@@ -227,8 +231,8 @@ impl FrozenBlock {
         self.ln2.apply(x);
     }
 
-    /// The block over every position of one sequence: `h` is
-    /// `[seq, dim]` in and out.
+    /// The block over every row one sequence holds: `h[..shape.seq * dim]`
+    /// in and out.
     fn forward_full(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
         self.wq.apply(h, &mut s.q, shape.seq);
         self.wk.apply(h, &mut s.k, shape.seq);
@@ -238,14 +242,15 @@ impl FrozenBlock {
     }
 
     /// The final block, for the one row the caller reads. Keys and values
-    /// are still computed for every position, but the query, attention,
-    /// output projection, both LayerNorms and the feed-forward run for the
-    /// last position only. Legal bit for bit: every kernel on the path
+    /// are computed for every row the sequence holds, but the query,
+    /// attention, output projection, both LayerNorms and the feed-forward
+    /// run for the last position only. Legal bit for bit — here and for
+    /// the pad rows no block computes: every kernel on the path
     /// accumulates one output row from that row's inputs alone (gemm over
     /// `p = 0..k` in order whether the row sits in a full register tile or
     /// the tail; attention scores are per-row dots), so a row's bits do not
-    /// depend on which other rows are computed. On return `h[..dim]` holds
-    /// the user row.
+    /// depend on which other rows are computed, and no real query reads a
+    /// pad key. On return `h[..dim]` holds the user row.
     fn forward_last(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
         let Shape { seq, dim, .. } = shape;
         self.wk.apply(h, &mut s.k, seq);
@@ -269,7 +274,7 @@ pub struct FrozenEncoder {
     /// Positional table `[max_seq, dim]`.
     pos: Vec<f32>,
     input_ln: FrozenLayerNorm,
-    /// Every block but the final one runs over all positions …
+    /// Every block but the final one runs over every position held …
     body: Vec<FrozenBlock>,
     /// … and the final one for the last position only.
     last: FrozenBlock,
@@ -335,8 +340,10 @@ impl FrozenEncoder {
     /// (clamped to `max_seq`; `0` reads the last, pad, position).
     ///
     /// Bit-identical to the taped `tower.all_items → gather_rows →
-    /// forward_user` of the model this encoder was frozen from. Panics on
-    /// an item id outside the catalogue — callers validate requests before
+    /// forward_user` of the model this encoder was frozen from. Reads only
+    /// the last `max(min(len, max_seq), 1)` ids of sequence `b`; the ids
+    /// before them are never looked at. Panics on an item id outside the
+    /// catalogue at a position it reads — callers validate requests before
     /// packing them.
     pub fn encode(&self, items: &[usize], lengths: &[usize]) -> Tensor {
         let (batch, seq, dim) = (lengths.len(), self.max_seq, self.dim);
@@ -356,8 +363,10 @@ impl FrozenEncoder {
             ff: vec![0.0f32; seq * ff_width],
             scores: vec![0.0f32; seq],
         };
-        // The ids a user row is computed from: those at the positions its
-        // last query reads, directly or through earlier blocks.
+        // The ids a user row is computed from, and the only positions
+        // encoded: the last `held = max(min(len, seq), 1)` of the sequence —
+        // its real tokens, or an empty history's final pad, which reads
+        // itself (the rows `AttentionKeys::packed` holds).
         let read = |b: usize| {
             let end = (b + 1) * seq;
             &items[end - lengths[b].min(seq).max(1)..end]
@@ -370,28 +379,31 @@ impl FrozenEncoder {
                 users.copy_within(twin * dim..(twin + 1) * dim, b * dim);
                 continue;
             }
-            // Item rows + positional rows (`g.add(x, p)`), then input LN.
-            let ids = &items[b * seq..(b + 1) * seq];
+            let ids = read(b);
+            let held = ids.len();
+            let h = &mut h[..held * dim];
+            // Item rows + the positional rows of the positions held
+            // (`g.add(x, p)`), then input LN.
             for ((out, &id), pos) in h
                 .chunks_exact_mut(dim)
                 .zip(ids)
-                .zip(self.pos.chunks_exact(dim))
+                .zip(self.pos[(seq - held) * dim..].chunks_exact(dim))
             {
                 for ((o, x), p) in out.iter_mut().zip(self.items.row(id)).zip(pos) {
                     *o = x + p;
                 }
             }
-            self.input_ln.apply(&mut h);
+            self.input_ln.apply(h);
             let shape = Shape {
-                start: seq - lengths[b].min(seq),
-                seq,
+                start: held - lengths[b].min(seq),
+                seq: held,
                 dim,
                 heads: self.heads,
             };
             for block in &self.body {
-                block.forward_full(&mut h, &mut scratch, shape);
+                block.forward_full(h, &mut scratch, shape);
             }
-            self.last.forward_last(&mut h, &mut scratch, shape);
+            self.last.forward_last(h, &mut scratch, shape);
             users[b * dim..(b + 1) * dim].copy_from_slice(&h[..dim]);
         }
         Tensor::from_vec(users, &[batch, dim])

@@ -113,6 +113,69 @@ fn frozen_forward_is_bit_identical_to_the_taped_forward() {
     }
 }
 
+#[test]
+fn every_length_alone_and_mixed_matches_the_taped_forward() {
+    // The held slice of the ids and the positional offset are where an
+    // off-by-one would hide: every length from the empty history to past
+    // the clamp, each alone and all of them in one batch.
+    let mut rng = Rng64::seed_from(46);
+    let items = Arc::new(Tensor::randn(&[N_ITEMS, DIM], &mut rng));
+    for seq in [1usize, 5, 50] {
+        let enc = encoder(2, 2, 2, seq, 17 + seq as u64);
+        let frozen = enc.freeze(items.clone()).unwrap();
+        let lengths: Vec<usize> = (0..=seq + 2).collect();
+        let ids: Vec<usize> = (0..lengths.len() * seq)
+            .map(|_| rng.below(N_ITEMS))
+            .collect();
+        for (b, &len) in lengths.iter().enumerate() {
+            let ids = &ids[b * seq..(b + 1) * seq];
+            assert_eq!(
+                bits(&frozen.encode(ids, &[len])),
+                bits(&taped(&enc, &items, ids, &[len])),
+                "seq {seq} len {len} alone"
+            );
+        }
+        assert_eq!(
+            bits(&frozen.encode(&ids, &lengths)),
+            bits(&taped(&enc, &items, &ids, &lengths)),
+            "seq {seq}, lengths 0..={} in one batch",
+            seq + 2
+        );
+    }
+}
+
+#[test]
+fn positions_before_the_held_rows_are_never_read() {
+    // Not only the bits: the ids before a history's last `held` are not
+    // looked up at all. An id outside the catalogue there would panic in
+    // the item-row lookup if any layer touched it; the output must be
+    // that of the same batch with the pad id in their place.
+    const PAD_ITEM: usize = 0; // wr_data::PAD_ITEM
+    let mut rng = Rng64::seed_from(47);
+    let items = Arc::new(Tensor::randn(&[N_ITEMS, DIM], &mut rng));
+    for seq in [1usize, 5, 50] {
+        let frozen = encoder(2, 2, 2, seq, 23 + seq as u64)
+            .freeze(items.clone())
+            .unwrap();
+        let lengths: Vec<usize> = (0..=seq + 2).collect();
+        let mut padded: Vec<usize> = (0..lengths.len() * seq)
+            .map(|_| rng.below(N_ITEMS))
+            .collect();
+        let mut poisoned = padded.clone();
+        for (b, &len) in lengths.iter().enumerate() {
+            // `encode` reads the last `max(min(len, seq), 1)` positions.
+            let unread = b * seq..(b + 1) * seq - len.min(seq).max(1);
+            padded[unread.clone()].fill(PAD_ITEM);
+            poisoned[unread].fill(usize::MAX);
+        }
+        assert_eq!(
+            bits(&frozen.encode(&poisoned, &lengths)),
+            bits(&frozen.encode(&padded, &lengths)),
+            "seq {seq}"
+        );
+    }
+}
+
 /// Every ordering of `items`.
 fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     if items.len() <= 1 {

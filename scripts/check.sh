@@ -95,6 +95,21 @@ padded="$(awk '
 [ -z "$padded" ] \
     || { echo "   layout-less dropout or tiled positions in the encoder:"; echo "$padded"; exit 1; }
 
+# The frozen encoder — serving's and evaluation's — runs over the rows a
+# history holds too (DESIGN.md §6): each sequence's last `max(min(len,
+# seq), 1)` ids and the positional rows of those positions. A per-sequence
+# slice of all `seq` ids, or the whole positional table zipped into the
+# blocks, is the padded frozen forward coming back — every bit kept, every
+# pad row paid for again. Non-test source only.
+echo "== check: the frozen encoder encodes no pad position =="
+frozen_padded="$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /b *\* *seq *\.\. *\(b *\+ *1\) *\* *seq|self\.pos\.chunks_exact\(/ {
+        print FILENAME ":" FNR ": " $0 }' \
+    crates/nn/src/frozen.rs)"
+[ -z "$frozen_padded" ] \
+    || { echo "   padded ids or positions in the frozen encoder:"; echo "$frozen_padded"; exit 1; }
+
 echo "== check: cargo test (default threads) =="
 cargo test --workspace -q
 
