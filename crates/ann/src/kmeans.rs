@@ -15,7 +15,7 @@
 //!   centroids depend on the thread count).
 //! * **Termination** — a fixed iteration cap plus early exit when the
 //!   assignment vector stops changing (an exact `Vec<u32>` comparison —
-//!   no float-tolerance convergence test, per wr-check R5).
+//!   no float-tolerance convergence test).
 //!
 //! Ties everywhere resolve to the lowest index: a row equidistant from
 //! two centroids joins the lower-numbered cluster, deterministically.

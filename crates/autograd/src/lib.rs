@@ -28,6 +28,8 @@
 //! assert_eq!(grad.data(), &[1.0, 1.0, 0.0, 0.0]);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod check;
 mod graph;
 mod ops;

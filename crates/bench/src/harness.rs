@@ -95,6 +95,10 @@ impl Harness {
     }
 
     /// Time `f`, auto-calibrating the iteration count from one warm-up call.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness timer: a bench measures wall time and produces no model result"
+    )]
     pub fn bench(&mut self, name: impl Into<String>, mut f: impl FnMut()) -> &BenchResult {
         let name = name.into();
         let warmup = Instant::now();

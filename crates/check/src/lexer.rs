@@ -1,8 +1,8 @@
 //! A comment-, string-, and char-literal-aware tokenizer for Rust source.
 //!
-//! The rules in this crate match *token* sequences, never raw text, so a
-//! `unwrap()` inside a string literal, a `static mut` mentioned in a doc
-//! comment, or an `unsafe` in a `#[doc]` string can never fire a rule.
+//! The analyzer matches *token* sequences, never raw text, so an
+//! `unwrap()` inside a string literal or a call mentioned in a doc comment
+//! can never fire a rule.
 //! The lexer handles the constructs that defeat regex-based linters:
 //!
 //! * nested block comments (`/* a /* b */ c */`),
@@ -10,9 +10,9 @@
 //!   byte-raw strings, and raw identifiers (`r#type`),
 //! * lifetimes vs char literals (`'a` vs `'a'`, including escapes and
 //!   multi-byte scalars),
-//! * float vs integer literals (so float-equality checks do not fire on
-//!   `x == 0`), including hex/octal/binary prefixes, exponents, and
-//!   suffixes — while leaving `0..n` and `x.max(y)` un-mangled.
+//! * number literals, including hex/octal/binary prefixes, fractions,
+//!   exponents, and suffixes — while leaving `0..n` and `1.max(y)`
+//!   un-mangled.
 //!
 //! Tokens carry 1-based line spans for diagnostics, and an `in_test` flag
 //! set by [`mark_test_regions`] for items under `#[cfg(test)]` / `#[test]`.
@@ -22,10 +22,8 @@
 pub enum Kind {
     /// Identifier or keyword (`unsafe`, `fn`, `unwrap`, …).
     Ident,
-    /// Integer literal (`42`, `0xFF`, `1_000u64`).
-    Int,
-    /// Float literal (`1.0`, `2e-3`, `1f32`).
-    Float,
+    /// Number literal (`42`, `0xFF`, `1_000u64`, `1.0`, `2e-3`, `1f32`).
+    Num,
     /// String literal of any flavour (plain, raw, byte, byte-raw).
     Str,
     /// Char or byte-char literal (`'a'`, `b'\n'`).
@@ -238,7 +236,6 @@ impl<'a> Lexer<'a> {
 
     fn number(&mut self) {
         let (start, start_line) = (self.i, self.line);
-        let mut float = false;
         if self.b[self.i] == b'0' && matches!(self.peek(1), Some(b'x' | b'o' | b'b')) {
             // Radix literal: digits and underscores only (hex may use a-f).
             self.i += 2;
@@ -260,7 +257,6 @@ impl<'a> Lexer<'a> {
                 let is_range_or_method =
                     matches!(after, Some(c) if c == b'.' || is_ident_start(c));
                 if !is_range_or_method {
-                    float = true;
                     self.i += 1;
                     while self.i < self.b.len()
                         && (self.b[self.i].is_ascii_digit() || self.b[self.i] == b'_')
@@ -276,7 +272,6 @@ impl<'a> Lexer<'a> {
                     j += 1;
                 }
                 if matches!(self.b.get(j), Some(c) if c.is_ascii_digit()) {
-                    float = true;
                     self.i = j;
                     while self.i < self.b.len()
                         && (self.b[self.i].is_ascii_digit() || self.b[self.i] == b'_')
@@ -287,16 +282,10 @@ impl<'a> Lexer<'a> {
             }
         }
         // Type suffix (`u64`, `f32`, …).
-        let suffix_start = self.i;
         while self.i < self.b.len() && is_ident_continue(self.b[self.i]) {
             self.i += 1;
         }
-        if self.b[suffix_start..self.i].starts_with(b"f32")
-            || self.b[suffix_start..self.i].starts_with(b"f64")
-        {
-            float = true;
-        }
-        self.push(if float { Kind::Float } else { Kind::Int }, start, start_line);
+        self.push(Kind::Num, start, start_line);
     }
 
     /// Identifier, or a string/char literal behind an `r`/`b`/`br`/`rb`
@@ -381,7 +370,7 @@ impl<'a> Lexer<'a> {
 /// An attribute whose identifier list contains `test` (and not `not`, so
 /// `#[cfg(not(test))]` stays production code) puts the *following item* —
 /// up to its matching close brace, or `;` for brace-less items — into test
-/// scope. Rules R1/R4/R5 skip test-scoped tokens.
+/// scope. Test-scoped functions are not call-graph nodes.
 pub fn mark_test_regions(toks: &mut [Token]) {
     // Indices of non-comment tokens; all structure scanning happens here.
     let idx: Vec<usize> = (0..toks.len()).filter(|&t| !toks[t].is_comment()).collect();
@@ -535,15 +524,13 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_literals() {
+    fn number_literals_leave_ranges_and_method_calls_alone() {
         let ts = kinds("a == 0.0; b == 0; c != 1e-3; d == 0x1F; e == 2f32; f = 0..n; g = 1.max(2);");
-        let floats: Vec<&str> =
-            ts.iter().filter(|(k, _)| *k == Kind::Float).map(|(_, t)| t.as_str()).collect();
-        assert_eq!(floats, vec!["0.0", "1e-3", "2f32"]);
-        let ints: Vec<&str> =
-            ts.iter().filter(|(k, _)| *k == Kind::Int).map(|(_, t)| t.as_str()).collect();
-        assert!(ints.contains(&"0x1F"));
-        assert!(ints.contains(&"1"), "1.max(2) keeps 1 an int: {ints:?}");
+        let nums: Vec<&str> =
+            ts.iter().filter(|(k, _)| *k == Kind::Num).map(|(_, t)| t.as_str()).collect();
+        assert_eq!(nums, vec!["0.0", "0", "1e-3", "0x1F", "2f32", "0", "1", "2"]);
+        assert!(ts.contains(&(Kind::Punct, "..".into())));
+        assert!(ts.contains(&(Kind::Ident, "max".into())));
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() -> ExitCode {
             "--explain" => match args.next() {
                 Some(name) => explain = Some(name),
                 None => {
-                    eprintln!("wr-check: --explain needs a rule (R1–R9 or a slug like panic-reachability)");
+                    eprintln!("wr-check: --explain needs a rule (R6, R8 or a slug like panic-reachability)");
                     return ExitCode::FAILURE;
                 }
             },
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("wr-check: unknown rule {name:?} (expected R1–R9 or a slug like lock-order)");
+                eprintln!("wr-check: unknown rule {name:?} (expected R6, R8 or a slug like hot-loop-alloc)");
                 ExitCode::FAILURE
             }
         };

@@ -2,11 +2,13 @@
 //! suppression-ratchet baseline.
 //!
 //! The ratchet contract: `check_baseline.json` records the justified
-//! suppression counts (total, per rule, per crate) the workspace is
-//! allowed to carry. `wr-check --ratchet` fails if any unsuppressed
-//! finding exists *or* if any suppression count rises above the baseline —
-//! so suppressions can only shrink over time. `--write-baseline`
-//! regenerates the file but refuses loudly to raise any count.
+//! suppression counts (total, per rule or clippy lint, per crate) the
+//! workspace is allowed to carry — allow directives and
+//! `#[expect(clippy::…)]` attributes against one budget. `wr-check
+//! --ratchet` fails if any unsuppressed finding exists *or* if any
+//! suppression count rises above the baseline — so suppressions can only
+//! shrink over time. `--write-baseline` regenerates the file but refuses
+//! loudly to raise any count.
 
 use crate::rules::Violation;
 use crate::symbols::crate_of;
@@ -16,17 +18,7 @@ use wr_tensor::Json;
 
 /// Render one violation as a compiler-style diagnostic line.
 pub fn human_line(v: &Violation) -> String {
-    match &v.suppressed {
-        None => format!("{}:{}: [{} {}] {}", v.path, v.line, v.rule.id(), v.rule.slug(), v.message),
-        Some(reason) => format!(
-            "{}:{}: [{} {}] suppressed — {}",
-            v.path,
-            v.line,
-            v.rule.id(),
-            v.rule.slug(),
-            reason
-        ),
-    }
+    format!("{}:{}: [{} {}] {}", v.path, v.line, v.rule.id(), v.rule.slug(), v.message)
 }
 
 /// Render the full report for the terminal. Active violations first, then a
@@ -35,22 +27,20 @@ pub fn human_report(scan: &Scan, verbose: bool) -> String {
     let mut out = String::new();
     let active: Vec<&Violation> =
         scan.violations.iter().filter(|v| v.suppressed.is_none()).collect();
-    let suppressed = scan.violations.len() - active.len();
     for v in &active {
         out.push_str(&human_line(v));
         out.push('\n');
     }
     if verbose {
-        for v in scan.violations.iter().filter(|v| v.suppressed.is_some()) {
-            out.push_str(&human_line(v));
-            out.push('\n');
+        for (lint, path, line, reason) in suppressions(scan) {
+            out.push_str(&format!("{path}:{line}: [{lint}] suppressed — {reason}\n"));
         }
     }
     out.push_str(&format!(
         "wr-check: {} file(s), {} violation(s), {} suppressed | graph: {} fn(s), {} edge(s), {} hot, {} unresolved call(s) ({} name(s))\n",
         scan.files_scanned,
         active.len(),
-        suppressed,
+        suppressions(scan).count(),
         scan.stats.functions,
         scan.stats.edges,
         scan.stats.hot_functions,
@@ -74,7 +64,7 @@ fn encode_violation(v: &Violation) -> Json {
     Json::Obj(fields)
 }
 
-fn count_obj(counts: &BTreeMap<String, (usize, usize)>) -> Json {
+fn count_obj(counts: &Counts) -> Json {
     Json::Obj(
         counts
             .iter()
@@ -91,19 +81,33 @@ fn count_obj(counts: &BTreeMap<String, (usize, usize)>) -> Json {
     )
 }
 
-fn tally(violations: &[Violation]) -> (BTreeMap<String, (usize, usize)>, BTreeMap<String, (usize, usize)>) {
-    let mut per_rule: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    let mut per_crate: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for v in violations {
-        let rule = per_rule.entry(v.rule.id().to_string()).or_default();
-        let krate = per_crate.entry(crate_of(&v.path).to_string()).or_default();
-        if v.suppressed.is_some() {
-            rule.1 += 1;
-            krate.1 += 1;
-        } else {
-            rule.0 += 1;
-            krate.0 += 1;
-        }
+/// Every suppression the ratchet counts, as `(rule or clippy lint, path,
+/// line, reason)`: directives that covered a finding, then clippy's
+/// expectations.
+fn suppressions(scan: &Scan) -> impl Iterator<Item = (&str, &str, u32, &str)> {
+    let directives = scan.violations.iter().filter_map(|v| {
+        v.suppressed.as_deref().map(|r| (v.rule.id(), v.path.as_str(), v.line, r))
+    });
+    let expectations = scan
+        .expectations
+        .iter()
+        .map(|e| (e.lint.as_str(), e.path.as_str(), e.line, e.reason.as_str()));
+    directives.chain(expectations)
+}
+
+type Counts = BTreeMap<String, (usize, usize)>;
+
+/// (active, suppressed) per rule or lint, and per crate.
+fn tally(scan: &Scan) -> (Counts, Counts) {
+    let mut per_rule = Counts::new();
+    let mut per_crate = Counts::new();
+    for v in scan.violations.iter().filter(|v| v.suppressed.is_none()) {
+        per_rule.entry(v.rule.id().to_string()).or_default().0 += 1;
+        per_crate.entry(crate_of(&v.path).to_string()).or_default().0 += 1;
+    }
+    for (lint, path, _, _) in suppressions(scan) {
+        per_rule.entry(lint.to_string()).or_default().1 += 1;
+        per_crate.entry(crate_of(path).to_string()).or_default().1 += 1;
     }
     (per_rule, per_crate)
 }
@@ -124,7 +128,7 @@ pub fn json_report(scan: &Scan) -> String {
         .filter(|v| v.suppressed.is_some())
         .map(encode_violation)
         .collect();
-    let (per_rule, per_crate) = tally(&scan.violations);
+    let (per_rule, per_crate) = tally(scan);
     let graph = Json::Obj(vec![
         ("functions".to_string(), Json::Num(scan.stats.functions as f64)),
         ("edges".to_string(), Json::Num(scan.stats.edges as f64)),
@@ -132,18 +136,14 @@ pub fn json_report(scan: &Scan) -> String {
         ("unresolved_calls".to_string(), Json::Num(scan.stats.unresolved as f64)),
         ("unresolved_names".to_string(), Json::Num(scan.stats.unresolved_names as f64)),
     ]);
-    let inventory: Vec<Json> = scan
-        .violations
-        .iter()
-        .filter_map(|v| {
-            v.suppressed.as_ref().map(|reason| {
-                Json::Obj(vec![
-                    ("rule".to_string(), Json::Str(v.rule.id().to_string())),
-                    ("path".to_string(), Json::Str(v.path.clone())),
-                    ("line".to_string(), Json::Num(v.line as f64)),
-                    ("reason".to_string(), Json::Str(reason.clone())),
-                ])
-            })
+    let inventory: Vec<Json> = suppressions(scan)
+        .map(|(lint, path, line, reason)| {
+            Json::Obj(vec![
+                ("rule".to_string(), Json::Str(lint.to_string())),
+                ("path".to_string(), Json::Str(path.to_string())),
+                ("line".to_string(), Json::Num(line as f64)),
+                ("reason".to_string(), Json::Str(reason.to_string())),
+            ])
         })
         .collect();
     let doc = Json::Obj(vec![
@@ -159,7 +159,8 @@ pub fn json_report(scan: &Scan) -> String {
     doc.to_string()
 }
 
-/// The committed suppression budget: total, per rule, per crate.
+/// The committed suppression budget: total, per rule or clippy lint, per
+/// crate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
     pub total_suppressed: usize,
@@ -170,9 +171,9 @@ pub struct Baseline {
 impl Baseline {
     /// Compute the current suppression counts from a scan.
     pub fn from_scan(scan: &Scan) -> Baseline {
-        let (per_rule, per_crate) = tally(&scan.violations);
+        let (per_rule, per_crate) = tally(scan);
         Baseline {
-            total_suppressed: scan.violations.iter().filter(|v| v.suppressed.is_some()).count(),
+            total_suppressed: suppressions(scan).count(),
             rules: per_rule.into_iter().filter(|(_, c)| c.1 > 0).map(|(k, c)| (k, c.1)).collect(),
             crates: per_crate.into_iter().filter(|(_, c)| c.1 > 0).map(|(k, c)| (k, c.1)).collect(),
         }
@@ -259,83 +260,67 @@ pub fn ratchet_failures(scan: &Scan, baseline: &Baseline) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::check_source;
-    use crate::GraphStats;
+    use crate::scan;
 
-    fn scan_of(violations: Vec<Violation>) -> Scan {
-        Scan {
-            files_scanned: 1,
-            violations,
-            stats: GraphStats::default(),
-            unresolved: Vec::new(),
-        }
-    }
+    const SUPPRESSED: &str = "impl ServeEngine {\n    \
+        pub fn serve(&self) { x.unwrap(); } // wr-check: allow(R6) — test reason here\n}\n";
+    const EXPECTED: &str = "#[expect(clippy::expect_used, reason = \"test reason\")]\nfn g() {}\n";
+    const ACTIVE: &str = "impl ServeEngine {\n    pub fn serve(&self) { x.unwrap(); }\n}\n";
 
     #[test]
     fn json_report_parses_back_with_v2_fields() {
-        let vs = check_source(
-            "crates/tensor/src/a.rs",
-            "fn f() { x.unwrap(); } // wr-check: allow(R1) — test reason here",
-        );
-        let scan = scan_of(vs);
+        let scan = scan(&[("crates/serve/src/a.rs", SUPPRESSED), ("crates/tensor/src/b.rs", EXPECTED)]);
         let text = json_report(&scan);
         let doc = Json::parse(&text).expect("report must be valid JSON");
         assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("wr-check/v2"));
         let suppressed = doc.get("suppressed").and_then(|a| a.as_arr()).expect("suppressed array");
         assert_eq!(suppressed.len(), 1);
         assert_eq!(doc.get("violations").and_then(|a| a.as_arr()).map(|a| a.len()), Some(0));
-        // v2 additions: per-rule counts, graph stats, suppression inventory.
-        let rules = doc.get("rules").expect("rules object");
-        assert_eq!(
-            rules.get("R1").and_then(|r| r.get("suppressed")).and_then(|n| n.as_usize()),
-            Some(1)
-        );
-        let crates = doc.get("crates").expect("crates object");
-        assert_eq!(
-            crates.get("tensor").and_then(|r| r.get("suppressed")).and_then(|n| n.as_usize()),
-            Some(1)
-        );
+        // Per-rule / per-lint counts, graph stats, suppression inventory.
+        let count = |key: &str, name: &str| {
+            doc.get(key).and_then(|r| r.get(name)).and_then(|r| r.get("suppressed")).and_then(|n| n.as_usize())
+        };
+        assert_eq!(count("rules", "R6"), Some(1));
+        assert_eq!(count("rules", "clippy::expect_used"), Some(1));
+        assert_eq!(count("crates", "serve"), Some(1));
+        assert_eq!(count("crates", "tensor"), Some(1));
         assert!(doc.get("graph").and_then(|g| g.get("functions")).is_some());
         let inv = doc.get("suppressions").and_then(|a| a.as_arr()).expect("inventory");
-        assert_eq!(inv.len(), 1);
-        assert_eq!(inv[0].get("rule").and_then(|s| s.as_str()), Some("R1"));
+        let rules: Vec<&str> = inv.iter().filter_map(|e| e.get("rule").and_then(|s| s.as_str())).collect();
+        assert_eq!(rules, vec!["R6", "clippy::expect_used"]);
     }
 
     #[test]
     fn human_line_includes_rule_and_position() {
-        let vs = check_source("crates/tensor/src/a.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(vs.len(), 1);
-        let line = human_line(&vs[0]);
-        assert!(line.starts_with("crates/tensor/src/a.rs:1: [R1 no-panic]"), "{line}");
+        let scan = scan(&[("crates/serve/src/a.rs", ACTIVE)]);
+        assert_eq!(scan.violations.len(), 1);
+        let line = human_line(&scan.violations[0]);
+        assert!(line.starts_with("crates/serve/src/a.rs:2: [R6 panic-reachability]"), "{line}");
     }
 
     #[test]
     fn baseline_roundtrips_and_ratchets() {
-        let vs = check_source(
-            "crates/tensor/src/a.rs",
-            "fn f() { x.unwrap(); } // wr-check: allow(R1) — test reason here",
-        );
-        let scan = scan_of(vs);
+        let scan = scan(&[("crates/serve/src/a.rs", SUPPRESSED), ("crates/tensor/src/b.rs", EXPECTED)]);
         let current = Baseline::from_scan(&scan);
-        assert_eq!(current.total_suppressed, 1);
-        assert_eq!(current.rules.get("R1"), Some(&1));
+        assert_eq!(current.total_suppressed, 2);
+        assert_eq!(current.rules.get("R6"), Some(&1));
+        assert_eq!(current.rules.get("clippy::expect_used"), Some(&1));
         let parsed = Baseline::parse(&current.to_json()).expect("roundtrip");
         assert_eq!(parsed, current);
 
         // Within budget: passes.
         assert!(ratchet_failures(&scan, &current).is_empty());
-        // Tighter budget: fails on total, rule, and crate axes.
-        let tight = Baseline::default();
-        let failures = ratchet_failures(&scan, &tight);
+        // Tighter budget: fails on total, rule, lint, and crate axes.
+        let failures = ratchet_failures(&scan, &Baseline::default());
         assert!(failures.iter().any(|f| f.contains("total suppressions rose")), "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("rule R1")), "{failures:?}");
+        assert!(failures.iter().any(|f| f.contains("rule R6")), "{failures:?}");
+        assert!(failures.iter().any(|f| f.contains("rule clippy::expect_used")), "{failures:?}");
         assert!(failures.iter().any(|f| f.contains("crate tensor")), "{failures:?}");
     }
 
     #[test]
     fn ratchet_rejects_active_findings_even_within_budget() {
-        let vs = check_source("crates/tensor/src/a.rs", "fn f() { x.unwrap(); }");
-        let scan = scan_of(vs);
+        let scan = scan(&[("crates/serve/src/a.rs", ACTIVE)]);
         let loose = Baseline {
             total_suppressed: 99,
             rules: BTreeMap::new(),

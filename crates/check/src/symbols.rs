@@ -3,17 +3,16 @@
 //! Walks the token stream once per file and records item-level structure —
 //! function definitions (with impl/trait qualification and arity), call
 //! expressions (plain, path, and method form), panic sites (`unwrap` /
-//! `expect` / `panic!`-family / non-literal indexing), allocation calls
-//! inside loops, and `Mutex` guard acquisitions with an approximate guard
-//! extent. Pass 2 ([`crate::graph`]) links the per-file tables into a
+//! `expect` / `panic!`-family / non-literal indexing) and allocation calls
+//! inside loops. Pass 2 ([`crate::graph`]) links the per-file tables into a
 //! workspace call graph.
 //!
 //! The extractor is a heuristic parser over tokens, not a full grammar:
 //! the known approximations (closure braces in `for` headers, turbofish
-//! calls, guard extents) are documented in DESIGN.md §5b under "resolution
-//! limits". It never panics on malformed source — confusion degrades to
-//! "no symbol recorded", and unresolved calls surface in the graph's
-//! explicit `unresolved` bucket rather than vanishing.
+//! calls) are documented in DESIGN.md §5b under "resolution limits". It
+//! never panics on malformed source — confusion degrades to "no symbol
+//! recorded", and unresolved calls surface in the graph's explicit
+//! `unresolved` bucket rather than vanishing.
 
 use crate::lexer::{Kind, Token};
 
@@ -23,40 +22,24 @@ use crate::lexer::{Kind, Token};
 pub const PARALLEL_FNS: &[&str] =
     &["parallel_for", "parallel_for_chunks", "parallel_map", "parallel_chunks_mut"];
 
-/// How a panic can be reached at a recorded site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    Unwrap,
-    Expect,
-    Macro,
-    Index,
-}
-
 /// A call expression recorded inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Callee name (last path segment / method name).
     pub name: String,
-    /// `Some(Type)` for `Type::name(…)` path calls (`Self` already
-    /// resolved to the enclosing impl type).
+    /// `Some(prefix)` for `prefix::name(…)` path calls: a type, `Self`,
+    /// or a module path such as `wr_eval` or `crate`.
     pub recv: Option<String>,
     /// True for `.name(…)` method-call syntax.
     pub is_method: bool,
-    /// True for `self.name(…)` — the one method-call form whose
-    /// name-based resolution is reliable enough for the lock analysis.
-    pub on_self: bool,
     /// Argument count, excluding any method receiver.
     pub arity: usize,
     pub line: u32,
-    /// Filtered-token index of the callee name (orders the call against
-    /// lock-guard extents).
-    pub k: usize,
 }
 
 /// A potential panic site.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
-    pub kind: PanicKind,
     /// Display text for diagnostics (e.g. `.unwrap()` or `` `seen[row]` ``).
     pub what: String,
     pub line: u32,
@@ -67,21 +50,6 @@ pub struct PanicSite {
 pub struct AllocSite {
     pub what: String,
     pub line: u32,
-}
-
-/// A `.lock()` acquisition and the approximate extent of its guard.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// Crate-qualified lock class, e.g. `obs::shards` — the receiver
-    /// field/binding the mutex lives in, not the individual instance.
-    pub class: String,
-    pub line: u32,
-    /// Filtered-token index of the `lock` identifier.
-    pub k: usize,
-    /// Filtered-token index at which the guard is dead (exclusive):
-    /// end of statement for temporary guards, end of the enclosing block
-    /// for `let`-bound guards, end of the body for `if let` / `while let`.
-    pub scope_end_k: usize,
 }
 
 /// One function (or parallel-closure pseudo-function) and everything the
@@ -96,17 +64,16 @@ pub struct FnDef {
     /// Parameter count excluding any `self` receiver.
     pub arity: usize,
     pub has_self: bool,
+    /// Defined in an `impl Trait for Type` or a `trait` body: reachable by
+    /// dynamic dispatch from crates that cannot name `Type`.
+    pub in_trait: bool,
     pub is_test: bool,
     /// Body of a closure passed to a `parallel_*` entry point — it runs
     /// on pool workers.
     pub is_closure_root: bool,
-    /// For closure pseudo-functions: index (within the same file's `fns`)
-    /// of the enclosing function.
-    pub parent: Option<usize>,
     pub calls: Vec<CallSite>,
     pub panics: Vec<PanicSite>,
     pub allocs: Vec<AllocSite>,
-    pub locks: Vec<LockSite>,
 }
 
 /// Symbol table for one file.
@@ -115,8 +82,6 @@ pub struct FileSymbols {
     pub path: String,
     /// Crate name for `crates/<name>/…` paths, else `"workspace"`.
     pub krate: String,
-    /// Whole file is test-tree code (`tests/`, `benches/`, `examples/`).
-    pub test_path: bool,
     pub fns: Vec<FnDef>,
 }
 
@@ -135,9 +100,19 @@ pub fn crate_of(rel: &str) -> &str {
 
 #[derive(Debug, Clone)]
 enum Open {
-    Impl(String),
+    /// An impl body: the implemented-on type, and whether the impl is of
+    /// a trait.
+    Impl(String, bool),
     Trait(String),
-    Fn { name: String, arity: usize, has_self: bool, line: u32, in_test: bool },
+    Fn {
+        name: String,
+        /// Names the parameter patterns bind.
+        params: Vec<String>,
+        arity: usize,
+        has_self: bool,
+        line: u32,
+        in_test: bool,
+    },
     Loop { var: Option<String> },
 }
 
@@ -222,17 +197,20 @@ fn skip_angles(s: &Stream, mut k: usize) -> usize {
 }
 
 /// Parse a parameter list starting at the `(` position. Returns
-/// `(arity_excluding_self, has_self, position_after_close)`.
-fn parse_params(s: &Stream, open: usize) -> (usize, bool, usize) {
+/// `(bound_names, arity_excluding_self, has_self, position_after_close)`.
+fn parse_params(s: &Stream, open: usize) -> (Vec<String>, usize, bool, usize) {
     let close = match s.partner[open] {
         Some(c) => c,
-        None => return (0, false, s.len()),
+        None => return (Vec::new(), 0, false, s.len()),
     };
     let mut count = 0usize;
     let mut has_self = false;
     let mut depth = (0i32, 0i32, 0i32); // paren, bracket, angle
     let mut cur_tokens = 0usize;
     let mut first_param_self = false;
+    // Still inside the current parameter's pattern (before its `:`).
+    let mut in_pattern = true;
+    let mut names = Vec::new();
     for k in open + 1..close {
         let t = s.text(k);
         match t {
@@ -244,6 +222,7 @@ fn parse_params(s: &Stream, open: usize) -> (usize, bool, usize) {
             "<<" => depth.2 += 2,
             ">" => depth.2 -= 1,
             ">>" => depth.2 -= 2,
+            ":" if depth == (0, 0, 0) => in_pattern = false,
             "," if depth == (0, 0, 0) => {
                 if cur_tokens > 0 {
                     count += 1;
@@ -252,12 +231,15 @@ fn parse_params(s: &Stream, open: usize) -> (usize, bool, usize) {
                     }
                 }
                 cur_tokens = 0;
+                in_pattern = true;
                 continue;
             }
             _ => {}
         }
         if t == "self" && count == 0 && depth == (0, 0, 0) {
             first_param_self = true;
+        } else if in_pattern && s.kind(k) == Kind::Ident && !KEYWORDS.contains(&t) {
+            names.push(t.to_string());
         }
         cur_tokens += 1;
     }
@@ -268,7 +250,7 @@ fn parse_params(s: &Stream, open: usize) -> (usize, bool, usize) {
         }
     }
     let arity = if has_self { count.saturating_sub(1) } else { count };
-    (arity, has_self, close + 1)
+    (names, arity, has_self, close + 1)
 }
 
 /// First `{` at zero paren/bracket depth from `k` (used for loop and impl
@@ -323,6 +305,7 @@ fn pre_scan(s: &mut Stream) {
                 // Collect the implemented-on type: last ident at angle
                 // depth zero before `{` / `where`, restarting after `for`.
                 let mut name: Option<String> = None;
+                let mut of_trait = false;
                 let mut body = None;
                 let mut angle = 0i32;
                 while k < s.len() {
@@ -332,7 +315,10 @@ fn pre_scan(s: &mut Stream) {
                         "<<" => angle += 2,
                         ">" => angle -= 1,
                         ">>" => angle -= 2,
-                        "for" if angle <= 0 => name = None,
+                        "for" if angle <= 0 => {
+                            name = None;
+                            of_trait = true;
+                        }
                         "where" if angle <= 0 => {
                             body = find_body_open(s, k);
                             break;
@@ -352,7 +338,8 @@ fn pre_scan(s: &mut Stream) {
                 }
                 match body {
                     Some(b) => {
-                        s.opens[b] = Some(Open::Impl(name.unwrap_or_else(|| "?".to_string())));
+                        s.opens[b] =
+                            Some(Open::Impl(name.unwrap_or_else(|| "?".to_string()), of_trait));
                         for i in header_start..b {
                             s.skip[i] = true;
                         }
@@ -396,7 +383,7 @@ fn pre_scan(s: &mut Stream) {
                     c += 1;
                     continue;
                 }
-                let (arity, has_self, after) = parse_params(s, k);
+                let (params, arity, has_self, after) = parse_params(s, k);
                 // Find the body `{` (or `;` for a bodyless trait method).
                 let mut j = after;
                 let mut body = None;
@@ -412,7 +399,8 @@ fn pre_scan(s: &mut Stream) {
                 }
                 match body {
                     Some(b) => {
-                        s.opens[b] = Some(Open::Fn { name, arity, has_self, line, in_test });
+                        s.opens[b] =
+                            Some(Open::Fn { name, params, arity, has_self, line, in_test });
                         for i in c..b {
                             s.skip[i] = true;
                         }
@@ -472,7 +460,7 @@ fn pre_scan(s: &mut Stream) {
 
 enum Frame {
     Plain,
-    Type(Option<String>), // previous type context (impl or trait)
+    Type(Option<(String, bool)>), // previous type context (impl or trait)
     Fn,
     Loop { pushed_var: bool },
 }
@@ -482,7 +470,24 @@ struct Builder {
     /// Range-loop variables currently in scope (plus closure params for
     /// parallel-closure pseudo-functions).
     range_vars: Vec<String>,
+    /// Parameters and local bindings seen so far: a plain call of one of
+    /// these names calls a closure or fn pointer, not a workspace function.
+    locals: Vec<String>,
     loop_depth: usize,
+}
+
+/// The body of a closure passed to a `parallel_*` call, found ahead of
+/// the cursor: it becomes a pseudo-function when the walk reaches it.
+struct Region {
+    start: usize,
+    /// Last position of the body (inclusive).
+    end: usize,
+    params: Vec<String>,
+    /// The enclosing function's bindings, visible inside the body.
+    locals: Vec<String>,
+    parent_qual: String,
+    line: u32,
+    in_test: bool,
 }
 
 const ALLOC_TYPES: &[(&str, &[&str])] = &[
@@ -493,6 +498,24 @@ const ALLOC_TYPES: &[(&str, &[&str])] = &[
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned"];
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
+/// Tokens after which a `|` opens a closure's parameter list.
+const CLOSURE_OPENERS: &[&str] = &["(", ",", "=", "move", "{", ";", "=>", "return"];
+
+fn new_def(name: String, qual: String, line: u32, arity: usize) -> FnDef {
+    FnDef {
+        name,
+        qual,
+        line,
+        arity,
+        has_self: false,
+        in_trait: false,
+        is_test: false,
+        is_closure_root: false,
+        calls: Vec::new(),
+        panics: Vec::new(),
+        allocs: Vec::new(),
+    }
+}
 
 /// Extract the symbol table for one file. `rel_path` selects the crate.
 pub fn extract(rel_path: &str, toks: &[Token]) -> FileSymbols {
@@ -506,13 +529,10 @@ pub fn extract(rel_path: &str, toks: &[Token]) -> FileSymbols {
     let mut fns: Vec<FnDef> = Vec::new();
     let mut builders: Vec<Builder> = Vec::new(); // stack; innermost last
     let mut frames: Vec<Frame> = Vec::new();
-    let mut open_braces: Vec<usize> = Vec::new();
-    let mut type_ctx: Option<String> = None;
-    let mut stmt_start = 0usize;
-    // (end_k inclusive, builder slot) for active parallel-closure bodies.
+    let mut type_ctx: Option<(String, bool)> = None;
+    // End positions of the active parallel-closure bodies.
     let mut closure_ends: Vec<usize> = Vec::new();
-    // Regions discovered ahead of the cursor: (start_k, end_k, params, parent_qual, line).
-    let mut pending: Vec<(usize, usize, Vec<String>, String, u32, bool)> = Vec::new();
+    let mut pending: Vec<Region> = Vec::new();
 
     let finish = |builders: &mut Vec<Builder>, fns: &mut Vec<FnDef>| {
         if let Some(b) = builders.pop() {
@@ -532,58 +552,49 @@ pub fn extract(rel_path: &str, toks: &[Token]) -> FileSymbols {
             }
         }
         // Open any closure region starting here.
-        if let Some(pos) = pending.iter().position(|r| r.0 == k) {
-            let (_, end_k, params, parent_qual, line, in_test) = pending.remove(pos);
-            let def = FnDef {
-                name: "{closure}".to_string(),
-                qual: format!("{parent_qual}::{{closure@{line}}}"),
-                line,
-                arity: params.len(),
-                has_self: false,
-                is_test: in_test || test_path,
-                is_closure_root: true,
-                parent: None, // linked by qual prefix in pass 2
-                calls: Vec::new(),
-                panics: Vec::new(),
-                allocs: Vec::new(),
-                locks: Vec::new(),
-            };
-            builders.push(Builder { def, range_vars: params, loop_depth: 0 });
-            closure_ends.push(end_k);
+        if let Some(pos) = pending.iter().position(|r| r.start == k) {
+            let r = pending.remove(pos);
+            let mut def = new_def(
+                "{closure}".to_string(),
+                format!("{}::{{closure@{}}}", r.parent_qual, r.line),
+                r.line,
+                r.params.len(),
+            );
+            def.is_test = r.in_test || test_path;
+            def.is_closure_root = true;
+            let mut locals = r.locals;
+            locals.extend(r.params.iter().cloned());
+            builders.push(Builder { def, range_vars: r.params, locals, loop_depth: 0 });
+            closure_ends.push(r.end);
         }
 
         let text = s.text(k).to_string();
 
         if text == "{" {
             match s.opens[k].take() {
-                Some(Open::Impl(t)) => {
+                Some(Open::Impl(t, of_trait)) => {
                     frames.push(Frame::Type(type_ctx.take()));
-                    type_ctx = Some(t);
+                    type_ctx = Some((t, of_trait));
                 }
                 Some(Open::Trait(t)) => {
                     frames.push(Frame::Type(type_ctx.take()));
-                    type_ctx = Some(t);
+                    type_ctx = Some((t, true));
                 }
-                Some(Open::Fn { name, arity, has_self, line, in_test }) => {
+                Some(Open::Fn { name, params, arity, has_self, line, in_test }) => {
                     let qual = match &type_ctx {
-                        Some(t) => format!("{t}::{name}"),
+                        Some((t, _)) => format!("{t}::{name}"),
                         None => name.clone(),
                     };
-                    let def = FnDef {
-                        name,
-                        qual,
-                        line,
-                        arity,
-                        has_self,
-                        is_test: in_test || test_path,
-                        is_closure_root: false,
-                        parent: None,
-                        calls: Vec::new(),
-                        panics: Vec::new(),
-                        allocs: Vec::new(),
-                        locks: Vec::new(),
-                    };
-                    builders.push(Builder { def, range_vars: Vec::new(), loop_depth: 0 });
+                    let mut def = new_def(name, qual, line, arity);
+                    def.has_self = has_self;
+                    def.in_trait = type_ctx.as_ref().is_some_and(|c| c.1);
+                    def.is_test = in_test || test_path;
+                    builders.push(Builder {
+                        def,
+                        range_vars: Vec::new(),
+                        locals: params,
+                        loop_depth: 0,
+                    });
                     frames.push(Frame::Fn);
                 }
                 Some(Open::Loop { var }) => {
@@ -602,8 +613,6 @@ pub fn extract(rel_path: &str, toks: &[Token]) -> FileSymbols {
                 }
                 None => frames.push(Frame::Plain),
             }
-            open_braces.push(k);
-            stmt_start = k + 1;
             k += 1;
             continue;
         }
@@ -621,30 +630,12 @@ pub fn extract(rel_path: &str, toks: &[Token]) -> FileSymbols {
                 }
                 _ => {}
             }
-            open_braces.pop();
-            stmt_start = k + 1;
             k += 1;
             continue;
         }
-        if text == ";" {
-            stmt_start = k + 1;
-            k += 1;
-            continue;
+        if let (false, Some(b)) = (s.skip[k], builders.last_mut()) {
+            record_events(&s, k, b, &mut pending);
         }
-        if s.skip[k] || builders.is_empty() {
-            k += 1;
-            continue;
-        }
-
-        record_events(
-            &s,
-            k,
-            stmt_start,
-            &open_braces,
-            &krate,
-            builders.last_mut().expect("checked non-empty"),
-            &mut pending,
-        );
         k += 1;
     }
     while !builders.is_empty() {
@@ -652,71 +643,73 @@ pub fn extract(rel_path: &str, toks: &[Token]) -> FileSymbols {
     }
     // Stable order: by source line, closures after their parents.
     fns.sort_by_key(|f| (f.line, f.is_closure_root));
-    FileSymbols { path: rel_path.to_string(), krate, test_path, fns }
+    FileSymbols { path: rel_path.to_string(), krate, fns }
 }
 
-/// Record call/panic/alloc/lock events at position `k` into `b`.
-#[allow(clippy::too_many_arguments)]
-fn record_events(
-    s: &Stream,
-    k: usize,
-    stmt_start: usize,
-    open_braces: &[usize],
-    krate: &str,
-    b: &mut Builder,
-    pending: &mut Vec<(usize, usize, Vec<String>, String, u32, bool)>,
-) {
+/// Names bound by the pattern starting at `k` and ending at the first
+/// depth-zero token in `stops`.
+fn pattern_names(s: &Stream, mut k: usize, stops: &[&str]) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut depth = 0i32;
+    while k < s.len() {
+        let t = s.text(k);
+        match t {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => break,
+            ")" | "]" | "}" => depth -= 1,
+            _ if depth == 0 && stops.contains(&t) => break,
+            _ if s.kind(k) == Kind::Ident && !KEYWORDS.contains(&t) => names.push(t.to_string()),
+            _ => {}
+        }
+        k += 1;
+    }
+    names
+}
+
+/// Record call/panic/alloc events and local bindings at position `k` into `b`.
+fn record_events(s: &Stream, k: usize, b: &mut Builder, pending: &mut Vec<Region>) {
     let text = s.text(k);
     let kind = s.kind(k);
     let line = s.line(k);
     let prev = |n: usize| k.checked_sub(n).map(|i| s.text(i));
 
+    // --- local bindings: `let PAT`, closure parameters `|PAT, …|` ---
+    if text == "let" {
+        b.locals.extend(pattern_names(s, k + 1, &["=", ":", ";"]));
+        return;
+    }
+    if text == "|" && prev(1).is_some_and(|p| CLOSURE_OPENERS.contains(&p)) {
+        b.locals.extend(pattern_names(s, k + 1, &["|"]));
+        return;
+    }
+
     // --- panic macros & alloc macros ---
     if kind == Kind::Ident && s.is(k + 1, "!") {
         if PANIC_MACROS.contains(&text) {
-            b.def.panics.push(PanicSite {
-                kind: PanicKind::Macro,
-                what: format!("{text}!"),
-                line,
-            });
+            b.def.panics.push(PanicSite { what: format!("{text}!"), line });
         } else if ALLOC_MACROS.contains(&text) && b.loop_depth > 0 {
             b.def.allocs.push(AllocSite { what: format!("{text}!"), line });
         }
         return;
     }
 
-    // --- method calls, unwrap/expect, allocs, locks: `.name(` ---
+    // --- method calls, unwrap/expect, allocs: `.name(` ---
     if kind == Kind::Ident && prev(1) == Some(".") && s.is(k + 1, "(") {
         match text {
-            "unwrap" => b.def.panics.push(PanicSite {
-                kind: PanicKind::Unwrap,
-                what: ".unwrap()".to_string(),
-                line,
-            }),
-            "expect" => b.def.panics.push(PanicSite {
-                kind: PanicKind::Expect,
-                what: ".expect(…)".to_string(),
-                line,
-            }),
-            "lock" => {
-                let class = lock_class(s, k, krate);
-                let scope_end_k = guard_scope_end(s, k, stmt_start, open_braces);
-                b.def.locks.push(LockSite { class, line, k, scope_end_k });
-            }
+            "unwrap" => b.def.panics.push(PanicSite { what: ".unwrap()".to_string(), line }),
+            "expect" => b.def.panics.push(PanicSite { what: ".expect(…)".to_string(), line }),
             _ => {}
         }
         if ALLOC_METHODS.contains(&text) && b.loop_depth > 0 {
             b.def.allocs.push(AllocSite { what: format!(".{text}()"), line });
         }
-        let arity = call_arity(s, k + 1, pending, b, text, krate);
+        let arity = call_arity(s, k + 1, pending, b, text);
         b.def.calls.push(CallSite {
             name: text.to_string(),
             recv: None,
             is_method: true,
-            on_self: prev(2) == Some("self"),
             arity,
             line,
-            k,
         });
         return;
     }
@@ -724,14 +717,10 @@ fn record_events(
     // --- path & plain calls: `name(` not preceded by `.` ---
     if kind == Kind::Ident && s.is(k + 1, "(") && prev(1) != Some(".") && !KEYWORDS.contains(&text)
     {
-        let (recv, is_path) = if prev(1) == Some("::") {
-            let r = k.checked_sub(2).filter(|&i| s.kind(i) == Kind::Ident).map(|i| {
-                let t = s.text(i);
-                if t == "Self" { "Self".to_string() } else { t.to_string() }
-            });
-            (r, true)
+        let recv = if prev(1) == Some("::") {
+            k.checked_sub(2).filter(|&i| s.kind(i) == Kind::Ident).map(|i| s.text(i).to_string())
         } else {
-            (None, false)
+            None
         };
         // Allocation constructors.
         if b.loop_depth > 0 {
@@ -741,16 +730,18 @@ fn record_events(
                 }
             }
         }
-        let arity = call_arity(s, k + 1, pending, b, text, krate);
-        b.def.calls.push(CallSite {
-            name: text.to_string(),
-            recv: if is_path { recv } else { None },
-            is_method: false,
-            on_self: false,
-            arity,
-            line,
-            k,
-        });
+        let arity = call_arity(s, k + 1, pending, b, text);
+        // A plain call of a parameter or local binding calls a closure
+        // (whose body the walk scans inline) or a fn pointer: no edge.
+        if recv.is_some() || !b.locals.iter().any(|l| l == text) {
+            b.def.calls.push(CallSite {
+                name: text.to_string(),
+                recv,
+                is_method: false,
+                arity,
+                line,
+            });
+        }
         return;
     }
 
@@ -765,7 +756,7 @@ fn record_events(
                 let inner: Vec<usize> = (k + 1..close).collect();
                 if !inner.is_empty() {
                     let all_literal = inner.iter().all(|&i| {
-                        matches!(s.kind(i), Kind::Int) || s.text(i) == ".." || s.text(i) == "..="
+                        s.kind(i) == Kind::Num || s.text(i) == ".." || s.text(i) == "..="
                     });
                     let idents: Vec<&str> = inner
                         .iter()
@@ -788,11 +779,7 @@ fn record_events(
                             }
                             expr.push_str(t);
                         }
-                        b.def.panics.push(PanicSite {
-                            kind: PanicKind::Index,
-                            what: format!("`{recv}[{expr}]`"),
-                            line,
-                        });
+                        b.def.panics.push(PanicSite { what: format!("`{recv}[{expr}]`"), line });
                     }
                 }
             }
@@ -805,10 +792,9 @@ fn record_events(
 fn call_arity(
     s: &Stream,
     open: usize,
-    pending: &mut Vec<(usize, usize, Vec<String>, String, u32, bool)>,
+    pending: &mut Vec<Region>,
     b: &Builder,
     callee: &str,
-    _krate: &str,
 ) -> usize {
     let close = match s.partner[open] {
         Some(c) => c,
@@ -838,9 +824,16 @@ fn call_arity(
     let arity = if any { count + 1 } else { 0 };
 
     if PARALLEL_FNS.contains(&callee) {
-        if let Some(region) = closure_region(s, open, close) {
-            let (start, end, params) = region;
-            pending.push((start, end, params, b.def.qual.clone(), s.line(start), s.in_test(start)));
+        if let Some((start, end, params)) = closure_region(s, open, close) {
+            pending.push(Region {
+                start,
+                end,
+                params,
+                locals: b.locals.clone(),
+                parent_qual: b.def.qual.clone(),
+                line: s.line(start),
+                in_test: s.in_test(start),
+            });
         }
     }
     arity
@@ -900,91 +893,6 @@ fn closure_region(s: &Stream, open: usize, close: usize) -> Option<(usize, usize
     }
 }
 
-/// Lock class: the receiver field/binding immediately before `.lock()`,
-/// crate-qualified. `self.shards[i].lock()` → `<crate>::shards`.
-fn lock_class(s: &Stream, lock_k: usize, krate: &str) -> String {
-    // lock_k is the `lock` ident; lock_k-1 is `.`.
-    let mut j = lock_k.checked_sub(2);
-    // Skip an index group: `shards[i].lock()`.
-    if let Some(i) = j {
-        if s.text(i) == "]" {
-            j = s.partner[i].and_then(|o| o.checked_sub(1));
-        } else if s.text(i) == ")" {
-            // `self.shard(x).lock()` — use the method name.
-            j = s.partner[i].and_then(|o| o.checked_sub(1));
-        }
-    }
-    match j {
-        Some(i) if s.kind(i) == Kind::Ident => format!("{krate}::{}", s.text(i)),
-        _ => format!("{krate}::<expr>"),
-    }
-}
-
-/// Approximate the filtered-token position at which a guard obtained at
-/// `lock_k` dies. See [`LockSite::scope_end_k`].
-fn guard_scope_end(s: &Stream, lock_k: usize, stmt_start: usize, open_braces: &[usize]) -> usize {
-    // Consume only the poison adapters after `lock()` (`.unwrap()`,
-    // `.expect(…)`, `.unwrap_or_else(…)`). A chain that continues past
-    // them (`.lock().unwrap().pop_front()`) binds the *result*, not the
-    // guard — the guard is a temporary that dies at the statement end.
-    let mut k = match s.partner.get(lock_k + 1).copied().flatten() {
-        Some(close) => close + 1,
-        None => return s.len(),
-    };
-    while k + 2 < s.len()
-        && s.text(k) == "."
-        && matches!(s.text(k + 1), "unwrap" | "expect" | "unwrap_or_else")
-        && s.is(k + 2, "(")
-    {
-        match s.partner[k + 2] {
-            Some(c) => k = c + 1,
-            None => break,
-        }
-    }
-    let chain_continues =
-        k + 2 < s.len() && s.text(k) == "." && s.kind(k + 1) == Kind::Ident && s.is(k + 2, "(");
-    let stmt_kw = s.text(stmt_start);
-    let chain_ends_stmt = s.is(k, ";");
-    if chain_ends_stmt && !chain_continues && stmt_kw == "let" {
-        // `let guard = x.lock()…;` — guard lives to the end of the block.
-        return match open_braces.last().and_then(|&o| s.partner[o]) {
-            Some(close) => close,
-            None => s.len(),
-        };
-    }
-    if (stmt_kw == "if" || stmt_kw == "while") && s.is(stmt_start + 1, "let") {
-        // `if let Ok(g) = x.lock() { … }` — guard lives for the body.
-        let mut j = k;
-        let mut paren = 0i32;
-        while j < s.len() {
-            match s.text(j) {
-                "(" | "[" => paren += 1,
-                ")" | "]" => paren -= 1,
-                "{" if paren == 0 => {
-                    return s.partner[j].unwrap_or(s.len());
-                }
-                ";" if paren == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    // Temporary guard: dead at the end of the statement.
-    let mut j = k;
-    let mut depth = 0i32;
-    while j < s.len() {
-        match s.text(j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" if depth == 0 => return j,
-            ")" | "]" | "}" => depth -= 1,
-            ";" if depth == 0 => return j,
-            _ => {}
-        }
-        j += 1;
-    }
-    s.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,22 +926,42 @@ mod tests {
     }
 
     #[test]
-    fn trait_for_impl_quals_by_type_not_trait() {
+    fn trait_methods_qual_by_type_and_are_marked() {
         let f = syms(
             "crates/models/src/a.rs",
-            "impl ScoreModel for SasRec { fn score(&self, u: usize) -> f32 { 0.0 } }",
+            "impl ScoreModel for SasRec { fn score(&self, u: usize) -> f32 { 0.0 } }\n\
+             impl SasRec { fn new() -> Self { SasRec } }\n\
+             trait Replay { fn replay(&self) -> u32 { 0 } }",
         );
-        assert_eq!(f.fns[0].qual, "SasRec::score");
+        let got: Vec<(&str, bool)> = f.fns.iter().map(|d| (d.qual.as_str(), d.in_trait)).collect();
+        assert_eq!(got, vec![("SasRec::score", true), ("SasRec::new", false), ("Replay::replay", true)]);
     }
 
     #[test]
-    fn records_panic_sites_and_kinds() {
+    fn records_panic_sites() {
         let f = syms(
             "crates/serve/src/a.rs",
             "fn f(x: Option<u32>) { x.unwrap(); y.expect(\"msg\"); panic!(\"no\"); }",
         );
-        let kinds: Vec<PanicKind> = f.fns[0].panics.iter().map(|p| p.kind).collect();
-        assert_eq!(kinds, vec![PanicKind::Unwrap, PanicKind::Expect, PanicKind::Macro]);
+        let what: Vec<&str> = f.fns[0].panics.iter().map(|p| p.what.as_str()).collect();
+        assert_eq!(what, vec![".unwrap()", ".expect(…)", "panic!"]);
+    }
+
+    #[test]
+    fn calls_of_params_and_earlier_local_bindings_are_not_recorded() {
+        let f = syms(
+            "crates/serve/src/a.rs",
+            "fn f(try_batch: impl Fn(u32), (a, mut b): (u8, u8)) {\n\
+                 helper(1); try_batch(0); a(); b();\n\
+                 let run = |x: u32| helper(x); run(2);\n\
+                 items.iter().map(|score| score(3));\n\
+                 later(4); let later = 5;\n\
+                 wr_eval::run(6);\n\
+             }",
+        );
+        let names: Vec<&str> = f.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
+        // `later` is bound only after its call; a path call always names an item.
+        assert_eq!(names, vec!["helper", "helper", "iter", "map", "later", "run"]);
     }
 
     #[test]
@@ -1048,9 +976,7 @@ mod tests {
         );
         let panics = &f.fns[0].panics;
         assert_eq!(panics.len(), 1, "{panics:?}");
-        assert_eq!(panics[0].kind, PanicKind::Index);
-        assert!(panics[0].what.contains("row [ j ]") || panics[0].what.contains("row[j]")
-            || panics[0].what.contains("`row[j"), "{:?}", panics[0].what);
+        assert_eq!(panics[0].what, "`row[j]`");
     }
 
     #[test]
@@ -1092,25 +1018,6 @@ mod tests {
         let allocs = &f.fns[0].allocs;
         assert_eq!(allocs.len(), 1, "{allocs:?}");
         assert_eq!(allocs[0].what, "format!");
-    }
-
-    #[test]
-    fn lock_class_and_let_guard_scope() {
-        let f = syms(
-            "crates/obs/src/a.rs",
-            "impl Registry { fn get(&self) {\n\
-                 let shard = self.shards[0].lock().unwrap();\n\
-                 other.inner.lock().unwrap().push(1);\n\
-             } }",
-        );
-        let locks = &f.fns[0].locks;
-        assert_eq!(locks.len(), 2, "{locks:?}");
-        assert_eq!(locks[0].class, "obs::shards");
-        assert_eq!(locks[1].class, "obs::inner");
-        // The let-bound guard spans past the temporary's statement.
-        assert!(locks[0].scope_end_k > locks[1].k, "{locks:?}");
-        // The temporary guard dies at its own statement end.
-        assert!(locks[1].scope_end_k < locks[0].scope_end_k, "{locks:?}");
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //!     Print every model name the zoo accepts.
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -179,6 +181,10 @@ fn train(args: &[String]) -> Result<(), String> {
             }
             None => None,
         };
+        #[expect(
+            clippy::panic,
+            reason = "the crash drill: an induced panic the catch_unwind below recovers from"
+        )]
         let run = || match crash_epoch {
             Some(crash_epoch) => ctx.run_warm_resumable_hooked(&model_name, &policy, |_, rec| {
                 if rec.epoch + 1 == crash_epoch {

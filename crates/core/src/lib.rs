@@ -38,6 +38,8 @@
 //! | [`eval`] | `wr-eval` | Recall/NDCG, uniformity, conditioning |
 //! | [`obs`] | `wr-obs` | metrics registry, spans, embedding health |
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub use wr_autograd as autograd;
 pub use wr_data as data;
 pub use wr_eval as eval;

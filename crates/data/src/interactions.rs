@@ -151,8 +151,10 @@ fn cumulative_sum(w: &[f32]) -> Vec<f32> {
 }
 
 fn sample_from_cumulative(cum: &[f32], rng: &mut Rng64) -> usize {
-    // wr-check: allow(R1) — cum mirrors the catalog's item list, which
-    // Catalog::generate guarantees non-empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "cum mirrors the catalog's item list, which Catalog::generate guarantees non-empty"
+    )]
     let total = *cum.last().expect("non-empty weights");
     let target = rng.uniform() * total;
     cum.partition_point(|&c| c < target).min(cum.len() - 1)

@@ -16,6 +16,8 @@
 //! [`warm_split`] / [`cold_split`] → [`Batcher`]. Dataset presets matching
 //! Table II's shape at ~1/10 scale live in [`DatasetSpec`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod batch;
 mod filter;
 mod interactions;

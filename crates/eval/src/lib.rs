@@ -10,6 +10,8 @@
 //!   (Fig. 3), with numeric dispersion statistics so the claim is testable.
 //! * [`paired_t_test`] — the significance stars in Tables III/IV.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod conditioning;
 mod ranking;
 mod tsne;

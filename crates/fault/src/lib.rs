@@ -28,7 +28,7 @@
 //! **Layering.** Zero dependencies; sits at the very bottom of the
 //! workspace next to `wr-obs` so every persistence and serving crate can
 //! accept an injector without cycles. The crate never reads the clock
-//! (wr-check R4) and its only panics are the *deliberate* ones scheduled
+//! (clippy's `disallowed_methods`) and its only panics are the *deliberate* ones scheduled
 //! by a plan ([`FaultPlan::maybe_panic`]), which callers contain with
 //! `catch_unwind` at micro-batch boundaries.
 

@@ -68,8 +68,8 @@ enum BreakerState {
 }
 
 /// One replica's consecutive-failure circuit breaker. All transitions
-/// happen under a short mutex that is never held across another call
-/// (wr-check R7); a poisoned lock is recovered, never propagated — the
+/// happen under a short mutex that is never held across another call;
+/// a poisoned lock is recovered, never propagated — the
 /// breaker is availability machinery and must not add failure modes.
 #[derive(Debug)]
 pub struct HealthTracker {

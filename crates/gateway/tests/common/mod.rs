@@ -1,7 +1,7 @@
 //! The model / config / trace fixture the gateway suites share. Every
 //! builder is a pure function of its arguments (fixed seeds, dropout 0),
 //! so two calls build bit-identical twins.
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code, reason = "each suite uses its own subset")]
 
 use wr_fault::FaultRates;
 use wr_gateway::GatewayResponse;

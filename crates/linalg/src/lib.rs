@@ -15,6 +15,8 @@
 //! Plus the statistics the paper's analysis needs: [`covariance`],
 //! [`condition_number`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod cholesky;
 mod cov;
 mod jacobi;

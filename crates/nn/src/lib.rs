@@ -21,6 +21,8 @@
 //! assert_eq!(g.dims(y), vec![3, 2]);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod attention;
 mod checkpoint;
 mod embedding;

@@ -28,6 +28,10 @@ impl MoEAdaptor {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the expert loop ran at least once: n_experts >= 1 is asserted in new()"
+    )]
     pub fn forward(&self, sess: &mut Session, x: Var) -> Var {
         let g = sess.graph;
         let mut logits = self.gate.forward(sess, x);
@@ -53,8 +57,6 @@ impl MoEAdaptor {
                 None => weighted,
             });
         }
-        // wr-check: allow(R1) — the expert loop ran at least once:
-        // n_experts >= 1 is asserted in new().
         combined.expect("at least one expert")
     }
 

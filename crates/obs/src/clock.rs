@@ -1,8 +1,8 @@
 //! Time sources for telemetry.
 //!
 //! Every timing measurement in the workspace flows through the [`Clock`]
-//! trait; `wr-check`'s R4 rule confines direct `Instant::now` /
-//! `SystemTime::now` calls to this crate (and benches), so instrumented
+//! trait; clippy's `disallowed_methods` (DESIGN.md §5b) refuses a direct
+//! `Instant::now` / `SystemTime::now` everywhere else, so instrumented
 //! crates cannot accidentally read wall-clock in a result-producing path.
 //! [`MonotonicClock`] is the production source; [`MockClock`] is a
 //! hand-advanced source that makes span and latency tests fully
@@ -21,13 +21,17 @@ pub trait Clock: Send + Sync {
 
 /// Production clock: nanoseconds since the clock's construction, measured
 /// with [`std::time::Instant`]. This is the only production call site of
-/// `Instant::now` in the workspace (R4 allowlist).
+/// `Instant::now` in the workspace.
 #[derive(Debug)]
 pub struct MonotonicClock {
     origin: Instant,
 }
 
 impl MonotonicClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one production clock: every other crate reads time through Clock"
+    )]
     pub fn new() -> Self {
         MonotonicClock {
             origin: Instant::now(),

@@ -149,8 +149,8 @@ impl FlightRecorder {
             .total
     }
 
-    /// Copy of the retained events in recording order (read API — the
-    /// wr-check R9 rule confines calls to obs, benches, and tests).
+    /// Copy of the retained events in recording order (read API, for the
+    /// scrape endpoint, exporters and tests).
     pub fn events(&self) -> Vec<FlightEvent> {
         self.inner
             .lock()

@@ -82,6 +82,10 @@ impl Drop for ObsServer {
 /// `"127.0.0.1:0"` for an ephemeral port). The returned handle owns the
 /// listener thread; the `Telemetry` is cloned (its parts are `Arc`s) so
 /// the endpoint observes the live registry/tracer/flight state.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the accept loop outlives any bounded pool dispatch and only reads snapshots"
+)]
 pub fn serve_http(addr: &str, telemetry: &Telemetry) -> std::io::Result<ObsServer> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;

@@ -15,8 +15,8 @@ pub(crate) fn write_f64(out: &mut String, v: f64) {
         out.push_str("null");
         return;
     }
-    // wr-check: allow(R5) — exact integrality test chooses the integer
-    // formatting; both branches print the same value.
+    // Exact integrality test chooses the integer formatting; both
+    // branches print the same value.
     if v.trunc() == v && v.abs() < 1e15 {
         out.push_str(&format!("{}", v as i64));
     } else {

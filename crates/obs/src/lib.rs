@@ -35,9 +35,9 @@
 //!
 //! **Determinism contract.** Telemetry is strictly write-only with
 //! respect to computation: nothing in this crate is ever read back into
-//! a result-producing path. `wr-check`'s R4 rule pins the only
-//! production wall-clock reads to this crate, R9 confines the
-//! registry/tracer/flight *read* APIs to obs/bench/test code, and the
+//! a result-producing path. Clippy's `disallowed_methods` pins the only
+//! production wall-clock read to this crate, and
+//! `gateway_telemetry_is_write_only_and_nonzero`, its serve twin and the
 //! serve/runtime differential suites assert bit-identical results with
 //! instrumentation attached and across `WR_THREADS` settings.
 

@@ -11,7 +11,7 @@
 //!
 //! Everything here is strictly write-only with respect to computation: no
 //! metric value is ever read back into a result-producing path
-//! (`wr-check` R4 enforces the absence of clock reads outside
+//! (clippy's `disallowed_methods` refuses clock reads outside
 //! `crates/obs`; the differential suites assert bit-identity with
 //! telemetry attached).
 
@@ -731,6 +731,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the race under test needs observers on threads of their own"
+    )]
     fn concurrent_observe_never_breaks_the_snapshot_count_invariant() {
         // Regression: `snapshot()` used to read the count atomic
         // separately from the bucket loads, so a snapshot taken between

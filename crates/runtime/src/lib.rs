@@ -49,7 +49,8 @@
 //!
 //! The pool carries `wr-obs` instrumentation: per-task queue-wait and
 //! execution timings (measured on a [`wr_obs::MonotonicClock`] owned by the
-//! pool — the runtime itself never reads `Instant::now`, per wr-check R4)
+//! pool — the runtime itself never reads `Instant::now`; clippy's
+//! `disallowed_methods` refuses it)
 //! aggregated into histograms, plus counters for dispatches and for jobs
 //! executed by workers vs. the participating caller. [`pool_stats`] exposes
 //! the counters (the benchmark ledger reads their deltas over one round as
@@ -297,6 +298,10 @@ fn worker_loop() {
 }
 
 /// Lazily grow the worker set toward `wanted` persistent workers.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool workers: every other thread runs its jobs through them"
+)]
 fn ensure_workers(wanted: usize) {
     let p = pool();
     loop {
@@ -818,7 +823,7 @@ mod tests {
     /// Cross-thread span attribution: spans recorded from inside pool jobs
     /// land on distinct `tid`s per executing thread. (Lives here rather
     /// than in wr-obs because the pool is the only sanctioned thread
-    /// source — R3.)
+    /// source — clippy's `disallowed_methods`.)
     #[test]
     fn tracer_attributes_spans_across_pool_threads() {
         use wr_obs::{MockClock, Tracer};

@@ -13,7 +13,8 @@
 //! [`wr_obs::MockClock`]) and the percentile math is
 //! [`wr_obs::nearest_rank`] — the single nearest-rank implementation
 //! shared with the histogram type. This module contains no direct
-//! `Instant::now` calls (wr-check R4 confines those to `crates/obs`).
+//! `Instant::now` calls (clippy's `disallowed_methods` confines those to
+//! `crates/obs`).
 
 use wr_obs::{nearest_rank, Histogram, Telemetry};
 

@@ -316,7 +316,7 @@ mod tests {
         );
         // A user's history is a pure function of (seed, user): every
         // repeat query from the same user carries the same session.
-        let mut first: std::collections::HashMap<u64, &Vec<usize>> = Default::default();
+        let mut first: std::collections::BTreeMap<u64, &Vec<usize>> = Default::default();
         for q in &log.queries {
             match first.get(&q.id) {
                 Some(h) => assert_eq!(*h, &q.history, "user {} session drifted", q.id),

@@ -63,8 +63,8 @@ impl Json {
 
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            // wr-check: allow(R5) — fract() == 0.0 is the exact integrality
-            // test; a tolerance would accept non-integers as indices.
+            // fract() == 0.0 is the exact integrality test; a tolerance would
+            // accept non-integers as indices.
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as usize),
             _ => None,
         }

@@ -16,6 +16,8 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod attention;
 mod error;
 mod init;

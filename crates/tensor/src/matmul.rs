@@ -66,9 +66,11 @@ const NT_ROWS: usize = 8;
 
 impl Tensor {
     /// Matrix product `self @ other`. Panics on shape mismatch.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking wrapper; try_matmul is the Result path for untrusted shapes"
+    )]
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        // wr-check: allow(R1) — documented panicking wrapper; try_matmul is
-        // the Result path for untrusted shapes.
         self.try_matmul(other).expect("Tensor::matmul")
     }
 

@@ -6,8 +6,8 @@ macro_rules! binary_op {
     ($name:ident, $try_name:ident, $op:tt) => {
         /// Elementwise operation; panics on shape mismatch.
         pub fn $name(&self, other: &Tensor) -> Tensor {
-            // wr-check: allow(R1) — documented panicking wrapper; the
-            // $try_name twin is the Result path.
+            // Documented panicking wrapper; the $try_name twin is the Result
+            // path. (Clippy does not lint inside a local macro_rules! body.)
             self.$try_name(other).expect(stringify!($name))
         }
 

@@ -14,9 +14,11 @@ impl Tensor {
     // ----- constructors -------------------------------------------------
 
     /// Build a tensor from raw data. Panics if `data.len()` doesn't match.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking wrapper; try_from_vec is the Result path for untrusted input"
+    )]
     pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Self {
-        // wr-check: allow(R1) — documented panicking wrapper; try_from_vec
-        // is the Result path for untrusted input.
         Self::try_from_vec(data, dims).expect("Tensor::from_vec")
     }
 
@@ -160,9 +162,11 @@ impl Tensor {
     // ----- shape manipulation --------------------------------------------
 
     /// Reinterpret the data with a new shape of identical element count.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking wrapper; try_reshape is the Result path"
+    )]
     pub fn reshape(&self, dims: &[usize]) -> Tensor {
-        // wr-check: allow(R1) — documented panicking wrapper; try_reshape
-        // is the Result path.
         self.try_reshape(dims).expect("Tensor::reshape")
     }
 

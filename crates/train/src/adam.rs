@@ -88,9 +88,9 @@ impl Adam {
 
         for (i, mut grad) in grads {
             let param = &bindings[i].0;
-            // wr-check: allow(R5) — exact sentinel: 1.0 means "no clipping
-            // happened", skipping a full-tensor scale; any other value must
-            // scale even if within epsilon of 1.
+            // Exact sentinel: 1.0 means "no clipping happened", skipping a
+            // full-tensor scale; any other value must scale even if within
+            // epsilon of 1.
             if clip_scale != 1.0 {
                 grad.scale_(clip_scale);
             }

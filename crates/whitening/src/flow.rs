@@ -150,8 +150,10 @@ impl FlowWhitening {
                 // NLL/sample = 0.5·Σ y² / n − logdet / n (+ const).
                 let sq = g.mul(h, h);
                 let energy = g.scale(g.sum_all(sq), 0.5 / bsz);
-                // wr-check: allow(R1) — Some because config.layers >= 1
-                // is asserted at entry, so the layer loop ran.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Some because config.layers >= 1 is asserted at entry, so the layer loop ran"
+                )]
                 let logdet = g.scale(logdet_sum.expect("≥1 layer"), 1.0 / bsz);
                 let loss = g.sub(energy, logdet);
                 epoch_nll += g.value(loss).item() as f64;
@@ -163,11 +165,13 @@ impl FlowWhitening {
                 let bias2 = 1.0 - b2.powi(step_no as i32);
                 for (p, var) in sess.bindings() {
                     let Some(grad) = g.grad(*var) else { continue };
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every bound param came from `layers`, the same source as `all_params`"
+                    )]
                     let idx = all_params
                         .iter()
                         .position(|q| q.id() == p.id())
-                        // wr-check: allow(R1) — every bound param came from
-                        // `layers`, the same source as `all_params`.
                         .expect("bound param not in registry");
                     let mt = &mut m[idx];
                     mt.scale_(b1);

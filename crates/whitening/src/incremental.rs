@@ -79,8 +79,10 @@ impl IncrementalWhitening {
         for i in 0..self.dim {
             *cov.at2_mut(i, i) += self.eps;
         }
-        // wr-check: allow(R1) — cov is symmetric by construction (mirrored
-        // writes above) and Jacobi rotation on a symmetric matrix converges.
+        #[expect(
+            clippy::expect_used,
+            reason = "cov is symmetric by construction (mirrored writes above) and Jacobi rotation on a symmetric matrix converges"
+        )]
         let eig = sym_eig(&cov).expect("incremental covariance eigendecomposition");
         let eps = self.eps;
         let w = eig.rebuild_with(|l| 1.0 / l.max(eps).sqrt());

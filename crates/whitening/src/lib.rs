@@ -17,6 +17,8 @@
 //! are the row-layout equivalents, and the whitened output satisfies
 //! `cov(Z) ≈ I_d`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 mod ensemble;
 mod flow;
 mod group;

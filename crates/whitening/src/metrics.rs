@@ -60,8 +60,8 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
     let dot = wr_tensor::dot(a, b);
     let na = wr_tensor::dot(a, a).sqrt();
     let nb = wr_tensor::dot(b, b).sqrt();
-    // wr-check: allow(R5) — exact zero-norm guard before the division;
-    // a tolerance here would silently zero out tiny-but-real vectors.
+    // Exact zero-norm guard before the division; a tolerance here would
+    // silently zero out tiny-but-real vectors.
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {

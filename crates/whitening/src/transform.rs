@@ -64,13 +64,15 @@ impl WhiteningTransform {
 
         let w = match method {
             WhiteningMethod::Zca => {
-                // wr-check: allow(R1) — covariance_of_rows is symmetric by
-                // construction; Jacobi on symmetric matrices converges.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "covariance_of_rows is symmetric by construction; Jacobi on symmetric matrices converges"
+                )]
                 let eig = sym_eig(&cov).expect("covariance eigendecomposition failed");
                 eig.rebuild_with(|l| 1.0 / l.max(eps).sqrt())
             }
             WhiteningMethod::Pca => {
-                // wr-check: allow(R1) — same symmetry argument as ZCA above.
+                #[expect(clippy::expect_used, reason = "same symmetry argument as ZCA above")]
                 let eig = sym_eig(&cov).expect("covariance eigendecomposition failed");
                 // Row layout: z = c D Λ^{-1/2}; scale eigenvector columns.
                 let mut w = eig.vectors.clone();
@@ -83,8 +85,10 @@ impl WhiteningTransform {
                 w
             }
             WhiteningMethod::Cholesky => {
-                // wr-check: allow(R1) — cov carries the +eps ridge from
-                // covariance_of_rows, making it positive definite.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "cov carries the +eps ridge from covariance_of_rows, making it positive definite"
+                )]
                 let l = cholesky(&cov).expect("covariance Cholesky failed");
                 // zᵀ = L⁻¹ cᵀ  ⇒  z = c L⁻ᵀ; compute L⁻¹ once.
                 let linv = solve_lower_triangular(&l, &Tensor::eye(d));
@@ -120,9 +124,11 @@ impl WhiteningTransform {
     ///
     /// Computed via the pseudoinverse so it also behaves for
     /// ε-regularized, nearly singular fits.
+    #[expect(
+        clippy::expect_used,
+        reason = "pinv only fails on shape errors; w is square d x d by construction of every fit path"
+    )]
     pub fn coloring_matrix(&self) -> Tensor {
-        // wr-check: allow(R1) — pinv only fails on shape errors; w is
-        // square d x d by construction of every fit path.
         wr_linalg::pinv(&self.w).expect("whitening matrix pseudoinverse")
     }
 

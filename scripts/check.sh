@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: warning-free release build, the wr-check static-analysis
-# pass, the full test suite, and the same suite pinned to one thread
-# (WR_THREADS=1 exercises the pool's sequential fallback — the path every
-# parallel primitive must match bit-for-bit).
+# Tier-1 gate: warning-free release build, clippy's policy lints, the
+# wr-check static-analysis pass, the full test suite, and the same suite
+# pinned to one thread (WR_THREADS=1 exercises the pool's sequential
+# fallback — the path every parallel primitive must match bit-for-bit).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -11,19 +11,38 @@ cd "$(dirname "$0")/.."
 echo "== check: cargo build --release (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
-# `cargo build --workspace` compiles libraries and binaries only: tests
-# and examples would never be held to `-D warnings`, and the one
-# micro-bench left (crates/bench/benches/eigen.rs) is neither built nor
-# run by anything below, so type-check every target here or a signature
-# change rots it.
-echo "== check: cargo check --workspace --all-targets (-D warnings) =="
-RUSTFLAGS="-D warnings" cargo check --release --offline --workspace --all-targets
+# The policy lints (DESIGN.md §5b) hold every member whose manifest opts
+# into the root `[workspace.lints]`; a member without the opt-in would
+# escape them silently.
+echo "== check: every member manifest opts into the workspace lints =="
+no_lints="$(for m in Cargo.toml crates/*/Cargo.toml; do
+    awk '/^\[lints\]$/ { t = 1; next } /^\[/ { t = 0 } t && /^workspace *= *true$/ { ok = 1 }
+         END { exit !ok }' "$m" || echo "$m"; done)"
+[ -z "$no_lints" ] \
+    || { echo "   manifests without [lints] workspace = true:"; echo "$no_lints"; exit 1; }
 
-# Semantic rules (R6–R8) gate against the committed suppression budget in
-# check_baseline.json: any unsuppressed finding fails, and the justified
-# suppression count can only go down. After *removing* suppressions,
-# shrink the budget with `./target/release/wr-check --write-baseline`
-# (it refuses to raise any count).
+# `cargo build --workspace` compiles libraries and binaries only: tests,
+# examples and the one micro-bench (crates/bench/benches/eigen.rs) are
+# type-checked here, and every target is held to the policy lints of
+# `[workspace.lints.clippy]` / clippy.toml and to `-D warnings` (a stale
+# `#[expect]` fails as `unfulfilled_lint_expectations`).
+echo "== check: cargo clippy --workspace --all-targets (-D warnings) =="
+cargo clippy --release --offline --workspace --all-targets -- -D warnings
+
+# bench/ledger is a workspace of its own and inherits no lint table, so
+# its policy lints come from the command line; clippy still reads the
+# disallowed lists from the root clippy.toml.
+echo "== check: cargo clippy bench/ledger (SAFETY comments, disallowed lists) =="
+cargo clippy --release --offline --manifest-path bench/ledger/Cargo.toml --all-targets -- \
+    -A clippy::all -D clippy::undocumented_unsafe_blocks \
+    -D clippy::disallowed_methods -D clippy::disallowed_types -D warnings
+
+# Semantic rules (R6, R8) gate against the committed suppression budget
+# in check_baseline.json, which also counts every `#[expect(clippy::…)]`:
+# any unsuppressed finding fails, and the justified suppression count can
+# only go down. After *removing* suppressions, shrink the budget with
+# `./target/release/wr-check --write-baseline` (it refuses to raise any
+# count).
 echo "== check: wr-check static analysis (--ratchet) =="
 ./target/release/wr-check --ratchet
 
