@@ -32,7 +32,7 @@ fn main() {
                     &mut rng,
                 )),
                 "BERT-flow" => {
-                    let flow = FlowWhitening::fit(emb, Default::default(), 17);
+                    let flow = FlowWhitening::fit(emb, 8, 17);
                     let z = flow.apply(emb);
                     ensemble_of(z.clone(), z, cfg, &mut rng)
                 }

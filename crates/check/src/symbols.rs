@@ -19,8 +19,7 @@ use crate::lexer::{Kind, Token};
 /// The `parallel_*` entry points of the wr-runtime pool. A closure passed
 /// to one of these runs on pool workers: its body becomes a pseudo-function
 /// in the symbol table (see [`FnDef::is_closure_root`]).
-pub const PARALLEL_FNS: &[&str] =
-    &["parallel_for", "parallel_for_chunks", "parallel_map", "parallel_chunks_mut"];
+pub const PARALLEL_FNS: &[&str] = &["parallel_map", "parallel_chunks_mut"];
 
 /// A call expression recorded inside a function body.
 #[derive(Debug, Clone)]
@@ -990,7 +989,7 @@ mod tests {
         let f = syms(
             "crates/serve/src/a.rs",
             "fn spread(n: usize, out: &mut [f32]) {\n\
-                 parallel_for(n, 1, |i| { out[i] = work(i); });\n\
+                 parallel_map(n, 1, |i| { out[i] = work(i); });\n\
              }",
         );
         assert_eq!(f.fns.len(), 2, "{:#?}", f.fns);
@@ -1000,9 +999,9 @@ mod tests {
         assert!(closure.panics.is_empty(), "{:?}", closure.panics);
         assert_eq!(closure.calls.len(), 1);
         assert_eq!(closure.calls[0].name, "work");
-        // The parent records the parallel_for call but not the closure's body.
+        // The parent records the parallel_map call but not the closure's body.
         let parent = f.fns.iter().find(|d| !d.is_closure_root).expect("parent");
-        assert!(parent.calls.iter().any(|c| c.name == "parallel_for"));
+        assert!(parent.calls.iter().any(|c| c.name == "parallel_map"));
         assert!(parent.calls.iter().all(|c| c.name != "work"));
     }
 

@@ -21,8 +21,8 @@
 //!
 //! The latency report — p50/p95/p99/mean latency, QPS, the shard and
 //! degraded-response counts, and a determinism checksum over the served
-//! top-1 items — is printed to stdout as JSON in the `wr_bench::harness`
-//! export shape, and optionally written to `--out`.
+//! top-1 items — is printed to stdout as one JSON document
+//! (`wr_serve::ReplayReport::to_json`), and optionally written to `--out`.
 //!
 //! `--check-naive N` re-serves the first `N` queries through the naive
 //! one-user-at-a-time scorer of a single engine over a parameter-copied
@@ -94,7 +94,8 @@ whitenrec bench [--model WhitenRec+] [--dataset Arts] [--scale 0.2]
     [--trace-out trace.json] [--metrics-out metrics.json]
     [--fault-log-out faults.jsonl]
     [--obs-listen 127.0.0.1:0] [--obs-dump-dir DIR]
-  env: WR_FAULT_SEED=N  arm deterministic fault injection (0/unset = off)";
+  env: WR_FAULT_SEED=N  arm deterministic fault injection (0/unset = off;
+                        a value that is not a u64 is an error)";
 
 /// Flags that configure replica sets and so mean nothing on a bare engine.
 const GATEWAY_FLAGS: [&str; 6] = [
@@ -381,6 +382,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
             return Err(format!("{f} configures a gateway: it needs --shards"));
         }
     }
+    // Chaos mode: a nonzero WR_FAULT_SEED arms a deterministic fault
+    // schedule over the serving path (cache poison, score poison, induced
+    // batch panics). The replay must survive it. Read before any work, so
+    // a seed that does not parse fails at once.
+    let fault_plan: Option<Arc<FaultPlan>> = FaultPlan::from_env()?.map(Arc::new);
+    if let Some(plan) = &fault_plan {
+        eprintln!(
+            "chaos: fault injection armed ({WR_FAULT_SEED_ENV}={}, rates {:?})",
+            plan.seed(),
+            plan.rates()
+        );
+    }
     let mut ctx = build_context(args, Some(3))?;
 
     let trace_out = flag(args, "--trace-out");
@@ -418,17 +431,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         _ => None,
     };
-    // Chaos mode: a nonzero WR_FAULT_SEED arms a deterministic fault
-    // schedule over the serving path (cache poison, score poison, induced
-    // batch panics). The replay must survive it.
-    let fault_plan: Option<Arc<FaultPlan>> = FaultPlan::from_env().map(Arc::new);
-    if let Some(plan) = &fault_plan {
-        eprintln!(
-            "chaos: fault injection armed ({WR_FAULT_SEED_ENV}={}, rates {:?})",
-            plan.seed(),
-            plan.rates()
-        );
-    }
     let serve_cfg = ServeConfig {
         k: parse_num(args, "--k", 10)?,
         max_batch: parse_num(args, "--batch", 64)?,

@@ -23,10 +23,6 @@ impl TableWriter {
         self.rows.push(cells.to_vec());
     }
 
-    pub fn row_strs(&mut self, cells: &[&str]) {
-        self.row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
-
     /// Render as an aligned table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
@@ -69,8 +65,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = TableWriter::new("Demo", &["Model", "R@20"]);
-        t.row_strs(&["WhitenRec+", "0.1688"]);
-        t.row_strs(&["SASRec", "0.1410"]);
+        t.row(&["WhitenRec+".into(), "0.1688".into()]);
+        t.row(&["SASRec".into(), "0.1410".into()]);
         let s = t.render();
         assert!(s.contains("== Demo =="));
         assert!(s.contains("WhitenRec+  0.1688"));
@@ -82,6 +78,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn row_width_checked() {
         let mut t = TableWriter::new("x", &["a", "b"]);
-        t.row_strs(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 }

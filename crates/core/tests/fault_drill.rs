@@ -127,3 +127,25 @@ fn induced_crash_then_resume_is_bit_identical_to_uninterrupted() {
         "resumed parameters must be byte-identical to the uninterrupted run"
     );
 }
+
+/// `whitenrec bench` refuses a `WR_FAULT_SEED` that does not parse, before
+/// any work, with a message naming the variable and the value — a typo
+/// must not run the chaos drill with no faults armed.
+#[test]
+fn bench_refuses_a_fault_seed_that_does_not_parse() {
+    let out = Command::new(env!("CARGO_BIN_EXE_whitenrec"))
+        .args(["bench", "--scale", "0.05", "--epochs", "1"])
+        .env("WR_FAULT_SEED", "2024O613")
+        .output()
+        .expect("spawn whitenrec");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "must exit FAILURE, stderr: {stderr}");
+    assert!(
+        stderr.contains("WR_FAULT_SEED=\"2024O613\""),
+        "stderr must name the variable and the value, got: {stderr}"
+    );
+    assert!(
+        !stderr.contains("training"),
+        "it failed after starting work: {stderr}"
+    );
+}

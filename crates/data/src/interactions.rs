@@ -8,25 +8,12 @@ use wr_textsim::Catalog;
 pub struct InteractionConfig {
     pub n_users: usize,
     /// Sequence length sampled geometrically with this mean, clamped to
-    /// `[min_len, max_len]`.
+    /// `[MIN_LEN, MAX_LEN]`.
     pub mean_len: f32,
-    pub min_len: usize,
-    pub max_len: usize,
-    /// Zipf exponent for item popularity.
-    pub zipf: f32,
     /// Weight of user-preference affinity in the choice model.
     pub preference_strength: f32,
     /// Weight of similarity to the previous item (co-consumption chains).
     pub markov_strength: f32,
-    /// Candidate pool size per choice (popularity-proposed, then re-scored).
-    pub pool: usize,
-    /// How strongly item popularity follows a text-expressible "quality"
-    /// direction in semantic space (0 = popularity independent of text,
-    /// 1 = fully text-determined). Real catalogs sit high: demand tracks
-    /// category and product attributes, which *are* in the text — without
-    /// this, text-only models face an artificial ceiling no amount of
-    /// whitening can cross.
-    pub popularity_text_corr: f32,
     pub seed: u64,
 }
 
@@ -35,26 +22,36 @@ impl Default for InteractionConfig {
         InteractionConfig {
             n_users: 4000,
             mean_len: 8.0,
-            min_len: 5,
-            max_len: 50,
-            zipf: 0.55,
             preference_strength: 2.6,
             markov_strength: 1.6,
-            pool: 90,
-            popularity_text_corr: 0.75,
             seed: 99,
         }
     }
 }
 
+/// Bounds of a sampled sequence length.
+const MIN_LEN: usize = 5;
+const MAX_LEN: usize = 50;
+const _: () = assert!(MIN_LEN >= 2 && MIN_LEN <= MAX_LEN);
+/// Zipf exponent for item popularity.
+const ZIPF: f32 = 0.55;
+/// Candidate pool size per choice (popularity-proposed, then re-scored).
+const POOL: usize = 90;
+/// How strongly item popularity follows a text-expressible "quality"
+/// direction in semantic space (0 = popularity independent of text,
+/// 1 = fully text-determined). Real catalogs sit high: demand tracks
+/// category and product attributes, which *are* in the text — without
+/// this, text-only models face an artificial ceiling no amount of
+/// whitening can cross.
+const POPULARITY_TEXT_CORR: f32 = 0.75;
+
 /// Generate chronological item sequences for `n_users` synthetic users.
 ///
-/// Choice model per step: propose `pool` candidates from a Zipf popularity
+/// Choice model per step: propose `POOL` candidates from a Zipf popularity
 /// distribution, then sample among them with weights
 /// `exp(pref·sem(i)·α + sim(prev, i)·β)`.
 pub fn generate_interactions(catalog: &Catalog, config: InteractionConfig) -> Vec<Vec<usize>> {
     assert!(config.n_users >= 1);
-    assert!(config.min_len >= 2 && config.min_len <= config.max_len);
     let mut rng = Rng64::seed_from(config.seed);
     let n = catalog.n_items();
     let k = catalog.config.n_factors;
@@ -62,20 +59,20 @@ pub fn generate_interactions(catalog: &Catalog, config: InteractionConfig) -> Ve
 
     // Zipf popularity ranked by a noisy "quality" score: a mix of a fixed
     // direction in semantic space (text-expressible) and pure noise,
-    // blended by `popularity_text_corr`.
+    // blended by `POPULARITY_TEXT_CORR`.
     let quality_dir: Vec<f32> = (0..k).map(|_| rng.normal()).collect();
     let mut scored: Vec<(usize, f32)> = (0..n)
         .map(|i| {
             let sem_q: f32 = sem.row(i).iter().zip(&quality_dir).map(|(a, b)| a * b).sum();
             let noise = rng.normal();
-            let c = config.popularity_text_corr.clamp(0.0, 1.0);
+            let c = POPULARITY_TEXT_CORR;
             (i, c * sem_q + (1.0 - c) * noise)
         })
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut pop = vec![0.0f32; n];
     for (rank, &(item, _)) in scored.iter().enumerate() {
-        pop[item] = 1.0 / (rank as f32 + 1.0).powf(config.zipf);
+        pop[item] = 1.0 / (rank as f32 + 1.0).powf(ZIPF);
     }
     let cumulative = cumulative_sum(&pop);
 
@@ -99,8 +96,8 @@ pub fn generate_interactions(catalog: &Catalog, config: InteractionConfig) -> Ve
         let mut seq: Vec<usize> = Vec::with_capacity(len);
         let mut prev: Option<usize> = None;
         for _ in 0..len {
-            let mut best_pool: Vec<usize> = Vec::with_capacity(config.pool);
-            for _ in 0..config.pool {
+            let mut best_pool: Vec<usize> = Vec::with_capacity(POOL);
+            for _ in 0..POOL {
                 best_pool.push(sample_from_cumulative(&cumulative, &mut rng));
             }
             let weights: Vec<f32> = best_pool
@@ -130,14 +127,14 @@ pub fn generate_interactions(catalog: &Catalog, config: InteractionConfig) -> Ve
 }
 
 fn sample_length(rng: &mut Rng64, c: &InteractionConfig) -> usize {
-    // Geometric with the configured mean, shifted by min_len.
-    let extra_mean = (c.mean_len - c.min_len as f32).max(0.1);
+    // Geometric with the configured mean, shifted by MIN_LEN.
+    let extra_mean = (c.mean_len - MIN_LEN as f32).max(0.1);
     let p = 1.0 / (1.0 + extra_mean);
     let mut extra = 0usize;
-    while !rng.chance(p) && extra + c.min_len < c.max_len {
+    while !rng.chance(p) && extra + MIN_LEN < MAX_LEN {
         extra += 1;
     }
-    c.min_len + extra
+    MIN_LEN + extra
 }
 
 fn cumulative_sum(w: &[f32]) -> Vec<f32> {
@@ -191,7 +188,7 @@ mod tests {
         let seqs = generate_interactions(&cat, small_config());
         assert_eq!(seqs.len(), 200);
         for s in &seqs {
-            assert!(s.len() >= 5 && s.len() <= 50);
+            assert!(s.len() >= MIN_LEN && s.len() <= MAX_LEN);
             for &i in s {
                 assert!(i < cat.n_items());
             }

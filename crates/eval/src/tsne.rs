@@ -7,9 +7,6 @@ use wr_tensor::{Rng64, Tensor};
 pub struct TsneConfig {
     pub perplexity: f32,
     pub iterations: usize,
-    pub learning_rate: f32,
-    /// Early-exaggeration factor applied for the first quarter of the run.
-    pub exaggeration: f32,
     pub seed: u64,
 }
 
@@ -18,12 +15,15 @@ impl Default for TsneConfig {
         TsneConfig {
             perplexity: 30.0,
             iterations: 250,
-            learning_rate: 100.0,
-            exaggeration: 4.0,
             seed: 1,
         }
     }
 }
+
+/// Gradient-descent step size.
+const LEARNING_RATE: f32 = 100.0;
+/// Early-exaggeration factor applied for the first quarter of the run.
+const EXAGGERATION: f32 = 4.0;
 
 /// Exact (O(n²)) t-SNE embedding of the rows of `x` into 2-D.
 ///
@@ -40,7 +40,7 @@ pub fn tsne_2d(x: &Tensor, config: TsneConfig) -> Tensor {
 
     for iter in 0..config.iterations {
         let exag = if iter < exaggeration_until {
-            config.exaggeration
+            EXAGGERATION
         } else {
             1.0
         };
@@ -84,7 +84,7 @@ pub fn tsne_2d(x: &Tensor, config: TsneConfig) -> Tensor {
 
         let momentum = if iter < exaggeration_until { 0.5 } else { 0.8 };
         velocity.scale_(momentum);
-        velocity.axpy_(-config.learning_rate, &grad);
+        velocity.axpy_(-LEARNING_RATE, &grad);
         y.add_assign_(&velocity);
     }
     y
@@ -274,7 +274,8 @@ mod tests {
     fn dispersion_separates_uniform_from_clustered() {
         let mut rng = Rng64::seed_from(2);
         // Uniform cloud in a box.
-        let uniform = Tensor::rand_uniform(&[400, 2], -5.0, 5.0, &mut rng);
+        let data = (0..800).map(|_| rng.uniform_in(-5.0, 5.0)).collect();
+        let uniform = Tensor::from_vec(data, &[400, 2]);
         // Two tight far-apart clusters in a similar bounding box.
         let clustered = {
             let mut c = Tensor::randn(&[400, 2], &mut rng).scale(0.15);

@@ -161,14 +161,19 @@ impl FaultPlan {
         }
     }
 
-    /// Read `WR_FAULT_SEED`; `0`, unset, or unparsable → `None` (faults
-    /// disabled).
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed: u64 = std::env::var(WR_FAULT_SEED_ENV).ok()?.trim().parse().ok()?;
-        if seed == 0 {
-            None
-        } else {
-            Some(FaultPlan::new(seed))
+    /// Read `WR_FAULT_SEED`: unset or `0` → `None` (faults disabled). A
+    /// set value that is not a `u64` is an error naming the variable and
+    /// the value — a typo must not silently run a chaos drill without
+    /// faults.
+    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+        let Some(raw) = std::env::var_os(WR_FAULT_SEED_ENV) else {
+            return Ok(None);
+        };
+        let raw = raw.to_string_lossy();
+        match raw.trim().parse::<u64>() {
+            Ok(0) => Ok(None),
+            Ok(seed) => Ok(Some(FaultPlan::new(seed))),
+            Err(_) => Err(format!("{WR_FAULT_SEED_ENV}={raw:?} is not a u64 seed")),
         }
     }
 
@@ -453,17 +458,25 @@ mod tests {
     }
 
     #[test]
-    fn from_env_respects_zero_and_absent() {
+    fn from_env_respects_zero_and_absent_and_refuses_garbage() {
         // This test mutates the process environment; the variable is
         // cleared again before returning so parallel tests in this crate
         // (none of which read it) stay unaffected.
         std::env::remove_var(WR_FAULT_SEED_ENV);
-        assert!(FaultPlan::from_env().is_none());
+        assert!(FaultPlan::from_env().unwrap().is_none());
         std::env::set_var(WR_FAULT_SEED_ENV, "0");
-        assert!(FaultPlan::from_env().is_none());
+        assert!(FaultPlan::from_env().unwrap().is_none());
         std::env::set_var(WR_FAULT_SEED_ENV, "1234");
-        let plan = FaultPlan::from_env().expect("armed");
+        let plan = FaultPlan::from_env().unwrap().expect("armed");
         assert_eq!(plan.seed(), 1234);
+        // A typo is an error naming the variable and the value, not a
+        // drill that silently arms nothing.
+        std::env::set_var(WR_FAULT_SEED_ENV, "2024O613");
+        let err = FaultPlan::from_env().err().expect("unparsable seed");
+        assert!(
+            err.contains(WR_FAULT_SEED_ENV) && err.contains("\"2024O613\""),
+            "{err}"
+        );
         std::env::remove_var(WR_FAULT_SEED_ENV);
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::health::{BreakerConfig, ReplicaCall, ReplicaSet};
 use crate::ShardPlan;
-use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
+use wr_fault::{SharedInjector, Sleeper};
 use wr_obs::{Clock, DeadlineBudget, MonotonicClock, Telemetry, TraceContext};
 use wr_serve::{
     merge_top_k, CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, Replay, Request,
@@ -39,8 +39,6 @@ pub struct GatewayConfig {
     /// instead of failing. Defaults to the micro-batch bound, i.e. never
     /// rejecting — tighten it to shed load per shard.
     pub shard_max_rows: usize,
-    /// Bounded retry-with-backoff for shard micro-batches that panic.
-    pub retry: RetryPolicy,
     /// Replicas per catalog window (`R`). Each replica is a handle clone
     /// of the window's frozen cache behind its own circuit breaker, so
     /// failover and hedging change *which core answers*, never the bits.
@@ -61,9 +59,6 @@ pub struct GatewayConfig {
     /// `(router_seed, first request id, shard index)` — no RNG stream —
     /// so a replay with the same seed walks the same replicas.
     pub router_seed: u64,
-    /// Per-replica circuit-breaker knobs (consecutive-failure threshold,
-    /// half-open cooldown).
-    pub breaker: BreakerConfig,
 }
 
 impl Default for GatewayConfig {
@@ -73,12 +68,10 @@ impl Default for GatewayConfig {
             serve,
             max_queue_depth: 1024,
             shard_max_rows: serve.max_batch,
-            retry: RetryPolicy::default(),
             replicas: 1,
             hedge_threshold_ns: 0,
             deadline_ns: 0,
             router_seed: 0x5EED_0017,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -192,13 +185,16 @@ impl Gateway {
         plan: ShardPlan,
         cfg: GatewayConfig,
     ) -> Gateway {
+        // Every shard retries with the default backoff, and every replica
+        // trips the default breaker.
         let resilience = ResilienceConfig {
             max_queue_depth: cfg.shard_max_rows,
-            retry: cfg.retry,
+            ..ResilienceConfig::default()
         };
+        let breaker = BreakerConfig::default();
         let sets: Vec<ReplicaSet> = shards
             .into_iter()
-            .map(|s| ReplicaSet::new(s.with_resilience(resilience), cfg.replicas, cfg.breaker))
+            .map(|s| ReplicaSet::new(s.with_resilience(resilience), cfg.replicas, breaker))
             .collect();
         let batcher = MicroBatcher::new(cfg.serve.max_batch);
         let shard_labels = (0..sets.len()).map(|s| format!("shard{s}")).collect();

@@ -96,7 +96,7 @@ fn reconstruct(log: &QueryLog, fault_seed: u64) -> Vec<Vec<ScoredItem>> {
     let plan = wr_gateway::ShardPlan::partitioned(N_ITEMS, N_SHARDS).unwrap();
     let resilience = ResilienceConfig {
         max_queue_depth: cfg.shard_max_rows,
-        retry: cfg.retry,
+        ..ResilienceConfig::default()
     };
     let mut twins: Vec<CatalogShard> = plan
         .ranges()
@@ -285,7 +285,9 @@ fn wr_fault_seed_env_arms_the_same_schedule() {
     // An env-armed gateway must replay exactly like one armed directly
     // with the same seed (rates are the plan defaults in both).
     std::env::set_var(wr_fault::WR_FAULT_SEED_ENV, "4242");
-    let plan = FaultPlan::from_env().expect("WR_FAULT_SEED=4242 must arm");
+    let plan = FaultPlan::from_env()
+        .expect("WR_FAULT_SEED=4242 parses")
+        .expect("WR_FAULT_SEED=4242 must arm");
     std::env::remove_var(wr_fault::WR_FAULT_SEED_ENV);
     assert_eq!(plan.seed(), 4242);
 

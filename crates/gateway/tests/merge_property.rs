@@ -171,7 +171,7 @@ const RS_VICTIM: usize = 1;
 
 fn rs_model() -> Box<dyn SeqRecModel> {
     let config = common::model_config(1, RS_MAX_SEQ);
-    common::whitenrec_model_of("whitenrec-merge-prop", RS_ITEMS, 20, config, 23)
+    common::whitenrec_model_of("whitenrec-merge-prop", RS_ITEMS, 20, config, 23, 23)
 }
 
 fn rs_serve_cfg() -> ServeConfig {

@@ -39,10 +39,6 @@ use crate::registry::Registry;
 /// Knobs for [`EmbeddingHealth::compute`].
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
-    /// Number of sampled `i ≠ j` pairs for the cosine and uniformity
-    /// estimates (capped at `n·(n−1)` implicitly by sampling with
-    /// replacement; the estimate is what matters, not exhaustiveness).
-    pub pair_samples: usize,
     /// `k` for the top-k singular-mass ratio (clamped to the dimension).
     pub top_k: usize,
     /// Seed for the deterministic pair-sampling stream.
@@ -55,7 +51,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            pair_samples: 2048,
             top_k: 10,
             seed: 7,
             cond_floor: 1e-10,
@@ -105,11 +100,16 @@ fn dot(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
+/// Number of sampled `i ≠ j` pairs for the cosine and uniformity
+/// estimates (capped at `n·(n−1)` implicitly by sampling with replacement;
+/// the estimate is what matters, not exhaustiveness).
+const PAIR_SAMPLES: usize = 2048;
+
 /// Deterministic sampled `i ≠ j` index pairs (with replacement).
-fn sample_pairs(rows: usize, samples: usize, seed: u64) -> Vec<(usize, usize)> {
+fn sample_pairs(rows: usize, seed: u64) -> Vec<(usize, usize)> {
     let mut rng = SplitMix64(seed);
-    let mut pairs = Vec::with_capacity(samples);
-    for _ in 0..samples {
+    let mut pairs = Vec::with_capacity(PAIR_SAMPLES);
+    for _ in 0..PAIR_SAMPLES {
         let i = rng.below(rows);
         let mut j = rng.below(rows);
         if j == i {
@@ -148,7 +148,7 @@ impl EmbeddingHealth {
             ));
         }
 
-        let pairs = sample_pairs(rows, cfg.pair_samples.max(1), cfg.seed);
+        let pairs = sample_pairs(rows, cfg.seed);
 
         // Mean pairwise cosine over sampled pairs (zero-norm rows skipped).
         let mut cos_sum = 0.0;

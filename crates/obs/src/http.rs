@@ -34,8 +34,8 @@ use crate::Telemetry;
 /// Events returned by `/traces/recent`.
 const RECENT_TRACE_LIMIT: usize = 256;
 
-/// Handle to a running telemetry endpoint; dropping it (or calling
-/// [`ObsServer::shutdown`]) stops the accept loop and joins the thread.
+/// Handle to a running telemetry endpoint; dropping it stops the accept
+/// loop and joins the thread.
 pub struct ObsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -54,26 +54,15 @@ impl ObsServer {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stop accepting and join the server thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
+impl Drop for ObsServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ObsServer {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_and_join();
         }
     }
 }
@@ -211,8 +200,8 @@ mod tests {
         let err = http_get(&addr, "/nope").expect_err("404 must error");
         assert_eq!(err.kind(), std::io::ErrorKind::Other);
 
-        server.shutdown();
-        // After shutdown the port no longer answers.
+        drop(server);
+        // Once the handle is dropped the port no longer answers.
         assert!(http_get(&addr, "/health").is_err());
     }
 

@@ -3,9 +3,8 @@
 //! Every hot kernel in the reproduction — blocked matmul in `wr-tensor`,
 //! covariance and eigen plumbing in `wr-linalg`, the per-group ZCA solves of
 //! relaxed whitening in `wr-whiten`, and the full-catalog ranking sweep in
-//! `wr-eval` — funnels through the three primitives exported here:
+//! `wr-eval` — funnels through the two primitives exported here:
 //!
-//! * [`parallel_for`] — index-parallel side-effect loops,
 //! * [`parallel_map`] — collect per-index results in index order,
 //! * [`parallel_chunks_mut`] — split one output buffer into disjoint chunks.
 //!
@@ -235,10 +234,8 @@ fn flush_buffer(buf: &mut Vec<(f64, f64)>) {
 /// Flush the calling thread's worker-local timing buffer into the shared
 /// pool histograms. Dispatchers flush on the way out of every dispatch
 /// and workers flush before going idle, so snapshots taken between
-/// dispatches ([`record_metrics`]) see every completed job; call this
-/// directly only when sampling from a thread that ran pool jobs outside
-/// a dispatch of its own.
-pub fn flush_worker_telemetry() {
+/// dispatches ([`record_metrics`]) see every completed job.
+fn flush_worker_telemetry() {
     TIMING_BUFFER.with(|buf| flush_buffer(&mut buf.borrow_mut()));
 }
 
@@ -428,27 +425,6 @@ pub fn chunk_len(n: usize, grain: usize) -> usize {
     balanced.max(grain)
 }
 
-/// Run `f(i)` for every `i in 0..n` on the pool.
-///
-/// `grain` is the minimum number of indices per dispatched chunk. Results
-/// must not depend on execution order — use [`parallel_map`] to collect
-/// values, or [`parallel_chunks_mut`] to write into a shared buffer.
-pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, grain: usize, f: F) {
-    dispatch(n, chunk_len(n, grain), |r| {
-        for i in r {
-            f(i);
-        }
-    });
-}
-
-/// Run `f` on contiguous index ranges covering `0..n`.
-///
-/// Like [`parallel_for`] but hands each task its whole range, letting the
-/// caller hoist per-chunk setup out of the index loop.
-pub fn parallel_for_chunks<F: Fn(Range<usize>) + Sync>(n: usize, grain: usize, f: F) {
-    dispatch(n, chunk_len(n, grain), f);
-}
-
 /// Map `0..n` through `f` in parallel, returning results in index order.
 ///
 /// The output is identical to `(0..n).map(f).collect()` for any thread
@@ -636,14 +612,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_touches_every_index_once() {
+    fn parallel_map_runs_every_index_once() {
         for t in [1, 2, 4, 8] {
             with_target(t, || {
                 let n = 1000;
                 let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                parallel_for(n, 1, |i| {
-                    counts[i].fetch_add(1, Ordering::Relaxed);
-                });
+                parallel_map(n, 1, |i| counts[i].fetch_add(1, Ordering::Relaxed));
                 assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
             });
         }
@@ -698,7 +672,7 @@ mod tests {
     fn nested_dispatch_does_not_deadlock() {
         with_target(4, || {
             let total = AtomicU64::new(0);
-            parallel_for(8, 1, |i| {
+            parallel_map(8, 1, |i| {
                 let inner: u64 = parallel_map(16, 1, |j| (i * 16 + j) as u64).iter().sum();
                 total.fetch_add(inner, Ordering::Relaxed);
             });
@@ -711,7 +685,7 @@ mod tests {
     fn worker_panics_propagate_to_caller() {
         with_target(4, || {
             let result = std::panic::catch_unwind(|| {
-                parallel_for(64, 1, |i| {
+                parallel_map(64, 1, |i| {
                     if i == 33 {
                         panic!("boom");
                     }
@@ -744,16 +718,16 @@ mod tests {
     fn pool_stats_count_dispatches_and_job_attribution() {
         with_target(1, || {
             let before = pool_stats();
-            parallel_for(100, 1, |_| {});
+            // A one-thread map never reaches the pool; a chunk write still
+            // counts its (sequential) dispatch.
+            parallel_chunks_mut(&mut [0u8; 100], 1, |_, _| {});
             let after = pool_stats();
             assert_eq!(after.seq_dispatches, before.seq_dispatches + 1);
             assert_eq!(after.par_dispatches, before.par_dispatches);
         });
         with_target(4, || {
             let before = pool_stats();
-            parallel_for(1000, 1, |i| {
-                std::hint::black_box(i);
-            });
+            parallel_map(1000, 1, std::hint::black_box);
             let after = pool_stats();
             assert_eq!(after.par_dispatches, before.par_dispatches + 1);
             let jobs = (after.jobs_by_workers + after.jobs_by_caller)
@@ -767,7 +741,7 @@ mod tests {
     #[test]
     fn record_metrics_exports_runtime_gauges() {
         with_target(4, || {
-            parallel_for(256, 1, |_| {});
+            parallel_map(256, 1, std::hint::black_box);
             let reg = Registry::new();
             record_metrics(&reg);
             let snap = reg.snapshot();
@@ -800,10 +774,8 @@ mod tests {
         with_target(4, || {
             let before = pool().obs.exec_ms.snapshot().count;
             let n_jobs = 1000usize.div_ceil(chunk_len(1000, 1)) as u64;
-            parallel_for(1000, 1, |i| {
-                std::hint::black_box(i);
-            });
-            // Caller samples are flushed before `parallel_for` returns;
+            parallel_map(1000, 1, std::hint::black_box);
+            // Caller samples are flushed before `parallel_map` returns;
             // worker samples flush as each worker goes idle — poll
             // briefly for those stragglers.
             let want = before + n_jobs;
@@ -830,9 +802,7 @@ mod tests {
         with_target(4, || {
             let clock = std::sync::Arc::new(MockClock::with_tick(10));
             let tracer = Tracer::new(clock as std::sync::Arc<dyn Clock>);
-            parallel_for(64, 1, |i| {
-                tracer.span(format!("job{i}"), "runtime").end();
-            });
+            parallel_map(64, 1, |i| tracer.span(format!("job{i}"), "runtime").end());
             let events = tracer.events();
             assert_eq!(events.len(), 64);
             // The caller participates, so tid 0 exists; every tid is small

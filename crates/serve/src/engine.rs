@@ -444,33 +444,15 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
-    use wr_tensor::Rng64;
+    use crate::test_fixture::{id_model, model_config, serve_cfg};
 
     fn tiny_engine(filter_seen: bool) -> ServeEngine {
-        let mut rng = Rng64::seed_from(17);
-        let config = ModelConfig {
-            dim: 16,
-            heads: 2,
-            blocks: 1,
-            max_seq: 8,
-            dropout: 0.0,
-            ..ModelConfig::default()
-        };
-        let model = SasRec::new(
-            "unit",
-            Box::new(IdTower::new(30, config.dim, &mut rng)),
-            LossKind::Softmax,
-            config,
-            &mut rng,
-        );
+        let model = id_model("unit", 30, model_config(1, 8), 17);
         ServeEngine::new(
-            Box::new(model),
+            model,
             ServeConfig {
-                k: 5,
-                max_batch: 4,
-                max_seq: 8,
                 filter_seen,
+                ..serve_cfg(5, 4, 8)
             },
         )
     }

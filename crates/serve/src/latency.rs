@@ -2,11 +2,9 @@
 //! and one report for every serving front end ([`ServeEngine`] here,
 //! `wr_gateway::Gateway` through its own [`Replay`] impl).
 //!
-//! `wr_bench` cannot be used here (it depends on the workspace root, which
-//! would close a dependency cycle), so this module emits JSON in the same
-//! `{"suite": ..., "benches": [...]}` shape as `wr_bench::harness`,
-//! extended with percentile fields — downstream tooling that diffs bench
-//! exports parses both.
+//! The report is one JSON document, `{"suite": ..., "benches": [...]}`
+//! with a single `replay` entry carrying the percentile, throughput and
+//! checksum fields ([`ReplayReport::to_json`]).
 //!
 //! Timing flows through `wr-obs`: [`replay`] reads the telemetry's
 //! [`wr_obs::Clock`] (so tests can drive it with a
@@ -194,9 +192,9 @@ pub fn replay<T: Replay>(
 }
 
 impl ReplayReport {
-    /// Compact JSON in the `wr_bench::harness` export shape:
-    /// `{"suite":"whitenrec-bench","benches":[{...}]}` with one bench
-    /// entry carrying the topology, percentile and throughput fields.
+    /// Compact JSON, `{"suite":"whitenrec-bench","benches":[{...}]}`, with
+    /// one bench entry carrying the topology, percentile and throughput
+    /// fields.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"suite\":\"whitenrec-bench\",\"benches\":[{\"name\":\"replay\",\"iters\":");
@@ -228,38 +226,18 @@ impl ReplayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ServeConfig, ServeEngine};
+    use crate::test_fixture::{id_model, model_config, serve_cfg};
+    use crate::ServeEngine;
     use std::sync::Arc;
-    use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
+    use wr_models::ModelConfig;
     use wr_obs::MockClock;
-    use wr_tensor::Rng64;
 
     fn tiny_engine() -> ServeEngine {
-        let mut rng = Rng64::seed_from(23);
         let config = ModelConfig {
             dim: 8,
-            heads: 2,
-            blocks: 1,
-            max_seq: 6,
-            dropout: 0.0,
-            ..ModelConfig::default()
+            ..model_config(1, 6)
         };
-        let model = SasRec::new(
-            "replay-unit",
-            Box::new(IdTower::new(25, config.dim, &mut rng)),
-            LossKind::Softmax,
-            config,
-            &mut rng,
-        );
-        ServeEngine::new(
-            Box::new(model),
-            ServeConfig {
-                k: 3,
-                max_batch: 8,
-                max_seq: 6,
-                filter_seen: true,
-            },
-        )
+        ServeEngine::new(id_model("replay-unit", 25, config, 23), serve_cfg(3, 8, 6))
     }
 
     #[test]
@@ -368,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn report_json_parses_in_harness_shape() {
+    fn report_json_parses_with_every_field() {
         let engine = tiny_engine();
         let log = QueryLog::synthetic(9, 25, 4, 6);
         let (_, report) = replay(&engine, &log, &Telemetry::new());

@@ -37,10 +37,9 @@
 //!   thread;
 //! * [`QueryLog`] + [`replay`] record/replay query traffic (uniform or
 //!   Zipf user-skewed synthetic generation) and report p50/p95/p99
-//!   latency and QPS as a JSON document shaped like the
-//!   `wr_bench::harness` export (`whitenrec bench` in `wr-core` is the
-//!   CLI); the loop is generic over [`Replay`], so the sharded gateway
-//!   replays through the same code.
+//!   latency and QPS as one JSON document (`whitenrec bench` in
+//!   `wr-core` is the CLI); the loop is generic over [`Replay`], so the
+//!   sharded gateway replays through the same code.
 //!
 //! # Determinism contract
 //!
@@ -87,3 +86,11 @@ pub use topk::{batch_top_k, batch_top_k_shifted, merge_top_k};
 
 pub use wr_ann::{AnnError, IvfIndex, SearchStats};
 pub use wr_eval::{top_k_filtered, ScoredItem};
+
+// The serve suites' model fixture, for the unit tests. It names this crate
+// `wr_serve`, as an integration test does.
+#[cfg(test)]
+extern crate self as wr_serve;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_fixture;

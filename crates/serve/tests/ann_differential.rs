@@ -14,37 +14,26 @@
 //! projection tower → SASRec encoder (whitening is exactly what makes
 //! the IVF cells well-behaved — the isotropy argument in `wr_ann`).
 
+mod common;
+
 use std::sync::Arc;
 
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_serve::{replay, QueryLog, Response, Scorer, ServeConfig, ServeEngine};
-use wr_tensor::{Rng64, Tensor};
+use wr_train::SeqRecModel;
 
 const N_ITEMS: usize = 2048;
 const MAX_SEQ: usize = 10;
 const NLIST: usize = 128;
 
-fn whitenrec_model(table_seed: u64, init_seed: u64) -> Box<SasRec> {
-    let mut table_rng = Rng64::seed_from(table_seed);
-    let raw = Tensor::randn(&[N_ITEMS, 24], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(init_seed);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 1,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
+fn whitenrec_model(table_seed: u64, init_seed: u64) -> Box<dyn SeqRecModel> {
+    common::whitenrec_model_of(
         "whitenrec-ann",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+        N_ITEMS,
+        24,
+        common::model_config(1, MAX_SEQ),
+        table_seed,
+        init_seed,
+    )
 }
 
 fn cfg(k: usize) -> ServeConfig {

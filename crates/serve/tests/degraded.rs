@@ -14,37 +14,26 @@
 //!
 //! All engines use [`wr_fault::NoSleep`], so no test ever sleeps.
 
+mod common;
+
 use std::sync::Arc;
 
 use wr_fault::{FaultPlan, FaultRates, NoSleep, RetryPolicy};
-use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_serve::{QueryLog, Request, ResilienceConfig, ServeConfig, ServeEngine, ServeError};
-use wr_tensor::{Rng64, Tensor};
+use wr_train::SeqRecModel;
 
 const N_ITEMS: usize = 60;
 const MAX_SEQ: usize = 10;
 
-fn whitenrec_model(seed: u64) -> Box<SasRec> {
-    let mut table_rng = Rng64::seed_from(seed);
-    let raw = Tensor::randn(&[N_ITEMS, 24], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(seed);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 2,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
+fn whitenrec_model(seed: u64) -> Box<dyn SeqRecModel> {
+    common::whitenrec_model_of(
         "whitenrec-degraded",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+        N_ITEMS,
+        24,
+        common::model_config(2, MAX_SEQ),
+        seed,
+        seed,
+    )
 }
 
 fn engine(model_seed: u64) -> ServeEngine {

@@ -7,11 +7,13 @@
 //! over a `TextTower` built from a whitened pre-trained embedding table
 //! (zoo `whiten_relaxed`, G=4), Softmax loss — the WhitenRec+ family.
 
+mod common;
+
 use std::sync::Arc;
 
 use wr_data::{Batch, PAD_ITEM};
 use wr_eval::top_k_filtered;
-use wr_models::{zoo, IdTower, LossKind, ModelConfig, SasRec, TextTower};
+use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
 use wr_serve::{HistoryEncoder, MicroBatcher, QueryLog, Request, ServeConfig, ServeEngine};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{Adam, AdamConfig, SeqRecModel};
@@ -20,31 +22,16 @@ const N_ITEMS: usize = 60;
 const MAX_SEQ: usize = 10;
 
 /// A WhitenRec+-style model: whitened text table → projection tower →
-/// SASRec encoder. The frozen table is derived from `table_seed` and the
-/// trainable parameters from `init_seed`; a checkpoint stores only the
-/// latter (the whitened table is a pre-processing artifact shipped beside
-/// it, exactly as in the paper's pipeline).
-fn whitenrec_model(table_seed: u64, init_seed: u64) -> Box<SasRec> {
-    let mut table_rng = Rng64::seed_from(table_seed);
-    let raw = Tensor::randn(&[N_ITEMS, 24], &mut table_rng);
-    let whitened = zoo::whiten_relaxed(&raw, 4);
-    let mut rng = Rng64::seed_from(init_seed);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        blocks: 2,
-        max_seq: MAX_SEQ,
-        dropout: 0.0,
-        ..ModelConfig::default()
-    };
-    let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
+/// SASRec encoder.
+fn whitenrec_model(table_seed: u64, init_seed: u64) -> Box<dyn SeqRecModel> {
+    common::whitenrec_model_of(
         "whitenrec-diff",
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+        N_ITEMS,
+        24,
+        common::model_config(2, MAX_SEQ),
+        table_seed,
+        init_seed,
+    )
 }
 
 fn engine(seed: u64, max_batch: usize) -> ServeEngine {

@@ -182,13 +182,6 @@ impl Tensor {
         let data = (0..n).map(|_| rng.normal()).collect();
         Tensor::from_vec(data, dims)
     }
-
-    /// Uniform `[lo, hi)`-filled tensor.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Rng64) -> Tensor {
-        let n: usize = dims.iter().product();
-        let data = (0..n).map(|_| rng.uniform_in(lo, hi)).collect();
-        Tensor::from_vec(data, dims)
-    }
 }
 
 #[cfg(test)]

@@ -11,13 +11,8 @@ pub struct CatalogConfig {
     /// Words per title drawn uniformly from this inclusive range. The
     /// Amazon datasets average ~20 words; Food averages ~4 (§V-E).
     pub title_len: (usize, usize),
-    /// Topical words per category plus a shared generic pool.
-    pub vocab_per_category: usize,
-    pub generic_vocab: usize,
     /// Latent semantic factor dimensionality.
     pub n_factors: usize,
-    /// Scale of per-item idiosyncratic semantic noise.
-    pub item_noise: f32,
     pub seed: u64,
 }
 
@@ -28,17 +23,21 @@ impl Default for CatalogConfig {
             n_categories: 20,
             n_brands: 60,
             title_len: (12, 28),
-            vocab_per_category: 50,
-            generic_vocab: 300,
             n_factors: 16,
-            item_noise: 0.35,
             seed: 42,
         }
     }
 }
 
+/// Topical words per category, plus a shared generic pool of
+/// [`GENERIC_VOCAB`] words.
+const VOCAB_PER_CATEGORY: usize = 50;
+const GENERIC_VOCAB: usize = 300;
+/// Scale of per-item idiosyncratic semantic noise.
+const ITEM_NOISE: f32 = 0.35;
+
 /// One catalog item. `title` stores word ids; topical words of category `c`
-/// occupy ids `[generic_vocab + c*vocab_per_category, …)`.
+/// occupy ids `[GENERIC_VOCAB + c*VOCAB_PER_CATEGORY, …)`.
 #[derive(Debug, Clone)]
 pub struct Item {
     pub id: usize,
@@ -105,11 +104,11 @@ impl Catalog {
                 .map(|_| {
                     if rng.chance(0.55) {
                         // topical word of this item's category
-                        (config.generic_vocab
-                            + category * config.vocab_per_category
-                            + rng.below(config.vocab_per_category)) as u32
+                        (GENERIC_VOCAB
+                            + category * VOCAB_PER_CATEGORY
+                            + rng.below(VOCAB_PER_CATEGORY)) as u32
                     } else {
-                        rng.below(config.generic_vocab) as u32
+                        rng.below(GENERIC_VOCAB) as u32
                     }
                 })
                 .collect();
@@ -118,7 +117,7 @@ impl Catalog {
             for (j, s) in semantics.row_mut(id).iter_mut().enumerate() {
                 *s = category_factors.at2(category, j)
                     + brand_factors.at2(brand, j)
-                    + config.item_noise * rng.normal();
+                    + ITEM_NOISE * rng.normal();
             }
 
             items.push(Item {
@@ -236,8 +235,8 @@ mod tests {
         for item in &c.items {
             for &w in &item.title {
                 let w = w as usize;
-                if w >= cfg.generic_vocab {
-                    let cat = (w - cfg.generic_vocab) / cfg.vocab_per_category;
+                if w >= GENERIC_VOCAB {
+                    let cat = (w - GENERIC_VOCAB) / VOCAB_PER_CATEGORY;
                     if cat == item.category {
                         own += 1;
                     } else {

@@ -8,50 +8,44 @@ use wr_tensor::{Rng64, Tensor};
 pub struct PlmConfig {
     /// Output embedding dimensionality (BERT's 768, scaled down).
     pub dim: usize,
-    /// Norm of the shared "anisotropy" direction relative to signal. The
-    /// average pairwise cosine is ≈ `common²/(common² + signal² + noise²)`;
-    /// the default targets ≈ 0.85 as measured on Arts/Toys/Tools (§III-B).
-    pub common_scale: f32,
-    /// Scale of the semantic-factor signal.
-    pub signal_scale: f32,
-    /// Per-factor geometric decay of signal strength — produces the
-    /// fast-decaying singular spectrum of Fig. 2.
-    pub spectrum_decay: f32,
-    /// Isotropic residual noise ("everything BERT encodes that isn't our
-    /// factors").
-    pub noise_scale: f32,
-    /// Condition number of a fixed ill-conditioned mixing matrix applied to
-    /// the final embeddings. Real PLM embeddings correlate dimensions at
-    /// wildly different scales; this is what makes them *hard to use
-    /// directly* (the paper's degeneration) while remaining information-
-    /// equivalent — whitening inverts the mixing exactly, an MLP has to
-    /// learn to. Set to 1.0 to disable.
-    pub mixing_condition: f32,
     pub seed: u64,
 }
 
 impl Default for PlmConfig {
     fn default() -> Self {
-        PlmConfig {
-            dim: 256,
-            common_scale: 4.0,
-            signal_scale: 1.0,
-            spectrum_decay: 0.7,
-            noise_scale: 0.35,
-            mixing_condition: 20.0,
-            seed: 7,
-        }
+        PlmConfig { dim: 256, seed: 7 }
     }
 }
+
+/// Norm of the shared "anisotropy" direction relative to signal. The
+/// average pairwise cosine is ≈ `common²/(common² + signal² + noise²)`;
+/// this targets ≈ 0.85 as measured on Arts/Toys/Tools (§III-B).
+const COMMON_SCALE: f32 = 4.0;
+/// Scale of the semantic-factor signal.
+const SIGNAL_SCALE: f32 = 1.0;
+/// Per-factor geometric decay of signal strength — produces the
+/// fast-decaying singular spectrum of Fig. 2.
+const SPECTRUM_DECAY: f32 = 0.7;
+/// Isotropic residual noise ("everything BERT encodes that isn't our
+/// factors").
+const NOISE_SCALE: f32 = 0.35;
+/// Condition number of a fixed ill-conditioned mixing matrix applied to
+/// the final embeddings. Real PLM embeddings correlate dimensions at
+/// wildly different scales; this is what makes them *hard to use
+/// directly* (the paper's degeneration) while remaining information-
+/// equivalent — whitening inverts the mixing exactly, an MLP has to learn
+/// to.
+const MIXING_CONDITION: f32 = 20.0;
 
 /// The simulated encoder: a fixed random linear map from semantic factors
 /// to `dim`-dimensional embeddings plus a large shared offset direction.
 ///
-/// `e(item) = common_scale · u₀ · (1 + 0.1 ξ) + Σ_f decay^f · s_f · a_f
-///            + noise`,
-/// with `u₀` and the `a_f` random fixed unit vectors. The `ξ` jitter keeps
-/// the common direction from being perfectly constant (BERT's dominant
-/// direction varies slightly per sentence).
+/// `e(item) = (COMMON_SCALE · u₀ · (1 + 0.1 ξ) + Σ_f decay^f · s_f · a_f
+///            + noise) · M`,
+/// with `u₀` and the `a_f` random fixed unit vectors and `M` the
+/// ill-conditioned mixing. The `ξ` jitter keeps the common direction from
+/// being perfectly constant (BERT's dominant direction varies slightly per
+/// sentence).
 #[derive(Debug, Clone)]
 pub struct PlmEncoder {
     pub config: PlmConfig,
@@ -60,7 +54,7 @@ pub struct PlmEncoder {
     /// `[n_factors, dim]` factor loading rows (already decay-scaled).
     loadings: Tensor,
     /// `[dim, dim]` ill-conditioned mixing applied to the final output.
-    mixing: Option<Tensor>,
+    mixing: Tensor,
 }
 
 impl PlmEncoder {
@@ -69,13 +63,12 @@ impl PlmEncoder {
         let common = unit_rows(Tensor::randn(&[1, config.dim], &mut rng));
         let mut loadings = unit_rows(Tensor::randn(&[n_factors, config.dim], &mut rng));
         for f in 0..n_factors {
-            let s = config.signal_scale * config.spectrum_decay.powi(f as i32);
+            let s = SIGNAL_SCALE * SPECTRUM_DECAY.powi(f as i32);
             for v in loadings.row_mut(f) {
                 *v *= s;
             }
         }
-        let mixing = (config.mixing_condition > 1.0)
-            .then(|| ill_conditioned_mixing(config.dim, config.mixing_condition, &mut rng));
+        let mixing = ill_conditioned_mixing(config.dim, &mut rng);
         PlmEncoder {
             config,
             common,
@@ -107,15 +100,12 @@ impl PlmEncoder {
             let jitter = 1.0 + 0.1 * rng.normal();
             let row = e.row_mut(r);
             for (j, v) in row.iter_mut().enumerate() {
-                *v += self.config.common_scale * jitter * self.common.data()[j]
-                    + self.config.noise_scale * rng.normal() / (d as f32).sqrt() * 3.0;
+                *v += COMMON_SCALE * jitter * self.common.data()[j]
+                    + NOISE_SCALE * rng.normal() / (d as f32).sqrt() * 3.0;
             }
         }
         // Ill-conditioned mixing (information-preserving, geometry-ruining).
-        match &self.mixing {
-            Some(m) => e.matmul(m),
-            None => e,
-        }
+        e.matmul(&self.mixing)
     }
 
     pub fn dim(&self) -> usize {
@@ -124,9 +114,9 @@ impl PlmEncoder {
 }
 
 /// Build `M = Q₁ diag(s) Q₂` with log-spaced singular values from 1 down to
-/// `1/condition`, where `Q₁,Q₂` are random orthogonal matrices (eigenvector
-/// bases of random symmetric matrices).
-fn ill_conditioned_mixing(dim: usize, condition: f32, rng: &mut Rng64) -> Tensor {
+/// `1/MIXING_CONDITION`, where `Q₁,Q₂` are random orthogonal matrices
+/// (eigenvector bases of random symmetric matrices).
+fn ill_conditioned_mixing(dim: usize, rng: &mut Rng64) -> Tensor {
     let ortho = |rng: &mut Rng64| -> Tensor {
         let a = Tensor::randn(&[dim, dim], rng);
         let sym = a.add(&a.transpose());
@@ -139,7 +129,7 @@ fn ill_conditioned_mixing(dim: usize, condition: f32, rng: &mut Rng64) -> Tensor
     let mut scaled = q1;
     for j in 0..dim {
         let t = j as f32 / (dim - 1).max(1) as f32;
-        let s = condition.powf(-t); // 1 → 1/condition, log-spaced
+        let s = MIXING_CONDITION.powf(-t); // 1 → 1/MIXING_CONDITION, log-spaced
         for i in 0..dim {
             *scaled.at2_mut(i, j) *= s;
         }

@@ -10,29 +10,29 @@ use wr_tensor::Tensor;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
     /// L2 penalty folded into the gradient (`grad += wd * θ`), matching
     /// `torch.optim.Adam(weight_decay=…)` which the paper tunes in
     /// {0, 1e-6, 1e-4}.
     pub weight_decay: f32,
-    /// Gradients are clipped to this global L2 norm when finite.
-    pub clip_norm: f32,
 }
 
 impl Default for AdamConfig {
     fn default() -> Self {
         AdamConfig {
             lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             weight_decay: 0.0,
-            clip_norm: 5.0,
         }
     }
 }
+
+/// First-moment decay (`torch.optim.Adam`'s default).
+const BETA1: f32 = 0.9;
+/// Second-moment decay (`torch.optim.Adam`'s default).
+const BETA2: f32 = 0.999;
+/// Added to `√v̂` in the update's denominator.
+const EPS: f32 = 1e-8;
+/// Gradients are clipped to this global L2 norm when finite.
+const CLIP_NORM: f32 = 5.0;
 
 struct Slot {
     m: Tensor,
@@ -66,8 +66,8 @@ impl Adam {
     pub fn step(&mut self, graph: &Graph, bindings: &[(Param, Var)]) {
         self.step += 1;
         let c = self.config;
-        let bias1 = 1.0 - c.beta1.powi(self.step as i32);
-        let bias2 = 1.0 - c.beta2.powi(self.step as i32);
+        let bias1 = 1.0 - BETA1.powi(self.step as i32);
+        let bias2 = 1.0 - BETA2.powi(self.step as i32);
 
         // Global-norm clipping across all gradients of this step.
         let mut sq_sum = 0.0f64;
@@ -80,8 +80,8 @@ impl Adam {
         }
         let norm = (sq_sum as f32).sqrt();
         self.last_grad_norm = norm;
-        let clip_scale = if norm.is_finite() && norm > c.clip_norm {
-            c.clip_norm / norm
+        let clip_scale = if norm.is_finite() && norm > CLIP_NORM {
+            CLIP_NORM / norm
         } else {
             1.0
         };
@@ -102,11 +102,11 @@ impl Adam {
                 m: Tensor::zeros(&grad.dims().to_vec()),
                 v: Tensor::zeros(&grad.dims().to_vec()),
             });
-            slot.m.scale_(c.beta1);
-            slot.m.axpy_(1.0 - c.beta1, &grad);
-            slot.v.scale_(c.beta2);
+            slot.m.scale_(BETA1);
+            slot.m.axpy_(1.0 - BETA1, &grad);
+            slot.v.scale_(BETA2);
             let g2 = grad.mul(&grad);
-            slot.v.axpy_(1.0 - c.beta2, &g2);
+            slot.v.axpy_(1.0 - BETA2, &g2);
 
             let delta: Vec<f32> = slot
                 .m
@@ -116,7 +116,7 @@ impl Adam {
                 .map(|(&m, &v)| {
                     let mhat = m / bias1;
                     let vhat = v / bias2;
-                    -c.lr * mhat / (vhat.sqrt() + c.eps)
+                    -c.lr * mhat / (vhat.sqrt() + EPS)
                 })
                 .collect();
             let delta = Tensor::from_vec(delta, &grad.dims().to_vec());
@@ -134,13 +134,6 @@ impl Adam {
     /// histogram; the update itself never reads it back.
     pub fn last_grad_norm(&self) -> f32 {
         self.last_grad_norm
-    }
-
-    /// Drop all moment state (used when restarting training).
-    pub fn reset(&mut self) {
-        self.state.clear();
-        self.step = 0;
-        self.last_grad_norm = 0.0;
     }
 
     /// Snapshot the optimizer state keyed by parameter *position* in
@@ -273,7 +266,6 @@ mod tests {
         let theta = Param::new("theta", Tensor::zeros(&[2]));
         let mut opt = Adam::new(AdamConfig {
             lr: 1.0,
-            clip_norm: 1.0,
             ..AdamConfig::default()
         });
         let g = Graph::new();
@@ -283,7 +275,8 @@ mod tests {
         let loss = g.sum_all(g.mul(th, huge));
         g.backward(loss);
         opt.step(&g, sess.bindings());
-        // First Adam step magnitude is ≤ lr regardless, but state must be finite.
+        // The gradient's norm is far past CLIP_NORM; the first Adam step's
+        // magnitude is ≤ lr regardless, but the state must be finite.
         let v = theta.get();
         assert!(v.non_finite_count() == 0);
         assert!(v.data().iter().all(|x| x.abs() <= 1.1));
@@ -354,7 +347,5 @@ mod tests {
         }
         assert_eq!(opt.steps(), 3);
         assert_eq!(opt.state.len(), 1);
-        opt.reset();
-        assert_eq!(opt.steps(), 0);
     }
 }

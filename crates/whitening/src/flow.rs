@@ -72,42 +72,30 @@ pub struct FlowWhitening {
     pub final_nll: f32,
 }
 
-/// Training hyper-parameters for [`FlowWhitening::fit`].
-#[derive(Debug, Clone, Copy)]
-pub struct FlowConfig {
-    pub layers: usize,
-    pub hidden: usize,
-    pub epochs: usize,
-    pub batch: usize,
-    pub lr: f32,
-}
-
-impl Default for FlowConfig {
-    fn default() -> Self {
-        FlowConfig {
-            layers: 4,
-            hidden: 64,
-            epochs: 8,
-            batch: 256,
-            lr: 1e-3,
-        }
-    }
-}
+/// Coupling layers in the stack.
+const LAYERS: usize = 4;
+const _: () = assert!(LAYERS >= 1, "a flow needs a coupling layer");
+/// Hidden width of each coupling layer's scale and shift networks.
+const HIDDEN: usize = 64;
+/// Rows per maximum-likelihood step.
+const BATCH: usize = 256;
+/// Adam learning rate of the maximum-likelihood fit.
+const LR: f32 = 1e-3;
 
 impl FlowWhitening {
-    /// Train on `x: [n, d]` (d must be even) and return the fitted flow.
-    pub fn fit(x: &Tensor, config: FlowConfig, seed: u64) -> Self {
+    /// Train on `x: [n, d]` (d must be even) for `epochs` passes and
+    /// return the fitted flow.
+    pub fn fit(x: &Tensor, epochs: usize, seed: u64) -> Self {
         let d = x.cols();
         assert!(d % 2 == 0, "flow whitening needs an even dimension");
-        assert!(config.layers >= 1, "flow whitening needs at least one coupling layer");
         let mut rng = Rng64::seed_from(seed);
         // Per-dimension standardization first (BN) so the flow starts near
         // a reasonable scale.
         let standardizer = WhiteningTransform::fit(x, WhiteningMethod::BatchNorm, 1e-5);
         let xs = standardizer.apply(x);
 
-        let layers: Vec<Coupling> = (0..config.layers)
-            .map(|i| Coupling::new(d / 2, config.hidden, i % 2 == 1, &mut rng))
+        let layers: Vec<Coupling> = (0..LAYERS)
+            .map(|i| Coupling::new(d / 2, HIDDEN, i % 2 == 1, &mut rng))
             .collect();
 
         // Adam state per parameter id.
@@ -127,11 +115,11 @@ impl FlowWhitening {
         let mut order: Vec<usize> = (0..n).collect();
         let mut final_nll = f32::INFINITY;
 
-        for _epoch in 0..config.epochs {
+        for _epoch in 0..epochs {
             rng.shuffle(&mut order);
             let mut epoch_nll = 0.0f64;
             let mut batches = 0usize;
-            for chunk in order.chunks(config.batch) {
+            for chunk in order.chunks(BATCH) {
                 let batch = xs.gather_rows(chunk);
                 let bsz = chunk.len() as f32;
 
@@ -152,7 +140,7 @@ impl FlowWhitening {
                 let energy = g.scale(g.sum_all(sq), 0.5 / bsz);
                 #[expect(
                     clippy::expect_used,
-                    reason = "Some because config.layers >= 1 is asserted at entry, so the layer loop ran"
+                    reason = "Some because LAYERS >= 1 is asserted at compile time, so the layer loop ran"
                 )]
                 let logdet = g.scale(logdet_sum.expect("≥1 layer"), 1.0 / bsz);
                 let loss = g.sub(energy, logdet);
@@ -187,7 +175,7 @@ impl FlowWhitening {
                         .map(|(&mi, &vi)| {
                             let mhat = mi / bias1;
                             let vhat = vi / bias2;
-                            -config.lr * mhat / (vhat.sqrt() + eps)
+                            -LR * mhat / (vhat.sqrt() + eps)
                         })
                         .collect();
                     let delta = Tensor::from_vec(update, &grad.dims().to_vec());
@@ -242,22 +230,8 @@ mod tests {
     #[test]
     fn training_reduces_nll() {
         let x = skewed_data(512, 8, 1);
-        let short = FlowWhitening::fit(
-            &x,
-            FlowConfig {
-                epochs: 1,
-                ..FlowConfig::default()
-            },
-            7,
-        );
-        let long = FlowWhitening::fit(
-            &x,
-            FlowConfig {
-                epochs: 10,
-                ..FlowConfig::default()
-            },
-            7,
-        );
+        let short = FlowWhitening::fit(&x, 1, 7);
+        let long = FlowWhitening::fit(&x, 10, 7);
         assert!(
             long.final_nll < short.final_nll,
             "NLL did not improve: {} -> {}",
@@ -270,7 +244,7 @@ mod tests {
     fn flow_improves_whiteness() {
         let x = skewed_data(512, 8, 2);
         let before = whiteness_error(&x);
-        let flow = FlowWhitening::fit(&x, FlowConfig::default(), 3);
+        let flow = FlowWhitening::fit(&x, 8, 3);
         let z = flow.apply(&x);
         let after = whiteness_error(&z);
         assert_eq!(z.dims(), &[512, 8]);
@@ -282,6 +256,6 @@ mod tests {
     #[should_panic(expected = "even dimension")]
     fn odd_dimension_rejected() {
         let x = Tensor::zeros(&[10, 7]);
-        FlowWhitening::fit(&x, FlowConfig::default(), 1);
+        FlowWhitening::fit(&x, 8, 1);
     }
 }

@@ -176,7 +176,11 @@ mod tests {
 
     #[test]
     fn isotropic_random_data_has_low_cosine_and_condition() {
-        let x = Tensor::rand_uniform(&[512, 8], -0.5, 0.5, &mut Rng64::seed_from(11));
+        let mut rng = Rng64::seed_from(11);
+        let x = Tensor::from_vec(
+            (0..4096).map(|_| rng.uniform_in(-0.5, 0.5)).collect(),
+            &[512, 8],
+        );
         let cfg = HealthConfig {
             top_k: 2,
             ..HealthConfig::default()

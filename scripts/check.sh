@@ -21,11 +21,11 @@ no_lints="$(for m in Cargo.toml crates/*/Cargo.toml; do
 [ -z "$no_lints" ] \
     || { echo "   manifests without [lints] workspace = true:"; echo "$no_lints"; exit 1; }
 
-# `cargo build --workspace` compiles libraries and binaries only: tests,
-# examples and the one micro-bench (crates/bench/benches/eigen.rs) are
-# type-checked here, and every target is held to the policy lints of
-# `[workspace.lints.clippy]` / clippy.toml and to `-D warnings` (a stale
-# `#[expect]` fails as `unfulfilled_lint_expectations`).
+# `cargo build --workspace` compiles libraries and binaries only: tests
+# and examples are type-checked here, and every target is held to the
+# policy lints of `[workspace.lints.clippy]` / clippy.toml and to
+# `-D warnings` (a stale `#[expect]` fails as
+# `unfulfilled_lint_expectations`).
 echo "== check: cargo clippy --workspace --all-targets (-D warnings) =="
 cargo clippy --release --offline --workspace --all-targets -- -D warnings
 
@@ -128,6 +128,26 @@ frozen_padded="$(awk '
     crates/nn/src/frozen.rs)"
 [ -z "$frozen_padded" ] \
     || { echo "   padded ids or positions in the frozen encoder:"; echo "$frozen_padded"; exit 1; }
+
+# Every environment variable the program reads is documented: each `WR_*`
+# name in the non-test part of a source file (the knobs are read by
+# literal name — `std::env::var("WR_THREADS")`, `knob("WR_SCALE", …)`,
+# `WR_FAULT_SEED_ENV`) must be a row of README's environment table. A knob
+# nobody can find is a knob nobody sets on purpose. The tests' own
+# `WR_UPDATE_GOLDEN` is read under tests/ and is not scanned.
+echo "== check: every WR_* variable read is in README's environment table =="
+env_reads="$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^ *\/\// { next }
+    { while (match($0, /"WR_[A-Z0-9_]+"/)) {
+        print substr($0, RSTART + 1, RLENGTH - 2); $0 = substr($0, RSTART + RLENGTH) } }' \
+    | sort -u)"
+documented="$(grep -Eo '^\| `WR_[A-Z0-9_]+` \|' README.md | grep -Eo 'WR_[A-Z0-9_]+' | sort -u)"
+undocumented="$(comm -23 <(echo "$env_reads") <(echo "$documented"))"
+[ -n "$env_reads" ] && [ -z "$undocumented" ] \
+    || { echo "   read but not in README's environment table:"; echo "$undocumented"; exit 1; }
+echo "   $(echo "$env_reads" | tr '\n' ' ')"
 
 echo "== check: cargo test (default threads) =="
 cargo test --workspace -q

@@ -7,7 +7,9 @@
 //! drift silently.
 //!
 //! Regenerate the fixture after an intentional format change with:
-//! `WR_REGEN_GOLDEN=1 cargo test --test obs_export`.
+//! `WR_UPDATE_GOLDEN=1 cargo test --test obs_export`, then commit the diff.
+//! The run that rewrites the file still fails, so an update can never
+//! pass a CI run unnoticed.
 
 use std::sync::Arc;
 
@@ -43,15 +45,20 @@ fn chrome_trace_matches_the_golden_fixture() {
     let (_clock, tel) = golden_telemetry();
     let doc = tel.tracer.to_chrome_json();
 
-    if std::env::var("WR_REGEN_GOLDEN").is_ok() {
+    let update = std::env::var("WR_UPDATE_GOLDEN").is_ok();
+    if update {
         std::fs::write(GOLDEN_PATH, doc.clone() + "\n").unwrap();
     }
     let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden fixture missing — run with WR_REGEN_GOLDEN=1 to create it");
+        .expect("golden fixture missing — run with WR_UPDATE_GOLDEN=1 to create it");
     assert_eq!(
         doc,
         golden.trim_end(),
         "Chrome trace format drifted from tests/golden/trace_events.json"
+    );
+    assert!(
+        !update,
+        "WR_UPDATE_GOLDEN set: fixture rewritten; unset it, inspect the diff, and re-run"
     );
 }
 
