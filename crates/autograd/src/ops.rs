@@ -5,7 +5,7 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
-use wr_tensor::{layer_norm_row, AttentionKeys, HeadKv, Rng64, Tensor};
+use wr_tensor::{l2_normalize_row, layer_norm_row, AttentionKeys, HeadKv, Rng64, Tensor};
 
 /// Inverted dropout at probability `p`: `(keep, 1 / keep)`. A kept element
 /// is multiplied by the second number, a dropped one by `0.0`.
@@ -450,18 +450,14 @@ impl Graph {
         self.push(out, Op::Dropout(a), Aux::One(mask), self.requires(a))
     }
 
-    /// Normalize each row of a matrix node to unit L2 norm.
+    /// Normalize each row of a matrix node to unit L2 norm
+    /// ([`l2_normalize_row`]).
     pub fn l2_normalize_rows(&self, a: Var) -> Var {
         let mut y = self.val(a).clone();
         assert!(y.rank() == 2, "l2_normalize_rows requires a matrix");
         let mut norms = Tensor::zeros(&[y.rows()]);
         for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
-            norms.data_mut()[r] = norm;
-            for o in row {
-                *o /= norm;
-            }
+            norms.data_mut()[r] = l2_normalize_row(y.row_mut(r));
         }
         let out = y.clone();
         self.push(

@@ -162,7 +162,7 @@ impl SeqRecModel for Popularity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     #[test]
     fn bert4rec_learns_cyclic_pattern() {
@@ -203,7 +203,7 @@ mod tests {
             last = sum;
         }
         assert!(last < first * 0.6, "loss {first} -> {last}");
-        let s = model.score(&[&[2, 3, 4][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[2, 3, 4][..]]);
         assert_eq!(s.dims(), &[1, n_items]);
         let best = s
             .row(0)
@@ -224,7 +224,7 @@ mod tests {
             max_seq: 6,
             ..ModelConfig::default()
         }, &mut rng);
-        let s = model.score(&[&[1, 2][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[1, 2][..]]);
         assert_eq!(s.dims(), &[1, 7]); // not 8: mask row excluded
     }
 
@@ -232,7 +232,7 @@ mod tests {
     fn popularity_ranks_frequent_items_first() {
         let seqs = vec![vec![0, 1, 1, 2, 2, 2], vec![2, 2, 1]];
         let model = Popularity::new(&seqs, 4);
-        let s = model.score(&[&[0][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[0][..]]);
         let row = s.row(0);
         assert!(row[2] > row[1] && row[1] > row[0] && row[0] > row[3]);
         assert_eq!(model.param_count(), 0);

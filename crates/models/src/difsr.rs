@@ -225,7 +225,7 @@ impl SeqRecModel for DifSr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     #[test]
     fn difsr_trains_and_uses_attributes() {
@@ -266,7 +266,7 @@ mod tests {
             last = sum;
         }
         assert!(last < first, "loss {first} -> {last}");
-        let s = model.score(&[&[1, 2, 3][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[1, 2, 3][..]]);
         assert_eq!(s.dims(), &[1, 12]);
 
         // Attribute stream receives gradients: the attr table must move.

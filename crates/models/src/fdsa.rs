@@ -129,7 +129,7 @@ impl SeqRecModel for Fdsa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     #[test]
     fn fdsa_trains_and_scores() {
@@ -168,7 +168,7 @@ mod tests {
             last = sum;
         }
         assert!(last < first, "loss {first} -> {last}");
-        let s = model.score(&[&[1, 2, 3][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[1, 2, 3][..]]);
         assert_eq!(s.dims(), &[1, 9]);
         assert_eq!(s.non_finite_count(), 0);
     }

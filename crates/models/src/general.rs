@@ -279,7 +279,7 @@ impl SeqRecModel for GrcnLite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     fn toy_batches(n_items: usize, cfg: &ModelConfig) -> Vec<Batch> {
         let seqs: Vec<Vec<usize>> = (0..16)
@@ -320,7 +320,7 @@ mod tests {
             last = sum;
         }
         assert!(last < first);
-        assert_eq!(model.score(&[&[1, 2][..]]).dims(), &[1, 10]);
+        assert_eq!(ModelSnapshot::of(&model).scores(&model, &[&[1, 2][..]]).dims(), &[1, 10]);
     }
 
     #[test]
@@ -367,7 +367,7 @@ mod tests {
             let loss = model.train_step(&b, &mut opt, &mut rng);
             assert!(loss.is_finite());
         }
-        let s = model.score(&[&[0, 1, 2][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[0, 1, 2][..]]);
         assert_eq!(s.dims(), &[1, 10]);
         assert_eq!(s.non_finite_count(), 0);
     }

@@ -85,7 +85,7 @@ pub(crate) fn final_targets(batch: &Batch) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     #[test]
     fn final_targets_extraction() {
@@ -135,7 +135,7 @@ mod tests {
         }
         assert!(last < first * 0.7, "loss {first} -> {last}");
         // Match the training shape: length-4 contexts predict first+4.
-        let s = model.score(&[&[0, 1, 2, 3][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[0, 1, 2, 3][..]]);
         assert_eq!(s.dims(), &[1, n_items]);
         let best = s.row(0).iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert_eq!(best, 4);

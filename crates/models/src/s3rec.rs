@@ -110,7 +110,7 @@ impl SeqRecModel for S3Rec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     #[test]
     fn s3rec_trains_with_attribute_loss() {
@@ -151,6 +151,6 @@ mod tests {
             last = sum;
         }
         assert!(last < first, "loss {first} -> {last}");
-        assert_eq!(model.score(&[&[0, 1][..]]).dims(), &[1, 10]);
+        assert_eq!(ModelSnapshot::of(&model).scores(&model, &[&[0, 1][..]]).dims(), &[1, 10]);
     }
 }

@@ -6,7 +6,7 @@ use wr_autograd::{Graph, Var};
 use wr_data::Batch;
 use wr_nn::{FrozenEncoder, Module, Param, Session, TransformerConfig, TransformerEncoder};
 use wr_tensor::{Rng64, Tensor};
-use wr_train::{Adam, ModelSnapshot, SeqRecModel};
+use wr_train::{Adam, SeqRecModel};
 
 use crate::ItemTower;
 
@@ -256,19 +256,12 @@ impl SeqRecModel for SasRec {
         value
     }
 
-    /// The one scoring override in the zoo: a cosine-softmax model ranks by
-    /// `cos(s, v) / τ`, its training [`Self::logits`] over the snapshot's
-    /// `users` and `V` as constants. Every other loss — sampled softmax
-    /// and BPR included — ranks by the raw product, like the default.
-    fn score_with(&self, snapshot: &ModelSnapshot, contexts: &[&[usize]]) -> Tensor {
+    /// A cosine-softmax model ranks as it trains ([`Self::logits`]); every
+    /// other loss — sampled softmax and BPR included — by the raw product.
+    fn cosine_tau(&self) -> Option<f32> {
         match self.loss {
-            LossKind::CosineSoftmax { .. } => {
-                let g = Graph::new();
-                let users = g.constant(snapshot.users(self, contexts));
-                let v = g.constant(Tensor::clone(snapshot.items()));
-                g.value(self.logits(&g, users, v))
-            }
-            _ => snapshot.inner_products(self, contexts),
+            LossKind::CosineSoftmax { tau } => Some(tau),
+            _ => None,
         }
     }
 
@@ -300,7 +293,7 @@ impl SeqRecModel for SasRec {
 mod tests {
     use super::*;
     use crate::{IdTower, TextTower};
-    use wr_train::AdamConfig;
+    use wr_train::{AdamConfig, ModelSnapshot};
 
     pub(crate) fn tiny_config() -> ModelConfig {
         ModelConfig {
@@ -359,7 +352,7 @@ mod tests {
 
         // Prediction: after [3,4,5] the next item should be 6.
         let ctx: &[usize] = &[3, 4, 5];
-        let scores = model.score(&[ctx]);
+        let scores = ModelSnapshot::of(&model).scores(&model, &[ctx]);
         let best = scores.row(0).iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert_eq!(best, 6, "scores {:?}", scores.row(0));
     }
@@ -410,7 +403,7 @@ mod tests {
             let loss = model.train_step(&b, &mut opt, &mut rng);
             assert!(loss.is_finite());
         }
-        let s = model.score(&[&[1, 2][..]]);
+        let s = ModelSnapshot::of(&model).scores(&model, &[&[1, 2][..]]);
         assert_eq!(s.dims(), &[1, 10]);
     }
 
@@ -443,7 +436,7 @@ mod tests {
             }
             assert!(last < first, "{loss:?}: loss {first} -> {last}");
             // the learned scores still rank the true successor on top
-            let scores = model.score(&[&[3, 4, 5][..]]);
+            let scores = ModelSnapshot::of(&model).scores(&model, &[&[3, 4, 5][..]]);
             let best = scores
                 .row(0)
                 .iter()

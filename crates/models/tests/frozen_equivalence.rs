@@ -1,8 +1,9 @@
 //! `freeze().encode(ctx)` ≡ `user_representations(ctx)`, and
 //! `score(ctx)` — which encodes through the frozen encoder — ≡ the
 //! prediction layer over the taped `user_representations` ×
-//! `item_representations`, bit for bit, for every item tower of the SASRec
-//! chassis and both full-softmax losses — including the empty-history
+//! `item_representations` (the chassis' training `logits`, graph ops and
+//! all), bit for bit, for every item tower of the SASRec chassis and both
+//! full-softmax losses — including the empty-history
 //! context and contexts longer than `max_seq` — and the frozen encoder is
 //! a snapshot: training or restoring the source model afterwards does not
 //! reach it.
@@ -250,39 +251,38 @@ fn a_non_finite_model_does_not_freeze_and_scores_through_the_tape() {
     // A masked non-finite operand poisons the taped row (`0.0 · NaN`) but
     // would never be read by the frozen encoder, so such a model has no
     // frozen form and `score` stays on the tape — the two cannot disagree.
-    let mut rng = Rng64::seed_from(35);
-    let build = |rng: &mut Rng64| {
-        let tower = IdTower::new(N_ITEMS, config().dim, rng);
-        let mut model = SasRec::new(
-            "poisoned",
-            Box::new(tower),
-            LossKind::Softmax,
-            config(),
-            rng,
-        );
-        train_a_little(&mut model, rng);
-        model
-    };
+    // Under either loss: the snapshot's cosine rule applies to the taped
+    // users as to the frozen ones.
+    for loss in [LossKind::Softmax, LossKind::CosineSoftmax { tau: 0.07 }] {
+        let mut rng = Rng64::seed_from(35);
+        let build = |rng: &mut Rng64| {
+            let tower = IdTower::new(N_ITEMS, config().dim, rng);
+            let mut model = SasRec::new("poisoned", Box::new(tower), loss, config(), rng);
+            train_a_little(&mut model, rng);
+            model
+        };
 
-    let nan_pad_row = build(&mut rng);
-    nan_pad_row.tower.params()[0].update(|t| t.row_mut(PAD_ITEM)[0] = f32::NAN);
-    let inf_wk = build(&mut rng);
-    inf_wk.encoder.blocks[0]
-        .attn
-        .wk
-        .weight
-        .update(|t| t.data_mut()[0] = f32::INFINITY);
+        let nan_pad_row = build(&mut rng);
+        nan_pad_row.tower.params()[0].update(|t| t.row_mut(PAD_ITEM)[0] = f32::NAN);
+        let inf_wk = build(&mut rng);
+        inf_wk.encoder.blocks[0]
+            .attn
+            .wk
+            .weight
+            .update(|t| t.data_mut()[0] = f32::INFINITY);
 
-    for (model, what) in [(nan_pad_row, "NaN in V[PAD_ITEM]"), (inf_wk, "Inf in wk")] {
-        let items = Arc::new(model.item_representations());
-        assert!(model.freeze(items).is_none(), "{what}");
-        let owned = contexts();
-        let refs: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
-        let got = model.score(&refs);
-        assert!(
-            got.data().iter().any(|v| v.is_nan()),
-            "{what}: the poison must reach a score"
-        );
-        assert_score_matches_taped(&model, LossKind::Softmax, what);
+        for (model, what) in [(nan_pad_row, "NaN in V[PAD_ITEM]"), (inf_wk, "Inf in wk")] {
+            let what = format!("{what} / {loss:?}");
+            let items = Arc::new(model.item_representations());
+            assert!(model.freeze(items).is_none(), "{what}");
+            let owned = contexts();
+            let refs: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
+            let got = (&model as &dyn SeqRecModel).score(&refs);
+            assert!(
+                got.data().iter().any(|v| v.is_nan()),
+                "{what}: the poison must reach a score"
+            );
+            assert_score_matches_taped(&model, loss, &what);
+        }
     }
 }

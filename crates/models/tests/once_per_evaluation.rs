@@ -145,8 +145,9 @@ fn a_frozen_model_runs_its_tower_and_freezes_once_per_evaluation() {
     runs.set(0);
     model.freezes.set(0);
     let contexts: Vec<&[usize]> = cases.iter().map(|c| c.context.as_slice()).collect();
+    let scored: &dyn SeqRecModel = &model;
     for chunk in contexts.chunks(5) {
-        model.score(chunk);
+        scored.score(chunk);
     }
     assert_eq!((runs.get(), model.freezes.get()), (5, 5));
 }

@@ -2,7 +2,9 @@
 //!
 //! The digests were first computed with the ten hand-written
 //! `SeqRecModel::score` bodies of PR 17's tree, before they were replaced
-//! by the one provided method (`users · Vᵀ` over a `ModelSnapshot`); a
+//! by the one rule (`ModelSnapshot::scores`: `users · Vᵀ`, or `ŝ · V̂ᵀ · 1/τ`
+//! for the two UniSRec rows, whose own override it later absorbed without
+//! moving a bit); a
 //! change to the scoring path that moves one bit of one model's score
 //! moves its digest. They were re-pinned once, in PR 20, when libm's
 //! `tanhf` under GELU and `Tensor::tanh` became `wr_tensor::tanh_scalar`
@@ -14,7 +16,7 @@
 //!
 //! Covered: every name `zoo::build` accepts — called
 //! through `Box<dyn SeqRecModel>`, so a provided method the box forgets
-//! to forward (the cosine arm of the two UniSRec rows) shows here — plus
+//! to forward (`cosine_tau`, the two UniSRec rows) shows here — plus
 //! the models built directly, each after a few optimizer steps, on the
 //! empty-history context, a single item, a mid-length history, one of
 //! exactly `max_seq`, one longer, and a repeated item; batched and one
@@ -84,22 +86,25 @@ fn fnv1a(digest: &mut u64, t: &Tensor) {
 
 /// FNV-1a over the bits of the batched score, then of every row scored
 /// alone. Generic over `M` so a `Box<dyn SeqRecModel>` is scored through
-/// the box's own `impl SeqRecModel`.
+/// the box's own `impl SeqRecModel`; each `score` is what
+/// `dyn SeqRecModel::score` runs, a snapshot built for the call.
 fn score_digest<M: SeqRecModel>(model: &M) -> u64 {
+    let score = |contexts: &[&[usize]]| ModelSnapshot::of(model).scores(model, contexts);
     let owned = contexts();
     let refs: Vec<&[usize]> = owned.iter().map(Vec::as_slice).collect();
-    let batched = model.score(&refs);
+    let batched = score(&refs);
     assert_eq!(batched.dims(), &[refs.len(), N_ITEMS], "{}", model.name());
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let once = ModelSnapshot::of(model);
     assert!(
-        bits(&model.score_with(&ModelSnapshot::of(model), &refs)) == bits(&batched),
-        "{}: score_with a snapshot built once differs from score",
+        bits(&once.scores(model, &refs)) == bits(&batched),
+        "{}: a snapshot built once differs from score",
         model.name()
     );
     let mut digest = 0xcbf29ce484222325u64;
     fnv1a(&mut digest, &batched);
     for (r, ctx) in refs.iter().enumerate() {
-        let alone = model.score(&[ctx]);
+        let alone = score(&[ctx]);
         assert!(
             bits(&alone) == batched.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "{}: row {r} alone differs from its batched row",

@@ -7,8 +7,8 @@ use wr_train::ModelSnapshot;
 
 /// The frozen item matrix a serving process scores against, stored once.
 ///
-/// Two tensors live behind `Arc`s: the projected item representations
-/// `V: [n_items, d]` and the pre-materialized transpose `Vᵀ: [d, n_items]`
+/// Two tensors live behind `Arc`s: the ranked item matrix `V: [n_items, d]`
+/// (a cosine model's rows normalised) and its pre-materialized transpose
 /// that the scoring matmul consumes. Cloning the cache clones handles, not
 /// buffers — every micro-batch, worker thread, and engine clone reads the
 /// same memory. The transpose is materialized eagerly because it is hit by
@@ -37,8 +37,8 @@ impl EmbeddingCache {
         }
     }
 
-    /// The cache of a trained model: handles onto the `V` and `Vᵀ` its
-    /// [`ModelSnapshot`] already holds (for WhitenRec, the whitened table
+    /// The cache of a trained model: handles onto the two tables its
+    /// [`ModelSnapshot`] already ranks by (for WhitenRec, the whitened table
     /// *and* the trained projection head baked into one frozen matrix), so
     /// the scorer and the serving encode ([`crate::HistoryEncoder`]) read
     /// one buffer and nothing is transposed twice.

@@ -2,13 +2,13 @@
 //!
 //! [`crate::ServeEngine`] and the sharded gateway both encode through a
 //! [`HistoryEncoder`]. It takes a [`ModelSnapshot`] of the model once at
-//! construction — the item matrix `V`, its transpose (both shared with
+//! construction — the ranked item matrix, its transpose (both shared with
 //! the scoring cache) and, for every model with a frozen form, the
 //! tape-free encoder that looks history rows up in `V` instead of
 //! re-running the item tower — the snapshot the offline evaluator scores
-//! against. This type adds what only serving needs: histories arrive
-//! from outside the program, so they are checked against the catalogue
-//! and empty ones get the pad context.
+//! against, whose users come out as it ranks them. This type adds what
+//! only serving needs: histories arrive from outside the program, so they
+//! are checked against the catalogue and empty ones get the pad context.
 
 use crate::{MicroBatcher, Request};
 use wr_tensor::Tensor;
@@ -46,8 +46,8 @@ impl HistoryEncoder {
         &*self.model
     }
 
-    /// The snapshot the encoder runs: the clean `V`, `Vᵀ` and the frozen
-    /// encoder.
+    /// The snapshot the encoder runs: the clean ranked table, its
+    /// transpose and the frozen encoder.
     pub fn model_snapshot(&self) -> &ModelSnapshot {
         &self.snapshot
     }

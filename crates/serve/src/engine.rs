@@ -165,9 +165,9 @@ impl std::error::Error for ServeError {}
 /// Construction takes one `wr_train::ModelSnapshot` of the model — the
 /// item tower runs once (for WhitenRec: whitened table → trained
 /// projection head, baked into one frozen `V`) — held by the
-/// [`HistoryEncoder`] that looks history rows up in it and shared, `V`
-/// and `Vᵀ` both, with the [`crate::EmbeddingCache`], so per-query work
-/// is only
+/// [`HistoryEncoder`] that looks history rows up in it and shared, the
+/// ranked table and its transpose both, with the [`crate::EmbeddingCache`],
+/// so per-query work is only
 ///
 /// ```text
 /// encode histories → users: [b, d]   (V lookup + tape-free transformer)
@@ -177,15 +177,12 @@ impl std::error::Error for ServeError {}
 ///
 /// # Scoring contract
 ///
-/// The engine scores by raw inner product against the cached `V` — the
-/// computation `SeqRecModel::score` and `wr_train::evaluate` run over the
-/// same snapshot type, so for every model that ranks by the raw product
-/// (all but one arm of the zoo) the served top-k is the top-k of the
-/// evaluator's score row, bit for bit. The exception is a cosine-softmax
-/// model (UniSRec): it overrides `score_with` and is *evaluated* by
-/// `cos(s, v) / τ`, but is still *served* — here and by
-/// [`ServeEngine::serve_naive`] — by the inner product. That gap is open
-/// (ROADMAP, correctness aim).
+/// The engine scores the snapshot's users against the snapshot's ranked
+/// table — the product `wr_train::evaluate` scores by, so the served top-k
+/// is the top-k of the evaluator's score row, for every model. A cosine
+/// model (UniSRec) is served its cosines `ŝ · v̂` (its snapshot holds `V̂`
+/// and normalises users); the evaluator multiplies the same bits by a
+/// positive `1/τ`, which keeps their order up to the ties rounding makes.
 pub struct ServeEngine {
     encoder: HistoryEncoder,
     /// The full catalog as a single window at offset 0. Scoring,
@@ -385,11 +382,12 @@ impl ServeEngine {
     /// under the same (`total_cmp`, ascending index) policy, then filter
     /// and truncate. Deliberately shares *no* code with
     /// [`ServeEngine::serve`] beyond the cache: it encodes through the
-    /// model's taped forward, so every serve ≡ naive comparison is also a
-    /// frozen-vs-taped bit comparison. It does apply `serve`'s input rule:
-    /// a history naming an item outside the catalogue is answered empty.
+    /// model's taped forward (then `ModelSnapshot::ranked`), so every serve
+    /// ≡ naive comparison is also a frozen-vs-taped bit comparison. It does
+    /// apply `serve`'s input rule: a history naming an item outside the
+    /// catalogue is answered empty.
     pub fn serve_naive(&self, requests: &[Request]) -> Vec<Response> {
-        let model = self.encoder.model();
+        let (model, snapshot) = (self.encoder.model(), self.encoder.model_snapshot());
         let n_items = self.n_items();
         requests
             .iter()
@@ -398,7 +396,7 @@ impl ServeEngine {
                     return crate::shard::unanswered(req);
                 }
                 let ctx = MicroBatcher::sanitize(&req.history);
-                let users = model.user_representations(&[ctx]);
+                let users = snapshot.ranked(model.user_representations(&[ctx]));
                 let scores = users.matmul(self.shard.cache().items_t());
                 let row = scores.row(0);
                 let mut order: Vec<usize> = (0..row.len()).collect();

@@ -13,13 +13,13 @@
 //!   model's `max_seq` is the encode's job: `wr_train::ModelSnapshot::users`
 //!   packs with `wr_data::Batch::inference`, the conventions the models
 //!   were trained with);
-//! * [`EmbeddingCache`] stores the projected item matrix `V` (and its
-//!   transpose) once behind `Arc`s — the snapshot's own two, on a healthy
-//!   engine — so every worker thread of the `wr-runtime` pool scores
-//!   against the same buffer — no per-request copies;
+//! * [`EmbeddingCache`] stores the ranked item matrix (`V`, or a cosine
+//!   model's `V̂`) and its transpose once behind `Arc`s — the snapshot's
+//!   own two, on a healthy engine — so every pool thread scores against
+//!   the same buffer — no per-request copies;
 //! * [`HistoryEncoder`] is the one serving encode: a
 //!   `wr_train::ModelSnapshot` of the model taken at construction — the
-//!   type `SeqRecModel::score` and `wr_train::evaluate` score against —
+//!   only code that knows how a model ranks, `wr_train::evaluate`'s too —
 //!   whose tape-free `wr_nn::FrozenEncoder` looks history rows up in `V`
 //!   (the item tower runs once per build, never per micro-batch), with the
 //!   taped `user_representations` kept behind the same call for models

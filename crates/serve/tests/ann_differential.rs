@@ -12,7 +12,8 @@
 //!
 //! The model is the paper's serving configuration: whitened text table →
 //! projection tower → SASRec encoder (whitening is exactly what makes
-//! the IVF cells well-behaved — the isotropy argument in `wr_ann`).
+//! the IVF cells well-behaved — the isotropy argument in `wr_ann`); the
+//! exactness anchor also runs its cosine-loss twin, indexed over `V̂`.
 
 mod common;
 
@@ -45,6 +46,19 @@ fn cfg(k: usize) -> ServeConfig {
     }
 }
 
+/// The same tower ranking by UniSRec's `cos(s, v) / τ`: the cache — and
+/// so the index — holds `V̂`.
+fn cosine_model(seed: u64) -> Box<dyn SeqRecModel> {
+    common::cosine_model_of(
+        "cosine-ann",
+        N_ITEMS,
+        24,
+        common::model_config(1, MAX_SEQ),
+        seed,
+        seed,
+    )
+}
+
 fn exact_engine(seed: u64, k: usize) -> ServeEngine {
     ServeEngine::new(whitenrec_model(seed, seed), cfg(k))
 }
@@ -52,7 +66,11 @@ fn exact_engine(seed: u64, k: usize) -> ServeEngine {
 /// An IVF engine over the *same* weights as [`exact_engine`] (identical
 /// seeds → identical model → identical user vectors and item table).
 fn ann_engine(seed: u64, k: usize, nprobe: usize) -> ServeEngine {
-    let engine = exact_engine(seed, k);
+    with_index(exact_engine(seed, k), nprobe)
+}
+
+/// `engine` with an index built over its cache (its ranked table).
+fn with_index(engine: ServeEngine, nprobe: usize) -> ServeEngine {
     let index = engine.cache().build_ivf(NLIST, 7).unwrap();
     engine.with_ann(Arc::new(index), nprobe)
 }
@@ -76,28 +94,35 @@ fn assert_bit_identical(a: &[Response], b: &[Response], what: &str) {
 #[test]
 fn full_probe_replay_is_bit_identical_to_exact() {
     let log = QueryLog::synthetic(2048, N_ITEMS, MAX_SEQ + 3, 41);
-    let exact = exact_engine(23, 10);
-    let ann = ann_engine(23, 10, NLIST);
-    assert_eq!(ann.scorer(), Scorer::Ivf { nprobe: NLIST });
-
-    let mut checksums = Vec::new();
-    for threads in [1usize, 8] {
-        wr_runtime::set_threads(threads);
-        let (exact_resp, exact_report) = replay(&exact, &log, &wr_obs::Telemetry::new());
-        let (ann_resp, ann_report) = replay(&ann, &log, &wr_obs::Telemetry::new());
-        assert_bit_identical(
-            &ann_resp,
-            &exact_resp,
-            &format!("nprobe=nlist vs exact, {threads} threads"),
-        );
-        assert_eq!(
-            ann_report.top1_checksum, exact_report.top1_checksum,
-            "top1_checksum diverged at {threads} threads"
-        );
-        checksums.push(ann_report.top1_checksum);
+    let cases = [
+        ("inner product", exact_engine(23, 10), ann_engine(23, 10, NLIST)),
+        (
+            "cosine",
+            ServeEngine::new(cosine_model(23), cfg(10)),
+            with_index(ServeEngine::new(cosine_model(23), cfg(10)), NLIST),
+        ),
+    ];
+    for (rule, exact, ann) in cases {
+        assert_eq!(ann.scorer(), Scorer::Ivf { nprobe: NLIST });
+        let mut checksums = Vec::new();
+        for threads in [1usize, 8] {
+            wr_runtime::set_threads(threads);
+            let (exact_resp, exact_report) = replay(&exact, &log, &wr_obs::Telemetry::new());
+            let (ann_resp, ann_report) = replay(&ann, &log, &wr_obs::Telemetry::new());
+            assert_bit_identical(
+                &ann_resp,
+                &exact_resp,
+                &format!("{rule}: nprobe=nlist vs exact, {threads} threads"),
+            );
+            assert_eq!(
+                ann_report.top1_checksum, exact_report.top1_checksum,
+                "{rule}: top1_checksum diverged at {threads} threads"
+            );
+            checksums.push(ann_report.top1_checksum);
+        }
+        wr_runtime::set_threads(1);
+        assert_eq!(checksums[0], checksums[1], "{rule}: checksum not thread-stable");
     }
-    wr_runtime::set_threads(1);
-    assert_eq!(checksums[0], checksums[1], "checksum not thread-stable");
 }
 
 #[test]

@@ -41,18 +41,38 @@ pub fn whitenrec_model_of(
     table_seed: u64,
     init_seed: u64,
 ) -> Box<dyn SeqRecModel> {
+    text_model_of(name, n_items, text_dim, config, LossKind::Softmax, table_seed, init_seed)
+}
+
+/// [`whitenrec_model_of`] ranking by UniSRec's rule, `cos(s, v) / τ` at
+/// τ = 0.07: its snapshot, and so the engine's cache, holds `V̂`.
+pub fn cosine_model_of(
+    name: &str,
+    n_items: usize,
+    text_dim: usize,
+    config: ModelConfig,
+    table_seed: u64,
+    init_seed: u64,
+) -> Box<dyn SeqRecModel> {
+    let loss = LossKind::CosineSoftmax { tau: 0.07 };
+    text_model_of(name, n_items, text_dim, config, loss, table_seed, init_seed)
+}
+
+fn text_model_of(
+    name: &str,
+    n_items: usize,
+    text_dim: usize,
+    config: ModelConfig,
+    loss: LossKind,
+    table_seed: u64,
+    init_seed: u64,
+) -> Box<dyn SeqRecModel> {
     let mut table_rng = Rng64::seed_from(table_seed);
     let raw = Tensor::randn(&[n_items, text_dim], &mut table_rng);
     let whitened = zoo::whiten_relaxed(&raw, 4);
     let mut rng = Rng64::seed_from(init_seed);
     let tower = TextTower::new(whitened, config.dim, 2, &mut rng);
-    Box::new(SasRec::new(
-        name,
-        Box::new(tower),
-        LossKind::Softmax,
-        config,
-        &mut rng,
-    ))
+    Box::new(SasRec::new(name, Box::new(tower), loss, config, &mut rng))
 }
 
 /// [`whitenrec_model_of`] at [`N_ITEMS`] × 24, two blocks, [`MAX_SEQ`].

@@ -5,7 +5,8 @@
 //!
 //! The model under test is the paper's configuration: a SASRec encoder
 //! over a `TextTower` built from a whitened pre-trained embedding table
-//! (zoo `whiten_relaxed`, G=4), Softmax loss — the WhitenRec+ family.
+//! (zoo `whiten_relaxed`, G=4), Softmax loss — the WhitenRec+ family; the
+//! naive reference is also run on its cosine-loss twin (UniSRec's rule).
 
 mod common;
 
@@ -34,9 +35,22 @@ fn whitenrec_model(table_seed: u64, init_seed: u64) -> Box<dyn SeqRecModel> {
     )
 }
 
+/// The same tower and encoder ranking by UniSRec's `cos(s, v) / τ`,
+/// trained a little: the engine serves it over `V̂`.
+fn cosine_model(seed: u64) -> Box<dyn SeqRecModel> {
+    let config = common::model_config(2, MAX_SEQ);
+    let mut model = common::cosine_model_of("cosine-diff", N_ITEMS, 24, config, seed, seed);
+    train_a_little(model.as_mut(), seed);
+    model
+}
+
 fn engine(seed: u64, max_batch: usize) -> ServeEngine {
+    engine_of(whitenrec_model(seed, seed), max_batch)
+}
+
+fn engine_of(model: Box<dyn SeqRecModel>, max_batch: usize) -> ServeEngine {
     ServeEngine::new(
-        whitenrec_model(seed, seed),
+        model,
         ServeConfig {
             k: 10,
             max_batch,
@@ -70,11 +84,15 @@ fn assert_bit_identical(a: &[wr_serve::Response], b: &[wr_serve::Response], what
 
 #[test]
 fn batched_matches_naive_scorer() {
-    let engine = engine(11, 16);
     let reqs = queries(100, 1);
-    let batched = engine.serve(&reqs);
-    let naive = engine.serve_naive(&reqs);
-    assert_bit_identical(&batched, &naive, "batched vs naive");
+    for (engine, what) in [
+        (engine(11, 16), "batched vs naive"),
+        (engine_of(cosine_model(11), 16), "batched vs naive, cosine"),
+    ] {
+        let batched = engine.serve(&reqs);
+        let naive = engine.serve_naive(&reqs);
+        assert_bit_identical(&batched, &naive, what);
+    }
 }
 
 #[test]

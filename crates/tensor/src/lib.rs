@@ -33,7 +33,7 @@ pub use error::TensorError;
 pub use init::{Initializer, Rng64};
 pub use json::Json;
 pub use matmul::{dot, gemm};
-pub use ops::{gelu_grad_scalar, gelu_scalar, layer_norm_row, softmax_in_place, tanh_scalar};
+pub use ops::{gelu_grad_scalar, gelu_scalar, l2_normalize_row, layer_norm_row, softmax_in_place, tanh_scalar};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

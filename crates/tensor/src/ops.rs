@@ -207,19 +207,13 @@ impl Tensor {
         out
     }
 
-    /// Normalize each row of a matrix to unit L2 norm (rows of zeros pass
+    /// [`l2_normalize_row`] on each row of a matrix (rows of zeros pass
     /// through unchanged).
     pub fn l2_normalize_rows(&self) -> Tensor {
         assert!(self.rank() == 2, "l2_normalize_rows requires a matrix");
         let mut out = self.clone();
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 0.0 {
-                for x in row {
-                    *x /= norm;
-                }
-            }
+            l2_normalize_row(out.row_mut(r));
         }
         out
     }
@@ -330,6 +324,16 @@ pub fn layer_norm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) ->
         *v += b;
     }
     (mean, inv_std)
+}
+
+/// Unit L2 norm of one row, in place: `v / max(‖row‖, 1e-12)`, squares
+/// summed in row order; returns the divisor. The one statement of the row
+/// under `Graph::l2_normalize_rows` and [`Tensor::l2_normalize_rows`].
+#[inline]
+pub fn l2_normalize_row(row: &mut [f32]) -> f32 {
+    let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
+    row.iter_mut().for_each(|v| *v /= norm);
+    norm
 }
 
 /// Numerically-stable softmax over a slice, in place.

@@ -23,14 +23,24 @@ use wr_tensor::{Rng64, Tensor};
 ///
 /// A model supplies its two halves of the paper's prediction layer
 /// `ŷ = s · Vᵀ` — [`Self::item_representations`] (`V`) and
-/// [`Self::user_representations`] (`s`) — plus [`Self::train_step`], and
-/// optionally [`Self::freeze`] when its sequence encoder has a tape-free
-/// form. Scoring is *provided*: [`Self::score`] and [`Self::score_with`]
-/// are `users · Vᵀ` over a [`ModelSnapshot`], the same snapshot serving
-/// holds, so no model writes the product itself. Override
-/// [`Self::score_with`] only when the model ranks by something other than
-/// the raw inner product (the cosine-softmax arm of `SasRec` normalises
-/// and scales); never override [`Self::score`].
+/// [`Self::user_representations`] (`s`) — plus [`Self::train_step`],
+/// optionally [`Self::freeze`] (a tape-free encoder) and its ranking rule
+/// as data ([`Self::cosine_tau`]). It writes no scoring code: a
+/// [`ModelSnapshot`] (which serving holds too) ranks, and `score` is an
+/// inherent method of `dyn SeqRecModel`, so no model can override it:
+///
+/// ```compile_fail,E0407
+/// # use {wr_tensor::{Rng64, Tensor}, wr_train::{Adam, SeqRecModel}};
+/// struct Mine;
+/// impl SeqRecModel for Mine {
+///     fn name(&self) -> String { unimplemented!() }
+///     fn params(&self) -> Vec<wr_nn::Param> { unimplemented!() }
+///     fn train_step(&mut self, _: &wr_data::Batch, _: &mut Adam, _: &mut Rng64) -> f32 { unimplemented!() }
+///     fn item_representations(&self) -> Tensor { unimplemented!() }
+///     fn user_representations(&self, _: &[&[usize]]) -> Tensor { unimplemented!() }
+///     fn score(&self, _: &[&[usize]]) -> Tensor { unimplemented!() }
+/// }
+/// ```
 pub trait SeqRecModel {
     /// Display name (Table III row label).
     fn name(&self) -> String;
@@ -41,30 +51,19 @@ pub trait SeqRecModel {
     /// One optimization step on `batch`; returns the training loss.
     fn train_step(&mut self, batch: &Batch, optimizer: &mut Adam, rng: &mut Rng64) -> f32;
 
-    /// Score every item for each context → `[batch, n_items]`: a fresh
-    /// [`ModelSnapshot`] and [`Self::score_with`]. A caller scoring more
-    /// than one batch of an unchanged model builds the snapshot once
-    /// itself ([`crate::evaluate`] does).
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        self.score_with(&ModelSnapshot::of(self), contexts)
-    }
-
-    /// [`Self::score`] against a snapshot taken of this model earlier:
-    /// `users · Vᵀ`, where models with a frozen form encode through it —
-    /// the encoder serving runs, bit-identical to the taped forward — so
-    /// serving ranks what the evaluator ranks; the others run the taped
-    /// forward.
-    fn score_with(&self, snapshot: &ModelSnapshot, contexts: &[&[usize]]) -> Tensor {
-        snapshot.inner_products(self, contexts)
-    }
-
     /// Projected item representation matrix `V` (for Fig. 6/7 analyses).
     fn item_representations(&self) -> Tensor;
 
     /// User representations for the given contexts → `[batch, d]`, always
     /// through the taped forward: the reference [`Self::freeze`] and
-    /// [`Self::score`] are pinned against.
+    /// [`ModelSnapshot::users`] are pinned against.
     fn user_representations(&self, contexts: &[&[usize]]) -> Tensor;
+
+    /// How the model ranks, which follows from its loss: `None` (the
+    /// default) by `s · v`, `Some(τ)` by `cos(s, v) / τ` (cosine softmax).
+    fn cosine_tau(&self) -> Option<f32> {
+        None
+    }
 
     /// Snapshot the model for serving: a tape-free, `Send + Sync` encoder
     /// over `items` (this model's [`Self::item_representations`], computed
@@ -89,9 +88,17 @@ pub trait SeqRecModel {
     }
 }
 
-/// Forwards every method a model can override — the provided ones
-/// included, or a boxed cosine-loss model would silently score by the
-/// default inner product.
+impl<'a> dyn SeqRecModel + 'a {
+    /// Score every item for each context → `[batch, n_items]`: a fresh
+    /// [`ModelSnapshot`]'s [`ModelSnapshot::scores`]. A caller scoring
+    /// more than one batch of an unchanged model builds the snapshot once
+    /// itself ([`crate::evaluate`] does).
+    pub fn score(&self, contexts: &[&[usize]]) -> Tensor {
+        ModelSnapshot::of(self).scores(self, contexts)
+    }
+}
+
+/// Forwards every method a model overrides, the provided ones included.
 impl SeqRecModel for Box<dyn SeqRecModel> {
     fn name(&self) -> String {
         (**self).name()
@@ -105,14 +112,6 @@ impl SeqRecModel for Box<dyn SeqRecModel> {
         (**self).train_step(batch, optimizer, rng)
     }
 
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        (**self).score(contexts)
-    }
-
-    fn score_with(&self, snapshot: &ModelSnapshot, contexts: &[&[usize]]) -> Tensor {
-        (**self).score_with(snapshot, contexts)
-    }
-
     fn item_representations(&self) -> Tensor {
         (**self).item_representations()
     }
@@ -121,16 +120,16 @@ impl SeqRecModel for Box<dyn SeqRecModel> {
         (**self).user_representations(contexts)
     }
 
+    fn cosine_tau(&self) -> Option<f32> {
+        (**self).cosine_tau()
+    }
+
     fn freeze(&self, items: Arc<Tensor>) -> Option<FrozenEncoder> {
         (**self).freeze(items)
     }
 
     fn set_train_candidates(&mut self, candidates: Option<Vec<usize>>) {
         (**self).set_train_candidates(candidates)
-    }
-
-    fn param_count(&self) -> usize {
-        (**self).param_count()
     }
 }
 

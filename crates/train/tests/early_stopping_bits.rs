@@ -49,7 +49,7 @@ impl SeqRecModel for TableModel {
 }
 
 /// The trainer's `wr_eval_shim::evaluate` as it stood at PR 17, verbatim.
-fn deleted_shim_ndcg_at_20<M: SeqRecModel>(model: &M, cases: &[EvalCase], batch: usize) -> f32 {
+fn deleted_shim_ndcg_at_20(model: &dyn SeqRecModel, cases: &[EvalCase], batch: usize) -> f32 {
     let mut dcg = 0.0f64;
     for chunk in cases.chunks(batch.max(1)) {
         let contexts: Vec<&[usize]> = chunk.iter().map(|c| c.context.as_slice()).collect();
@@ -90,7 +90,7 @@ fn fit_reports_the_validation_bits_the_deleted_shim_computed() {
 
     // The fixture exercises what the two rank loops could disagree on.
     let contexts: Vec<&[usize]> = valid.iter().map(|c| c.context.as_slice()).collect();
-    let scores = model.score(&contexts);
+    let scores = (&model as &dyn SeqRecModel).score(&contexts);
     let ranks: Vec<(usize, usize)> = valid
         .iter()
         .enumerate()

@@ -12,12 +12,13 @@ use wr_train::{
     fit, fit_resumable, Adam, AdamConfig, CheckpointPolicy, SeqRecModel, TrainConfig,
 };
 
-/// Minimal sequence model: last item's embedding scored against the
-/// table. Enough moving parts (embedding gradients, Adam moments, RNG
+/// Minimal sequence model: the mean of the context's embeddings scored
+/// against the table. It supplies its two representations only — the
+/// validation `fit` runs ranks them by the snapshot's rule, as every model
+/// is ranked. Enough moving parts (embedding gradients, Adam moments, RNG
 /// stream) to catch any state the checkpoint fails to capture.
 struct ToyModel {
     emb: Embedding,
-    n_items: usize,
 }
 
 impl ToyModel {
@@ -25,7 +26,6 @@ impl ToyModel {
         let mut rng = Rng64::seed_from(seed);
         ToyModel {
             emb: Embedding::new(n_items, 8, &mut rng),
-            n_items,
         }
     }
 
@@ -78,18 +78,6 @@ impl SeqRecModel for ToyModel {
         g.backward(loss);
         optimizer.step(&g, sess.bindings());
         value
-    }
-
-    fn score(&self, contexts: &[&[usize]]) -> Tensor {
-        let table = self.emb.table.get();
-        let mut out = Tensor::zeros(&[contexts.len(), self.n_items]);
-        for (r, ctx) in contexts.iter().enumerate() {
-            let u = self.user_vec(ctx);
-            for i in 0..self.n_items {
-                out.row_mut(r)[i] = u.iter().zip(table.row(i)).map(|(a, b)| a * b).sum();
-            }
-        }
-        out
     }
 
     fn item_representations(&self) -> Tensor {

@@ -228,6 +228,24 @@ echo "== check: bench taped-encode smoke (--model GRU4Rec, no frozen form) =="
 grep -Eq '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gru-report.json"
 echo "   taped encode ok: $(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gru-report.json")"
 
+# Cosine smoke: UniSRec(T) ranks by cos(s, v) / τ, so its snapshot holds the
+# row-normalised V̂ and normalises every encoded user — the only end-to-end
+# run of that path (cache, encode, naive reference, gateway windows); every
+# other smoke serves an inner-product model. The engine and a 2-shard
+# gateway, each checked against the naive reference, must agree.
+echo "== check: bench cosine smoke (--model 'UniSRec(T)', served over V̂) =="
+./target/release/whitenrec bench --model 'UniSRec(T)' --scale 0.05 --epochs 1 \
+    --queries 256 --batch 32 --k 10 --check-naive 64 \
+    --out "$smoke_dir/cos-report.json"
+./target/release/whitenrec bench --model 'UniSRec(T)' --scale 0.05 --epochs 1 \
+    --queries 256 --batch 32 --k 10 --shards 2 --check-naive 64 \
+    --out "$smoke_dir/cos-gw2-report.json"
+cos_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/cos-report.json")"
+cos_gw2_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/cos-gw2-report.json")"
+[ -n "$cos_sum" ] && [ "$cos_sum" = "$cos_gw2_sum" ] \
+    || { echo "   cosine checksum diverged: engine $cos_sum, 2 shards $cos_gw2_sum"; exit 1; }
+echo "   cosine ok: $cos_sum"
+
 # Chaos smoke: replay the same fixture under an armed fault schedule. The
 # replay must exit cleanly (recovering via quarantine/retry/isolation, no
 # --check-naive here — degraded answers intentionally differ) and the

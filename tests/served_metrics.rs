@@ -1,13 +1,18 @@
 //! The deployed system reproduces the paper's metric: Recall@{20,50} and
 //! NDCG@{20,50} recomputed from what `ServeEngine::serve` and a 2-shard
 //! `Gateway::serve` actually answer equal the offline evaluator's
-//! `MetricSet` bit for bit, on the warm and on the cold test cases.
+//! `MetricSet` bit for bit, on the warm and on the cold test cases, for a
+//! model ranking by inner product (WhitenRec+) and one ranking by
+//! `cos(s, v) / τ` (UniSRec(T), served over the snapshot's `V̂`).
 //!
 //! Two rank rules meet here. The evaluator counts every candidate scoring
 //! `>=` the target (ties are broken pessimistically); the served list
 //! orders equal scores by ascending item id. They agree exactly when no
 //! candidate's score ties with the target's, which the test asserts of its
-//! fixture instead of assuming. And serving filters the *whole* history,
+//! fixture instead of assuming. The assertion is also the one way `1/τ`
+//! could matter: serving ranks the cosines, the evaluator the same bits
+//! times `1/τ`, a positive factor that can only change the order by
+//! rounding two cosines onto one score. And serving filters the *whole* history,
 //! the target included, while the evaluator (the RecBole convention)
 //! always ranks the target — so a repeat, a case whose target already
 //! sits in its own context, is answerable only offline. The simulator
@@ -103,9 +108,18 @@ fn assert_no_score_ties_with_a_target(model: &dyn SeqRecModel, cases: &[EvalCase
     }
 }
 
+/// The two ranking rules: the paper's inner product and UniSRec's cosine.
+const MODELS: [&str; 2] = ["WhitenRec+", "UniSRec(T)"];
+
 fn assert_served_metric_equals_evaluated(cold: bool) {
     let ctx = context();
-    let what = if cold { "cold" } else { "warm" };
+    for model in MODELS {
+        assert_served_metric_equals_evaluated_for(&ctx, model, cold);
+    }
+}
+
+fn assert_served_metric_equals_evaluated_for(ctx: &ExperimentContext, model: &str, cold: bool) {
+    let what = &format!("{model}, {}", if cold { "cold" } else { "warm" });
     let (cases, repeats): (Vec<EvalCase>, Vec<EvalCase>) =
         if cold { &ctx.cold.test } else { &ctx.warm.test }
             .iter()
@@ -115,9 +129,9 @@ fn assert_served_metric_equals_evaluated(cold: bool) {
     // Training is deterministic in its seeds: three runs, one model.
     let train = || {
         if cold {
-            ctx.run_cold("WhitenRec+")
+            ctx.run_cold(model)
         } else {
-            ctx.run_warm("WhitenRec+")
+            ctx.run_warm(model)
         }
     };
     let offline = train();
