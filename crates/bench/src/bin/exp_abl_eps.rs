@@ -9,10 +9,11 @@
 
 use wr_bench::{context, m4};
 use wr_data::DatasetKind;
+use wr_eval::whiteness_error;
 use wr_models::{LossKind, ModelConfig, SasRec, TextTower};
 use wr_tensor::Rng64;
 use wr_train::{fit, Adam, AdamConfig};
-use wr_whiten::{whiteness_error, WhiteningMethod, WhiteningTransform};
+use wr_whiten::{WhiteningMethod, WhiteningTransform};
 use whitenrec::TableWriter;
 
 fn main() {

@@ -6,7 +6,7 @@
 //! Arts / Toys / Tools.
 
 use wr_bench::{context, datasets, m4};
-use wr_textsim::{normalized_singular_values, EmbeddingReport};
+use wr_eval::{normalized_singular_values, EmbeddingReport};
 use whitenrec::TableWriter;
 
 fn main() {

@@ -7,7 +7,8 @@
 
 use wr_bench::context;
 use wr_data::DatasetKind;
-use wr_whiten::{group_whiten, pairwise_cosine_cdf, WhiteningMethod, DEFAULT_EPS};
+use wr_eval::pairwise_cosine_cdf;
+use wr_whiten::{group_whiten, WhiteningMethod, DEFAULT_EPS};
 use whitenrec::TableWriter;
 
 fn main() {

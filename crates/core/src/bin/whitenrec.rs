@@ -42,12 +42,12 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use whitenrec::cli::{build_context, flag, has_flag, parse_num, parse_opt};
+use whitenrec::eval::{whiteness_error, EmbeddingReport};
 use whitenrec::models::zoo::WARM_ROSTER;
 use whitenrec::nn::save_params;
 use whitenrec::obs::Telemetry;
-use whitenrec::textsim::EmbeddingReport;
 use whitenrec::train::SeqRecModel;
-use whitenrec::whiten::{whiteness_error, WhiteningMethod, WhiteningTransform, DEFAULT_EPS};
+use whitenrec::whiten::{WhiteningMethod, WhiteningTransform, DEFAULT_EPS};
 use whitenrec::{append_records, ExperimentRecord};
 
 fn main() -> ExitCode {

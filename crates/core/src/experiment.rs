@@ -1,16 +1,27 @@
 //! Shared context for the per-table/figure experiment binaries.
 
 use wr_data::{cold_split, warm_split, ColdSplit, DatasetSpec, ReadyDataset, WarmSplit};
-use wr_eval::{MetricSet, DEFAULT_KS};
+use wr_eval::{
+    average_pairwise_cosine, covariance_spectrum, spectrum_condition_number, top_k_singular_mass,
+    uniformity, MetricSet, DEFAULT_KS,
+};
 use wr_models::{zoo, ModelConfig};
 use wr_obs::Telemetry;
-use wr_tensor::Rng64;
+use wr_tensor::{Rng64, Tensor};
 use wr_train::{
     fit_observed, fit_resumable, Adam, AdamConfig, CheckpointPolicy, EpochRecord, SeqRecModel,
     TrainConfig, TrainReport,
 };
 use wr_nn::CheckpointError;
-use wr_whiten::{observed_group_whiten, WhiteningMethod, DEFAULT_EPS};
+use wr_whiten::{GroupWhitening, WhiteningMethod, DEFAULT_EPS};
+
+/// Sampled row pairs behind the `mean_pairwise_cosine` and `uniformity`
+/// gauges.
+const HEALTH_PAIRS: usize = 2048;
+/// Seed of those pairs.
+const HEALTH_SEED: u64 = 7;
+/// `k` of the `top_k_singular_mass` gauge (clamped to the column count).
+const HEALTH_TOP_K: usize = 10;
 
 /// A materialized dataset with its warm and cold splits, plus the shared
 /// model/training configuration — one per (dataset, scale) pair.
@@ -63,22 +74,27 @@ impl ExperimentContext {
 
     /// Re-run the preprocessing whitening (ZCA, the context's relaxed
     /// group count) purely to record the paper's embedding-health
-    /// diagnostics — `whiten.pre.*` / `whiten.post.*` gauges (mean
-    /// pairwise cosine, condition number, top-k singular mass, uniformity)
-    /// plus fit/apply spans — into the attached telemetry. No-op without
-    /// telemetry; the whitened output is discarded (models re-whiten
-    /// inside `zoo::build`, which stays uninstrumented and bit-identical).
+    /// diagnostics of the table before and after it — `whiten.pre.*` /
+    /// `whiten.post.*` gauges (see `record_embedding_health`) — plus
+    /// `whiten.fit` / `whiten.apply` spans, into the attached telemetry.
+    /// No-op without telemetry; the whitened output is discarded (models
+    /// re-whiten inside `zoo::build`, which stays uninstrumented and
+    /// bit-identical).
     pub fn record_whitening_health(&self) {
-        if let Some(tel) = &self.telemetry {
-            let _ = observed_group_whiten(
-                &self.dataset.embeddings,
-                self.relaxed_groups,
-                WhiteningMethod::Zca,
-                DEFAULT_EPS,
-                tel,
-                "whiten",
-            );
-        }
+        let Some(tel) = &self.telemetry else { return };
+        let x = &self.dataset.embeddings;
+        // A table the statistics cannot be taken of records nothing; the
+        // run goes on without its gauges.
+        let _ = record_embedding_health(tel, "whiten.pre", x);
+        let whitening = {
+            let _span = tel.tracer.span("whiten.fit", "whiten");
+            GroupWhitening::fit(x, self.relaxed_groups, WhiteningMethod::Zca, DEFAULT_EPS)
+        };
+        let z = {
+            let _span = tel.tracer.span("whiten.apply", "whiten");
+            whitening.apply(x)
+        };
+        let _ = record_embedding_health(tel, "whiten.post", &z);
     }
 
     /// Category id per (dense) item — the attribute table for S³-Rec.
@@ -230,6 +246,39 @@ impl ExperimentContext {
     }
 }
 
+/// Record `x`'s geometry under `prefix` (a `<prefix>.health` span):
+/// `mean_pairwise_cosine` (§III-B), `top_k_singular_mass` and its `top_k`,
+/// `condition_number` (κ, Fig. 7), `uniformity` (Eq. 7), `rows`, `cols`.
+/// Each value is the `wr_eval` estimator the figures print, so κ is
+/// `item_condition_number`'s to the bit; κ and the mass share one
+/// eigensolve. A table with fewer than two rows, no column or a non-finite
+/// entry is an `Err` and records nothing — the estimators assert on the
+/// first and would turn the last into NaN gauges.
+fn record_embedding_health(tel: &Telemetry, prefix: &str, x: &Tensor) -> Result<(), String> {
+    let _span = tel.tracer.span(format!("{prefix}.health"), "whiten");
+    let (rows, cols) = match *x.dims() {
+        [rows, cols] if rows >= 2 && cols > 0 => (rows, cols),
+        _ => return Err(format!("embedding health wants ≥ 2 rows and a column, got {:?}", x.dims())),
+    };
+    if x.non_finite_count() > 0 {
+        return Err("embedding health: the table has non-finite entries".into());
+    }
+    let spectrum = covariance_spectrum(x).map_err(|e| e.to_string())?;
+    let top_k = HEALTH_TOP_K.min(cols);
+    for (name, value) in [
+        ("mean_pairwise_cosine", f64::from(average_pairwise_cosine(x, HEALTH_PAIRS, HEALTH_SEED))),
+        ("top_k_singular_mass", top_k_singular_mass(&spectrum, top_k)),
+        ("top_k", top_k as f64),
+        ("condition_number", f64::from(spectrum_condition_number(&spectrum))),
+        ("uniformity", f64::from(uniformity(x, HEALTH_PAIRS, HEALTH_SEED))),
+        ("rows", rows as f64),
+        ("cols", cols as f64),
+    ] {
+        tel.registry.gauge(&format!("{prefix}.{name}")).set(value);
+    }
+    Ok(())
+}
+
 fn cap(cases: &[wr_data::EvalCase], limit: usize) -> Vec<wr_data::EvalCase> {
     if limit == 0 || cases.len() <= limit {
         cases.to_vec()
@@ -312,6 +361,72 @@ mod tests {
         assert!(snap.histograms.iter().any(|(n, h)| n == "train.step_ms" && h.count > 0));
         assert!(tel.tracer.events().iter().any(|e| e.cat == "whiten"));
         assert!(tel.tracer.events().iter().any(|e| e.cat == "train"));
+    }
+
+    /// A gauge and the figure of the same name print the same bits: the
+    /// recorder's constants on the `wr_eval` estimators, `to_bits` through
+    /// `f64::from`.
+    #[test]
+    fn whitening_gauges_are_the_figures_estimators() {
+        let mut ctx = ExperimentContext::from_spec(DatasetSpec::tiny(DatasetKind::Arts));
+        let tel = Telemetry::new();
+        ctx.telemetry = Some(tel.clone());
+        ctx.record_whitening_health();
+
+        let snap = tel.registry.snapshot();
+        let gauge = |name: &str| {
+            snap.gauges
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.to_bits())
+                .unwrap_or_else(|| panic!("missing gauge {name}"))
+        };
+        let x = &ctx.dataset.embeddings;
+        let figure = |v: f32| f64::from(v).to_bits();
+        assert_eq!(
+            gauge("whiten.pre.mean_pairwise_cosine"),
+            figure(wr_eval::average_pairwise_cosine(x, HEALTH_PAIRS, HEALTH_SEED))
+        );
+        assert_eq!(
+            gauge("whiten.pre.uniformity"),
+            figure(wr_eval::uniformity(x, HEALTH_PAIRS, HEALTH_SEED))
+        );
+        assert_eq!(
+            gauge("whiten.pre.condition_number"),
+            figure(wr_eval::item_condition_number(x).unwrap())
+        );
+
+        // Every documented name, pre and post, and the four spans.
+        for stage in ["pre", "post"] {
+            for name in [
+                "mean_pairwise_cosine",
+                "top_k_singular_mass",
+                "top_k",
+                "condition_number",
+                "uniformity",
+                "rows",
+                "cols",
+            ] {
+                gauge(&format!("whiten.{stage}.{name}"));
+            }
+        }
+        let spans: Vec<String> = tel.tracer.events().iter().map(|e| e.name.clone()).collect();
+        for want in ["whiten.pre.health", "whiten.fit", "whiten.apply", "whiten.post.health"] {
+            assert!(spans.iter().any(|n| n == want), "missing span {want}: {spans:?}");
+        }
+    }
+
+    #[test]
+    fn degenerate_and_non_finite_tables_are_errors_not_panics() {
+        let tel = Telemetry::new();
+        for dims in [&[4][..], &[1, 4], &[0, 4], &[4, 0]] {
+            assert!(record_embedding_health(&tel, "x", &Tensor::zeros(dims)).is_err());
+        }
+        let mut rng = Rng64::seed_from(1);
+        let mut poisoned = Tensor::randn(&[8, 3], &mut rng);
+        poisoned.row_mut(2)[1] = f32::NAN;
+        assert!(record_embedding_health(&tel, "x", &poisoned).is_err());
+        assert!(tel.registry.snapshot().gauges.is_empty());
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! | [`data`] | `wr-data` | behaviour simulator, splits, batching |
 //! | [`models`] | `wr-models` | the Table III model zoo |
 //! | [`train`] | `wr-train` | Adam, training loop, early stopping |
-//! | [`eval`] | `wr-eval` | Recall/NDCG, uniformity, conditioning |
-//! | [`obs`] | `wr-obs` | metrics registry, spans, embedding health |
+//! | [`eval`] | `wr-eval` | Recall/NDCG; cosine, spectrum, uniformity, κ |
+//! | [`obs`] | `wr-obs` | metrics registry, spans, trace ids, flight recorder |
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 

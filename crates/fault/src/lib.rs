@@ -47,7 +47,8 @@ pub use faultlog::{
     FAULTLOG_FORMAT,
 };
 pub use plan::{
-    Corruption, FaultKind, FaultPlan, FaultRates, FaultRecord, InducedPanic, WR_FAULT_SEED_ENV,
+    splitmix, Corruption, FaultKind, FaultPlan, FaultRates, FaultRecord, InducedPanic,
+    WR_FAULT_SEED_ENV,
 };
 
 use std::sync::Arc;

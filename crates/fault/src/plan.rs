@@ -120,8 +120,10 @@ const SALT_POISON_SHAPE: u64 = 0x3004;
 const SALT_PANIC: u64 = 0x4004;
 const SALT_PANIC_SHAPE: u64 = 0x4005;
 
-/// SplitMix64 finalizer — the workspace's standard bit mixer.
-fn splitmix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer — the workspace's one bit mixer: fault schedules,
+/// `wr_obs::TraceContext` ids and the gateway's replica rotation all hash
+/// with it.
+pub fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);

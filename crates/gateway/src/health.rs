@@ -37,6 +37,7 @@
 
 use std::sync::Mutex;
 
+use wr_fault::splitmix;
 use wr_obs::{Clock, DeadlineBudget, Telemetry, TraceContext};
 use wr_serve::{CatalogShard, Request, Response, ServeError, ShardCall};
 use wr_tensor::Tensor;
@@ -155,16 +156,6 @@ impl HealthTracker {
             BreakerState::HalfOpen => "half-open",
         }
     }
-}
-
-/// SplitMix64 finalizer — the workspace's standard bit mixer, used here
-/// to turn `(router seed, request id, shard)` into a rotation start so
-/// replica load spreads without an RNG stream.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Everything one dispatch needs from the gateway, bundled so the pool

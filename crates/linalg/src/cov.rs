@@ -1,6 +1,5 @@
 //! Covariance, condition number and spectral statistics.
 
-use crate::{jacobi::sym_eigvals, Result};
 use wr_tensor::Tensor;
 
 /// Covariance of a `d × n` matrix whose *columns* are samples
@@ -35,21 +34,22 @@ pub fn covariance_of_rows(x: &Tensor, eps: f32) -> Tensor {
     cov
 }
 
-/// Condition number `κ(A) = λ_max / λ_min` of a symmetric PSD matrix.
+/// Condition number `κ(A) = λ_max / λ_min` of a symmetric PSD matrix,
+/// given its eigenvalues in descending order (`sym_eigvals`).
 ///
-/// The smallest eigenvalue is floored at `floor` to keep κ finite for
-/// numerically singular matrices; the paper plots κ on a log scale, so a
+/// Both ends are floored at `floor` to keep κ finite for numerically
+/// singular matrices; the paper plots κ on a log scale, so a
 /// huge-but-finite value carries the same signal as infinity.
-pub fn condition_number(a: &Tensor, floor: f32) -> Result<f32> {
-    let values = sym_eigvals(a)?;
-    let lmax = values.first().copied().unwrap_or(0.0).max(floor);
-    let lmin = values.last().copied().unwrap_or(0.0).max(floor);
-    Ok(lmax / lmin)
+pub fn condition_number(eigenvalues: &[f32], floor: f32) -> f32 {
+    let lmax = eigenvalues.first().copied().unwrap_or(0.0).max(floor);
+    let lmin = eigenvalues.last().copied().unwrap_or(0.0).max(floor);
+    lmax / lmin
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sym_eigvals;
     use wr_tensor::Rng64;
 
     #[test]
@@ -81,9 +81,10 @@ mod tests {
     #[test]
     fn condition_number_diagonal() {
         let a = Tensor::from_vec(vec![8.0, 0.0, 0.0, 2.0], &[2, 2]);
-        let k = condition_number(&a, 1e-12).unwrap();
+        let k = condition_number(&sym_eigvals(&a).unwrap(), 1e-12);
         assert!((k - 4.0).abs() < 1e-4);
-        assert!((condition_number(&Tensor::eye(5), 1e-12).unwrap() - 1.0).abs() < 1e-4);
+        let eye = sym_eigvals(&Tensor::eye(5)).unwrap();
+        assert!((condition_number(&eye, 1e-12) - 1.0).abs() < 1e-4);
     }
 
     #[test]
@@ -104,7 +105,7 @@ mod tests {
         }
         let x = Tensor::from_vec(data, &[3, n]);
         let cov = covariance(&x, 1e-6);
-        let k = condition_number(&cov, 1e-12).unwrap();
+        let k = condition_number(&sym_eigvals(&cov).unwrap(), 1e-12);
         assert!(k > 100.0, "expected ill-conditioned covariance, κ={k}");
     }
 }

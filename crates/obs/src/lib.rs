@@ -1,6 +1,6 @@
 //! `wr-obs` — std-only observability for the WhitenRec reproduction.
 //!
-//! Six pieces, all global-free and pool-safe:
+//! Five pieces, all global-free and pool-safe:
 //!
 //! * [`registry`] — a [`Registry`] of [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket [`Histogram`]s with per-bucket trace-id **exemplars**;
@@ -19,19 +19,15 @@
 //! * [`http`] — [`serve_http`]: a read-only live telemetry endpoint
 //!   (`/metrics`, `/traces/recent`, `/flight`, `/health`) on a blocking
 //!   `TcpListener` thread, plus the [`http_get`] scrape client.
-//! * [`health`] — [`EmbeddingHealth`]: the paper's anisotropy
-//!   diagnostics (mean pairwise cosine, top-k singular mass, condition
-//!   number, uniformity/alignment) computed on raw `f32` matrices and
-//!   recordable as gauges.
 //!
 //! **Layering.** This crate sits at the very bottom of the workspace —
 //! its only dependency is `wr-fault` (itself dependency-free), for the
 //! CRC-sealed atomic flight dumps — and `wr-runtime` (which everything
-//! else builds on) depends on it to time pool jobs. That is why the
-//! health module is handed the covariance spectrum by its caller instead
-//! of using `wr-linalg`, and why JSON is written by local helpers instead
-//! of `wr_tensor::json` (same dialect; parse-compatibility is asserted by
-//! root integration tests).
+//! else builds on) depends on it to time pool jobs. That is why JSON is
+//! written by local helpers instead of `wr_tensor::json` (same dialect;
+//! parse-compatibility is asserted by root integration tests). The
+//! registry holds gauges, not statistics: the paper's embedding-geometry
+//! numbers are computed by `wr_eval` and recorded here by their caller.
 //!
 //! **Determinism contract.** Telemetry is strictly write-only with
 //! respect to computation: nothing in this crate is ever read back into
@@ -43,7 +39,6 @@
 
 pub mod clock;
 pub mod flight;
-pub mod health;
 pub mod http;
 mod jsonw;
 pub mod registry;
@@ -52,7 +47,6 @@ pub mod trace;
 
 pub use clock::{Clock, DeadlineBudget, MockClock, MonotonicClock};
 pub use flight::{read_dump, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_FORMAT};
-pub use health::{alignment, EmbeddingHealth, HealthConfig};
 pub use http::{http_get, serve_http, ObsServer};
 pub use registry::{
     nearest_rank, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot,

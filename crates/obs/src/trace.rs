@@ -8,9 +8,9 @@
 //! bucket, a retry, or a quarantine can be joined back to the exact
 //! exported span tree that owns it.
 //!
-//! Ids are **pure functions of `(request id, batch index)`** — the same
-//! SplitMix64 finalizer `wr_fault::FaultPlan` and `wr_tensor::Rng64` use
-//! for seeding, with no RNG state and no wall clock. Two replays of the
+//! Ids are **pure functions of `(request id, batch index)`** — hashed by
+//! `wr_fault::splitmix`, the SplitMix64 finalizer fault schedules use too,
+//! with no RNG state and no wall clock. Two replays of the
 //! same query log mint the same trace ids at any `WR_THREADS`, which is
 //! what lets the differential suites run bit-identically with tracing
 //! armed, and lets a replay harness predict the trace id of any batch
@@ -32,18 +32,12 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
+use wr_fault::splitmix;
+
 // Distinct salts keep the trace-id and span-id hash streams independent
 // (same idiom as wr-fault's per-hook salts).
 const SALT_TRACE: u64 = 0x7A5C_E001;
 const SALT_SPAN: u64 = 0x7A5C_E002;
-
-/// SplitMix64 finalizer — the workspace's standard bit mixer.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// Reserve 0 as the untraced sentinel.
 fn nonzero(v: u64) -> u64 {

@@ -151,7 +151,7 @@ fn unit_rows(mut t: Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::{Catalog, CatalogConfig};
-    use wr_whiten::average_pairwise_cosine;
+    use wr_eval::{average_pairwise_cosine, normalized_singular_values};
 
     fn catalog() -> Catalog {
         Catalog::generate(CatalogConfig {
@@ -178,7 +178,7 @@ mod tests {
         let c = catalog();
         let enc = PlmEncoder::new(c.config.n_factors, PlmConfig::default());
         let e = enc.encode(&c);
-        let sv = crate::normalized_singular_values(&e).unwrap();
+        let sv = normalized_singular_values(&e).unwrap();
         assert!((sv[0] - 1.0).abs() < 1e-5);
         // Fig. 2 shape: rapid drop — the bulk of the spectrum is far below
         // the leading directions (the ill-conditioned mixing keeps a longer

@@ -16,13 +16,12 @@
 //!    * fast-decaying singular values (Fig. 2),
 //!    * semantic clustering (same-category items stay close).
 //!
-//! The tests in this crate *assert* those properties, so the substitution
-//! is checked, not assumed.
+//! The tests in this crate *assert* those properties — with `wr-eval`'s
+//! estimators, the ones the figures print — so the substitution is
+//! checked, not assumed.
 
 mod catalog;
 mod encoder;
-mod stats;
 
 pub use catalog::{Catalog, CatalogConfig, Item};
 pub use encoder::{PlmConfig, PlmEncoder};
-pub use stats::{normalized_singular_values, EmbeddingReport};

@@ -210,7 +210,7 @@ impl FlowWhitening {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::whiteness_error;
+    use wr_eval::whiteness_error;
 
     fn skewed_data(n: usize, d: usize, seed: u64) -> Tensor {
         // Correlated + non-Gaussian (squared components mixed in).

@@ -129,13 +129,13 @@ mod tests {
         let centered = x.sub_row_broadcast(&x.mean_rows());
         // Compare normalized representations: relaxed whitening should keep
         // pairwise geometry closer to the original than full whitening does.
-        let cos_orig = crate::average_pairwise_cosine(&centered, 200, 7);
-        let cos_g1 = crate::average_pairwise_cosine(
+        let cos_orig = wr_eval::average_pairwise_cosine(&centered, 200, 7);
+        let cos_g1 = wr_eval::average_pairwise_cosine(
             &group_whiten(&x, 1, WhiteningMethod::Zca, 1e-6),
             200,
             7,
         );
-        let cos_g8 = crate::average_pairwise_cosine(
+        let cos_g8 = wr_eval::average_pairwise_cosine(
             &group_whiten(&x, 8, WhiteningMethod::Zca, 1e-6),
             200,
             7,
@@ -146,6 +146,35 @@ mod tests {
             (cos_g8 - cos_orig).abs() <= (cos_g1 - cos_orig).abs() + 1e-3,
             "orig {cos_orig}, g1 {cos_g1}, g8 {cos_g8}"
         );
+    }
+
+    /// The paper's direction, where it holds (G = 1 ZCA): whitening drives
+    /// the mean pairwise cosine toward 0 and κ toward 1, measured with the
+    /// `whiten.*` gauges' estimators and constants (2 048 pairs, seed 7).
+    #[test]
+    fn whitening_lowers_cosine_and_condition_number() {
+        // Random rows pushed toward a common direction with a per-dimension
+        // scale spread, mimicking the pre-trained text-embedding cone.
+        let mut rng = Rng64::seed_from(41);
+        let mut x = Tensor::randn(&[200, 8], &mut rng);
+        for r in 0..200 {
+            for (c, v) in x.row_mut(r).iter_mut().enumerate() {
+                *v = *v * (1.0 + c as f32 * 0.3) + 3.0;
+            }
+        }
+        let z = group_whiten(&x, 1, WhiteningMethod::Zca, crate::DEFAULT_EPS);
+        let (pre_cos, post_cos) = (
+            wr_eval::average_pairwise_cosine(&x, 2048, 7),
+            wr_eval::average_pairwise_cosine(&z, 2048, 7),
+        );
+        let (pre_cond, post_cond) = (
+            wr_eval::item_condition_number(&x).unwrap(),
+            wr_eval::item_condition_number(&z).unwrap(),
+        );
+        assert!(pre_cos > 0.5, "fixture should be anisotropic, got cosine {pre_cos}");
+        assert!(post_cos.abs() < 0.2, "whitened cosine should be near zero, got {post_cos}");
+        assert!(post_cond < pre_cond, "κ should drop: pre {pre_cond} post {post_cond}");
+        assert!(post_cond < 2.0, "whitened covariance should be near-identity, got {post_cond}");
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl IncrementalWhitening {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::whiteness_error;
+    use wr_eval::whiteness_error;
     use wr_tensor::Rng64;
 
     fn correlated(n: usize, d: usize, seed: u64) -> Tensor {

@@ -23,18 +23,12 @@ mod ensemble;
 mod flow;
 mod group;
 mod incremental;
-mod metrics;
-mod observed;
 mod transform;
 
 pub use ensemble::EnsembleMode;
 pub use flow::FlowWhitening;
 pub use group::{group_whiten, GroupWhitening};
 pub use incremental::IncrementalWhitening;
-pub use observed::{observed_group_whiten, record_embedding_health};
-pub use metrics::{
-    average_pairwise_cosine, pairwise_cosine_cdf, pairwise_cosines, whiteness_error,
-};
 pub use transform::{WhiteningMethod, WhiteningTransform};
 
 /// Default covariance regularizer `ε` (added to the diagonal before

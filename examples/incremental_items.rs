@@ -6,8 +6,9 @@
 //! cargo run --release --example incremental_items
 //! ```
 
+use whitenrec::eval::whiteness_error;
 use whitenrec::textsim::{Catalog, CatalogConfig, PlmConfig, PlmEncoder};
-use whitenrec::whiten::{whiteness_error, IncrementalWhitening};
+use whitenrec::whiten::IncrementalWhitening;
 
 fn main() {
     // Day 0: the existing catalog.

@@ -6,11 +6,9 @@
 //! cargo run --release --example whitening_playground
 //! ```
 
-use whitenrec::textsim::{Catalog, CatalogConfig, EmbeddingReport, PlmConfig, PlmEncoder};
-use whitenrec::whiten::{
-    average_pairwise_cosine, group_whiten, whiteness_error, WhiteningMethod, WhiteningTransform,
-    DEFAULT_EPS,
-};
+use whitenrec::eval::{average_pairwise_cosine, whiteness_error, EmbeddingReport};
+use whitenrec::textsim::{Catalog, CatalogConfig, PlmConfig, PlmEncoder};
+use whitenrec::whiten::{group_whiten, WhiteningMethod, WhiteningTransform, DEFAULT_EPS};
 
 fn main() {
     // 1. Generate a catalog and encode it with the simulated PLM.

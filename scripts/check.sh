@@ -179,14 +179,18 @@ echo "   bench report ok: $(cat "$smoke_dir/report.json" | head -c 120)…"
 
 # Telemetry exports: the trace must be Chrome trace_event JSON (the binary
 # shape-validates before writing; assert the top-level key here too), and
-# the metrics snapshot must carry the serve queue-depth gauge plus the
-# whitening condition-number diagnostics.
+# the metrics snapshot must carry the serve queue-depth gauge plus the four
+# documented embedding-health families, before and after whitening.
 echo "== check: bench telemetry exports =="
 grep -q '"traceEvents"' "$smoke_dir/trace.json"
 grep -q '"ph":"X"' "$smoke_dir/trace.json"
 grep -q '"serve.queue_depth"' "$smoke_dir/metrics.json"
-grep -q '"whiten.pre.condition_number"' "$smoke_dir/metrics.json"
-grep -q '"whiten.post.condition_number"' "$smoke_dir/metrics.json"
+for stage in pre post; do
+    for family in mean_pairwise_cosine top_k_singular_mass condition_number uniformity; do
+        grep -q "\"whiten.$stage.$family\"" "$smoke_dir/metrics.json" \
+            || { echo "   missing gauge whiten.$stage.$family"; exit 1; }
+    done
+done
 grep -q '"serve.latency_ms"' "$smoke_dir/metrics.json"
 # The fault-tolerance surface is exported even on a clean run (at zero).
 grep -q '"fault.injected"' "$smoke_dir/metrics.json"

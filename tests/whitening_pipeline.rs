@@ -2,11 +2,9 @@
 //! exhibit the paper's §III-B pathology, and the whitening stack must fix
 //! it — the premise of the whole method.
 
+use whitenrec::eval::{average_pairwise_cosine, whiteness_error};
 use whitenrec::textsim::{Catalog, CatalogConfig, PlmConfig, PlmEncoder};
-use whitenrec::whiten::{
-    average_pairwise_cosine, group_whiten, whiteness_error, WhiteningMethod,
-    WhiteningTransform, DEFAULT_EPS,
-};
+use whitenrec::whiten::{group_whiten, WhiteningMethod, WhiteningTransform, DEFAULT_EPS};
 
 fn embeddings() -> (Catalog, whitenrec::tensor::Tensor) {
     let catalog = Catalog::generate(CatalogConfig {
