@@ -18,7 +18,7 @@
 //!   and reportable — never silently dropped.
 //! * **R6 panic-reachability** walks the graph from the declared hot-path
 //!   root set (`ServeEngine::serve` / `try_serve`, `IvfIndex::search`,
-//!   `batch_top_k`, and `parallel_*` closure bodies in the serving
+//!   `batch_top_k_shifted`, and `parallel_*` closure bodies in the serving
 //!   crates) and flags every panic site in a reachable non-kernel
 //!   function, printing the full call chain from the root.
 //! * **R8 hot-loop-alloc** flags allocation calls inside loops of
@@ -48,7 +48,7 @@ const HOT_ROOTS: &[&str] = &[
     "Gateway::try_serve",
     "ReplicaSet::dispatch",
     "IvfIndex::search",
-    "batch_top_k",
+    "batch_top_k_shifted",
 ];
 
 /// Fail-stop sinks the hot-path BFS does not traverse *through*: sealing

@@ -77,7 +77,7 @@ impl Rule {
                  explicit bucket) proves reachability.\n\n\
                  Hot-path roots: ServeEngine::serve, ServeEngine::try_serve,\n\
                  Gateway::serve, Gateway::try_serve, ReplicaSet::dispatch,\n\
-                 IvfIndex::search, batch_top_k, and parallel_* closure bodies in\n\
+                 IvfIndex::search, batch_top_k_shifted, and parallel_* closure bodies in\n\
                  crates/{serve,ann,runtime,obs,gateway}.\n\n\
                  Scope: hot-reachable functions outside the kernel crates (clippy's\n\
                  no-panic lints own kernel panic discipline), excluding crates/bench\n\

@@ -21,7 +21,6 @@
 mod batch;
 mod filter;
 mod interactions;
-mod io;
 mod spec;
 mod split;
 mod stats;
@@ -29,10 +28,6 @@ mod stats;
 pub use batch::{Batch, Batcher, PAD_ITEM};
 pub use filter::{five_core_filter, FilteredData};
 pub use interactions::{generate_interactions, InteractionConfig};
-pub use io::{
-    load_embeddings, load_sequences, load_sequences_lenient, save_embeddings,
-    save_embeddings_with, save_sequences, save_sequences_with, LenientLoad,
-};
 pub use spec::{DatasetKind, DatasetSpec, ReadyDataset};
 pub use split::{cold_split, warm_split, ColdSplit, EvalCase, WarmSplit};
 pub use stats::{dataset_stats, DatasetStats};

@@ -26,8 +26,8 @@ pub use geometry::{
     top_k_singular_mass, uniformity, whiteness_error, EmbeddingReport, UniformityReport,
 };
 pub use ranking::{
-    evaluate_cases, history_map, merge_top_k, order_key, per_case_pairs, rank_of_target,
-    top_k_filtered, MetricSet, RankAccumulator, ScoredItem, TopK, DEFAULT_KS,
+    evaluate_cases, merge_top_k, order_key, rank_of_target, top_k_filtered, MetricSet,
+    RankAccumulator, ScoredItem, TopK, DEFAULT_KS,
 };
 pub use tsne::{radial_dispersion, tsne_2d, TsneConfig};
 pub use ttest::{paired_t_test, TTestResult};

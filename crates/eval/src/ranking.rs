@@ -1,7 +1,5 @@
 //! Full-ranking Recall@K and NDCG@K.
 
-use std::collections::BTreeMap;
-
 use wr_data::EvalCase;
 use wr_tensor::Tensor;
 
@@ -226,9 +224,9 @@ const BLOCK: usize = u32::BITS as usize;
 /// arithmetic is ever done on a score — keys are compared, scores are
 /// carried — so neither block size nor vector width can move a result.
 ///
-/// Consumers: [`top_k_filtered`] and `wr_serve::batch_top_k` (dense score
-/// rows, through `scan`), [`merge_top_k`] and the `wr-ann` inverted-list
-/// scan (through `push`).
+/// Consumers: [`top_k_filtered`] and `wr_serve::batch_top_k_shifted`
+/// (dense score rows, through `scan`), [`merge_top_k`] and the `wr-ann`
+/// inverted-list scan (through `push`).
 pub struct TopK {
     /// Once `k` are held, a heap: `entries[0]` ranks last among them.
     entries: Vec<ScoredItem>,
@@ -402,22 +400,6 @@ pub fn top_k_filtered(scores: &[f32], k: usize, seen: &[usize]) -> Vec<ScoredIte
     let mut acc = TopK::new(k.min(scores.len()));
     acc.scan(0, scores, seen);
     acc.into_sorted()
-}
-
-/// Convenience: evaluate case NDCG vectors of two models for a t-test.
-pub fn per_case_pairs(a: &MetricSet, b: &MetricSet) -> (Vec<f32>, Vec<f32>) {
-    assert_eq!(a.per_case_ndcg.len(), b.per_case_ndcg.len(), "case mismatch");
-    (a.per_case_ndcg.clone(), b.per_case_ndcg.clone())
-}
-
-/// Build a map from user id to that user's training items, for callers that
-/// need custom exclusion sets.
-pub fn history_map(train: &[Vec<usize>]) -> BTreeMap<usize, Vec<usize>> {
-    train
-        .iter()
-        .enumerate()
-        .map(|(u, s)| (u, s.clone()))
-        .collect()
 }
 
 #[cfg(test)]

@@ -207,12 +207,6 @@ pub fn parse_fault_log(text: &str) -> io::Result<FaultLog> {
     Ok(FaultLog { seed, records })
 }
 
-/// Read and parse a fault log from `path`.
-pub fn load_fault_log(path: impl AsRef<Path>) -> io::Result<FaultLog> {
-    let text = std::fs::read_to_string(path)?;
-    parse_fault_log(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,7 +239,7 @@ mod tests {
         assert!(!records.is_empty(), "default rates must inject something");
         let path = tmp_path("round_trip.jsonl");
         save_fault_log(&path, plan.seed(), &records).unwrap();
-        let loaded = load_fault_log(&path).unwrap();
+        let loaded = parse_fault_log(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(loaded.seed, 20240613);
         assert_eq!(loaded.records, records);
         assert_eq!(loaded.counts_by_kind(), counts_by_kind(&records));

@@ -43,8 +43,7 @@ pub use atomic_io::{
 };
 pub use backoff::{NoSleep, RetryPolicy, Sleeper, ThreadSleeper};
 pub use faultlog::{
-    counts_by_kind, load_fault_log, parse_fault_log, render_fault_log, save_fault_log, FaultLog,
-    FAULTLOG_FORMAT,
+    counts_by_kind, parse_fault_log, render_fault_log, save_fault_log, FaultLog, FAULTLOG_FORMAT,
 };
 pub use plan::{
     splitmix, Corruption, FaultKind, FaultPlan, FaultRates, FaultRecord, InducedPanic,

@@ -2,25 +2,9 @@
 
 use wr_tensor::Tensor;
 
-/// Covariance of a `d × n` matrix whose *columns* are samples
-/// (the paper's `X ∈ R^{d_t × |I|}` layout):
-/// `Σ = (X - μ1ᵀ)(X - μ1ᵀ)ᵀ / n + ε I`.
-pub fn covariance(x: &Tensor, eps: f32) -> Tensor {
-    assert!(x.rank() == 2, "covariance requires a matrix");
-    let (d, n) = (x.rows(), x.cols());
-    assert!(n > 0, "covariance of zero samples");
-    // Column-sample layout: mean over columns = mean of each row.
-    let mu = x.mean_cols(); // length d
-    let centered = x.add_col_broadcast(&mu.scale(-1.0));
-    let mut cov = centered.matmul_nt(&centered).scale(1.0 / n as f32);
-    for i in 0..d {
-        *cov.at2_mut(i, i) += eps;
-    }
-    cov
-}
-
 /// Covariance of an `n × d` matrix whose *rows* are samples (the layout the
-/// models use for item-embedding matrices).
+/// models use for item-embedding matrices):
+/// `Σ = (X - 1μᵀ)ᵀ(X - 1μᵀ) / n + ε I`.
 pub fn covariance_of_rows(x: &Tensor, eps: f32) -> Tensor {
     assert!(x.rank() == 2, "covariance_of_rows requires a matrix");
     let (n, d) = (x.rows(), x.cols());
@@ -55,26 +39,17 @@ mod tests {
     #[test]
     fn covariance_of_isotropic_samples() {
         let mut rng = Rng64::seed_from(1);
-        let x = Tensor::randn(&[4, 5000], &mut rng); // d=4, n=5000 columns
-        let cov = covariance(&x, 0.0);
+        let x = Tensor::randn(&[5000, 4], &mut rng); // n=5000 rows, d=4
+        let cov = covariance_of_rows(&x, 0.0);
         // Should be close to identity.
         let err = cov.sub(&Tensor::eye(4)).frob_norm();
         assert!(err < 0.15, "covariance deviates from I by {err}");
     }
 
     #[test]
-    fn row_layout_matches_column_layout() {
-        let mut rng = Rng64::seed_from(2);
-        let xr = Tensor::randn(&[100, 6], &mut rng); // rows are samples
-        let c1 = covariance_of_rows(&xr, 1e-5);
-        let c2 = covariance(&xr.transpose(), 1e-5);
-        assert!(c1.sub(&c2).frob_norm() < 1e-4);
-    }
-
-    #[test]
     fn eps_regularizes_diagonal() {
-        let x = Tensor::zeros(&[3, 10]);
-        let cov = covariance(&x, 0.5);
+        let x = Tensor::zeros(&[10, 3]);
+        let cov = covariance_of_rows(&x, 0.5);
         assert!(cov.sub(&Tensor::eye(3).scale(0.5)).frob_norm() < 1e-6);
     }
 
@@ -92,19 +67,15 @@ mod tests {
         let mut rng = Rng64::seed_from(5);
         // samples dominated by one direction
         let n = 2000;
-        let mut data = Vec::with_capacity(3 * n);
+        let mut data = Vec::with_capacity(n * 3);
         for _ in 0..n {
             let shared = rng.normal() * 10.0;
             data.push(shared + 0.1 * rng.normal());
-        }
-        for _ in 0..n {
+            data.push(0.1 * rng.normal());
             data.push(0.1 * rng.normal());
         }
-        for _ in 0..n {
-            data.push(0.1 * rng.normal());
-        }
-        let x = Tensor::from_vec(data, &[3, n]);
-        let cov = covariance(&x, 1e-6);
+        let x = Tensor::from_vec(data, &[n, 3]);
+        let cov = covariance_of_rows(&x, 1e-6);
         let k = condition_number(&sym_eigvals(&cov).unwrap(), 1e-12);
         assert!(k > 100.0, "expected ill-conditioned covariance, κ={k}");
     }

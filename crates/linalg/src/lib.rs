@@ -12,7 +12,7 @@
 //! * [`svd_thin`] — thin SVD of a rectangular matrix via the Gram matrix.
 //! * [`pinv`] — Moore–Penrose pseudoinverse.
 //!
-//! Plus the statistics the paper's analysis needs: [`covariance`],
+//! Plus the statistics the paper's analysis needs: [`covariance_of_rows`],
 //! [`condition_number`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
@@ -24,7 +24,7 @@ mod pinv;
 mod svd;
 
 pub use cholesky::{cholesky, solve_lower_triangular};
-pub use cov::{condition_number, covariance, covariance_of_rows};
+pub use cov::{condition_number, covariance_of_rows};
 pub use jacobi::{sym_eig, sym_eigvals, SymEig};
 pub use pinv::pinv;
 pub use svd::{singular_values, svd_thin, Svd};

@@ -130,214 +130,89 @@ pub fn whiten_relaxed(embeddings: &Tensor, groups: usize) -> Tensor {
 
 /// Build a model by its Table III name. Panics on unknown names — the
 /// roster is a closed set.
+///
+/// Every SASRec-chassis row is an item tower and a loss under one
+/// [`SasRec::new`]; the tower draws from `rng` before the encoder does.
 pub fn build(name: &str, inputs: &ZooInputs, config: ModelConfig, rng: &mut Rng64) -> Box<dyn SeqRecModel> {
     let emb = inputs.embeddings;
     let n_items = emb.rows();
-    match name {
-        "GRCN" => Box::new(GrcnLite::new(
-            emb.clone(),
-            inputs.train_sequences,
-            6,
-            config,
-            rng,
-        )),
-        "BM3" => Box::new(Bm3Lite::new(emb.clone(), config, rng)),
-        "SASRec(ID)" => Box::new(SasRec::new(
-            name,
-            Box::new(IdTower::new(n_items, config.dim, rng)),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
-        "CL4SRec" => Box::new(Cl4SRec::new(n_items, config, rng)),
-        "SASRec(T)" => Box::new(SasRec::new(
-            name,
-            Box::new(TextTower::new(emb.clone(), config.dim, config.proj_layers, rng)),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
-        "SASRec(T+ID)" => Box::new(SasRec::new(
-            name,
-            Box::new(TextIdTower::new(emb.clone(), config.dim, config.proj_layers, rng)),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
-        "S3Rec" => Box::new(S3Rec::new(inputs.item_categories.to_vec(), config, rng)),
-        "DIF-SR" => Box::new(crate::DifSr::new(inputs.item_categories.to_vec(), config, rng)),
-        "FDSA" => Box::new(Fdsa::new(emb.clone(), config, rng)),
-        "UniSRec(T)" => Box::new(SasRec::new(
-            name,
-            Box::new(MoeTower::new(emb.clone(), config.dim, 4, rng)),
-            LossKind::CosineSoftmax { tau: 0.07 },
-            config,
-            rng,
-        )),
-        "UniSRec(T+ID)" => Box::new(SasRec::new(
-            name,
-            Box::new(PlusIdTower {
-                inner: Box::new(MoeTower::new(emb.clone(), config.dim, 4, rng)),
-                id: Embedding::new(n_items, config.dim, rng),
-            }),
-            LossKind::CosineSoftmax { tau: 0.07 },
-            config,
-            rng,
-        )),
+    let (dim, layers, groups) = (config.dim, config.proj_layers, inputs.relaxed_groups);
+    let ensemble = |g: usize, mode: EnsembleMode, rng: &mut Rng64| {
+        let (full, relaxed) = (whiten_full(emb), whiten_relaxed(emb, g));
+        EnsembleTower::new(full, relaxed, dim, layers, mode, rng)
+    };
+    let plus_id = |inner: Box<dyn ItemTower>, rng: &mut Rng64| PlusIdTower {
+        inner,
+        id: Embedding::new(n_items, dim, rng),
+    };
+    let (softmax, cosine) = (LossKind::Softmax, LossKind::CosineSoftmax { tau: 0.07 });
+    let (tower, loss): (Box<dyn ItemTower>, LossKind) = match name {
+        "GRCN" => {
+            return Box::new(GrcnLite::new(emb.clone(), inputs.train_sequences, 6, config, rng))
+        }
+        "BM3" => return Box::new(Bm3Lite::new(emb.clone(), config, rng)),
+        "CL4SRec" => return Box::new(Cl4SRec::new(n_items, config, rng)),
+        "S3Rec" => return Box::new(S3Rec::new(inputs.item_categories.to_vec(), config, rng)),
+        "DIF-SR" => {
+            return Box::new(crate::DifSr::new(inputs.item_categories.to_vec(), config, rng))
+        }
+        "FDSA" => return Box::new(Fdsa::new(emb.clone(), config, rng)),
+        "GRU4Rec" => return Box::new(Gru4Rec::new(n_items, config, rng)),
+        "BERT4Rec" => return Box::new(crate::Bert4Rec::new(n_items, config, rng)),
+        "Pop" => return Box::new(crate::Popularity::new(inputs.train_sequences, n_items)),
+        "SASRec(ID)" => (Box::new(IdTower::new(n_items, dim, rng)), softmax),
+        "SASRec(T)" => (Box::new(TextTower::new(emb.clone(), dim, layers, rng)), softmax),
+        "SASRec(T+ID)" => (Box::new(TextIdTower::new(emb.clone(), dim, layers, rng)), softmax),
+        "UniSRec(T)" => (Box::new(MoeTower::new(emb.clone(), dim, 4, rng)), cosine),
+        "UniSRec(T+ID)" => {
+            let text = Box::new(MoeTower::new(emb.clone(), dim, 4, rng));
+            (Box::new(plus_id(text, rng)), cosine)
+        }
         "VQRec" => {
             let m = if emb.cols() % 8 == 0 { 8 } else { 4 };
             let k = 32.min(n_items.max(2) - 1).max(2);
-            Box::new(SasRec::new(
-                name,
-                Box::new(VqTower::new(emb, m, k, config.dim, rng)),
-                LossKind::Softmax,
-                config,
-                rng,
-            ))
+            (Box::new(VqTower::new(emb, m, k, dim, rng)), softmax)
         }
-        "WhitenRec" => Box::new(SasRec::new(
-            name,
-            Box::new(TextTower::new(
-                whiten_full(emb),
-                config.dim,
-                config.proj_layers,
-                rng,
-            )),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
-        "WhitenRec+" => Box::new(SasRec::new(
-            name,
-            Box::new(EnsembleTower::new(
-                whiten_full(emb),
-                whiten_relaxed(emb, inputs.relaxed_groups),
-                config.dim,
-                config.proj_layers,
-                EnsembleMode::Sum,
-                rng,
-            )),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
-        "GRU4Rec" => Box::new(Gru4Rec::new(n_items, config, rng)),
-        "BERT4Rec" => Box::new(crate::Bert4Rec::new(n_items, config, rng)),
-        "Pop" => Box::new(crate::Popularity::new(inputs.train_sequences, n_items)),
-        "WhitenRec(T+ID)" => Box::new(SasRec::new(
-            name,
-            Box::new(PlusIdTower {
-                inner: Box::new(TextTower::new(
-                    whiten_full(emb),
-                    config.dim,
-                    config.proj_layers,
-                    rng,
-                )),
-                id: Embedding::new(n_items, config.dim, rng),
-            }),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
-        "WhitenRec+(T+ID)" => Box::new(SasRec::new(
-            name,
-            Box::new(PlusIdTower {
-                inner: Box::new(EnsembleTower::new(
-                    whiten_full(emb),
-                    whiten_relaxed(emb, inputs.relaxed_groups),
-                    config.dim,
-                    config.proj_layers,
-                    EnsembleMode::Sum,
-                    rng,
-                )),
-                id: Embedding::new(n_items, config.dim, rng),
-            }),
-            LossKind::Softmax,
-            config,
-            rng,
-        )),
+        "WhitenRec" => (Box::new(TextTower::new(whiten_full(emb), dim, layers, rng)), softmax),
+        "WhitenRec+" => (Box::new(ensemble(groups, EnsembleMode::Sum, rng)), softmax),
+        "WhitenRec(T+ID)" => {
+            let text = Box::new(TextTower::new(whiten_full(emb), dim, layers, rng));
+            (Box::new(plus_id(text, rng)), softmax)
+        }
+        "WhitenRec+(T+ID)" => {
+            let text = Box::new(ensemble(groups, EnsembleMode::Sum, rng));
+            (Box::new(plus_id(text, rng)), softmax)
+        }
+        // Extension: gated ID fusion over the WhitenRec+ ensemble.
+        "WhitenRec+(GatedID)" => {
+            let text = Box::new(ensemble(groups, EnsembleMode::Sum, rng));
+            (Box::new(GatedIdTower::new(text, n_items, dim, rng)), softmax)
+        }
+        // Parameterized names: "WhitenRec@G=8" (relaxed-only, Fig. 5) and
+        // "WhitenRec+@G=8" (ensemble with that relaxed view, Fig. 8),
+        // "WhitenRec+@Concat" / "WhitenRec+@Attn" (Table VII).
         other => {
-            // Parameterized names: "WhitenRec@G=8" (relaxed-only, Fig. 5) and
-            // "WhitenRec+@G=8" (ensemble with that relaxed view, Fig. 8),
-            // "WhitenRec+@Concat" / "WhitenRec+@Attn" (Table VII).
-            if let Some(gs) = other.strip_prefix("WhitenRec@G=") {
+            let tower: Box<dyn ItemTower> = if let Some(gs) = other.strip_prefix("WhitenRec@G=") {
                 let g: usize = gs.parse().expect("group count");
-                return Box::new(SasRec::new(
-                    other,
-                    Box::new(TextTower::new(
-                        whiten_relaxed(emb, g),
-                        config.dim,
-                        config.proj_layers,
-                        rng,
-                    )),
-                    LossKind::Softmax,
-                    config,
-                    rng,
-                ));
-            }
-            if let Some(gs) = other.strip_prefix("WhitenRec+@G=") {
+                Box::new(TextTower::new(whiten_relaxed(emb, g), dim, layers, rng))
+            } else if let Some(gs) = other.strip_prefix("WhitenRec+@G=") {
                 let g: usize = gs.parse().expect("group count");
-                return Box::new(SasRec::new(
-                    other,
-                    Box::new(EnsembleTower::new(
-                        whiten_full(emb),
-                        whiten_relaxed(emb, g),
-                        config.dim,
-                        config.proj_layers,
-                        EnsembleMode::Sum,
-                        rng,
-                    )),
-                    LossKind::Softmax,
-                    config,
-                    rng,
-                ));
-            }
-            if other == "WhitenRec+(GatedID)" {
-                return Box::new(SasRec::new(
-                    other,
-                    Box::new(GatedIdTower::new(
-                        Box::new(EnsembleTower::new(
-                            whiten_full(emb),
-                            whiten_relaxed(emb, inputs.relaxed_groups),
-                            config.dim,
-                            config.proj_layers,
-                            EnsembleMode::Sum,
-                            rng,
-                        )),
-                        n_items,
-                        config.dim,
-                        rng,
-                    )),
-                    LossKind::Softmax,
-                    config,
-                    rng,
-                ));
-            }
-            if let Some(mode_name) = other.strip_prefix("WhitenRec+@") {
+                Box::new(ensemble(g, EnsembleMode::Sum, rng))
+            } else if let Some(mode_name) = other.strip_prefix("WhitenRec+@") {
                 let mode = match mode_name {
                     "Sum" => EnsembleMode::Sum,
                     "Concat" => EnsembleMode::Concat,
                     "Attn" => EnsembleMode::Attn,
                     m => panic!("unknown ensemble mode {m}"),
                 };
-                return Box::new(SasRec::new(
-                    other,
-                    Box::new(EnsembleTower::new(
-                        whiten_full(emb),
-                        whiten_relaxed(emb, inputs.relaxed_groups),
-                        config.dim,
-                        config.proj_layers,
-                        mode,
-                        rng,
-                    )),
-                    LossKind::Softmax,
-                    config,
-                    rng,
-                ));
-            }
-            panic!("unknown model name: {other}")
+                Box::new(ensemble(groups, mode, rng))
+            } else {
+                panic!("unknown model name: {other}")
+            };
+            (tower, softmax)
         }
-    }
+    };
+    Box::new(SasRec::new(name, tower, loss, config, rng))
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ pub use engine::{Request, ResilienceConfig, Response, Scorer, ServeConfig, Serve
 pub use latency::{replay, top1_digest, Replay, ReplayReport};
 pub use querylog::{QueryLog, QueryLogError, ZipfError};
 pub use shard::{CatalogShard, ShardCall};
-pub use topk::{batch_top_k, batch_top_k_shifted, merge_top_k};
+pub use topk::{batch_top_k_shifted, merge_top_k};
 
 pub use wr_ann::{AnnError, IvfIndex, SearchStats};
 pub use wr_eval::{top_k_filtered, ScoredItem};

@@ -1,10 +1,12 @@
 //! Recorded query traffic: JSONL persistence + synthetic trace generation.
 
+use std::fmt::Write;
 use std::io;
 use std::path::Path;
 
 use crate::Request;
-use wr_tensor::{json::usize_array_to_string, Json, Rng64};
+use wr_tensor::json::{usize_array_to_string, MAX_EXACT_INT};
+use wr_tensor::{Json, Rng64};
 
 /// A recorded (or generated) sequence of serving requests, replayable via
 /// [`crate::replay`]. On disk the log is JSON-lines, one request per line:
@@ -22,12 +24,15 @@ pub struct QueryLog {
     pub queries: Vec<Request>,
 }
 
-/// Why a query log failed to load.
+/// Why a query log failed to save or load.
 #[derive(Debug)]
 pub enum QueryLogError {
     Io(io::Error),
     /// A line was not a well-formed request object (1-based line number).
     Parse { line: usize, message: String },
+    /// A request id above 2⁵³ (1-based line it would occupy): the reader
+    /// holds numbers as `f64`, so it could not load the id back exactly.
+    IdTooLarge { line: usize, id: u64 },
 }
 
 impl std::fmt::Display for QueryLogError {
@@ -36,6 +41,9 @@ impl std::fmt::Display for QueryLogError {
             QueryLogError::Io(e) => write!(f, "query log io: {e}"),
             QueryLogError::Parse { line, message } => {
                 write!(f, "query log line {line}: {message}")
+            }
+            QueryLogError::IdTooLarge { line, id } => {
+                write!(f, "query log line {line}: id {id} is above 2^53 and would not load back")
             }
         }
     }
@@ -169,13 +177,11 @@ impl QueryLog {
     }
 
     /// Serialize to the JSONL wire form (one request per line, trailing
-    /// newline).
+    /// newline). Ids are written as integers, exactly.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for q in &self.queries {
-            out.push_str("{\"id\":");
-            wr_tensor::json::write_f64(&mut out, q.id as f64);
-            out.push_str(",\"history\":");
+            let _ = write!(out, "{{\"id\":{},\"history\":", q.id);
             out.push_str(&usize_array_to_string(&q.history));
             out.push_str("}\n");
         }
@@ -184,8 +190,14 @@ impl QueryLog {
 
     /// Save as sealed JSONL: the lines are suffixed with a `#crc32:`
     /// integrity footer and landed atomically (temp → fsync → rename),
-    /// so a crash mid-save never tears a recorded trace.
+    /// so a crash mid-save never tears a recorded trace. A log holding an
+    /// id [`QueryLog::load`] could not read back exactly is refused
+    /// ([`QueryLogError::IdTooLarge`]) before anything is written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), QueryLogError> {
+        if let Some(i) = self.queries.iter().position(|q| q.id > MAX_EXACT_INT) {
+            let id = self.queries[i].id;
+            return Err(QueryLogError::IdTooLarge { line: i + 1, id });
+        }
         wr_fault::write_atomic(path, wr_fault::seal_lines(self.to_jsonl()).as_bytes())?;
         Ok(())
     }
@@ -225,41 +237,12 @@ impl QueryLog {
         Ok(QueryLog { queries })
     }
 
-    /// Parse the JSONL wire form leniently: malformed lines are skipped
-    /// and counted instead of aborting the load. A recorder that died
-    /// mid-line (or an operator's stray edit) costs one query, not the
-    /// whole trace. Returns `(log, skipped_line_count)`.
-    pub fn from_jsonl_lenient(text: &str) -> (QueryLog, usize) {
-        let mut queries = Vec::new();
-        let mut skipped = 0usize;
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match QueryLog::parse_line(line, i + 1) {
-                Ok(q) => queries.push(q),
-                Err(_) => skipped += 1,
-            }
-        }
-        (QueryLog { queries }, skipped)
-    }
-
     /// Strict load: integrity footer verified when present, first
     /// malformed line aborts.
     pub fn load(path: impl AsRef<Path>) -> Result<QueryLog, QueryLogError> {
         let text = std::fs::read_to_string(path)?;
         let body = wr_fault::verify_lines(&text)?;
         QueryLog::from_jsonl(body)
-    }
-
-    /// Lenient load for replay tooling: a failed footer check is still an
-    /// error (the whole file is suspect), but individually malformed
-    /// lines are skipped and counted.
-    pub fn load_lenient(path: impl AsRef<Path>) -> Result<(QueryLog, usize), QueryLogError> {
-        let text = std::fs::read_to_string(path)?;
-        let body = wr_fault::verify_lines(&text)?;
-        Ok(QueryLog::from_jsonl_lenient(body))
     }
 }
 
@@ -385,44 +368,46 @@ mod tests {
         );
         let back = QueryLog::load(&path).unwrap();
         assert_eq!(log, back);
-        let (lenient, skipped) = QueryLog::load_lenient(&path).unwrap();
-        assert_eq!(lenient, log);
-        assert_eq!(skipped, 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn lenient_parse_skips_and_counts_malformed_lines() {
-        let text = concat!(
-            "{\"id\":1,\"history\":[1]}\n",
-            "not json at all\n",
-            "{\"id\":2}\n",                      // missing history
-            "{\"id\":\"x\",\"history\":[]}\n",  // non-integer id
-            "# a comment survives\n",
-            "{\"id\":3,\"history\":[4,5]}\n",
-        );
-        let (log, skipped) = QueryLog::from_jsonl_lenient(text);
-        assert_eq!(skipped, 3);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.queries[0].id, 1);
-        assert_eq!(log.queries[1].id, 3);
-        assert_eq!(log.queries[1].history, vec![4, 5]);
-        // The strict parser still aborts on the same input.
-        assert!(QueryLog::from_jsonl(text).is_err());
+    fn ids_up_to_2_pow_53_round_trip_and_larger_ones_are_refused() {
+        let dir = std::env::temp_dir().join("wr_serve_querylog_ids");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        let request = |id| Request { id, history: vec![3] };
+        let edge = QueryLog { queries: vec![request(0), request(1 << 53)] };
+        edge.save(&path).unwrap();
+        assert_eq!(QueryLog::load(&path).unwrap(), edge);
+
+        let over = QueryLog { queries: vec![request(1), request((1 << 53) + 1)] };
+        match over.save(&path) {
+            Err(QueryLogError::IdTooLarge { line, id }) => {
+                assert_eq!((line, id), (2, (1 << 53) + 1));
+            }
+            other => panic!("an id above 2^53 must be refused, got {other:?}"),
+        }
+        assert_eq!(QueryLog::load(&path).unwrap(), edge, "a refused save writes nothing");
+        std::fs::remove_file(&path).ok();
+
+        let text = "{\"id\":1,\"history\":[]}\n{\"id\":1e20,\"history\":[2]}\n";
+        match QueryLog::from_jsonl(text) {
+            Err(QueryLogError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("an id of 1e20 must not load, got {other:?}"),
+        }
     }
 
     #[test]
-    fn tampered_sealed_trace_is_rejected_even_leniently() {
+    fn tampered_sealed_trace_is_rejected() {
         let dir = std::env::temp_dir().join("wr_serve_querylog_tamper");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");
         QueryLog::synthetic(8, 20, 5, 2).save(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replacen("\"id\":0", "\"id\":7", 1)).unwrap();
-        // A broken integrity footer means the whole file is suspect —
-        // lenient line-skipping must not paper over it.
+        // A broken integrity footer means the whole file is suspect.
         assert!(matches!(QueryLog::load(&path), Err(QueryLogError::Io(_))));
-        assert!(matches!(QueryLog::load_lenient(&path), Err(QueryLogError::Io(_))));
         std::fs::remove_file(&path).ok();
     }
 }

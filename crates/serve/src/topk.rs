@@ -36,24 +36,17 @@ pub(crate) type RowScan = (Vec<ScoredItem>, (i32, i32));
 /// slot (`parallel_chunks_mut` over the result vector, chunk boundaries
 /// independent of thread count), and the selector is deterministic
 /// (`total_cmp`, index tie-break) — so the output is bit-identical for
-/// any `WR_THREADS`, and bit-identical to [`wr_eval::top_k_filtered`]
-/// row by row.
+/// any `WR_THREADS`, and with `item_base = 0` bit-identical to
+/// [`wr_eval::top_k_filtered`] row by row.
 ///
-/// `seen` must have one entry per batch row.
-pub fn batch_top_k(scores: &Tensor, k: usize, seen: &[&[usize]]) -> Vec<Vec<ScoredItem>> {
-    batch_top_k_shifted(scores, k, seen, 0)
-}
-
-/// [`batch_top_k`] over a catalog *window*: `scores` holds columns
-/// `[item_base, item_base + n_items)` of the global catalog, `seen` lists
-/// **global** item ids (entries outside the window match no candidate —
-/// they belong to some other shard), and the returned items are global
-/// ids: column `c` is offered as item `item_base + c`.
-///
-/// With `item_base = 0` this is exactly `batch_top_k`. The shift is
-/// monotone in the column index, so it preserves the tie order, and
-/// per-shard results from disjoint windows merge into the full-catalog
-/// answer bit-for-bit (see [`merge_top_k`]).
+/// `scores` holds columns `[item_base, item_base + n_items)` of the
+/// global catalog (the whole catalog at `item_base = 0`), `seen` lists
+/// **global** item ids, one entry per batch row (entries outside the
+/// window match no candidate — they belong to some other shard), and the
+/// returned items are global ids: column `c` is offered as item
+/// `item_base + c`. The shift is monotone in the column index, so it
+/// preserves the tie order, and per-shard results from disjoint windows
+/// merge into the full-catalog answer bit-for-bit (see [`merge_top_k`]).
 pub fn batch_top_k_shifted(
     scores: &Tensor,
     k: usize,
@@ -73,7 +66,7 @@ pub(crate) fn batch_scan(
     seen: &[&[usize]],
     item_base: usize,
 ) -> Vec<RowScan> {
-    assert!(scores.rank() == 2, "batch_top_k expects [batch, n_items]");
+    assert!(scores.rank() == 2, "batch_top_k_shifted expects [batch, n_items]");
     assert_eq!(
         scores.rows(),
         seen.len(),
@@ -112,7 +105,7 @@ mod tests {
             .map(|_| (0..rng.below(6)).map(|_| rng.below(120)).collect())
             .collect();
         let seen: Vec<&[usize]> = seen_store.iter().map(|s| s.as_slice()).collect();
-        let batched = batch_top_k(&scores, 10, &seen);
+        let batched = batch_top_k_shifted(&scores, 10, &seen, 0);
         for r in 0..17 {
             let solo = top_k_filtered(scores.row(r), 10, seen[r]);
             assert_eq!(batched[r], solo, "row {r}");
@@ -131,7 +124,7 @@ mod tests {
             .map(|_| (0..10).map(|_| rng.below(cols)).collect())
             .collect();
         let seen: Vec<&[usize]> = seen_store.iter().map(|s| s.as_slice()).collect();
-        let batched = batch_top_k(&scores, 25, &seen);
+        let batched = batch_top_k_shifted(&scores, 25, &seen, 0);
         for r in 0..3 {
             let solo = top_k_filtered(scores.row(r), 25, seen[r]);
             assert_eq!(batched[r].len(), solo.len(), "row {r}");
@@ -238,9 +231,9 @@ mod tests {
             .collect();
         let seen: Vec<&[usize]> = seen_store.iter().map(|s| s.as_slice()).collect();
         wr_runtime::set_threads(1);
-        let serial = batch_top_k(&scores, 20, &seen);
+        let serial = batch_top_k_shifted(&scores, 20, &seen, 0);
         wr_runtime::set_threads(8);
-        let parallel = batch_top_k(&scores, 20, &seen);
+        let parallel = batch_top_k_shifted(&scores, 20, &seen, 0);
         wr_runtime::set_threads(1);
         assert_eq!(serial.len(), parallel.len());
         for (r, (a, b)) in serial.iter().zip(&parallel).enumerate() {
@@ -255,7 +248,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let scores = Tensor::zeros(&[0, 10]);
-        assert!(batch_top_k(&scores, 5, &[]).is_empty());
+        assert!(batch_top_k_shifted(&scores, 5, &[], 0).is_empty());
     }
 
     #[test]
@@ -279,7 +272,7 @@ mod tests {
         // k larger than the whole catalog so nothing is lost to
         // truncation on either side.
         let k = n_items + 5;
-        let full = batch_top_k(&scores, k, &seen);
+        let full = batch_top_k_shifted(&scores, k, &seen, 0);
         let shifted = batch_top_k_shifted(&window, k, &seen, base);
         for r in 0..5 {
             let expect: Vec<_> = full[r]

@@ -1,8 +1,9 @@
 //! Minimal JSON support for the workspace's persistence paths.
 //!
 //! The offline build carries no serde, so the few JSON formats the
-//! reproduction reads and writes — `{dims, data}` tensors, `[1,2,3]`
-//! sequence lines, and flat experiment records — go through this small
+//! reproduction reads and writes — query-log lines
+//! (`{"id":…,"history":[…]}`), flat experiment records, the bench report
+//! and the telemetry exports it shape-checks — go through this small
 //! value type instead. Numbers are held as `f64`; an `f32` round-trips
 //! exactly because `f32 → f64` is lossless and `Display` for `f64` prints
 //! the shortest representation that parses back to the same value.
@@ -31,6 +32,10 @@ const MAX_DEPTH: usize = 128;
 /// 25 bytes and u64 under 21; anything much longer is hostile input that
 /// should error rather than be silently collapsed to ±inf.
 const MAX_NUMBER_LEN: usize = 512;
+
+/// `2⁵³`: numbers are held as `f64`, which holds every integer up to here
+/// exactly and `2⁵³ + 1` not at all.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
@@ -61,11 +66,16 @@ impl Json {
         }
     }
 
+    /// A non-negative integer up to [`MAX_EXACT_INT`]. Above it a number
+    /// no longer names one integer (`2⁵³ + 1` parses as `2⁵³`), so it is
+    /// `None` rather than a nearby id or a saturated `usize::MAX`.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
             // fract() == 0.0 is the exact integrality test; a tolerance would
             // accept non-integers as indices.
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as usize),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT_INT as f64 => {
+                Some(*x as usize)
+            }
             _ => None,
         }
     }
@@ -87,14 +97,6 @@ impl Json {
     /// Interpret as a `Vec<usize>` (an array of non-negative integers).
     pub fn as_usize_vec(&self) -> Option<Vec<usize>> {
         self.as_arr()?.iter().map(|v| v.as_usize()).collect()
-    }
-
-    /// Interpret as a `Vec<f32>`.
-    pub fn as_f32_vec(&self) -> Option<Vec<f32>> {
-        self.as_arr()?
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as f32))
-            .collect()
     }
 }
 
@@ -341,64 +343,15 @@ pub fn usize_array_to_string(xs: &[usize]) -> String {
     out
 }
 
-impl crate::Tensor {
-    /// Serialize as `{"dims":[...],"data":[...]}` (the format previously
-    /// produced by the serde impl, and what `wr-data` persists to disk).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(self.numel() * 12 + 32);
-        out.push_str("{\"dims\":");
-        out.push_str(&usize_array_to_string(self.dims()));
-        out.push_str(",\"data\":[");
-        for (i, &v) in self.data().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_f64(&mut out, v as f64);
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parse a tensor written by [`Self::to_json_string`]. Rejects documents
-    /// whose `data` length disagrees with `dims`.
-    pub fn from_json_str(text: &str) -> Result<crate::Tensor, String> {
-        let v = Json::parse(text)?;
-        let dims = v
-            .get("dims")
-            .and_then(|d| d.as_usize_vec())
-            .ok_or("tensor json: missing or invalid dims")?;
-        let data = v
-            .get("data")
-            .and_then(|d| d.as_f32_vec())
-            .ok_or("tensor json: missing or invalid data")?;
-        crate::Tensor::try_from_vec(data, &dims).map_err(|e| e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tensor;
-
-    #[test]
-    fn tensor_json_roundtrip() {
-        let t = Tensor::from_vec(vec![1.0, 2.5, -3.0, 4.0, 0.0, 9.5], &[2, 3]);
-        let json = t.to_json_string();
-        assert!(json.contains("\"dims\":[2,3]"));
-        let back = Tensor::from_json_str(&json).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn tensor_json_rejects_mismatched_dims() {
-        let bad = r#"{"dims":[2,2],"data":[1.0,2.0,3.0]}"#;
-        assert!(Tensor::from_json_str(bad).is_err(), "3 values cannot fill a 2x2 tensor");
-    }
 
     #[test]
     fn parses_nested_document() {
         let v = Json::parse(r#"{"a":[1,2.5,-3e2],"b":"hi\n","c":null,"d":true}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_f32_vec().unwrap(), vec![1.0, 2.5, -300.0]);
+        let a = v.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a, &[Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0)]);
         assert_eq!(v.get("b").unwrap().as_str().unwrap(), "hi\n");
         assert_eq!(v.get("c"), Some(&Json::Null));
         assert_eq!(v.get("d"), Some(&Json::Bool(true)));
@@ -497,6 +450,9 @@ mod tests {
         assert_eq!(Json::parse(&s).unwrap().as_usize_vec().unwrap(), xs);
         assert_eq!(usize_array_to_string(&[]), "[]");
         assert_eq!(Json::parse("[]").unwrap().as_usize_vec().unwrap(), Vec::<usize>::new());
+        let edge = Json::parse("9007199254740992").unwrap();
+        assert_eq!(edge.as_usize(), Some(1 << 53));
+        assert_eq!(Json::parse("1e20").unwrap().as_usize(), None, "must not saturate");
     }
 
     #[test]

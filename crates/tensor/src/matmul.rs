@@ -207,20 +207,6 @@ impl Tensor {
         });
         Tensor::from_vec(out, &[b, m, n])
     }
-
-    /// Matrix–vector product `self @ v` for a rank-1 `v`.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert!(self.rank() == 2 && v.rank() == 1, "matvec: need matrix and vector");
-        assert_eq!(self.cols(), v.numel(), "matvec: size mismatch");
-        let out: Vec<f32> = (0..self.rows()).map(|i| dot(self.row(i), v.data())).collect();
-        Tensor::from_vec(out, &[self.rows()])
-    }
-
-    /// Frobenius inner product of two same-shaped tensors.
-    pub fn dot_all(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape(), other.shape(), "dot_all: shape mismatch");
-        dot(self.data(), other.data())
-    }
 }
 
 /// Run `f(batch_index, batch_output)` over every `slice_len` block of
@@ -887,11 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_dot() {
-        let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let v = Tensor::from_slice(&[1.0, -1.0]);
-        assert_eq!(m.matvec(&v).data(), &[-1.0, -1.0]);
+    fn dot_of_slices() {
         assert_eq!(dot(&[1.0, 2.0, 3.0, 4.0, 5.0], &[1.0, 1.0, 1.0, 1.0, 1.0]), 15.0);
-        assert_eq!(m.dot_all(&m), 30.0);
     }
 }

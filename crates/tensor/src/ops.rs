@@ -124,20 +124,6 @@ impl Tensor {
         out
     }
 
-    /// Add `col[i]` to every element of row `i` of a matrix.
-    pub fn add_col_broadcast(&self, col: &Tensor) -> Tensor {
-        assert!(self.rank() == 2, "add_col_broadcast requires a matrix");
-        assert_eq!(col.numel(), self.rows(), "add_col_broadcast: size mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            let v = col.data()[r];
-            for a in out.row_mut(r) {
-                *a += v;
-            }
-        }
-        out
-    }
-
     // ----- activations / pointwise nonlinearities ------------------------
 
     pub fn relu(&self) -> Tensor {
@@ -188,21 +174,6 @@ impl Tensor {
         let mut out = self.clone();
         for r in 0..out.rows() {
             softmax_in_place(out.row_mut(r));
-        }
-        out
-    }
-
-    /// Row-wise log-softmax of a matrix (numerically stable).
-    pub fn log_softmax_rows(&self) -> Tensor {
-        assert!(self.rank() == 2, "log_softmax_rows requires a matrix");
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let logsum = row.iter().map(|x| (x - max).exp()).sum::<f32>().ln() + max;
-            for x in row {
-                *x -= logsum;
-            }
         }
         out
     }
@@ -403,8 +374,6 @@ mod tests {
         assert_eq!(m.add_row_broadcast(&row).data(), &[11.0, 22.0, 13.0, 24.0]);
         assert_eq!(m.sub_row_broadcast(&row).data(), &[-9.0, -18.0, -7.0, -16.0]);
         assert_eq!(m.mul_row_broadcast(&row).data(), &[10.0, 40.0, 30.0, 80.0]);
-        let col = t(&[100.0, 200.0]);
-        assert_eq!(m.add_col_broadcast(&col).data(), &[101.0, 102.0, 203.0, 204.0]);
     }
 
     #[test]
@@ -525,16 +494,6 @@ mod tests {
         }
         // Large-but-equal logits must not overflow.
         assert!((s.at2(1, 0) - 1.0 / 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn log_softmax_matches_softmax_log() {
-        let m = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.0, 0.0, 0.0], &[2, 3]);
-        let ls = m.log_softmax_rows();
-        let s = m.softmax_rows();
-        for i in 0..6 {
-            assert!((ls.data()[i] - s.data()[i].ln()).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -45,23 +45,10 @@ impl Tensor {
         Tensor::from_vec(out, &[c])
     }
 
-    /// Row sums of a matrix → vector of length `rows`.
-    pub fn sum_cols(&self) -> Tensor {
-        assert!(self.rank() == 2, "sum_cols requires a matrix");
-        let out: Vec<f32> = (0..self.rows()).map(|i| self.row(i).iter().sum()).collect();
-        Tensor::from_vec(out, &[self.rows()])
-    }
-
     /// Column means of a matrix → vector of length `cols`.
     pub fn mean_rows(&self) -> Tensor {
         let r = self.rows() as f32;
         self.sum_rows().scale(1.0 / r)
-    }
-
-    /// Row means of a matrix → vector of length `rows`.
-    pub fn mean_cols(&self) -> Tensor {
-        let c = self.cols() as f32;
-        self.sum_cols().scale(1.0 / c)
     }
 
     /// Per-column variance of a matrix (population variance, 1/N).
@@ -106,9 +93,7 @@ mod tests {
     fn axis_reductions() {
         let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         assert_eq!(m.sum_rows().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(m.sum_cols().data(), &[6.0, 15.0]);
         assert_eq!(m.mean_rows().data(), &[2.5, 3.5, 4.5]);
-        assert_eq!(m.mean_cols().data(), &[2.0, 5.0]);
     }
 
     #[test]

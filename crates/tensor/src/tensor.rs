@@ -186,20 +186,6 @@ impl Tensor {
         })
     }
 
-    /// Consume and reshape without copying the buffer.
-    pub fn into_reshape(mut self, dims: &[usize]) -> Tensor {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "into_reshape: {} elements cannot view as {}",
-            self.numel(),
-            shape
-        );
-        self.shape = shape;
-        self
-    }
-
     /// Transpose a matrix.
     pub fn transpose(&self) -> Tensor {
         assert!(self.rank() == 2, "transpose requires a matrix");

@@ -46,6 +46,13 @@ cargo clippy --release --offline --manifest-path bench/ledger/Cargo.toml --all-t
 echo "== check: wr-check static analysis (--ratchet) =="
 ./target/release/wr-check --ratchet
 
+# DESIGN.md §3's rule, which rustc's dead-code lint cannot apply past
+# `pub`: every public item that no non-test code uses must be one the
+# census's exempt table holds, with its reason. The script fails on any
+# other, and on an exemption whose item has found a caller.
+echo "== check: public-item census =="
+python3 scripts/census.py
+
 # `wr_tensor::tanh_scalar` is the only tanh a model may reach (DESIGN.md
 # §5c "Activations"): libm's `tanhf` is not correctly rounded, so a raw
 # `f32::tanh` on one model's path would make its scores depend on the
