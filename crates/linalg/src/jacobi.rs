@@ -59,8 +59,9 @@
 //! triangle only, or mirroring the row update into the columns, changes
 //! bits; full storage and both updates stay.
 //!
-//! **Dispatch.** The solver body is safe Rust, instantiated twice as
-//! `matmul.rs` does it: under `#[target_feature(enable = "avx2")]` (four
+//! **Dispatch.** The solver body is safe Rust, instantiated per target
+//! feature as `matmul.rs` instantiates its gemm tile, here twice: under
+//! `#[target_feature(enable = "avx2")]` (four
 //! `f64` lanes in `rotate_rows`) and at the build's baseline (two lanes —
 //! the only arm on pre-AVX2 x86 and on every other architecture).
 //! `is_x86_feature_detected!("avx2")` picks once per call. `fma` stays off

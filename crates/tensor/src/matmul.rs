@@ -23,15 +23,22 @@
 //! owning a disjoint block of output rows. Tile shape, vector width,
 //! cache blocking and thread count therefore cannot move a bit.
 //!
-//! **Dispatch.** The NN/TN body is instantiated twice from one safe-Rust
-//! source: under `#[target_feature(enable = "avx2")]` with `NR = 16`
-//! (two 8-lane registers per tile row) and at the build's baseline with
-//! `NR = 8`. `is_x86_feature_detected!("avx2")` picks per call; the
+//! **Dispatch.** The NN/TN body is instantiated three times from one
+//! safe-Rust source, each arm an `MR × NR` tile that fills about half of
+//! its register file with accumulators: under
+//! `#[target_feature(enable = "avx512f")]` with `8 × 32` (two 16-lane
+//! registers per tile row, 16 of the 32 `zmm` registers), under
+//! `#[target_feature(enable = "avx2")]` with `4 × 16` (two 8-lane
+//! registers per row, 8 of the 16 `ymm`), and at the build's baseline with
+//! `4 × 8`. `is_x86_feature_detected!` picks the widest per call; the
 //! baseline arm is the only one on pre-AVX2 x86 and on every other
-//! architecture. The `fma` feature stays off in both — a fused
-//! multiply-add rounds once where the contract rounds twice. The NT body
-//! has the baseline instantiation only: its four lanes are the contract,
-//! and wider registers bought nothing when measured.
+//! architecture. No arm fuses a multiply and an add — a fused
+//! multiply-add rounds once where the contract rounds twice. `avx512f`
+//! implies the `fma` feature, but the body writes `x += a * b` as two
+//! operations and Rust never contracts them, so the AVX-512 arm is held
+//! to the contract by the same `to_bits` sweep as the other two. The NT
+//! body has the baseline instantiation only: its four lanes are the
+//! contract, and wider registers bought nothing when measured.
 //!
 //! The seed's `if av == 0.0 { continue; }` branch in the dense inner loops
 //! was removed: it only helps on pathologically sparse inputs and costs a
@@ -43,22 +50,18 @@ use std::ops::Range;
 use crate::{Result, Tensor, TensorError};
 
 /// Output rows per parallel task and per cache block of the NN/TN kernel (a
-/// multiple of `MR`). One task writes `PAR_ROWS * n` floats — big enough to
-/// amortize dispatch, small enough to balance load.
+/// multiple of every arm's `MR`). One task writes `PAR_ROWS * n` floats —
+/// big enough to amortize dispatch, small enough to balance load.
 const PAR_ROWS: usize = 64;
 
 /// Below this many multiply-adds the dispatch overhead dominates; stay
 /// sequential.
 const PAR_MIN_FLOPS: usize = 1 << 16;
 
-/// Rows of `C` a full [`tile`] holds in registers. With `NR = 16` on AVX2
-/// (or `NR = 8` on SSE2) that is 8 of the 16 vector registers for
-/// accumulators, leaving room for the `B` strip, the broadcast `A` value
-/// and the product.
-const MR: usize = 4;
-
 /// Length of a `p` chunk of the NN/TN kernel: a `KC × 16` strip of `B` is
-/// 16 KB, half of a small L1.
+/// 16 KB, half of a small L1; the AVX-512 arm's `KC × 32` strip is 32 KB,
+/// two thirds of the 48-KB L1 that AVX-512 parts have (128 and 512 measured
+/// no better).
 const KC: usize = 256;
 
 /// `b` rows whose dot products [`dots`] keeps in flight against one `a` row.
@@ -295,13 +298,36 @@ fn gemm_rows(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) 
         return;
     }
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `gemm_rows_avx2` requires only that the running CPU has
-        // AVX2, which the line above just established.
-        unsafe { gemm_rows_avx2(a, b, c, rows, k, n) };
-        return;
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_rows_avx512` requires only that the running CPU
+            // has AVX-512F, which the line above just established.
+            unsafe { gemm_rows_avx512(a, b, c, rows, k, n) };
+            return;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `gemm_rows_avx2` requires only that the running CPU has
+            // AVX2, which the line above just established.
+            unsafe { gemm_rows_avx2(a, b, c, rows, k, n) };
+            return;
+        }
     }
-    gemm_rows_with::<8>(a, b, c, rows, k, n);
+    gemm_rows_with::<4, 8>(a, b, c, rows, k, n);
+}
+
+/// [`gemm_rows_with`] compiled for AVX-512F: 16-lane registers, so a tile
+/// row is `NR = 32` wide, and twice the registers, so a tile is `MR = 8`
+/// rows high. A 32-column product — the item tower's output and its weight
+/// gradient — is one strip.
+///
+/// # Safety
+/// The running CPU must support AVX-512F.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+// SAFETY: the body is safe Rust; the one obligation, stated above, is the
+// target feature itself and is discharged by the caller's runtime check.
+unsafe fn gemm_rows_avx512(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+    gemm_rows_with::<8, 32>(a, b, c, rows, k, n);
 }
 
 /// [`gemm_rows_with`] compiled for AVX2: 8-lane registers, so a tile row is
@@ -314,17 +340,18 @@ fn gemm_rows(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) 
 // SAFETY: the body is safe Rust; the one obligation, stated above, is the
 // target feature itself and is discharged by the caller's runtime check.
 unsafe fn gemm_rows_avx2(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    gemm_rows_with::<16>(a, b, c, rows, k, n);
+    gemm_rows_with::<4, 16>(a, b, c, rows, k, n);
 }
 
-/// The NN/TN kernel body. `p` is cut into `KC`-long chunks and the rows into
-/// `PAR_ROWS`-row blocks so that what a pass re-reads stays in cache: inside
-/// one (chunk, block) every `NR`-wide strip of `B` comes from L2 once and
-/// from L1 for every further tile of the block. Chunks of `p` run in
-/// ascending order and `C` is stored exactly in between, so no element's
-/// sum is reordered.
+/// The NN/TN kernel body for `MR × NR` tiles. `p` is cut into `KC`-long
+/// chunks and the rows into `PAR_ROWS`-row blocks so that what a pass
+/// re-reads stays in cache: inside one (chunk, block) every `NR`-wide strip
+/// of `B` comes from L2 once and from L1 for every further tile of the
+/// block. Chunks of `p` run in ascending order and `C` is stored exactly in
+/// between, so no element's sum is reordered. The columns an `NR` strip
+/// leaves go 16 (when `NR` is wider), then 4, then 1 at a time.
 #[inline(always)]
-fn gemm_rows_with<const NR: usize>(
+fn gemm_rows_with<const MR: usize, const NR: usize>(
     a: Lhs,
     b: &[f32],
     c: &mut [f32],
@@ -338,25 +365,30 @@ fn gemm_rows_with<const NR: usize>(
             let is = i0..(i0 + PAR_ROWS).min(rows);
             let mut j = 0;
             while j + NR <= n {
-                strip::<NR>(a, b, c, is.clone(), j, ps.clone(), n);
+                strip::<MR, NR>(a, b, c, is.clone(), j, ps.clone(), n);
                 j += NR;
             }
+            if NR > 16 && j + 16 <= n {
+                strip::<MR, 16>(a, b, c, is.clone(), j, ps.clone(), n);
+                j += 16;
+            }
             while j + 4 <= n {
-                strip::<4>(a, b, c, is.clone(), j, ps.clone(), n);
+                strip::<MR, 4>(a, b, c, is.clone(), j, ps.clone(), n);
                 j += 4;
             }
             while j < n {
-                strip::<1>(a, b, c, is.clone(), j, ps.clone(), n);
+                strip::<MR, 1>(a, b, c, is.clone(), j, ps.clone(), n);
                 j += 1;
             }
         }
     }
 }
 
-/// Columns `j0..j0 + W` of the rows `is`: full `MR`-row tiles, then the
-/// last `len % MR` rows one at a time through the same tile.
+/// Columns `j0..j0 + W` of the rows `is`: full `MR`-row tiles, then (when
+/// `MR` is taller) one 4-row tile if 4 rows are left, then the last rows
+/// one at a time through the same tile.
 #[inline(always)]
-fn strip<const W: usize>(
+fn strip<const MR: usize, const W: usize>(
     a: Lhs,
     b: &[f32],
     c: &mut [f32],
@@ -369,6 +401,10 @@ fn strip<const W: usize>(
     while i + MR <= is.end {
         tile::<MR, W>(a, b, c, i, j0, ps.clone(), n);
         i += MR;
+    }
+    if MR > 4 && i + 4 <= is.end {
+        tile::<4, W>(a, b, c, i, j0, ps.clone(), n);
+        i += 4;
     }
     while i < is.end {
         tile::<1, W>(a, b, c, i, j0, ps.clone(), n);
@@ -633,12 +669,13 @@ mod tests {
     }
 
     /// Every shape of the sweep: empty dimensions, single rows and columns,
-    /// each tile width and its neighbours, a `p` chunk boundary, and sizes
-    /// that cross the parallel threshold.
+    /// each tile height and width and their neighbours (4 and 8 rows; 4, 8,
+    /// 16 and 32 columns, and 48 = 32 + 16), a `p` chunk boundary and one
+    /// past it, and sizes that cross the parallel threshold.
     fn sweep(mut case: impl FnMut(usize, usize, usize)) {
-        for m in [0, 1, 2, 3, 4, 5, 7, 50, 260] {
-            for k in [0, 1, 3, 4, 5, 32, 33, 256] {
-                for n in [0, 1, 3, 4, 8, 15, 16, 17, 32, 33, 1225] {
+        for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 50, 260] {
+            for k in [0, 1, 3, 4, 5, 32, 33, 256, 257] {
+                for n in [0, 1, 3, 4, 8, 15, 16, 17, 31, 32, 33, 48, 63, 1225] {
                     case(m, k, n);
                 }
             }
@@ -688,25 +725,51 @@ mod tests {
         });
     }
 
+    /// An NN/TN arm called directly, past the dispatch.
+    type Arm = fn(Lhs, &[f32], &mut [f32], usize, usize, usize);
+
+    /// Every arm this CPU can run. The dispatch picks one of them per call, so
+    /// the arms it passes over — the baseline on any x86 box, AVX2 on an
+    /// AVX-512 one — are only covered when called by name.
+    fn arms() -> Vec<(&'static str, Arm)> {
+        let mut arms: Vec<(&'static str, Arm)> = vec![("baseline 4×8", gemm_rows_with::<4, 8>)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2, checked on the line above.
+                arms.push(("avx2 4×16", |a, b, c, m, k, n| unsafe {
+                    gemm_rows_avx2(a, b, c, m, k, n)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU has AVX-512F, checked on the line above.
+                arms.push(("avx512 8×32", |a, b, c, m, k, n| unsafe {
+                    gemm_rows_avx512(a, b, c, m, k, n)
+                }));
+            }
+        }
+        arms
+    }
+
     #[test]
-    fn baseline_arm_matches_the_contract_bit_for_bit() {
-        // On an AVX2 box the dispatch never picks `NR = 8`; call it directly so
-        // the arm that pre-AVX2 and non-x86 machines run is covered here too.
+    fn every_arm_matches_the_contract_bit_for_bit() {
+        let arms = arms();
         sweep(|m, k, n| {
             let a = pseudo_random(&[m, k], 61);
             let b = pseudo_random(&[k, n], 62);
             let c0 = pseudo_random(&[m, n], 63);
             let mut expected = c0.data().to_vec();
             contract_nn(a.data(), b.data(), &mut expected, m, k, n);
-
-            let mut c = c0.data().to_vec();
-            gemm_rows_with::<8>(Lhs::row_major(a.data(), k), b.data(), &mut c, m, k, n);
-            assert!(bits_equal(&c, &expected), "NN m={m} k={k} n={n}");
-
             let at = a.transpose();
-            let mut c = c0.data().to_vec();
-            gemm_rows_with::<8>(Lhs::transposed(at.data(), m), b.data(), &mut c, m, k, n);
-            assert!(bits_equal(&c, &expected), "TN m={m} k={k} n={n}");
+            for (name, arm) in &arms {
+                let mut c = c0.data().to_vec();
+                arm(Lhs::row_major(a.data(), k), b.data(), &mut c, m, k, n);
+                assert!(bits_equal(&c, &expected), "{name} NN m={m} k={k} n={n}");
+
+                let mut c = c0.data().to_vec();
+                arm(Lhs::transposed(at.data(), m), b.data(), &mut c, m, k, n);
+                assert!(bits_equal(&c, &expected), "{name} TN m={m} k={k} n={n}");
+            }
         });
     }
 
