@@ -86,7 +86,7 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_tensor::Rng64;
+    use wr_tensor::{KeepMask, Rng64};
 
     const TOL: f32 = 2e-2; // f32 forward + finite differences
 
@@ -300,7 +300,7 @@ mod tests {
         use wr_tensor::{AttentionKeys, AttentionRule};
         // Three sequences of four positions — empty, partly padded, full —
         // under both rules, two heads, with and without dropout (the same
-        // seed on every rebuild, so the dropped weights are the same and
+        // mask on every rebuild, so the dropped weights are the same and
         // the loss stays a smooth function of the operands), over every
         // position and over the rows a packed layout holds (1 + 2 + 4: the
         // empty history keeps its last pad).
@@ -316,8 +316,8 @@ mod tests {
                 for p in [0.0, 0.3] {
                     let report = check_gradients(&operands, 1e-2, |g, ps| {
                         let vars: Vec<Var> = ps.iter().map(|t| g.param(t.clone())).collect();
-                        let mut rng = Rng64::seed_from(7);
-                        let y = g.attention(vars[0], vars[1], vars[2], heads, &keys, Some((p, &mut rng)));
+                        let mask = (p > 0.0).then(|| KeepMask::new(7, 0, p));
+                        let y = g.attention(vars[0], vars[1], vars[2], heads, &keys, mask);
                         let weighted = g.mul(y, g.constant(w.clone()));
                         (vars, g.sum_all(weighted))
                     });
@@ -355,12 +355,11 @@ mod tests {
 
     #[test]
     fn grad_dropout_scales_mask() {
-        // With a fixed RNG the mask is deterministic within one graph, so
-        // check dy/dx equals the mask itself.
+        // The mask is a function of position, so check dy/dx equals the
+        // mask itself.
         let g = Graph::new();
         let x = g.param(Tensor::ones(&[4, 4]));
-        let mut rng = Rng64::seed_from(99);
-        let y = g.dropout(x, 0.5, &mut rng);
+        let y = g.dropout(x, KeepMask::new(99, 0, 0.5));
         let loss = g.sum_all(y);
         g.backward(loss);
         let grad = g.grad(x).unwrap();

@@ -5,15 +5,7 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
-use wr_tensor::{l2_normalize_row, layer_norm_row, AttentionKeys, HeadKv, Rng64, Tensor};
-
-/// Inverted dropout at probability `p`: `(keep, 1 / keep)`. A kept element
-/// is multiplied by the second number, a dropped one by `0.0`.
-fn keep_and_scale(p: f32) -> (f32, f32) {
-    assert!(p < 1.0, "dropout probability must be < 1");
-    let keep = 1.0 - p;
-    (keep, 1.0 / keep)
-}
+use wr_tensor::{l2_normalize_row, layer_norm_row, AttentionKeys, HeadKv, KeepMask, Tensor};
 
 impl Graph {
     fn any_requires(&self, vars: &[Var]) -> bool {
@@ -244,26 +236,23 @@ impl Graph {
     /// reads exactly `keys.of(b, i)` ([`wr_tensor::allowed_keys`]),
     /// ascending, through the one row kernel [`HeadKv::attend`]: no mask, no
     /// `[batch, seq, seq]` tensor, no per-head copy. Over the every-position
-    /// layout ([`AttentionKeys::new`]) the values, the three gradients and
-    /// the position the RNG is left at equal — to the bit, for finite
-    /// operands — those of the chain it replaced (`slice_cols` → `reshape` →
-    /// `bmm_nt` → `scale` → `add` mask → `softmax3d_last` → `dropout` → `bmm`
-    /// → `reshape` → `concat_cols`), which
+    /// layout ([`AttentionKeys::new`]) the values and the three gradients
+    /// equal — to the bit, for finite operands — those of the chain it
+    /// replaced (`slice_cols` → `reshape` → `bmm_nt` → `scale` → `add` mask
+    /// → `softmax3d_last` → dropout → `bmm` → `reshape` → `concat_cols`)
+    /// dropping the weights by the same factors, which
     /// `crates/nn/tests/attention_chain.rs` keeps as the reference; over a
     /// packed layout they equal the every-position ones at the rows held
     /// (`crates/nn/tests/packed_rows.rs`). A non-finite operand at a masked
     /// key is never read here, where the chain's `0.0 · NaN` let it poison
     /// the row.
     ///
-    /// **The draw order** is part of that contract, and follows `keys.seq()`,
-    /// not the rows held. With `dropout = Some((p, rng))`, `p > 0`, the
-    /// attention weights are dropped as `Graph::dropout` over a `[batch,
-    /// seq, seq]` tensor per head drew them: heads outermost, then sequence,
-    /// query, key — `seq` Bernoullis per (head, sequence, query), of which
-    /// the ones at allowed keys are applied and the rest discarded. A
-    /// position the layout does not hold still advances the generator
-    /// ([`Rng64::skip`]): `seq` steps for an absent query, one for an absent
-    /// key of a held query.
+    /// **Dropout** of the attention weights, under `dropout = Some(mask)`:
+    /// the weight of query `i` on key `j` of sequence `b` in head `h` —
+    /// `i`, `j` padded positions — is multiplied by `mask.factor(((h ·
+    /// batch + b) · seq + i) · seq + j)`, the element's index in a `[heads ·
+    /// batch, seq, seq]` plane. Only allowed pairs are hashed; a position
+    /// the layout does not hold costs nothing.
     ///
     /// **Saved for the backward:** per head, the softmax row and (under
     /// dropout) the factors at allowed keys only — `heads · keys.pairs()`
@@ -275,11 +264,8 @@ impl Graph {
         v: Var,
         heads: usize,
         keys: &AttentionKeys,
-        dropout: Option<(f32, &mut Rng64)>,
+        dropout: Option<KeepMask>,
     ) -> Var {
-        let mut dropout = dropout
-            .filter(|(p, _)| *p > 0.0)
-            .map(|(p, rng)| (keep_and_scale(p), rng));
         let (batch, seq) = (keys.batch(), keys.seq());
         let saved = heads * keys.pairs();
         let (out, weights, factors) = {
@@ -299,13 +285,11 @@ impl Graph {
             let scale = 1.0 / (dh as f32).sqrt();
             let mut weights = vec![0.0f32; saved];
             let mut factors = vec![0.0f32; if dropout.is_some() { saved } else { 0 }];
-            let mut draws = vec![0.0f32; seq];
             let mut out = vec![0.0f32; keys.rows() * dim];
             let mut at = 0;
-            for lo in (0..heads).map(|h| h * dh) {
+            for (h, lo) in (0..heads).map(|h| (h, h * dh)) {
                 for b in 0..batch {
                     let held = keys.held(b);
-                    let absent = seq - held;
                     let rows = keys.first_row(b) * dim..(keys.first_row(b) + held) * dim;
                     let head = HeadKv {
                         k: &kv.data()[rows.clone()][lo..],
@@ -313,22 +297,17 @@ impl Graph {
                         stride: dim,
                         scale,
                     };
-                    if let Some((_, rng)) = &mut dropout {
-                        rng.skip(absent * seq);
-                    }
+                    // Padded index of (h, b, query 0, key 0) of the rows held.
+                    let absent = seq - held;
+                    let origin = ((h * batch + b) * seq + absent) * seq + absent;
                     for i in 0..held {
                         let row_keys = keys.of(b, i);
                         let saved_row = at..at + row_keys.len();
                         at = saved_row.end;
-                        if let Some(((keep, kept), rng)) = &mut dropout {
-                            rng.skip(absent);
-                            let draws = &mut draws[..held];
-                            for d in draws.iter_mut() {
-                                *d = if rng.chance(*keep) { *kept } else { 0.0 };
-                            }
+                        if let Some(mask) = &dropout {
                             let row_factors = &mut factors[saved_row.clone()];
                             for (f, j) in row_factors.iter_mut().zip(row_keys.clone()) {
-                                *f = draws[j];
+                                *f = mask.factor(origin + i * seq + j);
                             }
                         }
                         let first = rows.start + i * dim + lo;
@@ -394,60 +373,51 @@ impl Graph {
         )
     }
 
-    /// Inverted dropout with keep-probability `1 - p`. Pass `p = 0` (or use
-    /// eval-mode code paths) to disable.
-    pub fn dropout(&self, a: Var, p: f32, rng: &mut Rng64) -> Var {
+    /// Inverted dropout: element `e` of `a` is multiplied by
+    /// `mask.factor(e)`.
+    pub fn dropout(&self, a: Var, mask: KeepMask) -> Var {
         let numel = self.val(a).numel();
-        self.dropout_runs(a, p, rng, [(0, numel)])
+        self.dropout_runs(a, mask, [(0, numel)])
     }
 
-    /// [`Self::dropout`] of the `[keys.rows(), width]` node `a`, drawing as
-    /// over the padded `[keys.batch() · keys.seq(), width]` plane: the
-    /// positions a sequence does not hold advance `rng` by `width` steps
-    /// each and store nothing, so the rows held get the factors the padded
-    /// plane gave them and `rng` is left where it left it.
-    pub fn dropout_held(&self, a: Var, p: f32, rng: &mut Rng64, keys: &AttentionKeys) -> Var {
+    /// [`Self::dropout`] of the `[keys.rows(), width]` node `a` as a part of
+    /// the padded `[keys.batch() · keys.seq(), width]` plane: the element in
+    /// column `u` of the row at padded position `t` of sequence `b` is
+    /// multiplied by `mask.factor((b · seq + t) · width + u)`, the factor the
+    /// padded plane's node gives it.
+    pub fn dropout_held(&self, a: Var, mask: KeepMask, keys: &AttentionKeys) -> Var {
         let (rows, width) = {
             let v = self.val(a);
             assert!(v.rank() == 2, "dropout_held requires a matrix");
             (v.rows(), v.cols())
         };
         assert_eq!(rows, keys.rows(), "dropout_held: one row per held position");
+        let seq = keys.seq();
         let runs = (0..keys.batch())
-            .map(|b| ((keys.seq() - keys.held(b)) * width, keys.held(b) * width));
-        self.dropout_runs(a, p, rng, runs)
+            .map(|b| (((b + 1) * seq - keys.held(b)) * width, keys.held(b) * width));
+        self.dropout_runs(a, mask, runs)
     }
 
     /// The one dropout body. `runs` covers `a`'s elements in order as
-    /// `(skipped, drawn)` pairs: `skipped` generator steps nothing is kept
-    /// of, then one Bernoulli for each of the next `drawn` elements.
+    /// `(index, len)` pairs: the next `len` elements sit at indices
+    /// `index..index + len` of the plane `mask` addresses.
     fn dropout_runs(
         &self,
         a: Var,
-        p: f32,
-        rng: &mut Rng64,
+        mask: KeepMask,
         runs: impl IntoIterator<Item = (usize, usize)>,
     ) -> Var {
-        if p <= 0.0 {
-            return a;
-        }
-        let (keep, scale) = keep_and_scale(p);
-        let (out, mask) = {
+        let (out, factors) = {
             let v = self.val(a);
-            let mut mask = Vec::with_capacity(v.numel());
-            let mut out = Vec::with_capacity(v.numel());
-            for (skipped, drawn) in runs {
-                rng.skip(skipped);
-                for &x in &v.data()[mask.len()..mask.len() + drawn] {
-                    let factor = if rng.chance(keep) { scale } else { 0.0 };
-                    mask.push(factor);
-                    out.push(x * factor);
-                }
+            let mut factors = Vec::with_capacity(v.numel());
+            for (index, len) in runs {
+                factors.extend((index..index + len).map(|e| mask.factor(e)));
             }
-            assert_eq!(mask.len(), v.numel(), "dropout: runs must cover the node");
-            (Tensor::from_vec(out, v.dims()), Tensor::from_vec(mask, v.dims()))
+            assert_eq!(factors.len(), v.numel(), "dropout: runs must cover the node");
+            let out = v.data().iter().zip(&factors).map(|(x, f)| x * f).collect();
+            (Tensor::from_vec(out, v.dims()), Tensor::from_vec(factors, v.dims()))
         };
-        self.push(out, Op::Dropout(a), Aux::One(mask), self.requires(a))
+        self.push(out, Op::Dropout(a), Aux::One(factors), self.requires(a))
     }
 
     /// Normalize each row of a matrix node to unit L2 norm

@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wr_autograd::Graph;
-use wr_tensor::{AttentionKeys, AttentionRule, Rng64, Tensor};
+use wr_tensor::{AttentionKeys, AttentionRule, KeepMask, Rng64, Tensor};
 
 struct Counting;
 
@@ -76,7 +76,7 @@ fn attention_backward_bytes(keys: &AttentionKeys, trainable: [bool; 3]) -> usize
             g.constant(operand)
         }
     });
-    let mixed = g.attention(q, k, v, 2, keys, Some((0.2, &mut rng)));
+    let mixed = g.attention(q, k, v, 2, keys, Some(KeepMask::new(8, 0, 0.2)));
     let weight = g.param(Tensor::randn(&[DIM, 4], &mut rng));
     let loss = g.sum_all(g.matmul(mixed, weight));
     let allocated = counted_bytes(|| g.backward(loss));

@@ -120,9 +120,10 @@ const SALT_POISON_SHAPE: u64 = 0x3004;
 const SALT_PANIC: u64 = 0x4004;
 const SALT_PANIC_SHAPE: u64 = 0x4005;
 
-/// SplitMix64 finalizer — the workspace's one bit mixer: fault schedules,
+/// SplitMix64 finalizer — the serving side's bit mixer: fault schedules,
 /// `wr_obs::TraceContext` ids and the gateway's replica rotation all hash
-/// with it.
+/// with it. The kernel crates hash with the same function in `wr_tensor`
+/// (`Rng64` seeding, dropout keep bits), which sits below this crate.
 pub fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

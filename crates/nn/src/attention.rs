@@ -12,8 +12,8 @@ const MASK_NEG: f32 = -1e9;
 ///
 /// The four projections are ordinary [`Linear`] nodes; everything between
 /// them is the one `wr_autograd::Graph::attention` node, which reads only
-/// the keys the caller's [`AttentionKeys`] allow — the rule, the dropout
-/// draw order and what the node saves for its backward are documented
+/// the keys the caller's [`AttentionKeys`] allow — the rule, how dropout
+/// addresses its factors and what the node saves for its backward are documented
 /// there. No mask tensor is involved: the two builders below are for
 /// models that assemble their own score (DIF-SR) and for tests, which
 /// check the node against the masked chain.

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use crate::Param;
 use wr_autograd::{Graph, Var};
-use wr_tensor::{AttentionKeys, Rng64};
+use wr_tensor::{AttentionKeys, KeepMask, Rng64};
 
 /// One forward(+backward) pass over a fresh graph.
 ///
@@ -18,17 +18,25 @@ pub struct Session<'g> {
     order: Vec<(Param, Var)>,
     train: bool,
     rng: Rng64,
+    /// Drawn once from the generator a training session is handed: the
+    /// `key` of every [`KeepMask`] it makes.
+    key: u64,
+    /// Dropout nodes recorded so far: the next one's `site`.
+    sites: u64,
 }
 
 impl<'g> Session<'g> {
-    /// Session in training mode (dropout active).
-    pub fn train(graph: &'g Graph, rng: Rng64) -> Self {
+    /// Session in training mode (dropout active). Its dropout key is the
+    /// next draw of `rng`; the rest of the stream is [`Self::rng`].
+    pub fn train(graph: &'g Graph, mut rng: Rng64) -> Self {
         Session {
             graph,
             bindings: BTreeMap::new(),
             order: Vec::new(),
             train: true,
+            key: rng.next_u64(),
             rng,
+            sites: 0,
         }
     }
 
@@ -40,6 +48,8 @@ impl<'g> Session<'g> {
             order: Vec::new(),
             train: false,
             rng: Rng64::seed_from(0),
+            key: 0,
+            sites: 0,
         }
     }
 
@@ -58,26 +68,30 @@ impl<'g> Session<'g> {
         v
     }
 
-    /// The session's RNG when dropout at `p` is live: training mode, `p > 0`.
-    fn dropout_rng(&mut self, p: f32) -> Option<&mut Rng64> {
-        (self.train && p > 0.0).then_some(&mut self.rng)
+    /// The next dropout node's keep bits when dropout at `p` is live:
+    /// training mode, `p > 0`. Each live node is one site.
+    fn mask(&mut self, p: f32) -> Option<KeepMask> {
+        (self.train && p > 0.0).then(|| {
+            self.sites += 1;
+            KeepMask::new(self.key, self.sites - 1, p)
+        })
     }
 
     /// Dropout that is a no-op in eval mode.
     pub fn dropout(&mut self, x: Var, p: f32) -> Var {
         let g = self.graph;
-        self.dropout_rng(p).map_or(x, |rng| g.dropout(x, p, rng))
+        self.mask(p).map_or(x, |mask| g.dropout(x, mask))
     }
 
-    /// [`Self::dropout`] over the rows `keys` holds, drawn as over the
+    /// [`Self::dropout`] over the rows `keys` holds, addressed as in the
     /// padded plane ([`Graph::dropout_held`]).
     pub fn dropout_held(&mut self, x: Var, p: f32, keys: &AttentionKeys) -> Var {
         let g = self.graph;
-        self.dropout_rng(p).map_or(x, |rng| g.dropout_held(x, p, rng, keys))
+        self.mask(p).map_or(x, |mask| g.dropout_held(x, mask, keys))
     }
 
-    /// [`Graph::attention`] whose attention-weight dropout `p` draws from
-    /// this session's RNG in training mode and is off in eval mode.
+    /// [`Graph::attention`] whose attention-weight dropout `p` is one site
+    /// of this session in training mode and is off in eval mode.
     pub fn attention(
         &mut self,
         q: Var,
@@ -87,8 +101,8 @@ impl<'g> Session<'g> {
         keys: &AttentionKeys,
         p: f32,
     ) -> Var {
-        let dropout = self.train.then_some((p, &mut self.rng));
-        self.graph.attention(q, k, v, heads, keys, dropout)
+        let mask = self.mask(p);
+        self.graph.attention(q, k, v, heads, keys, mask)
     }
 
     /// All `(param, var)` bindings made during this session, in bind order.

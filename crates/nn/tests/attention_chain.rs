@@ -6,27 +6,31 @@
 //! reference. `frozen_encoder.rs` and `frozen_equivalence.rs` cannot play
 //! that part any more: the frozen and the taped encoder now call the same
 //! row kernel, so they agree whatever it computes. What is compared, all by
-//! `to_bits`: the output, the gradients of `q`, `k` and `v`, and where the
-//! call leaves the RNG — every trained number in the repository was drawn
-//! in the chain's order.
+//! `to_bits`: the output and the gradients of `q`, `k` and `v`. Under
+//! dropout the chain multiplies each head's weights by the factors the
+//! public `KeepMask` gives their (head, sequence, query, key) coordinates,
+//! so the node must apply the same factor at every allowed pair.
 
 use wr_autograd::{Graph, Var};
 use wr_nn::{
     bidirectional_padding_mask, causal_padding_mask, Session, TransformerConfig, TransformerEncoder,
 };
-use wr_tensor::{AttentionKeys, AttentionRule, Rng64, Tensor};
+use wr_tensor::{AttentionKeys, AttentionRule, KeepMask, Rng64, Tensor};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// The chain, node for node as `MultiHeadSelfAttention::forward` wrote it.
+/// The chain, node for node as `MultiHeadSelfAttention::forward` wrote it;
+/// its dropout node is spelled out as the product with the factors of the
+/// head's `[batch, seq, seq]` block of the `[heads · batch, seq, seq]`
+/// plane the node addresses.
 fn chain(
     g: &Graph,
     [q, k, v]: [Var; 3],
     heads: usize,
     mask: &Tensor,
-    mut dropout: Option<(f32, &mut Rng64)>,
+    dropout: Option<KeepMask>,
 ) -> Var {
     let (batch, seq) = (mask.dims()[0], mask.dims()[1]);
     let dh = g.dims(q)[1] / heads;
@@ -41,8 +45,10 @@ fn chain(
         let scores = g.scale(g.bmm_nt(qh, kh), scale);
         let scores = g.add(scores, mask_var);
         let mut attn = g.softmax3d_last(scores);
-        if let Some((p, rng)) = &mut dropout {
-            attn = g.dropout(attn, *p, rng);
+        if let Some(keep) = dropout {
+            let block = batch * seq * seq;
+            let factors = (h * block..(h + 1) * block).map(|e| keep.factor(e)).collect();
+            attn = g.mul(attn, g.constant(Tensor::from_vec(factors, &[batch, seq, seq])));
         }
         let out = g.bmm(attn, vh);
         head_outputs.push(g.reshape(out, &[batch * seq, dh]));
@@ -54,26 +60,25 @@ fn chain(
     }
 }
 
-/// Output, `[dq, dk, dv]` and the RNG's next draw for one attention call
-/// under a weighted-sum loss.
+/// Output and `[dq, dk, dv]` for one attention call under a weighted-sum
+/// loss.
 fn run(
     operands: &[Tensor; 3],
     upstream: &Tensor,
     p: f32,
-    attention: impl FnOnce(&Graph, [Var; 3], Option<(f32, &mut Rng64)>) -> Var,
-) -> (Vec<u32>, [Vec<u32>; 3], u32) {
+    attention: impl FnOnce(&Graph, [Var; 3], Option<KeepMask>) -> Var,
+) -> (Vec<u32>, [Vec<u32>; 3]) {
     let g = Graph::new();
     let vars = [0, 1, 2].map(|i| g.param(operands[i].clone()));
-    let mut rng = Rng64::seed_from(0xD0);
-    let out = attention(&g, vars, (p > 0.0).then_some((p, &mut rng)));
+    let out = attention(&g, vars, (p > 0.0).then(|| KeepMask::new(0xD0, 3, p)));
     let loss = g.sum_all(g.mul(out, g.constant(upstream.clone())));
     g.backward(loss);
     let grads = vars.map(|x| bits(&g.grad(x).expect("every operand is a parameter")));
-    (bits(&g.value(out)), grads, rng.uniform().to_bits())
+    (bits(&g.value(out)), grads)
 }
 
 #[test]
-fn node_equals_the_chain_in_values_gradients_and_rng_position() {
+fn node_equals_the_chain_in_values_and_gradients_under_the_same_factors() {
     // Widths whose heads end on and off the dot kernel's four-lane
     // boundary: dh ∈ {12, 6, 3}.
     let dim = 12;
@@ -110,7 +115,6 @@ fn node_equals_the_chain_in_values_gradients_and_rng_position() {
                     {
                         assert_eq!(got, want, "{name}, {case}");
                     }
-                    assert_eq!(got.2, want.2, "RNG position, {case}");
                 }
             }
         }

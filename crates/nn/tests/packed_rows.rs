@@ -6,15 +6,15 @@
 //! from the public pieces it was made of over the every-position layout
 //! `AttentionKeys::new`, as the reference. What is compared, all by
 //! `to_bits` and in **train mode from the same `Rng64` state**: the hidden
-//! state at every held row, the gradient of every parameter, the gradient
-//! of the input at held rows (an exact zero at the others), and the state
-//! the session's RNG is left in — the draws of the rows a packed plane does
-//! not hold are stepped over, not redrawn (`Rng64::skip`), and every
-//! trained number in the repository was drawn in the padded order.
+//! state at every held row, the gradient of every parameter and the
+//! gradient of the input at held rows (an exact zero at the others). A
+//! dropout factor is addressed by its padded coordinate (`KeepMask`), so a
+//! held row gets the factor the padded plane gives it whatever else the
+//! layout holds.
 
 use wr_autograd::{Graph, Var};
 use wr_nn::{Module, Session, TransformerConfig, TransformerEncoder};
-use wr_tensor::{AttentionKeys, AttentionRule, Rng64, Tensor};
+use wr_tensor::{AttentionKeys, AttentionRule, KeepMask, Rng64, Tensor};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -34,9 +34,7 @@ fn padded_forward_hidden(
     let p = enc.pos.forward(sess, &pos_idx);
     let mut h = g.add(x, p);
     h = enc.input_ln.forward(sess, h);
-    if sess.is_train() {
-        h = g.dropout(h, enc.config.dropout, sess.rng());
-    }
+    h = sess.dropout(h, enc.config.dropout);
     let rule = if enc.config.bidirectional {
         AttentionRule::Bidirectional
     } else {
@@ -66,7 +64,6 @@ struct Outcome {
     dx: Tensor,
     /// Every bound parameter's gradient, in bind order.
     grads: Vec<(String, Vec<u32>)>,
-    rng: [u64; 4],
 }
 
 /// One train-mode forward + backward from RNG seed `0xA11`, under a
@@ -98,7 +95,6 @@ fn run(
                 (p.name().to_string(), bits(&grad))
             })
             .collect(),
-        rng: sess.rng().state(),
     }
 }
 
@@ -168,7 +164,6 @@ fn packed_forward_equals_the_padded_one_at_every_held_row() {
                             assert_eq!(name, want_name, "bind order, {case}");
                             assert_eq!(got, want, "gradient of {name}, {case}");
                         }
-                        assert_eq!(got.rng, want.rng, "RNG state, {case}");
                     }
                 }
             }
@@ -177,41 +172,31 @@ fn packed_forward_equals_the_padded_one_at_every_held_row() {
 }
 
 #[test]
-fn the_draw_count_follows_the_shape_not_the_lengths() {
-    let (seq, dim) = (7, 8);
-    let config = TransformerConfig {
-        dim,
-        heads: 2,
-        blocks: 2,
-        ff_mult: 2,
-        max_seq: seq,
-        dropout: 0.2,
-        bidirectional: false,
-    };
-    let mut rng = Rng64::seed_from(42);
-    let enc = TransformerEncoder::new(config, &mut rng);
-    let x = Tensor::randn(&[2 * seq, dim], &mut rng);
-    let state_after = |lengths: [usize; 2]| {
+fn packed_and_padded_give_the_same_factor_at_every_held_row() {
+    // Ones in, factors out: `dropout_held` over the rows a packed layout
+    // holds against `dropout` over the whole padded plane, one mask.
+    let (seq, width) = (7, 8);
+    let mask = KeepMask::new(0xA12, 5, 0.2);
+    for lengths in [[1, 1], [seq, seq], [0, seq], [3, 9], [0, 0]] {
         let g = Graph::new();
-        let mut sess = Session::train(&g, Rng64::seed_from(0xA12));
-        enc.forward_hidden(&mut sess, g.constant(x.clone()), 2, seq, &lengths);
-        sess.rng().state()
-    };
-    let full = state_after([seq, seq]);
-    assert_eq!(state_after([1, 1]), full);
-    assert_eq!(state_after([0, seq]), full);
-    assert_ne!(full, Rng64::seed_from(0xA12).state(), "dropout drew nothing");
-}
-
-#[test]
-fn skip_is_that_many_discarded_draws() {
-    for n in [0usize, 1, 63, 64, 10_000] {
-        let mut skipped = Rng64::seed_from(43);
-        let mut drawn = Rng64::seed_from(43);
-        skipped.skip(n);
-        for _ in 0..n {
-            drawn.chance(0.8);
+        let x = g.constant(Tensor::ones(&[lengths.len() * seq, width]));
+        let padded = g.value(g.dropout(x, mask));
+        for keys in [
+            AttentionKeys::packed(AttentionRule::Causal, seq, &lengths),
+            AttentionKeys::new(AttentionRule::Causal, seq, &lengths),
+        ] {
+            let rows = keys.padded_rows();
+            let held = g.value(g.dropout_held(g.gather_rows(x, &rows), mask, &keys));
+            for (r, &row) in rows.iter().enumerate() {
+                assert_eq!(
+                    bits(&held.slice_rows(r, r + 1)),
+                    bits(&padded.slice_rows(row, row + 1)),
+                    "lengths {lengths:?}, {} rows held, padded row {row}",
+                    keys.rows()
+                );
+            }
         }
-        assert_eq!(skipped.state(), drawn.state(), "n = {n}");
+        let kept = padded.data().iter().filter(|&&f| f != 0.0).count();
+        assert!(0 < kept && kept < padded.numel(), "some kept, some dropped");
     }
 }

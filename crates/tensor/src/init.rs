@@ -5,12 +5,28 @@
 
 use crate::Tensor;
 
+/// SplitMix64's golden-ratio increment.
+const GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// SplitMix64 (Steele, Lea & Flood): `splitmix(z + n·γ)` is output `n` of
+/// the generator started at `z`. Seeds [`Rng64`] and hashes [`KeepMask`]'s
+/// positions; `wr_fault::splitmix` is the same function.
+#[inline]
+fn splitmix(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// A seeded random-number generator used across the workspace.
 ///
 /// Implemented in-tree (xoshiro256++ seeded via SplitMix64 — the standard
 /// pairing from Blackman & Vigna) because the build environment is offline
 /// and the workspace carries no external crates. Downstream code depends on
 /// this one type, so the generator can still be swapped in a single place.
+/// A draw depends on how many came before it, so dropout does not draw
+/// from it: its keep bits are addressed by position ([`KeepMask`]).
 pub struct Rng64 {
     state: [u64; 4],
 }
@@ -19,34 +35,19 @@ impl Rng64 {
     pub fn seed_from(seed: u64) -> Self {
         // SplitMix64 expansion of the seed into the 256-bit state; never
         // produces the all-zero state xoshiro cannot escape.
-        let mut sm = seed;
-        let mut next_sm = || {
-            sm = sm.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        };
+        let word = |i: u64| splitmix(seed.wrapping_add(i.wrapping_mul(GAMMA)));
         Rng64 {
-            state: [next_sm(), next_sm(), next_sm(), next_sm()],
+            state: [word(0), word(1), word(2), word(3)],
         }
     }
 
     /// Next raw 64-bit output (xoshiro256++).
-    fn next_u64(&mut self) -> u64 {
-        let s = &self.state;
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.state;
         let result = s[0]
             .wrapping_add(s[3])
             .rotate_left(23)
             .wrapping_add(s[0]);
-        self.step();
-        result
-    }
-
-    /// One state update of xoshiro256++, no output computed.
-    #[inline]
-    fn step(&mut self) {
-        let s = &mut self.state;
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -54,18 +55,7 @@ impl Rng64 {
         s[0] ^= s[3];
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
-    }
-
-    /// Advance the stream past `n` draws without computing them: the state
-    /// afterwards is the one `n` calls of [`Self::chance`] (or any other
-    /// single-output draw) leave. xoshiro256++ has no O(1) jump of
-    /// arbitrary length, so this is `n` state updates — the price a packed
-    /// layout pays to keep the draws of the rows it does not hold
-    /// (DESIGN.md §5c "Attention and dropout order").
-    pub fn skip(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
+        result
     }
 
     /// Uniform in `[0, 1)`.
@@ -143,6 +133,52 @@ impl Rng64 {
     }
 }
 
+/// One dropout site's keep bits, addressed by position: inverted dropout
+/// at probability `p` whose factor at `index` is a pure function of
+/// `(key, site, index)` — `1 / keep` where output `index` of the SplitMix64
+/// stream started at `splitmix(key ^ site)` has its top 24 bits below
+/// `keep · 2²⁴` (the comparison [`Rng64::chance`] makes of the same bits),
+/// `0.0` elsewhere.
+///
+/// A `Session` draws `key` once from the generator it is handed and numbers
+/// its dropout nodes as `site`; each node passes the padded coordinate of
+/// an element as `index`. So a factor does not depend on which other
+/// positions a layout holds, on the order they are visited in, or on the
+/// thread that computes them (DESIGN.md §5c "Attention and dropout order").
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeepMask {
+    /// Where this site's SplitMix64 stream starts.
+    stream: u64,
+    /// `⌈keep · 2²⁴⌉`: a 24-bit `m` keeps iff `m < below` iff
+    /// `m · 2⁻²⁴ < keep`.
+    below: u64,
+    /// `1 / keep`.
+    scale: f32,
+}
+
+impl KeepMask {
+    pub fn new(key: u64, site: u64, p: f32) -> Self {
+        assert!((0.0..1.0).contains(&p), "dropout probability {p} must be in [0, 1)");
+        let keep = 1.0 - p;
+        KeepMask {
+            stream: splitmix(key ^ site),
+            below: (keep * (1u32 << 24) as f32).ceil() as u64,
+            scale: 1.0 / keep,
+        }
+    }
+
+    /// The factor of the element at `index`: `1 / keep` or `0.0`.
+    #[inline]
+    pub fn factor(&self, index: usize) -> f32 {
+        let bits = splitmix(self.stream.wrapping_add((index as u64).wrapping_mul(GAMMA)));
+        if bits >> 40 < self.below {
+            self.scale
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Weight-initialization schemes for tensors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Initializer {
@@ -194,6 +230,24 @@ mod tests {
         let mut b = Rng64::seed_from(7);
         for _ in 0..100 {
             assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
+        }
+    }
+
+    #[test]
+    fn seeding_is_the_splitmix64_stream_of_the_seed() {
+        // The expansion as it was written before `splitmix` was factored
+        // out: every seeded stream in the workspace starts here.
+        for seed in [0u64, 1, 42, u64::MAX] {
+            let mut sm = seed;
+            let mut next = || {
+                sm = sm.wrapping_add(0x9E3779B97F4A7C15);
+                let mut z = sm;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                z ^ (z >> 31)
+            };
+            let want = [next(), next(), next(), next()];
+            assert_eq!(Rng64::seed_from(seed).state(), want, "seed {seed}");
         }
     }
 

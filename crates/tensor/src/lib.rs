@@ -30,7 +30,7 @@ mod tensor;
 
 pub use attention::{allowed_keys, AttentionKeys, AttentionRule, HeadKv, Keys};
 pub use error::TensorError;
-pub use init::{Initializer, Rng64};
+pub use init::{Initializer, KeepMask, Rng64};
 pub use json::Json;
 pub use matmul::{dot, gemm};
 pub use ops::{gelu_grad_scalar, gelu_scalar, l2_normalize_row, layer_norm_row, softmax_in_place, tanh_scalar};

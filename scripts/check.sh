@@ -108,18 +108,34 @@ chain="$(awk '
 
 # The taped encoder runs over the rows a batch holds (`AttentionKeys::packed`,
 # DESIGN.md §6): pad positions pass through no layer. A layout-less
-# `dropout(` in transformer.rs would draw as if its node were the whole
-# plane — the RNG stream, and with it every trained number, moves with the
-# lengths — and positions tiled across the batch are the padded forward
-# coming back. Non-test source only; `crates/nn/tests/packed_rows.rs`
-# assembles the padded forward as its reference.
-echo "== check: the encoder draws by layout and tiles no positions =="
+# `dropout(` in transformer.rs would address its factors by their index in
+# the packed plane — a row's factor, and with it every trained number,
+# would move with the other sequences' lengths — and positions tiled
+# across the batch are the padded forward coming back. Non-test source
+# only; `crates/nn/tests/packed_rows.rs` assembles the padded forward as
+# its reference.
+echo "== check: the encoder drops out by layout and tiles no positions =="
 padded="$(awk '
     /^#\[cfg\(test\)\]/ { exit }
     /\.dropout\(|flat_map\(\|_\| *0\.\.seq\)/ { print FILENAME ":" FNR ": " $0 }' \
     crates/nn/src/transformer.rs)"
 [ -z "$padded" ] \
     || { echo "   layout-less dropout or tiled positions in the encoder:"; echo "$padded"; exit 1; }
+
+# A dropout factor is a function of where it lands (`wr_tensor::KeepMask`,
+# DESIGN.md §5c "Attention and dropout order"), not the next draw of a
+# stream: a `.chance(` on the tape's path would make a factor depend on
+# how many were drawn before it, and a `.skip(` is the price of that —
+# every position a layout does not hold, stepped over. Scans the non-test
+# part of every source file under crates/autograd and crates/nn (up to its
+# `#[cfg(test)]`).
+echo "== check: no stream draw on the dropout path =="
+stream_draws="$(find crates/autograd/src crates/nn/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /\.(skip|chance)\(/ { print FILENAME ":" FNR ": " $0 }')"
+[ -z "$stream_draws" ] \
+    || { echo "   stream draws on the dropout path:"; echo "$stream_draws"; exit 1; }
 
 # The frozen encoder — serving's and evaluation's — runs over the rows a
 # history holds too (DESIGN.md §6): each sequence's last `max(min(len,
