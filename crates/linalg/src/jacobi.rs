@@ -24,9 +24,9 @@
 //! bit for bit.
 //!
 //! **What is free, and used.** The textbook column and eigenvector loops
-//! walk *down* a row-major matrix (a 2 KB stride at `n = 256`), which is
-//! where 95 % of set-up went. Three moves take every access onto rows
-//! without touching an operand:
+//! walk *down* a row-major matrix (a 2 KB stride at `n = 256`), which was
+//! where 95 % of set-up went before this kernel. Four moves take every
+//! access onto rows or registers without touching an operand:
 //!
 //! 1. *Lazy column steps.* Within pass `p`, rotation `(p, q)` reads rows
 //!    `p` and `q` whole and nothing else — its three angle entries live in
@@ -46,10 +46,25 @@
 //!    transposed back by the sort-and-extract copy.
 //! 3. *One [`rotate_rows`]* takes the two rows as disjoint slices, for `M`
 //!    and `Vᵀ` alike, so the compiler vectorizes it.
+//! 4. *The lane chain* (AVX-512 arm, [`chain_zmm`]). A block's
+//!    `CHAIN_ROWS` = 8 chains are independent of one another, so they can
+//!    be the eight lanes of one zmm register: `x` holds the block's eight
+//!    `m[k][p]`, and each rotation is one vector step on the register that
+//!    holds the eight `m[k][q]`. The rows lie along memory, so the chain
+//!    walks them in 8-column windows: eight row loads, an 8 × 8 transpose
+//!    ([`transpose8`]: unpacks, then `shuffle_f64x2`), every rotation of
+//!    the pass whose `q` falls in the window, the same transpose back, eight
+//!    row stores. A column whose pivot was skipped is stored as it was
+//!    loaded, and once a window would cross `n` the rotations left take the
+//!    scalar [`chain`].
 //!
 //! Loop structure, `V`'s orientation, the number of rows in flight and the
 //! vector width cannot move a bit, because none of them changes an
 //! operand, an expression or the order of updates any one element sees.
+//! Nor can the transposes: they only move lanes, never compute one, so
+//! each lane of a chain step reads exactly the scalar chain's `x` and
+//! `m[k][q]` and writes exactly its results, with the product rounded
+//! before the sum (`_mm512_mul_pd`, then `_mm512_add_pd` / `_mm512_sub_pd`).
 //!
 //! **What is not free: symmetry.** The working matrix is *not* bitwise
 //! symmetric after the first rotation: the pivot block's two off-diagonal
@@ -59,19 +74,27 @@
 //! triangle only, or mirroring the row update into the columns, changes
 //! bits; full storage and both updates stay.
 //!
-//! **Dispatch.** The solver body is safe Rust, instantiated per target
-//! feature as `matmul.rs` instantiates its gemm tile, here twice: under
-//! `#[target_feature(enable = "avx2")]` (four
-//! `f64` lanes in `rotate_rows`) and at the build's baseline (two lanes —
-//! the only arm on pre-AVX2 x86 and on every other architecture).
-//! `is_x86_feature_detected!("avx2")` picks once per call. `fma` stays off
-//! in both: a fused multiply-add rounds once where the contract rounds
-//! twice. A faster *method* (Householder tridiagonalization + implicit QL)
+//! **Dispatch.** The solver body is instantiated per target feature as
+//! `matmul.rs` instantiates its gemm tile, here three times: under
+//! `#[target_feature(enable = "avx512f")]` (eight `f64` lanes in
+//! `rotate_rows`, and the lane chain for a block's column chains), under
+//! `#[target_feature(enable = "avx2")]` (four lanes in `rotate_rows`) and
+//! at the build's baseline (two lanes — the only arm on pre-AVX2 x86 and on
+//! every other architecture); the last two run the scalar [`chain`].
+//! `is_x86_feature_detected!` picks the widest once per call. No arm fuses
+//! a multiply and an add: a fused multiply-add rounds once where the
+//! contract rounds twice (`scripts/check.sh` fails on the spelling). A
+//! faster *method* (Householder tridiagonalization + implicit QL)
 //! would move every downstream value and give up the relative accuracy on
 //! small eigenvalues that ZCA's `λ^{-1/2}` needs; it belongs to a round
 //! that re-pins everything (ROADMAP 3(c)), not here.
 
 use std::ops::Range;
+
+#[cfg(target_arch = "x86")]
+use std::arch::x86 as arch;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64 as arch;
 
 use crate::{LinalgError, Result};
 use wr_tensor::Tensor;
@@ -205,12 +228,36 @@ fn extract(m: &[f64], vt: &[f64], n: usize) -> SymEig {
 /// the spectrum is wanted).
 fn diagonalize(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `diagonalize_avx2` requires only that the running CPU has
-        // AVX2, which the line above just established.
-        return unsafe { diagonalize_avx2(m, vt, n) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `diagonalize_avx512` requires only that the running CPU
+            // has AVX-512F, which the line above just established.
+            return unsafe { diagonalize_avx512(m, vt, n) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `diagonalize_avx2` requires only that the running CPU
+            // has AVX2, which the line above just established.
+            return unsafe { diagonalize_avx2(m, vt, n) };
+        }
     }
-    diagonalize_with(m, vt, n)
+    diagonalize_baseline(m, vt, n)
+}
+
+/// [`diagonalize_with`] compiled for AVX-512F: `rotate_rows` moves eight
+/// `f64` a register, and a block's column chains run as the eight lanes of
+/// one register ([`chain_zmm`]).
+///
+/// # Safety
+/// The running CPU must support AVX-512F.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+// SAFETY: the one obligation, stated above, is the target feature itself
+// and is discharged by the caller's runtime check; the body's own unsafe
+// blocks carry their proofs.
+unsafe fn diagonalize_avx512(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+    // A `#[target_feature]` function is not `Fn`; a closure defined here
+    // is, and inherits the feature.
+    diagonalize_with(m, vt, n, |m, n, k0, p, rots| chain_zmm(m, n, k0, p, rots))
 }
 
 /// [`diagonalize_with`] compiled for AVX2: `rotate_rows` moves four `f64`
@@ -223,7 +270,13 @@ fn diagonalize(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
 // SAFETY: the body is safe Rust; the one obligation, stated above, is the
 // target feature itself and is discharged by the caller's runtime check.
 unsafe fn diagonalize_avx2(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
-    diagonalize_with(m, vt, n)
+    diagonalize_with(m, vt, n, chain::<CHAIN_ROWS>)
+}
+
+/// [`diagonalize_with`] at the build's baseline: two `f64` lanes on x86-64,
+/// and the only arm on any other architecture.
+fn diagonalize_baseline(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+    diagonalize_with(m, vt, n, chain::<CHAIN_ROWS>)
 }
 
 /// A rotation of the current pass that was not skipped: the column `q` it
@@ -235,9 +288,15 @@ struct Rotation {
 }
 
 /// The solver body (module doc: the contract, and why this loop structure
-/// keeps it).
+/// keeps it). `block` runs the column chains of a full block of
+/// `CHAIN_ROWS` rows — [`chain`], or an arm's own layout of the same steps.
 #[inline(always)]
-fn diagonalize_with(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+fn diagonalize_with(
+    m: &mut [f64],
+    vt: &mut [f64],
+    n: usize,
+    block: impl Fn(&mut [f64], usize, usize, usize, &[Rotation]) + Copy,
+) -> Result<()> {
     debug_assert_eq!(m.len(), n * n);
     debug_assert!(vt.is_empty() || vt.len() == n * n);
     let vt_width = if vt.is_empty() { 0 } else { n };
@@ -261,7 +320,7 @@ fn diagonalize_with(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
                     // at a block's first row that is a full block with one
                     // long chain each; after it, a step or two per row.
                     let block_end = q + CHAIN_ROWS - (q - p - 1) % CHAIN_ROWS;
-                    catch_up(m, n, p, &rots, &mut applied, q..block_end.min(n));
+                    catch_up(m, n, p, &rots, &mut applied, q..block_end.min(n), block);
                 }
                 let apq = m[p * n + q];
                 if apq.abs() < 1e-300 {
@@ -295,8 +354,8 @@ fn diagonalize_with(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
             }
             // Rows above `p` take the whole chain, rows below it what their
             // prefix left; row `p` took every step eagerly.
-            catch_up(m, n, p, &rots, &mut applied, 0..p);
-            catch_up(m, n, p, &rots, &mut applied, (p + 1)..n);
+            catch_up(m, n, p, &rots, &mut applied, 0..p, block);
+            catch_up(m, n, p, &rots, &mut applied, (p + 1)..n, block);
         }
     }
     // One more check: after the final sweep the matrix may have landed
@@ -338,7 +397,8 @@ fn rotate_rows(mat: &mut [f64], width: usize, p: usize, q: usize, c: f64, s: f64
 
 /// Bring the column chains of `rows` up to date with every rotation of pass
 /// `p` so far. Rows go `CHAIN_ROWS` at a time: each is first advanced alone
-/// to the block's furthest cursor, then the block runs the rest together.
+/// to the block's furthest cursor, then the block runs the rest together
+/// (`block`).
 /// The rows short of a full block run alone.
 #[inline(always)]
 fn catch_up(
@@ -348,6 +408,7 @@ fn catch_up(
     rots: &[Rotation],
     applied: &mut [usize],
     rows: Range<usize>,
+    block: impl Fn(&mut [f64], usize, usize, usize, &[Rotation]) + Copy,
 ) {
     let mut k0 = rows.start;
     while k0 < rows.end {
@@ -361,7 +422,7 @@ fn catch_up(
         for (k, &cursor) in (k0..k1).zip(cursors.iter()) {
             chain::<1>(m, n, k, p, &rots[cursor..common]);
         }
-        chain::<CHAIN_ROWS>(m, n, k0, p, &rots[common..]);
+        block(m, n, k0, p, &rots[common..]);
         cursors.fill(rots.len());
         k0 = k1;
     }
@@ -393,6 +454,133 @@ fn chain<const R: usize>(m: &mut [f64], n: usize, k0: usize, p: usize, rots: &[R
     for (r, &x) in x.iter().enumerate() {
         m[(k0 + r) * n + p] = x;
     }
+}
+
+/// [`chain`] on the `CHAIN_ROWS` = 8 rows from `k0` as the eight lanes of
+/// one zmm register: lane `r` is row `k0 + r`, `x` holds the eight
+/// `m[k][p]`, and each rotation is one vector step on the column register of
+/// its `q`. The rows are walked in 8-column windows, each starting at the
+/// next rotation's `q`: loaded, transposed ([`transpose8`]), carried through
+/// every rotation of `rots` that falls in it, transposed back and stored. A
+/// column whose pivot was skipped goes back as it came, and once a window
+/// would cross `n` the rotations left run in the scalar [`chain`]. Every
+/// lane computes the scalar chain's expressions on the scalar chain's
+/// operands ([`lane_step`]).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn chain_zmm(m: &mut [f64], n: usize, k0: usize, p: usize, rots: &[Rotation]) {
+    use arch::*;
+
+    const LANES: usize = 8;
+    const _: () = assert!(CHAIN_ROWS == LANES);
+    if rots.is_empty() {
+        return;
+    }
+    let block = &mut m[k0 * n..(k0 + LANES) * n];
+    let mut x = [0.0f64; LANES];
+    for (r, x) in x.iter_mut().enumerate() {
+        *x = block[r * n + p];
+    }
+    // SAFETY: `x` holds eight `f64`, the 64 bytes an unaligned zmm load reads.
+    let mut xv = unsafe { _mm512_loadu_pd(x.as_ptr()) };
+    let mut done = 0;
+    while let Some(first) = rots.get(done) {
+        let w = first.q;
+        if w + LANES > n {
+            break;
+        }
+        let in_window = rots[done..]
+            .iter()
+            .take(LANES)
+            .take_while(|rot| rot.q < w + LANES);
+        let end = done + in_window.count();
+        let mut rows = [_mm512_setzero_pd(); LANES];
+        for (r, row) in rows.iter_mut().enumerate() {
+            let src = &block[r * n + w..][..LANES];
+            // SAFETY: `src` holds eight `f64`, the 64 bytes an unaligned zmm
+            // load reads.
+            *row = unsafe { _mm512_loadu_pd(src.as_ptr()) };
+        }
+        let mut cols = transpose8(rows);
+        match <&[Rotation; LANES]>::try_from(&rots[done..end]) {
+            // Eight distinct `q` in `w..w + 8`: column `j` is rotation `j`'s,
+            // and the columns can stay in registers.
+            Ok(all) => {
+                for (y, rot) in cols.iter_mut().zip(all) {
+                    lane_step(&mut xv, y, rot);
+                }
+            }
+            Err(_) => {
+                for rot in &rots[done..end] {
+                    lane_step(&mut xv, &mut cols[rot.q - w], rot);
+                }
+            }
+        }
+        for (r, row) in transpose8(cols).into_iter().enumerate() {
+            let dst = &mut block[r * n + w..][..LANES];
+            // SAFETY: `dst` holds eight `f64`, the 64 bytes an unaligned zmm
+            // store writes.
+            unsafe { _mm512_storeu_pd(dst.as_mut_ptr(), row) };
+        }
+        done = end;
+    }
+    // SAFETY: `x` holds eight `f64`, the 64 bytes an unaligned zmm store
+    // writes.
+    unsafe { _mm512_storeu_pd(x.as_mut_ptr(), xv) };
+    for (r, &x) in x.iter().enumerate() {
+        block[r * n + p] = x;
+    }
+    chain::<LANES>(m, n, k0, p, &rots[done..]);
+}
+
+/// One column step of [`chain`] on eight rows at once: lane for lane,
+/// `(x, y) ← (c·x − s·y, s·x + c·y)`, each product rounded before the sum.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn lane_step(x: &mut arch::__m512d, y: &mut arch::__m512d, rot: &Rotation) {
+    use arch::*;
+    let (c, s) = (_mm512_set1_pd(rot.c), _mm512_set1_pd(rot.s));
+    let (xv, yv) = (*x, *y);
+    *y = _mm512_add_pd(_mm512_mul_pd(s, xv), _mm512_mul_pd(c, yv));
+    *x = _mm512_sub_pd(_mm512_mul_pd(c, xv), _mm512_mul_pd(s, yv));
+}
+
+/// The 8 × 8 transpose of eight zmm rows of `f64`: lane `r` of `out[j]` is
+/// lane `j` of `rows[r]`. Only moves lanes, so it is its own inverse and
+/// cannot change a bit.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn transpose8(rows: [arch::__m512d; 8]) -> [arch::__m512d; 8] {
+    use arch::*;
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+    // Row pairs interleaved: `t0` = r0[0] r1[0] r0[2] r1[2] … r0[6] r1[6],
+    // `t1` the odd columns of the same pair.
+    let (t0, t1) = (_mm512_unpacklo_pd(r0, r1), _mm512_unpackhi_pd(r0, r1));
+    let (t2, t3) = (_mm512_unpacklo_pd(r2, r3), _mm512_unpackhi_pd(r2, r3));
+    let (t4, t5) = (_mm512_unpacklo_pd(r4, r5), _mm512_unpackhi_pd(r4, r5));
+    let (t6, t7) = (_mm512_unpacklo_pd(r6, r7), _mm512_unpackhi_pd(r6, r7));
+    // Two pairs' 128-bit blocks gathered: `u0` = r0[0] r1[0] r0[4] r1[4]
+    // r2[0] r3[0] r2[4] r3[4] (blocks 0, 2 of `t0`, then of `t2`); 0xdd takes
+    // blocks 1, 3, so `u2` holds columns 2 and 6.
+    let u0 = _mm512_shuffle_f64x2::<0x88>(t0, t2);
+    let u1 = _mm512_shuffle_f64x2::<0x88>(t1, t3);
+    let u2 = _mm512_shuffle_f64x2::<0xdd>(t0, t2);
+    let u3 = _mm512_shuffle_f64x2::<0xdd>(t1, t3);
+    let u4 = _mm512_shuffle_f64x2::<0x88>(t4, t6);
+    let u5 = _mm512_shuffle_f64x2::<0x88>(t5, t7);
+    let u6 = _mm512_shuffle_f64x2::<0xdd>(t4, t6);
+    let u7 = _mm512_shuffle_f64x2::<0xdd>(t5, t7);
+    // And the two halves: column `j` from `u(j mod 4)` and `u(j mod 4 + 4)`.
+    [
+        _mm512_shuffle_f64x2::<0x88>(u0, u4),
+        _mm512_shuffle_f64x2::<0x88>(u1, u5),
+        _mm512_shuffle_f64x2::<0x88>(u2, u6),
+        _mm512_shuffle_f64x2::<0x88>(u3, u7),
+        _mm512_shuffle_f64x2::<0xdd>(u0, u4),
+        _mm512_shuffle_f64x2::<0xdd>(u1, u5),
+        _mm512_shuffle_f64x2::<0xdd>(u2, u6),
+        _mm512_shuffle_f64x2::<0xdd>(u3, u7),
+    ]
 }
 
 #[cfg(test)]
@@ -513,10 +701,16 @@ mod tests {
     }
 
     /// Sizes around every block edge of the kernel: `CHAIN_ROWS` = 8 and its
-    /// multiples ± 1, the 2- and 4-lane tails of `rotate_rows`, the empty
-    /// and 1 × 1 matrices. ≤ 96 so the debug-build reference stays fast.
-    const SIZES: [usize; 20] = [
-        0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 33, 47, 64, 65, 96,
+    /// multiples ± 1, the 2-, 4- and 8-lane tails of `rotate_rows`, the
+    /// lane chain's window edges (10–13, 18, 19, 40, 41, 72, 73, 80, 81: a
+    /// pass's windows start at its first `q`, so each size has passes whose
+    /// last window ends at `n` and passes whose last one would cross it),
+    /// the empty and 1 × 1 matrices. The block-diagonal and one-pair kinds
+    /// skip most pivots, so their windows straddle skipped columns. ≤ 96 so
+    /// the reference stays fast; [`wide_rank_deficient`] adds one 256.
+    const SIZES: [usize; 32] = [
+        0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 23, 24, 25, 31, 33, 40, 41, 47,
+        64, 65, 72, 73, 80, 81, 96,
     ];
 
     /// Random symmetric `n × n`, eigenvalues of both signs.
@@ -591,35 +785,83 @@ mod tests {
         );
     }
 
-    /// `solve` against the textbook loop over every size and kind.
-    fn assert_matches_textbook(solve: impl Fn(&Tensor) -> Result<SymEig>) {
+    /// A solver arm called directly, past the dispatch.
+    type Arm = fn(&mut [f64], &mut [f64], usize) -> Result<()>;
+
+    /// Every arm this CPU can run. The dispatch picks one of them per call, so
+    /// the arms it passes over — the baseline on any x86 box, AVX2 on an
+    /// AVX-512 one — are only covered when called by name.
+    fn arms() -> Vec<(&'static str, Arm)> {
+        let mut arms: Vec<(&'static str, Arm)> = vec![("baseline", diagonalize_baseline)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2, checked on the line above.
+                arms.push(("avx2", |m, vt, n| unsafe { diagonalize_avx2(m, vt, n) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU has AVX-512F, checked on the line above.
+                arms.push(("avx512", |m, vt, n| unsafe { diagonalize_avx512(m, vt, n) }));
+            }
+        }
+        arms
+    }
+
+    /// [`sym_eigvals`] on a given arm: the spectrum-only sweep, no `Vᵀ`.
+    fn sym_eigvals_by(a: &Tensor, solve: Arm) -> Result<Vec<f32>> {
+        let (n, mut m) = working_copy(a)?;
+        solve(&mut m, &mut [], n)?;
+        Ok(descending(&m, n).1)
+    }
+
+    /// `seq_heavy`'s regime at the fit's own width: a rank-deficient 256-d
+    /// covariance (fewer rows than dimensions) plus the ε ridge.
+    fn wide_rank_deficient() -> Tensor {
+        let mut rng = Rng64::seed_from(256);
+        covariance_of_rows(&Tensor::randn(&[200, 256], &mut rng), 1e-5)
+    }
+
+    #[test]
+    fn sym_eig_matches_the_textbook_loop_bit_for_bit() {
         for n in SIZES {
             for (kind, a) in cases(n) {
                 let want = textbook(&a).unwrap();
-                let got = solve(&a).unwrap();
-                assert_same_bits(&got, &want, &format!("{kind}, n = {n}"));
+                assert_same_bits(&sym_eig(&a).unwrap(), &want, &format!("{kind}, n = {n}"));
             }
         }
     }
 
     #[test]
-    fn sym_eig_matches_the_textbook_loop_bit_for_bit() {
-        assert_matches_textbook(sym_eig);
-    }
-
-    /// The instantiation an AVX2 box never dispatches to.
-    #[test]
-    fn baseline_arm_matches_the_textbook_loop_bit_for_bit() {
-        assert_matches_textbook(|a| sym_eig_by(a, diagonalize_with));
-    }
-
-    #[test]
-    fn sym_eigvals_equals_sym_eig_values_bit_for_bit() {
+    fn every_arm_matches_the_textbook_loop_bit_for_bit() {
+        let arms = arms();
+        let check = |what: &str, a: &Tensor| {
+            let want = textbook(a).unwrap();
+            for (name, arm) in &arms {
+                let got = sym_eig_by(a, *arm).unwrap();
+                assert_same_bits(&got, &want, &format!("{name}: {what}"));
+            }
+        };
         for n in SIZES {
             for (kind, a) in cases(n) {
-                let want = textbook(&a).unwrap().values;
-                let got = sym_eigvals(&a).unwrap();
-                assert_eq!(bits(&got), bits(&want), "{kind}, n = {n}");
+                check(&format!("{kind}, n = {n}"), &a);
+            }
+        }
+        check("covariance, 200 rows, n = 256", &wide_rank_deficient());
+    }
+
+    /// `sym_eigvals` rotates no `Vᵀ` (row width 0), so it is the one caller
+    /// where an arm's column chain runs alone.
+    #[test]
+    fn sym_eigvals_equals_sym_eig_values_bit_for_bit() {
+        let arms = arms();
+        for n in SIZES {
+            for (kind, a) in cases(n) {
+                let want = bits(&textbook(&a).unwrap().values);
+                assert_eq!(bits(&sym_eigvals(&a).unwrap()), want, "{kind}, n = {n}");
+                for (name, arm) in &arms {
+                    let got = sym_eigvals_by(&a, *arm).unwrap();
+                    assert_eq!(bits(&got), want, "{name}: {kind}, n = {n}");
+                }
             }
         }
     }

@@ -69,6 +69,21 @@ raw_tanh="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 [ -z "$raw_tanh" ] \
     || { echo "   raw tanh outside wr_tensor::tanh_scalar:"; echo "$raw_tanh"; exit 1; }
 
+# No fused multiply-add in a bit-contract kernel (DESIGN.md §5c): the gemm,
+# the Jacobi rotations and every value pinned on them round each product
+# before the sum, and a fused multiply-add rounds once. The bit tests catch
+# one only on a CPU that runs the arm it is in (an AVX-512 arm is never run
+# on a box without AVX-512), so the spelling fails here on any box: Rust's
+# `mul_add(` and the intrinsics' `fmadd` / `fmsub` / `fnmadd` / `fnmsub`.
+# Scans the non-test part of every source file (up to its `#[cfg(test)]`).
+echo "== check: no fused multiply-add in a bit-contract kernel =="
+fused="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /mul_add\(|fmadd|fmsub|fnmadd|fnmsub/ { print FILENAME ":" FNR ": " $0 }')"
+[ -z "$fused" ] \
+    || { echo "   fused multiply-add in a kernel:"; echo "$fused"; exit 1; }
+
 # `wr_tensor::gemm` is the only dot product the retrieval and serving
 # crates may take (DESIGN.md §5c, §10a): full-probe IVF ≡ exact holds
 # because both sides *are* the gemm kernel, not because a loop imitates
