@@ -110,9 +110,15 @@ impl RankAccumulator {
 /// 0-based rank of `target` in `scores`, ignoring `excluded` item ids.
 ///
 /// Ties are broken pessimistically (tied items count as ranked above the
-/// target), which keeps a constant scorer from looking good by luck.
+/// target), which keeps a constant scorer from looking good by luck; so
+/// are NaNs: a NaN candidate counts as ranked above the target, and a NaN
+/// target ranks `usize::MAX`, a miss at every cutoff — a diverged model
+/// must not score a perfect rank.
 pub fn rank_of_target(scores: &[f32], target: usize, excluded: &[usize]) -> usize {
     let ts = scores[target];
+    if ts.is_nan() {
+        return usize::MAX;
+    }
     let mut excluded_mask: Option<Vec<bool>> = None;
     if !excluded.is_empty() {
         let mut m = vec![false; scores.len()];
@@ -133,7 +139,8 @@ pub fn rank_of_target(scores: &[f32], target: usize, excluded: &[usize]) -> usiz
                 continue;
             }
         }
-        if s >= ts {
+        // At or above the target, or NaN: one unordered compare.
+        if !(s < ts) {
             rank += 1;
         }
     }
@@ -204,9 +211,55 @@ fn rank(e: &ScoredItem) -> i128 {
     ((order_key(e.score) as i128) << 64) | (!e.item as u64 as i128)
 }
 
-/// Scores per block of [`TopK::scan`]: one floor test covers this many,
+/// Scores per block of [`TopK::scan`]: one block maximum covers this many,
 /// and a block with a hit gets one bit each in a `u32` mask.
 const BLOCK: usize = u32::BITS as usize;
+
+/// Blocks per segment of [`TopK::scan`]: a segment's block maxima live in
+/// a stack array this long, so a row of any width allocates nothing.
+const SEGMENT_BLOCKS: usize = 64;
+
+/// Pass 1 of [`TopK::scan`] over one segment on the widest registers that
+/// pay: each block's largest [`order_key`] into `maxima`, and the smallest
+/// and largest key of the whole segment.
+fn block_maxima(segment: &[f32], maxima: &mut [i32; SEGMENT_BLOCKS]) -> (i32, i32) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `block_maxima_avx2` requires only that the running CPU has
+        // AVX2, which the line above just established.
+        return unsafe { block_maxima_avx2(segment, maxima) };
+    }
+    block_maxima_with(segment, maxima)
+}
+
+/// [`block_maxima_with`] compiled for AVX2, where a signed 32-bit min or
+/// max is one instruction (`vpminsd` / `vpmaxsd`) on eight keys; the SSE2
+/// baseline has none and spends a compare and three logic operations on
+/// four. The AVX-512 width measured no faster on 32-key blocks.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn block_maxima_avx2(segment: &[f32], maxima: &mut [i32; SEGMENT_BLOCKS]) -> (i32, i32) {
+    block_maxima_with(segment, maxima)
+}
+
+/// The pass-1 body every arm compiles: comparisons only, so the width it
+/// runs at cannot change a key.
+#[inline(always)]
+fn block_maxima_with(segment: &[f32], maxima: &mut [i32; SEGMENT_BLOCKS]) -> (i32, i32) {
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    for (max, block) in maxima.iter_mut().zip(segment.chunks(BLOCK)) {
+        let (mut block_lo, mut block_hi) = (i32::MAX, i32::MIN);
+        for &s in block {
+            let key = order_key(s);
+            block_lo = block_lo.min(key);
+            block_hi = block_hi.max(key);
+        }
+        lo = lo.min(block_lo);
+        hi = hi.max(block_hi);
+        *max = block_hi;
+    }
+    (lo, hi)
+}
 
 /// Bounded top-`k` accumulator over `(item, score)` pairs — the one
 /// selector every ranking consumer shares.
@@ -234,6 +287,10 @@ pub struct TopK {
     /// `order_key` of `entries[0]` once `k` candidates are held; until
     /// then `i32::MIN`, which every key passes.
     floor: i32,
+    /// Candidates that entered the heap: what the bound of
+    /// [`TopK::scan`] exists to keep small.
+    #[cfg(test)]
+    entered: usize,
 }
 
 impl TopK {
@@ -242,6 +299,8 @@ impl TopK {
             entries: Vec::with_capacity(k),
             k,
             floor: i32::MIN,
+            #[cfg(test)]
+            entered: 0,
         }
     }
 
@@ -265,6 +324,10 @@ impl TopK {
     /// only collected; the `k`-th sorts them worst first, and an ascending
     /// array is a heap.
     fn insert(&mut self, cand: ScoredItem) {
+        #[cfg(test)]
+        {
+            self.entered += 1;
+        }
         if self.entries.len() == self.k {
             self.replace_worst(cand);
         } else {
@@ -284,42 +347,72 @@ impl TopK {
     /// NaN or an infinity reads it off the pair instead of walking the row
     /// a second time.
     ///
-    /// Equivalent to `push` in ascending `i`, but a block of scores is
-    /// first tested against the floor in one branch-free pass the
-    /// compiler vectorises; only a block with a hit is looked at again —
-    /// its hits gathered into a bit mask, the set bits pushed — and `seen`
-    /// is consulted only for those, as the slice it is: no mask is built.
-    /// The floor may rise while a block's hits are offered; each is
-    /// decided against the heap of the moment, so a stale bit costs a
-    /// compare, never a result.
+    /// Equivalent to `push` in ascending `i`, but no score is offered
+    /// that provably cannot be kept. The slice is taken a segment of up
+    /// to 64 blocks of 32 scores at a time. Pass 1 records each block's
+    /// largest key (and the row's extremes) in one branch-free pass the
+    /// compiler vectorises, at AVX2 width where the CPU has it. From
+    /// those maxima comes a **bound**: the `(k + s)`-th largest, where
+    /// `s` counts the `seen` ids inside the segment (a duplicate counts
+    /// twice, which only lowers the bound). The blocks holding the
+    /// `k + s` largest maxima give at least `k + s` distinct items whose
+    /// keys reach the bound, and at most `s` of those are seen — so at
+    /// least `k` offerable items rank above any score whose key is below
+    /// it, and no such score can be in the answer. Pass 2 revisits only
+    /// the blocks whose maximum reaches `max(bound, floor)`, gathers those
+    /// hits into a bit mask and offers them in ascending order, consulting
+    /// `seen` only then, as the slice it is: no mask is built. A segment
+    /// of fewer than `k + s` blocks has no bound (`i32::MIN`). The bound
+    /// only decides which scores are *looked at*: each offered one is
+    /// decided against the heap of the moment, so neither the bound nor a
+    /// floor that rose since the mask was built can change what is kept.
     pub fn scan(&mut self, first_item: usize, scores: &[f32], seen: &[usize]) -> (i32, i32) {
         let (mut lo, mut hi) = (i32::MAX, i32::MIN);
-        for (b, block) in scores.chunks(BLOCK).enumerate() {
-            let floor = self.floor;
-            let mut hit = false;
-            for &s in block {
-                let key = order_key(s);
-                lo = lo.min(key);
-                hi = hi.max(key);
-                hit |= key >= floor;
-            }
-            if !hit {
-                continue;
-            }
-            let mut hits = 0u32;
-            for (i, &s) in block.iter().enumerate() {
-                hits |= ((order_key(s) >= floor) as u32) << i;
-            }
-            while hits != 0 {
-                let i = hits.trailing_zeros() as usize;
-                hits &= hits - 1;
-                let cand = ScoredItem { item: first_item + b * BLOCK + i, score: block[i] };
-                if self.admits(&cand) && !seen.contains(&cand.item) {
-                    self.insert(cand);
+        for (g, segment) in scores.chunks(SEGMENT_BLOCKS * BLOCK).enumerate() {
+            let first = first_item + g * SEGMENT_BLOCKS * BLOCK;
+            let mut maxima = [i32::MIN; SEGMENT_BLOCKS];
+            let (segment_lo, segment_hi) = block_maxima(segment, &mut maxima);
+            lo = lo.min(segment_lo);
+            hi = hi.max(segment_hi);
+            let maxima = &maxima[..segment.len().div_ceil(BLOCK)];
+            let window = first..first + segment.len();
+            let excluded = seen.iter().filter(|item| window.contains(item)).count();
+            let bound = self.bound(maxima, excluded);
+            for ((b, block), &max) in segment.chunks(BLOCK).enumerate().zip(maxima) {
+                let cut = bound.max(self.floor);
+                if max < cut {
+                    continue;
+                }
+                let mut hits = 0u32;
+                for (i, &s) in block.iter().enumerate() {
+                    hits |= ((order_key(s) >= cut) as u32) << i;
+                }
+                while hits != 0 {
+                    let i = hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let cand = ScoredItem { item: first + b * BLOCK + i, score: block[i] };
+                    if self.admits(&cand) && !seen.contains(&cand.item) {
+                        self.insert(cand);
+                    }
                 }
             }
         }
         (lo, hi)
+    }
+
+    /// The key below which no score of a segment can be kept: the
+    /// `(k + excluded)`-th largest of its block `maxima` (see
+    /// [`TopK::scan`]), or `i32::MIN` when that rank is 0 or there are
+    /// fewer blocks than it.
+    fn bound(&self, maxima: &[i32], excluded: usize) -> i32 {
+        let need = self.k + excluded;
+        if need == 0 || need > maxima.len() {
+            return i32::MIN;
+        }
+        let mut copy = [0; SEGMENT_BLOCKS];
+        let copy = &mut copy[..maxima.len()];
+        copy.copy_from_slice(maxima);
+        *copy.select_nth_unstable_by(need - 1, |a, b| b.cmp(a)).1
     }
 
     /// Candidates kept so far (saturates at `k`).
@@ -425,6 +518,26 @@ mod tests {
     fn ties_are_pessimistic() {
         let scores = [0.5, 0.5, 0.5];
         assert_eq!(rank_of_target(&scores, 1, &[]), 2);
+    }
+
+    #[test]
+    fn a_nan_target_misses_at_every_cutoff() {
+        assert_eq!(rank_of_target(&[f32::NAN, 0.5], 0, &[]), usize::MAX);
+        assert_eq!(rank_of_target(&[f32::NAN, f32::NAN], 1, &[0]), usize::MAX);
+        let mut acc = RankAccumulator::new(&[1, 20, 50]);
+        acc.push_rank(rank_of_target(&[-f32::NAN, 0.5, 0.25], 0, &[]));
+        let m = acc.finish();
+        assert_eq!((m.recall, m.ndcg), (vec![0.0; 3], vec![0.0; 3]));
+        assert_eq!(m.per_case_ndcg, vec![0.0]);
+    }
+
+    #[test]
+    fn a_nan_candidate_ranks_above_the_target() {
+        let nan = f32::NAN;
+        assert_eq!(rank_of_target(&[nan, 0.5, 0.9], 1, &[]), 2);
+        assert_eq!(rank_of_target(&[-nan, 0.5, 0.1], 1, &[]), 1);
+        // An excluded NaN is not a candidate at all.
+        assert_eq!(rank_of_target(&[nan, 0.5, 0.1], 1, &[0]), 0);
     }
 
     #[test]
@@ -715,6 +828,148 @@ mod tests {
         assert_eq!((lo, hi), (order_key(f32::NEG_INFINITY), order_key(f32::NAN)));
         assert_eq!(acc.into_sorted(), vec![ScoredItem { item: 12, score: 3.0 }]);
         assert_eq!(TopK::new(3).scan(0, &[], &[]), (i32::MAX, i32::MIN));
+    }
+
+    /// `k` best of `row` offered as items `first..`, `seen` excluded, by a
+    /// full sort on (`total_cmp` descending, item ascending): shares no
+    /// code with `TopK`.
+    fn full_sort(row: &[f32], first: usize, k: usize, seen: &[usize]) -> Vec<(usize, u32)> {
+        let mut all: Vec<(usize, f32)> = row
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (first + i, s))
+            .filter(|(item, _)| !seen.contains(item))
+            .collect();
+        all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.iter().take(k).map(|&(item, s)| (item, s.to_bits())).collect()
+    }
+
+    fn bits(kept: Vec<ScoredItem>) -> Vec<(usize, u32)> {
+        kept.iter().map(|e| (e.item, e.score.to_bits())).collect()
+    }
+
+    /// The items holding the `m` largest block maxima of `row`, as
+    /// `first`-based ids, found without `TopK`.
+    fn top_block_maxima(row: &[f32], first: usize, m: usize) -> Vec<usize> {
+        let mut best: Vec<(usize, f32)> = row
+            .chunks(BLOCK)
+            .enumerate()
+            .map(|(b, block)| {
+                let mut at = 0;
+                for (i, s) in block.iter().enumerate() {
+                    if s.total_cmp(&block[at]).is_gt() {
+                        at = i;
+                    }
+                }
+                (first + b * BLOCK + at, block[at])
+            })
+            .collect();
+        best.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        best.iter().take(m).map(|&(item, _)| item).collect()
+    }
+
+    #[test]
+    fn scan_bound_matches_a_full_sort_where_it_can_go_wrong() {
+        use wr_tensor::Rng64;
+        let mut rng = Rng64::seed_from(34);
+        let first = 57;
+        let mut checked = 0;
+        for n in [1225, 2048, 2 * 2048 + 17] {
+            // Ties at the bound: a few blocks end on one value that the next
+            // block starts with, everything else below it. The quantised
+            // row gives every block the same maximum.
+            let mut edge_ties = vec![0.0; n];
+            for b in [3, 9, 10, 30, n / BLOCK - 1] {
+                edge_ties[b * BLOCK - 1] = 1.0;
+                edge_ties[b * BLOCK] = 1.0;
+            }
+            for s in edge_ties.iter_mut().filter(|s| **s == 0.0) {
+                *s = rng.uniform() * 0.5;
+            }
+            let rows = [
+                (0..n).map(|_| rng.normal()).collect::<Vec<f32>>(),
+                edge_ties,
+                (0..n).map(|_| (rng.below(4) as f32) * 0.5).collect(),
+            ];
+            for row in &rows {
+                for k in [0, 1, 3, 10, 25, n - 1, n, n + 5] {
+                    let outside = vec![0, first - 1, first + n, first + n + 9];
+                    let duplicated = vec![first + 5, first + 5, first + n / 2, first + 5];
+                    let mut seen_sets =
+                        vec![vec![], outside, duplicated, top_block_maxima(row, first, k)];
+                    // The top maxima of the second segment, on a row that has one.
+                    if n > 2048 {
+                        seen_sets.push(top_block_maxima(&row[2048..], first + 2048, k + 3));
+                    }
+                    for seen in &seen_sets {
+                        let want = full_sort(row, first, k, seen);
+                        let at = format!("n {n} k {k} seen {seen:?}");
+                        let mut whole = TopK::new(k);
+                        whole.scan(first, row, seen);
+                        assert_eq!(bits(whole.into_sorted()), want, "{at}");
+                        // Two scans of the row's halves into one accumulator.
+                        for mid in [n / 2, 2048.min(n), 31] {
+                            let mut halves = TopK::new(k);
+                            halves.scan(first, &row[..mid], seen);
+                            halves.scan(first + mid, &row[mid..], seen);
+                            assert_eq!(bits(halves.into_sorted()), want, "{at} mid {mid}");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 8 * (4 + 4 + 5));
+    }
+
+    #[test]
+    fn scan_bound_keeps_the_heap_entries_few() {
+        // A score row as wide as a `catalog_heavy` shard's: without the
+        // bound, ≈ 58 candidates enter the heap on such rows at k = 10.
+        use wr_tensor::Rng64;
+        let mut rng = Rng64::seed_from(1225);
+        let row: Vec<f32> = (0..1225).map(|_| rng.normal()).collect();
+        let seen: Vec<usize> = (0..5).map(|_| rng.below(1225)).collect();
+        let k = 10;
+        let mut acc = TopK::new(k);
+        acc.scan(0, &row, &seen);
+        assert!(acc.entered <= 2 * (k + seen.len()), "{} entries", acc.entered);
+        assert_eq!(bits(acc.into_sorted()), full_sort(&row, 0, k, &seen));
+    }
+
+    #[test]
+    fn every_pass_one_arm_gives_the_plain_maxima() {
+        use wr_tensor::Rng64;
+        let classes = float_classes();
+        let mut rng = Rng64::seed_from(32);
+        for n in [0, 1, 31, 32, 33, 1225, SEGMENT_BLOCKS * BLOCK - 1, SEGMENT_BLOCKS * BLOCK] {
+            let segment: Vec<f32> = (0..n)
+                .map(|_| match rng.below(2) {
+                    0 => classes[rng.below(classes.len())],
+                    _ => rng.normal(),
+                })
+                .collect();
+            let keys: Vec<i32> = segment.iter().map(|&s| order_key(s)).collect();
+            let mut want = [i32::MIN; SEGMENT_BLOCKS];
+            for (max, block) in want.iter_mut().zip(keys.chunks(BLOCK)) {
+                *max = *block.iter().max().unwrap();
+            }
+            let extremes = (
+                keys.iter().copied().min().unwrap_or(i32::MAX),
+                keys.iter().copied().max().unwrap_or(i32::MIN),
+            );
+            let mut got = [i32::MIN; SEGMENT_BLOCKS];
+            assert_eq!(block_maxima_with(&segment, &mut got), extremes, "baseline n {n}");
+            assert_eq!(got, want, "baseline n {n}");
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut got = [i32::MIN; SEGMENT_BLOCKS];
+                // SAFETY: the CPU was just checked for AVX2.
+                let pair = unsafe { block_maxima_avx2(&segment, &mut got) };
+                assert_eq!(pair, extremes, "avx2 n {n}");
+                assert_eq!(got, want, "avx2 n {n}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Batch-parallel top-k extraction over a score matrix.
 //!
-//! Each row is one [`wr_eval::TopK::scan`]: the selector holds the
-//! order-preserving integer key of the worst candidate it keeps (the
-//! *floor*), tests the row a block of scores at a time against it in a
-//! branch-free pass, and looks again only at a block with a hit — about
-//! half the blocks of a 1 000-score row, fewer the longer the row — so a
-//! row costs about one integer compare an element plus a heap replacement
-//! for each of the few dozen candidates that pass (≈ 60 of 1 225 at
-//! `k = 10`). A candidate is looked up in the request's seen
+//! Each row is one [`wr_eval::TopK::scan`]. Pass 1 records the largest
+//! order-preserving integer key of every 32-score block in one branch-free
+//! pass (at AVX2 width where the CPU has it). The `(k + s)`-th largest
+//! block maximum of a 2 048-score segment, `s` being the seen ids inside
+//! it, is a bound below which no score can be kept, so pass 2 revisits the
+//! blocks whose maximum reaches both it and the worst kept key (the
+//! *floor*): on `catalog_heavy`'s 1 225-score shard rows at `k = 10`,
+//! ≈ 12 candidates a row enter the heap where the floor alone let ≈ 58
+//! in. A candidate is looked up in the request's seen
 //! list only then, in the list as the request carries it; nothing is
 //! built per row. The order is `total_cmp` descending with the ascending
 //! item index on ties, so the result is *exactly* — bit-for-bit — what a
