@@ -107,7 +107,7 @@ pub struct IvfIndex {
 fn pack_panels(table: &Tensor, ids: &[u32], out: &mut Vec<f32>) {
     for chunk in ids.chunks(PANEL) {
         for p in 0..table.cols() {
-            out.extend(chunk.iter().map(|&id| table.row(id as usize)[p]));
+            out.extend(chunk.iter().filter_map(|&id| table.row(id as usize).get(p)));
         }
     }
 }
@@ -146,7 +146,9 @@ impl IvfIndex {
         )?;
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (i, &c) in fit.assignments.iter().enumerate() {
-            lists[c as usize].push(i as u32);
+            if let Some(list) = lists.get_mut(c as usize) {
+                list.push(i as u32);
+            }
         }
         Ok(IvfIndex::assemble(fit.centroids, lists, items, seed))
     }
@@ -196,9 +198,9 @@ impl IvfIndex {
         self.build_seed
     }
 
-    /// Item ids of list `l`, ascending.
+    /// Item ids of list `l`, ascending (none past `nlist`).
     pub fn list(&self, l: usize) -> &[u32] {
-        &self.lists[l]
+        self.lists.get(l).map_or(&[], Vec::as_slice)
     }
 
     /// Largest inverted-list length — the worst-case single-probe scan.
@@ -259,7 +261,7 @@ impl IvfIndex {
         // onto a real one. A caller that hands over a strictly ascending
         // list (the serving shard does) is read in place.
         let mut skip = Cow::Borrowed(excluded);
-        if !excluded.windows(2).all(|w| w[0] < w[1]) {
+        if !excluded.is_sorted_by(|a, b| a < b) {
             let owned = skip.to_mut();
             owned.sort_unstable();
             owned.dedup();
@@ -361,15 +363,17 @@ impl IvfIndex {
             let mut ids = Vec::with_capacity(len);
             for _ in 0..len {
                 let id = r.u32("list id")?;
-                if id as usize >= n_items {
-                    return Err(AnnError::Format(format!(
-                        "list {l} id {id} out of range (n_items {n_items})"
-                    )));
+                match seen.get_mut(id as usize) {
+                    None => {
+                        return Err(AnnError::Format(format!(
+                            "list {l} id {id} out of range (n_items {n_items})"
+                        )));
+                    }
+                    Some(true) => {
+                        return Err(AnnError::Format(format!("item {id} appears twice")));
+                    }
+                    Some(s) => *s = true,
                 }
-                if seen[id as usize] {
-                    return Err(AnnError::Format(format!("item {id} appears twice")));
-                }
-                seen[id as usize] = true;
                 ids.push(id);
             }
             lists.push(ids);

@@ -60,8 +60,8 @@ pub struct KMeans {
 /// Squared Euclidean distance, plain ascending-`p` accumulation.
 fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     let mut s = 0.0f32;
-    for p in 0..a.len() {
-        let d = a[p] - b[p];
+    for (&x, &y) in a.iter().zip(b) {
+        let d = x - y;
         s += d * d;
     }
     s
@@ -129,7 +129,7 @@ pub fn fit_kmeans(data: &Tensor, cfg: &KMeansConfig) -> Result<KMeans, AnnError>
         order.swap(i, j);
     }
     let mut centroids = Tensor::zeros(&[k, dim]);
-    for (c, &src) in order[..k].iter().enumerate() {
+    for (c, &src) in order.iter().take(k).enumerate() {
         centroids.row_mut(c).copy_from_slice(data.row(src));
     }
 
@@ -149,21 +149,23 @@ pub fn fit_kmeans(data: &Tensor, cfg: &KMeansConfig) -> Result<KMeans, AnnError>
         // Deterministic update: ascending-row accumulation, one thread.
         let mut sums = vec![0.0f32; k * dim];
         let mut counts = vec![0usize; k];
-        for i in 0..n {
-            let c = assignments[i] as usize;
-            counts[c] += 1;
-            let acc = &mut sums[c * dim..(c + 1) * dim];
-            for (a, &v) in acc.iter_mut().zip(data.row(i)) {
-                *a += v;
+        for (i, &c) in assignments.iter().enumerate() {
+            let c = c as usize;
+            if let (Some(count), Some(acc)) =
+                (counts.get_mut(c), sums.get_mut(c * dim..(c + 1) * dim))
+            {
+                *count += 1;
+                for (a, &v) in acc.iter_mut().zip(data.row(i)) {
+                    *a += v;
+                }
             }
         }
-        for c in 0..k {
-            if counts[c] == 0 {
+        for (c, (&count, sum)) in counts.iter().zip(sums.chunks_exact(dim)).enumerate() {
+            if count == 0 {
                 continue; // empty cluster keeps its previous centroid
             }
-            let inv = 1.0 / counts[c] as f32;
-            let dst = centroids.row_mut(c);
-            for (d, &s) in dst.iter_mut().zip(&sums[c * dim..(c + 1) * dim]) {
+            let inv = 1.0 / count as f32;
+            for (d, &s) in centroids.row_mut(c).iter_mut().zip(sum) {
                 *d = s * inv;
             }
         }

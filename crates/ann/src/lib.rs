@@ -35,6 +35,15 @@
 //!   `tests/corruption.rs`) and re-attaches the catalog tensor so the
 //!   scanned vectors can never drift from the serving table.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod ivf;
 mod kmeans;
 

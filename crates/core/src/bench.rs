@@ -257,11 +257,10 @@ fn build_gateway(
     }
     if let Some(plan) = fault_plan {
         let victim: usize = parse_num(args, "--poison-shard", 0)?;
-        if victim >= n_shards {
-            return Err(format!("--poison-shard {victim} out of range for {n_shards} shards"));
-        }
+        gateway = gateway
+            .with_shard_faults(victim, plan.clone() as SharedInjector)
+            .map_err(|e| format!("--poison-shard: {e}"))?;
         eprintln!("chaos: fault injection armed on shard {victim}");
-        gateway = gateway.with_shard_faults(victim, plan.clone() as SharedInjector);
     }
     if let Some(r) = parse_opt::<usize>(args, "--poison-replica")? {
         if n_replicas < 2 {
@@ -270,13 +269,12 @@ fn build_gateway(
                     .into(),
             );
         }
-        if r >= n_replicas {
-            return Err(format!("--poison-replica {r} out of range for {n_replicas} replicas"));
+        for s in 0..n_shards {
+            gateway = gateway
+                .with_replica_faults(s, r, Arc::new(KillAfter::serve_rows()))
+                .map_err(|e| format!("--poison-replica: {e}"))?;
         }
         eprintln!("chaos: replica {r} of every set permanently killed (KillAfter on serve.row)");
-        for s in 0..n_shards {
-            gateway = gateway.with_replica_faults(s, r, Arc::new(KillAfter::serve_rows()));
-        }
     }
     if let Some((nlist, nprobe, seed)) = ann {
         gateway = gateway.with_ann(nlist, nprobe, seed).map_err(|e| e.to_string())?;

@@ -89,6 +89,17 @@ impl Batch {
             targets: Vec::new(),
         }
     }
+
+    /// Each row's input ids without the padding: the last `lengths[b]`
+    /// ids of row `b`.
+    pub fn contexts(&self) -> Vec<Vec<usize>> {
+        (0..self.batch)
+            .map(|b| {
+                let end = (b + 1) * self.seq;
+                self.items[end - self.lengths[b]..end].to_vec()
+            })
+            .collect()
+    }
 }
 
 /// Shuffling mini-batch iterator over training sequences.
@@ -133,6 +144,16 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn contexts_roundtrip() {
+        let s1: &[usize] = &[1, 2, 3, 4];
+        let s2: &[usize] = &[7, 8];
+        let b = Batch::from_sequences(&[s1, s2], 5);
+        let raw = b.contexts();
+        assert_eq!(raw[0], vec![1, 2, 3]); // inputs only (last item is target)
+        assert_eq!(raw[1], vec![7]);
+    }
 
     #[test]
     fn left_padding_layout() {

@@ -38,7 +38,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     }
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        // The index is masked to 0..=255, so `get` always finds the entry.
+        let entry = table.get(((crc ^ b as u32) & 0xFF) as usize).copied().unwrap_or(0);
+        crc = entry ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }

@@ -55,9 +55,9 @@ impl FaultLog {
 pub fn counts_by_kind(records: &[FaultRecord]) -> [u64; FaultKind::ALL.len()] {
     let mut counts = [0u64; FaultKind::ALL.len()];
     for record in records {
-        for (slot, kind) in FaultKind::ALL.into_iter().enumerate() {
+        for (count, kind) in counts.iter_mut().zip(FaultKind::ALL) {
             if record.kind == kind {
-                counts[slot] += 1;
+                *count += 1;
             }
         }
     }
@@ -148,8 +148,8 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let rest = &line[start..];
     let mut end = 0;
     let bytes = rest.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
+    while let Some(&byte) = bytes.get(end) {
+        match byte {
             b'\\' => end += 2,
             b'"' => return rest.get(..end),
             _ => end += 1,

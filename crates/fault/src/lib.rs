@@ -32,6 +32,15 @@
 //! by a plan ([`FaultPlan::maybe_panic`]), which callers contain with
 //! `catch_unwind` at micro-batch boundaries.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod atomic_io;
 pub mod backoff;
 pub mod faultlog;
@@ -150,6 +159,7 @@ impl FaultInjector for KillAfter {
 
     fn maybe_panic(&self, site: &str, index: u64, attempt: u32) {
         if self.would_panic(site, index) {
+            #[expect(clippy::panic, reason = "the drill: an induced panic is the fault injected")]
             std::panic::panic_any(InducedPanic {
                 site: site.to_string(),
                 index,

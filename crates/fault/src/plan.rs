@@ -228,7 +228,7 @@ impl FaultPlan {
 
     /// Faults injected of one kind.
     pub fn injected(&self, kind: FaultKind) -> u64 {
-        self.by_kind[kind.slot()].load(Ordering::Relaxed)
+        self.by_kind.get(kind.slot()).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// Snapshot of every fault injected so far, in injection order. Two
@@ -298,7 +298,9 @@ impl FaultInjector for FaultPlan {
         } else {
             let byte = (shape >> 1) as usize % bytes.len();
             let bit = ((shape >> 40) % 8) as u8;
-            bytes[byte] ^= 1 << bit;
+            if let Some(b) = bytes.get_mut(byte) {
+                *b ^= 1 << bit;
+            }
             self.record(FaultKind::BitFlip, site, index);
             Some(Corruption::BitFlip { byte, bit })
         }
@@ -326,6 +328,7 @@ impl FaultInjector for FaultPlan {
     fn maybe_panic(&self, site: &str, index: u64, attempt: u32) {
         if self.would_panic(site, index, attempt) {
             self.record(FaultKind::Panic, site, index);
+            #[expect(clippy::panic, reason = "the drill: an induced panic is the fault injected")]
             std::panic::panic_any(InducedPanic {
                 site: site.to_string(),
                 index,

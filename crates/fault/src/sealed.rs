@@ -139,10 +139,8 @@ impl<'a> Reader<'a> {
         let len = n
             .checked_mul(4)
             .ok_or_else(|| SealError::Format(format!("{what}: value count {n} overflows")))?;
-        let bytes = self.take(len, what)?.chunks_exact(4);
-        Ok(bytes
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        let (words, _) = self.take(len, what)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| f32::from_le_bytes(w)).collect())
     }
 
     /// A `u32` element count, refused unless the bytes that remain can
@@ -199,11 +197,13 @@ pub fn newest_valid<T, E>(
 /// labelled for the assertion message. The corruption sweeps of the three
 /// formats are calls to this.
 pub fn damaged(clean: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
-    let cuts =
-        (0..clean.len()).map(move |len| (format!("cut to {len} bytes"), clean[..len].to_vec()));
+    let cuts = (0..clean.len())
+        .map(move |len| (format!("cut to {len} bytes"), clean.iter().take(len).copied().collect()));
     let flips = (0..clean.len() * 8).map(move |i| {
         let mut bad = clean.to_vec();
-        bad[i / 8] ^= 1 << (i % 8);
+        if let Some(b) = bad.get_mut(i / 8) {
+            *b ^= 1 << (i % 8);
+        }
         (format!("bit {} of byte {} flipped", i % 8, i / 8), bad)
     });
     cuts.chain(flips)

@@ -88,6 +88,10 @@ pub enum GatewayError {
     EmptyShard { n_items: usize, n_shards: usize },
     /// Per-shard IVF index construction failed.
     Ann(wr_ann::AnnError),
+    /// A fault was armed on a shard the plan does not have.
+    NoSuchShard { shard: usize, n_shards: usize },
+    /// A fault was armed on a replica its set does not have.
+    NoSuchReplica { replica: usize, n_replicas: usize },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -101,6 +105,12 @@ impl std::fmt::Display for GatewayError {
                 write!(f, "{n_shards} shards over {n_items} items leaves a shard empty")
             }
             GatewayError::Ann(e) => write!(f, "gateway ANN build: {e}"),
+            GatewayError::NoSuchShard { shard, n_shards } => {
+                write!(f, "shard {shard} out of range ({n_shards} shards)")
+            }
+            GatewayError::NoSuchReplica { replica, n_replicas } => {
+                write!(f, "replica {replica} out of range ({n_replicas} replicas)")
+            }
         }
     }
 }
@@ -273,17 +283,22 @@ impl Gateway {
     /// the shard layout) and its hot path consults the injector's
     /// `serve.row` / `serve.score` sites. The other shards stay clean,
     /// which is exactly the chaos suite's "one shard poisoned" shape.
-    pub fn with_shard_faults(mut self, shard: usize, injector: SharedInjector) -> Self {
+    pub fn with_shard_faults(
+        mut self,
+        shard: usize,
+        injector: SharedInjector,
+    ) -> Result<Self, GatewayError> {
         let items = self.encoder.model_snapshot().items();
-        let n_sets = self.sets.len();
-        match self.sets.get_mut(shard) {
-            Some(set) => set.map_replicas(|mut s| {
-                s.rearm(items, injector.clone());
-                s
-            }),
-            None => panic!("with_shard_faults: shard {shard} out of range ({n_sets} shards)"),
-        }
-        self
+        let n_shards = self.sets.len();
+        let set = self
+            .sets
+            .get_mut(shard)
+            .ok_or(GatewayError::NoSuchShard { shard, n_shards })?;
+        set.map_replicas(|mut s| {
+            s.rearm(items, injector.clone());
+            s
+        });
+        Ok(self)
     }
 
     /// Arm fault injection on one *replica* of a set without touching its
@@ -298,19 +313,17 @@ impl Gateway {
         shard: usize,
         replica: usize,
         injector: SharedInjector,
-    ) -> Self {
-        let n_sets = self.sets.len();
-        let Some(set) = self.sets.get_mut(shard) else {
-            panic!("with_replica_faults: shard {shard} out of range ({n_sets} shards)");
-        };
+    ) -> Result<Self, GatewayError> {
+        let n_shards = self.sets.len();
+        let set = self
+            .sets
+            .get_mut(shard)
+            .ok_or(GatewayError::NoSuchShard { shard, n_shards })?;
         let n_replicas = set.replicas().len();
-        match set.replica_mut(replica) {
-            Some(r) => r.set_injector(injector),
-            None => panic!(
-                "with_replica_faults: replica {replica} out of range ({n_replicas} replicas)"
-            ),
-        }
-        self
+        set.replica_mut(replica)
+            .ok_or(GatewayError::NoSuchReplica { replica, n_replicas })?
+            .set_injector(injector);
+        Ok(self)
     }
 
     /// Switch every shard to IVF retrieval (builder-style): one index per

@@ -36,6 +36,15 @@
 //! (one shard poisoned → surviving shards' contributions bit-identical to
 //! the fault-free run, per-seed-deterministic checksums).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod gateway;
 mod health;
 mod plan;

@@ -62,10 +62,9 @@ fn clean_gateway() -> Gateway {
 }
 
 fn chaos_gateway(fault_seed: u64) -> Gateway {
-    clean_gateway().with_shard_faults(
-        VICTIM,
-        Arc::new(FaultPlan::with_rates(fault_seed, chaos_rates())),
-    )
+    clean_gateway()
+        .with_shard_faults(VICTIM, Arc::new(FaultPlan::with_rates(fault_seed, chaos_rates())))
+        .unwrap()
 }
 
 fn assert_bit_identical(a: &[GatewayResponse], b: &[GatewayResponse], what: &str) {
@@ -294,9 +293,11 @@ fn wr_fault_seed_env_arms_the_same_schedule() {
     let log = zipf_trace(96);
     let via_env = clean_gateway()
         .with_shard_faults(VICTIM, Arc::new(plan))
+        .unwrap()
         .serve(&log.queries);
     let direct = clean_gateway()
         .with_shard_faults(VICTIM, Arc::new(FaultPlan::new(4242)))
+        .unwrap()
         .serve(&log.queries);
     assert_bit_identical(&via_env, &direct, "env-armed vs directly-armed");
 }

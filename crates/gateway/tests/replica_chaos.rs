@@ -71,11 +71,9 @@ fn chaos_gateway() -> (Gateway, Telemetry) {
         .with_telemetry(tel.clone())
         .with_sleeper(Arc::new(NoSleep));
     for s in 0..N_SHARDS {
-        gw = gw.with_replica_faults(
-            s,
-            VICTIM_REPLICA,
-            Arc::new(KillAfter::new("serve.row", KILL_FROM)),
-        );
+        gw = gw
+            .with_replica_faults(s, VICTIM_REPLICA, Arc::new(KillAfter::new("serve.row", KILL_FROM)))
+            .unwrap();
     }
     (gw, tel)
 }

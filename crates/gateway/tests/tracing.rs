@@ -50,10 +50,8 @@ fn chaos_gateway(tel: &Telemetry) -> Gateway {
         .unwrap()
         .with_sleeper(Arc::new(NoSleep))
         .with_telemetry(tel.clone())
-        .with_shard_faults(
-            VICTIM,
-            Arc::new(FaultPlan::with_rates(FAULT_SEED, chaos_rates())),
-        )
+        .with_shard_faults(VICTIM, Arc::new(FaultPlan::with_rates(FAULT_SEED, chaos_rates())))
+        .unwrap()
 }
 
 #[test]

@@ -60,15 +60,16 @@ impl SeqRecModel for Bert4Rec {
         let mut items = batch.items.clone();
         let mut loss_positions = Vec::new();
         let mut targets = Vec::new();
-        for b in 0..batch.batch {
-            let start = batch.seq - batch.lengths[b];
-            for t in start..batch.seq {
+        for (b, &len) in batch.lengths.iter().enumerate() {
+            for t in batch.seq - len..batch.seq {
                 let pos = b * batch.seq + t;
                 let is_last = t == batch.seq - 1;
                 if is_last || rng.chance(self.mask_prob) {
-                    loss_positions.push(pos);
-                    targets.push(items[pos]);
-                    items[pos] = self.mask_token();
+                    if let Some(item) = items.get_mut(pos) {
+                        loss_positions.push(pos);
+                        targets.push(*item);
+                        *item = self.mask_token();
+                    }
                 }
             }
         }
@@ -130,7 +131,9 @@ impl Popularity {
         let mut counts = vec![0.0f32; n_items];
         for s in train_sequences {
             for &i in s {
-                counts[i] += 1.0;
+                if let Some(c) = counts.get_mut(i) {
+                    *c += 1.0;
+                }
             }
         }
         Popularity { counts }

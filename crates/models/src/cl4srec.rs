@@ -48,7 +48,7 @@ pub fn apply_augmentation(seq: &[usize], aug: Augmentation, rng: &mut Rng64) -> 
         Augmentation::Crop => {
             let keep = ((n as f32 * 0.6).round() as usize).clamp(1, n);
             let start = rng.below(n - keep + 1);
-            seq[start..start + keep].to_vec()
+            seq.iter().skip(start).take(keep).copied().collect()
         }
         Augmentation::Mask => {
             let out: Vec<usize> = seq
@@ -57,7 +57,7 @@ pub fn apply_augmentation(seq: &[usize], aug: Augmentation, rng: &mut Rng64) -> 
                 .filter(|_| !rng.chance(0.3))
                 .collect();
             if out.is_empty() {
-                vec![seq[rng.below(n)]]
+                seq.get(rng.below(n)).copied().into_iter().collect()
             } else {
                 out
             }
@@ -66,7 +66,9 @@ pub fn apply_augmentation(seq: &[usize], aug: Augmentation, rng: &mut Rng64) -> 
             let span = ((n as f32 * 0.6).round() as usize).clamp(1, n);
             let start = rng.below(n - span + 1);
             let mut out = seq.to_vec();
-            rng.shuffle(&mut out[start..start + span]);
+            if let Some(span) = out.get_mut(start..start + span) {
+                rng.shuffle(span);
+            }
             out
         }
     }
@@ -110,7 +112,7 @@ impl Cl4SRec {
         let an = g.l2_normalize_rows(a);
         let bn = g.l2_normalize_rows(b);
         let sim = g.scale(g.matmul(an, g.transpose(bn)), 1.0 / self.tau);
-        let n = g.dims(a)[0];
+        let n = g.dims(a).first().copied().unwrap_or(0);
         let targets: Vec<usize> = (0..n).collect();
         g.cross_entropy(sim, &targets)
     }
@@ -130,7 +132,7 @@ impl SeqRecModel for Cl4SRec {
     fn train_step(&mut self, batch: &Batch, optimizer: &mut Adam, rng: &mut Rng64) -> f32 {
         // Rebuild the raw sequences from the batch to derive two augmented
         // views per sequence.
-        let sequences = raw_sequences(batch);
+        let sequences = batch.contexts();
         let aug1: Vec<Vec<usize>> = sequences.iter().map(|s| augment_sequence(s, rng)).collect();
         let aug2: Vec<Vec<usize>> = sequences.iter().map(|s| augment_sequence(s, rng)).collect();
         let refs1: Vec<&[usize]> = aug1.iter().map(|s| s.as_slice()).collect();
@@ -179,18 +181,6 @@ impl SeqRecModel for Cl4SRec {
     }
 }
 
-/// Reconstruct the (truncated, unpadded) input sequences from a batch.
-fn raw_sequences(batch: &Batch) -> Vec<Vec<usize>> {
-    (0..batch.batch)
-        .map(|b| {
-            let offset = batch.seq - batch.lengths[b];
-            (0..batch.lengths[b])
-                .map(|t| batch.items[b * batch.seq + offset + t])
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,16 +222,6 @@ mod tests {
         let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, seq);
-    }
-
-    #[test]
-    fn raw_sequences_roundtrip() {
-        let s1: &[usize] = &[1, 2, 3, 4];
-        let s2: &[usize] = &[7, 8];
-        let b = Batch::from_sequences(&[s1, s2], 5);
-        let raw = raw_sequences(&b);
-        assert_eq!(raw[0], vec![1, 2, 3]); // inputs only (last item is target)
-        assert_eq!(raw[1], vec![7]);
     }
 
     #[test]

@@ -92,10 +92,9 @@ impl DifBlock {
             let out = g.bmm(attn, vh);
             heads.push(g.reshape(out, &[batch * seq, dh]));
         }
-        let concat = if heads.len() == 1 {
-            heads[0]
-        } else {
-            g.concat_cols(&heads)
+        let concat = match heads.as_slice() {
+            [one] => *one,
+            _ => g.concat_cols(&heads),
         };
         let a = self.wo.forward(sess, concat);
         let a = sess.dropout(a, self.dropout);

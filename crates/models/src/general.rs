@@ -35,16 +35,7 @@ fn mean_pool_users(
 
 /// Rebuild unpadded contexts + final target from a training batch.
 fn contexts_and_targets(batch: &Batch) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let mut contexts = Vec::with_capacity(batch.batch);
-    for b in 0..batch.batch {
-        let offset = batch.seq - batch.lengths[b];
-        contexts.push(
-            (0..batch.lengths[b])
-                .map(|t| batch.items[b * batch.seq + offset + t])
-                .collect(),
-        );
-    }
-    (contexts, crate::gru4rec::final_targets(batch))
+    (batch.contexts(), crate::gru4rec::final_targets(batch))
 }
 
 /// BM3-lite: multimodal recommender trained with (i) a user–item softmax
@@ -204,17 +195,22 @@ fn refined_graph(
     use std::collections::BTreeMap;
     let mut counts: Vec<BTreeMap<usize, f32>> = vec![BTreeMap::new(); n];
     for s in sequences {
-        for w in s.windows(2) {
-            if w[0] != w[1] {
-                *counts[w[0]].entry(w[1]).or_insert(0.0) += 1.0;
-                *counts[w[1]].entry(w[0]).or_insert(0.0) += 1.0;
+        for (&a, &b) in s.iter().zip(s.iter().skip(1)) {
+            if a != b {
+                for (from, to) in [(a, b), (b, a)] {
+                    if let Some(row) = counts.get_mut(from) {
+                        *row.entry(to).or_insert(0.0) += 1.0;
+                    }
+                }
             }
         }
     }
     let tn = text.l2_normalize_rows();
-    (0..n)
-        .map(|i| {
-            let mut edges: Vec<(usize, f32)> = counts[i]
+    counts
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut edges: Vec<(usize, f32)> = row
                 .iter()
                 .map(|(&j, &c)| {
                     let cos: f32 = tn.row(i).iter().zip(tn.row(j)).map(|(a, b)| a * b).sum();

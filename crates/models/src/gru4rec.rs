@@ -77,7 +77,10 @@ impl SeqRecModel for Gru4Rec {
 pub(crate) fn final_targets(batch: &Batch) -> Vec<usize> {
     let mut targets = vec![0usize; batch.batch];
     for (&pos, &t) in batch.loss_positions.iter().zip(&batch.targets) {
-        targets[pos / batch.seq] = t; // positions are ordered; last write wins
+        // Positions are ordered; the last write wins.
+        if let Some(slot) = targets.get_mut(pos / batch.seq) {
+            *slot = t;
+        }
     }
     targets
 }

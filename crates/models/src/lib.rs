@@ -12,6 +12,15 @@
 //! Construct models through [`zoo`] for the experiment harness, or directly
 //! via each type's constructor.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod bert4rec;
 mod cl4srec;
 mod difsr;

@@ -75,7 +75,7 @@ impl SeqRecModel for S3Rec {
         let attr_targets: Vec<usize> = batch
             .targets
             .iter()
-            .map(|&t| self.item_category[t])
+            .map(|&t| self.item_category.get(t).copied().unwrap_or_default())
             .collect();
         let attr = g.cross_entropy(attr_logits, &attr_targets);
 

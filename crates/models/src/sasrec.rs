@@ -234,13 +234,15 @@ impl SeqRecModel for SasRec {
                 // by construction of the cold split.
                 let mut local = vec![usize::MAX; self.tower.n_items()];
                 for (j, &c) in cands.iter().enumerate() {
-                    local[c] = j;
+                    if let Some(l) = local.get_mut(c) {
+                        *l = j;
+                    }
                 }
                 let targets: Vec<usize> = batch
                     .targets
                     .iter()
                     .map(|&t| {
-                        let l = local[t];
+                        let l = local.get(t).copied().unwrap_or(usize::MAX);
                         assert!(l != usize::MAX, "target {t} outside train candidates");
                         l
                     })

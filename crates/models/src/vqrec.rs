@@ -29,15 +29,16 @@ pub fn product_quantize(x: &Tensor, m: usize, k: usize, iterations: usize, seed:
         // Seed centroids from distinct random rows.
         let mut centroid_rows: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut centroid_rows);
-        let mut centroids: Vec<Vec<f32>> = centroid_rows[..k]
+        let mut centroids: Vec<Vec<f32>> = centroid_rows
             .iter()
+            .take(k)
             .map(|&r| sub.row(r).to_vec())
             .collect();
 
         let mut assign = vec![0usize; n];
         for _ in 0..iterations {
             // Assign.
-            for i in 0..n {
+            for (i, slot) in assign.iter_mut().enumerate() {
                 let row = sub.row(i);
                 let mut best = 0;
                 let mut best_d = f32::INFINITY;
@@ -48,31 +49,35 @@ pub fn product_quantize(x: &Tensor, m: usize, k: usize, iterations: usize, seed:
                         best = c;
                     }
                 }
-                assign[i] = best;
+                *slot = best;
             }
             // Update.
             let mut sums = vec![vec![0.0f32; block]; k];
             let mut counts = vec![0usize; k];
-            for i in 0..n {
-                counts[assign[i]] += 1;
-                for (s, &v) in sums[assign[i]].iter_mut().zip(sub.row(i)) {
-                    *s += v;
+            for (i, &a) in assign.iter().enumerate() {
+                if let (Some(count), Some(sum)) = (counts.get_mut(a), sums.get_mut(a)) {
+                    *count += 1;
+                    for (s, &v) in sum.iter_mut().zip(sub.row(i)) {
+                        *s += v;
+                    }
                 }
             }
-            for c in 0..k {
-                if counts[c] > 0 {
-                    for s in &mut sums[c] {
-                        *s /= counts[c] as f32;
+            for ((centroid, mut sum), &count) in centroids.iter_mut().zip(sums).zip(&counts) {
+                if count > 0 {
+                    for s in &mut sum {
+                        *s /= count as f32;
                     }
-                    centroids[c] = sums[c].clone();
+                    *centroid = sum;
                 } else {
                     // Re-seed empty cluster from a random row.
-                    centroids[c] = sub.row(rng.below(n)).to_vec();
+                    *centroid = sub.row(rng.below(n)).to_vec();
                 }
             }
         }
-        for i in 0..n {
-            codes[i][b] = assign[i];
+        for (item_codes, &a) in codes.iter_mut().zip(&assign) {
+            if let Some(code) = item_codes.get_mut(b) {
+                *code = a;
+            }
         }
     }
     codes
@@ -116,7 +121,7 @@ impl ItemTower for VqTower {
         let table = sess.bind(&self.code_emb.table);
         let mut acc: Option<Var> = None;
         for b in 0..self.m {
-            let idx: Vec<usize> = (0..self.n_items).map(|i| self.lookup[i * self.m + b]).collect();
+            let idx: Vec<usize> = self.lookup.iter().skip(b).step_by(self.m).copied().collect();
             let part = g.gather_rows(table, &idx);
             acc = Some(match acc {
                 Some(a) => g.add(a, part),

@@ -133,6 +133,11 @@ pub fn whiten_relaxed(embeddings: &Tensor, groups: usize) -> Tensor {
 ///
 /// Every SASRec-chassis row is an item tower and a loss under one
 /// [`SasRec::new`]; the tower draws from `rng` before the encoder does.
+#[expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "the documented contract: a name outside the roster or a malformed group count is a caller bug"
+)]
 pub fn build(name: &str, inputs: &ZooInputs, config: ModelConfig, rng: &mut Rng64) -> Box<dyn SeqRecModel> {
     let emb = inputs.embeddings;
     let n_items = emb.rows();

@@ -104,7 +104,7 @@ fn handle_conn(stream: &mut TcpStream, tel: &Telemetry) -> std::io::Result<()> {
     // One read is enough for a GET request line; we only route on it.
     let mut buf = [0u8; 1024];
     let n = stream.read(&mut buf)?;
-    let head = String::from_utf8_lossy(&buf[..n]);
+    let head = String::from_utf8_lossy(buf.get(..n).unwrap_or(&buf));
     let path = head
         .lines()
         .next()

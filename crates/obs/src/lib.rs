@@ -37,6 +37,15 @@
 //! serve/runtime differential suites assert bit-identical results with
 //! instrumentation attached and across `WR_THREADS` settings.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod clock;
 pub mod flight;
 pub mod http;

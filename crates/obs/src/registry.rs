@@ -140,9 +140,10 @@ impl Histogram {
     /// `bounds` must be finite and strictly ascending (checked).
     pub fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        for w in bounds.windows(2) {
-            assert!(w[0] < w[1], "histogram bounds must be strictly ascending");
-        }
+        assert!(
+            bounds.is_sorted_by(|a, b| a < b),
+            "histogram bounds must be strictly ascending"
+        );
         assert!(
             bounds.iter().all(|b| b.is_finite()),
             "histogram bounds must be finite"
@@ -337,7 +338,7 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted.get(rank.clamp(1, sorted.len()) - 1).copied().unwrap_or(0.0)
 }
 
 const SHARDS: usize = 8;

@@ -59,6 +59,15 @@
 //! it is write-only: no telemetry value feeds scheduling or results, and
 //! the sequential `WR_THREADS=1` fast path takes no timestamps at all.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -274,19 +283,19 @@ fn worker_loop() {
     let p = pool();
     loop {
         // Fast path: take a queued job without going idle.
-        let job = p.queue.lock().unwrap().pop_front();
+        let job = p.queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
         let job = match job {
             Some(j) => j,
             None => {
                 // Going idle: flush this worker's local timing buffer so
                 // a snapshot taken between dispatches sees every sample.
                 flush_worker_telemetry();
-                let mut q = p.queue.lock().unwrap();
+                let mut q = p.queue.lock().unwrap_or_else(|e| e.into_inner());
                 loop {
                     if let Some(j) = q.pop_front() {
                         break j;
                     }
-                    q = p.work_ready.wait(q).unwrap();
+                    q = p.work_ready.wait(q).unwrap_or_else(|e| e.into_inner());
                 }
             }
         };
@@ -314,8 +323,6 @@ fn ensure_workers(wanted: usize) {
             continue;
         }
         let spawned = std::thread::Builder::new()
-            // wr-check: allow(R8) — names one thread per pool lifetime; the
-            // spawn itself dwarfs the format allocation.
             .name(format!("wr-runtime-{cur}"))
             .spawn(worker_loop);
         if spawned.is_err() {
@@ -339,6 +346,10 @@ unsafe fn call_range<F: Fn(Range<usize>) + Sync>(ctx: *const (), r: Range<usize>
 /// pool, and block until all complete. The caller participates (it drains
 /// the queue alongside the workers), so the dispatch makes progress even if
 /// no worker thread could be spawned and nested dispatches cannot deadlock.
+#[expect(
+    clippy::panic,
+    reason = "deliberate re-raise: a worker panic must surface on the dispatching thread, not be swallowed"
+)]
 fn dispatch<F: Fn(Range<usize>) + Sync>(n: usize, chunk: usize, f: F) {
     debug_assert!(chunk >= 1);
     if n == 0 {
@@ -402,8 +413,6 @@ fn dispatch<F: Fn(Range<usize>) + Sync>(n: usize, chunk: usize, f: F) {
         }
     }
     if latch.panicked.load(Ordering::Acquire) {
-        // wr-check: allow(R6) — deliberate re-raise: a worker panic must
-        // surface on the dispatching thread, not be swallowed.
         panic!("wr-runtime: a parallel task panicked");
     }
 }

@@ -399,24 +399,21 @@ impl ServeEngine {
                 let users = snapshot.ranked(model.user_representations(&[ctx]));
                 let scores = users.matmul(self.shard.cache().items_t());
                 let row = scores.row(0);
-                let mut order: Vec<usize> = (0..row.len()).collect();
-                order.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
+                let mut order: Vec<(usize, f32)> = row.iter().copied().enumerate().collect();
+                order.sort_by(|(a, sa), (b, sb)| sb.total_cmp(sa).then(a.cmp(b)));
                 let mut excluded = vec![false; row.len()];
                 if self.cfg.filter_seen {
                     for &h in &req.history {
-                        if h < excluded.len() {
-                            excluded[h] = true;
+                        if let Some(e) = excluded.get_mut(h) {
+                            *e = true;
                         }
                     }
                 }
                 let items: Vec<ScoredItem> = order
                     .into_iter()
-                    .filter(|&i| !excluded[i])
+                    .filter(|&(i, _)| excluded.get(i) == Some(&false))
                     .take(self.cfg.k)
-                    .map(|i| ScoredItem {
-                        item: i,
-                        score: row[i],
-                    })
+                    .map(|(item, score)| ScoredItem { item, score })
                     .collect();
                 Response { id: req.id, items }
             })

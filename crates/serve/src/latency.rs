@@ -135,10 +135,7 @@ pub fn replay<T: Replay>(
     let mut n_batches = 0usize;
 
     let replay_start_ns = clock.now_ns();
-    let mut start = 0;
-    while start < log.len() {
-        let end = (start + max_batch).min(log.len());
-        let group: &[Request] = &log.queries[start..end];
+    for group in log.queries.chunks(max_batch) {
         let t_ns = clock.now_ns();
         let answered = target.answer(group);
         let ms = clock.now_ns().saturating_sub(t_ns) as f64 / 1e6;
@@ -154,7 +151,6 @@ pub fn replay<T: Replay>(
         latencies_ms.extend(std::iter::repeat(ms).take(group.len()));
         responses.extend(answered);
         n_batches += 1;
-        start = end;
     }
     let end_ns = clock.now_ns();
     telemetry

@@ -66,6 +66,15 @@
 //! quarantined (masked items, full-sort fallback rows). `wr_fault`
 //! injects these failures deterministically in `tests/degraded.rs`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod batcher;
 mod cache;
 mod encode;

@@ -194,9 +194,8 @@ impl QueryLog {
     /// id [`QueryLog::load`] could not read back exactly is refused
     /// ([`QueryLogError::IdTooLarge`]) before anything is written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), QueryLogError> {
-        if let Some(i) = self.queries.iter().position(|q| q.id > MAX_EXACT_INT) {
-            let id = self.queries[i].id;
-            return Err(QueryLogError::IdTooLarge { line: i + 1, id });
+        if let Some((i, q)) = self.queries.iter().enumerate().find(|(_, q)| q.id > MAX_EXACT_INT) {
+            return Err(QueryLogError::IdTooLarge { line: i + 1, id: q.id });
         }
         wr_fault::write_atomic(path, wr_fault::seal_lines(self.to_jsonl()).as_bytes())?;
         Ok(())

@@ -68,7 +68,7 @@ fn slice_rows(full: &Tensor, range: &Range<usize>) -> Tensor {
         full.rows()
     );
     let d = full.cols();
-    let data = full.data()[range.start * d..range.end * d].to_vec();
+    let data = full.data().get(range.start * d..range.end * d).unwrap_or_default().to_vec();
     Tensor::from_vec(data, &[range.end - range.start, d])
 }
 
@@ -457,7 +457,10 @@ impl CatalogShard {
             wr_runtime::parallel_map(slice.len(), 1, |r| {
                 // Built once, sorted and deduplicated, so the index reads
                 // it in place; sized by the request, not grown.
-                let history: &[usize] = if filter_seen { &slice[r].history } else { &[] };
+                let history: &[usize] = match slice.get(r) {
+                    Some(req) if filter_seen => &req.history,
+                    _ => &[],
+                };
                 let mut excluded = Vec::with_capacity(history.len() + quarantined.len());
                 excluded.extend(history.iter().filter_map(|&h| {
                     let local = h.checked_sub(offset)?;

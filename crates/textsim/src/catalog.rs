@@ -93,7 +93,7 @@ impl Catalog {
                     .map(|(b, _)| b)
                     .collect();
                 if !local.is_empty() && rng.chance(0.8) {
-                    local[rng.below(local.len())]
+                    local.get(rng.below(local.len())).copied().unwrap_or_default()
                 } else {
                     rng.below(config.n_brands)
                 }
@@ -147,16 +147,16 @@ impl Catalog {
     }
 
     /// Render an item's text the way the paper concatenates it:
-    /// `title words. category: c. brand: b.`
-    pub fn text_of(&self, id: usize) -> String {
-        let item = &self.items[id];
+    /// `title words. category: c. brand: b.` (`None` past the catalog)
+    pub fn text_of(&self, id: usize) -> Option<String> {
+        let item = self.items.get(id)?;
         let words: Vec<String> = item.title.iter().map(|w| format!("w{w}")).collect();
-        format!(
+        Some(format!(
             "{}. category: cat{}. brand: brand{}.",
             words.join(" "),
             item.category,
             item.brand
-        )
+        ))
     }
 
     /// Average title length in words (to compare against the paper's 20.5
@@ -254,7 +254,8 @@ mod tests {
             n_items: 3,
             ..CatalogConfig::default()
         });
-        let t = c.text_of(0);
+        let t = c.text_of(0).unwrap();
+        assert!(c.text_of(3).is_none());
         assert!(t.contains("category: cat"));
         assert!(t.contains("brand: brand"));
     }

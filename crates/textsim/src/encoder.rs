@@ -99,8 +99,8 @@ impl PlmEncoder {
         for r in 0..n {
             let jitter = 1.0 + 0.1 * rng.normal();
             let row = e.row_mut(r);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v += COMMON_SCALE * jitter * self.common.data()[j]
+            for (v, &c) in row.iter_mut().zip(self.common.data()) {
+                *v += COMMON_SCALE * jitter * c
                     + NOISE_SCALE * rng.normal() / (d as f32).sqrt() * 3.0;
             }
         }
@@ -117,6 +117,10 @@ impl PlmEncoder {
 /// `1/MIXING_CONDITION`, where `Q₁,Q₂` are random orthogonal matrices
 /// (eigenvector bases of random symmetric matrices).
 fn ill_conditioned_mixing(dim: usize, rng: &mut Rng64) -> Tensor {
+    #[expect(
+        clippy::expect_used,
+        reason = "a + aᵀ of finite normals is square, symmetric and finite: the three inputs sym_eig refuses"
+    )]
     let ortho = |rng: &mut Rng64| -> Tensor {
         let a = Tensor::randn(&[dim, dim], rng);
         let sym = a.add(&a.transpose());

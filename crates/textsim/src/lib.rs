@@ -20,6 +20,15 @@
 //! estimators, the ones the figures print — so the substitution is
 //! checked, not assumed.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod catalog;
 mod encoder;
 

@@ -71,11 +71,11 @@ impl Adam {
 
         // Global-norm clipping across all gradients of this step.
         let mut sq_sum = 0.0f64;
-        let mut grads: Vec<(usize, Tensor)> = Vec::with_capacity(bindings.len());
-        for (i, (_, var)) in bindings.iter().enumerate() {
+        let mut grads: Vec<(&Param, Tensor)> = Vec::with_capacity(bindings.len());
+        for (param, var) in bindings {
             if let Some(g) = graph.grad(*var) {
                 sq_sum += g.data().iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
-                grads.push((i, g));
+                grads.push((param, g));
             }
         }
         let norm = (sq_sum as f32).sqrt();
@@ -86,8 +86,7 @@ impl Adam {
             1.0
         };
 
-        for (i, mut grad) in grads {
-            let param = &bindings[i].0;
+        for (param, mut grad) in grads {
             // Exact sentinel: 1.0 means "no clipping happened", skipping a
             // full-tensor scale; any other value must scale even if within
             // epsilon of 1.

@@ -8,6 +8,15 @@
 //! over it — what early stopping, the experiment tables and serving all
 //! rank through.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod adam;
 mod resume;
 mod snapshot;

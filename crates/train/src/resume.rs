@@ -75,10 +75,11 @@ fn encode(cp: &TrainCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     buf.extend_from_slice(&(cp.best_epoch as u64).to_le_bytes());
     buf.extend_from_slice(&(cp.stale as u64).to_le_bytes());
     buf.extend_from_slice(&(cp.params.len() as u32).to_le_bytes());
-    for i in 0..cp.params.len() {
-        put_tensor(&mut buf, &cp.params[i]);
-        put_tensor(&mut buf, &cp.best_snapshot[i]);
-        match &cp.adam.slots[i] {
+    let rows = cp.params.iter().zip(&cp.best_snapshot).zip(&cp.adam.slots);
+    for ((param, best), slot) in rows {
+        put_tensor(&mut buf, param);
+        put_tensor(&mut buf, best);
+        match slot {
             Some((m, v)) => {
                 buf.push(1);
                 put_tensor(&mut buf, m);

@@ -18,7 +18,7 @@ fn main() {
     });
     let encoder = PlmEncoder::new(catalog.config.n_factors, PlmConfig::default());
     let embeddings = encoder.encode(&catalog);
-    println!("Sample item text: {:?}", catalog.text_of(0));
+    println!("Sample item text: {:?}", catalog.text_of(0).unwrap_or_default());
 
     let report = EmbeddingReport::compute(&embeddings, 2000, 1).unwrap();
     println!("\nRaw embeddings: {report}");

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The public-item census: DESIGN.md §3's rule, applied by script.
+"""The public-item census and the suppression budget, applied by script.
 
 A public item stays only if non-test code outside its own definition
 names it. rustc's dead-code lint stops at `pub`, so across the workspace
@@ -29,10 +29,19 @@ It prints every item with no use, and for each the reason `EXEMPT` gives
 for keeping it. It exits non-zero when it finds an item `EXEMPT` does not
 hold, or when `EXEMPT` holds a name that now has a use.
 
+The suppression budget (DESIGN.md §5b): every clippy lint an
+`#[expect(clippy::…)]` or `#![expect(clippy::…)]` names is counted, per
+lint and per crate (`crates/<dir>`, else `workspace`), over every `.rs`
+file of the repo outside `target/`, tests included, with comments and
+string literals stripped. The counts must equal `check_baseline.json`
+exactly: a new suppression and a removed one both fail until the budget
+is edited in the same change.
+
 Usage (from anywhere): python3 scripts/census.py
 """
 
 import glob
+import json
 import os
 import re
 import sys
@@ -112,6 +121,43 @@ def non_test(path):
     return re.sub(r"^\s*pub(?:\([\w:]+\))? use [^;]*;", "", text, flags=re.M)
 
 
+EXPECT = re.compile(r"#!?\[expect\(([^\]]*)\)\]")
+
+
+def suppressions(root="."):
+    """Per-lint and per-crate counts of the clippy lints `#[expect]` names."""
+    lints, crates = {}, {}
+    for d, dirs, files in os.walk(root):
+        dirs[:] = sorted(x for x in dirs if x != "target" and not x.startswith("."))
+        for name in sorted(f for f in files if f.endswith(".rs")):
+            path = os.path.relpath(os.path.join(d, name), root)
+            with open(os.path.join(d, name), encoding="utf-8") as f:
+                text = strip(f.read())
+            parts = path.split(os.sep)
+            owner = parts[1] if parts[0] == "crates" and len(parts) > 2 else "workspace"
+            for attr in EXPECT.findall(text):
+                for lint in re.findall(r"\bclippy::(\w+)", attr):
+                    lints[f"clippy::{lint}"] = lints.get(f"clippy::{lint}", 0) + 1
+                    crates[owner] = crates.get(owner, 0) + 1
+    return lints, crates
+
+
+def budget_drift():
+    """Lines naming each count that differs from check_baseline.json."""
+    with open("check_baseline.json", encoding="utf-8") as f:
+        budget = json.load(f)
+    drift = []
+    for key, counted in zip(("lints", "crates"), suppressions()):
+        allowed = budget[key]
+        for name in sorted(set(allowed) | set(counted)):
+            if counted.get(name, 0) != allowed.get(name, 0):
+                drift.append(
+                    f"{name:28} {key:14} <- {counted.get(name, 0)} suppressed, "
+                    f"budget {allowed.get(name, 0)}: edit check_baseline.json with the change"
+                )
+    return drift
+
+
 def main():
     os.chdir(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
     crate = {}
@@ -175,6 +221,9 @@ def main():
     for name in sorted(set(EXEMPT) - found):
         failed = True
         print(f"{name:28} {'':14} <- exempt, but now used: drop it from EXEMPT")
+    for line in budget_drift():
+        failed = True
+        print(line)
     return 1 if failed else 0
 
 

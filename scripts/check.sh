@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: warning-free release build, clippy's policy lints, the
-# wr-check static-analysis pass, the full test suite, and the same suite
-# pinned to one thread (WR_THREADS=1 exercises the pool's sequential
-# fallback — the path every parallel primitive must match bit-for-bit).
+# Tier-1 gate: warning-free release build, clippy's policy and no-panic
+# lints, the public-item census and suppression budget, the source scans,
+# the full test suite, and the same suite pinned to one thread
+# (WR_THREADS=1 exercises the pool's sequential fallback — the path every
+# parallel primitive must match bit-for-bit).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -21,6 +22,27 @@ no_lints="$(for m in Cargo.toml crates/*/Cargo.toml; do
 [ -z "$no_lints" ] \
     || { echo "   manifests without [lints] workspace = true:"; echo "$no_lints"; exit 1; }
 
+# The no-panic lints are a `#![deny]` at each library root (DESIGN.md §5b),
+# and a deny line covers its own crate only: dropping one would leave that
+# crate unchecked without failing anything. Every library but crates/bench
+# (the experiment binaries) denies the five, and the nine crates the
+# serving and training paths run through deny `indexing_slicing` too.
+echo "== check: every library root denies the no-panic lints =="
+no_deny="$(for lib in crates/*/src/lib.rs; do
+    [ "$lib" = crates/bench/src/lib.rs ] && continue
+    denied="$(awk '/^#!\[deny\(/ { d = 1 } d { printf "%s ", $0 } d && /\)\]/ { d = 0 }' "$lib")"
+    lints="unwrap_used expect_used panic todo unimplemented"
+    case "$lib" in
+        crates/serve/*|crates/ann/*|crates/gateway/*|crates/runtime/*|crates/obs/*| \
+        crates/fault/*|crates/train/*|crates/models/*|crates/textsim/*)
+            lints="$lints indexing_slicing" ;;
+    esac
+    for lint in $lints; do
+        grep -Eq "clippy::$lint([^a-z_]|$)" <<< "$denied" || echo "$lib: clippy::$lint"
+    done; done)"
+[ -z "$no_deny" ] \
+    || { echo "   library roots missing a no-panic deny:"; echo "$no_deny"; exit 1; }
+
 # `cargo build --workspace` compiles libraries and binaries only: tests
 # and examples are type-checked here, and every target is held to the
 # policy lints of `[workspace.lints.clippy]` / clippy.toml and to
@@ -37,20 +59,14 @@ cargo clippy --release --offline --manifest-path bench/ledger/Cargo.toml --all-t
     -A clippy::all -D clippy::undocumented_unsafe_blocks \
     -D clippy::disallowed_methods -D clippy::disallowed_types -D warnings
 
-# Semantic rules (R6, R8) gate against the committed suppression budget
-# in check_baseline.json, which also counts every `#[expect(clippy::…)]`:
-# any unsuppressed finding fails, and the justified suppression count can
-# only go down. After *removing* suppressions, shrink the budget with
-# `./target/release/wr-check --write-baseline` (it refuses to raise any
-# count).
-echo "== check: wr-check static analysis (--ratchet) =="
-./target/release/wr-check --ratchet
-
 # DESIGN.md §3's rule, which rustc's dead-code lint cannot apply past
 # `pub`: every public item that no non-test code uses must be one the
 # census's exempt table holds, with its reason. The script fails on any
-# other, and on an exemption whose item has found a caller.
-echo "== check: public-item census =="
+# other, and on an exemption whose item has found a caller. It also counts
+# every lint an `#[expect(clippy::…)]` names, per lint and per crate, and
+# fails unless the counts equal check_baseline.json: a suppression added
+# or removed edits the budget in the same change.
+echo "== check: public-item census and suppression budget =="
 python3 scripts/census.py
 
 # `wr_tensor::tanh_scalar` is the only tanh a model may reach (DESIGN.md
