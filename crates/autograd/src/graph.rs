@@ -629,4 +629,27 @@ mod tests {
         assert_eq!(bits(&d1_frozen), bits(&d1_trained));
         assert_eq!(bits(&d2_frozen), bits(&d2_trained));
     }
+
+    #[test]
+    fn cross_entropy_of_a_diverged_row_is_nan() {
+        let loss = |row: [f32; 3], target: usize| {
+            let g = Graph::new();
+            let logits = g.param(Tensor::from_vec(row.to_vec(), &[1, 3]));
+            g.value(g.cross_entropy(logits, &[target])).data()[0]
+        };
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        for (row, target) in [
+            ([nan, 0.0, 1.0], 0),
+            ([nan, 0.0, 1.0], 1),
+            ([inf, 0.0, 1.0], 0),
+            ([-inf, -inf, -inf], 0),
+        ] {
+            assert!(loss(row, target).is_nan(), "{row:?} at target {target}");
+        }
+        // A finite row keeps the floored value it had: a probability that
+        // underflows to 0 costs `−ln 1e-12`.
+        let floored = (-(1e-12f32 as f64).ln()) as f32;
+        assert_eq!(loss([-200.0, 0.0, 1.0], 0).to_bits(), floored.to_bits());
+        assert_eq!(loss([-inf, 0.0, 0.0], 1).to_bits(), std::f32::consts::LN_2.to_bits());
+    }
 }

@@ -454,7 +454,15 @@ impl Graph {
         let mut loss = 0.0f64;
         for (r, &t) in targets.iter().enumerate() {
             assert!(t < softmax.cols(), "cross_entropy: target {t} out of range");
-            loss -= (softmax.at2(r, t).max(1e-12) as f64).ln();
+            // A row whose softmax is not finite — a NaN or `+∞` logit, or
+            // no logit above `−∞` — holds a NaN, and its loss is NaN: a
+            // diverged model must reach the caller's finiteness checks
+            // (`max` below would floor a NaN target to 1e-12, and the other
+            // entries of such a row are never normalised). A row of finite
+            // logits has only finite probabilities.
+            let diverged = softmax.row(r).iter().fold(false, |nan, p| nan | p.is_nan());
+            let p = if diverged { f32::NAN } else { softmax.at2(r, t).max(1e-12) };
+            loss -= (p as f64).ln();
         }
         let loss = (loss / targets.len() as f64) as f32;
         self.push(

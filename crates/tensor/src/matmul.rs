@@ -1,44 +1,47 @@
 //! Matrix multiplication kernels.
 //!
 //! Six entry points — `gemm`/[`Tensor::matmul`], [`Tensor::matmul_tn`],
-//! [`Tensor::matmul_nt`] and their batched twins — run on two kernel
-//! bodies, and each body fixes, per output element, the order in which
-//! the `k` products are summed. That order is the contract every golden
-//! value, checkpoint and serve ≡ naive gate in the repository rests on:
+//! [`Tensor::matmul_nt`] and their batched twins — run on one kernel body,
+//! [`tile`], and each entry point fixes, per output element, the order in
+//! which the `k` products are summed. That order is the contract every
+//! golden value, checkpoint and serve ≡ naive gate in the repository rests
+//! on:
 //!
-//! * **NN / TN** ([`tile`]): `c[i][j]` starts from the value already in
-//!   `c` and adds `a[i][p] * b[p][j]` for `p = 0..k` ascending, the
-//!   multiply and the add rounded separately (no fused multiply-add).
-//! * **NT** ([`dots`]): exactly [`dot`] — four partial sums over the
-//!   indices `≡ l (mod 4)`, combined `((s0 + s1) + s2) + s3`, then the
-//!   `k mod 4` tail added ascending.
+//! * **NN / TN** (one accumulator bank): `c[i][j]` starts from the value
+//!   already in `c` and adds `a[i][p] * b[p][j]` for `p = 0..k` ascending,
+//!   the multiply and the add rounded separately (no fused multiply-add).
+//! * **NT** (four banks): exactly [`dot`] — bank `l` sums `a[i][p] *
+//!   b[j][p]` over the `p ≡ l (mod 4)` ascending from `+0.0`, the banks are
+//!   combined `((s0 + s1) + s2) + s3`, then the `k mod 4` tail is added
+//!   ascending.
 //!
 //! Everything else is free to change because it never touches a
-//! per-element order: `tile` holds an `MR × NR` block of `C` in registers
-//! across a `p` chunk (one load and one store of `C` per tile and chunk;
-//! chunks run in ascending order and `C` is exact in between), the left
-//! operand is addressed by strides so `A` and `Aᵀ` are the same code,
-//! `dots` keeps several `b` rows' dot products in flight against one `a`
-//! row, and row blocks go to the shared `wr-runtime` pool with each task
-//! owning a disjoint block of output rows. Tile shape, vector width,
-//! cache blocking and thread count therefore cannot move a bit.
+//! per-element order: `tile` holds an `MR × NR` block of `C` (and for NT
+//! its four banks) in registers across a `p` chunk (one load and one store
+//! of `C` per tile and chunk; chunks run in ascending order and `C` is
+//! exact in between, and NT's `p` is one chunk), the left operand is
+//! addressed by strides so `A` and `Aᵀ` are the same code, NT packs `Bᵀ`
+//! once per call into `[k, W]` column panels so that a tile's vector lanes
+//! are output columns as in NN, and row blocks go to the shared
+//! `wr-runtime` pool with each task owning a disjoint block of output rows.
+//! Tile shape, vector width, panel layout, cache blocking and thread count
+//! therefore cannot move a bit.
 //!
-//! **Dispatch.** The NN/TN body is instantiated three times from one
-//! safe-Rust source, each arm an `MR × NR` tile that fills about half of
-//! its register file with accumulators: under
-//! `#[target_feature(enable = "avx512f")]` with `8 × 32` (two 16-lane
-//! registers per tile row, 16 of the 32 `zmm` registers), under
-//! `#[target_feature(enable = "avx2")]` with `4 × 16` (two 8-lane
-//! registers per row, 8 of the 16 `ymm`), and at the build's baseline with
-//! `4 × 8`. `is_x86_feature_detected!` picks the widest per call; the
-//! baseline arm is the only one on pre-AVX2 x86 and on every other
-//! architecture. No arm fuses a multiply and an add — a fused
+//! **Dispatch.** The body is instantiated per instruction set from one
+//! safe-Rust source, each arm a tile that fills about half of its register
+//! file with accumulators: under `#[target_feature(enable = "avx512f")]`
+//! NN/TN `8 × 32` (two 16-lane registers per tile row, 16 of the 32 `zmm`
+//! registers) and NT `4 × 16` (four banks of one register per row, 16
+//! again); under `#[target_feature(enable = "avx2")]` NN/TN `4 × 16` and
+//! NT `2 × 8` (8 of the 16 `ymm` each); at the build's baseline NN/TN
+//! `4 × 8` and NT `2 × 4`. `is_x86_feature_detected!` picks the widest per
+//! call (for NT once per call, before `Bᵀ` is packed to that arm's
+//! width); the baseline arm is the only one on pre-AVX2 x86 and on every
+//! other architecture. No arm fuses a multiply and an add — a fused
 //! multiply-add rounds once where the contract rounds twice. `avx512f`
 //! implies the `fma` feature, but the body writes `x += a * b` as two
-//! operations and Rust never contracts them, so the AVX-512 arm is held
-//! to the contract by the same `to_bits` sweep as the other two. The NT
-//! body has the baseline instantiation only: its four lanes are the
-//! contract, and wider registers bought nothing when measured.
+//! operations and Rust never contracts them, so the AVX-512 arms are held
+//! to the contract by the same `to_bits` sweep as the other two.
 //!
 //! The seed's `if av == 0.0 { continue; }` branch in the dense inner loops
 //! was removed: it only helps on pathologically sparse inputs and costs a
@@ -49,7 +52,7 @@ use std::ops::Range;
 
 use crate::{Result, Tensor, TensorError};
 
-/// Output rows per parallel task and per cache block of the NN/TN kernel (a
+/// Output rows per parallel task and per cache block of the kernel (a
 /// multiple of every arm's `MR`). One task writes `PAR_ROWS * n` floats —
 /// big enough to amortize dispatch, small enough to balance load.
 const PAR_ROWS: usize = 64;
@@ -58,14 +61,11 @@ const PAR_ROWS: usize = 64;
 /// sequential.
 const PAR_MIN_FLOPS: usize = 1 << 16;
 
-/// Length of a `p` chunk of the NN/TN kernel: a `KC × 16` strip of `B` is
+/// Length of a `p` chunk of an NN/TN product: a `KC × 16` strip of `B` is
 /// 16 KB, half of a small L1; the AVX-512 arm's `KC × 32` strip is 32 KB,
 /// two thirds of the 48-KB L1 that AVX-512 parts have (128 and 512 measured
 /// no better).
 const KC: usize = 256;
-
-/// `b` rows whose dot products [`dots`] keeps in flight against one `a` row.
-const NT_ROWS: usize = 8;
 
 impl Tensor {
     /// Matrix product `self @ other`. Panics on shape mismatch.
@@ -134,15 +134,7 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows(), self.cols(), other.rows());
         let mut out = vec![0.0f32; m * n];
-        let (a, b) = (self.data(), other.data());
-        if m * k * n < PAR_MIN_FLOPS || wr_runtime::threads() <= 1 {
-            nt_rows(a, b, &mut out, m, k, n);
-        } else {
-            wr_runtime::parallel_chunks_mut(&mut out, PAR_ROWS * n, |ci, block| {
-                let rows = block.len() / n;
-                nt_rows(&a[ci * PAR_ROWS * k..][..rows * k], b, block, rows, k, n);
-            });
-        }
+        gemm_nt(self.data(), other.data(), &mut out, 1, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -183,11 +175,7 @@ impl Tensor {
             other.dims()
         );
         let mut out = vec![0.0f32; b * m * n];
-        let (av, bvals) = (self.data(), other.data());
-        batch_parallel(&mut out, m * n, b * m * k * n, |i, c| {
-            let a = &av[i * m * k..(i + 1) * m * k];
-            nt_rows(a, &bvals[i * n * k..(i + 1) * n * k], c, m, k, n);
-        });
+        gemm_nt(self.data(), other.data(), &mut out, b, m, k, n);
         Tensor::from_vec(out, &[b, m, n])
     }
 
@@ -231,10 +219,22 @@ fn batch_parallel(
 
 /// Dense dot product: four partial sums over the indices `≡ l (mod 4)`,
 /// combined `((s0 + s1) + s2) + s3`, then the tail ascending. This order is
-/// the NT half of the module's summation contract.
+/// the NT half of the module's summation contract, one pair at a time.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    dots(a, [b])[0]
+    let (a_quads, a_tail) = a.as_chunks::<4>();
+    let (b_quads, b_tail) = b[..a.len()].as_chunks::<4>();
+    let mut s = [0.0f32; 4];
+    for (x, y) in a_quads.iter().zip(b_quads) {
+        for l in 0..4 {
+            s[l] += x[l] * y[l];
+        }
+    }
+    let mut sum = s[0] + s[1] + s[2] + s[3];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        sum += x * y;
+    }
+    sum
 }
 
 /// `C += A(m×k) · B(k×n)` over contiguous row-major slices: `c` is
@@ -248,10 +248,10 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     gemm_strided(Lhs::row_major(a, k), b, c, m, k, n);
 }
 
-/// Left operand of `C += A · B`, addressed by strides: element `(i, p)` of
-/// `A` is `data[i * row_stride + p * p_stride]`. A row-major `A` and the
-/// transpose of a row-major `Aᵀ` differ only in the two numbers, which is
-/// what makes NN and TN one kernel.
+/// Left operand of a tile, addressed by strides: element `(i, p)` of `A` is
+/// `data[i * row_stride + p * p_stride]`. A row-major `A` and the transpose
+/// of a row-major `Aᵀ` differ only in the two numbers, which is what makes
+/// NN and TN one kernel.
 #[derive(Clone, Copy)]
 struct Lhs<'a> {
     data: &'a [f32],
@@ -276,6 +276,45 @@ impl<'a> Lhs<'a> {
     }
 }
 
+/// Right operand of a tile: where the `[k, W]` block of a strip of `W`
+/// output columns lies.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// `B` stored `[k, n]` (the `usize` is `n`): the strip at column `j0` is
+    /// columns `j0..j0 + W` of every row.
+    RowMajor(&'a [f32], usize),
+    /// `Bᵀ` as [`pack_panels`] lays it out (the `usize` is `k`): the strip at
+    /// column `j0` is the contiguous `[k, W]` panel at `j0 * k`.
+    Panels(&'a [f32], usize),
+}
+
+impl<'a> Rhs<'a> {
+    /// The strip of width `w` at column `j0`: its row `p` starts at
+    /// `p * stride` of the returned slice.
+    fn strip(self, j0: usize, w: usize) -> (&'a [f32], usize) {
+        match self {
+            Rhs::RowMajor(data, n) => (&data[j0..], n),
+            Rhs::Panels(data, k) => (&data[j0 * k..], w),
+        }
+    }
+}
+
+/// Width of the strip at column `j` of an `n`-column product on an arm
+/// whose widest strip is `nr`: `nr` while it fits, then one 16 (when `nr`
+/// is wider), then 4, then 1. The kernel and [`pack_panels`] both cut by
+/// this, so a packed panel is exactly the strip that reads it.
+fn strip_width(nr: usize, j: usize, n: usize) -> usize {
+    if j + nr <= n {
+        nr
+    } else if nr > 16 && j + 16 <= n {
+        16
+    } else if j + 4 <= n {
+        4
+    } else {
+        1
+    }
+}
+
 /// `C[m×n] += A · B`, row blocks on the pool when the product is big enough.
 fn gemm_strided(a: Lhs, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(b.len(), k * n);
@@ -297,88 +336,197 @@ fn gemm_rows(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) 
     if rows == 0 || k == 0 || n == 0 {
         return;
     }
+    let b = Rhs::RowMajor(b, n);
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: `gemm_rows_avx512` requires only that the running CPU
             // has AVX-512F, which the line above just established.
-            unsafe { gemm_rows_avx512(a, b, c, rows, k, n) };
+            unsafe { gemm_rows_avx512::<8, 32, 1>(a, b, c, rows, k, n) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: `gemm_rows_avx2` requires only that the running CPU has
             // AVX2, which the line above just established.
-            unsafe { gemm_rows_avx2(a, b, c, rows, k, n) };
+            unsafe { gemm_rows_avx2::<4, 16, 1>(a, b, c, rows, k, n) };
             return;
         }
     }
-    gemm_rows_with::<4, 8>(a, b, c, rows, k, n);
+    gemm_rows_with::<4, 8, 1>(a, b, c, rows, k, n);
 }
 
-/// [`gemm_rows_with`] compiled for AVX-512F: 16-lane registers, so a tile
-/// row is `NR = 32` wide, and twice the registers, so a tile is `MR = 8`
-/// rows high. A 32-column product — the item tower's output and its weight
-/// gradient — is one strip.
-///
-/// # Safety
-/// The running CPU must support AVX-512F.
+/// `C = A · Bᵀ` for each of `batch` slices (`A` `[m, k]`, `B` `[n, k]`, `C`
+/// `[m, n]`, zeros on entry: an empty `k` leaves them, the contract's empty
+/// sum). The arm is picked and `Bᵀ` packed for it once per call, before
+/// any pool dispatch; one slice runs its row blocks on the pool, several
+/// run one slice per task.
+fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], batch: usize, m: usize, k: usize, n: usize) {
+    if batch * m * k * n == 0 {
+        return;
+    }
+    let (nr, rows_on) = nt_arm();
+    let panels = pack_panels(b, batch, k, n, nr);
+    let slice = |i: usize, i0: usize, c: &mut [f32]| {
+        let rows = c.len() / n;
+        let a = &a[(i * m + i0) * k..][..rows * k];
+        rows_on(a, &panels[i * k * n..][..k * n], c, rows, k, n);
+    };
+    if batch > 1 {
+        batch_parallel(c, m * n, batch * m * k * n, |i, c| slice(i, 0, c));
+    } else if m * k * n < PAR_MIN_FLOPS || wr_runtime::threads() <= 1 {
+        slice(0, 0, c);
+    } else {
+        wr_runtime::parallel_chunks_mut(c, PAR_ROWS * n, |ci, block| {
+            slice(0, ci * PAR_ROWS, block);
+        });
+    }
+}
+
+/// An NT arm called past the dispatch: sequential `C[rows×n] = A · Bᵀ` for
+/// a row-major `A` (`rows × k`) over panels [`pack_panels`] cut to the
+/// arm's width.
+type NtRows = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// The widest NT arm the running CPU has: the width its panels are cut to,
+/// and the arm.
+fn nt_arm() -> (usize, NtRows) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return (16, |a, panels, c, rows, k, n| {
+                // SAFETY: `gemm_rows_avx512` requires only that the running
+                // CPU has AVX-512F; this closure is handed out only after
+                // the check above.
+                unsafe {
+                    gemm_rows_avx512::<4, 16, 4>(
+                        Lhs::row_major(a, k),
+                        Rhs::Panels(panels, k),
+                        c,
+                        rows,
+                        k,
+                        n,
+                    )
+                }
+            });
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return (8, |a, panels, c, rows, k, n| {
+                // SAFETY: `gemm_rows_avx2` requires only that the running CPU
+                // has AVX2; this closure is handed out only after the check
+                // above.
+                unsafe {
+                    gemm_rows_avx2::<2, 8, 4>(
+                        Lhs::row_major(a, k),
+                        Rhs::Panels(panels, k),
+                        c,
+                        rows,
+                        k,
+                        n,
+                    )
+                }
+            });
+        }
+    }
+    (4, |a, panels, c, rows, k, n| {
+        gemm_rows_with::<2, 4, 4>(Lhs::row_major(a, k), Rhs::Panels(panels, k), c, rows, k, n)
+    })
+}
+
+/// `Bᵀ` of each of `batch` slices `B` `[n, k]`, laid out as the strips of
+/// an `nr`-wide arm read it: slice `i` at `i * k * n`, and in it the strip
+/// of width `W` at column `j0` as a contiguous `[k, W]` panel at `j0 * k`,
+/// row `p` holding `b[j0..j0 + W][p]`. The vector lanes of a tile are then
+/// output columns, and a panel streams from memory in order.
+fn pack_panels(b: &[f32], batch: usize, k: usize, n: usize, nr: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; batch * k * n];
+    if out.is_empty() {
+        return out;
+    }
+    for (src, dst) in b.chunks_exact(k * n).zip(out.chunks_exact_mut(k * n)) {
+        let mut j0 = 0;
+        while j0 < n {
+            let w = strip_width(nr, j0, n);
+            let panel = &mut dst[j0 * k..(j0 + w) * k];
+            for (jj, row) in src[j0 * k..(j0 + w) * k].chunks_exact(k).enumerate() {
+                for (p, &v) in row.iter().enumerate() {
+                    panel[p * w + jj] = v;
+                }
+            }
+            j0 += w;
+        }
+    }
+    out
+}
+
+/// [`gemm_rows_with`] compiled for AVX-512F: 16-lane registers and 32 of
+/// them. NN/TN runs it `8 × 32` (two registers per tile row, 16
+/// accumulators; a 32-column product — the item tower's output and its
+/// weight gradient — is one strip), NT `4 × 16` with four banks (16
+/// accumulators again).
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx512f")]
-// SAFETY: the body is safe Rust; the one obligation, stated above, is the
-// target feature itself and is discharged by the caller's runtime check.
-unsafe fn gemm_rows_avx512(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    gemm_rows_with::<8, 32>(a, b, c, rows, k, n);
-}
-
-/// [`gemm_rows_with`] compiled for AVX2: 8-lane registers, so a tile row is
-/// `NR = 16` wide.
-///
-/// # Safety
-/// The running CPU must support AVX2.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-// SAFETY: the body is safe Rust; the one obligation, stated above, is the
-// target feature itself and is discharged by the caller's runtime check.
-unsafe fn gemm_rows_avx2(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    gemm_rows_with::<4, 16>(a, b, c, rows, k, n);
-}
-
-/// The NN/TN kernel body for `MR × NR` tiles. `p` is cut into `KC`-long
-/// chunks and the rows into `PAR_ROWS`-row blocks so that what a pass
-/// re-reads stays in cache: inside one (chunk, block) every `NR`-wide strip
-/// of `B` comes from L2 once and from L1 for every further tile of the
-/// block. Chunks of `p` run in ascending order and `C` is stored exactly in
-/// between, so no element's sum is reordered. The columns an `NR` strip
-/// leaves go 16 (when `NR` is wider), then 4, then 1 at a time.
-#[inline(always)]
-fn gemm_rows_with<const MR: usize, const NR: usize>(
+fn gemm_rows_avx512<const MR: usize, const NR: usize, const BANKS: usize>(
     a: Lhs,
-    b: &[f32],
+    b: Rhs,
     c: &mut [f32],
     rows: usize,
     k: usize,
     n: usize,
 ) {
-    for p0 in (0..k).step_by(KC) {
-        let ps = p0..(p0 + KC).min(k);
+    gemm_rows_with::<MR, NR, BANKS>(a, b, c, rows, k, n);
+}
+
+/// [`gemm_rows_with`] compiled for AVX2: 8-lane registers and 16 of them.
+/// NN/TN runs it `4 × 16` (8 accumulators), NT `2 × 8` with four banks (8).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2<const MR: usize, const NR: usize, const BANKS: usize>(
+    a: Lhs,
+    b: Rhs,
+    c: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_rows_with::<MR, NR, BANKS>(a, b, c, rows, k, n);
+}
+
+/// The kernel body, for `MR × NR` tiles with `BANKS` accumulator banks. `p`
+/// is cut into `KC`-long chunks and the rows into `PAR_ROWS`-row blocks so
+/// that what a pass re-reads stays in cache: inside one (chunk, block)
+/// every strip of `B` comes from L2 once and from L1 for every further tile
+/// of the block. Chunks of `p` run in ascending order and `C` is stored
+/// exactly in between, so no element's sum is reordered. An NT product
+/// (`BANKS = 4`) combines its banks once per element, so its `p` is one
+/// chunk. The columns go in the strips [`strip_width`] cuts.
+#[inline(always)]
+fn gemm_rows_with<const MR: usize, const NR: usize, const BANKS: usize>(
+    a: Lhs,
+    b: Rhs,
+    c: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    let kc = if BANKS == 1 { KC } else { k.max(1) };
+    for p0 in (0..k).step_by(kc) {
+        let ps = p0..(p0 + kc).min(k);
         for i0 in (0..rows).step_by(PAR_ROWS) {
             let is = i0..(i0 + PAR_ROWS).min(rows);
             let mut j = 0;
-            while j + NR <= n {
-                strip::<MR, NR>(a, b, c, is.clone(), j, ps.clone(), n);
-                j += NR;
-            }
-            if NR > 16 && j + 16 <= n {
-                strip::<MR, 16>(a, b, c, is.clone(), j, ps.clone(), n);
-                j += 16;
-            }
-            while j + 4 <= n {
-                strip::<MR, 4>(a, b, c, is.clone(), j, ps.clone(), n);
-                j += 4;
-            }
             while j < n {
-                strip::<MR, 1>(a, b, c, is.clone(), j, ps.clone(), n);
-                j += 1;
+                let w = strip_width(NR, j, n);
+                let (is, ps) = (is.clone(), ps.clone());
+                if w == NR {
+                    strip::<MR, NR, BANKS>(a, b, c, is, j, ps, n);
+                } else if w == 16 {
+                    strip::<MR, 16, BANKS>(a, b, c, is, j, ps, n);
+                } else if w == 4 {
+                    strip::<MR, 4, BANKS>(a, b, c, is, j, ps, n);
+                } else {
+                    strip::<MR, 1, BANKS>(a, b, c, is, j, ps, n);
+                }
+                j += w;
             }
         }
     }
@@ -388,117 +536,124 @@ fn gemm_rows_with<const MR: usize, const NR: usize>(
 /// `MR` is taller) one 4-row tile if 4 rows are left, then the last rows
 /// one at a time through the same tile.
 #[inline(always)]
-fn strip<const MR: usize, const W: usize>(
+fn strip<const MR: usize, const W: usize, const BANKS: usize>(
     a: Lhs,
-    b: &[f32],
+    b: Rhs,
     c: &mut [f32],
     is: Range<usize>,
     j0: usize,
     ps: Range<usize>,
     n: usize,
 ) {
+    let b = b.strip(j0, W);
     let mut i = is.start;
     while i + MR <= is.end {
-        tile::<MR, W>(a, b, c, i, j0, ps.clone(), n);
+        tile::<MR, W, BANKS>(a, b, c, i, j0, ps.clone(), n);
         i += MR;
     }
     if MR > 4 && i + 4 <= is.end {
-        tile::<4, W>(a, b, c, i, j0, ps.clone(), n);
+        tile::<4, W, BANKS>(a, b, c, i, j0, ps.clone(), n);
         i += 4;
     }
     while i < is.end {
-        tile::<1, W>(a, b, c, i, j0, ps.clone(), n);
+        tile::<1, W, BANKS>(a, b, c, i, j0, ps.clone(), n);
         i += 1;
     }
 }
 
-/// `C[i0..i0+R][j0..j0+W] += A[i0..i0+R][ps] · B[ps][j0..j0+W]` with the
-/// block of `C` held in registers for the whole `p` loop. Per element this
-/// is the NN/TN contract verbatim: start from `c`, add `a * b` for
-/// ascending `p`.
+/// `C[i0..i0+R][j0..j0+W] (+)= A[i0..i0+R][ps] · B[ps][j0..j0+W]` with the
+/// block of `C` held in registers for the whole `p` loop, `B`'s strip being
+/// `b.0` with its rows `b.1` apart. Per element this is the module's
+/// contract verbatim. With one bank: start from `c` and add `a * b` for
+/// ascending `p`. With four (an NT tile: `A` row-major, `B` a packed panel,
+/// `ps` all of `0..k`, `c` only written): bank `l` sums the products of the
+/// `p ≡ l (mod 4)` ascending from `+0.0`, the banks are combined
+/// `((s0 + s1) + s2) + s3`, and the `k mod 4` tail is added ascending. The
+/// banks are four named arrays, not an array of four: indexed by a loop
+/// variable they stayed in memory, and NT ran at 4–8 GFLOP/s, not 40.
 #[inline(always)]
-fn tile<const R: usize, const W: usize>(
+fn tile<const R: usize, const W: usize, const BANKS: usize>(
     a: Lhs,
-    b: &[f32],
+    b: (&[f32], usize),
     c: &mut [f32],
     i0: usize,
     j0: usize,
     ps: Range<usize>,
     n: usize,
 ) {
+    const { assert!(BANKS == 1 || BANKS == 4, "a tile has one bank or four") };
     let mut acc = [[0.0f32; W]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[(i0 + r) * n + j0..][..W]);
-    }
-    for p in ps {
-        let b_strip = &b[p * n + j0..][..W];
+    let mut p = ps.start;
+    if BANKS == 1 {
         for (r, row) in acc.iter_mut().enumerate() {
-            let av = a.data[(i0 + r) * a.row_stride + p * a.p_stride];
-            for (x, &bv) in row.iter_mut().zip(b_strip) {
-                *x += av * bv;
+            row.copy_from_slice(&c[(i0 + r) * n + j0..][..W]);
+        }
+    } else {
+        debug_assert!(a.p_stride == 1 && b.1 == W);
+        let zero = [[0.0f32; W]; R];
+        let (mut s0, mut s1, mut s2, mut s3) = (zero, zero, zero, zero);
+        while p + 4 <= ps.end {
+            let mut av = [[0.0f32; 4]; R];
+            for (r, quad) in av.iter_mut().enumerate() {
+                quad.copy_from_slice(&a.data[(i0 + r) * a.row_stride + p..][..4]);
+            }
+            let bq = &b.0[p * W..][..4 * W];
+            add_column(&mut s0, &av, 0, &bq[..W]);
+            add_column(&mut s1, &av, 1, &bq[W..2 * W]);
+            add_column(&mut s2, &av, 2, &bq[2 * W..3 * W]);
+            add_column(&mut s3, &av, 3, &bq[3 * W..]);
+            p += 4;
+        }
+        acc = s0;
+        for bank in [s1, s2, s3] {
+            for (row, bank_row) in acc.iter_mut().zip(bank) {
+                for (x, s) in row.iter_mut().zip(bank_row) {
+                    *x += s;
+                }
             }
         }
+    }
+    for p in p..ps.end {
+        add_products(&mut acc, a, i0, b, p);
     }
     for (r, row) in acc.iter().enumerate() {
         c[(i0 + r) * n + j0..][..W].copy_from_slice(row);
     }
 }
 
-/// Sequential `C[rows×n] = A(rows×k) · B(n×k)ᵀ`: each `a` row against
-/// `NT_ROWS` rows of `b` at a time, then 4, then 1.
-fn nt_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    let brow = |j: usize| &b[j * k..(j + 1) * k];
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + NT_ROWS <= n {
-            let bs: [&[f32]; NT_ROWS] = std::array::from_fn(|l| brow(j + l));
-            crow[j..j + NT_ROWS].copy_from_slice(&dots(arow, bs));
-            j += NT_ROWS;
-        }
-        while j + 4 <= n {
-            let bs: [&[f32]; 4] = std::array::from_fn(|l| brow(j + l));
-            crow[j..j + 4].copy_from_slice(&dots(arow, bs));
-            j += 4;
-        }
-        while j < n {
-            crow[j] = dot(arow, brow(j));
-            j += 1;
+/// `acc[r][w] += av[r][l] * b_row[w]`, the multiply and the add rounded
+/// separately.
+#[inline(always)]
+fn add_column<const R: usize, const W: usize>(
+    acc: &mut [[f32; W]; R],
+    av: &[[f32; 4]; R],
+    l: usize,
+    b_row: &[f32],
+) {
+    for (row, quad) in acc.iter_mut().zip(av) {
+        for (x, &bv) in row.iter_mut().zip(b_row) {
+            *x += quad[l] * bv;
         }
     }
 }
 
-/// The NT kernel body: `W` dot products of one `a` against `W` rows `b`,
-/// each summed exactly as [`dot`] documents. The `W` chains are
-/// independent, so the adds of one hide the latency of the others.
+/// One `p` step of a tile: `acc[r][w] += a[i0 + r][p] * b[p][w]`, the
+/// multiply and the add rounded separately.
 #[inline(always)]
-fn dots<const W: usize>(a: &[f32], b: [&[f32]; W]) -> [f32; W] {
-    let (a_quads, a_tail) = a.as_chunks::<4>();
-    let b = b.map(|row| row[..a.len()].as_chunks::<4>());
-    let mut lanes = [[0.0f32; 4]; W];
-    for (q, av) in a_quads.iter().enumerate() {
-        for (s, (b_quads, _)) in lanes.iter_mut().zip(&b) {
-            let bv = &b_quads[q];
-            for l in 0..4 {
-                s[l] += av[l] * bv[l];
-            }
+fn add_products<const R: usize, const W: usize>(
+    acc: &mut [[f32; W]; R],
+    a: Lhs,
+    i0: usize,
+    (b, b_stride): (&[f32], usize),
+    p: usize,
+) {
+    let b_row = &b[p * b_stride..][..W];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let av = a.data[(i0 + r) * a.row_stride + p * a.p_stride];
+        for (x, &bv) in row.iter_mut().zip(b_row) {
+            *x += av * bv;
         }
     }
-    // Materializing the lanes gives the vectorizer four contiguous floats
-    // per row to build on; without it the horizontal sums below pull it
-    // into a layout that vectorizes across rows and shuffles `b` on every
-    // step (measured 14 vs 38 GFLOP/s at k = 2450). Values are unchanged.
-    let lanes = std::hint::black_box(lanes);
-    let mut out = [0.0f32; W];
-    for ((o, s), (_, b_tail)) in out.iter_mut().zip(&lanes).zip(&b) {
-        let mut sum = s[0] + s[1] + s[2] + s[3];
-        for (x, y) in a_tail.iter().zip(*b_tail) {
-            sum += x * y;
-        }
-        *o = sum;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -590,7 +745,7 @@ mod tests {
         let a = pseudo_random(&[m, k], 7);
         let bt = pseudo_random(&[n, k], 8);
         let mut serial = vec![0.0f32; m * n];
-        nt_rows(a.data(), bt.data(), &mut serial, m, k, n);
+        contract_nt(a.data(), bt.data(), &mut serial, m, k, n);
         assert_thread_independent("matmul_nt", &serial, || a.matmul_nt(&bt));
     }
 
@@ -621,7 +776,7 @@ mod tests {
         assert_thread_independent("bmm_tn", &serial, || at.bmm_tn(&b));
         let serial = per_slice(&|i, c| {
             let ai = &a.data()[i * m * k..(i + 1) * m * k];
-            nt_rows(ai, &bt.data()[i * n * k..(i + 1) * n * k], c, m, k, n);
+            contract_nt(ai, &bt.data()[i * n * k..(i + 1) * n * k], c, m, k, n);
         });
         assert_thread_independent("bmm_nt", &serial, || a.bmm_nt(&bt));
     }
@@ -669,17 +824,20 @@ mod tests {
     }
 
     /// Every shape of the sweep: empty dimensions, single rows and columns,
-    /// each tile height and width and their neighbours (4 and 8 rows; 4, 8,
-    /// 16 and 32 columns, and 48 = 32 + 16), a `p` chunk boundary and one
-    /// past it, and sizes that cross the parallel threshold.
+    /// each tile height and width and their neighbours (2, 4 and 8 rows; 4,
+    /// 8, 16 and 32 columns, and 48 = 32 + 16), every `k mod 4` tail with and
+    /// without a whole quad before it, a `p` chunk boundary and one past it,
+    /// and sizes that cross the parallel threshold; then one NT-shaped case
+    /// with a catalogue-long `k`.
     fn sweep(mut case: impl FnMut(usize, usize, usize)) {
         for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 50, 260] {
-            for k in [0, 1, 3, 4, 5, 32, 33, 256, 257] {
+            for k in [0, 1, 2, 3, 4, 5, 6, 7, 32, 33, 256, 257] {
                 for n in [0, 1, 3, 4, 8, 15, 16, 17, 31, 32, 33, 48, 63, 1225] {
                     case(m, k, n);
                 }
             }
         }
+        case(9, 2450, 33);
     }
 
     #[test]
@@ -728,24 +886,59 @@ mod tests {
     /// An NN/TN arm called directly, past the dispatch.
     type Arm = fn(Lhs, &[f32], &mut [f32], usize, usize, usize);
 
+    /// One instruction set's instantiations: the NN/TN arm, and the NT arm
+    /// with the width its panels are cut to.
+    struct Arms {
+        name: &'static str,
+        nn: Arm,
+        nt: (usize, NtRows),
+    }
+
     /// Every arm this CPU can run. The dispatch picks one of them per call, so
     /// the arms it passes over — the baseline on any x86 box, AVX2 on an
     /// AVX-512 one — are only covered when called by name.
-    fn arms() -> Vec<(&'static str, Arm)> {
-        let mut arms: Vec<(&'static str, Arm)> = vec![("baseline 4×8", gemm_rows_with::<4, 8>)];
+    fn arms() -> Vec<Arms> {
+        let mut arms = vec![Arms {
+            name: "baseline 4×8, NT 2×4",
+            nn: |a, b, c, m, k, n| gemm_rows_with::<4, 8, 1>(a, Rhs::RowMajor(b, n), c, m, k, n),
+            nt: (4, |a, p, c, m, k, n| {
+                gemm_rows_with::<2, 4, 4>(Lhs::row_major(a, k), Rhs::Panels(p, k), c, m, k, n)
+            }),
+        }];
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU has AVX2, checked on the line above.
-                arms.push(("avx2 4×16", |a, b, c, m, k, n| unsafe {
-                    gemm_rows_avx2(a, b, c, m, k, n)
-                }));
+                arms.push(Arms {
+                    name: "avx2 4×16, NT 2×8",
+                    // SAFETY: the CPU has AVX2, checked above.
+                    nn: |a, b, c, m, k, n| unsafe {
+                        gemm_rows_avx2::<4, 16, 1>(a, Rhs::RowMajor(b, n), c, m, k, n)
+                    },
+                    // SAFETY: the CPU has AVX2, checked above.
+                    nt: (8, |a, p, c, m, k, n| unsafe {
+                        gemm_rows_avx2::<2, 8, 4>(Lhs::row_major(a, k), Rhs::Panels(p, k), c, m, k, n)
+                    }),
+                });
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU has AVX-512F, checked on the line above.
-                arms.push(("avx512 8×32", |a, b, c, m, k, n| unsafe {
-                    gemm_rows_avx512(a, b, c, m, k, n)
-                }));
+                arms.push(Arms {
+                    name: "avx512 8×32, NT 4×16",
+                    // SAFETY: the CPU has AVX-512F, checked above.
+                    nn: |a, b, c, m, k, n| unsafe {
+                        gemm_rows_avx512::<8, 32, 1>(a, Rhs::RowMajor(b, n), c, m, k, n)
+                    },
+                    // SAFETY: the CPU has AVX-512F, checked above.
+                    nt: (16, |a, p, c, m, k, n| unsafe {
+                        gemm_rows_avx512::<4, 16, 4>(
+                            Lhs::row_major(a, k),
+                            Rhs::Panels(p, k),
+                            c,
+                            m,
+                            k,
+                            n,
+                        )
+                    }),
+                });
             }
         }
         arms
@@ -761,14 +954,24 @@ mod tests {
             let mut expected = c0.data().to_vec();
             contract_nn(a.data(), b.data(), &mut expected, m, k, n);
             let at = a.transpose();
-            for (name, arm) in &arms {
+            let bt = b.transpose();
+            let mut expected_nt = vec![0.0f32; m * n];
+            contract_nt(a.data(), bt.data(), &mut expected_nt, m, k, n);
+            for arm in &arms {
+                let name = arm.name;
                 let mut c = c0.data().to_vec();
-                arm(Lhs::row_major(a.data(), k), b.data(), &mut c, m, k, n);
+                (arm.nn)(Lhs::row_major(a.data(), k), b.data(), &mut c, m, k, n);
                 assert!(bits_equal(&c, &expected), "{name} NN m={m} k={k} n={n}");
 
                 let mut c = c0.data().to_vec();
-                arm(Lhs::transposed(at.data(), m), b.data(), &mut c, m, k, n);
+                (arm.nn)(Lhs::transposed(at.data(), m), b.data(), &mut c, m, k, n);
                 assert!(bits_equal(&c, &expected), "{name} TN m={m} k={k} n={n}");
+
+                let (nr, nt) = arm.nt;
+                let panels = pack_panels(bt.data(), 1, k, n, nr);
+                let mut c = vec![0.0f32; m * n];
+                nt(a.data(), &panels, &mut c, m, k, n);
+                assert!(bits_equal(&c, &expected_nt), "{name} NT m={m} k={k} n={n}");
             }
         });
     }

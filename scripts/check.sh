@@ -9,6 +9,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A bare `cargo test` at the root runs what `--workspace` runs only while
+# the root manifest names every crate a default member; without the line
+# it covers the umbrella package alone, and the bit-level suites go unrun.
+echo "== check: the root manifest makes every crate a default member =="
+grep -Eq '^default-members = \[".", "crates/\*"\]$' Cargo.toml \
+    || { echo "   Cargo.toml: default-members = [\".\", \"crates/*\"] is missing"; exit 1; }
+
 echo "== check: cargo build --release (-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
