@@ -12,7 +12,6 @@ use wr_data::DatasetKind;
 use wr_eval::whiteness_error;
 use wr_models::{LossKind, ModelConfig, SasRec, TextTower};
 use wr_tensor::Rng64;
-use wr_train::{fit, Adam, AdamConfig};
 use wr_whiten::{WhiteningMethod, WhiteningTransform};
 use whitenrec::TableWriter;
 
@@ -29,27 +28,24 @@ fn main() {
         let werr = whiteness_error(&z);
         let cfg = ModelConfig::default();
         let mut rng = Rng64::seed_from(cfg.seed);
-        let mut model = SasRec::new(
+        let model = SasRec::new(
             format!("WhitenRec@eps={eps:.0e}"),
             Box::new(TextTower::new(z, cfg.dim, cfg.proj_layers, &mut rng)),
             LossKind::Softmax,
             cfg,
             &mut rng,
         );
-        let mut opt = Adam::new(AdamConfig {
-            lr: 1e-3,
-            weight_decay: 1e-6,
-            ..AdamConfig::default()
-        });
-        fit(
-            &mut model,
-            &mut opt,
-            ctx.warm.train.clone(),
-            &ctx.warm.validation[..ctx.warm.validation.len().min(1000)],
-            ctx.train_config,
-            |_, _| {},
-        );
-        let metrics = ctx.evaluate(&model, &ctx.warm.test[..ctx.warm.test.len().min(1000)]);
+        let metrics = ctx
+            .train_and_evaluate(
+                Box::new(model),
+                &ctx.warm.train,
+                &ctx.warm.validation[..ctx.warm.validation.len().min(1000)],
+                &ctx.warm.test[..ctx.warm.test.len().min(1000)],
+                None,
+                |_, _| {},
+            )
+            .expect("training without a checkpoint does no IO")
+            .test_metrics;
         t.row(&[
             format!("{eps:.0e}"),
             format!("{werr:.4}"),

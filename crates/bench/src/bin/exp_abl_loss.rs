@@ -10,7 +10,6 @@ use wr_bench::{context, m4};
 use wr_data::DatasetKind;
 use wr_models::{zoo, LossKind, ModelConfig, SasRec, TextTower};
 use wr_tensor::Rng64;
-use wr_train::{fit, Adam, AdamConfig};
 use whitenrec::TableWriter;
 
 fn main() {
@@ -30,32 +29,29 @@ fn main() {
         eprintln!("  loss = {name}");
         let cfg = ModelConfig::default();
         let mut rng = Rng64::seed_from(cfg.seed);
-        let mut model = SasRec::new(
+        let model = SasRec::new(
             format!("WhitenRec@{name}"),
             Box::new(TextTower::new(z.clone(), cfg.dim, cfg.proj_layers, &mut rng)),
             loss,
             cfg,
             &mut rng,
         );
-        let mut opt = Adam::new(AdamConfig {
-            lr: 1e-3,
-            weight_decay: 1e-6,
-            ..AdamConfig::default()
-        });
-        let report = fit(
-            &mut model,
-            &mut opt,
-            ctx.warm.train.clone(),
-            &ctx.warm.validation[..ctx.warm.validation.len().min(1000)],
-            ctx.train_config,
-            |_, _| {},
-        );
-        let metrics = ctx.evaluate(&model, &ctx.warm.test[..ctx.warm.test.len().min(1000)]);
+        let trained = ctx
+            .train_and_evaluate(
+                Box::new(model),
+                &ctx.warm.train,
+                &ctx.warm.validation[..ctx.warm.validation.len().min(1000)],
+                &ctx.warm.test[..ctx.warm.test.len().min(1000)],
+                None,
+                |_, _| {},
+            )
+            .expect("training without a checkpoint does no IO");
+        let metrics = &trained.test_metrics;
         t.row(&[
             name.to_string(),
             m4(metrics.recall_at(20)),
             m4(metrics.ndcg_at(20)),
-            format!("{:.2}", report.seconds_per_epoch()),
+            format!("{:.2}", trained.report.seconds_per_epoch()),
         ]);
     }
     t.print();

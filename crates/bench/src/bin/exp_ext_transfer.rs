@@ -16,6 +16,7 @@ use wr_models::{zoo, LossKind, ModelConfig, Popularity, SasRec, TextTower};
 use wr_nn::{load_params, restore_params, save_params};
 use wr_tensor::Rng64;
 use wr_train::{evaluate, fit, Adam, AdamConfig, SeqRecModel, TrainConfig};
+use whitenrec::obs::Telemetry;
 use whitenrec::TableWriter;
 
 fn main() {
@@ -68,11 +69,7 @@ fn main() {
         cfg,
         &mut rng,
     );
-    let mut opt = Adam::new(AdamConfig {
-        lr: 1e-3,
-        weight_decay: 1e-6,
-        ..AdamConfig::default()
-    });
+    let mut opt = Adam::new(AdamConfig::PAPER);
     eprintln!("training WhitenRec on {}…", source.spec.kind.name());
     fit(
         &mut model,
@@ -80,6 +77,7 @@ fn main() {
         src_split.train.clone(),
         &src_split.validation[..src_split.validation.len().min(1000)],
         train_config,
+        &Telemetry::new(),
         |_, _| {},
     );
 
@@ -126,8 +124,8 @@ fn main() {
         &mut rng3,
     );
     let mut opt_id = Adam::new(AdamConfig {
-        lr: 1e-3,
-        ..AdamConfig::default()
+        weight_decay: 0.0,
+        ..AdamConfig::PAPER
     });
     eprintln!("training SASRec(ID) on {}…", source.spec.kind.name());
     fit(
@@ -136,6 +134,7 @@ fn main() {
         src_split.train.clone(),
         &src_split.validation[..src_split.validation.len().min(1000)],
         train_config,
+        &Telemetry::new(),
         |_, _| {},
     );
     // Transplant: fresh random ID table at target size + source encoder is
@@ -170,11 +169,7 @@ fn main() {
         cfg,
         &mut rng5,
     );
-    let mut opt_n = Adam::new(AdamConfig {
-        lr: 1e-3,
-        weight_decay: 1e-6,
-        ..AdamConfig::default()
-    });
+    let mut opt_n = Adam::new(AdamConfig::PAPER);
     eprintln!("training native WhitenRec on {}…", target.spec.kind.name());
     fit(
         &mut native,
@@ -182,6 +177,7 @@ fn main() {
         tgt_split.train.clone(),
         &tgt_split.validation[..tgt_split.validation.len().min(1000)],
         train_config,
+        &Telemetry::new(),
         |_, _| {},
     );
     let native_metrics = eval(&native);

@@ -34,12 +34,21 @@ fn main() {
         for name in MODELS {
             eprintln!("  training {name} on {}", kind.name());
             let mut last: Option<UniformityReport> = None;
-            let trained = ctx.run_warm_with_hook(name, |model, _rec| {
-                let users = model.user_representations(&contexts);
-                let items = model.item_representations();
-                let pos = items.gather_rows(&targets);
-                last = Some(UniformityReport::compute(&users, &pos, &items, 1500, 31));
-            });
+            let trained = ctx
+                .train_and_evaluate(
+                    ctx.build_model(name),
+                    &ctx.warm.train,
+                    &ctx.warm.validation,
+                    &ctx.warm.test,
+                    None,
+                    |model, _rec| {
+                        let users = model.user_representations(&contexts);
+                        let items = model.item_representations();
+                        let pos = items.gather_rows(&targets);
+                        last = Some(UniformityReport::compute(&users, &pos, &items, 1500, 31));
+                    },
+                )
+                .expect("training without a checkpoint does no IO");
             let r = last.expect("at least one epoch");
             t.row(&[
                 name.to_string(),

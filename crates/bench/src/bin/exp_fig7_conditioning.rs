@@ -29,11 +29,19 @@ fn main() {
         for name in MODELS {
             eprintln!("  training {name} on {}", kind.name());
             let mut trace: Vec<String> = Vec::new();
-            let _ = ctx.run_warm_with_hook(name, |model, rec| {
-                let v = model.item_representations();
-                let kappa = item_condition_number(&v).unwrap_or(f32::INFINITY);
-                trace.push(format!("{:.1}|{:.2}", kappa.max(1.0).log10(), rec.train_loss));
-            });
+            ctx.train_and_evaluate(
+                ctx.build_model(name),
+                &ctx.warm.train,
+                &ctx.warm.validation,
+                &ctx.warm.test,
+                None,
+                |model, rec| {
+                    let v = model.item_representations();
+                    let kappa = item_condition_number(&v).unwrap_or(f32::INFINITY);
+                    trace.push(format!("{:.1}|{:.2}", kappa.max(1.0).log10(), rec.train_loss));
+                },
+            )
+            .expect("training without a checkpoint does no IO");
             t.row(&[name.to_string(), trace.join("  ")]);
         }
         t.print();

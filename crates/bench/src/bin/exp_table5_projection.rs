@@ -7,7 +7,7 @@
 use wr_bench::{context, datasets, m4};
 use wr_models::{zoo, EnsembleTower, LossKind, ModelConfig, MoeTower, SasRec};
 use wr_tensor::Rng64;
-use wr_train::{fit, Adam, AdamConfig, SeqRecModel};
+use wr_train::SeqRecModel;
 use wr_whiten::EnsembleMode;
 use whitenrec::TableWriter;
 
@@ -30,7 +30,7 @@ fn main() {
             eprintln!("  head {head} on {}", kind.name());
             let cfg = ModelConfig::default();
             let mut rng = Rng64::seed_from(cfg.seed);
-            let mut model: Box<dyn SeqRecModel> = match *head {
+            let model: Box<dyn SeqRecModel> = match *head {
                 // proj_layers 0 → pure linear head inside the ensemble.
                 "Linear" => ensemble(z_full.clone(), z_relaxed.clone(), 0, cfg, &mut rng),
                 "MLP-1" => ensemble(z_full.clone(), z_relaxed.clone(), 1, cfg, &mut rng),
@@ -47,24 +47,17 @@ fn main() {
                 )),
                 _ => unreachable!(),
             };
-            let mut opt = Adam::new(AdamConfig {
-                lr: 1e-3,
-                weight_decay: 1e-6,
-                ..AdamConfig::default()
-            });
-            let report = fit(
-                &mut model,
-                &mut opt,
-                ctx.warm.train.clone(),
-                &ctx.warm.validation[..ctx.warm.validation.len().min(1200)],
-                ctx.train_config,
-                |_, _| {},
-            );
-            let _ = report;
-            let metrics = ctx.evaluate(
-                model.as_ref(),
-                &ctx.warm.test[..ctx.warm.test.len().min(1200)],
-            );
+            let metrics = ctx
+                .train_and_evaluate(
+                    model,
+                    &ctx.warm.train,
+                    &ctx.warm.validation[..ctx.warm.validation.len().min(1200)],
+                    &ctx.warm.test[..ctx.warm.test.len().min(1200)],
+                    None,
+                    |_, _| {},
+                )
+                .expect("training without a checkpoint does no IO")
+                .test_metrics;
             rows[i].push(format!("{}/{}", m4(metrics.recall_at(20)), m4(metrics.ndcg_at(20))));
         }
     }

@@ -8,7 +8,7 @@
 use wr_bench::{context, datasets, m4};
 use wr_models::{EnsembleTower, LossKind, ModelConfig, PwTower, SasRec};
 use wr_tensor::{Rng64, Tensor};
-use wr_train::{fit, Adam, AdamConfig, SeqRecModel};
+use wr_train::SeqRecModel;
 use wr_whiten::{group_whiten, EnsembleMode, FlowWhitening, WhiteningMethod, DEFAULT_EPS};
 use whitenrec::TableWriter;
 
@@ -23,7 +23,7 @@ fn main() {
             eprintln!("  whitening {method} on {}", kind.name());
             let cfg = ModelConfig::default();
             let mut rng = Rng64::seed_from(cfg.seed);
-            let mut model: Box<dyn SeqRecModel> = match *method {
+            let model: Box<dyn SeqRecModel> = match *method {
                 "PW" => Box::new(SasRec::new(
                     "PW",
                     Box::new(PwTower::new(emb.clone(), cfg.dim, cfg.proj_layers, &mut rng)),
@@ -49,23 +49,17 @@ fn main() {
                     ensemble_of(z1, z2, cfg, &mut rng)
                 }
             };
-            let mut opt = Adam::new(AdamConfig {
-                lr: 1e-3,
-                weight_decay: 1e-6,
-                ..AdamConfig::default()
-            });
-            fit(
-                &mut model,
-                &mut opt,
-                ctx.warm.train.clone(),
-                &ctx.warm.validation[..ctx.warm.validation.len().min(1200)],
-                ctx.train_config,
-                |_, _| {},
-            );
-            let metrics = ctx.evaluate(
-                model.as_ref(),
-                &ctx.warm.test[..ctx.warm.test.len().min(1200)],
-            );
+            let metrics = ctx
+                .train_and_evaluate(
+                    model,
+                    &ctx.warm.train,
+                    &ctx.warm.validation[..ctx.warm.validation.len().min(1200)],
+                    &ctx.warm.test[..ctx.warm.test.len().min(1200)],
+                    None,
+                    |_, _| {},
+                )
+                .expect("training without a checkpoint does no IO")
+                .test_metrics;
             rows[i].push(format!("{}/{}", m4(metrics.recall_at(20)), m4(metrics.ndcg_at(20))));
         }
     }

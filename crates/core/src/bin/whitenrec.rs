@@ -185,17 +185,23 @@ fn train(args: &[String]) -> Result<(), String> {
             clippy::panic,
             reason = "the crash drill: an induced panic the catch_unwind below recovers from"
         )]
-        let run = || match crash_epoch {
-            Some(crash_epoch) => ctx.run_warm_resumable_hooked(&model_name, &policy, |_, rec| {
-                if rec.epoch + 1 == crash_epoch {
-                    std::panic::panic_any(whitenrec::fault::InducedPanic {
-                        site: "train.epoch".to_string(),
-                        index: rec.epoch as u64,
-                        attempt: 0,
-                    });
-                }
-            }),
-            None => ctx.run_warm_resumable(&model_name, &policy),
+        let run = || {
+            ctx.train_and_evaluate(
+                ctx.build_model(&model_name),
+                &ctx.warm.train,
+                &ctx.warm.validation,
+                &ctx.warm.test,
+                Some(&policy),
+                |_, rec| {
+                    if crash_epoch == Some(rec.epoch + 1) {
+                        std::panic::panic_any(whitenrec::fault::InducedPanic {
+                            site: "train.epoch".to_string(),
+                            index: rec.epoch as u64,
+                            attempt: 0,
+                        });
+                    }
+                },
+            )
         };
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(Ok(t)) => t,

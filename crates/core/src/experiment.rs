@@ -1,6 +1,7 @@
-//! Shared context for the per-table/figure experiment binaries.
+//! The one train-and-evaluate path, shared by the examples, the CLI and
+//! the per-table/figure experiment binaries.
 
-use wr_data::{cold_split, warm_split, ColdSplit, DatasetSpec, ReadyDataset, WarmSplit};
+use wr_data::{cold_split, warm_split, ColdSplit, DatasetSpec, EvalCase, ReadyDataset, WarmSplit};
 use wr_eval::{
     average_pairwise_cosine, covariance_spectrum, spectrum_condition_number, top_k_singular_mass,
     uniformity, MetricSet, DEFAULT_KS,
@@ -9,8 +10,8 @@ use wr_models::{zoo, ModelConfig};
 use wr_obs::Telemetry;
 use wr_tensor::{Rng64, Tensor};
 use wr_train::{
-    fit_observed, fit_resumable, Adam, AdamConfig, CheckpointPolicy, EpochRecord, SeqRecModel,
-    TrainConfig, TrainReport,
+    fit, fit_resumable, Adam, AdamConfig, CheckpointPolicy, EpochRecord, SeqRecModel, TrainConfig,
+    TrainReport,
 };
 use wr_nn::CheckpointError;
 use wr_whiten::{GroupWhitening, WhiteningMethod, DEFAULT_EPS};
@@ -66,12 +67,6 @@ impl ExperimentContext {
         }
     }
 
-    /// The context's telemetry, or a fresh throwaway bundle nobody reads.
-    /// Keeps the training path single: `fit_observed` always gets one.
-    fn telemetry_or_default(&self) -> Telemetry {
-        self.telemetry.clone().unwrap_or_default()
-    }
-
     /// Re-run the preprocessing whitening (ZCA, the context's relaxed
     /// group count) purely to record the paper's embedding-health
     /// diagnostics of the table before and after it — `whiten.pre.*` /
@@ -119,90 +114,8 @@ impl ExperimentContext {
 
     /// Train `name` on the warm split and evaluate on the warm test set.
     pub fn run_warm(&self, name: &str) -> TrainedModel {
-        self.run_warm_with_hook(name, |_, _| {})
-    }
-
-    /// As [`Self::run_warm`], with a per-epoch hook (Fig. 6/7 trackers).
-    pub fn run_warm_with_hook(
-        &self,
-        name: &str,
-        hook: impl FnMut(&Box<dyn SeqRecModel>, &EpochRecord),
-    ) -> TrainedModel {
-        let mut model = self.build_model(name);
-        let mut optimizer = Adam::new(AdamConfig {
-            lr: 1e-3,
-            weight_decay: 1e-6,
-            ..AdamConfig::default()
-        });
-        let valid = cap(&self.warm.validation, self.eval_cap);
-        let report = fit_observed(
-            &mut model,
-            &mut optimizer,
-            self.warm.train.clone(),
-            &valid,
-            self.train_config,
-            &self.telemetry_or_default(),
-            hook,
-        );
-        let test = cap(&self.warm.test, self.eval_cap);
-        let metrics = self.evaluate(model.as_ref(), &test);
-        TrainedModel {
-            model,
-            report,
-            test_metrics: metrics,
-        }
-    }
-
-    /// As [`Self::run_warm`], through the crash-safe resumable loop
-    /// (DESIGN.md §9): training state is checkpointed to `policy.dir` at
-    /// epoch boundaries and, when a valid `WRTS` generation already lives
-    /// there, the run resumes from it bit-identically to an
-    /// uninterrupted run. This is the path `whitenrec train
-    /// --resume-dir` exercises.
-    pub fn run_warm_resumable(
-        &self,
-        name: &str,
-        policy: &CheckpointPolicy,
-    ) -> Result<TrainedModel, CheckpointError> {
-        self.run_warm_resumable_hooked(name, policy, |_, _| {})
-    }
-
-    /// As [`Self::run_warm_resumable`], with a per-epoch hook. The hook
-    /// runs at every epoch boundary *before* that epoch's checkpoint is
-    /// persisted — which is exactly where `whitenrec train --fault-seed`
-    /// injects its scheduled crash, so a crash at epoch `e` leaves
-    /// generations `1..e` on disk and the restart replays epoch `e`
-    /// bit-identically.
-    pub fn run_warm_resumable_hooked(
-        &self,
-        name: &str,
-        policy: &CheckpointPolicy,
-        hook: impl FnMut(&Box<dyn SeqRecModel>, &EpochRecord),
-    ) -> Result<TrainedModel, CheckpointError> {
-        let mut model = self.build_model(name);
-        let mut optimizer = Adam::new(AdamConfig {
-            lr: 1e-3,
-            weight_decay: 1e-6,
-            ..AdamConfig::default()
-        });
-        let valid = cap(&self.warm.validation, self.eval_cap);
-        let report = fit_resumable(
-            &mut model,
-            &mut optimizer,
-            self.warm.train.clone(),
-            &valid,
-            self.train_config,
-            &self.telemetry_or_default(),
-            policy,
-            hook,
-        )?;
-        let test = cap(&self.warm.test, self.eval_cap);
-        let metrics = self.evaluate(model.as_ref(), &test);
-        Ok(TrainedModel {
-            model,
-            report,
-            test_metrics: metrics,
-        })
+        let warm = &self.warm;
+        self.checkpoint_free(self.build_model(name), &warm.train, &warm.validation, &warm.test)
     }
 
     /// Train on the cold split's warm-only sequences; evaluate on cold
@@ -216,32 +129,77 @@ impl ExperimentContext {
             .filter(|&i| !self.cold.is_cold[i])
             .collect();
         model.set_train_candidates(Some(warm));
-        let mut optimizer = Adam::new(AdamConfig {
-            lr: 1e-3,
-            weight_decay: 1e-6,
-            ..AdamConfig::default()
-        });
-        let valid = cap(&self.cold.validation, self.eval_cap);
-        let report = fit_observed(
-            &mut model,
-            &mut optimizer,
-            self.cold.train.clone(),
-            &valid,
-            self.train_config,
-            &self.telemetry_or_default(),
-            |_, _| {},
-        );
-        let test = cap(&self.cold.test, self.eval_cap);
-        let metrics = self.evaluate(model.as_ref(), &test);
-        TrainedModel {
-            model,
-            report,
-            test_metrics: metrics,
+        self.checkpoint_free(model, &self.cold.train, &self.cold.validation, &self.cold.test)
+    }
+
+    /// [`Self::train_and_evaluate`] without a checkpoint policy or hook.
+    fn checkpoint_free(
+        &self,
+        model: Box<dyn SeqRecModel>,
+        train: &[Vec<usize>],
+        validation: &[EvalCase],
+        test: &[EvalCase],
+    ) -> TrainedModel {
+        match self.train_and_evaluate(model, train, validation, test, None, |_, _| {}) {
+            Ok(trained) => trained,
+            // Without a checkpoint policy training performs no fallible IO.
+            Err(e) => unreachable!("checkpoint-free training cannot fail: {e}"),
         }
     }
 
+    /// The paper's protocol on a built `model`: Adam at
+    /// [`AdamConfig::PAPER`], early stopping on `validation`'s N@20 with
+    /// the best weights restored, then full ranking on `test` — both capped
+    /// at [`Self::eval_cap`]. `hook` runs after every epoch (Fig. 6/7
+    /// trackers).
+    ///
+    /// With a `checkpoint` policy the run goes through the crash-safe
+    /// resumable loop (DESIGN.md §9): state is checkpointed to
+    /// `policy.dir` at epoch boundaries and, when a valid `WRTS`
+    /// generation already lives there, the run resumes from it
+    /// bit-identically to an uninterrupted run. The hook runs at each
+    /// boundary *before* that epoch's checkpoint is persisted — which is
+    /// where `whitenrec train --fault-seed` injects its scheduled crash, so
+    /// a crash at epoch `e` leaves generations `1..e` on disk and the
+    /// restart replays epoch `e` bit-identically. Only checkpoint IO can
+    /// fail.
+    pub fn train_and_evaluate(
+        &self,
+        mut model: Box<dyn SeqRecModel>,
+        train: &[Vec<usize>],
+        validation: &[EvalCase],
+        test: &[EvalCase],
+        checkpoint: Option<&CheckpointPolicy>,
+        hook: impl FnMut(&Box<dyn SeqRecModel>, &EpochRecord),
+    ) -> Result<TrainedModel, CheckpointError> {
+        let mut optimizer = Adam::new(AdamConfig::PAPER);
+        let validation = cap(validation, self.eval_cap);
+        // Write-only: a fresh bundle when the context carries none.
+        let telemetry = self.telemetry.clone().unwrap_or_default();
+        let (train, config) = (train.to_vec(), self.train_config);
+        let report = match checkpoint {
+            Some(policy) => fit_resumable(
+                &mut model,
+                &mut optimizer,
+                train,
+                &validation,
+                config,
+                &telemetry,
+                policy,
+                hook,
+            )?,
+            None => fit(&mut model, &mut optimizer, train, &validation, config, &telemetry, hook),
+        };
+        let test_metrics = self.evaluate(model.as_ref(), &cap(test, self.eval_cap));
+        Ok(TrainedModel {
+            model,
+            report,
+            test_metrics,
+        })
+    }
+
     /// Full-ranking evaluation with history exclusion at K ∈ {20, 50}.
-    pub fn evaluate(&self, model: &dyn SeqRecModel, cases: &[wr_data::EvalCase]) -> MetricSet {
+    pub fn evaluate(&self, model: &dyn SeqRecModel, cases: &[EvalCase]) -> MetricSet {
         wr_train::evaluate(model, cases, &DEFAULT_KS, self.train_config.eval_batch)
     }
 }
@@ -279,7 +237,7 @@ fn record_embedding_health(tel: &Telemetry, prefix: &str, x: &Tensor) -> Result<
     Ok(())
 }
 
-fn cap(cases: &[wr_data::EvalCase], limit: usize) -> Vec<wr_data::EvalCase> {
+fn cap(cases: &[EvalCase], limit: usize) -> Vec<EvalCase> {
     if limit == 0 || cases.len() <= limit {
         cases.to_vec()
     } else {
@@ -443,6 +401,61 @@ mod tests {
             a.test_metrics.recall_at(20).to_bits(),
             b.test_metrics.recall_at(20).to_bits()
         );
+    }
+
+    /// Every field of a trained model, as bits: each epoch's loss and
+    /// validation N@20, the best N@20 and its epoch, every test metric and
+    /// every parameter.
+    fn trained_bits(t: &TrainedModel) -> Vec<u64> {
+        let r = &t.report;
+        let m = &t.test_metrics;
+        let mut bits: Vec<u64> = r
+            .epochs
+            .iter()
+            .flat_map(|e| [e.train_loss.to_bits(), e.valid_ndcg.unwrap_or(f32::NAN).to_bits()])
+            .chain([r.best_valid_ndcg.to_bits()])
+            .chain(m.recall.iter().chain(&m.ndcg).chain(&m.per_case_ndcg).map(|v| v.to_bits()))
+            .map(u64::from)
+            .collect();
+        bits.extend([r.epochs.len(), r.best_epoch, m.n_cases].map(|n| n as u64));
+        for p in t.model.params() {
+            bits.extend(p.get().data().iter().map(|v| u64::from(v.to_bits())));
+        }
+        bits
+    }
+
+    /// `run_warm`, a hooked run and a checkpointed run are one body: the
+    /// hook and the resumable loop change no bit of what is trained.
+    #[test]
+    fn plain_hooked_and_checkpointed_runs_train_the_same_model() {
+        let ctx = tiny_context();
+        let warm = &ctx.warm;
+        let run = |checkpoint: Option<&CheckpointPolicy>, epochs_seen: &mut usize| {
+            ctx.train_and_evaluate(
+                ctx.build_model("WhitenRec+"),
+                &warm.train,
+                &warm.validation,
+                &warm.test,
+                checkpoint,
+                |_, _| *epochs_seen += 1,
+            )
+            .unwrap()
+        };
+        let plain = ctx.run_warm("WhitenRec+");
+        let mut hooked_epochs = 0;
+        let hooked = run(None, &mut hooked_epochs);
+        let dir = std::env::temp_dir().join(format!("wr_one_body_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let policy = CheckpointPolicy { dir: dir.clone(), every: 1 };
+        let mut checkpointed_epochs = 0;
+        let checkpointed = run(Some(&policy), &mut checkpointed_epochs);
+        let generations = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(plain.report.epochs.len(), 2);
+        assert_eq!((hooked_epochs, checkpointed_epochs, generations), (2, 2, 2));
+        assert_eq!(trained_bits(&hooked), trained_bits(&plain));
+        assert_eq!(trained_bits(&checkpointed), trained_bits(&plain));
     }
 
     #[test]

@@ -9,17 +9,12 @@
 //! ## Quick start
 //!
 //! ```no_run
-//! use whitenrec::{Pipeline, PipelineConfig};
-//! use whitenrec::data::DatasetKind;
+//! use whitenrec::data::{DatasetKind, DatasetSpec};
+//! use whitenrec::ExperimentContext;
 //!
-//! let result = Pipeline::new(PipelineConfig {
-//!     dataset: DatasetKind::Arts,
-//!     scale: 0.1,
-//!     model: "WhitenRec+".into(),
-//!     ..PipelineConfig::default()
-//! })
-//! .run();
-//! println!("test: {}", result.test_metrics);
+//! let ctx = ExperimentContext::from_spec(DatasetSpec::preset(DatasetKind::Arts).scaled(0.1));
+//! let trained = ctx.run_warm("WhitenRec+");
+//! println!("test: {}", trained.test_metrics);
 //! ```
 //!
 //! ## Crate map
@@ -58,12 +53,10 @@ pub mod bench;
 pub mod cli;
 mod experiment;
 mod export;
-mod pipeline;
 mod table;
 mod telemetry_export;
 
 pub use experiment::{ExperimentContext, TrainedModel};
 pub use export::{append_records, load_records, ExperimentRecord};
-pub use pipeline::{Pipeline, PipelineConfig, PipelineResult};
 pub use table::TableWriter;
 pub use telemetry_export::export_telemetry;

@@ -16,6 +16,15 @@ pub struct AdamConfig {
     pub weight_decay: f32,
 }
 
+impl AdamConfig {
+    /// The paper's optimizer, behind every results table (III–VIII):
+    /// lr 1e-3 with an L2 weight decay of 1e-6.
+    pub const PAPER: AdamConfig = AdamConfig {
+        lr: 1e-3,
+        weight_decay: 1e-6,
+    };
+}
+
 impl Default for AdamConfig {
     fn default() -> Self {
         AdamConfig {

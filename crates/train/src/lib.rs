@@ -28,6 +28,5 @@ pub use resume::{
 };
 pub use snapshot::{evaluate, ModelSnapshot};
 pub use trainer::{
-    fit, fit_observed, fit_resumable, CheckpointPolicy, EpochRecord, SeqRecModel, TrainConfig,
-    TrainReport,
+    fit, fit_resumable, CheckpointPolicy, EpochRecord, SeqRecModel, TrainConfig, TrainReport,
 };

@@ -3,10 +3,9 @@
 //! All timing goes through `wr-obs`'s [`Clock`] (the production
 //! [`wr_obs::MonotonicClock`] by default, a mock in tests) — the trainer
 //! never reads `Instant::now` directly (clippy's `disallowed_methods`).
-//! [`fit_observed`]
-//! additionally records per-epoch loss/NDCG gauges and step-time /
-//! grad-norm histograms and wraps each epoch in a trace span; [`fit`] is
-//! the same loop with throwaway telemetry.
+//! [`fit`] records per-epoch loss/NDCG gauges and step-time / grad-norm
+//! histograms and wraps each epoch in a trace span; [`fit_resumable`] is
+//! the same loop with crash-safe checkpoints.
 
 use std::sync::Arc;
 
@@ -194,37 +193,16 @@ impl TrainReport {
 /// best parameters before returning. `epoch_hook` runs after each epoch —
 /// the Fig. 6/7 analyses collect their per-epoch statistics there.
 ///
-/// Equivalent to [`fit_observed`] with telemetry nobody reads; the loop
-/// itself is shared, so instrumented and uninstrumented training execute
-/// identical arithmetic.
+/// Training records into `telemetry`: per-epoch `train.loss` /
+/// `train.valid_ndcg` / `train.epoch_seconds` gauges, `train.step_ms` and
+/// `train.grad_norm` histograms (one sample per optimization step), a
+/// `train.epochs` counter, and a `train.epoch` span per epoch on the
+/// tracer. All report timing (`EpochRecord::seconds`,
+/// `TrainReport::total_seconds`) is read from `telemetry.clock`, so a
+/// [`wr_obs::MockClock`] makes the report fully deterministic. Telemetry
+/// is write-only: no recorded value feeds the optimization path, so a
+/// caller that reads none passes a fresh [`Telemetry::new`].
 pub fn fit<M: SeqRecModel>(
-    model: &mut M,
-    optimizer: &mut Adam,
-    train_sequences: Vec<Vec<usize>>,
-    validation: &[EvalCase],
-    config: TrainConfig,
-    epoch_hook: impl FnMut(&M, &EpochRecord),
-) -> TrainReport {
-    fit_observed(
-        model,
-        optimizer,
-        train_sequences,
-        validation,
-        config,
-        &Telemetry::new(),
-        epoch_hook,
-    )
-}
-
-/// [`fit`] with telemetry: per-epoch `train.loss` / `train.valid_ndcg` /
-/// `train.epoch_seconds` gauges, `train.step_ms` and `train.grad_norm`
-/// histograms (one sample per optimization step), a `train.epochs`
-/// counter, and a `train.epoch` span per epoch on the tracer. All report
-/// timing (`EpochRecord::seconds`, `TrainReport::total_seconds`) is read
-/// from `telemetry.clock`, so a [`wr_obs::MockClock`] makes the report
-/// fully deterministic. Telemetry is write-only: no recorded value feeds
-/// the optimization path.
-pub fn fit_observed<M: SeqRecModel>(
     model: &mut M,
     optimizer: &mut Adam,
     train_sequences: Vec<Vec<usize>>,
@@ -262,7 +240,7 @@ pub struct CheckpointPolicy {
     pub every: usize,
 }
 
-/// [`fit_observed`] with crash-safe resumption: the loop checkpoints its
+/// [`fit`] with crash-safe resumption: the loop checkpoints its
 /// full state (parameters, best-weights snapshot, Adam moments + step,
 /// RNG stream position, early-stopping bookkeeping) to `policy.dir` at
 /// epoch boundaries, and on startup restores the newest valid generation
@@ -274,7 +252,7 @@ pub struct CheckpointPolicy {
 /// resume).
 #[allow(
     clippy::too_many_arguments,
-    reason = "fit_observed's arguments plus the checkpoint policy; a struct would exist for this call alone"
+    reason = "fit's arguments plus the checkpoint policy; a struct would exist for this call alone"
 )]
 pub fn fit_resumable<M: SeqRecModel>(
     model: &mut M,
@@ -365,13 +343,12 @@ impl LoopStart {
     }
 }
 
-/// The one training loop behind [`fit`], [`fit_observed`], and
-/// [`fit_resumable`]: instrumented and resumable variants execute
-/// identical arithmetic, differing only in entry state and whether epoch
-/// boundaries persist a [`TrainCheckpoint`].
+/// The one training loop behind [`fit`] and [`fit_resumable`]: plain and
+/// resumable runs execute identical arithmetic, differing only in entry
+/// state and whether epoch boundaries persist a [`TrainCheckpoint`].
 #[allow(
     clippy::too_many_arguments,
-    reason = "the one loop behind three entry points; each argument is a different one of their inputs"
+    reason = "the one loop behind both entry points; each argument is a different one of their inputs"
 )]
 fn run_loop<M: SeqRecModel>(
     model: &mut M,
@@ -640,7 +617,7 @@ mod tests {
             patience: 25,
             ..TrainConfig::default()
         };
-        let report = fit(&mut model, &mut opt, train, &valid, config, |_, _| {});
+        let report = fit(&mut model, &mut opt, train, &valid, config, &Telemetry::new(), |_, _| {});
         assert!(report.best_valid_ndcg > 0.3, "{}", report.best_valid_ndcg);
         assert!(!report.epochs.is_empty());
         // Loss decreased over training.
@@ -665,7 +642,7 @@ mod tests {
             patience: 3,
             ..TrainConfig::default()
         };
-        let report = fit(&mut model, &mut opt, train, &valid, config, |_, _| {});
+        let report = fit(&mut model, &mut opt, train, &valid, config, &Telemetry::new(), |_, _| {});
         assert!(
             report.epochs.len() <= 5,
             "expected early stop, ran {} epochs",
@@ -688,7 +665,8 @@ mod tests {
             patience: 10,
             ..TrainConfig::default()
         };
-        let report = fit(&mut model, &mut opt, train, &valid.clone(), config, |_, _| {});
+        let tel = Telemetry::new();
+        let report = fit(&mut model, &mut opt, train, &valid.clone(), config, &tel, |_, _| {});
         // Re-evaluating restored weights reproduces the best metric.
         let again = evaluate(&model, &valid, &[20], 64).ndcg_at(20);
         assert!(
@@ -699,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_observed_records_metrics_with_deterministic_mock_time() {
+    fn fit_records_metrics_with_deterministic_mock_time() {
         use std::sync::Arc;
         use wr_obs::MockClock;
 
@@ -717,7 +695,7 @@ mod tests {
         // become pure functions of the number of reads.
         let clock = Arc::new(MockClock::with_tick(1_000_000));
         let tel = Telemetry::with_clock(clock);
-        let report = fit_observed(&mut model, &mut opt, train, &valid, config, &tel, |_, _| {});
+        let report = fit(&mut model, &mut opt, train, &valid, config, &tel, |_, _| {});
 
         // 20 sequences / batch 8 → 3 steps per epoch. Per epoch the clock is
         // read: 1 span start + 1 epoch start + 2 per step + 1 epoch end + 1
@@ -765,7 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn fit_and_fit_observed_produce_identical_training() {
+    fn fit_trains_identically_under_any_telemetry_clock() {
+        use std::sync::Arc;
+        use wr_obs::MockClock;
+
         let (train, valid) = toy_data(10, 30);
         let config = TrainConfig {
             max_epochs: 4,
@@ -776,11 +757,11 @@ mod tests {
         };
         let mut m1 = ToyModel::new(10, 13);
         let mut o1 = Adam::new(AdamConfig::default());
-        let r1 = fit(&mut m1, &mut o1, train.clone(), &valid, config, |_, _| {});
+        let r1 = fit(&mut m1, &mut o1, train.clone(), &valid, config, &Telemetry::new(), |_, _| {});
         let mut m2 = ToyModel::new(10, 13);
         let mut o2 = Adam::new(AdamConfig::default());
-        let tel = Telemetry::new();
-        let r2 = fit_observed(&mut m2, &mut o2, train, &valid, config, &tel, |_, _| {});
+        let tel = Telemetry::with_clock(Arc::new(MockClock::with_tick(1_000_000)));
+        let r2 = fit(&mut m2, &mut o2, train, &valid, config, &tel, |_, _| {});
         // Telemetry is write-only: losses and final weights are bit-equal.
         let l1: Vec<u32> = r1.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
         let l2: Vec<u32> = r2.epochs.iter().map(|e| e.train_loss.to_bits()).collect();
@@ -803,7 +784,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut seen = Vec::new();
-        let report = fit(&mut model, &mut opt, train, &valid, config, |_, rec| {
+        let report = fit(&mut model, &mut opt, train, &valid, config, &Telemetry::new(), |_, rec| {
             seen.push(rec.epoch);
         });
         assert_eq!(seen, (0..report.epochs.len()).collect::<Vec<_>>());

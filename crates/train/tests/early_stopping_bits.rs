@@ -119,7 +119,8 @@ fn fit_reports_the_validation_bits_the_deleted_shim_computed() {
         want.to_bits()
     );
     let mut optimizer = Adam::new(AdamConfig::default());
-    let report = fit(&mut model, &mut optimizer, train, &valid, config, |_, _| {});
+    let tel = wr_obs::Telemetry::new();
+    let report = fit(&mut model, &mut optimizer, train, &valid, config, &tel, |_, _| {});
     assert_eq!(report.epochs.len(), 2);
     for record in &report.epochs {
         assert_eq!(record.valid_ndcg.map(f32::to_bits), Some(want.to_bits()), "epoch {}", record.epoch);

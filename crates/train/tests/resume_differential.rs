@@ -147,6 +147,7 @@ fn kill_and_resume_is_bit_identical_to_straight_run() {
         train.clone(),
         &valid,
         test_config(4),
+        &wr_obs::Telemetry::new(),
         |_, _| {},
     );
 
@@ -254,7 +255,8 @@ fn checkpointing_does_not_perturb_training_arithmetic() {
     let (train, valid) = toy_data(8, 24);
     let mut plain = ToyModel::new(8, 3);
     let mut opt_p = Adam::new(AdamConfig::default());
-    fit(&mut plain, &mut opt_p, train.clone(), &valid, test_config(3), |_, _| {});
+    let tel_p = wr_obs::Telemetry::new();
+    fit(&mut plain, &mut opt_p, train.clone(), &valid, test_config(3), &tel_p, |_, _| {});
 
     let dir = tmp_dir("no_perturb");
     let mut ckpt = ToyModel::new(8, 3);

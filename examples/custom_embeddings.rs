@@ -3,7 +3,7 @@
 //! for "my BERT export"), without using the dataset presets.
 //!
 //! Demonstrates the lower-level API: whitening → towers → SasRec → fit →
-//! evaluate, the same path `Pipeline` wraps.
+//! evaluate, the same path `ExperimentContext` runs.
 //!
 //! ```sh
 //! cargo run --release --example custom_embeddings
@@ -11,6 +11,7 @@
 
 use whitenrec::data::{warm_split, Batcher};
 use whitenrec::models::{zoo, EnsembleTower, LossKind, ModelConfig, SasRec};
+use whitenrec::obs::Telemetry;
 use whitenrec::tensor::{Rng64, Tensor};
 use whitenrec::train::{evaluate, fit, Adam, AdamConfig, TrainConfig};
 use whitenrec::whiten::EnsembleMode;
@@ -79,6 +80,7 @@ fn main() {
         split.train.clone(),
         &split.validation,
         train_config,
+        &Telemetry::new(),
         |_, rec| println!("epoch {:>2}: loss {:.4}", rec.epoch, rec.train_loss),
     );
 

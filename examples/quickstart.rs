@@ -5,26 +5,19 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use whitenrec::data::DatasetKind;
-use whitenrec::models::ModelConfig;
-use whitenrec::{Pipeline, PipelineConfig};
+use whitenrec::data::{DatasetKind, DatasetSpec};
+use whitenrec::ExperimentContext;
 
 fn main() {
-    let config = PipelineConfig {
-        dataset: DatasetKind::Arts,
-        scale: 0.15,
-        model: "WhitenRec+".into(),
-        model_config: ModelConfig::default(),
-        max_epochs: 10,
-        patience: 3,
-        cold: false,
-        relaxed_groups: 4,
-    };
-    println!("Training {} on {:?} (scale {})…", config.model, config.dataset, config.scale);
-    let result = Pipeline::new(config).run();
+    let (kind, scale, model) = (DatasetKind::Arts, 0.15, "WhitenRec+");
+    println!("Training {model} on {kind:?} (scale {scale})…");
+    let mut ctx = ExperimentContext::from_spec(DatasetSpec::preset(kind).scaled(scale));
+    ctx.train_config.max_epochs = 10;
+    ctx.train_config.patience = 3;
+    let trained = ctx.run_warm(model);
 
     println!("\nTraining curve:");
-    for rec in &result.report.epochs {
+    for rec in &trained.report.epochs {
         println!(
             "  epoch {:>2}: loss {:.4}  valid N@20 {}",
             rec.epoch,
@@ -34,9 +27,9 @@ fn main() {
     }
     println!(
         "\nBest epoch {} | {:.1}s total | {} trainable parameters",
-        result.report.best_epoch,
-        result.report.total_seconds,
-        result.report.param_count
+        trained.report.best_epoch,
+        trained.report.total_seconds,
+        trained.report.param_count
     );
-    println!("Test metrics: {}", result.test_metrics);
+    println!("Test metrics: {}", trained.test_metrics);
 }

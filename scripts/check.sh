@@ -225,9 +225,27 @@ WR_THREADS=1 cargo test --workspace -q
 echo "== check: bench/ledger smoke =="
 RUST_TEST_THREADS=1 bench/ledger/check.sh
 
-echo "== check: bench smoke replay (bare engine) =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+
+# The examples are the README's entry points: each must build, run to a
+# zero exit and print what it promises — `quickstart` its test metrics,
+# `cold_start` one row per model it compares. (Type-checking them, as the
+# clippy step does, would not notice one that panics or prints nothing.)
+echo "== check: the examples build and run =="
+cargo build --release --examples
+for ex in quickstart cold_start custom_embeddings whitening_playground incremental_items; do
+    ./target/release/examples/"$ex" > "$smoke_dir/$ex.out" \
+        || { echo "   example $ex exited non-zero"; exit 1; }
+done
+grep -q '^Test metrics: R@20 ' "$smoke_dir/quickstart.out" \
+    || { echo "   quickstart printed no 'Test metrics:' line"; exit 1; }
+cold_rows="$(grep -cE '^(SASRec\(T\)|WhitenRec|WhitenRec\+) +R@20 ' "$smoke_dir/cold_start.out" || true)"
+[ "$cold_rows" -eq 3 ] \
+    || { echo "   cold_start printed $cold_rows model rows, want 3"; exit 1; }
+echo "   examples ok: $(grep '^Test metrics' "$smoke_dir/quickstart.out")"
+
+echo "== check: bench smoke replay (bare engine) =="
 ./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 32 --k 10 --check-naive 64 \
     --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/report.json" \
