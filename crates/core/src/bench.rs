@@ -73,7 +73,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::cli::{build_context, flag, has_flag, parse_num, parse_opt};
+use crate::cli::{build_context, check_flags, flag, has_flag, parse_num, parse_opt};
 use crate::fault::{FaultKind, FaultPlan, KillAfter, SharedInjector, WR_FAULT_SEED_ENV};
 use crate::nn::{load_params, restore_params, save_params};
 use crate::obs::Telemetry;
@@ -85,8 +85,7 @@ use wr_serve::{replay, IvfIndex, QueryLog, Replay, ServeConfig, ServeEngine};
 pub const USAGE: &str = "\
 whitenrec bench [--model WhitenRec+] [--dataset Arts] [--scale 0.2]
     [--epochs 3] [--checkpoint model.wrck]
-    [--shards N [--replicas R] [--poison-shard IDX] [--poison-replica IDX]
-                [--hedge-ns N] [--deadline-ns N] [--router-seed N]]
+    [--shards N [--replicas R] [--poison-shard IDX] [--poison-replica IDX]]
     [--queries 2048] [--users 1000000] [--zipf-alpha 1.1] [--max-len 20]
     [--log trace.jsonl] [--save-log trace.jsonl] [--batch 64] [--k 10]
     [--no-filter-seen] [--seed 17] [--out report.json] [--check-naive N]
@@ -98,14 +97,7 @@ whitenrec bench [--model WhitenRec+] [--dataset Arts] [--scale 0.2]
                         a value that is not a u64 is an error)";
 
 /// Flags that configure replica sets and so mean nothing on a bare engine.
-const GATEWAY_FLAGS: [&str; 6] = [
-    "--replicas",
-    "--poison-shard",
-    "--poison-replica",
-    "--hedge-ns",
-    "--deadline-ns",
-    "--router-seed",
-];
+const GATEWAY_FLAGS: [&str; 3] = ["--replicas", "--poison-shard", "--poison-replica"];
 
 /// Copy `src`'s trainable parameters into a freshly built twin. The twin
 /// shares no storage with `src` but is bit-identical: same architecture
@@ -238,14 +230,12 @@ fn build_gateway(
     if n_replicas == 0 {
         return Err("--replicas must be >= 1".into());
     }
-    let defaults = GatewayConfig::default();
+    // A shard takes a whole micro-batch: `--batch` rows, never rejected.
     let cfg = GatewayConfig {
         serve,
+        shard_max_rows: serve.max_batch,
         replicas: n_replicas,
-        hedge_threshold_ns: parse_num(args, "--hedge-ns", defaults.hedge_threshold_ns)?,
-        deadline_ns: parse_num(args, "--deadline-ns", defaults.deadline_ns)?,
-        router_seed: parse_num(args, "--router-seed", defaults.router_seed)?,
-        ..defaults
+        ..GatewayConfig::default()
     };
     let mut gateway = Gateway::partitioned(model, n_shards, cfg).map_err(|e| e.to_string())?;
     eprintln!(
@@ -373,6 +363,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         eprintln!("usage: {USAGE}");
         return Ok(());
     }
+    check_flags(args, USAGE)?;
     let model_name = flag(args, "--model").unwrap_or_else(|| "WhitenRec+".into());
     let n_shards: Option<usize> = parse_opt(args, "--shards")?;
     if n_shards.is_none() {

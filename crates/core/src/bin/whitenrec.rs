@@ -35,13 +35,16 @@
 //! whitenrec list-models
 //!     Print every model name the zoo accepts.
 //! ```
+//!
+//! Each verb refuses a `--flag` its usage does not list, naming it, so a
+//! typo never runs as if the flag were absent.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use whitenrec::cli::{build_context, flag, has_flag, parse_num, parse_opt};
+use whitenrec::cli::{build_context, check_flags, flag, has_flag, parse_num, parse_opt};
 use whitenrec::eval::{whiteness_error, EmbeddingReport};
 use whitenrec::models::zoo::WARM_ROSTER;
 use whitenrec::nn::save_params;
@@ -49,6 +52,16 @@ use whitenrec::obs::Telemetry;
 use whitenrec::train::SeqRecModel;
 use whitenrec::whiten::{WhiteningMethod, WhiteningTransform, DEFAULT_EPS};
 use whitenrec::{append_records, ExperimentRecord};
+
+/// The flags `analyze` accepts; any other `--flag` is refused.
+const ANALYZE_USAGE: &str = "whitenrec analyze [--dataset Arts] [--scale 0.2]";
+
+/// The flags `train` accepts; any other `--flag` is refused.
+const TRAIN_USAGE: &str = "\
+whitenrec train [--model WhitenRec+] [--dataset Arts] [--scale 0.2]
+    [--epochs 15] [--cold] [--save model.wrck] [--records out.jsonl]
+    [--metrics-out metrics.json] [--trace-out trace.json]
+    [--resume-dir DIR] [--checkpoint-every N] [--fault-seed S]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,6 +110,7 @@ fn dir_has_generations(dir: &Path) -> bool {
 }
 
 fn analyze(args: &[String]) -> Result<(), String> {
+    check_flags(args, ANALYZE_USAGE)?;
     let ctx = build_context(args, None)?;
     let emb = &ctx.dataset.embeddings;
     println!(
@@ -119,6 +133,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn train(args: &[String]) -> Result<(), String> {
+    check_flags(args, TRAIN_USAGE)?;
     let model_name = flag(args, "--model").unwrap_or_else(|| "WhitenRec+".into());
     let mut ctx = build_context(args, None)?;
     let trace_out = flag(args, "--trace-out");

@@ -18,6 +18,20 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Refuse any `--flag` argument that `usage` does not name, so a typo
+/// (`--shard` for `--shards`) or a retired flag fails with its name
+/// instead of silently changing nothing.
+pub fn check_flags(args: &[String], usage: &str) -> Result<(), String> {
+    let known: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    match args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        Some(unknown) => Err(format!("unknown flag {unknown}\nusage: {usage}")),
+        None => Ok(()),
+    }
+}
+
 /// `name`'s value parsed as `T` when the flag is present, a typed message
 /// when the value does not parse.
 pub fn parse_opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {

@@ -149,3 +149,69 @@ fn bench_refuses_a_fault_seed_that_does_not_parse() {
         "it failed after starting work: {stderr}"
     );
 }
+
+/// `bench`'s report JSON (its stdout) field `key`, as printed.
+fn report_field<'a>(stdout: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\":");
+    let start = stdout.find(&pat).map(|i| i + pat.len()).unwrap_or_else(|| {
+        panic!("report has no {key}: {stdout}")
+    });
+    let rest = &stdout[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim_matches('"')
+}
+
+/// A micro-batch larger than the default serving bound reaches every
+/// shard whole: at `--batch 128` a 2-shard gateway answers exactly like
+/// the bare engine over the same checkpoint, with nothing degraded.
+#[test]
+fn gateway_answers_like_the_engine_at_a_batch_past_the_default_bound() {
+    let dir = scratch("batch128");
+    let ckpt = dir.join("m.wrck").to_string_lossy().into_owned();
+    let bench = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_whitenrec"))
+            .args(["bench", "--scale", "0.05", "--epochs", "1", "--queries", "256"])
+            .args(["--batch", "128", "--checkpoint", &ckpt])
+            .args(extra)
+            .output()
+            .expect("spawn whitenrec");
+        assert!(
+            out.status.success(),
+            "bench {extra:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let engine = bench(&[]);
+    let gateway = bench(&["--shards", "2"]);
+    assert_eq!(report_field(&engine, "degraded"), "0");
+    assert_eq!(report_field(&gateway, "degraded"), "0");
+    assert_eq!(
+        report_field(&gateway, "top1_checksum"),
+        report_field(&engine, "top1_checksum"),
+        "2 shards at --batch 128 must give the engine's checksum"
+    );
+}
+
+/// Every verb refuses a flag it does not list, before any work, and
+/// names it: a typo or a retired flag must not run with nothing changed.
+#[test]
+fn verbs_refuse_flags_they_do_not_list() {
+    for (args, unknown) in [
+        (&["bench", "--shards", "2", "--hedge-ns", "1"][..], "--hedge-ns"),
+        (&["train", "--shard", "2"][..], "--shard"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_whitenrec"))
+            .args(args)
+            .args(["--scale", "0.05", "--epochs", "1"])
+            .output()
+            .expect("spawn whitenrec");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must exit FAILURE, stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {unknown}")),
+            "{args:?}: stderr must name {unknown}, got: {stderr}"
+        );
+        assert!(!stderr.contains("training"), "{args:?} failed after starting work: {stderr}");
+    }
+}

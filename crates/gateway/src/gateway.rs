@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::health::{BreakerConfig, ReplicaCall, ReplicaSet};
 use crate::ShardPlan;
 use wr_fault::{SharedInjector, Sleeper};
-use wr_obs::{Clock, DeadlineBudget, MonotonicClock, Telemetry, TraceContext};
+use wr_obs::{Clock, MonotonicClock, Telemetry, TraceContext};
 use wr_serve::{
     merge_top_k, CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, Replay, Request,
     ResilienceConfig, Response, ScoredItem, ServeConfig,
@@ -36,29 +36,16 @@ pub struct GatewayConfig {
     /// Per-shard backpressure bound: a single fan-out call may hand a
     /// shard at most this many rows; past it the shard rejects and the
     /// affected responses degrade (missing that window's candidates)
-    /// instead of failing. Defaults to the micro-batch bound, i.e. never
-    /// rejecting — tighten it to shed load per shard.
+    /// instead of failing. Set it to `serve.max_batch` to never reject;
+    /// the default is `ServeConfig::default().max_batch`, which matches
+    /// only a default `serve`. Tighten it to shed load per shard.
     pub shard_max_rows: usize,
     /// Replicas per catalog window (`R`). Each replica is a handle clone
     /// of the window's frozen cache behind its own circuit breaker, so
-    /// failover and hedging change *which core answers*, never the bits.
-    /// With `1` (the default) there is no sibling to fail over to: a
-    /// batch that keeps dying is absorbed into per-request isolation.
+    /// failover changes *which core answers*, never the bits. With `1`
+    /// (the default) there is no sibling to fail over to: a batch that
+    /// keeps dying is absorbed into per-request isolation.
     pub replicas: usize,
-    /// Hedge a dispatch whose winning attempt took at least this many
-    /// nanoseconds of the gateway clock: one extra attempt on a
-    /// healthy sibling, bit-compared against the answer in hand
-    /// (`gateway.hedge_mismatches` counts disagreements — it must stay
-    /// zero). `0` disables hedging.
-    pub hedge_threshold_ns: u64,
-    /// Per-micro-batch deadline budget in nanoseconds of the gateway
-    /// clock; a spent budget sheds the batch (degraded, not failed).
-    /// `0` means unlimited.
-    pub deadline_ns: u64,
-    /// Seed for the replica-rotation hash. Routing is a pure function of
-    /// `(router_seed, first request id, shard index)` — no RNG stream —
-    /// so a replay with the same seed walks the same replicas.
-    pub router_seed: u64,
 }
 
 impl Default for GatewayConfig {
@@ -69,9 +56,6 @@ impl Default for GatewayConfig {
             max_queue_depth: 1024,
             shard_max_rows: serve.max_batch,
             replicas: 1,
-            hedge_threshold_ns: 0,
-            deadline_ns: 0,
-            router_seed: 0x5EED_0017,
         }
     }
 }
@@ -162,10 +146,10 @@ pub struct Gateway {
     /// Per-shard span labels, precomputed so the fan-out hot path never
     /// formats strings.
     shard_labels: Vec<String>,
-    /// Time source for deadline budgets and hedge decisions. Defaults to
-    /// [`MonotonicClock`]; [`Gateway::with_telemetry`] adopts the
-    /// telemetry clock so routing and flight timestamps share one
-    /// timeline, and tests inject a frozen `MockClock`.
+    /// Time source for breaker cooldowns. Defaults to [`MonotonicClock`];
+    /// [`Gateway::with_telemetry`] adopts the telemetry clock so breaker
+    /// transitions and flight timestamps share one timeline (and a test's
+    /// `MockClock` governs both).
     clock: Arc<dyn Clock>,
 }
 
@@ -240,26 +224,13 @@ impl Gateway {
         telemetry.registry.counter("gateway.degraded_responses");
         telemetry.registry.counter("gateway.rejected_overload");
         telemetry.registry.counter("gateway.failovers");
-        telemetry.registry.counter("gateway.hedges");
-        telemetry.registry.counter("gateway.hedge_mismatches");
         telemetry.registry.counter("gateway.breaker_open");
         for set in &mut self.sets {
             set.map_replicas(|s| s.with_telemetry(telemetry.clone()));
         }
-        // Deadline and hedge decisions read the telemetry clock from here
-        // on, so routing and flight timestamps share one timeline (and a
-        // test's MockClock governs both).
+        // Breaker cooldowns read the telemetry clock from here on.
         self.clock = telemetry.clock.clone();
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Replace the gateway's time source (builder-style). Tests inject a
-    /// frozen [`wr_obs::MockClock`] so deadline and hedge decisions run
-    /// in virtual time. Call *after* [`Gateway::with_telemetry`], which
-    /// also resets the clock to the telemetry's.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -412,17 +383,13 @@ impl Gateway {
     /// (one task per set — the closure borrows only `Sync` state; the
     /// encoder stays on this thread). Returns `(shard index, per-request
     /// responses or None)` — `None` when the set shed the batch
-    /// (backpressure or a spent deadline).
+    /// (backpressure).
     fn fan_out(
         &self,
         slice: &[Request],
         users: &Tensor,
         ctx: TraceContext,
     ) -> Vec<(usize, Option<Vec<Response>>)> {
-        // One deadline budget per micro-batch, opened on the gateway
-        // clock. With `deadline_ns = 0` this is the unlimited budget and
-        // the deadline checks below are dead weight-free comparisons.
-        let deadline = DeadlineBudget::started_at(self.clock.now_ns(), self.cfg.deadline_ns);
         if let Some(tel) = &self.telemetry {
             tel.registry
                 .counter("gateway.fanout_calls")
@@ -438,8 +405,6 @@ impl Gateway {
         let labels = &self.shard_labels;
         let tel = self.telemetry.as_ref();
         let clock: &dyn Clock = &*self.clock;
-        let router_seed = self.cfg.router_seed;
-        let hedge_threshold_ns = self.cfg.hedge_threshold_ns;
         let results: Vec<Option<Vec<Response>>> =
             wr_runtime::parallel_map(sets.len(), 1, |s| {
                 let sctx = ctx.child(s as u64);
@@ -455,9 +420,6 @@ impl Gateway {
                     slice,
                     users,
                     ctx: sctx,
-                    deadline,
-                    router_seed,
-                    hedge_threshold_ns,
                     clock,
                     telemetry: tel,
                 };

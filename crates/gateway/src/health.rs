@@ -1,21 +1,22 @@
 //! Replica health: per-replica circuit breakers and the replica-set
-//! dispatch loop (failover, hedging, deadline enforcement).
+//! dispatch loop (rotation, failover, absorption).
 //!
 //! # Determinism argument
 //!
-//! Every *routing* decision here is a pure function of `(router seed,
-//! first request id of the batch, shard index)` plus breaker state that
-//! is itself driven only by deterministic failures — no RNG stream, no
-//! wall clock on the decision path. Time enters in exactly two places,
-//! both through the caller's [`wr_obs::Clock`] handle: deadline expiry
-//! and the hedge threshold. Under a frozen `MockClock` both read zero
-//! elapsed, so tests are bit-for-bit reproducible; under the production
-//! `MonotonicClock` they change only *which replica* answers — and every
-//! replica of a set scores the same frozen window through the same
-//! shared cache, so the answer bits cannot change (the whitened item
-//! table is immutable; replication is free of divergence by
-//! construction). That is why the differential gate holds at every
-//! `(shards, replicas, threads)` combination.
+//! Every *routing* decision here is a pure function of `(first request id
+//! of the batch, shard index)` under the fixed [`ROUTER_SEED`] plus
+//! breaker state that is itself driven only by deterministic failures —
+//! no RNG stream, no wall clock on the decision path. Time enters in
+//! exactly one place, through the caller's [`wr_obs::Clock`] handle: the
+//! breaker cooldown (when an `Open` breaker lets a probe through). Under
+//! a frozen `MockClock` no cooldown ever elapses, so tests are
+//! bit-for-bit reproducible; under the production `MonotonicClock` it
+//! changes only *which replica* answers — and every replica of a set
+//! scores the same frozen window through the same shared cache, so the
+//! answer bits cannot change (the whitened item table is immutable;
+//! replication is free of divergence by construction). That is why the
+//! differential gate holds at every `(shards, replicas, threads)`
+//! combination.
 //!
 //! # Breaker state machine
 //!
@@ -38,7 +39,7 @@
 use std::sync::Mutex;
 
 use wr_fault::splitmix;
-use wr_obs::{Clock, DeadlineBudget, Telemetry, TraceContext};
+use wr_obs::{Clock, Telemetry, TraceContext};
 use wr_serve::{CatalogShard, Request, Response, ServeError, ShardCall};
 use wr_tensor::Tensor;
 
@@ -158,6 +159,11 @@ impl HealthTracker {
     }
 }
 
+/// The replica-rotation hash seed: routing is a pure function of
+/// `(ROUTER_SEED, first request id, shard index)`, so a replay walks the
+/// same replicas.
+const ROUTER_SEED: u64 = 0x5EED_0017;
+
 /// Everything one dispatch needs from the gateway, bundled so the pool
 /// closure borrows a single `Sync` view.
 pub(crate) struct ReplicaCall<'a> {
@@ -166,11 +172,7 @@ pub(crate) struct ReplicaCall<'a> {
     pub slice: &'a [Request],
     pub users: &'a Tensor,
     pub ctx: TraceContext,
-    pub deadline: DeadlineBudget,
-    pub router_seed: u64,
-    /// Hedge a slow-but-successful primary past this many elapsed
-    /// nanoseconds; `0` disables hedging.
-    pub hedge_threshold_ns: u64,
+    /// Time source for breaker cooldowns.
     pub clock: &'a dyn Clock,
     pub telemetry: Option<&'a Telemetry>,
 }
@@ -192,31 +194,6 @@ impl ReplicaCall<'_> {
             tel.registry.counter(name).inc();
         }
     }
-
-    /// This batch as one shard call entering a replica at `now_ns`.
-    fn at(&self, now_ns: u64) -> ShardCall<'_> {
-        ShardCall {
-            slice: self.slice,
-            users: self.users,
-            ctx: self.ctx,
-            deadline: self.deadline,
-            now_ns,
-        }
-    }
-}
-
-/// Bit-level equality of two response vectors — the hedge assertion.
-/// Score comparison is on the `f32` bit patterns, not float equality.
-fn bits_identical(a: &[Response], b: &[Response]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.id == y.id
-                && x.items.len() == y.items.len()
-                && x.items
-                    .iter()
-                    .zip(&y.items)
-                    .all(|(p, q)| p.item == q.item && p.score.to_bits() == q.score.to_bits())
-        })
 }
 
 /// One catalog window behind `R` interchangeable [`CatalogShard`]
@@ -265,12 +242,13 @@ impl ReplicaSet {
         self.replicas.get_mut(r)
     }
 
-    /// Rotation start for this batch: pure hash of `(seed, first request
-    /// id, shard)` — no RNG stream, no clock, so a replay recomputes it.
+    /// Rotation start for this batch: pure hash of `(ROUTER_SEED, first
+    /// request id, shard)` — no RNG stream, no clock, so a replay
+    /// recomputes it.
     fn rotation_start(&self, call: &ReplicaCall<'_>) -> usize {
         let n = self.replicas.len().max(1);
         let h = splitmix(
-            call.router_seed
+            ROUTER_SEED
                 ^ call.first_id().wrapping_mul(0x9E3779B97F4A7C15)
                 ^ (call.shard as u64).wrapping_mul(0xD1B54A32D192ED03),
         );
@@ -279,8 +257,8 @@ impl ReplicaSet {
 
     /// Serve one encoded micro-batch through the healthiest replica that
     /// will take it. Returns `None` when the set sheds the batch
-    /// (backpressure on every candidate, or a spent deadline) — the
-    /// gateway degrades those responses.
+    /// (backpressure on every candidate) — the gateway degrades those
+    /// responses.
     ///
     /// Candidates are walked in rotation order, breaker-gated, each
     /// through the one shard call ([`CatalogShard::serve_window`]). A
@@ -306,109 +284,46 @@ impl ReplicaSet {
             // availability and lets its success close a breaker.
             candidates.push(start.min(n.saturating_sub(1)));
         }
+        let shard_call = ShardCall {
+            slice: call.slice,
+            users: call.users,
+            ctx: call.ctx,
+        };
         let last_pos = candidates.len().saturating_sub(1);
         for (pos, &idx) in candidates.iter().enumerate() {
             let Some(replica) = self.replicas.get(idx) else {
                 continue;
             };
-            let t0 = call.clock.now_ns();
-            let shard_call = call.at(t0);
             let responses = match replica.serve_window(&shard_call) {
                 Ok(responses) => responses,
                 // No sibling left: absorb. The replica did answer, so
                 // its breaker closes below like any other success.
                 Err(ServeError::Panicked { .. }) if pos == last_pos => replica.isolate(&shard_call),
+                // Penalise the breaker, and count and flight-record the
+                // edge when that opened it.
                 Err(ServeError::Panicked { .. }) => {
                     let now = call.clock.now_ns();
                     call.count("gateway.failovers");
                     call.note("failover", call.first_id(), idx as u64);
-                    self.record_failure(call, idx, now);
+                    if self.health.get(idx).is_some_and(|h| h.record_failure(now)) {
+                        call.count("gateway.breaker_open");
+                        call.note("breaker", call.first_id(), idx as u64);
+                        if let Some(tel) = call.telemetry {
+                            tel.flight.trigger("breaker-open");
+                        }
+                    }
                     continue;
                 }
                 // Backpressure is load, not ill-health: no breaker
                 // penalty, try the next sibling.
                 Err(ServeError::Overloaded { .. }) => continue,
-                Err(ServeError::DeadlineExceeded { .. }) => {
-                    // The budget is spent; burning more replicas answers
-                    // after the caller hung up. Shed the batch.
-                    call.note("deadline", call.first_id(), idx as u64);
-                    return None;
-                }
             };
             if let Some(h) = self.health.get(idx) {
                 h.record_success();
             }
-            self.maybe_hedge(call, idx, &candidates, &responses, t0);
             return Some(responses);
         }
         None
-    }
-
-    /// Replica `idx` failed past its retry budget at clock reading
-    /// `now_ns`: penalise its breaker, and count and flight-record the
-    /// edge when that opened it.
-    fn record_failure(&self, call: &ReplicaCall<'_>, idx: usize, now_ns: u64) {
-        if self.health.get(idx).is_some_and(|h| h.record_failure(now_ns)) {
-            call.count("gateway.breaker_open");
-            call.note("breaker", call.first_id(), idx as u64);
-            if let Some(tel) = call.telemetry {
-                tel.flight.trigger("breaker-open");
-            }
-        }
-    }
-
-    /// Hedge a slow-but-successful attempt: when the winning replica
-    /// took longer than the hedge threshold, fire one more attempt on the
-    /// next allowed sibling and *assert* (via counter, never a panic —
-    /// this is the hot path) that the two answers are bit-identical. The
-    /// answer already in hand wins either way; the hedge buys the breaker
-    /// an extra health observation and pins the
-    /// replica-interchangeability invariant in production, not just in
-    /// tests.
-    fn maybe_hedge(
-        &self,
-        call: &ReplicaCall<'_>,
-        winner: usize,
-        candidates: &[usize],
-        responses: &[Response],
-        t0: u64,
-    ) {
-        if call.hedge_threshold_ns == 0 {
-            return;
-        }
-        let elapsed = call.clock.now_ns().saturating_sub(t0);
-        if elapsed < call.hedge_threshold_ns {
-            return;
-        }
-        let Some(&hedge_idx) = candidates.iter().find(|&&i| i != winner) else {
-            return; // no sibling to hedge on
-        };
-        let Some(replica) = self.replicas.get(hedge_idx) else {
-            return;
-        };
-        call.count("gateway.hedges");
-        call.note("hedge", call.first_id(), hedge_idx as u64);
-        match replica.serve_window(&call.at(call.clock.now_ns())) {
-            Ok(hedged) => {
-                if let Some(h) = self.health.get(hedge_idx) {
-                    h.record_success();
-                }
-                if !bits_identical(responses, &hedged) {
-                    // Replicas disagreeing on a frozen cache is a real
-                    // bug (or genuine divergence); surface it loudly but
-                    // keep serving the primary's answer.
-                    call.count("gateway.hedge_mismatches");
-                    call.note("hedge-mismatch", call.first_id(), hedge_idx as u64);
-                    if let Some(tel) = call.telemetry {
-                        tel.flight.trigger("hedge-mismatch");
-                    }
-                }
-            }
-            Err(ServeError::Panicked { .. }) => {
-                self.record_failure(call, hedge_idx, call.clock.now_ns());
-            }
-            Err(_) => {} // overload/deadline on a hedge: drop it silently
-        }
     }
 }
 
@@ -452,7 +367,6 @@ mod tests {
         Healthy,
         Panicked,
         Overloaded,
-        Deadline,
     }
 
     #[derive(Debug, PartialEq)]
@@ -465,8 +379,7 @@ mod tests {
     /// The dispatch truth table: `R` replicas × what happens on the first
     /// candidate of the rotation. 2-request batches, 2 attempts per
     /// batch, a breaker that opens on the first failure, and a ticking
-    /// clock with a 1 ns hedge threshold, so every answered batch hedges
-    /// on a sibling when one exists. `rows` is the probe count per
+    /// clock whose cooldown never elapses. `rows` is the probe count per
     /// replica in rotation order: a healthy batch offers 2 rows, a dead
     /// replica sees 1 row per attempt (it dies on the first), isolation
     /// offers each row once more.
@@ -475,30 +388,23 @@ mod tests {
         use Outcome::*;
         use Part::*;
         // (R, first-candidate outcome) → (part, rows per candidate,
-        // first candidate's breaker, [failovers, breaker_open, hedges,
-        // hedge_mismatches]).
+        // first candidate's breaker, [failovers, breaker_open]).
         #[rustfmt::skip]
-        let table: &[(usize, Outcome, Part, &[u64], &str, [u64; 4])] = &[
-            (1, Healthy,    Full,     &[2],       "closed", [0, 0, 0, 0]),
-            (2, Healthy,    Full,     &[2, 2],    "closed", [0, 0, 1, 0]),
-            (3, Healthy,    Full,     &[2, 2, 0], "closed", [0, 0, 1, 0]),
+        let table: &[(usize, Outcome, Part, &[u64], &str, [u64; 2])] = &[
+            (1, Healthy,    Full,     &[2],       "closed", [0, 0]),
+            (2, Healthy,    Full,     &[2, 0],    "closed", [0, 0]),
+            (3, Healthy,    Full,     &[2, 0, 0], "closed", [0, 0]),
             // No sibling: absorbed into isolation (2 attempts + 2 rows
             // alone, all dead), which counts as an answer — no failover,
             // breaker closed.
-            (1, Panicked,   Isolated, &[4],       "closed", [0, 0, 0, 0]),
-            // Failover; the hedge then retries the corpse (2 more rows)
-            // and finds its breaker already open.
-            (2, Panicked,   Full,     &[4, 2],    "open",   [1, 1, 1, 0]),
-            (3, Panicked,   Full,     &[4, 2, 0], "open",   [1, 1, 1, 0]),
+            (1, Panicked,   Isolated, &[4],       "closed", [0, 0]),
+            // Failover after 2 dead attempts; the next sibling answers.
+            (2, Panicked,   Full,     &[2, 2],    "open",   [1, 1]),
+            (3, Panicked,   Full,     &[2, 2, 0], "open",   [1, 1]),
             // Load, not ill-health: next sibling, no breaker penalty.
-            (1, Overloaded, Shed,     &[0],       "closed", [0, 0, 0, 0]),
-            (2, Overloaded, Full,     &[0, 2],    "closed", [0, 0, 1, 0]),
-            (3, Overloaded, Full,     &[0, 2, 0], "closed", [0, 0, 1, 0]),
-            // A spent budget sheds at the first candidate — including
-            // when it is the only one.
-            (1, Deadline,   Shed,     &[0],       "closed", [0, 0, 0, 0]),
-            (2, Deadline,   Shed,     &[0, 0],    "closed", [0, 0, 0, 0]),
-            (3, Deadline,   Shed,     &[0, 0, 0], "closed", [0, 0, 0, 0]),
+            (1, Overloaded, Shed,     &[0],       "closed", [0, 0]),
+            (2, Overloaded, Full,     &[0, 2],    "closed", [0, 0]),
+            (3, Overloaded, Full,     &[0, 2, 0], "closed", [0, 0]),
         ];
         let mut rng = Rng64::seed_from(5);
         let items = Tensor::randn(&[20, 8], &mut rng);
@@ -523,12 +429,6 @@ mod tests {
                 slice: &reqs,
                 users: &users,
                 ctx: TraceContext::UNTRACED,
-                deadline: match outcome {
-                    Deadline => DeadlineBudget::started_at(0, 5),
-                    _ => DeadlineBudget::unlimited(),
-                },
-                router_seed: 7,
-                hedge_threshold_ns: 1,
                 clock: &*tel.clock,
                 telemetry: Some(&tel),
             };
@@ -568,18 +468,13 @@ mod tests {
                 assert_eq!(*label, want, "{what}: breaker of replica {idx}");
             }
             let snap = tel.registry.snapshot();
-            let counters = ["failovers", "breaker_open", "hedges", "hedge_mismatches"].map(|name| {
+            let counters = ["failovers", "breaker_open"].map(|name| {
                 snap.counters
                     .iter()
                     .find(|(n, _)| n.strip_prefix("gateway.") == Some(name))
                     .map_or(0, |(_, v)| *v)
             });
             assert_eq!(counters, *want_counters, "{what}: gateway.* counters");
-            assert_eq!(
-                tel.flight.events().iter().any(|e| e.kind == "deadline"),
-                *outcome == Deadline,
-                "{what}: deadline flight note"
-            );
         }
     }
 
@@ -661,5 +556,33 @@ mod tests {
         let c: Vec<u64> = (0..64).map(|id| mix(7, id, 2)).collect();
         assert_ne!(a, b, "seed must matter");
         assert_ne!(a, c, "shard must matter");
+        // The set rotates by this hash under the fixed seed 0x5EED_0017:
+        // another seed would move every recorded rotation and breaker
+        // trajectory.
+        let cfg = ServeConfig { k: 3, max_batch: 2, max_seq: 4, filter_seen: true };
+        let items = Tensor::randn(&[20, 8], &mut Rng64::seed_from(5));
+        let set = ReplicaSet::new(
+            CatalogShard::from_cache(EmbeddingCache::new(items), &cfg),
+            3,
+            BreakerConfig::default(),
+        );
+        let users = Tensor::zeros(&[1, 8]);
+        let clock = MockClock::new();
+        for (id, shard) in (0..64u64).zip([0usize, 1, 2].into_iter().cycle()) {
+            let slice = [Request { id, history: vec![] }];
+            let call = ReplicaCall {
+                shard,
+                slice: &slice,
+                users: &users,
+                ctx: TraceContext::UNTRACED,
+                clock: &clock,
+                telemetry: None,
+            };
+            assert_eq!(
+                set.rotation_start(&call) as u64,
+                mix(0x5EED_0017, id, shard as u64),
+                "request {id}, shard {shard}"
+            );
+        }
     }
 }

@@ -21,6 +21,13 @@
 //!   shard bounds its own per-call rows ([`wr_serve::ServeError`]); a
 //!   rejecting or dying shard *degrades* the affected responses (flagged,
 //!   counted) instead of failing the request;
+//! * replica sets — [`GatewayConfig::replicas`] handle clones of each
+//!   window's frozen cache, each behind a [`HealthTracker`] circuit
+//!   breaker, walked in a fixed hash rotation: a replica that panics past
+//!   its retries fails over to a sibling, and the last one left absorbs
+//!   the failure into per-request isolation. Every replica answers with
+//!   the same bits, so a set never races or compares two of them, and
+//!   the gateway's clock decides breaker cooldowns only;
 //! * a [`wr_serve::Replay`] impl — the gateway replays query logs through
 //!   the same [`wr_serve::replay`] loop as a bare engine (p50/p95/p99 +
 //!   QPS, the shared `top1_checksum` digest, `shards` / `degraded`

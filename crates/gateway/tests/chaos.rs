@@ -143,8 +143,6 @@ fn absorb(shard: &CatalogShard, slice: &[wr_serve::Request], users: &Tensor) -> 
         slice,
         users,
         ctx: wr_obs::TraceContext::UNTRACED,
-        deadline: wr_obs::DeadlineBudget::unlimited(),
-        now_ns: 0,
     };
     shard.serve_window(&call).unwrap_or_else(|_| shard.isolate(&call))
 }

@@ -225,8 +225,6 @@ fn replica_partials() -> (Vec<CatalogShard>, Vec<CatalogShard>, Vec<Vec<Vec<Scor
             slice,
             users: &users,
             ctx: wr_obs::TraceContext::UNTRACED,
-            deadline: wr_obs::DeadlineBudget::unlimited(),
-            now_ns: 0,
         };
         let prim: Vec<Vec<wr_serve::Response>> =
             primaries.iter().map(|s| s.serve_window(&call).unwrap()).collect();

@@ -93,48 +93,6 @@ impl Clock for MockClock {
     }
 }
 
-/// A per-request time budget in the [`Clock`]'s virtual timeline.
-///
-/// The budget is pure data — `(start_ns, budget_ns)` — so it is `Copy`,
-/// crosses pool-task boundaries for free, and never reads a clock itself:
-/// callers pass the *current* `now_ns` into every query. Under a frozen
-/// [`MockClock`] elapsed time is exactly what the test scripts (including
-/// zero), which keeps deadline-aware routing deterministic. `budget_ns =
-/// 0` means unlimited — the production default when no deadline was set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineBudget {
-    /// Clock reading when the request entered the system.
-    pub start_ns: u64,
-    /// Nanoseconds the request may spend; `0` = no deadline.
-    pub budget_ns: u64,
-}
-
-impl DeadlineBudget {
-    /// A budget of `budget_ns` starting at clock reading `start_ns`.
-    pub fn started_at(start_ns: u64, budget_ns: u64) -> Self {
-        DeadlineBudget { start_ns, budget_ns }
-    }
-
-    /// No deadline: `expired` is always false.
-    pub fn unlimited() -> Self {
-        DeadlineBudget {
-            start_ns: 0,
-            budget_ns: 0,
-        }
-    }
-
-    /// Nanoseconds spent since `start_ns` at clock reading `now_ns`
-    /// (saturating — a clock rewind reads as zero elapsed, never a panic).
-    pub fn elapsed_ns(&self, now_ns: u64) -> u64 {
-        now_ns.saturating_sub(self.start_ns)
-    }
-
-    /// Whether the budget is spent at clock reading `now_ns`.
-    pub fn expired(&self, now_ns: u64) -> bool {
-        self.budget_ns != 0 && self.elapsed_ns(now_ns) >= self.budget_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,27 +121,6 @@ mod tests {
         assert_eq!(clock.now_ns(), 10);
         clock.advance(100);
         assert_eq!(clock.now_ns(), 120);
-    }
-
-    #[test]
-    fn deadline_budget_expires_in_virtual_time() {
-        let clock = MockClock::new();
-        let budget = DeadlineBudget::started_at(clock.now_ns(), 1_000);
-        assert!(!budget.expired(clock.now_ns()));
-        clock.advance(400);
-        assert_eq!(budget.elapsed_ns(clock.now_ns()), 400);
-        clock.advance(600);
-        assert!(budget.expired(clock.now_ns()));
-    }
-
-    #[test]
-    fn unlimited_budget_never_expires() {
-        let budget = DeadlineBudget::unlimited();
-        assert!(!budget.expired(u64::MAX));
-        // A clock reading before start_ns saturates to zero elapsed.
-        let late_start = DeadlineBudget::started_at(500, 100);
-        assert_eq!(late_start.elapsed_ns(10), 0);
-        assert!(!late_start.expired(10));
     }
 
     #[test]

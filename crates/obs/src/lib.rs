@@ -54,7 +54,7 @@ pub mod registry;
 pub mod span;
 pub mod trace;
 
-pub use clock::{Clock, DeadlineBudget, MockClock, MonotonicClock};
+pub use clock::{Clock, MockClock, MonotonicClock};
 pub use flight::{read_dump, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_FORMAT};
 pub use http::{http_get, serve_http, ObsServer};
 pub use registry::{

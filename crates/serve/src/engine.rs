@@ -133,10 +133,6 @@ pub enum ServeError {
     /// (same window, same cache ⇒ bit-identical answers) instead of
     /// degrading.
     Panicked { attempts: u32 },
-    /// The request's [`wr_obs::DeadlineBudget`] was already spent when the
-    /// call arrived — scoring would answer after the caller stopped
-    /// listening, so nothing was scored.
-    DeadlineExceeded { elapsed_ns: u64, budget_ns: u64 },
 }
 
 impl std::fmt::Display for ServeError {
@@ -147,12 +143,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Panicked { attempts } => {
                 write!(f, "serve micro-batch panicked on all {attempts} attempts")
-            }
-            ServeError::DeadlineExceeded { elapsed_ns, budget_ns } => {
-                write!(
-                    f,
-                    "serve deadline exceeded: {elapsed_ns} ns elapsed of a {budget_ns} ns budget"
-                )
             }
         }
     }

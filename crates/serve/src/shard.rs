@@ -36,7 +36,7 @@ use crate::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeError
 use wr_ann::{IvfIndex, SearchStats};
 use wr_eval::{order_key, ScoredItem};
 use wr_fault::{no_faults, SharedInjector, Sleeper, ThreadSleeper};
-use wr_obs::{DeadlineBudget, Telemetry, TraceContext};
+use wr_obs::{Telemetry, TraceContext};
 use wr_tensor::Tensor;
 
 /// Rows of `items` containing any non-finite value — these are
@@ -109,17 +109,12 @@ pub struct CatalogShard {
 }
 
 /// One encoded micro-batch addressed to a shard: the requests, their
-/// pre-encoded `users: [b, d]` rows, the trace identity that degraded-mode
-/// flight notes are filed under, and the deadline budget with the
-/// caller's reading of its `wr_obs::Clock` — the shard itself never reads
-/// a clock to decide, so deadline behavior is a pure function of the
-/// caller's virtual timeline.
+/// pre-encoded `users: [b, d]` rows, and the trace identity that
+/// degraded-mode flight notes are filed under.
 pub struct ShardCall<'a> {
     pub slice: &'a [Request],
     pub users: &'a Tensor,
     pub ctx: TraceContext,
-    pub deadline: DeadlineBudget,
-    pub now_ns: u64,
 }
 
 /// The empty answer of a request that could not be, or must not be, scored.
@@ -178,7 +173,7 @@ impl CatalogShard {
     /// copies), the same quarantine set, config, injector, sleeper, and
     /// telemetry. Same window + same frozen cache ⇒ every replica scores
     /// bit-identically to its primary — the invariant that makes replica
-    /// failover and hedging answer-preserving.
+    /// failover answer-preserving.
     pub fn replica(&self) -> CatalogShard {
         self.clone()
     }
@@ -326,9 +321,7 @@ impl CatalogShard {
     /// THE serve call: per-shard backpressure (calls carrying more than
     /// `resilience.max_queue_depth` rows are rejected, typed and counted,
     /// so one slow shard sheds load instead of queuing unbounded work),
-    /// then the deadline (a budget already spent at `call.now_ns` would
-    /// be answered after the caller stopped listening), then scoring
-    /// under bounded retry. A micro-batch that still dies surfaces as
+    /// then scoring under bounded retry. A micro-batch that still dies surfaces as
     /// [`ServeError::Panicked`]: a caller with a sibling replica over the
     /// same window fails over (bit-identical answer); a caller without
     /// one absorbs the failure with [`CatalogShard::isolate`].
@@ -342,13 +335,6 @@ impl CatalogShard {
             return Err(ServeError::Overloaded {
                 depth: call.slice.len(),
                 limit,
-            });
-        }
-        if call.deadline.expired(call.now_ns) {
-            self.flight_note("deadline", "serve.queue", call.ctx, u64::MAX, u64::MAX);
-            return Err(ServeError::DeadlineExceeded {
-                elapsed_ns: call.deadline.elapsed_ns(call.now_ns),
-                budget_ns: call.deadline.budget_ns,
             });
         }
         self.retry_batch(call.ctx, |attempt| {
@@ -608,14 +594,12 @@ mod tests {
         (items, shard)
     }
 
-    /// An untraced call with an unlimited budget.
+    /// An untraced call.
     fn untraced<'a>(slice: &'a [Request], users: &'a Tensor) -> ShardCall<'a> {
         ShardCall {
             slice,
             users,
             ctx: TraceContext::UNTRACED,
-            deadline: DeadlineBudget::unlimited(),
-            now_ns: 0,
         }
     }
 

@@ -67,7 +67,6 @@ EXEMPT = {
     "passed": "check_gradients's verdict; tests/model_gradients.rs",
     "advance": "MockClock: tests step virtual time",
     "with_tick": "MockClock: tests' auto-advancing clock",
-    "unlimited": "DeadlineBudget with no deadline; gateway chaos.rs, merge_property.rs",
     "NoSleep": "Sleeper that never sleeps, so retry tests run at once; serve and gateway suites",
     "damaged": "sealed::damaged, every truncation and bit flip of a sealed file; corruption suites",
     "tiny": "DatasetSpec::tiny, the test-sized dataset fixture",

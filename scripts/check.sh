@@ -370,6 +370,21 @@ grep -q '"gateway.latency_ms"' "$smoke_dir/gw-metrics.json"
 grep -q '"gateway.degraded_responses"' "$smoke_dir/gw-metrics.json"
 echo "   gateway ok: $exact_sum == $gw1_sum == $gw2_sum"
 
+# A micro-batch past the default serving bound (64 rows) must reach every
+# shard whole: at --batch 128 the 2-shard gateway gives the engine's
+# checksum with nothing degraded. Each shard's row bound must follow
+# --batch; left at 64, it refuses every shard call of the replay.
+echo "== check: bench gateway smoke at --batch 128 (== engine, 0 degraded) =="
+./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
+    --batch 128 --k 10 --shards 2 \
+    --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gw128-report.json"
+gw128_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gw128-report.json")"
+[ -n "$gw128_sum" ] && [ "$gw128_sum" = "$exact_sum" ] \
+    || { echo "   --batch 128 gateway checksum diverged: engine $exact_sum, 2 shards $gw128_sum"; exit 1; }
+grep -q '"degraded":0,' "$smoke_dir/gw128-report.json" \
+    || { echo "   --batch 128 gateway degraded answers"; exit 1; }
+echo "   gateway --batch 128 ok: $gw128_sum, 0 degraded"
+
 # Gateway chaos smoke: same fixture, one shard poisoned. The replay must
 # exit cleanly (survivor shards keep answering; the victim degrades the
 # responses it loses) with nonzero injected faults in the export, and the
