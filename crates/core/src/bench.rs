@@ -230,10 +230,8 @@ fn build_gateway(
     if n_replicas == 0 {
         return Err("--replicas must be >= 1".into());
     }
-    // A shard takes a whole micro-batch: `--batch` rows, never rejected.
     let cfg = GatewayConfig {
         serve,
-        shard_max_rows: serve.max_batch,
         replicas: n_replicas,
         ..GatewayConfig::default()
     };

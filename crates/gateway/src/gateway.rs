@@ -7,38 +7,30 @@ use crate::ShardPlan;
 use wr_fault::{SharedInjector, Sleeper};
 use wr_obs::{Clock, MonotonicClock, Telemetry, TraceContext};
 use wr_serve::{
-    merge_top_k, CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, Replay, Request,
-    ResilienceConfig, Response, ScoredItem, ServeConfig,
+    merge_top_k, CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, Replay, Request, Response,
+    ScoredItem, ServeConfig,
 };
 use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
 
-/// What the gateway reports its micro-batches and refused calls under.
+/// What the gateway reports its micro-batches under.
 const GATEWAY: FrontEnd = FrontEnd {
     category: "gateway",
     batches: "gateway.batches",
     requests: "gateway.requests",
     queue_depth: "gateway.queue_depth",
-    rejected_overload: "gateway.rejected_overload",
-    admission: "gateway.admission",
 };
 
-/// Gateway knobs: the per-shard serving configuration plus the two
-/// load-shedding bounds that distinguish a gateway from a lone engine.
+/// Gateway knobs: the per-shard serving configuration plus the replica
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
     /// Per-shard serving knobs (`k`, micro-batch bound, seen-filtering).
     /// The gateway's merge honors the same `k`.
     pub serve: ServeConfig,
-    /// Global admission bound: [`Gateway::try_serve`] rejects calls
-    /// carrying more requests than this ([`GatewayError::Overloaded`]).
-    pub max_queue_depth: usize,
-    /// Per-shard backpressure bound: a single fan-out call may hand a
-    /// shard at most this many rows; past it the shard rejects and the
-    /// affected responses degrade (missing that window's candidates)
-    /// instead of failing. Set it to `serve.max_batch` to never reject;
-    /// the default is `ServeConfig::default().max_batch`, which matches
-    /// only a default `serve`. Tighten it to shed load per shard.
+    /// Read by nothing: every shard takes the whole micro-batch. Kept
+    /// because `bench/ledger` builds `GatewayConfig` by literal; the next
+    /// benchmark PR drops it (ROADMAP item 3(h)).
     pub shard_max_rows: usize,
     /// Replicas per catalog window (`R`). Each replica is a handle clone
     /// of the window's frozen cache behind its own circuit breaker, so
@@ -53,7 +45,6 @@ impl Default for GatewayConfig {
         let serve = ServeConfig::default();
         GatewayConfig {
             serve,
-            max_queue_depth: 1024,
             shard_max_rows: serve.max_batch,
             replicas: 1,
         }
@@ -63,9 +54,6 @@ impl Default for GatewayConfig {
 /// Typed gateway failures.
 #[derive(Debug)]
 pub enum GatewayError {
-    /// The call exceeded [`GatewayConfig::max_queue_depth`]. Nothing was
-    /// scored; the caller should shed load.
-    Overloaded { depth: usize, limit: usize },
     /// A plan with zero shards.
     NoShards,
     /// More shards than catalog rows — some shard would own nothing.
@@ -81,9 +69,6 @@ pub enum GatewayError {
 impl std::fmt::Display for GatewayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GatewayError::Overloaded { depth, limit } => {
-                write!(f, "gateway overloaded: {depth} requests exceed queue depth {limit}")
-            }
             GatewayError::NoShards => write!(f, "gateway needs at least one shard"),
             GatewayError::EmptyShard { n_items, n_shards } => {
                 write!(f, "{n_shards} shards over {n_items} items leaves a shard empty")
@@ -111,9 +96,9 @@ impl From<wr_ann::AnnError> for GatewayError {
 /// (global ids, best first) plus a degradation flag.
 ///
 /// `degraded` means a shard *provably* contributed nothing for this
-/// request while its window could still have offered candidates — the
-/// shard rejected the fan-out call (backpressure) or its recovery path
-/// isolated the request to an empty answer — or the request itself was
+/// request while its window could still have offered candidates — its
+/// recovery path isolated the request to an empty answer — or the
+/// request itself was
 /// rejected at the encode (a history naming an item outside the
 /// catalogue: empty answer, batch peers untouched). The flag is
 /// conservative: a poisoned-but-answering shard (NaN quarantine fallback)
@@ -181,14 +166,10 @@ impl Gateway {
     ) -> Gateway {
         // Every shard retries with the default backoff, and every replica
         // trips the default breaker.
-        let resilience = ResilienceConfig {
-            max_queue_depth: cfg.shard_max_rows,
-            ..ResilienceConfig::default()
-        };
         let breaker = BreakerConfig::default();
         let sets: Vec<ReplicaSet> = shards
             .into_iter()
-            .map(|s| ReplicaSet::new(s.with_resilience(resilience), cfg.replicas, breaker))
+            .map(|s| ReplicaSet::new(s, cfg.replicas, breaker))
             .collect();
         let batcher = MicroBatcher::new(cfg.serve.max_batch);
         let shard_labels = (0..sets.len()).map(|s| format!("shard{s}")).collect();
@@ -208,9 +189,8 @@ impl Gateway {
     /// per micro-batch: a `batch` span (`gateway` category) plus one span
     /// per shard dispatch, `gateway.requests` / `gateway.batches` /
     /// `gateway.fanout_calls` counters, the `gateway.queue_depth` gauge,
-    /// and the degraded-mode counters (`gateway.shard_rejections`,
-    /// `gateway.degraded_responses`, `gateway.rejected_overload`). The
-    /// shards get a clone for their own `serve.*` recovery counters. All
+    /// and the degraded-mode counters (`gateway.degraded_responses`,
+    /// `gateway.failovers`, `gateway.breaker_open`). The shards get a clone for their own `serve.*` recovery counters. All
     /// of it is write-only: the differential suite asserts instrumented
     /// == uninstrumented bit-for-bit.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -220,9 +200,7 @@ impl Gateway {
         telemetry.registry.counter("gateway.requests");
         telemetry.registry.counter("gateway.batches");
         telemetry.registry.counter("gateway.fanout_calls");
-        telemetry.registry.counter("gateway.shard_rejections");
         telemetry.registry.counter("gateway.degraded_responses");
-        telemetry.registry.counter("gateway.rejected_overload");
         telemetry.registry.counter("gateway.failovers");
         telemetry.registry.counter("gateway.breaker_open");
         for set in &mut self.sets {
@@ -353,10 +331,6 @@ impl Gateway {
         self.plan.n_items()
     }
 
-    pub fn model_name(&self) -> String {
-        self.encoder.model().name()
-    }
-
     /// Answer a batch of queries. Requests are micro-batched in arrival
     /// order; per micro-batch the histories are encoded once and fanned
     /// out to the shards; responses come back in request order.
@@ -368,28 +342,11 @@ impl Gateway {
         })
     }
 
-    /// [`Gateway::serve`] behind global admission control: calls carrying
-    /// more than [`GatewayConfig::max_queue_depth`] requests are rejected
-    /// outright (typed, counted) instead of queuing unbounded work.
-    pub fn try_serve(&self, requests: &[Request]) -> Result<Vec<GatewayResponse>, GatewayError> {
-        let (depth, limit) = (requests.len(), self.cfg.max_queue_depth);
-        if !GATEWAY.admits(depth, limit, self.telemetry.as_ref()) {
-            return Err(GatewayError::Overloaded { depth, limit });
-        }
-        Ok(self.serve(requests))
-    }
-
     /// Dispatch one encoded micro-batch to every replica set on the pool
     /// (one task per set — the closure borrows only `Sync` state; the
-    /// encoder stays on this thread). Returns `(shard index, per-request
-    /// responses or None)` — `None` when the set shed the batch
-    /// (backpressure).
-    fn fan_out(
-        &self,
-        slice: &[Request],
-        users: &Tensor,
-        ctx: TraceContext,
-    ) -> Vec<(usize, Option<Vec<Response>>)> {
+    /// encoder stays on this thread). Returns one part per shard, in
+    /// window order: the set's per-request responses.
+    fn fan_out(&self, slice: &[Request], users: &Tensor, ctx: TraceContext) -> Vec<Vec<Response>> {
         if let Some(tel) = &self.telemetry {
             tel.registry
                 .counter("gateway.fanout_calls")
@@ -405,51 +362,41 @@ impl Gateway {
         let labels = &self.shard_labels;
         let tel = self.telemetry.as_ref();
         let clock: &dyn Clock = &*self.clock;
-        let results: Vec<Option<Vec<Response>>> =
-            wr_runtime::parallel_map(sets.len(), 1, |s| {
-                let sctx = ctx.child(s as u64);
-                let _span = tel.map(|t| {
-                    t.tracer.span_ctx(
-                        labels.get(s).cloned().unwrap_or_default(),
-                        "gateway.shard",
-                        sctx,
-                    )
-                });
-                let call = ReplicaCall {
-                    shard: s,
-                    slice,
-                    users,
-                    ctx: sctx,
-                    clock,
-                    telemetry: tel,
-                };
-                sets.get(s).and_then(|set| set.dispatch(&call))
+        wr_runtime::parallel_map(sets.len(), 1, |s| {
+            let sctx = ctx.child(s as u64);
+            let _span = tel.map(|t| {
+                t.tracer.span_ctx(
+                    labels.get(s).cloned().unwrap_or_default(),
+                    "gateway.shard",
+                    sctx,
+                )
             });
-        results.into_iter().enumerate().collect()
+            let call = ReplicaCall {
+                shard: s,
+                slice,
+                users,
+                ctx: sctx,
+                clock,
+                telemetry: tel,
+            };
+            sets.get(s).map(|set| set.dispatch(&call)).unwrap_or_default()
+        })
     }
 
     /// Merge per-shard parts back into per-request answers with
     /// [`merge_top_k`]. Windows are disjoint, so the merge is exact — no
-    /// upstream dedup needed. Missing parts (shard rejection, isolation
-    /// fallback) degrade the affected responses; the `invalid` rows the
-    /// encoder rejected are answered empty and degraded, whatever the
-    /// shards scored for their placeholder.
+    /// upstream dedup needed. An empty partial that its window could have
+    /// filled (the isolation fallback) degrades the response; the
+    /// `invalid` rows the encoder rejected are answered empty and
+    /// degraded, whatever the shards scored for their placeholder.
     fn merge_group(
         &self,
         slice: &[Request],
-        mut parts: Vec<(usize, Option<Vec<Response>>)>,
+        mut parts: Vec<Vec<Response>>,
         invalid: &[usize],
         ctx: TraceContext,
     ) -> Vec<GatewayResponse> {
         let k = self.cfg.serve.k;
-        let rejected = parts.iter().filter(|(_, p)| p.is_none()).count();
-        if rejected > 0 {
-            if let Some(tel) = &self.telemetry {
-                tel.registry
-                    .counter("gateway.shard_rejections")
-                    .add(rejected as u64);
-            }
-        }
         let mut partials: Vec<Vec<ScoredItem>> = Vec::with_capacity(parts.len());
         let mut out = Vec::with_capacity(slice.len());
         let mut degraded_total = 0u64;
@@ -457,24 +404,17 @@ impl Gateway {
             partials.clear();
             let is_invalid = invalid.contains(&r);
             let mut degraded = is_invalid;
-            for (s, part) in parts.iter_mut() {
-                match part {
-                    Some(responses) => match responses.get_mut(r) {
-                        Some(resp) => {
-                            if resp.items.is_empty() && self.window_can_answer(*s, &req.history) {
-                                degraded = true;
-                            }
-                            partials.push(std::mem::take(&mut resp.items));
-                        }
-                        // A shard answered with the wrong cardinality —
-                        // treat the missing slot like a rejection.
-                        None => degraded = true,
-                    },
-                    None => {
-                        if self.window_can_answer(*s, &req.history) {
+            for (s, part) in parts.iter_mut().enumerate() {
+                match part.get_mut(r) {
+                    Some(resp) => {
+                        if resp.items.is_empty() && self.window_can_answer(s, &req.history) {
                             degraded = true;
                         }
+                        partials.push(std::mem::take(&mut resp.items));
                     }
+                    // A shard answered with the wrong cardinality: its
+                    // window's candidates are missing.
+                    None => degraded = true,
                 }
             }
             let mut items = merge_top_k(k, &partials);
@@ -512,10 +452,9 @@ impl Gateway {
     }
 
     /// Could shard `s`'s window have offered at least one candidate for
-    /// this history? Conservative: duplicate history entries over-count
-    /// the seen rows, so a `false` may be optimistic but a `true` is
-    /// certain — degraded responses are never flagged spuriously healthy
-    /// the other way around.
+    /// this history? Yes while the window holds an item the history has
+    /// not seen: each in-window history item counts once, however often
+    /// the history repeats it. Runs only for an empty partial.
     fn window_can_answer(&self, s: usize, history: &[usize]) -> bool {
         if self.cfg.serve.k == 0 {
             return false;
@@ -526,8 +465,10 @@ impl Gateway {
         if !self.cfg.serve.filter_seen {
             return !range.is_empty();
         }
-        let hits = history.iter().filter(|h| range.contains(h)).count();
-        range.len() > hits
+        let mut seen: Vec<usize> = history.iter().copied().filter(|h| range.contains(h)).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        range.len() > seen.len()
     }
 }
 
@@ -563,6 +504,7 @@ impl Replay for Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wr_fault::{KillAfter, NoSleep};
     use wr_obs::MockClock;
     use wr_serve::{replay, QueryLog};
     use wr_models::{IdTower, LossKind, ModelConfig, SasRec};
@@ -601,6 +543,15 @@ mod tests {
         }
     }
 
+    /// An R = 1 gateway whose shard 0 panics on every row it scores.
+    fn shard0_dead(n_shards: usize) -> Gateway {
+        Gateway::partitioned(model(), n_shards, cfg())
+            .unwrap()
+            .with_sleeper(Arc::new(NoSleep))
+            .with_replica_faults(0, 0, Arc::new(KillAfter::serve_rows()))
+            .unwrap()
+    }
+
     fn reqs(n: usize) -> Vec<Request> {
         (0..n)
             .map(|i| Request {
@@ -631,52 +582,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn global_admission_control_rejects_typed() {
-        let mut c = cfg();
-        c.max_queue_depth = 4;
-        let gw = Gateway::partitioned(model(), 2, c).unwrap();
-        match gw.try_serve(&reqs(5)) {
-            Err(GatewayError::Overloaded { depth, limit }) => {
-                assert_eq!((depth, limit), (5, 4));
-            }
-            other => panic!("expected overload, got {:?}", other.map(|r| r.len())),
-        }
-        assert_eq!(gw.try_serve(&reqs(4)).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn shard_backpressure_degrades_instead_of_failing() {
-        let mut c = cfg();
-        // Shards accept at most 2 rows per call, but micro-batches carry
-        // up to 4 — every full batch is shed by every shard.
-        c.shard_max_rows = 2;
-        let tel = Telemetry::new();
-        let gw = Gateway::partitioned(model(), 2, c)
-            .unwrap()
-            .with_telemetry(tel.clone());
-        let responses = gw.serve(&reqs(4));
-        assert_eq!(responses.len(), 4);
-        for resp in &responses {
-            assert!(resp.degraded, "shed batch must degrade");
-            assert!(resp.items.is_empty());
-        }
-        let snap = tel.registry.snapshot();
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-        };
-        assert_eq!(counter("gateway.shard_rejections"), 2);
-        assert_eq!(counter("gateway.degraded_responses"), 4);
-        assert_eq!(counter("serve.rejected_overload"), 2);
-        // A batch small enough for the shard bound goes through intact.
-        let ok = gw.serve(&reqs(2));
-        assert!(ok.iter().all(|r| !r.degraded && r.items.len() == 5));
     }
 
     #[test]
@@ -721,12 +626,23 @@ mod tests {
         assert!(report.p50_ms <= report.p95_ms && report.p95_ms <= report.p99_ms);
         // Replay responses match a direct serve of the same queries.
         assert_eq!(responses, gw.serve(&log.queries));
-        // Shards that shed every full batch: 9 batches of 4 degrade, the
-        // 1-row tail fits the bound.
-        let mut shedding = cfg();
-        shedding.shard_max_rows = 2;
-        let gw = Gateway::partitioned(model(), 3, shedding).unwrap();
-        assert_eq!(replay(&gw, &log, &Telemetry::new()).1.n_degraded, 36);
+        // Shard 0's lone replica is dead: every request is isolated to an
+        // empty partial there, and its window could have answered each.
+        let gw = shard0_dead(3);
+        assert_eq!(replay(&gw, &log, &Telemetry::new()).1.n_degraded, 37);
+    }
+
+    #[test]
+    fn a_repeated_history_item_counts_once_against_its_window() {
+        // Five windows of nine items; every request gets an empty partial
+        // from window 0..9.
+        let gw = shard0_dead(5);
+        let repeated = vec![3; 9];
+        assert!(gw.window_can_answer(0, &repeated), "eight window items are unseen");
+        assert!(!gw.window_can_answer(0, &(0..9).collect::<Vec<_>>()), "all nine are seen");
+        let responses = gw.serve(&[Request { id: 0, history: repeated }]);
+        assert_eq!(responses[0].items.len(), 5, "the other windows still answer");
+        assert!(responses[0].degraded, "the dead shard withheld eight candidates");
     }
 
     #[test]

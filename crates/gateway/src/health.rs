@@ -231,7 +231,7 @@ impl ReplicaSet {
     }
 
     /// Rebuild every replica through `f` (builder plumbing: telemetry,
-    /// sleeper, resilience attach). Breaker state is untouched — builders
+    /// sleeper, faults, ANN index). Breaker state is untouched — builders
     /// run before traffic, when every breaker is closed anyway.
     pub(crate) fn map_replicas(&mut self, mut f: impl FnMut(CatalogShard) -> CatalogShard) {
         let replicas = std::mem::take(&mut self.replicas);
@@ -255,19 +255,18 @@ impl ReplicaSet {
         (h % n as u64) as usize
     }
 
-    /// Serve one encoded micro-batch through the healthiest replica that
-    /// will take it. Returns `None` when the set sheds the batch
-    /// (backpressure on every candidate) — the gateway degrades those
-    /// responses.
+    /// Serve one encoded micro-batch through the first healthy replica in
+    /// rotation order. Every batch is answered, one response per request.
     ///
     /// Candidates are walked in rotation order, breaker-gated, each
     /// through the one shard call ([`CatalogShard::serve_window`]). A
     /// replica that panics past its retry budget fails over to the next
-    /// sibling — same window, same cache, bit-identical answer. Only
-    /// when no sibling is left is the failure absorbed into per-request
-    /// isolation ([`CatalogShard::isolate`]), so a set with one usable
-    /// replica degrades request by request instead of losing the window.
-    pub(crate) fn dispatch(&self, call: &ReplicaCall<'_>) -> Option<Vec<Response>> {
+    /// sibling — same window, same cache, bit-identical answer. The last
+    /// candidate answers whatever happens: its failure is absorbed into
+    /// per-request isolation ([`CatalogShard::isolate`]), so a set with
+    /// one usable replica degrades request by request instead of losing
+    /// the window.
+    pub(crate) fn dispatch(&self, call: &ReplicaCall<'_>) -> Vec<Response> {
         let now0 = call.clock.now_ns();
         let n = self.replicas.len();
         let start = self.rotation_start(call);
@@ -278,27 +277,24 @@ impl ReplicaSet {
                 candidates.push(idx);
             }
         }
-        if candidates.is_empty() {
-            // Every breaker is open. Refusing to answer would degrade the
-            // whole window for a cooldown; forcing one attempt keeps
-            // availability and lets its success close a breaker.
-            candidates.push(start.min(n.saturating_sub(1)));
-        }
+        // With every breaker open, refusing to answer would degrade the
+        // whole window for a cooldown; forcing one attempt keeps
+        // availability and lets its success close a breaker.
+        let last = candidates.pop().unwrap_or(start);
         let shard_call = ShardCall {
             slice: call.slice,
             users: call.users,
             ctx: call.ctx,
         };
-        let last_pos = candidates.len().saturating_sub(1);
-        for (pos, &idx) in candidates.iter().enumerate() {
+        for &idx in &candidates {
             let Some(replica) = self.replicas.get(idx) else {
                 continue;
             };
-            let responses = match replica.serve_window(&shard_call) {
-                Ok(responses) => responses,
-                // No sibling left: absorb. The replica did answer, so
-                // its breaker closes below like any other success.
-                Err(ServeError::Panicked { .. }) if pos == last_pos => replica.isolate(&shard_call),
+            match replica.serve_window(&shard_call) {
+                Ok(responses) => {
+                    self.record_success(idx);
+                    return responses;
+                }
                 // Penalise the breaker, and count and flight-record the
                 // edge when that opened it.
                 Err(ServeError::Panicked { .. }) => {
@@ -312,18 +308,25 @@ impl ReplicaSet {
                             tel.flight.trigger("breaker-open");
                         }
                     }
-                    continue;
                 }
-                // Backpressure is load, not ill-health: no breaker
-                // penalty, try the next sibling.
-                Err(ServeError::Overloaded { .. }) => continue,
-            };
-            if let Some(h) = self.health.get(idx) {
-                h.record_success();
             }
-            return Some(responses);
         }
-        None
+        // No sibling left. `ReplicaSet::new` keeps at least one replica
+        // and `last < n`, so the lookup finds one. The replica did answer,
+        // isolated or not, so its breaker closes like any other success.
+        let responses = self.replicas.get(last).map_or_else(Vec::new, |replica| {
+            replica
+                .serve_window(&shard_call)
+                .unwrap_or_else(|_| replica.isolate(&shard_call))
+        });
+        self.record_success(last);
+        responses
+    }
+
+    fn record_success(&self, idx: usize) {
+        if let Some(h) = self.health.get(idx) {
+            h.record_success();
+        }
     }
 }
 
@@ -334,7 +337,7 @@ mod tests {
     use std::sync::Arc;
     use wr_fault::{Corruption, FaultInjector, KillAfter, NoSleep, RetryPolicy};
     use wr_obs::MockClock;
-    use wr_serve::{EmbeddingCache, ResilienceConfig, ServeConfig};
+    use wr_serve::{EmbeddingCache, ServeConfig};
     use wr_tensor::Rng64;
 
     /// Counts the rows a replica is asked to score, then (optionally)
@@ -366,14 +369,12 @@ mod tests {
     enum Outcome {
         Healthy,
         Panicked,
-        Overloaded,
     }
 
     #[derive(Debug, PartialEq)]
     enum Part {
         Full,
         Isolated,
-        Shed,
     }
 
     /// The dispatch truth table: `R` replicas × what happens on the first
@@ -401,25 +402,18 @@ mod tests {
             // Failover after 2 dead attempts; the next sibling answers.
             (2, Panicked,   Full,     &[2, 2],    "open",   [1, 1]),
             (3, Panicked,   Full,     &[2, 2, 0], "open",   [1, 1]),
-            // Load, not ill-health: next sibling, no breaker penalty.
-            (1, Overloaded, Shed,     &[0],       "closed", [0, 0]),
-            (2, Overloaded, Full,     &[0, 2],    "closed", [0, 0]),
-            (3, Overloaded, Full,     &[0, 2, 0], "closed", [0, 0]),
         ];
         let mut rng = Rng64::seed_from(5);
         let items = Tensor::randn(&[20, 8], &mut rng);
         let users = Tensor::randn(&[2, 8], &mut rng);
         let reqs: Vec<Request> = (0..2).map(|id| Request { id, history: vec![] }).collect();
         let cfg = ServeConfig { k: 3, max_batch: 2, max_seq: 4, filter_seen: true };
-        let resilience = |max_queue_depth| ResilienceConfig {
-            max_queue_depth,
-            retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
-        };
+        let retry = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
         for (n, outcome, want_part, want_rows, want_breaker, want_counters) in table {
             let what = format!("R={n}, first candidate {outcome:?}");
             let tel = Telemetry::with_clock(Arc::new(MockClock::with_tick(10)));
             let primary = CatalogShard::from_cache(EmbeddingCache::new(items.clone()), &cfg)
-                .with_resilience(resilience(1024))
+                .with_retry(retry)
                 .with_sleeper(Arc::new(NoSleep))
                 .with_telemetry(tel.clone());
             let breaker = BreakerConfig { failure_threshold: 1, cooldown_ns: u64::MAX / 2 };
@@ -442,20 +436,17 @@ mod tests {
             let mut i = 0;
             set.map_replicas(|mut replica| {
                 replica.set_injector(probes[i].clone());
-                if *outcome == Overloaded && i == first {
-                    replica = replica.with_resilience(resilience(1));
-                }
                 i += 1;
                 replica
             });
 
-            let part = match set.dispatch(&call) {
-                None => Shed,
-                Some(r) if r.iter().all(|resp| resp.items.is_empty()) => Isolated,
-                Some(r) => {
-                    assert!(r.iter().all(|resp| resp.items.len() == 3), "{what}");
-                    Full
-                }
+            let answered = set.dispatch(&call);
+            assert_eq!(answered.len(), 2, "{what}: one response per request");
+            let part = if answered.iter().all(|resp| resp.items.is_empty()) {
+                Isolated
+            } else {
+                assert!(answered.iter().all(|resp| resp.items.len() == 3), "{what}");
+                Full
             };
             assert_eq!(part, *want_part, "{what}: part");
             let rows: Vec<u64> = (0..*n)

@@ -16,10 +16,8 @@
 //!   live behind `Rc` for the autograd tape), then every micro-batch is
 //!   fanned out across the shards on the `wr-runtime` pool and merged
 //!   with [`wr_serve::merge_top_k`];
-//! * admission control + backpressure — [`Gateway::try_serve`] bounds the
-//!   request queue globally ([`GatewayError::Overloaded`]), and each
-//!   shard bounds its own per-call rows ([`wr_serve::ServeError`]); a
-//!   rejecting or dying shard *degrades* the affected responses (flagged,
+//! * degraded answers — every shard takes the whole micro-batch, and a
+//!   shard that keeps dying *degrades* the affected responses (flagged,
 //!   counted) instead of failing the request;
 //! * replica sets — [`GatewayConfig::replicas`] handle clones of each
 //!   window's frozen cache, each behind a [`HealthTracker`] circuit

@@ -25,10 +25,7 @@ use common::{chaos_rates, digest_of, zipf_trace, MAX_SEQ, N_ITEMS};
 
 use wr_gateway::{Gateway, GatewayConfig, GatewayResponse};
 use wr_fault::{FaultPlan, NoSleep};
-use wr_serve::{
-    merge_top_k, CatalogShard, MicroBatcher, QueryLog, ResilienceConfig,
-    ScoredItem, ServeConfig, ShardCall,
-};
+use wr_serve::{merge_top_k, CatalogShard, MicroBatcher, QueryLog, ScoredItem, ServeConfig, ShardCall};
 use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
 
@@ -93,17 +90,11 @@ fn reconstruct(log: &QueryLog, fault_seed: u64) -> Vec<Vec<ScoredItem>> {
     let items = model.item_representations();
     let cfg = gateway_cfg();
     let plan = wr_gateway::ShardPlan::partitioned(N_ITEMS, N_SHARDS).unwrap();
-    let resilience = ResilienceConfig {
-        max_queue_depth: cfg.shard_max_rows,
-        ..ResilienceConfig::default()
-    };
     let mut twins: Vec<CatalogShard> = plan
         .ranges()
         .iter()
         .map(|r| {
-            CatalogShard::from_window(&items, r.clone(), &cfg.serve)
-                .with_resilience(resilience)
-                .with_sleeper(Arc::new(NoSleep))
+            CatalogShard::from_window(&items, r.clone(), &cfg.serve).with_sleeper(Arc::new(NoSleep))
         })
         .collect();
     twins[VICTIM].rearm(

@@ -18,9 +18,7 @@ mod common;
 
 use common::{digest_of, zipf_trace, MAX_SEQ, N_ITEMS};
 use wr_gateway::{Gateway, GatewayConfig, GatewayError, GatewayResponse};
-use wr_serve::{
-    top1_digest, Request, ResilienceConfig, ServeConfig, ServeEngine, ServeError,
-};
+use wr_serve::{top1_digest, Request, ServeConfig, ServeEngine};
 use wr_train::SeqRecModel;
 
 const NLIST: usize = 4;
@@ -230,7 +228,6 @@ fn gateway_telemetry_is_write_only_and_nonzero() {
     assert_eq!(counter("gateway.requests"), 96);
     assert_eq!(counter("gateway.batches"), 3); // ceil(96 / 32)
     assert_eq!(counter("gateway.fanout_calls"), 9); // 3 batches × 3 shards
-    assert_eq!(counter("gateway.shard_rejections"), 0);
     assert_eq!(counter("gateway.degraded_responses"), 0);
     // Per-shard spans were emitted alongside the per-batch spans.
     let events = tel.tracer.events();
@@ -238,71 +235,26 @@ fn gateway_telemetry_is_write_only_and_nonzero() {
     assert_eq!(events.iter().filter(|e| e.cat == "gateway.shard").count(), 9);
 }
 
-/// Admission control is one function under both front ends
-/// (`wr_serve::FrontEnd::admits`): the same over-limit call is refused by
-/// the engine and by the gateway with the same `depth` / `limit`, each
-/// counting one rejection and noting one `overload` flight event under
-/// its own names, and a call exactly at the limit is admitted and
-/// answered identically by both.
+/// `GatewayConfig::shard_max_rows` bounds nothing: a gateway that names a
+/// one-row bound still hands every shard the whole 32-row micro-batch, and
+/// replays the trace like the engine, bit for bit, with nothing degraded.
 #[test]
-fn both_front_ends_refuse_the_same_overload_and_admit_at_the_limit() {
-    const LIMIT: usize = 40; // two micro-batches of 32
-    let log = zipf_trace(LIMIT + 1);
-    let engine_tel = wr_obs::Telemetry::new();
-    let engine = ServeEngine::new(whitenrec_model(19), serve_cfg())
-        .with_resilience(ResilienceConfig {
-            max_queue_depth: LIMIT,
-            ..ResilienceConfig::default()
-        })
-        .with_telemetry(engine_tel.clone());
-    let gateway_tel = wr_obs::Telemetry::new();
+fn shard_max_rows_is_inert() {
+    let log = zipf_trace(96);
+    let baseline = ServeEngine::new(whitenrec_model(19), serve_cfg()).serve(&log.queries);
     let gw = Gateway::partitioned(
         whitenrec_model(19),
         3,
         GatewayConfig {
             serve: serve_cfg(),
-            max_queue_depth: LIMIT,
+            shard_max_rows: 1,
             ..GatewayConfig::default()
         },
     )
-    .unwrap()
-    .with_telemetry(gateway_tel.clone());
-
-    match engine.try_serve(&log.queries) {
-        Err(ServeError::Overloaded { depth, limit }) => {
-            assert_eq!((depth, limit), (LIMIT + 1, LIMIT), "engine")
-        }
-        other => panic!("engine admitted {:?}", other.map(|r| r.len())),
-    }
-    match gw.try_serve(&log.queries) {
-        Err(GatewayError::Overloaded { depth, limit }) => {
-            assert_eq!((depth, limit), (LIMIT + 1, LIMIT), "gateway")
-        }
-        other => panic!("gateway admitted {:?}", other.map(|r| r.len())),
-    }
-
-    let at_limit = &log.queries[..LIMIT];
-    let want = engine.try_serve(at_limit).expect("a call at the limit fits");
-    let got = gw.try_serve(at_limit).expect("a call at the limit fits");
-    assert_bit_identical(&got, &want, "at-limit call");
-
-    // One rejection and one note each, from the refused call alone.
-    for (tel, counter, site) in [
-        (&engine_tel, "serve.rejected_overload", "serve.admission"),
-        (&gateway_tel, "gateway.rejected_overload", "gateway.admission"),
-    ] {
-        let snap = tel.registry.snapshot();
-        let rejected = snap.counters.iter().find(|(n, _)| n == counter).map(|(_, v)| *v);
-        assert_eq!(rejected, Some(1), "{counter}");
-        let notes: Vec<String> = tel
-            .flight
-            .events()
-            .into_iter()
-            .filter(|e| e.kind == "overload")
-            .map(|e| e.site)
-            .collect();
-        assert_eq!(notes, [site], "{counter}: overload flight notes");
-    }
+    .unwrap();
+    let (got, report) = wr_serve::replay(&gw, &log, &wr_obs::Telemetry::new());
+    assert_bit_identical(&got, &baseline, "shard_max_rows = 1");
+    assert_eq!(report.n_degraded, 0);
 }
 
 /// A gateway query with an all-seen window still answers exactly: the

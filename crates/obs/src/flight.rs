@@ -4,11 +4,11 @@
 //! post-mortem question "what exactly happened around the failure?". The
 //! [`FlightRecorder`] keeps the last [`DEFAULT_FLIGHT_CAPACITY`]
 //! structured [`FlightEvent`]s — span ends, fault injections, retries,
-//! quarantines, overload rejections, degradations — each carrying the
-//! owning [`TraceContext`] ids, and snapshots the ring to a **sealed**
-//! JSON artifact when a serving layer declares an incident
+//! quarantines, degradations, failovers — each carrying the owning
+//! [`TraceContext`] ids, and snapshots the ring to a **sealed** JSON
+//! artifact when a serving layer declares an incident
 //! ([`FlightRecorder::trigger`]): a request degrades, a shard panics
-//! permanently, or the gateway rejects on overload.
+//! permanently, or a replica's breaker opens.
 //!
 //! Recording is write-only and panic-free: one short mutex push per
 //! event, no clock reads (callers pass timestamps from their telemetry
@@ -44,7 +44,7 @@ pub const FLIGHT_FORMAT: &str = "wr-flight/v1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Event taxonomy: `"span"`, `"fault"`, `"retry"`, `"panic"`,
-    /// `"quarantine"`, `"overload"`, `"degraded"`.
+    /// `"quarantine"`, `"degraded"`, `"failover"`, `"breaker"`.
     pub kind: &'static str,
     /// Emitting site (an injector site like `serve.row`, or a span name
     /// like `gateway.shard1`).
@@ -356,12 +356,12 @@ mod tests {
     #[test]
     fn unarmed_trigger_is_a_counted_noop_and_failures_do_not_raise() {
         let fr = FlightRecorder::new();
-        fr.note("overload", "gateway", ctx(1), u64::MAX, u64::MAX, 0);
-        fr.trigger("overload"); // unarmed: nothing written, nothing raised
+        fr.note("degraded", "gateway", ctx(1), u64::MAX, u64::MAX, 0);
+        fr.trigger("degraded"); // unarmed: nothing written, nothing raised
         assert_eq!(fr.dumps(), 0);
         // Arm an unwritable path: failure is counted, not raised.
         fr.arm_dump("/nonexistent-dir-zz/flight.json");
-        fr.trigger("overload");
+        fr.trigger("degraded");
         assert_eq!(fr.dumps(), 0);
         assert_eq!(fr.dump_failures(), 1);
     }

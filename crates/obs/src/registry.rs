@@ -381,9 +381,8 @@ fn shard_of(name: &str) -> usize {
 /// a missing key. The incrementing sites live in their own crates: the
 /// chaos bridge in the binaries (`fault.injected`), the serving engine
 /// (`serve.*`), and the resumable trainer (`train.resumes`).
-pub const FAULT_COUNTERS: [&str; 5] = [
+pub const FAULT_COUNTERS: [&str; 4] = [
     "fault.injected",
-    "serve.rejected_overload",
     "serve.quarantined_rows",
     "serve.retries",
     "train.resumes",

@@ -1,5 +1,5 @@
-//! Request micro-batching: the grouping of a call's requests, the one loop
-//! that walks the groups, and the one admission check in front of it.
+//! Request micro-batching: the grouping of a call's requests and the one
+//! loop that walks the groups.
 
 use std::ops::Range;
 
@@ -59,7 +59,7 @@ impl MicroBatcher {
 }
 
 /// The names one front end — the engine, the gateway — reports its
-/// micro-batches and its refused calls under. Literals, so that a metric
+/// micro-batches under. Literals, so that a metric
 /// name in a dashboard or in `scripts/check.sh` is found by grep, and so
 /// that the serve path formats no string.
 #[derive(Debug, Clone, Copy)]
@@ -72,10 +72,6 @@ pub struct FrontEnd {
     pub requests: &'static str,
     /// Gauge: requests of the call still waiting behind the current batch.
     pub queue_depth: &'static str,
-    /// Counter: calls refused by [`FrontEnd::admits`].
-    pub rejected_overload: &'static str,
-    /// Flight-recorder site of the refusal note.
-    pub admission: &'static str,
 }
 
 impl FrontEnd {
@@ -115,29 +111,6 @@ impl FrontEnd {
             drop(span);
         }
         answers
-    }
-
-    /// Admission control: whether a call carrying `depth` requests fits
-    /// under `limit`. A refusal is counted, noted in the flight recorder
-    /// and raised as its `overload` trigger; the caller owes its typed
-    /// error and scores nothing.
-    pub fn admits(&self, depth: usize, limit: usize, telemetry: Option<&Telemetry>) -> bool {
-        if depth <= limit {
-            return true;
-        }
-        if let Some(tel) = telemetry {
-            tel.registry.counter(self.rejected_overload).inc();
-            tel.flight.note(
-                "overload",
-                self.admission,
-                TraceContext::UNTRACED,
-                u64::MAX,
-                u64::MAX,
-                tel.clock.now_ns(),
-            );
-            tel.flight.trigger("overload");
-        }
-        false
     }
 }
 

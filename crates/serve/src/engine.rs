@@ -1,6 +1,6 @@
-//! The serving engine: checkpoint → shared cache → batched top-k answers,
-//! hardened for degraded-mode operation (admission control, per-batch
-//! panic containment, NaN/Inf quarantine, bounded retry).
+//! The serving engine: model → shared cache → batched top-k answers,
+//! hardened for degraded-mode operation (per-batch panic containment,
+//! NaN/Inf quarantine, bounded retry).
 //!
 //! The engine is a thin composition: a [`HistoryEncoder`] — the model
 //! snapshotted at construction — encodes histories on the caller thread, and a
@@ -10,24 +10,20 @@
 //! retry/isolation loops run a closure that re-encodes, so a genuine
 //! panic in the encode is contained too.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use crate::{CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, ScoredItem};
 use wr_ann::IvfIndex;
-use wr_fault::{RetryPolicy, SharedInjector, Sleeper};
-use wr_nn::{load_params, restore_params, CheckpointError};
+use wr_fault::{SharedInjector, Sleeper};
 use wr_obs::{Telemetry, TraceContext};
 use wr_train::SeqRecModel;
 
-/// What the engine reports its micro-batches and refused calls under.
+/// What the engine reports its micro-batches under.
 const ENGINE: FrontEnd = FrontEnd {
     category: "serve",
     batches: "serve.batches",
     requests: "serve.requests",
     queue_depth: "serve.queue_depth",
-    rejected_overload: "serve.rejected_overload",
-    admission: "serve.admission",
 };
 
 /// One top-k query: an opaque request id plus the user's session history
@@ -74,29 +70,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Degraded-mode knobs, separate from [`ServeConfig`] so the happy-path
-/// configuration stays untouched.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Admission-control bound: [`ServeEngine::try_serve`] rejects a call
-    /// carrying more than this many requests with
-    /// [`ServeError::Overloaded`] instead of queuing unbounded work. For
-    /// a [`CatalogShard`] fanned out by the gateway, the same field
-    /// bounds the rows accepted per shard call (per-shard backpressure).
-    pub max_queue_depth: usize,
-    /// Bounded retry-with-backoff for micro-batches that panic.
-    pub retry: RetryPolicy,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            max_queue_depth: 1024,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
 /// Which retrieval strategy [`ServeEngine`] scores candidates with.
 ///
 /// `Exact` is the default dense path: one gemm `users·Vᵀ` over the whole
@@ -121,13 +94,9 @@ pub enum Scorer {
     Ivf { nprobe: usize },
 }
 
-/// Typed serving failures surfaced by [`ServeEngine::try_serve`] and
-/// [`CatalogShard::serve_window`].
+/// The typed failure of [`CatalogShard::serve_window`].
 #[derive(Debug)]
 pub enum ServeError {
-    /// The call exceeded [`ResilienceConfig::max_queue_depth`]. The caller
-    /// should shed load (split the batch, back off) — nothing was scored.
-    Overloaded { depth: usize, limit: usize },
     /// The micro-batch panicked on every retry attempt. Nothing was
     /// answered; a replica-aware caller should fail over to a sibling
     /// (same window, same cache ⇒ bit-identical answers) instead of
@@ -138,9 +107,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Overloaded { depth, limit } => {
-                write!(f, "serve overloaded: {depth} requests exceed queue depth {limit}")
-            }
             ServeError::Panicked { attempts } => {
                 write!(f, "serve micro-batch panicked on all {attempts} attempts")
             }
@@ -220,11 +186,6 @@ impl ServeEngine {
         self.shard.scorer()
     }
 
-    /// The attached IVF index, when [`Scorer::Ivf`] is active.
-    pub fn ann_index(&self) -> Option<&Arc<IvfIndex>> {
-        self.shard.ann_index()
-    }
-
     /// Attach a fault injector (builder-style). The item cache is
     /// re-snapshotted from the encoder's clean `V` through the injector's
     /// `cache.load` site so poisoned rows are quarantined exactly as a
@@ -233,12 +194,6 @@ impl ServeEngine {
     /// isolation, and quarantine.
     pub fn with_faults(mut self, injector: SharedInjector) -> Self {
         self.shard.rearm(self.encoder.model_snapshot().items(), injector);
-        self
-    }
-
-    /// Override degraded-mode knobs (builder-style).
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.shard = self.shard.with_resilience(resilience);
         self
     }
 
@@ -266,23 +221,6 @@ impl ServeEngine {
         self
     }
 
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Restore `checkpoint` into `model` (same architecture it was saved
-    /// from), then serve it. This is the deployment path: train offline,
-    /// `wr_nn::save_params`, ship the file, load here.
-    pub fn from_checkpoint(
-        model: Box<dyn SeqRecModel>,
-        checkpoint: impl AsRef<Path>,
-        cfg: ServeConfig,
-    ) -> Result<Self, CheckpointError> {
-        let loaded = load_params(checkpoint)?;
-        restore_params(&model.params(), &loaded)?;
-        Ok(ServeEngine::new(model, cfg))
-    }
-
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
     }
@@ -296,10 +234,6 @@ impl ServeEngine {
         &self.shard
     }
 
-    pub fn model_name(&self) -> String {
-        self.encoder.model().name()
-    }
-
     pub fn n_items(&self) -> usize {
         self.shard.n_items()
     }
@@ -308,10 +242,10 @@ impl ServeEngine {
     /// order; responses come back in the same order.
     ///
     /// Degraded-mode behavior: a micro-batch that panics is retried up to
-    /// [`ResilienceConfig::retry`] times with exponential backoff; if it
-    /// still fails, its requests are re-scored one at a time so a single
-    /// poisoned request fails alone (empty item list) while its batch
-    /// peers get their normal, bit-identical answers. Score rows carrying
+    /// [`wr_fault::RetryPolicy::max_attempts`] times with exponential
+    /// backoff; if it still fails, its requests are re-scored one at a
+    /// time so a single poisoned request fails alone (empty item list)
+    /// while its batch peers get their normal, bit-identical answers. Score rows carrying
     /// NaN/+Inf fall back to a full-sort path that skips non-finite
     /// candidates (counted as `serve.quarantined_rows`). A request whose
     /// history names an item outside the catalogue is answered with an
@@ -326,18 +260,6 @@ impl ServeEngine {
             }
             self.serve_group_with_recovery(slice, ctx)
         })
-    }
-
-    /// [`ServeEngine::serve`] behind admission control: calls carrying
-    /// more than [`ResilienceConfig::max_queue_depth`] requests are
-    /// rejected outright (typed, counted) instead of queuing unbounded
-    /// work behind the micro-batcher.
-    pub fn try_serve(&self, requests: &[Request]) -> Result<Vec<Response>, ServeError> {
-        let (depth, limit) = (requests.len(), self.shard.resilience().max_queue_depth);
-        if !ENGINE.admits(depth, limit, self.telemetry.as_ref()) {
-            return Err(ServeError::Overloaded { depth, limit });
-        }
-        Ok(self.serve(requests))
     }
 
     /// Run one micro-batch with containment: panic → bounded retry with
@@ -409,21 +331,6 @@ impl ServeEngine {
             })
             .collect()
     }
-
-    /// Single-query convenience (the interactive path): one request
-    /// through [`ServeEngine::serve`], so it honors the active [`Scorer`],
-    /// the quarantine set and the recovery machinery exactly like the
-    /// batch path.
-    pub fn recommend(&self, history: &[usize]) -> Vec<ScoredItem> {
-        let request = Request {
-            id: 0,
-            history: history.to_vec(),
-        };
-        self.serve(std::slice::from_ref(&request))
-            .pop()
-            .map(|r| r.items)
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -489,8 +396,9 @@ mod tests {
 
     #[test]
     fn recommend_matches_serve_single() {
-        // A healthy cache, and one with NaN rows: the interactive path
-        // must apply the same quarantine as the batch path.
+        // A one-request call answers exactly as the same request inside a
+        // larger batch, on a healthy cache and on one with NaN rows (the
+        // same quarantine applies to both).
         let rates = wr_fault::FaultRates {
             io_error: 0.0,
             corrupt: 0.0,
@@ -500,11 +408,11 @@ mod tests {
         let damaged = tiny_engine(true).with_faults(Arc::new(wr_fault::FaultPlan::with_rates(77, rates)));
         assert!(!damaged.quarantined_items().is_empty());
         for engine in [tiny_engine(true), damaged] {
-            let history = vec![2, 9, 4];
-            let solo = engine.recommend(&history);
-            let served = engine.serve(&[Request { id: 0, history }]);
-            assert_eq!(solo, served[0].items);
-            assert!(solo.iter().all(|s| s.score.is_finite()));
+            let request = |id, history: Vec<usize>| Request { id, history };
+            let solo = engine.serve(&[request(0, vec![2, 9, 4])]);
+            let batch = engine.serve(&[request(1, vec![7]), request(0, vec![2, 9, 4])]);
+            assert_eq!(solo[0], batch[1]);
+            assert!(solo[0].items.iter().all(|s| s.score.is_finite()));
         }
     }
 

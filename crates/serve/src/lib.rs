@@ -8,8 +8,8 @@
 //!
 //! * [`MicroBatcher`] groups a call's requests, in arrival order, into
 //!   micro-batches of at most `max_batch` rows, and [`FrontEnd`] is the
-//!   one loop over those groups and the one admission check in front of
-//!   it, under the engine's metric names or the gateway's (padding to the
+//!   one loop over those groups, under the engine's metric names or the
+//!   gateway's (padding to the
 //!   model's `max_seq` is the encode's job: `wr_train::ModelSnapshot::users`
 //!   packs with `wr_data::Batch::inference`, the conventions the models
 //!   were trained with);
@@ -25,7 +25,8 @@
 //!   taped `user_representations` kept behind the same call for models
 //!   without a frozen form; it adds the catalogue-bounds check and the
 //!   empty-history pad context that only serving needs;
-//! * [`ServeEngine`] restores a `wr_nn::checkpoint`, encodes each
+//! * [`ServeEngine`] serves a trained model (`wr_nn::load_params` +
+//!   `wr_nn::restore_params` bring one back from a checkpoint), encodes each
 //!   micro-batch of histories, scores `users · Vᵀ`, and extracts top-k
 //!   with seen-item filtering through the one selector shared with
 //!   `wr_eval` ([`wr_eval::TopK`], one `scan` per row), parallelized over
@@ -59,10 +60,9 @@
 //! # Degraded mode
 //!
 //! The engine stays up when individual requests go bad ([`ServeEngine`]
-//! docs): [`ServeEngine::try_serve`] applies admission control
-//! ([`ServeError::Overloaded`]), micro-batches that panic are retried
-//! with bounded backoff and then re-scored one request at a time so a
-//! poisoned request fails alone, and non-finite embeddings/scores are
+//! docs): micro-batches that panic are retried with bounded backoff
+//! ([`wr_fault::RetryPolicy`]) and then re-scored one request at a time
+//! so a poisoned request fails alone, and non-finite embeddings/scores are
 //! quarantined (masked items, full-sort fallback rows). `wr_fault`
 //! injects these failures deterministically in `tests/degraded.rs`.
 
@@ -87,7 +87,7 @@ pub mod topk;
 pub use batcher::{FrontEnd, MicroBatcher};
 pub use cache::EmbeddingCache;
 pub use encode::{EncodedBatch, HistoryEncoder};
-pub use engine::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeEngine, ServeError};
+pub use engine::{Request, Response, Scorer, ServeConfig, ServeEngine, ServeError};
 pub use latency::{replay, top1_digest, Replay, ReplayReport};
 pub use querylog::{QueryLog, QueryLogError, ZipfError};
 pub use shard::{CatalogShard, ShardCall};

@@ -32,10 +32,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::topk::batch_scan;
-use crate::{Request, ResilienceConfig, Response, Scorer, ServeConfig, ServeError};
+use crate::{Request, Response, Scorer, ServeConfig, ServeError};
 use wr_ann::{IvfIndex, SearchStats};
 use wr_eval::{order_key, ScoredItem};
-use wr_fault::{no_faults, SharedInjector, Sleeper, ThreadSleeper};
+use wr_fault::{no_faults, RetryPolicy, SharedInjector, Sleeper, ThreadSleeper};
 use wr_obs::{Telemetry, TraceContext};
 use wr_tensor::Tensor;
 
@@ -92,7 +92,8 @@ pub struct CatalogShard {
     quarantined: Vec<usize>,
     k: usize,
     filter_seen: bool,
-    resilience: ResilienceConfig,
+    /// Bounded retry-with-backoff for micro-batches that panic.
+    retry: RetryPolicy,
     /// Fault-injection hook on the hot path ([`wr_fault::NoFaults`] in
     /// production). Consulted for induced panics and score poisoning; the
     /// recovery machinery below must absorb whatever it injects.
@@ -135,7 +136,7 @@ impl CatalogShard {
             quarantined,
             k: cfg.k,
             filter_seen: cfg.filter_seen,
-            resilience: ResilienceConfig::default(),
+            retry: RetryPolicy::default(),
             injector: no_faults(),
             sleeper: Arc::new(ThreadSleeper),
             telemetry: None,
@@ -156,7 +157,7 @@ impl CatalogShard {
     /// a given fault plan damages the same catalog rows no matter how
     /// the catalog is sharded — then recompute the quarantine set and arm
     /// the injector for the hot-path sites (`serve.row`, `serve.score`).
-    /// Other knobs (resilience, sleeper, telemetry, scorer) are kept.
+    /// Other knobs (retry, sleeper, telemetry, scorer) are kept.
     pub fn rearm(&mut self, full_items: &Tensor, injector: SharedInjector) {
         let range = self.item_offset..self.item_offset + self.cache.n_items();
         let mut window = slice_rows(full_items, &range);
@@ -188,12 +189,10 @@ impl CatalogShard {
         self.injector = injector;
     }
 
-    /// Override degraded-mode knobs (builder-style). `max_queue_depth`
-    /// is this shard's per-call row bound for
-    /// [`CatalogShard::serve_window`] — the gateway's per-shard
-    /// backpressure valve.
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.resilience = resilience;
+    /// Replace the bounded retry of micro-batches that panic
+    /// (builder-style).
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
         self
     }
 
@@ -205,15 +204,14 @@ impl CatalogShard {
     }
 
     /// Attach write-only telemetry (builder-style): the degraded-mode
-    /// counters (`serve.rejected_overload`, `serve.quarantined_rows`,
-    /// `serve.retries`) and the ANN probe accounting (`serve.ann.*`).
+    /// counters (`serve.quarantined_rows`, `serve.retries`) and the ANN
+    /// probe accounting (`serve.ann.*`).
     /// All are created at 0 eagerly: a metrics export from a healthy
     /// process must still name them, so dashboards can alert on them
     /// going *from* zero and tell "ANN off" (0) from "ANN missing"
     /// (absent).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         for name in [
-            "serve.rejected_overload",
             "serve.quarantined_rows",
             "serve.retries",
             "serve.ann.lists_probed",
@@ -272,10 +270,6 @@ impl CatalogShard {
         self.ann.as_ref().map(|(index, _)| index)
     }
 
-    pub fn resilience(&self) -> ResilienceConfig {
-        self.resilience
-    }
-
     /// Flight-recorder hook: only fires when telemetry is attached, and
     /// only on degraded-mode paths — the healthy hot path never reads the
     /// clock for it.
@@ -318,25 +312,12 @@ impl CatalogShard {
         self.extract_top_k(slice, scores, ctx)
     }
 
-    /// THE serve call: per-shard backpressure (calls carrying more than
-    /// `resilience.max_queue_depth` rows are rejected, typed and counted,
-    /// so one slow shard sheds load instead of queuing unbounded work),
-    /// then scoring under bounded retry. A micro-batch that still dies surfaces as
-    /// [`ServeError::Panicked`]: a caller with a sibling replica over the
-    /// same window fails over (bit-identical answer); a caller without
-    /// one absorbs the failure with [`CatalogShard::isolate`].
+    /// THE serve call: the whole micro-batch, scored under bounded retry.
+    /// A micro-batch that still dies surfaces as [`ServeError::Panicked`]:
+    /// a caller with a sibling replica over the same window fails over
+    /// (bit-identical answer); a caller without one absorbs the failure
+    /// with [`CatalogShard::isolate`].
     pub fn serve_window(&self, call: &ShardCall<'_>) -> Result<Vec<Response>, ServeError> {
-        let limit = self.resilience.max_queue_depth;
-        if call.slice.len() > limit {
-            if let Some(tel) = &self.telemetry {
-                tel.registry.counter("serve.rejected_overload").inc();
-            }
-            self.flight_note("overload", "serve.queue", call.ctx, u64::MAX, u64::MAX);
-            return Err(ServeError::Overloaded {
-                depth: call.slice.len(),
-                limit,
-            });
-        }
         self.retry_batch(call.ctx, |attempt| {
             self.score(call.slice, call.users, attempt, call.ctx)
         })
@@ -366,7 +347,7 @@ impl CatalogShard {
         ctx: TraceContext,
         try_batch: impl Fn(u32) -> Vec<Response>,
     ) -> Result<Vec<Response>, ServeError> {
-        let policy = self.resilience.retry;
+        let policy = self.retry;
         for attempt in 0..policy.max_attempts {
             match catch_unwind(AssertUnwindSafe(|| try_batch(attempt))) {
                 Ok(responses) => return Ok(responses),
@@ -398,7 +379,7 @@ impl CatalogShard {
         ctx: TraceContext,
         try_one: impl Fn(usize, &[Request], u32) -> Vec<Response>,
     ) -> Vec<Response> {
-        let attempt = self.resilience.retry.max_attempts;
+        let attempt = self.retry.max_attempts;
         let mut permanent = false;
         let out: Vec<Response> = slice
             .iter()
@@ -578,7 +559,6 @@ impl CatalogShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wr_fault::RetryPolicy;
     use wr_tensor::Rng64;
 
     fn shard_fixture(n_items: usize, range: Range<usize>, k: usize) -> (Tensor, CatalogShard) {
@@ -677,28 +657,6 @@ mod tests {
             }
         }
         assert!(responses[0].items.iter().all(|s| s.item != 12 && s.item != 28));
-    }
-
-    #[test]
-    fn shard_backpressure_rejects_oversized_calls() {
-        let (_, shard) = shard_fixture(20, 0..20, 3);
-        let shard = shard.with_resilience(ResilienceConfig {
-            max_queue_depth: 2,
-            retry: RetryPolicy::default(),
-        });
-        let mut rng = Rng64::seed_from(9);
-        let users = Tensor::randn(&[3, 8], &mut rng);
-        let reqs: Vec<Request> = (0..3)
-            .map(|i| Request { id: i, history: vec![] })
-            .collect();
-        match shard.serve_window(&untraced(&reqs, &users)) {
-            Err(ServeError::Overloaded { depth, limit }) => {
-                assert_eq!((depth, limit), (3, 2));
-            }
-            other => panic!("expected per-shard backpressure rejection, got {other:?}"),
-        }
-        let two = Tensor::randn(&[2, 8], &mut rng);
-        assert!(shard.serve_window(&untraced(&reqs[..2], &two)).is_ok());
     }
 
     #[test]

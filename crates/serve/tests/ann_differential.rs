@@ -176,18 +176,20 @@ fn partial_probe_recall_at_20_is_high_on_quarter_budget() {
     assert_eq!(probed as usize, log.len() * NPROBE);
 }
 
+/// A one-request call through the index answers exactly as the same
+/// request inside a larger batch, and at full probe as the exact engine.
 #[test]
 fn recommend_goes_through_the_index() {
     let ann = ann_engine(37, 10, 4);
     let exact = exact_engine(37, 10);
-    let history = vec![5usize, 17, 300];
-    let ann_solo = ann.recommend(&history);
-    let ann_batch = ann.serve(&[wr_serve::Request {
-        id: 0,
-        history: history.clone(),
-    }]);
-    assert_eq!(ann_solo, ann_batch[0].items, "solo vs batched ANN path");
-    // Full probe from recommend matches the exact interactive path too.
+    let request = |id| wr_serve::Request {
+        id,
+        history: vec![5usize, 17, 300],
+    };
+    let ann_solo = ann.serve(&[request(0)]);
+    let ann_batch = ann.serve(&[request(1), request(0)]);
+    assert_eq!(ann_solo[0], ann_batch[1], "solo vs batched ANN path");
+    // A one-request call at full probe matches the exact engine too.
     let full = ann_engine(37, 10, NLIST);
-    assert_eq!(full.recommend(&history), exact.recommend(&history));
+    assert_eq!(full.serve(&[request(0)]), exact.serve(&[request(0)]));
 }

@@ -9,8 +9,7 @@
 //! * a permanently poisoned request fails alone — its batch peers get
 //!   answers bit-identical to a fault-free run;
 //! * non-finite cache rows are quarantined and never recommended;
-//! * NaN-poisoned score rows fall back to a finite-only full sort;
-//! * oversized calls are rejected with a typed `Overloaded` error.
+//! * NaN-poisoned score rows fall back to a finite-only full sort.
 //!
 //! All engines use [`wr_fault::NoSleep`], so no test ever sleeps.
 
@@ -18,8 +17,8 @@ mod common;
 
 use std::sync::Arc;
 
-use wr_fault::{FaultPlan, FaultRates, NoSleep, RetryPolicy};
-use wr_serve::{QueryLog, Request, ResilienceConfig, ServeConfig, ServeEngine, ServeError};
+use wr_fault::{FaultPlan, FaultRates, NoSleep};
+use wr_serve::{QueryLog, Request, ServeConfig, ServeEngine};
 use wr_train::SeqRecModel;
 
 const N_ITEMS: usize = 60;
@@ -176,11 +175,11 @@ fn poisoned_cache_rows_are_quarantined_and_never_recommended() {
         "rate 0.2 over 60 items must quarantine something"
     );
 
-    // Both the batch path and the interactive single-query path.
+    // Both micro-batched calls and one-request calls.
     let reqs = queries(40, 21);
-    let interactive = reqs.iter().map(|r| (r.id, eng.recommend(&r.history)));
-    let batched = eng.serve(&reqs).into_iter().map(|r| (r.id, r.items));
-    for (id, items) in batched.chain(interactive) {
+    let single = reqs.iter().flat_map(|r| eng.serve(std::slice::from_ref(r)));
+    let answers = eng.serve(&reqs).into_iter().chain(single);
+    for (id, items) in answers.map(|r| (r.id, r.items)) {
         for scored in &items {
             assert!(
                 !expected.contains(&scored.item),
@@ -241,39 +240,6 @@ fn poisoned_score_rows_fall_back_to_finite_answers() {
 }
 
 #[test]
-fn try_serve_rejects_overload_with_typed_error() {
-    let tel = wr_obs::Telemetry::new();
-    let eng = engine(17)
-        .with_resilience(ResilienceConfig {
-            max_queue_depth: 8,
-            retry: RetryPolicy::default(),
-        })
-        .with_telemetry(tel.clone());
-
-    let reqs = queries(9, 3);
-    match eng.try_serve(&reqs) {
-        Err(ServeError::Overloaded { depth, limit }) => {
-            assert_eq!(depth, 9);
-            assert_eq!(limit, 8);
-        }
-        other => panic!(
-            "9 requests over a depth-8 bound must be rejected, got {:?}",
-            other.map(|r| r.len())
-        ),
-    }
-    assert_eq!(counter(&tel, "serve.rejected_overload"), 1);
-
-    // At the bound, the call is admitted and identical to plain serve().
-    let admitted = eng.try_serve(&reqs[..8]).expect("8 requests fit");
-    let direct = eng.serve(&reqs[..8]);
-    assert_eq!(admitted.len(), direct.len());
-    for (a, b) in admitted.iter().zip(&direct) {
-        assert_bit_identical(a, b, "admitted call");
-    }
-    assert_eq!(counter(&tel, "serve.rejected_overload"), 1, "no new rejection");
-}
-
-#[test]
 fn fault_free_engine_is_unchanged_by_the_resilience_layer() {
     // The hardened serve() with a NoFaults injector must be bit-identical
     // to what the engine produced before hardening — i.e. to serve_naive.
@@ -293,11 +259,7 @@ fn degraded_counters_are_exported_even_at_zero() {
     let tel = wr_obs::Telemetry::new();
     let _eng = engine(29).with_telemetry(tel.clone());
     let snap = tel.registry.snapshot();
-    for name in [
-        "serve.rejected_overload",
-        "serve.quarantined_rows",
-        "serve.retries",
-    ] {
+    for name in ["serve.quarantined_rows", "serve.retries"] {
         assert!(
             snap.counters.iter().any(|(n, _)| n == name),
             "{name} must exist (at zero) before any fault fires"

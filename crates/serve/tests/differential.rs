@@ -170,7 +170,9 @@ fn checkpoint_round_trip_serves_identically() {
         filter_seen: true,
     };
     let in_memory = ServeEngine::new(original, cfg);
-    let restored = ServeEngine::from_checkpoint(whitenrec_model(14, 99), &path, cfg).unwrap();
+    let fresh = whitenrec_model(14, 99);
+    wr_nn::restore_params(&fresh.params(), &wr_nn::load_params(&path).unwrap()).unwrap();
+    let restored = ServeEngine::new(fresh, cfg);
     std::fs::remove_file(&path).ok();
 
     let reqs = queries(48, 4);

@@ -55,10 +55,6 @@ EXEMPT = {
     "read_dump": "reads the sealed flight dump; flight.rs and gateway tracing.rs round-trip it",
     # Recovery code.
     "latest_valid_checkpoint": "newest intact `.wrck` after a crash; checkpoint_corruption.rs",
-    # The serving API the integration tests drive.
-    "from_checkpoint": "ServeEngine from a saved `.wrck`; tests/persistence.rs, serve differential.rs",
-    "recommend": "ServeEngine's one-history answer; tests/persistence.rs, serve ann_differential.rs",
-    "try_serve": "admission control, engine and gateway; serve degraded.rs, gateway differential.rs",
     # The tests' references, fakes, fixtures and probes.
     "top_k_filtered": "per-row reference the batched top-k and the IVF scan are tested against",
     "bidirectional_padding_mask": "attention_chain.rs's mask for the bidirectional rule",
@@ -68,6 +64,7 @@ EXEMPT = {
     "advance": "MockClock: tests step virtual time",
     "with_tick": "MockClock: tests' auto-advancing clock",
     "NoSleep": "Sleeper that never sleeps, so retry tests run at once; serve and gateway suites",
+    "with_retry": "CatalogShard::with_retry, dispatch_truth_table's 2-attempt budget (DESIGN §3)",
     "damaged": "sealed::damaged, every truncation and bit flip of a sealed file; corruption suites",
     "tiny": "DatasetSpec::tiny, the test-sized dataset fixture",
     "from_slice": "Tensor::from_slice, the unit tests' vector constructor",

@@ -273,7 +273,6 @@ done
 grep -q '"serve.latency_ms"' "$smoke_dir/metrics.json"
 # The fault-tolerance surface is exported even on a clean run (at zero).
 grep -q '"fault.injected"' "$smoke_dir/metrics.json"
-grep -q '"serve.rejected_overload"' "$smoke_dir/metrics.json"
 grep -q '"serve.quarantined_rows"' "$smoke_dir/metrics.json"
 grep -q '"serve.retries"' "$smoke_dir/metrics.json"
 grep -q '"train.resumes"' "$smoke_dir/metrics.json"
@@ -372,8 +371,8 @@ echo "   gateway ok: $exact_sum == $gw1_sum == $gw2_sum"
 
 # A micro-batch past the default serving bound (64 rows) must reach every
 # shard whole: at --batch 128 the 2-shard gateway gives the engine's
-# checksum with nothing degraded. Each shard's row bound must follow
-# --batch; left at 64, it refuses every shard call of the replay.
+# checksum with nothing degraded. No shard holds a row bound of its own,
+# so nothing is left to refuse the call.
 echo "== check: bench gateway smoke at --batch 128 (== engine, 0 degraded) =="
 ./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
     --batch 128 --k 10 --shards 2 \

@@ -64,7 +64,7 @@ fn checkpoint_roundtrip_preserves_scores() {
 
 /// The deployment path end to end: train → `save_params` → rebuild the
 /// same architecture (same frozen inputs, fresh trainable init) →
-/// `ServeEngine::from_checkpoint` → serve. The restored engine must answer
+/// `load_params` + `restore_params` → `ServeEngine::new` → serve. The restored engine must answer
 /// exactly like an engine wrapping the still-in-memory trained model, and
 /// its raw scores must be bit-identical to `model.score` on the same
 /// contexts — checkpointing through the serve path loses nothing.
@@ -96,7 +96,8 @@ fn checkpoint_serves_identically_to_in_memory_model() {
             let _ = t;
         });
     }
-    let restored = ServeEngine::from_checkpoint(fresh, &path, cfg).unwrap();
+    restore_params(&fresh.params(), &load_params(&path).unwrap()).unwrap();
+    let restored = ServeEngine::new(fresh, cfg);
     std::fs::remove_file(&path).ok();
 
     let requests: Vec<Request> = seqs
@@ -121,9 +122,12 @@ fn checkpoint_serves_identically_to_in_memory_model() {
     // The engine's cached-V scoring path reproduces model.score exactly
     // for this Softmax-loss model: compare full rows, not just top-k.
     for (row, ctx) in contexts.iter().enumerate() {
-        let served = restored.recommend(ctx);
+        let served = restored.serve(&[Request {
+            id: row as u64,
+            history: ctx.to_vec(),
+        }]);
         let full = direct_scores.row(row);
-        for s in &served {
+        for s in &served[0].items {
             assert_eq!(
                 s.score.to_bits(),
                 full[s.item].to_bits(),
