@@ -1,6 +1,6 @@
 //! `whitenrec bench` — replay a Zipf-skewed query trace through the
 //! serving stack: a bare [`ServeEngine`], or with `--shards N` the sharded
-//! [`Gateway`] (`N` catalog windows × `--replicas R`). The flags are
+//! [`Gateway`] (`N` catalog windows, one scoring core each). The flags are
 //! [`USAGE`], which `--help` prints.
 //!
 //! The model comes from a trained checkpoint when `--checkpoint` names an
@@ -51,11 +51,6 @@
 //! `fault.injected` counter, and `--fault-log-out` seals the schedule as
 //! a `wr-faultlog/v1` artifact.
 //!
-//! `--poison-replica IDX` kills that replica of EVERY set (`KillAfter`,
-//! permanent); with `--replicas >= 2` the breakers route around it: zero
-//! degraded answers, checksum identical to the healthy run, failovers
-//! counted.
-//!
 //! `--trace-out` / `--metrics-out` attach write-only telemetry: per-batch
 //! (and per-shard) spans as Chrome `trace_event` JSON, `serve.*` /
 //! `gateway.*` counters, the `serve.latency_ms` / `gateway.latency_ms`
@@ -74,7 +69,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::cli::{build_context, check_flags, flag, has_flag, parse_num, parse_opt};
-use crate::fault::{FaultKind, FaultPlan, KillAfter, SharedInjector, WR_FAULT_SEED_ENV};
+use crate::fault::{FaultKind, FaultPlan, SharedInjector, WR_FAULT_SEED_ENV};
 use crate::nn::{load_params, restore_params, save_params};
 use crate::obs::Telemetry;
 use crate::train::SeqRecModel;
@@ -85,7 +80,7 @@ use wr_serve::{replay, IvfIndex, QueryLog, Replay, ServeConfig, ServeEngine};
 pub const USAGE: &str = "\
 whitenrec bench [--model WhitenRec+] [--dataset Arts] [--scale 0.2]
     [--epochs 3] [--checkpoint model.wrck]
-    [--shards N [--replicas R] [--poison-shard IDX] [--poison-replica IDX]]
+    [--shards N [--poison-shard IDX]]
     [--queries 2048] [--users 1000000] [--zipf-alpha 1.1] [--max-len 20]
     [--log trace.jsonl] [--save-log trace.jsonl] [--batch 64] [--k 10]
     [--no-filter-seen] [--seed 17] [--out report.json] [--check-naive N]
@@ -95,9 +90,6 @@ whitenrec bench [--model WhitenRec+] [--dataset Arts] [--scale 0.2]
     [--obs-listen 127.0.0.1:0] [--obs-dump-dir DIR]
   env: WR_FAULT_SEED=N  arm deterministic fault injection (0/unset = off;
                         a value that is not a u64 is an error)";
-
-/// Flags that configure replica sets and so mean nothing on a bare engine.
-const GATEWAY_FLAGS: [&str; 3] = ["--replicas", "--poison-shard", "--poison-replica"];
 
 /// Copy `src`'s trainable parameters into a freshly built twin. The twin
 /// shares no storage with `src` but is bit-identical: same architecture
@@ -226,20 +218,12 @@ fn build_gateway(
     if has_flag(args, "--ann-index") {
         return Err("--ann-index needs a bare engine: a gateway builds one index per window".into());
     }
-    let n_replicas: usize = parse_num(args, "--replicas", 1)?;
-    if n_replicas == 0 {
-        return Err("--replicas must be >= 1".into());
-    }
     let cfg = GatewayConfig {
         serve,
-        replicas: n_replicas,
         ..GatewayConfig::default()
     };
     let mut gateway = Gateway::partitioned(model, n_shards, cfg).map_err(|e| e.to_string())?;
-    eprintln!(
-        "gateway: {n_shards} shards x {n_replicas} replica(s), windows {:?}",
-        gateway.plan().ranges()
-    );
+    eprintln!("gateway: {n_shards} shards, windows {:?}", gateway.plan().ranges());
     if let Some(tel) = telemetry {
         gateway = gateway.with_telemetry(tel.clone());
     }
@@ -249,20 +233,6 @@ fn build_gateway(
             .with_shard_faults(victim, plan.clone() as SharedInjector)
             .map_err(|e| format!("--poison-shard: {e}"))?;
         eprintln!("chaos: fault injection armed on shard {victim}");
-    }
-    if let Some(r) = parse_opt::<usize>(args, "--poison-replica")? {
-        if n_replicas < 2 {
-            return Err(
-                "--poison-replica needs --replicas >= 2 (a lone replica has no failover target)"
-                    .into(),
-            );
-        }
-        for s in 0..n_shards {
-            gateway = gateway
-                .with_replica_faults(s, r, Arc::new(KillAfter::serve_rows()))
-                .map_err(|e| format!("--poison-replica: {e}"))?;
-        }
-        eprintln!("chaos: replica {r} of every set permanently killed (KillAfter on serve.row)");
     }
     if let Some((nlist, nprobe, seed)) = ann {
         gateway = gateway.with_ann(nlist, nprobe, seed).map_err(|e| e.to_string())?;
@@ -364,10 +334,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     check_flags(args, USAGE)?;
     let model_name = flag(args, "--model").unwrap_or_else(|| "WhitenRec+".into());
     let n_shards: Option<usize> = parse_opt(args, "--shards")?;
-    if n_shards.is_none() {
-        if let Some(f) = GATEWAY_FLAGS.iter().find(|f| has_flag(args, f)) {
-            return Err(format!("{f} configures a gateway: it needs --shards"));
-        }
+    if n_shards.is_none() && has_flag(args, "--poison-shard") {
+        return Err("--poison-shard configures a gateway: it needs --shards".into());
     }
     // Chaos mode: a nonzero WR_FAULT_SEED arms a deterministic fault
     // schedule over the serving path (cache poison, score poison, induced
@@ -465,12 +433,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             report_quarantine(gateway.shards().iter().map(|s| s.quarantined_items().len()).sum());
             let log = load_or_generate_trace(args, gateway.n_items(), max_len)?;
             drive(&gateway, &log, &replay_tel, reference, args)?;
-            if gateway.config().replicas > 1 {
-                // The breaker trajectory snapshot: one state label per
-                // replica, per set. Under --poison-replica the victims
-                // must read "open".
-                eprintln!("replicas: breaker states {:?}", gateway.breaker_states());
-            }
         }
     }
 

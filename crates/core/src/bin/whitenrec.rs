@@ -27,7 +27,7 @@
 //!     (`whiten.pre.*` / `whiten.post.*`); the trace is Chrome
 //!     `trace_event` JSON — open it in Perfetto or `chrome://tracing`.
 //!
-//! whitenrec bench [--shards N [--replicas R]] [--checkpoint model.wrck] …
+//! whitenrec bench [--shards N] [--checkpoint model.wrck] …
 //!     Replay a query trace through the serving stack — a bare engine, or
 //!     with `--shards` the sharded gateway — and print the latency report.
 //!     Flags and chaos / telemetry modes: see [`whitenrec::bench`].

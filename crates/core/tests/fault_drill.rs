@@ -199,6 +199,7 @@ fn gateway_answers_like_the_engine_at_a_batch_past_the_default_bound() {
 fn verbs_refuse_flags_they_do_not_list() {
     for (args, unknown) in [
         (&["bench", "--shards", "2", "--hedge-ns", "1"][..], "--hedge-ns"),
+        (&["bench", "--shards", "2", "--replicas", "2"][..], "--replicas"),
         (&["train", "--shard", "2"][..], "--shard"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_whitenrec"))

@@ -464,7 +464,7 @@ impl TopK {
 /// requested `k` loses nothing. Partials may be any length (shorter ones
 /// simply contribute fewer candidates). Items appearing in *multiple*
 /// partials are offered once per appearance — callers merging overlapping
-/// candidate sets (replicated shards) must deduplicate upstream; the
+/// candidate sets must deduplicate upstream; the
 /// in-tree caller (the gateway's cross-shard merge) partitions the
 /// catalog into disjoint windows, so duplicates cannot arise. Within one
 /// scan no merge is needed: a single [`TopK`] fed every part *is* the

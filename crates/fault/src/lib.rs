@@ -22,8 +22,9 @@
 //! * [`sealed`] — the binary envelope (`magic | version | body | crc32 |
 //!   reversed magic`) the `WRCK`, `WRTS` and `WRIV` files share: one
 //!   `seal`, one `open`, one fallible reader, one generation fallback.
-//! * [`backoff`] — [`RetryPolicy`] (bounded exponential backoff) and the
-//!   [`Sleeper`] trait so tests drive retries without ever sleeping.
+//! * [`backoff`] — the bounded exponential backoff schedule
+//!   ([`backoff::MAX_ATTEMPTS`], [`backoff::delay_ns`]) and the [`Sleeper`]
+//!   trait so tests drive retries without ever sleeping.
 //!
 //! **Layering.** Zero dependencies; sits at the very bottom of the
 //! workspace next to `wr-obs` so every persistence and serving crate can
@@ -50,7 +51,7 @@ pub mod sealed;
 pub use atomic_io::{
     crc32, seal_lines, verify_lines, write_atomic, write_atomic_with, CRC_LINE_PREFIX,
 };
-pub use backoff::{NoSleep, RetryPolicy, Sleeper, ThreadSleeper};
+pub use backoff::{NoSleep, Sleeper, ThreadSleeper};
 pub use faultlog::{
     counts_by_kind, parse_fault_log, render_fault_log, save_fault_log, FaultLog, FAULTLOG_FORMAT,
 };
@@ -106,16 +107,15 @@ impl FaultInjector for NoFaults {
 }
 
 /// An injector that *permanently* panics one site from a chosen index on
-/// — the "replica process died" failure mode, as opposed to
-/// [`FaultPlan`]'s probabilistic mix of transient and permanent faults.
+/// — a scoring core that is dead, as opposed to [`FaultPlan`]'s
+/// probabilistic mix of transient and permanent faults.
 ///
 /// `maybe_panic(site, index, _)` panics (with an [`InducedPanic`]
 /// payload) for every `index >= from_index` at the armed site, on *every*
-/// attempt: retry can never recover, which is exactly what a health
-/// breaker must learn to route around. All other hooks are no-ops — a
-/// dead replica never poisons scores, it just stops answering — so a
-/// gateway that fails over to a healthy replica keeps its answers
-/// bit-identical to a fully healthy run.
+/// attempt: retry can never recover, so every request reaches per-request
+/// isolation and is answered empty. All other hooks are no-ops — a dead
+/// core never poisons scores, it just stops answering — so arming it
+/// through a re-snapshot of the cache damages no row.
 #[derive(Debug, Clone)]
 pub struct KillAfter {
     site: String,
@@ -131,8 +131,8 @@ impl KillAfter {
         }
     }
 
-    /// Kill every `serve.row` call — a replica that is dead from the
-    /// first request it sees.
+    /// Kill every `serve.row` call — a shard that is dead from the first
+    /// request it sees.
     pub fn serve_rows() -> Self {
         KillAfter::new("serve.row", 0)
     }
@@ -197,7 +197,7 @@ mod tests {
             assert_eq!(payload.site, "serve.row");
             assert_eq!(payload.index, 10);
         }
-        // Non-panic hooks never fire: a dead replica can't poison data.
+        // Non-panic hooks never fire: a dead core can't poison data.
         assert!(kill.write_error("serve.row", 10).is_none());
         let mut bytes = vec![1u8];
         assert!(kill.corrupt("serve.row", 10, &mut bytes).is_none());

@@ -2,13 +2,12 @@
 
 use std::sync::Arc;
 
-use crate::health::{BreakerConfig, ReplicaCall, ReplicaSet};
 use crate::ShardPlan;
 use wr_fault::{SharedInjector, Sleeper};
-use wr_obs::{Clock, MonotonicClock, Telemetry, TraceContext};
+use wr_obs::{Telemetry, TraceContext};
 use wr_serve::{
     merge_top_k, CatalogShard, FrontEnd, HistoryEncoder, MicroBatcher, Replay, Request, Response,
-    ScoredItem, ServeConfig,
+    ScoredItem, ServeConfig, ShardCall,
 };
 use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
@@ -21,8 +20,8 @@ const GATEWAY: FrontEnd = FrontEnd {
     queue_depth: "gateway.queue_depth",
 };
 
-/// Gateway knobs: the per-shard serving configuration plus the replica
-/// count.
+/// Gateway knobs: the per-shard serving configuration, plus two fields
+/// nothing reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
     /// Per-shard serving knobs (`k`, micro-batch bound, seen-filtering).
@@ -32,11 +31,11 @@ pub struct GatewayConfig {
     /// because `bench/ledger` builds `GatewayConfig` by literal; the next
     /// benchmark PR drops it (ROADMAP item 3(h)).
     pub shard_max_rows: usize,
-    /// Replicas per catalog window (`R`). Each replica is a handle clone
-    /// of the window's frozen cache behind its own circuit breaker, so
-    /// failover changes *which core answers*, never the bits. With `1`
-    /// (the default) there is no sibling to fail over to: a batch that
-    /// keeps dying is absorbed into per-request isolation.
+    /// Read by nothing: each catalog window is one [`CatalogShard`]. A
+    /// replica of a window would be a handle clone of the same frozen
+    /// cache, failing exactly when its siblings fail, so there are none
+    /// (DESIGN §12). Kept because `bench/ledger` builds `GatewayConfig` by
+    /// literal; the next benchmark PR drops it (ROADMAP item 3(h)).
     pub replicas: usize,
 }
 
@@ -62,8 +61,6 @@ pub enum GatewayError {
     Ann(wr_ann::AnnError),
     /// A fault was armed on a shard the plan does not have.
     NoSuchShard { shard: usize, n_shards: usize },
-    /// A fault was armed on a replica its set does not have.
-    NoSuchReplica { replica: usize, n_replicas: usize },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -76,9 +73,6 @@ impl std::fmt::Display for GatewayError {
             GatewayError::Ann(e) => write!(f, "gateway ANN build: {e}"),
             GatewayError::NoSuchShard { shard, n_shards } => {
                 write!(f, "shard {shard} out of range ({n_shards} shards)")
-            }
-            GatewayError::NoSuchReplica { replica, n_replicas } => {
-                write!(f, "replica {replica} out of range ({n_replicas} replicas)")
             }
         }
     }
@@ -121,9 +115,8 @@ pub struct GatewayResponse {
 /// windows are disjoint and every shard ranks under the same total order.
 pub struct Gateway {
     encoder: HistoryEncoder,
-    /// One replica set per catalog window; `sets[s]` holds `R`
-    /// interchangeable [`CatalogShard`] handles over window `s`.
-    sets: Vec<ReplicaSet>,
+    /// One scoring core per catalog window; `shards[s]` serves window `s`.
+    shards: Vec<CatalogShard>,
     plan: ShardPlan,
     batcher: MicroBatcher,
     cfg: GatewayConfig,
@@ -131,11 +124,6 @@ pub struct Gateway {
     /// Per-shard span labels, precomputed so the fan-out hot path never
     /// formats strings.
     shard_labels: Vec<String>,
-    /// Time source for breaker cooldowns. Defaults to [`MonotonicClock`];
-    /// [`Gateway::with_telemetry`] adopts the telemetry clock so breaker
-    /// transitions and flight timestamps share one timeline (and a test's
-    /// `MockClock` governs both).
-    clock: Arc<dyn Clock>,
 }
 
 impl Gateway {
@@ -164,24 +152,16 @@ impl Gateway {
         plan: ShardPlan,
         cfg: GatewayConfig,
     ) -> Gateway {
-        // Every shard retries with the default backoff, and every replica
-        // trips the default breaker.
-        let breaker = BreakerConfig::default();
-        let sets: Vec<ReplicaSet> = shards
-            .into_iter()
-            .map(|s| ReplicaSet::new(s, cfg.replicas, breaker))
-            .collect();
         let batcher = MicroBatcher::new(cfg.serve.max_batch);
-        let shard_labels = (0..sets.len()).map(|s| format!("shard{s}")).collect();
+        let shard_labels = (0..shards.len()).map(|s| format!("shard{s}")).collect();
         Gateway {
             encoder,
-            sets,
+            shards,
             plan,
             batcher,
             cfg,
             telemetry: None,
             shard_labels,
-            clock: Arc::new(MonotonicClock::new()),
         }
     }
 
@@ -189,10 +169,10 @@ impl Gateway {
     /// per micro-batch: a `batch` span (`gateway` category) plus one span
     /// per shard dispatch, `gateway.requests` / `gateway.batches` /
     /// `gateway.fanout_calls` counters, the `gateway.queue_depth` gauge,
-    /// and the degraded-mode counters (`gateway.degraded_responses`,
-    /// `gateway.failovers`, `gateway.breaker_open`). The shards get a clone for their own `serve.*` recovery counters. All
-    /// of it is write-only: the differential suite asserts instrumented
-    /// == uninstrumented bit-for-bit.
+    /// and the `gateway.degraded_responses` counter. The shards get a
+    /// clone for their own `serve.*` recovery counters. All of it is
+    /// write-only: the differential suite asserts instrumented ==
+    /// uninstrumented bit-for-bit.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         // Eager registration at 0, same rationale as ServeEngine: a
         // healthy export must still name every degraded-mode counter so
@@ -201,13 +181,10 @@ impl Gateway {
         telemetry.registry.counter("gateway.batches");
         telemetry.registry.counter("gateway.fanout_calls");
         telemetry.registry.counter("gateway.degraded_responses");
-        telemetry.registry.counter("gateway.failovers");
-        telemetry.registry.counter("gateway.breaker_open");
-        for set in &mut self.sets {
-            set.map_replicas(|s| s.with_telemetry(telemetry.clone()));
-        }
-        // Breaker cooldowns read the telemetry clock from here on.
-        self.clock = telemetry.clock.clone();
+        self.shards = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|s| s.with_telemetry(telemetry.clone()))
+            .collect();
         self.telemetry = Some(telemetry);
         self
     }
@@ -219,9 +196,10 @@ impl Gateway {
     /// Replace every shard's backoff sleeper (builder-style). Tests
     /// inject [`wr_fault::NoSleep`] so retry storms never block.
     pub fn with_sleeper(mut self, sleeper: Arc<dyn Sleeper>) -> Self {
-        for set in &mut self.sets {
-            set.map_replicas(|s| s.with_sleeper(sleeper.clone()));
-        }
+        self.shards = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|s| s.with_sleeper(sleeper.clone()))
+            .collect();
         self
     }
 
@@ -238,40 +216,11 @@ impl Gateway {
         injector: SharedInjector,
     ) -> Result<Self, GatewayError> {
         let items = self.encoder.model_snapshot().items();
-        let n_shards = self.sets.len();
-        let set = self
-            .sets
+        let n_shards = self.shards.len();
+        self.shards
             .get_mut(shard)
-            .ok_or(GatewayError::NoSuchShard { shard, n_shards })?;
-        set.map_replicas(|mut s| {
-            s.rearm(items, injector.clone());
-            s
-        });
-        Ok(self)
-    }
-
-    /// Arm fault injection on one *replica* of a set without touching its
-    /// cache (builder-style): the replica's hot path consults `injector`
-    /// while its siblings — and the shared frozen cache — stay clean.
-    /// This is the replica-chaos shape: kill one replica per set (e.g.
-    /// with [`wr_fault::KillAfter`]), let the breakers route around it,
-    /// and the answer bits cannot change because every sibling scores the
-    /// same cache.
-    pub fn with_replica_faults(
-        mut self,
-        shard: usize,
-        replica: usize,
-        injector: SharedInjector,
-    ) -> Result<Self, GatewayError> {
-        let n_shards = self.sets.len();
-        let set = self
-            .sets
-            .get_mut(shard)
-            .ok_or(GatewayError::NoSuchShard { shard, n_shards })?;
-        let n_replicas = set.replicas().len();
-        set.replica_mut(replica)
-            .ok_or(GatewayError::NoSuchReplica { replica, n_replicas })?
-            .set_injector(injector);
+            .ok_or(GatewayError::NoSuchShard { shard, n_shards })?
+            .rearm(items, injector);
         Ok(self)
     }
 
@@ -282,18 +231,9 @@ impl Gateway {
     /// bit-identical to the single-engine one — the differential suite's
     /// IVF axis.
     pub fn with_ann(mut self, nlist: usize, nprobe: usize, seed: u64) -> Result<Self, GatewayError> {
-        for set in &mut self.sets {
-            // One index per *window*, built from the primary's cache and
-            // shared (Arc) by every replica — siblings must probe the
-            // same lists to stay bit-interchangeable.
-            let index = match set.primary() {
-                Some(primary) => Arc::new(primary.cache().build_ivf(nlist, seed)?),
-                None => continue,
-            };
-            set.map_replicas(|mut s| {
-                s.set_ann(index.clone(), nprobe);
-                s
-            });
+        for shard in &mut self.shards {
+            let index = shard.cache().build_ivf(nlist, seed)?;
+            shard.set_ann(Arc::new(index), nprobe);
         }
         Ok(self)
     }
@@ -306,25 +246,9 @@ impl Gateway {
         &self.plan
     }
 
-    /// The primary shard of every replica set, in window order — the
-    /// pre-replica view of the gateway.
+    /// The scoring core of every catalog window, in window order.
     pub fn shards(&self) -> Vec<&CatalogShard> {
-        self.sets.iter().filter_map(|set| set.primary()).collect()
-    }
-
-    /// The replica sets themselves (one per catalog window).
-    pub fn sets(&self) -> &[ReplicaSet] {
-        &self.sets
-    }
-
-    /// Breaker state labels, `[set][replica]` → `"closed"` / `"open"` /
-    /// `"half-open"` — `whitenrec bench` exports this as the breaker
-    /// trajectory snapshot.
-    pub fn breaker_states(&self) -> Vec<Vec<&'static str>> {
-        self.sets
-            .iter()
-            .map(|set| set.health().iter().map(|h| h.state_label()).collect())
-            .collect()
+        self.shards.iter().collect()
     }
 
     pub fn n_items(&self) -> usize {
@@ -342,27 +266,24 @@ impl Gateway {
         })
     }
 
-    /// Dispatch one encoded micro-batch to every replica set on the pool
-    /// (one task per set — the closure borrows only `Sync` state; the
+    /// Dispatch one encoded micro-batch to every shard on the pool (one
+    /// task per shard — the closure borrows only `Sync` state; the
     /// encoder stays on this thread). Returns one part per shard, in
-    /// window order: the set's per-request responses.
+    /// window order: the shard's per-request responses, which
+    /// [`CatalogShard::serve_window`] always gives, isolated or not.
     fn fan_out(&self, slice: &[Request], users: &Tensor, ctx: TraceContext) -> Vec<Vec<Response>> {
         if let Some(tel) = &self.telemetry {
             tel.registry
                 .counter("gateway.fanout_calls")
-                .add(self.sets.len() as u64);
+                .add(self.shards.len() as u64);
         }
-        // Borrow only the `Sync` pieces into the pool closure: the replica
-        // sets, the labels, the clock, the telemetry handle. `self` itself
-        // must stay out — the encoder keeps the non-`Sync` source model.
-        // One pool task per set means each set's breaker state is touched
-        // by exactly one thread per batch, keeping trajectories
-        // independent of `WR_THREADS`.
-        let sets = &self.sets;
+        // Borrow only the `Sync` pieces into the pool closure: the shards,
+        // the labels, the telemetry handle. `self` itself must stay out —
+        // the encoder keeps the non-`Sync` source model.
+        let shards = &self.shards;
         let labels = &self.shard_labels;
         let tel = self.telemetry.as_ref();
-        let clock: &dyn Clock = &*self.clock;
-        wr_runtime::parallel_map(sets.len(), 1, |s| {
+        wr_runtime::parallel_map(shards.len(), 1, |s| {
             let sctx = ctx.child(s as u64);
             let _span = tel.map(|t| {
                 t.tracer.span_ctx(
@@ -371,15 +292,12 @@ impl Gateway {
                     sctx,
                 )
             });
-            let call = ReplicaCall {
-                shard: s,
+            let call = ShardCall {
                 slice,
                 users,
                 ctx: sctx,
-                clock,
-                telemetry: tel,
             };
-            sets.get(s).map(|set| set.dispatch(&call)).unwrap_or_default()
+            shards.get(s).map(|shard| shard.serve_window(&call)).unwrap_or_default()
         })
     }
 
@@ -543,12 +461,14 @@ mod tests {
         }
     }
 
-    /// An R = 1 gateway whose shard 0 panics on every row it scores.
+    /// A gateway whose shard 0 panics on every row it scores. Arming
+    /// re-snapshots the window through `cache.load`, which a panic-only
+    /// injector leaves undamaged.
     fn shard0_dead(n_shards: usize) -> Gateway {
         Gateway::partitioned(model(), n_shards, cfg())
             .unwrap()
             .with_sleeper(Arc::new(NoSleep))
-            .with_replica_faults(0, 0, Arc::new(KillAfter::serve_rows()))
+            .with_shard_faults(0, Arc::new(KillAfter::serve_rows()))
             .unwrap()
     }
 
@@ -626,8 +546,8 @@ mod tests {
         assert!(report.p50_ms <= report.p95_ms && report.p95_ms <= report.p99_ms);
         // Replay responses match a direct serve of the same queries.
         assert_eq!(responses, gw.serve(&log.queries));
-        // Shard 0's lone replica is dead: every request is isolated to an
-        // empty partial there, and its window could have answered each.
+        // Shard 0 is dead: every request is isolated to an empty partial
+        // there, and its window could have answered each.
         let gw = shard0_dead(3);
         assert_eq!(replay(&gw, &log, &Telemetry::new()).1.n_degraded, 37);
     }

@@ -16,16 +16,13 @@
 //!   live behind `Rc` for the autograd tape), then every micro-batch is
 //!   fanned out across the shards on the `wr-runtime` pool and merged
 //!   with [`wr_serve::merge_top_k`];
-//! * degraded answers — every shard takes the whole micro-batch, and a
-//!   shard that keeps dying *degrades* the affected responses (flagged,
-//!   counted) instead of failing the request;
-//! * replica sets — [`GatewayConfig::replicas`] handle clones of each
-//!   window's frozen cache, each behind a [`HealthTracker`] circuit
-//!   breaker, walked in a fixed hash rotation: a replica that panics past
-//!   its retries fails over to a sibling, and the last one left absorbs
-//!   the failure into per-request isolation. Every replica answers with
-//!   the same bits, so a set never races or compares two of them, and
-//!   the gateway's clock decides breaker cooldowns only;
+//! * degraded answers — every shard takes the whole micro-batch through
+//!   its one call, [`wr_serve::CatalogShard::serve_window`], which retries
+//!   and then isolates request by request, so a shard that keeps dying
+//!   *degrades* the affected responses (flagged, counted) instead of
+//!   failing the request. A window has one shard and no replicas: a
+//!   replica would be a handle clone of the same frozen cache, failing
+//!   exactly when its siblings fail;
 //! * a [`wr_serve::Replay`] impl — the gateway replays query logs through
 //!   the same [`wr_serve::replay`] loop as a bare engine (p50/p95/p99 +
 //!   QPS, the shared `top1_checksum` digest, `shards` / `degraded`
@@ -51,9 +48,7 @@
 )]
 
 mod gateway;
-mod health;
 mod plan;
 
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayResponse};
-pub use health::{BreakerConfig, HealthTracker, ReplicaSet};
 pub use plan::ShardPlan;

@@ -26,7 +26,6 @@ use common::{chaos_rates, digest_of, zipf_trace, MAX_SEQ, N_ITEMS};
 use wr_gateway::{Gateway, GatewayConfig, GatewayResponse};
 use wr_fault::{FaultPlan, NoSleep};
 use wr_serve::{merge_top_k, CatalogShard, MicroBatcher, QueryLog, ScoredItem, ServeConfig, ShardCall};
-use wr_tensor::Tensor;
 use wr_train::SeqRecModel;
 
 const N_SHARDS: usize = 3;
@@ -115,7 +114,13 @@ fn reconstruct(log: &QueryLog, fault_seed: u64) -> Vec<Vec<ScoredItem>> {
         let users = model.user_representations(&contexts);
         let parts: Vec<Vec<wr_serve::Response>> = twins
             .iter()
-            .map(|t| absorb(t, slice, &users))
+            .map(|t| {
+                t.serve_window(&ShardCall {
+                    slice,
+                    users: &users,
+                    ctx: wr_obs::TraceContext::UNTRACED,
+                })
+            })
             .collect();
         for r in 0..slice.len() {
             let partials: Vec<Vec<ScoredItem>> =
@@ -125,17 +130,6 @@ fn reconstruct(log: &QueryLog, fault_seed: u64) -> Vec<Vec<ScoredItem>> {
         start = end;
     }
     merged
-}
-
-/// The one shard call with absorption composed on top — what a replica
-/// set does on its last usable candidate.
-fn absorb(shard: &CatalogShard, slice: &[wr_serve::Request], users: &Tensor) -> Vec<wr_serve::Response> {
-    let call = ShardCall {
-        slice,
-        users,
-        ctx: wr_obs::TraceContext::UNTRACED,
-    };
-    shard.serve_window(&call).unwrap_or_else(|_| shard.isolate(&call))
 }
 
 /// Whether the fault plan permanently kills `serve.row` for this request

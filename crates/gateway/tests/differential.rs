@@ -95,54 +95,6 @@ fn sharded_is_bit_identical_to_single_engine_across_shards_threads_scorers() {
     }
 }
 
-/// The replica axis of the same gate: every `(shards, replicas)` pair
-/// must reproduce the single-engine answers bit for bit at both thread
-/// counts. Replication cannot move a bit by construction — every replica
-/// of a set is a handle clone of the same frozen cache — and this test
-/// pins the construction.
-#[test]
-fn replica_counts_do_not_change_a_single_bit() {
-    let log = zipf_trace(2048);
-    let engine = ServeEngine::new(whitenrec_model(19), serve_cfg());
-    wr_runtime::set_threads(1);
-    let baseline = engine.serve(&log.queries);
-    let baseline_digest =
-        top1_digest(baseline.iter().map(|r| (r.id, r.items.first().map(|s| s.item))));
-
-    for n_shards in [1usize, 2, 3, 8] {
-        for replicas in [2usize, 3] {
-            // (R = 1 is the gate above.)
-            let gw = Gateway::partitioned(
-                whitenrec_model(19),
-                n_shards,
-                GatewayConfig {
-                    serve: serve_cfg(),
-                    replicas,
-                    ..GatewayConfig::default()
-                },
-            )
-            .unwrap();
-            // Replicas share the window's storage — handle clones, not
-            // copies — which is what makes them bit-interchangeable.
-            for set in gw.sets() {
-                let primary = set.primary().unwrap();
-                assert_eq!(set.replicas().len(), replicas);
-                for r in set.replicas() {
-                    assert!(r.cache().shares_storage_with(primary.cache()));
-                }
-            }
-            for threads in [1usize, 8] {
-                wr_runtime::set_threads(threads);
-                let got = gw.serve(&log.queries);
-                let what = format!("shards={n_shards} replicas={replicas} threads={threads}");
-                assert_bit_identical(&got, &baseline, &what);
-                assert_eq!(digest_of(&got), baseline_digest, "{what}: top1_checksum");
-            }
-            wr_runtime::set_threads(1);
-        }
-    }
-}
-
 /// The replay harness reports the same checksum as the single-engine
 /// replay harness — the property `scripts/check.sh` asserts across two
 /// separate binaries by comparing hex strings.
@@ -235,9 +187,10 @@ fn gateway_telemetry_is_write_only_and_nonzero() {
     assert_eq!(events.iter().filter(|e| e.cat == "gateway.shard").count(), 9);
 }
 
-/// `GatewayConfig::shard_max_rows` bounds nothing: a gateway that names a
-/// one-row bound still hands every shard the whole 32-row micro-batch, and
-/// replays the trace like the engine, bit for bit, with nothing degraded.
+/// `GatewayConfig::shard_max_rows` and `GatewayConfig::replicas` configure
+/// nothing: a gateway that names a one-row bound and three replicas still
+/// hands each window's one shard the whole 32-row micro-batch, and replays
+/// the trace like the engine, bit for bit, with nothing degraded.
 #[test]
 fn shard_max_rows_is_inert() {
     let log = zipf_trace(96);
@@ -248,12 +201,13 @@ fn shard_max_rows_is_inert() {
         GatewayConfig {
             serve: serve_cfg(),
             shard_max_rows: 1,
-            ..GatewayConfig::default()
+            replicas: 3,
         },
     )
     .unwrap();
     let (got, report) = wr_serve::replay(&gw, &log, &wr_obs::Telemetry::new());
-    assert_bit_identical(&got, &baseline, "shard_max_rows = 1");
+    assert_eq!(gw.shards().len(), 3, "one shard per window");
+    assert_bit_identical(&got, &baseline, "shard_max_rows = 1, replicas = 3");
     assert_eq!(report.n_degraded, 0);
 }
 

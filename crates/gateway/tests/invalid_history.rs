@@ -35,10 +35,9 @@ fn serve_cfg() -> ServeConfig {
     common::serve_cfg(K, 4, config().max_seq)
 }
 
-fn gateway(frozen: bool, shards: usize, replicas: usize) -> Gateway {
+fn gateway(frozen: bool, shards: usize) -> Gateway {
     let cfg = GatewayConfig {
         serve: serve_cfg(),
-        replicas,
         ..GatewayConfig::default()
     };
     Gateway::partitioned(model(frozen), shards, cfg).unwrap()
@@ -82,9 +81,9 @@ fn an_out_of_catalogue_id_fails_alone_on_every_front_end() {
                 assert_eq!(bits(&g.items), bits(&c.items), "{what}: engine peers moved");
             }
 
-            for (shards, replicas) in [(1usize, 1usize), (3, 2)] {
-                let what = format!("{what}, {shards} shard(s) x {replicas} replica(s)");
-                let gw = gateway(frozen, shards, replicas);
+            for shards in [1usize, 3] {
+                let what = format!("{what}, {shards} shard(s)");
+                let gw = gateway(frozen, shards);
                 let got = gw.serve(&with_bad);
                 assert_eq!(got.len(), 3, "{what}");
                 assert!(

@@ -5,7 +5,7 @@
 //! window's top-k under the workspace's one total order (`total_cmp`
 //! descending, ascending item index on ties), with NaN-quarantined rows
 //! excluded from the candidates before extraction and with shards that
-//! rejected or held nothing contributing empty partials. This sweep
+//! died or held nothing contributing empty partials. This sweep
 //! generates hundreds of seeded scenarios in that shape — heavily
 //! quantized scores so duplicate score values collide *across* shards,
 //! `k` larger than per-shard candidate counts, windows emptied by
@@ -153,13 +153,9 @@ fn k_beyond_all_candidates_returns_the_sorted_union() {
 }
 
 // ---------------------------------------------------------------------
-// Replica substitution: the merge input the replica-aware gateway really
-// produces. A partial may come from *any* replica of a set (failover,
-// hedging), so the property the whole failover design leans on is:
-// swapping any shard's partial for one produced by a replica of that
-// shard changes no bit of the merge. Checked with real `CatalogShard`
-// engines — including a primary whose window has NaN-quarantined rows —
-// not hand-built partials.
+// Real partials: the merge input the gateway really produces, from real
+// `CatalogShard` windows — including one whose window has NaN-quarantined
+// rows — not hand-built partials.
 // ---------------------------------------------------------------------
 
 const RS_ITEMS: usize = 96;
@@ -178,24 +174,20 @@ fn rs_serve_cfg() -> ServeConfig {
     common::serve_cfg(RS_K, 16, RS_MAX_SEQ)
 }
 
-/// Primaries for every window (the victim rearmed so its window holds
-/// quarantined rows) plus one replica of each, and the per-request
-/// partials both tiers produced for a zipf trace.
-fn replica_partials() -> (Vec<CatalogShard>, Vec<CatalogShard>, Vec<Vec<Vec<ScoredItem>>>, Vec<Vec<Vec<ScoredItem>>>)
-{
+/// A shard for every window (the victim rearmed so its window holds
+/// quarantined rows), and the per-request partials they produced for a
+/// zipf trace.
+fn window_partials() -> (Vec<CatalogShard>, Vec<Vec<Vec<ScoredItem>>>) {
     let model = rs_model();
     let items = model.item_representations();
     let cfg = rs_serve_cfg();
     let plan = ShardPlan::partitioned(RS_ITEMS, RS_SHARDS).unwrap();
-    let mut primaries: Vec<CatalogShard> = plan
+    let mut shards: Vec<CatalogShard> = plan
         .ranges()
         .iter()
         .map(|r| CatalogShard::from_window(&items, r.clone(), &cfg))
         .collect();
-    // NaN-poison some of the victim's cache rows so its partials are
-    // computed over a quarantined window — the case where a replica
-    // *must* agree anyway (it shares the quarantine set).
-    primaries[RS_VICTIM].rearm(
+    shards[RS_VICTIM].rearm(
         &items,
         Arc::new(FaultPlan::with_rates(
             41,
@@ -203,15 +195,13 @@ fn replica_partials() -> (Vec<CatalogShard>, Vec<CatalogShard>, Vec<Vec<Vec<Scor
         )),
     );
     assert!(
-        !primaries[RS_VICTIM].quarantined_items().is_empty(),
+        !shards[RS_VICTIM].quarantined_items().is_empty(),
         "poison rate 0.3 over a {}-row window must quarantine something",
-        primaries[RS_VICTIM].n_items()
+        shards[RS_VICTIM].n_items()
     );
-    let replicas: Vec<CatalogShard> = primaries.iter().map(|p| p.replica()).collect();
 
     let log = QueryLog::synthetic_zipf(96, 1_500, RS_ITEMS, RS_MAX_SEQ + 3, 1.1, 131).unwrap();
-    let mut by_primary: Vec<Vec<Vec<ScoredItem>>> = Vec::with_capacity(log.len());
-    let mut by_replica: Vec<Vec<Vec<ScoredItem>>> = Vec::with_capacity(log.len());
+    let mut partials: Vec<Vec<Vec<ScoredItem>>> = Vec::with_capacity(log.len());
     let mut start = 0;
     while start < log.len() {
         let end = (start + cfg.max_batch).min(log.len());
@@ -226,61 +216,24 @@ fn replica_partials() -> (Vec<CatalogShard>, Vec<CatalogShard>, Vec<Vec<Vec<Scor
             users: &users,
             ctx: wr_obs::TraceContext::UNTRACED,
         };
-        let prim: Vec<Vec<wr_serve::Response>> =
-            primaries.iter().map(|s| s.serve_window(&call).unwrap()).collect();
-        let repl: Vec<Vec<wr_serve::Response>> =
-            replicas.iter().map(|s| s.serve_window(&call).unwrap()).collect();
+        let parts: Vec<Vec<wr_serve::Response>> =
+            shards.iter().map(|s| s.serve_window(&call)).collect();
         for r in 0..slice.len() {
-            by_primary.push(prim.iter().map(|p| p[r].items.clone()).collect());
-            by_replica.push(repl.iter().map(|p| p[r].items.clone()).collect());
+            partials.push(parts.iter().map(|p| p[r].items.clone()).collect());
         }
         start = end;
     }
-    (primaries, replicas, by_primary, by_replica)
+    (shards, partials)
 }
 
-/// Swapping any single shard's partial — or all of them — for the one
-/// its replica produced changes no bit of the merged answer, including
-/// for the shard whose window carries quarantined rows.
-#[test]
-fn replica_partials_substitute_for_their_primaries_bit_for_bit() {
-    let (primaries, replicas, by_primary, by_replica) = replica_partials();
-    for (p, r) in primaries.iter().zip(&replicas) {
-        assert!(
-            r.cache().shares_storage_with(p.cache()),
-            "a replica is a handle clone, never a copy"
-        );
-        assert_eq!(
-            r.quarantined_items(),
-            p.quarantined_items(),
-            "replicas share the primary's quarantine set"
-        );
-    }
-    for (q, (prim, repl)) in by_primary.iter().zip(&by_replica).enumerate() {
-        let baseline = merge_top_k(RS_K, prim);
-        for s in 0..RS_SHARDS {
-            let mut substituted = prim.clone();
-            substituted[s] = repl[s].clone();
-            let merged = merge_top_k(RS_K, &substituted);
-            assert_merge_matches(
-                &merged,
-                &baseline,
-                &format!("query {q}: replica substituted for primary {s}"),
-            );
-        }
-        let all_replicas = merge_top_k(RS_K, repl);
-        assert_merge_matches(&all_replicas, &baseline, &format!("query {q}: all replicas"));
-    }
-}
-
-/// A set whose every replica died contributes an *empty* partial. The
-/// merge must treat that exactly like the set not being consulted at
-/// all: identical bits to merging with the entry removed, and no item
+/// A shard that died on every request contributes an *empty* partial.
+/// The merge must treat that exactly like the shard not being consulted
+/// at all: identical bits to merging with the entry removed, and no item
 /// from the dead window can appear.
 #[test]
 fn a_dropped_replica_set_is_an_empty_partial_not_a_skew() {
-    let (primaries, _replicas, by_primary, _by_replica) = replica_partials();
-    for (q, prim) in by_primary.iter().enumerate() {
+    let (shards, partials) = window_partials();
+    for (q, prim) in partials.iter().enumerate() {
         for s in 0..RS_SHARDS {
             let mut dropped = prim.clone();
             dropped[s] = Vec::new();
@@ -291,9 +244,9 @@ fn a_dropped_replica_set_is_an_empty_partial_not_a_skew() {
             assert_merge_matches(
                 &with_empty,
                 &without_entry,
-                &format!("query {q}: set {s} dropped"),
+                &format!("query {q}: shard {s} dropped"),
             );
-            let window = primaries[s].item_range();
+            let window = shards[s].item_range();
             assert!(
                 with_empty.iter().all(|item| !window.contains(&item.item)),
                 "query {q}: a dead window {window:?} cannot contribute items"

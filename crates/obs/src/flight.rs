@@ -4,11 +4,11 @@
 //! post-mortem question "what exactly happened around the failure?". The
 //! [`FlightRecorder`] keeps the last [`DEFAULT_FLIGHT_CAPACITY`]
 //! structured [`FlightEvent`]s — span ends, fault injections, retries,
-//! quarantines, degradations, failovers — each carrying the owning
+//! quarantines, degradations — each carrying the owning
 //! [`TraceContext`] ids, and snapshots the ring to a **sealed** JSON
 //! artifact when a serving layer declares an incident
-//! ([`FlightRecorder::trigger`]): a request degrades, a shard panics
-//! permanently, or a replica's breaker opens.
+//! ([`FlightRecorder::trigger`]): a request degrades, or a shard panics
+//! permanently.
 //!
 //! Recording is write-only and panic-free: one short mutex push per
 //! event, no clock reads (callers pass timestamps from their telemetry
@@ -44,7 +44,7 @@ pub const FLIGHT_FORMAT: &str = "wr-flight/v1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Event taxonomy: `"span"`, `"fault"`, `"retry"`, `"panic"`,
-    /// `"quarantine"`, `"degraded"`, `"failover"`, `"breaker"`.
+    /// `"quarantine"`, `"degraded"`.
     pub kind: &'static str,
     /// Emitting site (an injector site like `serve.row`, or a span name
     /// like `gateway.shard1`).

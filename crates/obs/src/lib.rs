@@ -15,7 +15,7 @@
 //!   no wall clock) propagated through the serving stack.
 //! * [`flight`] — [`FlightRecorder`]: an always-on bounded ring of
 //!   recent structured events, snapshotted to CRC-sealed JSON artifacts
-//!   on degradation/permanent-panic/breaker-open incidents.
+//!   on degradation/permanent-panic incidents.
 //! * [`http`] — [`serve_http`]: a read-only live telemetry endpoint
 //!   (`/metrics`, `/traces/recent`, `/flight`, `/health`) on a blocking
 //!   `TcpListener` thread, plus the [`http_get`] scrape client.

@@ -94,28 +94,6 @@ pub enum Scorer {
     Ivf { nprobe: usize },
 }
 
-/// The typed failure of [`CatalogShard::serve_window`].
-#[derive(Debug)]
-pub enum ServeError {
-    /// The micro-batch panicked on every retry attempt. Nothing was
-    /// answered; a replica-aware caller should fail over to a sibling
-    /// (same window, same cache ⇒ bit-identical answers) instead of
-    /// degrading.
-    Panicked { attempts: u32 },
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Panicked { attempts } => {
-                write!(f, "serve micro-batch panicked on all {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
 /// Online inference over a trained sequential recommender.
 ///
 /// Construction takes one `wr_train::ModelSnapshot` of the model — the
@@ -242,7 +220,7 @@ impl ServeEngine {
     /// order; responses come back in the same order.
     ///
     /// Degraded-mode behavior: a micro-batch that panics is retried up to
-    /// [`wr_fault::RetryPolicy::max_attempts`] times with exponential
+    /// [`wr_fault::backoff::MAX_ATTEMPTS`] times with exponential
     /// backoff; if it still fails, its requests are re-scored one at a
     /// time so a single poisoned request fails alone (empty item list)
     /// while its batch peers get their normal, bit-identical answers. Score rows carrying
@@ -269,7 +247,7 @@ impl ServeEngine {
     fn serve_group_with_recovery(&self, slice: &[Request], ctx: TraceContext) -> Vec<Response> {
         self.shard
             .retry_batch(ctx, |attempt| self.process_group(slice, attempt, ctx))
-            .unwrap_or_else(|_| {
+            .unwrap_or_else(|| {
                 self.shard
                     .isolate_each(slice, ctx, |_, one, attempt| self.process_group(one, attempt, ctx))
             })
@@ -395,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn recommend_matches_serve_single() {
+    fn a_one_request_call_matches_the_same_request_in_a_batch() {
         // A one-request call answers exactly as the same request inside a
         // larger batch, on a healthy cache and on one with NaN rows (the
         // same quarantine applies to both).

@@ -35,7 +35,8 @@
 //!   (window of the) frozen catalog plus quarantine/retry/ANN machinery,
 //!   scoring *pre-encoded* user representations — the unit `wr-gateway`
 //!   fans out across the pool while the encode stays on the caller
-//!   thread;
+//!   thread. Its one serve call, [`CatalogShard::serve_window`], answers
+//!   every request of the batch, absorbing its own failures;
 //! * [`QueryLog`] + [`replay`] record/replay query traffic (uniform or
 //!   Zipf user-skewed synthetic generation) and report p50/p95/p99
 //!   latency and QPS as one JSON document (`whitenrec bench` in
@@ -61,7 +62,7 @@
 //!
 //! The engine stays up when individual requests go bad ([`ServeEngine`]
 //! docs): micro-batches that panic are retried with bounded backoff
-//! ([`wr_fault::RetryPolicy`]) and then re-scored one request at a time
+//! ([`wr_fault::backoff`]) and then re-scored one request at a time
 //! so a poisoned request fails alone, and non-finite embeddings/scores are
 //! quarantined (masked items, full-sort fallback rows). `wr_fault`
 //! injects these failures deterministically in `tests/degraded.rs`.
@@ -87,7 +88,7 @@ pub mod topk;
 pub use batcher::{FrontEnd, MicroBatcher};
 pub use cache::EmbeddingCache;
 pub use encode::{EncodedBatch, HistoryEncoder};
-pub use engine::{Request, Response, Scorer, ServeConfig, ServeEngine, ServeError};
+pub use engine::{Request, Response, Scorer, ServeConfig, ServeEngine};
 pub use latency::{replay, top1_digest, Replay, ReplayReport};
 pub use querylog::{QueryLog, QueryLogError, ZipfError};
 pub use shard::{CatalogShard, ShardCall};

@@ -32,10 +32,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::topk::batch_scan;
-use crate::{Request, Response, Scorer, ServeConfig, ServeError};
+use crate::{Request, Response, Scorer, ServeConfig};
 use wr_ann::{IvfIndex, SearchStats};
 use wr_eval::{order_key, ScoredItem};
-use wr_fault::{no_faults, RetryPolicy, SharedInjector, Sleeper, ThreadSleeper};
+use wr_fault::backoff::{delay_ns, MAX_ATTEMPTS};
+use wr_fault::{no_faults, SharedInjector, Sleeper, ThreadSleeper};
 use wr_obs::{Telemetry, TraceContext};
 use wr_tensor::Tensor;
 
@@ -74,7 +75,7 @@ fn slice_rows(full: &Tensor, range: &Range<usize>) -> Tensor {
 
 /// One catalog window plus the degraded-mode machinery to serve it:
 /// quarantine of non-finite rows, fault-injection hooks, bounded retry
-/// with per-request isolation, optional IVF retrieval, write-only
+/// then per-request isolation, optional IVF retrieval, write-only
 /// telemetry. Everything inside is `Send + Sync`, so shards are fanned
 /// out across the `wr-runtime` pool by the gateway while the encode
 /// stays on the caller thread.
@@ -82,7 +83,6 @@ fn slice_rows(full: &Tensor, range: &Range<usize>) -> Tensor {
 /// All methods take *pre-encoded* user representations (`users: [b, d]`,
 /// one row per request, produced by [`crate::HistoryEncoder`] on the
 /// caller thread) and answer in **global** item ids.
-#[derive(Clone)]
 pub struct CatalogShard {
     cache: crate::EmbeddingCache,
     /// Global id of this window's first row.
@@ -92,8 +92,6 @@ pub struct CatalogShard {
     quarantined: Vec<usize>,
     k: usize,
     filter_seen: bool,
-    /// Bounded retry-with-backoff for micro-batches that panic.
-    retry: RetryPolicy,
     /// Fault-injection hook on the hot path ([`wr_fault::NoFaults`] in
     /// production). Consulted for induced panics and score poisoning; the
     /// recovery machinery below must absorb whatever it injects.
@@ -136,7 +134,6 @@ impl CatalogShard {
             quarantined,
             k: cfg.k,
             filter_seen: cfg.filter_seen,
-            retry: RetryPolicy::default(),
             injector: no_faults(),
             sleeper: Arc::new(ThreadSleeper),
             telemetry: None,
@@ -157,7 +154,7 @@ impl CatalogShard {
     /// a given fault plan damages the same catalog rows no matter how
     /// the catalog is sharded — then recompute the quarantine set and arm
     /// the injector for the hot-path sites (`serve.row`, `serve.score`).
-    /// Other knobs (retry, sleeper, telemetry, scorer) are kept.
+    /// Other knobs (sleeper, telemetry, scorer) are kept.
     pub fn rearm(&mut self, full_items: &Tensor, injector: SharedInjector) {
         let range = self.item_offset..self.item_offset + self.cache.n_items();
         let mut window = slice_rows(full_items, &range);
@@ -167,33 +164,6 @@ impl CatalogShard {
         self.quarantined = non_finite_rows(&window);
         self.cache = crate::EmbeddingCache::new(window);
         self.injector = injector;
-    }
-
-    /// A serving replica of this shard: the same catalog window through
-    /// handle clones of the same cache and ANN index (no embedding
-    /// copies), the same quarantine set, config, injector, sleeper, and
-    /// telemetry. Same window + same frozen cache ⇒ every replica scores
-    /// bit-identically to its primary — the invariant that makes replica
-    /// failover answer-preserving.
-    pub fn replica(&self) -> CatalogShard {
-        self.clone()
-    }
-
-    /// Replace this shard's hot-path injector *without* re-snapshotting
-    /// the cache. This is the "replica process died" arming: injectors
-    /// like [`wr_fault::KillAfter`] only panic, never poison, so the
-    /// cache (and therefore every surviving answer) stays bit-identical
-    /// to the healthy replicas'. For data-damage chaos use
-    /// [`CatalogShard::rearm`], which re-snapshots through `cache.load`.
-    pub fn set_injector(&mut self, injector: SharedInjector) {
-        self.injector = injector;
-    }
-
-    /// Replace the bounded retry of micro-batches that panic
-    /// (builder-style).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Replace the backoff sleeper (builder-style). Tests inject
@@ -312,64 +282,57 @@ impl CatalogShard {
         self.extract_top_k(slice, scores, ctx)
     }
 
-    /// THE serve call: the whole micro-batch, scored under bounded retry.
-    /// A micro-batch that still dies surfaces as [`ServeError::Panicked`]:
-    /// a caller with a sibling replica over the same window fails over
-    /// (bit-identical answer); a caller without one absorbs the failure
-    /// with [`CatalogShard::isolate`].
-    pub fn serve_window(&self, call: &ShardCall<'_>) -> Result<Vec<Response>, ServeError> {
-        self.retry_batch(call.ctx, |attempt| {
-            self.score(call.slice, call.users, attempt, call.ctx)
-        })
-    }
-
-    /// The last line of defense once [`CatalogShard::serve_window`] gave
-    /// up on a batch: every request is re-scored alone from its own
+    /// THE serve call: the whole micro-batch, one response per request,
+    /// whatever happens. The batch is scored under bounded retry; a batch
+    /// that still dies is re-scored one request at a time from its own
     /// `users` row, so a poisoned request fails with an empty item list
     /// while its batch peers get their normal answers. Single-row scoring
     /// is bit-identical to batched scoring (row independence — the
     /// differential suite's contract), so survivors' answers match what
     /// the healthy batch would have produced.
-    pub fn isolate(&self, call: &ShardCall<'_>) -> Vec<Response> {
-        self.isolate_each(call.slice, call.ctx, |r, one, attempt| {
-            let row = Tensor::from_vec(call.users.row(r).to_vec(), &[1, call.users.cols()]);
-            self.score(one, &row, attempt, call.ctx)
+    pub fn serve_window(&self, call: &ShardCall<'_>) -> Vec<Response> {
+        self.retry_batch(call.ctx, |attempt| {
+            self.score(call.slice, call.users, attempt, call.ctx)
+        })
+        .unwrap_or_else(|| {
+            self.isolate_each(call.slice, call.ctx, |r, one, attempt| {
+                let row = Tensor::from_vec(call.users.row(r).to_vec(), &[1, call.users.cols()]);
+                self.score(one, &row, attempt, call.ctx)
+            })
         })
     }
 
     /// Bounded retry with backoff around one micro-batch attempt —
     /// containment site one of two. `try_batch(attempt)` may panic; each
     /// panic is counted (`serve.retries`) and flight-noted under `ctx`.
-    /// The engine passes a closure that re-encodes, so a genuine panic in
-    /// the encode is contained by the same loop.
+    /// `None` once all [`MAX_ATTEMPTS`] died. The engine passes a closure
+    /// that re-encodes, so a genuine panic in the encode is contained by
+    /// the same loop.
     pub(crate) fn retry_batch(
         &self,
         ctx: TraceContext,
         try_batch: impl Fn(u32) -> Vec<Response>,
-    ) -> Result<Vec<Response>, ServeError> {
-        let policy = self.retry;
-        for attempt in 0..policy.max_attempts {
+    ) -> Option<Vec<Response>> {
+        for attempt in 0..MAX_ATTEMPTS {
             match catch_unwind(AssertUnwindSafe(|| try_batch(attempt))) {
-                Ok(responses) => return Ok(responses),
+                Ok(responses) => return Some(responses),
                 Err(_payload) => {
                     if let Some(tel) = &self.telemetry {
                         tel.registry.counter("serve.retries").inc();
                     }
                     self.flight_note("retry", "serve.row", ctx, u64::MAX, u64::MAX);
-                    if attempt + 1 < policy.max_attempts {
-                        self.sleeper.sleep_ns(policy.delay_ns(attempt));
+                    if attempt + 1 < MAX_ATTEMPTS {
+                        self.sleeper.sleep_ns(delay_ns(attempt));
                     }
                 }
             }
         }
-        Err(ServeError::Panicked {
-            attempts: policy.max_attempts,
-        })
+        None
     }
 
     /// Per-request isolation — containment site two of two.
     /// `try_one(row, request, attempt)` scores one request alone, past the
-    /// retry budget (`attempt = max_attempts`, so transient faults have
+    /// retry budget (`attempt = MAX_ATTEMPTS`, so transient faults have
     /// cleared). A request that panics even alone is the victim: named in
     /// the flight ring, answered empty, and a sealed flight dump is
     /// triggered when one is armed.
@@ -379,7 +342,7 @@ impl CatalogShard {
         ctx: TraceContext,
         try_one: impl Fn(usize, &[Request], u32) -> Vec<Response>,
     ) -> Vec<Response> {
-        let attempt = self.retry.max_attempts;
+        let attempt = MAX_ATTEMPTS;
         let mut permanent = false;
         let out: Vec<Response> = slice
             .iter()
@@ -647,7 +610,7 @@ mod tests {
             Request { id: 0, history: vec![12, 28, 3] },  // 12, 28 in window
             Request { id: 1, history: vec![] },
         ];
-        let responses = shard.serve_window(&untraced(&reqs, &users)).unwrap();
+        let responses = shard.serve_window(&untraced(&reqs, &users));
         // k exceeds the window: all unseen window items come back.
         assert_eq!(responses[0].items.len(), 16);
         assert_eq!(responses[1].items.len(), 18);
@@ -657,31 +620,6 @@ mod tests {
             }
         }
         assert!(responses[0].items.iter().all(|s| s.item != 12 && s.item != 28));
-    }
-
-    #[test]
-    fn replica_shares_the_cache_and_scores_bit_identically() {
-        let (_, shard) = shard_fixture(37, 11..29, 5);
-        let replica = shard.replica();
-        assert!(replica.cache().shares_storage_with(shard.cache()));
-        assert_eq!(replica.item_offset(), shard.item_offset());
-        assert_eq!(replica.quarantined_items(), shard.quarantined_items());
-        let mut rng = Rng64::seed_from(12);
-        let users = Tensor::randn(&[4, 8], &mut rng);
-        let reqs: Vec<Request> = (0..4)
-            .map(|i| Request { id: i, history: vec![12, 3] })
-            .collect();
-        let a = shard.serve_window(&untraced(&reqs, &users)).unwrap();
-        let b = replica.serve_window(&untraced(&reqs, &users)).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.id, rb.id);
-            assert_eq!(ra.items.len(), rb.items.len());
-            for (sa, sb) in ra.items.iter().zip(&rb.items) {
-                assert_eq!(sa.item, sb.item);
-                assert_eq!(sa.score.to_bits(), sb.score.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn partial_probe_recall_at_20_is_high_on_quarter_budget() {
 /// A one-request call through the index answers exactly as the same
 /// request inside a larger batch, and at full probe as the exact engine.
 #[test]
-fn recommend_goes_through_the_index() {
+fn a_one_request_call_through_the_index_matches_the_same_request_in_a_batch() {
     let ann = ann_engine(37, 10, 4);
     let exact = exact_engine(37, 10);
     let request = |id| wr_serve::Request {

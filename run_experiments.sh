@@ -7,7 +7,8 @@ cd "$(dirname "$0")"
 mkdir -p results
 
 # Preflight: the tier-1 gate (build + tests + WR_THREADS=1 tests) must pass
-# before hours of sweeps start. Skip with WR_SKIP_CHECK=1 on re-runs.
+# before the sweeps start; at the defaults they take minutes (about five on
+# a 2-CPU box). Skip with WR_SKIP_CHECK=1 on re-runs.
 if [ "${WR_SKIP_CHECK:-0}" != "1" ]; then
   scripts/check.sh || { echo "preflight check failed; aborting" >&2; exit 1; }
 fi

@@ -64,11 +64,11 @@ EXEMPT = {
     "advance": "MockClock: tests step virtual time",
     "with_tick": "MockClock: tests' auto-advancing clock",
     "NoSleep": "Sleeper that never sleeps, so retry tests run at once; serve and gateway suites",
-    "with_retry": "CatalogShard::with_retry, dispatch_truth_table's 2-attempt budget (DESIGN §3)",
+    "serve_rows": "KillAfter::serve_rows, the permanent-death injector the gateway's degraded tests arm",
     "damaged": "sealed::damaged, every truncation and bit flip of a sealed file; corruption suites",
     "tiny": "DatasetSpec::tiny, the test-sized dataset fixture",
     "from_slice": "Tensor::from_slice, the unit tests' vector constructor",
-    "shares_storage_with": "probe that a cache shares its table; gateway differential.rs",
+    "shares_storage_with": "probe that a cache shares its table; engine.rs, cache.rs",
     "max_list_len": "IvfIndex probe; ann alloc_shape.rs",
     "steps": "Adam::steps probe; adam.rs, resume_differential.rs",
 }

@@ -403,32 +403,17 @@ grep -Eq '"records":[1-9]' "$smoke_dir/gw-faults.jsonl"
 grep -q '^#crc32:' "$smoke_dir/gw-faults.jsonl"
 echo "   gateway chaos ok: $(grep -Eo '"(fault\.injected|gateway\.degraded_responses)":[0-9]+' "$smoke_dir/gw-chaos-metrics.json" | tr '\n' ' ')"
 
-# Replica failover smoke: back every window with 2 replicas and then
-# permanently kill replica 1 of every set (KillAfter on serve.row). The
-# breaker must open and route every request to the surviving replica:
-# clean exit, top1_checksum EQUAL to the healthy 1-shard run (failover
-# moves availability, never bits), zero degraded responses, nonzero
-# gateway.failovers, and a sealed flight dump naming the opened breaker.
-echo "== check: bench replica failover smoke (--replicas 2 --poison-replica 1) =="
-./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
-    --batch 32 --k 10 --shards 3 --replicas 2 \
-    --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gwr-report.json"
-gwr_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gwr-report.json")"
-[ -n "$gwr_sum" ] && [ "$gwr_sum" = "$gw1_sum" ] \
-    || { echo "   healthy 2-replica checksum diverged: $gwr_sum vs $gw1_sum"; exit 1; }
-./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 256 \
-    --batch 32 --k 10 --shards 3 --replicas 2 --poison-replica 1 \
-    --checkpoint "$smoke_dir/smoke.wrck" --out "$smoke_dir/gwrk-report.json" \
-    --metrics-out "$smoke_dir/gwrk-metrics.json" --obs-dump-dir "$smoke_dir/obs-replica"
-gwrk_sum="$(grep -Eo '"top1_checksum":"[0-9a-f]+"' "$smoke_dir/gwrk-report.json")"
-[ -n "$gwrk_sum" ] && [ "$gwrk_sum" = "$gw1_sum" ] \
-    || { echo "   kill-one-replica checksum diverged: $gwrk_sum vs $gw1_sum"; exit 1; }
-grep -Eq '"gateway\.failovers":[1-9]' "$smoke_dir/gwrk-metrics.json"
-grep -Eq '"gateway\.breaker_open":[1-9]' "$smoke_dir/gwrk-metrics.json"
-grep -q '"gateway.degraded_responses":0' "$smoke_dir/gwrk-metrics.json"
-test -s "$smoke_dir/obs-replica/flight.dump.jsonl"
-grep -q '"kind":"breaker"' "$smoke_dir/obs-replica/flight.dump.jsonl"
-echo "   replica failover ok: $gwrk_sum == $gw1_sum, $(grep -Eo '"gateway\.(failovers|breaker_open)":[0-9]+' "$smoke_dir/gwrk-metrics.json" | tr '\n' ' ')"
+# Retired-flag smoke: a catalogue window is one shard, so the replica
+# flags are gone. A script that still passes `--replicas` must fail loudly
+# (non-zero exit, the flag named), not replay some other topology.
+echo "== check: bench refuses the retired --replicas flag =="
+if ./target/release/whitenrec bench --shards 2 --replicas 2 \
+    2> "$smoke_dir/replicas.err" > /dev/null; then
+    echo "   bench --replicas exited 0"; exit 1
+fi
+grep -q -- '--replicas' "$smoke_dir/replicas.err" \
+    || { echo "   bench --replicas failed without naming the flag"; exit 1; }
+echo "   retired flag ok: $(head -n 1 "$smoke_dir/replicas.err")"
 
 # Live telemetry smoke: chaos replay with the read-only HTTP endpoint up
 # and the flight recorder armed. The bench self-scrapes /metrics and
