@@ -5,11 +5,11 @@
 //! whitened outputs); PCA hurt by stochastic axis swapping; CD and ZCA
 //! consistently best; on Food (short texts) the gaps shrink.
 
-use wr_bench::{context, datasets, m4};
+use wr_bench::{context, datasets, flow::FlowWhitening, m4};
 use wr_models::{EnsembleTower, LossKind, ModelConfig, PwTower, SasRec};
 use wr_tensor::{Rng64, Tensor};
 use wr_train::SeqRecModel;
-use wr_whiten::{group_whiten, EnsembleMode, FlowWhitening, WhiteningMethod, DEFAULT_EPS};
+use wr_whiten::{group_whiten, EnsembleMode, WhiteningMethod, DEFAULT_EPS};
 use whitenrec::TableWriter;
 
 fn main() {

@@ -5,10 +5,12 @@
 //! train a small RealNVP-style stack of affine coupling layers by maximum
 //! likelihood on the item-embedding matrix and emit the latents.
 
-use crate::{WhiteningMethod, WhiteningTransform};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use wr_autograd::{Graph, Var};
 use wr_nn::{Mlp, Module, Param, Session};
 use wr_tensor::{Rng64, Tensor};
+use wr_whiten::{WhiteningMethod, WhiteningTransform};
 
 /// One affine coupling layer: the `keep` half passes through; the other
 /// half is scaled/shifted by networks of the kept half. `swap` alternates
@@ -104,10 +106,7 @@ impl FlowWhitening {
             .iter()
             .map(|p| Tensor::zeros(&p.dims()))
             .collect();
-        let mut v: Vec<Tensor> = all_params
-            .iter()
-            .map(|p| Tensor::zeros(&p.dims()))
-            .collect();
+        let mut v = m.clone();
         let (b1, b2, eps) = (0.9f32, 0.999f32, 1e-8f32);
         let mut step_no = 0usize;
 

@@ -11,6 +11,8 @@ use whitenrec::models::ModelConfig;
 use whitenrec::ExperimentContext;
 use wr_data::DatasetKind;
 
+pub mod flow;
+
 /// Harness-wide scale, from `WR_SCALE` (default 0.25).
 pub fn scale() -> f32 {
     knob("WR_SCALE", 0.25)

@@ -21,17 +21,19 @@
 //!
 //! | module | re-exports | role |
 //! |---|---|---|
+//! | [`runtime`] | `wr-runtime` | the shared thread pool, `WR_THREADS` |
 //! | [`tensor`] | `wr-tensor` | dense f32 tensors, matmul, RNG |
 //! | [`autograd`] | `wr-autograd` | tape-based reverse-mode AD |
 //! | [`linalg`] | `wr-linalg` | eigen/Cholesky/SVD/pinv |
 //! | [`nn`] | `wr-nn` | layers: attention, Transformer, GRU, MoE |
-//! | [`whiten`] | `wr-whiten` | ZCA/PCA/CD/BN, group whitening, flow |
+//! | [`whiten`] | `wr-whiten` | ZCA/PCA/CD/BN, group whitening, ensembles |
 //! | [`textsim`] | `wr-textsim` | simulated pre-trained text encoder |
 //! | [`data`] | `wr-data` | behaviour simulator, splits, batching |
 //! | [`models`] | `wr-models` | the Table III model zoo |
 //! | [`train`] | `wr-train` | Adam, training loop, early stopping |
 //! | [`eval`] | `wr-eval` | Recall/NDCG; cosine, spectrum, uniformity, κ |
 //! | [`obs`] | `wr-obs` | metrics registry, spans, trace ids, flight recorder |
+//! | [`fault`] | `wr-fault` | fault injection, sealed files, atomic writes, retry |
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 

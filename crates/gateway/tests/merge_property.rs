@@ -231,7 +231,7 @@ fn window_partials() -> (Vec<CatalogShard>, Vec<Vec<Vec<ScoredItem>>>) {
 /// at all: identical bits to merging with the entry removed, and no item
 /// from the dead window can appear.
 #[test]
-fn a_dropped_replica_set_is_an_empty_partial_not_a_skew() {
+fn a_shard_dead_on_every_request_is_an_empty_partial_not_a_skew() {
     let (shards, partials) = window_partials();
     for (q, prim) in partials.iter().enumerate() {
         for s in 0..RS_SHARDS {

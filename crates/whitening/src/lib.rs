@@ -1,6 +1,7 @@
 //! Whitening transformations for pre-trained item text embeddings.
 //!
-//! Implements §IV of the paper plus the ablations of Table VI:
+//! Implements §IV of the paper plus the rows of Table VI computed once, by
+//! linear algebra alone (PW is `wr-models`' tower, BERT-flow `wr-bench`'s):
 //!
 //! * [`WhiteningMethod::Zca`] — `Φ = D Λ^{-1/2} Dᵀ` (Eq. 4), the default.
 //! * [`WhiteningMethod::Pca`] — `Φ = Λ^{-1/2} Dᵀ` (rotates into the
@@ -9,8 +10,6 @@
 //! * [`WhiteningMethod::BatchNorm`] — per-dimension standardization only
 //!   (no decorrelation).
 //! * [`group_whiten`] — relaxed whitening with `G` dimension groups (Eq. 5).
-//! * [`FlowWhitening`] — a small normalizing flow trained by maximum
-//!   likelihood (our stand-in for BERT-flow).
 //!
 //! Convention: embedding matrices are **row-sample**: `[n_items, d]`. The
 //! paper writes the transposed layout `X ∈ R^{d_t×|I|}`; all formulas here
@@ -20,13 +19,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 mod ensemble;
-mod flow;
 mod group;
 mod incremental;
 mod transform;
 
 pub use ensemble::EnsembleMode;
-pub use flow::FlowWhitening;
 pub use group::{group_whiten, GroupWhitening};
 pub use incremental::IncrementalWhitening;
 pub use transform::{WhiteningMethod, WhiteningTransform};

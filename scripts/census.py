@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""The public-item census and the suppression budget, applied by script.
+"""The public-item and manifest census and the suppression budget.
 
-A public item stays only if non-test code outside its own definition
-names it. rustc's dead-code lint stops at `pub`, so across the workspace
-nothing reports the last caller of a public item leaving; this script
-does, and the build confirms each deletion.
+A public item, and a `[dependencies]` line, stays only if non-test code
+outside its own definition names it. rustc's dead-code lint stops at
+`pub`, and Cargo never reports an unused dependency, so across the
+workspace nothing reports the last caller of a public item or of a crate
+leaving; this script does, and the build confirms each deletion.
 
 What counts as a use:
 - the non-test part of every source file under `crates/*/src`, `src/`,
@@ -29,6 +30,17 @@ It prints every item with no use, and for each the reason `EXEMPT` gives
 for keeping it. It exits non-zero when it finds an item `EXEMPT` does not
 hold, or when `EXEMPT` holds a name that now has a use.
 
+The manifest census applies the rule to every manifest of this workspace
+(the root `Cargo.toml` and `crates/*/Cargo.toml`). A package's non-test
+code is each file under its `src` up to the first column-0
+`#[cfg(test)]`; its test code is the rest of those files and everything
+under its `tests`, `examples` and `benches`; both with comments and
+string literals stripped. A `pub use wr_x as x;` re-export is a use. It
+fails on a `[dependencies]` line the non-test code does not name (saying
+whether only test code names it, so the line moves to
+`[dev-dependencies]`, or nothing does), on a `[dev-dependencies]` line no
+test code names, and on a crate listed in both.
+
 The suppression budget (DESIGN.md §5b): every clippy lint an
 `#[expect(clippy::…)]` or `#![expect(clippy::…)]` names is counted, per
 lint and per crate (`crates/<dir>`, else `workspace`), over every `.rs`
@@ -36,6 +48,8 @@ file of the repo outside `target/`, tests included, with comments and
 string literals stripped. The counts must equal `check_baseline.json`
 exactly: a new suppression and a removed one both fail until the budget
 is edited in the same change.
+
+Any finding of the three parts makes the exit status non-zero.
 
 Usage (from anywhere): python3 scripts/census.py
 """
@@ -105,14 +119,16 @@ def strip(text):
     return LEXEME.sub(keep, text)
 
 
-def non_test(path):
-    lines = []
+def halves(path):
+    """A file's text up to its first column-0 `#[cfg(test)]`, and the rest."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.startswith("#[cfg(test)]"):
-                break
-            lines.append(line)
-    text = strip("".join(lines))
+        text = f.read()
+    cut = re.search(r"^#\[cfg\(test\)\]", text, re.M)
+    return (text[: cut.start()], text[cut.start() :]) if cut else (text, "")
+
+
+def non_test(path):
+    text = strip(halves(path)[0])
     # Re-export statements name an item without using it.
     return re.sub(r"^\s*pub(?:\([\w:]+\))? use [^;]*;", "", text, flags=re.M)
 
@@ -151,6 +167,64 @@ def budget_drift():
                     f"{name:28} {key:14} <- {counted.get(name, 0)} suppressed, "
                     f"budget {allowed.get(name, 0)}: edit check_baseline.json with the change"
                 )
+    return drift
+
+
+def dependencies(manifest):
+    """The crates a manifest's `[dependencies]` and `[dev-dependencies]` list."""
+    deps, section = {"dependencies": [], "dev-dependencies": []}, None
+    with open(manifest, encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("["):
+                section = line.strip()[1:-1]
+            elif section in deps and (m := re.match(r"([\w-]+)(?:\.workspace)? *=", line)):
+                deps[section].append(m[1])
+    return deps
+
+
+def package_code(pkg):
+    """A package's non-test code and its test code, comments and literals out.
+
+    Non-test: each file under `src` up to its first column-0 `#[cfg(test)]`.
+    Test: the rest of those files, and `tests`, `examples`, `benches`.
+    """
+    code, tests = [], []
+    for p in sorted(glob.glob(f"{pkg}/src/**/*.rs", recursive=True)):
+        head, tail = halves(p)
+        code.append(strip(head))
+        tests.append(strip(tail))
+    for d in ("tests", "examples", "benches"):
+        for p in sorted(glob.glob(f"{pkg}/{d}/**/*.rs", recursive=True)):
+            with open(p, encoding="utf-8") as f:
+                tests.append(strip(f.read()))
+    return "\n".join(code), "\n".join(tests)
+
+
+def names(text, dep):
+    """Whether `text` names the crate `dep` (`-` in its name read as `_`)."""
+    return re.search(rf"\b{dep.replace('-', '_')}\b", text) is not None
+
+
+def manifest_drift():
+    """Lines naming each dependency line the package's code does not need
+    where its manifest puts it."""
+    drift = []
+    for manifest in ["Cargo.toml"] + sorted(glob.glob("crates/*/Cargo.toml")):
+        deps = dependencies(manifest)
+        code, tests = package_code(os.path.dirname(manifest) or ".")
+        for dep in deps["dependencies"]:
+            if dep in deps["dev-dependencies"]:
+                why = "in [dependencies] and [dev-dependencies]: keep one"
+            elif names(code, dep):
+                continue
+            elif names(tests, dep):
+                why = "in [dependencies], but only test code names it: move it to [dev-dependencies]"
+            else:
+                why = "in [dependencies], but no code names it: delete the line"
+            drift.append(f"{dep:28} {manifest:27} <- {why}")
+        for dep in deps["dev-dependencies"]:
+            if not names(tests, dep):
+                drift.append(f"{dep:28} {manifest:27} <- in [dev-dependencies], but no test names it: delete the line")
     return drift
 
 
@@ -217,7 +291,7 @@ def main():
     for name in sorted(set(EXEMPT) - found):
         failed = True
         print(f"{name:28} {'':14} <- exempt, but now used: drop it from EXEMPT")
-    for line in budget_drift():
+    for line in budget_drift() + manifest_drift():
         failed = True
         print(line)
     return 1 if failed else 0

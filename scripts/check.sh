@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: warning-free release build, clippy's policy and no-panic
-# lints, the public-item census and suppression budget, the source scans,
-# the full test suite, and the same suite pinned to one thread
-# (WR_THREADS=1 exercises the pool's sequential fallback — the path every
-# parallel primitive must match bit-for-bit).
+# Tier-1 gate: release build, clippy's policy and no-panic lints with
+# warnings fatal, the public-item and manifest census and the suppression
+# budget, the source scans, the full test suite, and the same suite pinned
+# to one thread (WR_THREADS=1 exercises the pool's sequential fallback —
+# the path every parallel primitive must match bit-for-bit).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -16,8 +16,12 @@ echo "== check: the root manifest makes every crate a default member =="
 grep -Eq '^default-members = \[".", "crates/\*"\]$' Cargo.toml \
     || { echo "   Cargo.toml: default-members = [\".\", \"crates/*\"] is missing"; exit 1; }
 
-echo "== check: cargo build --release (-D warnings) =="
-RUSTFLAGS="-D warnings" cargo build --release --workspace
+# A plain build: `RUSTFLAGS` are part of every crate's fingerprint, so a
+# `-D warnings` build here would be compiled a second time by the plain
+# `--examples` build below. Warnings stay fatal: the clippy step runs
+# rustc over every target with `-D warnings`.
+echo "== check: cargo build --release =="
+cargo build --release --workspace
 
 # The policy lints (DESIGN.md §5b) hold every member whose manifest opts
 # into the root `[workspace.lints]`; a member without the opt-in would
@@ -69,11 +73,14 @@ cargo clippy --release --offline --manifest-path bench/ledger/Cargo.toml --all-t
 # DESIGN.md §3's rule, which rustc's dead-code lint cannot apply past
 # `pub`: every public item that no non-test code uses must be one the
 # census's exempt table holds, with its reason. The script fails on any
-# other, and on an exemption whose item has found a caller. It also counts
-# every lint an `#[expect(clippy::…)]` names, per lint and per crate, and
-# fails unless the counts equal check_baseline.json: a suppression added
-# or removed edits the budget in the same change.
-echo "== check: public-item census and suppression budget =="
+# other, and on an exemption whose item has found a caller. It holds every
+# manifest of this workspace to the same rule: a `[dependencies]` line
+# stays only if the package's non-test code names the crate, a
+# `[dev-dependencies]` line only if its tests or examples do. It also
+# counts every lint an `#[expect(clippy::…)]` names, per lint and per
+# crate, and fails unless the counts equal check_baseline.json: a
+# suppression added or removed edits the budget in the same change.
+echo "== check: public-item and manifest census, suppression budget =="
 python3 scripts/census.py
 
 # `wr_tensor::tanh_scalar` is the only tanh a model may reach (DESIGN.md
