@@ -632,9 +632,9 @@ mod tests {
 
     #[test]
     fn cross_entropy_of_a_diverged_row_is_nan() {
-        let loss = |row: [f32; 3], target: usize| {
+        let loss = |row: &[f32], target: usize| {
             let g = Graph::new();
-            let logits = g.param(Tensor::from_vec(row.to_vec(), &[1, 3]));
+            let logits = g.param(Tensor::from_vec(row.to_vec(), &[1, row.len()]));
             g.value(g.cross_entropy(logits, &[target])).data()[0]
         };
         let (nan, inf) = (f32::NAN, f32::INFINITY);
@@ -644,12 +644,28 @@ mod tests {
             ([inf, 0.0, 1.0], 0),
             ([-inf, -inf, -inf], 0),
         ] {
-            assert!(loss(row, target).is_nan(), "{row:?} at target {target}");
+            assert!(loss(&row, target).is_nan(), "{row:?} at target {target}");
         }
+        // A catalogue-wide row is summed in banks on the widest arm the CPU
+        // has; its NaN sum is the same verdict.
+        let wide = |at: usize, v: f32| {
+            let mut row: Vec<f32> = (0..130).map(|j| (j % 7) as f32 - 3.0).collect();
+            row[at] = v;
+            row
+        };
+        for (row, target, kind) in [
+            (wide(64, nan), 3, "a NaN"),
+            (wide(129, inf), 0, "a +∞"),
+            (wide(5, inf), 5, "a +∞ at the target"),
+            (vec![-inf; 130], 77, "all −∞"),
+        ] {
+            assert!(loss(&row, target).is_nan(), "{kind} in a row of 130 at target {target}");
+        }
+        assert!(loss(&wide(0, -inf), 1).is_finite());
         // A finite row keeps the floored value it had: a probability that
         // underflows to 0 costs `−ln 1e-12`.
         let floored = (-(1e-12f32 as f64).ln()) as f32;
-        assert_eq!(loss([-200.0, 0.0, 1.0], 0).to_bits(), floored.to_bits());
-        assert_eq!(loss([-inf, 0.0, 0.0], 1).to_bits(), std::f32::consts::LN_2.to_bits());
+        assert_eq!(loss(&[-200.0, 0.0, 1.0], 0).to_bits(), floored.to_bits());
+        assert_eq!(loss(&[-inf, 0.0, 0.0], 1).to_bits(), std::f32::consts::LN_2.to_bits());
     }
 }

@@ -5,7 +5,7 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
-use wr_tensor::{l2_normalize_row, layer_norm_row, AttentionKeys, HeadKv, KeepMask, Tensor};
+use wr_tensor::{l2_normalize_row, layer_norm_row, softmax_in_place, AttentionKeys, HeadKv, KeepMask, Tensor};
 
 impl Graph {
     fn any_requires(&self, vars: &[Var]) -> bool {
@@ -221,7 +221,7 @@ impl Graph {
         let last = out.dims()[2];
         let rows = out.numel() / last;
         for r in 0..rows {
-            wr_tensor::softmax_in_place(&mut out.data_mut()[r * last..(r + 1) * last]);
+            softmax_in_place(&mut out.data_mut()[r * last..(r + 1) * last]);
         }
         self.push(out, Op::Softmax3dLast(a), Aux::None, self.requires(a))
     }
@@ -445,23 +445,23 @@ impl Graph {
     /// Fused softmax + NLL: numerically stable and avoids materializing the
     /// log-probabilities on the tape.
     pub fn cross_entropy(&self, logits: Var, targets: &[usize]) -> Var {
-        let softmax = {
+        let mut softmax = {
             let lv = self.val(logits);
             assert!(lv.rank() == 2, "cross_entropy requires matrix logits");
             assert_eq!(lv.rows(), targets.len(), "cross_entropy: batch mismatch");
-            lv.softmax_rows()
+            lv.clone()
         };
         let mut loss = 0.0f64;
         for (r, &t) in targets.iter().enumerate() {
             assert!(t < softmax.cols(), "cross_entropy: target {t} out of range");
             // A row whose softmax is not finite — a NaN or `+∞` logit, or
-            // no logit above `−∞` — holds a NaN, and its loss is NaN: a
-            // diverged model must reach the caller's finiteness checks
-            // (`max` below would floor a NaN target to 1e-12, and the other
-            // entries of such a row are never normalised). A row of finite
-            // logits has only finite probabilities.
-            let diverged = softmax.row(r).iter().fold(false, |nan, p| nan | p.is_nan());
-            let p = if diverged { f32::NAN } else { softmax.at2(r, t).max(1e-12) };
+            // no logit above `−∞` — has a NaN sum and holds a NaN, and its
+            // loss is NaN: a diverged model must reach the caller's
+            // finiteness checks (`max` below would floor a NaN target to
+            // 1e-12, and the other entries of such a row are never
+            // normalised). A row of finite logits has a finite sum.
+            let sum = softmax_in_place(softmax.row_mut(r));
+            let p = if sum.is_nan() { f32::NAN } else { softmax.at2(r, t).max(1e-12) };
             loss -= (p as f64).ln();
         }
         let loss = (loss / targets.len() as f64) as f32;

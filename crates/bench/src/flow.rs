@@ -251,6 +251,36 @@ mod tests {
         assert!(after < before, "whiteness {before} -> {after}");
     }
 
+    /// FNV-1a over the bits of `final_nll` and of every latent `apply`
+    /// emits for two small fits, so any change that moves the flow's bits
+    /// (its coupling's `exp`, the Adam update, the kernels under its tape)
+    /// shows here before it reaches Table VI's BERT-flow row. Each fit is
+    /// run twice: the digest is a function of data and seed alone.
+    #[test]
+    fn digest_probe() {
+        fn digest(n: usize, d: usize, epochs: usize) -> u64 {
+            let x = skewed_data(n, d, 11);
+            let flow = FlowWhitening::fit(&x, epochs, 5);
+            let z = flow.apply(&x);
+            let mut h = 0xcbf29ce484222325u64;
+            let bits = std::iter::once(flow.final_nll).chain(z.data().iter().copied());
+            for v in bits {
+                for byte in v.to_bits().to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x100000001b3);
+                }
+            }
+            h
+        }
+        for (n, d, epochs, pinned) in [
+            (300, 16, 3, 0x6c7f1dc6687fe8d0),
+            (700, 32, 2, 0xb5791af80e2aba08),
+        ] {
+            let got = digest(n, d, epochs);
+            assert_eq!(got, digest(n, d, epochs), "{n}×{d}: two fits differ");
+            assert_eq!(got, pinned, "{n}×{d}×{epochs}: flow digest {got:#018x}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "even dimension")]
     fn odd_dimension_rejected() {

@@ -18,7 +18,12 @@
 //! draw of the session's `Rng64`: every row whose model drops out moved,
 //! and the seven rows that drop nothing — `Pop`, `BM3`, `GRCN` in both
 //! tables, and `GRU4Rec` — kept their values (old → new table in
-//! CHANGES.md).
+//! CHANGES.md). They were re-pinned a third time when libm's `expf` under
+//! every softmax, `Tensor::exp` and `Tensor::sigmoid` became
+//! `wr_tensor::exp_scalar` (a fixed Cephes-style polynomial, within 1 ulp
+//! of the correctly rounded exp): every row whose model trains through the
+//! softmax cross-entropy moved, and the two `Pop` rows, which neither train
+//! nor take an exp, kept their values (old → new table in CHANGES.md).
 //!
 //! Covered: every name `zoo::build` accepts — called
 //! through `Box<dyn SeqRecModel>`, so a provided method the box forgets
@@ -133,31 +138,31 @@ fn assert_pinned(name: &str, got: u64, pinned: &[(&str, u64)]) {
 /// Every name `zoo::build` accepts: the Table III roster, the extra
 /// baselines, and one of each parameterized form.
 const ZOO: [(&str, u64); 25] = [
-    ("GRCN", 0x6d67ed26c9d43505),
-    ("BM3", 0xa3fd9468262d934d),
-    ("SASRec(ID)", 0x2ffdbf97abae62ad),
-    ("CL4SRec", 0xbc6129b3ae0e0ff5),
-    ("SASRec(T)", 0xc63052e22c1b83a9),
-    ("SASRec(T+ID)", 0x569e33882b6b5d55),
-    ("S3Rec", 0xff6964066fab3311),
-    ("FDSA", 0x06f84bb7a6fd6889),
-    ("UniSRec(T)", 0x977ee3ccecec4d59),
-    ("UniSRec(T+ID)", 0xe4891f6ee09461f5),
-    ("VQRec", 0xf98ff6a4420dad5d),
-    ("WhitenRec", 0x0263285b5812ffb5),
-    ("WhitenRec+", 0x41c8909c16e4ea0d),
-    ("DIF-SR", 0xc19b76ba07aa3859),
-    ("GRU4Rec", 0xf5bedfa207b7e7ed),
-    ("BERT4Rec", 0xe1a8272d8b07b609),
+    ("GRCN", 0xda3b36fd19674381),
+    ("BM3", 0x1a1f59af2c61b105),
+    ("SASRec(ID)", 0xd7e25ad6ae56bfcd),
+    ("CL4SRec", 0xbfe962e6cc154da5),
+    ("SASRec(T)", 0x70e43c26e828f4b1),
+    ("SASRec(T+ID)", 0x1c93175b0bc8d4ed),
+    ("S3Rec", 0xe1a6bcf20541ad55),
+    ("FDSA", 0x0b877e953d26cbd9),
+    ("UniSRec(T)", 0x22f8f578f7385645),
+    ("UniSRec(T+ID)", 0x32be60d2754bd46d),
+    ("VQRec", 0x619cd53583a707c5),
+    ("WhitenRec", 0x1856d3b78210609d),
+    ("WhitenRec+", 0x1283ef41fe45ef3d),
+    ("DIF-SR", 0xb45a034589a249b5),
+    ("GRU4Rec", 0x96641f12915114cd),
+    ("BERT4Rec", 0x275a0cb9643b2925),
     ("Pop", 0x2111aea958efbd25),
-    ("WhitenRec(T+ID)", 0xae136d5d351beef5),
-    ("WhitenRec+(T+ID)", 0x53df2788d77c82a5),
-    ("WhitenRec@G=8", 0xb57107d901821415),
-    ("WhitenRec+@G=8", 0x9105e2bcbdcfae25),
-    ("WhitenRec+(GatedID)", 0x477b14f92aa4bac9),
-    ("WhitenRec+@Sum", 0x41c8909c16e4ea0d),
-    ("WhitenRec+@Concat", 0xfd2503995b731269),
-    ("WhitenRec+@Attn", 0xff398ef7a2eb83d1),
+    ("WhitenRec(T+ID)", 0x09e4377d7496af41),
+    ("WhitenRec+(T+ID)", 0x1f6bc871e7018a15),
+    ("WhitenRec@G=8", 0x774bdb483f9a32a5),
+    ("WhitenRec+@G=8", 0xe231bd911b95eb21),
+    ("WhitenRec+(GatedID)", 0xbdba77f9a678f2c5),
+    ("WhitenRec+@Sum", 0x1283ef41fe45ef3d),
+    ("WhitenRec+@Concat", 0x6836d46b4f0f8085),
+    ("WhitenRec+@Attn", 0xfd93affb10c9fe15),
 ];
 
 #[test]
@@ -184,11 +189,11 @@ fn every_zoo_model_scores_the_pinned_bits_through_the_box() {
 }
 
 const DIRECT: [(&str, u64); 5] = [
-    ("BM3", 0x415b98c70b86e2fd),
-    ("GRCN", 0xa9192bb5b30cdf4d),
+    ("BM3", 0x2a429fa313aedf8d),
+    ("GRCN", 0x7889004559f77bb5),
     ("Pop", 0x2111aea958efbd25),
-    ("BERT4Rec", 0x2824f58ad98eb365),
-    ("DIF-SR", 0xc042b7f1de19597d),
+    ("BERT4Rec", 0x6cd7444df0d03ecd),
+    ("DIF-SR", 0xf2a10bc51f8f454d),
 ];
 
 #[test]

@@ -130,8 +130,9 @@ impl Tensor {
         self.map(|x| x.max(0.0))
     }
 
+    /// Elementwise `1 / (1 + e⁻ˣ)`, over [`exp_scalar`].
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        self.map(|x| 1.0 / (1.0 + exp_scalar(-x)))
     }
 
     /// Elementwise [`tanh_scalar`].
@@ -144,8 +145,9 @@ impl Tensor {
         self.map(gelu_scalar)
     }
 
+    /// Elementwise [`exp_scalar`].
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        self.map(exp_scalar)
     }
 
     pub fn ln(&self) -> Tensor {
@@ -213,13 +215,13 @@ const TANH_Q: [f32; 4] = [
     0.004_893_525,
 ];
 
-/// Horner in `x²`, highest power first; the multiply and the add are
+/// Horner in `t`, highest power first; the multiply and the add are
 /// rounded separately.
 #[inline]
-fn horner<const N: usize>(coefficients: &[f32; N], x2: f32) -> f32 {
+fn horner<const N: usize>(coefficients: &[f32; N], t: f32) -> f32 {
     let mut acc = coefficients[0];
     for &c in &coefficients[1..] {
-        acc = acc * x2 + c;
+        acc = acc * t + c;
     }
     acc
 }
@@ -278,6 +280,75 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 }
 
+/// The smallest `x` whose `eˣ` is a normal `f32`; below it
+/// [`exp_scalar`] is `+0`.
+const EXP_LO: f32 = -87.336_54;
+/// The largest `x` whose `eˣ` is finite; above it [`exp_scalar`] is `+∞`.
+const EXP_HI: f32 = 88.722_83;
+/// `1.5·2²³`: added to `x·log₂e`, it leaves the nearest integer in the low
+/// mantissa bits (ties to even), and subtracted again, that integer.
+const EXP_SHIFT: f32 = 12_582_912.0;
+/// `ln 2` in two parts (Cody–Waite): `n·LN2_HI` is exact for every `n` the
+/// range allows, and `LN2_HI + LN2_LO` is `ln 2` to 1.6 × 10⁻¹².
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes `expf`'s polynomial in `r`, highest power first:
+/// `eʳ ≈ 1 + r + r²·P(r)` on `|r| ≤ ½ ln 2`.
+const EXP_P: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    0.166_666_66,
+    0.5,
+];
+
+/// `2ᵏ` from its exponent bits, for `k` in `−126..=127`.
+#[inline]
+fn pow2(k: i32) -> f32 {
+    f32::from_bits(((k + 127) as u32) << 23)
+}
+
+/// The only `exp` on the model path: every softmax ([`softmax_in_place`]
+/// under the catalogue cross-entropy, attention and the pooling heads),
+/// `Tensor::exp` (BERT-flow's coupling) and `Tensor::sigmoid` (GRU gates,
+/// BPR, the gated-ID tower) — not libm's `expf`, which is not correctly
+/// rounded and so differs between C libraries.
+///
+/// The contract (DESIGN.md §5c "Activations"): clamp `x` to
+/// `[EXP_LO, EXP_HI]` with `f32::clamp` (which hands a NaN through);
+/// `n = round(x·log₂e)` by adding and subtracting `1.5·2²³`; `r = (x −
+/// n·LN2_HI) − n·LN2_LO`; `p = P(r)` by Horner from the highest power over
+/// the six Cephes coefficients; `eʳ = (p·r² + r) + 1`; then `eʳ·2^⌊n/2⌋·
+/// 2^(n−⌊n/2⌋)`, each factor built from its exponent bits (two factors,
+/// because `n` reaches 128 just below the overflow edge). Every `×` and
+/// `+` is rounded on its own (never fused). Below `EXP_LO` the result is
+/// `+0`, above `EXP_HI` `+∞`, NaN stays NaN. That is a fixed sequence of
+/// IEEE-754 operations on one element, so the result does not depend on
+/// the libm, the vector width of the loop around it or the thread count.
+///
+/// At most 1 ulp from the correctly rounded `eˣ` over `[EXP_LO, EXP_HI]`,
+/// measured over every `f32` there (glibc 2.36 `expf`: also 1 ulp).
+#[inline]
+pub fn exp_scalar(x: f32) -> f32 {
+    let c = x.clamp(EXP_LO, EXP_HI);
+    let shifted = c * std::f32::consts::LOG2_E + EXP_SHIFT;
+    let n = shifted - EXP_SHIFT;
+    let r = (c - n * LN2_HI) - n * LN2_LO;
+    let e = (horner(&EXP_P, r) * (r * r) + r) + 1.0;
+    // The integer `n`, from the low mantissa bits (`n` is in −126..=128
+    // for any clamped `x`; for a NaN the bits are never used).
+    let k = shifted.to_bits().wrapping_sub(EXP_SHIFT.to_bits()) as i32;
+    let y = e * pow2(k >> 1) * pow2(k - (k >> 1));
+    if x < EXP_LO {
+        0.0
+    } else if x > EXP_HI {
+        f32::INFINITY
+    } else {
+        y
+    }
+}
+
 /// LayerNorm of one row, in place: `xhat = (v − mean) · inv_std`, then
 /// `v = xhat · γ`, then `v += β`, each step rounded on its own. Returns
 /// `(mean, inv_std)`; `(x − mean) · inv_std` over the row as it was gives
@@ -307,24 +378,104 @@ pub fn l2_normalize_row(row: &mut [f32]) -> f32 {
     norm
 }
 
-/// Numerically-stable softmax over a slice, in place.
-pub fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+/// Rows at least this wide are summed in [`SOFTMAX_BANKS`] banks and run
+/// the widest arm the CPU has. Attention rows (at most `max_seq` keys) stay
+/// under it, so the masked chain and the allowed-keys kernel sum each row
+/// in index order and agree to the bit.
+const SOFTMAX_BANKED_MIN: usize = 64;
+/// Interleaved partial sums of a wide softmax row: one AVX-512 register.
+const SOFTMAX_BANKS: usize = 16;
+
+/// Numerically stable softmax over a slice, in place; returns the sum it
+/// divided by. The row has no finite distribution — a NaN or `+∞` in it, or
+/// nothing above `−∞` — exactly when that sum is NaN; the row is then left
+/// undivided and holds a NaN.
+///
+/// Four passes (DESIGN.md §5c "Activations"): the maximum (exact, so in
+/// any order); `eˣ⁻ᵐᵃˣ` by [`exp_scalar`]; the sum — in index order from
+/// `+0` for a row shorter than 64, otherwise in 16 banks, bank `j` taking
+/// elements `j, j + 16, …` in order, then banks 0–15 added in order; then
+/// each element divided by the sum when it is positive. Every step is
+/// lane-wise IEEE, so the AVX-512F, AVX2 and baseline arms — picked per
+/// call for a wide row — are equal to the bit.
+pub fn softmax_in_place(row: &mut [f32]) -> f32 {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if row.len() >= SOFTMAX_BANKED_MIN {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `softmax_avx512` requires only that the running CPU
+            // has AVX-512F, which the line above just established.
+            return unsafe { softmax_avx512(row) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `softmax_avx2` requires only that the running CPU has
+            // AVX2, which the line above just established.
+            return unsafe { softmax_avx2(row) };
+        }
     }
+    softmax_with(row)
+}
+
+/// [`softmax_with`] compiled for AVX-512F: 16 lanes, one register of banks.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn softmax_avx512(row: &mut [f32]) -> f32 {
+    softmax_with(row)
+}
+
+/// [`softmax_with`] compiled for AVX2: 8 lanes, two registers of banks.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn softmax_avx2(row: &mut [f32]) -> f32 {
+    softmax_with(row)
+}
+
+/// The body of [`softmax_in_place`], at whatever width the caller was
+/// compiled for.
+#[inline(always)]
+fn softmax_with(row: &mut [f32]) -> f32 {
+    let short = row.len() < SOFTMAX_BANKED_MIN;
+    let max = if short {
+        row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+    } else {
+        let mut lanes = [f32::NEG_INFINITY; SOFTMAX_BANKS];
+        let mut chunks = row.chunks_exact(SOFTMAX_BANKS);
+        for chunk in &mut chunks {
+            for (m, &x) in lanes.iter_mut().zip(chunk) {
+                *m = m.max(x);
+            }
+        }
+        chunks.remainder().iter().chain(&lanes).fold(f32::NEG_INFINITY, |m, &x| m.max(x))
+    };
+    for x in row.iter_mut() {
+        *x = exp_scalar(*x - max);
+    }
+    let sum = if short {
+        row.iter().fold(0.0, |s, &x| s + x)
+    } else {
+        let mut banks = [0.0f32; SOFTMAX_BANKS];
+        let mut chunks = row.chunks_exact(SOFTMAX_BANKS);
+        for chunk in &mut chunks {
+            for (b, &x) in banks.iter_mut().zip(chunk) {
+                *b += x;
+            }
+        }
+        for (b, &x) in banks.iter_mut().zip(chunks.remainder()) {
+            *b += x;
+        }
+        banks.iter().fold(0.0, |s, &b| s + b)
+    };
     if sum > 0.0 {
         for x in row.iter_mut() {
             *x /= sum;
         }
     }
+    sum
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng64;
 
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_slice(v)
@@ -481,6 +632,208 @@ mod tests {
                 let got = got.to_bits();
                 assert_eq!(got, want, "{name}({x:?}) moved: {got:#010x}");
             }
+        }
+    }
+
+    /// Distance in ulps between two finite non-negative `f32`s.
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn exp_scalar_is_within_1_ulp_of_the_correctly_rounded_exp() {
+        // Measured over every f32 in [EXP_LO, EXP_HI]: at most 1 ulp.
+        let steps = 1u32 << 20;
+        let span = EXP_HI as f64 - EXP_LO as f64;
+        let dense = (0..=steps).map(|i| (EXP_LO as f64 + span * i as f64 / steps as f64) as f32);
+        let powers_of_two = (-149..=6).flat_map(|e| [2f64.powi(e) as f32, -(2f64.powi(e) as f32)]);
+        for x in dense.chain(powers_of_two).filter(|x| (EXP_LO..=EXP_HI).contains(x)) {
+            let want = (x as f64).exp() as f32;
+            let y = exp_scalar(x);
+            assert!(ulps(y, want) <= 1, "exp_scalar({x:e}) = {y:e}, want {want:e}");
+        }
+    }
+
+    #[test]
+    fn exp_scalar_at_zero_infinity_nan_and_the_range_edges() {
+        assert_eq!(exp_scalar(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp_scalar(-0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp_scalar(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp_scalar(f32::NEG_INFINITY).to_bits(), 0.0f32.to_bits());
+        assert!(exp_scalar(f32::NAN).is_nan());
+        assert!(exp_scalar(-f32::NAN).is_nan());
+        // The last input with a normal result, and the next one down.
+        assert!(exp_scalar(EXP_LO) >= f32::MIN_POSITIVE);
+        assert!((EXP_LO as f64).exp() >= f32::MIN_POSITIVE as f64);
+        let below = f32::from_bits(EXP_LO.to_bits() + 1);
+        assert!((below as f64).exp() < f32::MIN_POSITIVE as f64);
+        assert_eq!(exp_scalar(below).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp_scalar(f32::MIN).to_bits(), 0.0f32.to_bits());
+        // The last input with a finite result, and the next one up.
+        assert!(exp_scalar(EXP_HI).is_finite());
+        let above = f32::from_bits(EXP_HI.to_bits() + 1);
+        assert!(!((above as f64).exp() as f32).is_finite());
+        assert_eq!(exp_scalar(above), f32::INFINITY);
+        assert_eq!(exp_scalar(f32::MAX), f32::INFINITY);
+        // The maps over it keep a NaN visible.
+        assert!(t(&[f32::NAN]).exp().data()[0].is_nan());
+        assert!(t(&[f32::NAN]).sigmoid().data()[0].is_nan());
+        assert_eq!(t(&[f32::NEG_INFINITY, f32::INFINITY]).sigmoid().data(), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn exp_bits_are_pinned() {
+        // A row that moves moves every softmax, loss and score in the repo:
+        // it means a constant, the clamp, the reduction or the order of a
+        // Horner step was edited.
+        let pinned: [(f32, u32); 16] = [
+            (-87.336_54, 0x00800026),
+            (-50.0, 0x1b692beb),
+            (-20.0, 0x310da433),
+            (-5.5, 0x3b85ea53),
+            (-1.0, 0x3ebc5ab2),
+            (-0.346_573_6, 0x3f3504f3),
+            (-1e-4, 0x3f7ff972),
+            (1e-30, 0x3f800000),
+            (1e-7, 0x3f800001),
+            (0.1, 0x3f8d763e),
+            (0.5, 0x3fd3094c),
+            (1.0, 0x402df854),
+            (std::f32::consts::LN_2, 0x40000000),
+            (10.0, 0x46ac14ee),
+            (64.0, 0x6da12cc2),
+            (88.722_83, 0x7f7fff84),
+        ];
+        for (x, want) in pinned {
+            let got = exp_scalar(x).to_bits();
+            assert_eq!(got, want, "exp_scalar({x:?}) moved: {got:#010x}");
+        }
+        // An edit that keeps those 16 (a fused step moves a few results by
+        // an ulp) still moves the FNV-1a digest of a dense sweep.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for x in sweep(90.0, 1 << 20) {
+            for byte in exp_scalar(x).to_bits().to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0x8302_fc3a_7ac7_81ec, "exp_scalar's sweep moved: {digest:#018x}");
+    }
+
+    /// The softmax contract as plain loops: the maximum in index order,
+    /// [`exp_scalar`], the sum in index order below 64 and into `i mod 16`
+    /// banks from 64, the division.
+    fn softmax_reference(row: &mut [f32]) -> f32 {
+        let mut max = f32::NEG_INFINITY;
+        for &x in row.iter() {
+            max = max.max(x);
+        }
+        for x in row.iter_mut() {
+            *x = exp_scalar(*x - max);
+        }
+        let mut sum = 0.0f32;
+        if row.len() < 64 {
+            for &x in row.iter() {
+                sum += x;
+            }
+        } else {
+            let mut banks = [0.0f32; 16];
+            for (i, &x) in row.iter().enumerate() {
+                banks[i % 16] += x;
+            }
+            for b in banks {
+                sum += b;
+            }
+        }
+        if sum > 0.0 {
+            for x in row.iter_mut() {
+                *x /= sum;
+            }
+        }
+        sum
+    }
+
+    type SoftmaxArm = fn(&mut [f32]) -> f32;
+
+    /// Every softmax arm this CPU can run, by name: the dispatch runs only
+    /// the widest, and only for a row of 64 or more.
+    fn softmax_arms() -> Vec<(&'static str, SoftmaxArm)> {
+        let mut arms: Vec<(&'static str, SoftmaxArm)> =
+            vec![("dispatch", softmax_in_place), ("baseline", |row| softmax_with(row))];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has AVX2, checked above.
+                arms.push(("avx2", |row| unsafe { softmax_avx2(row) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the CPU has AVX-512F, checked above.
+                arms.push(("avx512", |row| unsafe { softmax_avx512(row) }));
+            }
+        }
+        arms
+    }
+
+    /// `a` and `b` are the same `f32`, or both NaN.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn every_softmax_arm_matches_the_reference_bit_for_bit() {
+        let mut rng = Rng64::seed_from(43);
+        let widths = (1..=130).chain([255, 990, 2450]);
+        for width in widths {
+            let logits: Vec<f32> = (0..width).map(|_| 4.0 * rng.normal()).collect();
+            let mut rows = vec![("finite", logits.clone())];
+            let mut masked = logits.clone();
+            for x in masked.iter_mut().skip(1).step_by(3) {
+                *x = f32::NEG_INFINITY;
+            }
+            rows.push(("some −∞", masked));
+            rows.push(("all −∞", vec![f32::NEG_INFINITY; width]));
+            let mut nan = logits.clone();
+            nan[width / 2] = f32::NAN;
+            rows.push(("a NaN", nan));
+            let mut inf = logits.clone();
+            inf[width - 1] = f32::INFINITY;
+            rows.push(("a +∞", inf));
+            let mut far = logits;
+            far[0] = 200.0; // every other entry underflows to +0
+            rows.push(("underflow", far));
+            for (kind, row) in &rows {
+                let mut want = row.clone();
+                let want_sum = softmax_reference(&mut want);
+                assert_eq!(want_sum.is_nan(), want.iter().any(|p| p.is_nan()), "{kind} row of {width}");
+                for (name, arm) in softmax_arms() {
+                    let mut got = row.clone();
+                    let sum = arm(&mut got);
+                    let at = format!("{name} arm, {kind} row of {width}");
+                    assert!(same(sum, want_sum), "{at}: sum {sum:e}, want {want_sum:e}");
+                    for (j, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        assert!(same(g, w), "{at}, entry {j}: {g:e}, want {w:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_softmax_rows_sum_in_index_order() {
+        // Below 64 the sum is the plain in-order one, so a row padded with
+        // `−∞` (the masked attention chain) keeps the bits of the row
+        // without the padding (the allowed-keys kernel).
+        let mut rng = Rng64::seed_from(7);
+        for width in 1..64 {
+            let logits: Vec<f32> = (0..width).map(|_| 3.0 * rng.normal()).collect();
+            let max = logits.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+            let in_order = logits.iter().fold(0.0f32, |s, &x| s + exp_scalar(x - max));
+            let mut row = logits.clone();
+            assert_eq!(softmax_in_place(&mut row).to_bits(), in_order.to_bits(), "width {width}");
+            let mut padded = logits;
+            padded.resize(63, f32::NEG_INFINITY);
+            softmax_in_place(&mut padded);
+            let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&padded[..width]), bits(&row), "width {width} padded to 63");
         }
     }
 

@@ -99,6 +99,23 @@ raw_tanh="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 [ -z "$raw_tanh" ] \
     || { echo "   raw tanh outside wr_tensor::tanh_scalar:"; echo "$raw_tanh"; exit 1; }
 
+# `wr_tensor::exp_scalar` is the only exp a model may reach (DESIGN.md §5c
+# "Activations"), for the tanh gate's reason: libm's `expf` is not
+# correctly rounded. Scans the crates a model's forward or backward runs
+# in, each file up to its `#[cfg(test)]`; the one `.exp()` allowed is
+# `Graph::exp` calling `Tensor::exp`, which maps `exp_scalar`. `wr-eval`'s
+# f64 statistics and `wr-data`'s generator are not on that path and keep
+# libm (moving them would move every workload's inputs).
+echo "== check: no libm exp on the model path =="
+raw_exp="$(find crates/{tensor,autograd,nn,models,train,whitening,serve,gateway,ann,core,bench}/src \
+        -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /f(32|64)::exp|\.exp(_m1|2)?\(\)/ { print FILENAME ":" FNR ": " $0 }' \
+    | grep -v '^crates/autograd/src/ops\.rs:.*self\.val(a)\.exp()' || true)"
+[ -z "$raw_exp" ] \
+    || { echo "   raw exp outside wr_tensor::exp_scalar:"; echo "$raw_exp"; exit 1; }
+
 # No fused multiply-add in a bit-contract kernel (DESIGN.md §5c): the gemm,
 # the Jacobi rotations and every value pinned on them round each product
 # before the sum, and a fused multiply-add rounds once. The bit tests catch
