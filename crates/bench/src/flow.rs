@@ -100,7 +100,10 @@ impl FlowWhitening {
             .map(|i| Coupling::new(d / 2, HIDDEN, i % 2 == 1, &mut rng))
             .collect();
 
-        // Adam state per parameter id.
+        // Adam state per parameter id. Not `wr_train::Adam`: that one clips
+        // the global gradient norm at 5.0, and this fit's norms run far
+        // above it (the largest pre-clip norm per Table VI fit, default
+        // scale: 1 145–3 622), so it would train another flow.
         let all_params: Vec<Param> = layers.iter().flat_map(|l| l.params()).collect();
         let mut m: Vec<Tensor> = all_params
             .iter()

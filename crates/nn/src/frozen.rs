@@ -28,10 +28,19 @@
 //! `tower → forward_user` pipeline for every finite model (a non-finite
 //! one does not freeze): it performs the same scalar operations in the
 //! same order through the same kernels ([`wr_tensor::gemm`],
-//! [`wr_tensor::gelu_scalar`], and for attention the very row the taped
+//! [`wr_tensor::gelu_scalar`], and for attention the row the taped
 //! `Graph::attention` node runs, [`wr_tensor::HeadKv::attend`] over
-//! [`allowed_keys`] — that part is shared code, not a restatement; its
-//! argument for skipping masked keys is in `wr_tensor`'s attention module).
+//! [`allowed_keys`]; its argument for skipping masked keys is in
+//! `wr_tensor`'s attention module). The final block's one query row, and
+//! every row of a sequence shorter than `BLOCK_MIN_SEQ`, call that row
+//! kernel itself. The other blocks' rows of a longer sequence go through
+//! [`wr_tensor::HeadKv::attend_causal`], the block kernel that runs 16
+//! rows to an AVX-512 register (8 to an AVX2 one), one row per lane. Each
+//! lane performs the row kernel's operations in the row kernel's order, so
+//! the two agree to the bit. That is a second statement of the row, not
+//! shared code, so frozen ≡ taped is a test here
+//! (`tests/frozen_encoder.rs`, every history length from 0 to past
+//! `max_seq` 50), not a fact of construction.
 //! Every row-wise kernel produces a row from that row's inputs alone, so a
 //! row's bits do not depend on which rows are computed beside it — one
 //! sequence or a batch of them. What the frozen forward drops is everything
@@ -168,11 +177,18 @@ struct Shape {
     heads: usize,
 }
 
+/// Sequences at least this long run their causal rows through the block
+/// kernel ([`HeadKv::attend_causal`]); shorter ones, whose few keys do not
+/// repay a block's setup, through the row kernel.
+const BLOCK_MIN_SEQ: usize = 8;
+
 /// Causal multi-head attention into `s.ctx`. With `last_only` the one
 /// query is the last position, compacted to row 0 of `s.q` and `s.ctx`;
 /// otherwise every position queries. A query visits only the keys the
-/// mask rule lets it read, through the row kernel the taped
-/// `Graph::attention` node runs.
+/// mask rule lets it read: every row of a sequence of [`BLOCK_MIN_SEQ`] or
+/// more through the block kernel, which gives each row the bits of the row
+/// kernel the taped `Graph::attention` node runs, and the rest through that
+/// row kernel itself.
 fn attend(s: &mut Scratch, shape: Shape, last_only: bool) {
     let Shape {
         start,
@@ -182,6 +198,18 @@ fn attend(s: &mut Scratch, shape: Shape, last_only: bool) {
     } = shape;
     let dh = dim / heads;
     let scale = 1.0 / (dh as f32).sqrt();
+    if !last_only && seq >= BLOCK_MIN_SEQ {
+        for lo in (0..heads).map(|h| h * dh) {
+            let head = HeadKv {
+                k: &s.k[lo..],
+                v: &s.v[lo..],
+                stride: dim,
+                scale,
+            };
+            head.attend_causal(&s.q[lo..], dh, start, seq, &mut s.scores, &mut s.ctx[lo..]);
+        }
+        return;
+    }
     let queries = if last_only { seq - 1..seq } else { 0..seq };
     for row in queries {
         let q_row = if last_only { 0 } else { row };

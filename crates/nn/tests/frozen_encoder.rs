@@ -117,13 +117,17 @@ fn frozen_forward_is_bit_identical_to_the_taped_forward() {
 fn every_length_alone_and_mixed_matches_the_taped_forward() {
     // The held slice of the ids and the positional offset are where an
     // off-by-one would hide: every length from the empty history to past
-    // the clamp, each alone and all of them in one batch.
+    // the clamp (and one far past it, 80 at `max_seq` 50), each alone and
+    // all of them in one batch. At `max_seq` 50 they cross every edge of
+    // the frozen attention's block kernel — the row kernel below 8 rows,
+    // blocks of 16 ending at the last row (7 / 8 / 9, 15 / 16 / 17, 31 /
+    // 32 / 33, 48 / 49 / 50) — against the taped forward's row kernel.
     let mut rng = Rng64::seed_from(46);
     let items = Arc::new(Tensor::randn(&[N_ITEMS, DIM], &mut rng));
     for seq in [1usize, 5, 50] {
         let enc = encoder(2, 2, 2, seq, 17 + seq as u64);
         let frozen = enc.freeze(items.clone()).unwrap();
-        let lengths: Vec<usize> = (0..=seq + 2).collect();
+        let lengths: Vec<usize> = (0..=seq + 2).chain([seq + 30]).collect();
         let ids: Vec<usize> = (0..lengths.len() * seq)
             .map(|_| rng.below(N_ITEMS))
             .collect();
@@ -138,8 +142,9 @@ fn every_length_alone_and_mixed_matches_the_taped_forward() {
         assert_eq!(
             bits(&frozen.encode(&ids, &lengths)),
             bits(&taped(&enc, &items, &ids, &lengths)),
-            "seq {seq}, lengths 0..={} in one batch",
-            seq + 2
+            "seq {seq}, lengths 0..={} and {} in one batch",
+            seq + 2,
+            seq + 30
         );
     }
 }

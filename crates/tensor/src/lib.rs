@@ -22,6 +22,8 @@ mod attention;
 mod error;
 mod init;
 pub mod json;
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod lanes;
 mod matmul;
 mod ops;
 mod reduce;

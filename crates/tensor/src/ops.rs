@@ -282,19 +282,19 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
 
 /// The smallest `x` whose `eˣ` is a normal `f32`; below it
 /// [`exp_scalar`] is `+0`.
-const EXP_LO: f32 = -87.336_54;
+pub(crate) const EXP_LO: f32 = -87.336_54;
 /// The largest `x` whose `eˣ` is finite; above it [`exp_scalar`] is `+∞`.
-const EXP_HI: f32 = 88.722_83;
+pub(crate) const EXP_HI: f32 = 88.722_83;
 /// `1.5·2²³`: added to `x·log₂e`, it leaves the nearest integer in the low
 /// mantissa bits (ties to even), and subtracted again, that integer.
-const EXP_SHIFT: f32 = 12_582_912.0;
+pub(crate) const EXP_SHIFT: f32 = 12_582_912.0;
 /// `ln 2` in two parts (Cody–Waite): `n·LN2_HI` is exact for every `n` the
 /// range allows, and `LN2_HI + LN2_LO` is `ln 2` to 1.6 × 10⁻¹².
-const LN2_HI: f32 = 0.693_359_4;
-const LN2_LO: f32 = -2.121_944_4e-4;
+pub(crate) const LN2_HI: f32 = 0.693_359_4;
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
 /// Cephes `expf`'s polynomial in `r`, highest power first:
 /// `eʳ ≈ 1 + r + r²·P(r)` on `|r| ≤ ½ ln 2`.
-const EXP_P: [f32; 6] = [
+pub(crate) const EXP_P: [f32; 6] = [
     1.987_569_1e-4,
     1.398_199_9e-3,
     8.333_452e-3,
@@ -378,11 +378,18 @@ pub fn l2_normalize_row(row: &mut [f32]) -> f32 {
     norm
 }
 
-/// Rows at least this wide are summed in [`SOFTMAX_BANKS`] banks and run
-/// the widest arm the CPU has. Attention rows (at most `max_seq` keys) stay
-/// under it, so the masked chain and the allowed-keys kernel sum each row
-/// in index order and agree to the bit.
-const SOFTMAX_BANKED_MIN: usize = 64;
+/// Rows at least this wide are summed in [`SOFTMAX_BANKS`] banks. Attention
+/// rows (at most `max_seq` keys) stay under it, so the masked chain and the
+/// allowed-keys kernel sum each row in index order and agree to the bit.
+pub(crate) const SOFTMAX_BANKED_MIN: usize = 64;
+/// Rows at least this wide run the widest arm the CPU has; narrower ones
+/// the baseline. The arms compute the same bits at every width; what moves
+/// is the cost. Below 32 the vector arms lose on most widths (the loop
+/// tail runs alone), from 32 they win on average: 2 000 rows, first
+/// quartile of 40 interleaved trials on the 2-CPU AVX-512 box, summed over
+/// 16 widths in `32..64`, baseline 6.08 ms, AVX-512F 5.29, AVX2 5.87; over
+/// nine in `16..32`, 2.19 against 2.48 and 2.69.
+const SOFTMAX_VECTOR_MIN: usize = 32;
 /// Interleaved partial sums of a wide softmax row: one AVX-512 register.
 const SOFTMAX_BANKS: usize = 16;
 
@@ -397,10 +404,10 @@ const SOFTMAX_BANKS: usize = 16;
 /// elements `j, j + 16, …` in order, then banks 0–15 added in order; then
 /// each element divided by the sum when it is positive. Every step is
 /// lane-wise IEEE, so the AVX-512F, AVX2 and baseline arms — picked per
-/// call for a wide row — are equal to the bit.
+/// call for a row of 32 or more — are equal to the bit.
 pub fn softmax_in_place(row: &mut [f32]) -> f32 {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if row.len() >= SOFTMAX_BANKED_MIN {
+    if row.len() >= SOFTMAX_VECTOR_MIN {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: `softmax_avx512` requires only that the running CPU
             // has AVX-512F, which the line above just established.
@@ -755,7 +762,7 @@ mod tests {
     type SoftmaxArm = fn(&mut [f32]) -> f32;
 
     /// Every softmax arm this CPU can run, by name: the dispatch runs only
-    /// the widest, and only for a row of 64 or more.
+    /// the widest, and only for a row of 32 or more.
     fn softmax_arms() -> Vec<(&'static str, SoftmaxArm)> {
         let mut arms: Vec<(&'static str, SoftmaxArm)> =
             vec![("dispatch", softmax_in_place), ("baseline", |row| softmax_with(row))];
@@ -781,7 +788,12 @@ mod tests {
     #[test]
     fn every_softmax_arm_matches_the_reference_bit_for_bit() {
         let mut rng = Rng64::seed_from(43);
-        let widths = (1..=130).chain([255, 990, 2450]);
+        let widths: Vec<usize> = (1..=130).chain([255, 990, 2450]).collect();
+        // The dispatch's edges: the vector arms from 32, the banked sum
+        // from 64.
+        for edge in [SOFTMAX_VECTOR_MIN - 1, SOFTMAX_VECTOR_MIN, SOFTMAX_BANKED_MIN - 1, SOFTMAX_BANKED_MIN] {
+            assert!(widths.contains(&edge), "width {edge} is swept");
+        }
         for width in widths {
             let logits: Vec<f32> = (0..width).map(|_| 4.0 * rng.normal()).collect();
             let mut rows = vec![("finite", logits.clone())];
