@@ -8,8 +8,8 @@
 //! claim is machine-checkable.
 
 use wr_bench::context;
+use wr_bench::tsne::{radial_dispersion, tsne_2d, TsneConfig};
 use wr_data::DatasetKind;
-use wr_eval::{radial_dispersion, tsne_2d, TsneConfig};
 use wr_tensor::Tensor;
 use wr_whiten::{group_whiten, WhiteningMethod, DEFAULT_EPS};
 use whitenrec::TableWriter;

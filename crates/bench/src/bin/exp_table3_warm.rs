@@ -7,8 +7,8 @@
 //! recommenders on the Amazon datasets; on Food the general model BM3 is
 //! competitive.
 
+use wr_bench::ttest::paired_t_test;
 use wr_bench::{context, datasets, m4};
-use wr_eval::paired_t_test;
 use wr_models::zoo::WARM_ROSTER;
 use whitenrec::TableWriter;
 

@@ -3,7 +3,10 @@
 //! Every binary regenerates one table or figure of the paper as text. The
 //! harness runs at a reduced scale sized for a single CPU core; set
 //! `WR_SCALE` (default 0.25, multiplier on the ~1/10-of-paper presets) and
-//! `WR_EPOCHS` (default 15) to trade fidelity for time.
+//! `WR_EPOCHS` (default 15) to trade fidelity for time. The committed
+//! `results/` were not run at the epoch default: `run_experiments.sh` sets
+//! `WR_EPOCHS=10` for every binary but `exp_ext_transfer`, which it runs at
+//! 15.
 
 use std::str::FromStr;
 
@@ -12,13 +15,16 @@ use whitenrec::ExperimentContext;
 use wr_data::DatasetKind;
 
 pub mod flow;
+pub mod tsne;
+pub mod ttest;
 
 /// Harness-wide scale, from `WR_SCALE` (default 0.25).
 pub fn scale() -> f32 {
     knob("WR_SCALE", 0.25)
 }
 
-/// Harness-wide epoch cap, from `WR_EPOCHS` (default 15).
+/// Harness-wide epoch cap, from `WR_EPOCHS` (default 15; the record in
+/// `results/` was run at 10, `exp_ext_transfer` alone at 15).
 pub fn max_epochs() -> usize {
     knob("WR_EPOCHS", 15)
 }

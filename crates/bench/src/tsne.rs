@@ -1,5 +1,7 @@
 //! Exact t-SNE (small-N) for the qualitative embedding plots of Fig. 3.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use wr_tensor::{Rng64, Tensor};
 
 /// t-SNE hyper-parameters.

@@ -1,5 +1,7 @@
 //! Paired t-test (the `*` markers of Tables III and IV, p < 0.01).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 /// Result of a paired t-test between per-case metric samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TTestResult {

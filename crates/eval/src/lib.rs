@@ -9,16 +9,14 @@
 //!   [`uniformity`] (Eq. 7, Fig. 6), [`item_condition_number`] (Fig. 7),
 //!   the whiteness error — behind the figures, `whitenrec analyze` and the
 //!   `whiten.*` gauges alike.
-//! * [`tsne_2d`] — exact t-SNE for the qualitative embedding plots
-//!   (Fig. 3), with numeric dispersion statistics so the claim is testable.
-//! * [`paired_t_test`] — the significance stars in Tables III/IV.
+//!
+//! The experiment-only t-SNE (Fig. 3) and paired t-test (Tables III/IV)
+//! live with their one caller each, in `wr-bench`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 mod geometry;
 mod ranking;
-mod tsne;
-mod ttest;
 
 pub use geometry::{
     alignment, average_pairwise_cosine, covariance_spectrum, item_condition_number,
@@ -29,5 +27,3 @@ pub use ranking::{
     evaluate_cases, merge_top_k, order_key, rank_of_target, top_k_filtered, MetricSet,
     RankAccumulator, ScoredItem, TopK, DEFAULT_KS,
 };
-pub use tsne::{radial_dispersion, tsne_2d, TsneConfig};
-pub use ttest::{paired_t_test, TTestResult};

@@ -1,7 +1,7 @@
 //! Full-ranking Recall@K and NDCG@K.
 
 use wr_data::EvalCase;
-use wr_tensor::Tensor;
+use wr_tensor::{Arm, Level, Tensor};
 
 /// Cutoffs reported by the paper.
 pub const DEFAULT_KS: [usize; 2] = [20, 50];
@@ -219,17 +219,17 @@ const BLOCK: usize = u32::BITS as usize;
 /// a stack array this long, so a row of any width allocates nothing.
 const SEGMENT_BLOCKS: usize = 64;
 
-/// Pass 1 of [`TopK::scan`] over one segment on the widest registers that
-/// pay: each block's largest [`order_key`] into `maxima`, and the smallest
-/// and largest key of the whole segment.
-fn block_maxima(segment: &[f32], maxima: &mut [i32; SEGMENT_BLOCKS]) -> (i32, i32) {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `block_maxima_avx2` requires only that the running CPU has
-        // AVX2, which the line above just established.
-        return unsafe { block_maxima_avx2(segment, maxima) };
+/// Pass 1 of [`TopK::scan`] over one segment on `arm`'s registers, up to
+/// AVX2's (the widest that pays): each block's largest [`order_key`] into
+/// `maxima`, and the smallest and largest key of the whole segment.
+fn block_maxima(arm: Arm, segment: &[f32], maxima: &mut [i32; SEGMENT_BLOCKS]) -> (i32, i32) {
+    match arm.level() {
+        Level::Baseline => block_maxima_with(segment, maxima),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx2` or `Avx512` token exists only on a CPU that runs
+        // AVX2.
+        Level::Avx2 | Level::Avx512 => unsafe { block_maxima_avx2(segment, maxima) },
     }
-    block_maxima_with(segment, maxima)
 }
 
 /// [`block_maxima_with`] compiled for AVX2, where a signed 32-bit min or
@@ -367,11 +367,11 @@ impl TopK {
     /// decided against the heap of the moment, so neither the bound nor a
     /// floor that rose since the mask was built can change what is kept.
     pub fn scan(&mut self, first_item: usize, scores: &[f32], seen: &[usize]) -> (i32, i32) {
-        let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+        let (mut lo, mut hi, arm) = (i32::MAX, i32::MIN, Arm::detected());
         for (g, segment) in scores.chunks(SEGMENT_BLOCKS * BLOCK).enumerate() {
             let first = first_item + g * SEGMENT_BLOCKS * BLOCK;
             let mut maxima = [i32::MIN; SEGMENT_BLOCKS];
-            let (segment_lo, segment_hi) = block_maxima(segment, &mut maxima);
+            let (segment_lo, segment_hi) = block_maxima(arm, segment, &mut maxima);
             lo = lo.min(segment_lo);
             hi = hi.max(segment_hi);
             let maxima = &maxima[..segment.len().div_ceil(BLOCK)];
@@ -958,16 +958,11 @@ mod tests {
                 keys.iter().copied().min().unwrap_or(i32::MAX),
                 keys.iter().copied().max().unwrap_or(i32::MIN),
             );
-            let mut got = [i32::MIN; SEGMENT_BLOCKS];
-            assert_eq!(block_maxima_with(&segment, &mut got), extremes, "baseline n {n}");
-            assert_eq!(got, want, "baseline n {n}");
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            if std::arch::is_x86_feature_detected!("avx2") {
+            for arm in Arm::available() {
                 let mut got = [i32::MIN; SEGMENT_BLOCKS];
-                // SAFETY: the CPU was just checked for AVX2.
-                let pair = unsafe { block_maxima_avx2(&segment, &mut got) };
-                assert_eq!(pair, extremes, "avx2 n {n}");
-                assert_eq!(got, want, "avx2 n {n}");
+                let name = arm.level();
+                assert_eq!(block_maxima(arm, &segment, &mut got), extremes, "{name:?} n {n}");
+                assert_eq!(got, want, "{name:?} n {n}");
             }
         }
     }

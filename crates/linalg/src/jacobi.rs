@@ -81,7 +81,7 @@
 //! `#[target_feature(enable = "avx2")]` (four lanes in `rotate_rows`) and
 //! at the build's baseline (two lanes — the only arm on pre-AVX2 x86 and on
 //! every other architecture); the last two run the scalar [`chain`].
-//! `is_x86_feature_detected!` picks the widest once per call. No arm fuses
+//! Each call runs [`Arm::detected`]'s arm, the widest. No arm fuses
 //! a multiply and an add: a fused multiply-add rounds once where the
 //! contract rounds twice (`scripts/check.sh` fails on the spelling). A
 //! faster *method* (Householder tridiagonalization + implicit QL)
@@ -97,7 +97,7 @@ use std::arch::x86 as arch;
 use std::arch::x86_64 as arch;
 
 use crate::{LinalgError, Result};
-use wr_tensor::Tensor;
+use wr_tensor::{Arm, Level, Tensor};
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
 ///
@@ -154,21 +154,17 @@ const CHAIN_ROWS: usize = 8;
 /// The input is symmetrized (`(A + Aᵀ)/2`) to absorb round-off asymmetry.
 /// Internal arithmetic is `f64`.
 pub fn sym_eig(a: &Tensor) -> Result<SymEig> {
-    sym_eig_by(a, diagonalize)
+    sym_eig_by(a, Arm::detected())
 }
 
-/// [`sym_eig`] on a given instantiation of the solver (the tests reach the
-/// baseline arm through this).
-fn sym_eig_by(
-    a: &Tensor,
-    solve: fn(&mut [f64], &mut [f64], usize) -> Result<()>,
-) -> Result<SymEig> {
+/// [`sym_eig`] on `arm`'s solver.
+fn sym_eig_by(a: &Tensor, arm: Arm) -> Result<SymEig> {
     let (n, mut m) = working_copy(a)?;
     let mut vt = vec![0.0f64; n * n];
     for i in 0..n {
         vt[i * n + i] = 1.0;
     }
-    solve(&mut m, &mut vt, n)?;
+    diagonalize(arm, &mut m, &mut vt, n)?;
     Ok(extract(&m, &vt, n))
 }
 
@@ -176,7 +172,7 @@ fn sym_eig_by(
 /// sweeps with no eigenvector matrix to rotate and none to build.
 pub fn sym_eigvals(a: &Tensor) -> Result<Vec<f32>> {
     let (n, mut m) = working_copy(a)?;
-    diagonalize(&mut m, &mut [], n)?;
+    diagonalize(Arm::detected(), &mut m, &mut [], n)?;
     Ok(descending(&m, n).1)
 }
 
@@ -223,38 +219,27 @@ fn extract(m: &[f64], vt: &[f64], n: usize) -> SymEig {
     SymEig { values, vectors }
 }
 
-/// Diagonalize `m` in place on the widest registers the CPU has, applying
-/// every rotation to the rows of `vt` as well (`n × n`, or empty when only
-/// the spectrum is wanted).
-fn diagonalize(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: `diagonalize_avx512` requires only that the running CPU
-            // has AVX-512F, which the line above just established.
-            return unsafe { diagonalize_avx512(m, vt, n) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `diagonalize_avx2` requires only that the running CPU
-            // has AVX2, which the line above just established.
-            return unsafe { diagonalize_avx2(m, vt, n) };
-        }
+/// Diagonalize `m` in place on `arm`'s registers, applying every rotation
+/// to the rows of `vt` as well (`n × n`, or empty when only the spectrum
+/// is wanted).
+fn diagonalize(arm: Arm, m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+    match arm.level() {
+        Level::Baseline => diagonalize_with(m, vt, n, chain::<CHAIN_ROWS>),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx2` token exists only on a CPU that runs AVX2.
+        Level::Avx2 => unsafe { diagonalize_avx2(m, vt, n) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx512` token exists only on a CPU that runs AVX-512F.
+        Level::Avx512 => unsafe { diagonalize_avx512(m, vt, n) },
     }
-    diagonalize_baseline(m, vt, n)
 }
 
 /// [`diagonalize_with`] compiled for AVX-512F: `rotate_rows` moves eight
 /// `f64` a register, and a block's column chains run as the eight lanes of
 /// one register ([`chain_zmm`]).
-///
-/// # Safety
-/// The running CPU must support AVX-512F.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx512f")]
-// SAFETY: the one obligation, stated above, is the target feature itself
-// and is discharged by the caller's runtime check; the body's own unsafe
-// blocks carry their proofs.
-unsafe fn diagonalize_avx512(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+fn diagonalize_avx512(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
     // A `#[target_feature]` function is not `Fn`; a closure defined here
     // is, and inherits the feature.
     diagonalize_with(m, vt, n, |m, n, k0, p, rots| chain_zmm(m, n, k0, p, rots))
@@ -262,20 +247,9 @@ unsafe fn diagonalize_avx512(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<
 
 /// [`diagonalize_with`] compiled for AVX2: `rotate_rows` moves four `f64`
 /// a register.
-///
-/// # Safety
-/// The running CPU must support AVX2.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-// SAFETY: the body is safe Rust; the one obligation, stated above, is the
-// target feature itself and is discharged by the caller's runtime check.
-unsafe fn diagonalize_avx2(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
-    diagonalize_with(m, vt, n, chain::<CHAIN_ROWS>)
-}
-
-/// [`diagonalize_with`] at the build's baseline: two `f64` lanes on x86-64,
-/// and the only arm on any other architecture.
-fn diagonalize_baseline(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
+fn diagonalize_avx2(m: &mut [f64], vt: &mut [f64], n: usize) -> Result<()> {
     diagonalize_with(m, vt, n, chain::<CHAIN_ROWS>)
 }
 
@@ -785,32 +759,10 @@ mod tests {
         );
     }
 
-    /// A solver arm called directly, past the dispatch.
-    type Arm = fn(&mut [f64], &mut [f64], usize) -> Result<()>;
-
-    /// Every arm this CPU can run. The dispatch picks one of them per call, so
-    /// the arms it passes over — the baseline on any x86 box, AVX2 on an
-    /// AVX-512 one — are only covered when called by name.
-    fn arms() -> Vec<(&'static str, Arm)> {
-        let mut arms: Vec<(&'static str, Arm)> = vec![("baseline", diagonalize_baseline)];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU has AVX2, checked on the line above.
-                arms.push(("avx2", |m, vt, n| unsafe { diagonalize_avx2(m, vt, n) }));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU has AVX-512F, checked on the line above.
-                arms.push(("avx512", |m, vt, n| unsafe { diagonalize_avx512(m, vt, n) }));
-            }
-        }
-        arms
-    }
-
-    /// [`sym_eigvals`] on a given arm: the spectrum-only sweep, no `Vᵀ`.
-    fn sym_eigvals_by(a: &Tensor, solve: Arm) -> Result<Vec<f32>> {
+    /// [`sym_eigvals`] on `arm`'s solver: the spectrum-only sweep, no `Vᵀ`.
+    fn sym_eigvals_by(a: &Tensor, arm: Arm) -> Result<Vec<f32>> {
         let (n, mut m) = working_copy(a)?;
-        solve(&mut m, &mut [], n)?;
+        diagonalize(arm, &mut m, &mut [], n)?;
         Ok(descending(&m, n).1)
     }
 
@@ -833,12 +785,11 @@ mod tests {
 
     #[test]
     fn every_arm_matches_the_textbook_loop_bit_for_bit() {
-        let arms = arms();
         let check = |what: &str, a: &Tensor| {
             let want = textbook(a).unwrap();
-            for (name, arm) in &arms {
-                let got = sym_eig_by(a, *arm).unwrap();
-                assert_same_bits(&got, &want, &format!("{name}: {what}"));
+            for arm in Arm::available() {
+                let got = sym_eig_by(a, arm).unwrap();
+                assert_same_bits(&got, &want, &format!("{:?}: {what}", arm.level()));
             }
         };
         for n in SIZES {
@@ -853,14 +804,13 @@ mod tests {
     /// where an arm's column chain runs alone.
     #[test]
     fn sym_eigvals_equals_sym_eig_values_bit_for_bit() {
-        let arms = arms();
         for n in SIZES {
             for (kind, a) in cases(n) {
                 let want = bits(&textbook(&a).unwrap().values);
                 assert_eq!(bits(&sym_eigvals(&a).unwrap()), want, "{kind}, n = {n}");
-                for (name, arm) in &arms {
-                    let got = sym_eigvals_by(&a, *arm).unwrap();
-                    assert_eq!(bits(&got), want, "{name}: {kind}, n = {n}");
+                for arm in Arm::available() {
+                    let got = sym_eigvals_by(&a, arm).unwrap();
+                    assert_eq!(bits(&got), want, "{:?}: {kind}, n = {n}", arm.level());
                 }
             }
         }

@@ -37,7 +37,7 @@ use std::arch::x86_64::{__m256, __m512};
 use crate::lanes::{exp, Lanes, MAX_LANES};
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 use crate::ops::SOFTMAX_BANKED_MIN;
-use crate::{dot, softmax_in_place};
+use crate::{dot, softmax_in_place, Arm, Level};
 
 /// Which real tokens a query may read in a left-padded sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,11 +259,11 @@ impl HeadKv<'_> {
     /// [`Self::attend`] gives it over `allowed_keys(Causal, i, start, seq)`
     /// without factors; `weights` is scratch of at least `seq` floats.
     ///
-    /// On a CPU with AVX-512F (AVX2) the rows run 16 (8) to a register, one
-    /// row per lane, each lane the row kernel's operations in its order
-    /// (DESIGN.md §5c "Attention and dropout order"); a row of 64 keys or
-    /// more, a head wider than 64 or not a multiple of 4, and any other CPU
-    /// take [`Self::attend`].
+    /// With an AVX-512F (AVX2) [`Arm::detected`] the rows run 16 (8) to a
+    /// register, one row per lane, each lane the row kernel's operations in
+    /// its order (DESIGN.md §5c "Attention and dropout order"); a row of 64
+    /// keys or more, a head wider than 64 or not a multiple of 4, and the
+    /// baseline take [`Self::attend`].
     pub fn attend_causal(
         &self,
         q: &[f32],
@@ -273,23 +273,36 @@ impl HeadKv<'_> {
         weights: &mut [f32],
         out: &mut [f32],
     ) {
+        self.attend_causal_on(Arm::detected(), q, dh, start, seq, weights, out);
+    }
+
+    /// [`Self::attend_causal`] on `arm`'s block kernel when the head fits
+    /// one, else row by row.
+    fn attend_causal_on(
+        &self,
+        arm: Arm,
+        q: &[f32],
+        dh: usize,
+        start: usize,
+        seq: usize,
+        weights: &mut [f32],
+        out: &mut [f32],
+    ) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if dh <= BLOCK_DH && dh % 4 == 0 {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: `attend_causal_avx512` requires only that the
-                // running CPU has AVX-512F, which the line above just
-                // established.
-                return unsafe { attend_causal_avx512(self, q, dh, start, seq, weights, out) };
+        let fits = dh <= BLOCK_DH && dh % 4 == 0;
+        match arm.level() {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: an `Avx512` token exists only on a CPU that runs
+            // AVX-512F.
+            Level::Avx512 if fits => unsafe { attend_causal_avx512(self, q, dh, start, seq, weights, out) },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            // SAFETY: an `Avx2` token exists only on a CPU that runs AVX2.
+            Level::Avx2 if fits => unsafe { attend_causal_avx2(self, q, dh, start, seq, weights, out) },
+            _ => {
+                for i in 0..seq {
+                    self.attend_row(q, dh, start, seq, i, weights, out);
+                }
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: `attend_causal_avx2` requires only that the
-                // running CPU has AVX2, which the line above just
-                // established.
-                return unsafe { attend_causal_avx2(self, q, dh, start, seq, weights, out) };
-            }
-        }
-        for i in 0..seq {
-            self.attend_row(q, dh, start, seq, i, weights, out);
         }
     }
 
@@ -324,7 +337,7 @@ const BLOCK_DH: usize = 64;
 /// [`attend_causal_with`] over AVX-512F registers: 16 rows to a block.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx512f")]
-unsafe fn attend_causal_avx512(
+fn attend_causal_avx512(
     head: &HeadKv<'_>,
     q: &[f32],
     dh: usize,
@@ -333,13 +346,14 @@ unsafe fn attend_causal_avx512(
     weights: &mut [f32],
     out: &mut [f32],
 ) {
-    attend_causal_with::<__m512>(head, q, dh, start, seq, weights, out);
+    // SAFETY: `__m512`'s lanes need AVX-512F, which this function enables.
+    unsafe { attend_causal_with::<__m512>(head, q, dh, start, seq, weights, out) };
 }
 
 /// [`attend_causal_with`] over AVX2 registers: 8 rows to a block.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-unsafe fn attend_causal_avx2(
+fn attend_causal_avx2(
     head: &HeadKv<'_>,
     q: &[f32],
     dh: usize,
@@ -348,7 +362,8 @@ unsafe fn attend_causal_avx2(
     weights: &mut [f32],
     out: &mut [f32],
 ) {
-    attend_causal_with::<__m256>(head, q, dh, start, seq, weights, out);
+    // SAFETY: `__m256`'s lanes need AVX2, which this function enables.
+    unsafe { attend_causal_with::<__m256>(head, q, dh, start, seq, weights, out) };
 }
 
 /// The body of [`HeadKv::attend_causal`], `V::L` rows to a block: the
@@ -655,31 +670,6 @@ mod tests {
         }
     }
 
-    type BlockArm = fn(&HeadKv<'_>, &[f32], usize, usize, usize, &mut [f32], &mut [f32]);
-
-    /// Every block arm this CPU can run, by name: the dispatch runs only
-    /// the widest.
-    fn block_arms() -> Vec<(&'static str, BlockArm)> {
-        let mut arms: Vec<(&'static str, BlockArm)> =
-            vec![("dispatch", |head, q, dh, start, seq, w, out| head.attend_causal(q, dh, start, seq, w, out))];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU has AVX2, checked above.
-                arms.push(("avx2", |head, q, dh, start, seq, w, out| unsafe {
-                    attend_causal_avx2(head, q, dh, start, seq, w, out)
-                }));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU has AVX-512F, checked above.
-                arms.push(("avx512", |head, q, dh, start, seq, w, out| unsafe {
-                    attend_causal_avx512(head, q, dh, start, seq, w, out)
-                }));
-            }
-        }
-        arms
-    }
-
     #[test]
     fn every_attention_block_arm_matches_the_row_kernel_bit_for_bit() {
         use crate::Rng64;
@@ -737,14 +727,15 @@ mod tests {
                             let at = i * dim + dh;
                             head.attend(&q[at..at + dh], keys.clone(), None, &mut weights[..keys.len()], &mut want[at..at + dh]);
                         }
-                        for (name, arm) in block_arms() {
+                        for arm in Arm::available() {
+                            let name = arm.level();
                             let mut got = vec![9.0f32; seq * dim];
-                            arm(&head, &q[dh..], dh, start, seq, &mut weights, &mut got[dh..]);
+                            head.attend_causal_on(arm, &q[dh..], dh, start, seq, &mut weights, &mut got[dh..]);
                             for (n, (&g, &w)) in got.iter().zip(&want).enumerate() {
                                 let (i, c) = (n / dim, n % dim);
                                 assert!(
                                     same(g, w),
-                                    "{name} arm, {kind}, dh {dh}, seq {seq}, start {start}, row {i} col {c}: {g:e}, want {w:e}"
+                                    "{name:?} arm, {kind}, dh {dh}, seq {seq}, start {start}, row {i} col {c}: {g:e}, want {w:e}"
                                 );
                             }
                         }

@@ -12,8 +12,8 @@
 //!
 //! Every method requires the CPU feature of its register type: AVX-512F
 //! for `__m512`, AVX2 for `__m256`. The kernel calls them only from inside
-//! a `#[target_feature]` arm that the dispatch entered after
-//! `is_x86_feature_detected!`.
+//! a `#[target_feature]` arm that the dispatch entered on a
+//! [`crate::Arm`] of that level.
 
 #[cfg(target_arch = "x86")]
 use std::arch::x86::*;
@@ -283,7 +283,7 @@ pub(crate) unsafe fn exp<V: Lanes>(x: V) -> V {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp_scalar;
+    use crate::{exp_scalar, Arm, Level};
 
     /// `exp` through one register type, lane by lane against the scalar.
     fn check<V: Lanes>(inputs: &[f32], exp_v: impl Fn(&[f32; MAX_LANES]) -> [f32; MAX_LANES]) {
@@ -311,31 +311,33 @@ mod tests {
             inputs.extend([edge, f32::from_bits(edge.to_bits() + 1), f32::from_bits(edge.to_bits() - 1)]);
         }
         inputs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MIN_POSITIVE, -1e-30]);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            check::<__m256>(&inputs, |x| {
-                let mut y = [0.0f32; MAX_LANES];
-                // SAFETY: the CPU has AVX2, checked above.
-                unsafe { avx2_exp(x, &mut y) };
-                y
-            });
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            check::<__m512>(&inputs, |x| {
-                let mut y = [0.0f32; MAX_LANES];
-                // SAFETY: the CPU has AVX-512F, checked above.
-                unsafe { avx512_exp(x, &mut y) };
-                y
-            });
+        for arm in Arm::available() {
+            match arm.level() {
+                Level::Baseline => {}
+                // SAFETY: an `Avx2` token exists only on a CPU that runs AVX2.
+                Level::Avx2 => check::<__m256>(&inputs, |x| unsafe { avx2_exp(x) }),
+                // SAFETY: an `Avx512` token exists only on a CPU that runs
+                // AVX-512F.
+                Level::Avx512 => check::<__m512>(&inputs, |x| unsafe { avx512_exp(x) }),
+            }
         }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn avx2_exp(x: &[f32; MAX_LANES], y: &mut [f32; MAX_LANES]) {
-        _mm256_storeu_ps(y.as_mut_ptr(), exp(_mm256_loadu_ps(x.as_ptr())));
+    fn avx2_exp(x: &[f32; MAX_LANES]) -> [f32; MAX_LANES] {
+        let mut y = [0.0f32; MAX_LANES];
+        // SAFETY: `x` and `y` hold the 8 floats a ymm load and store touch,
+        // and the lanes' AVX2 is this function's feature.
+        unsafe { _mm256_storeu_ps(y.as_mut_ptr(), exp(_mm256_loadu_ps(x.as_ptr()))) };
+        y
     }
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn avx512_exp(x: &[f32; MAX_LANES], y: &mut [f32; MAX_LANES]) {
-        _mm512_storeu_ps(y.as_mut_ptr(), exp(_mm512_loadu_ps(x.as_ptr())));
+    fn avx512_exp(x: &[f32; MAX_LANES]) -> [f32; MAX_LANES] {
+        let mut y = [0.0f32; MAX_LANES];
+        // SAFETY: `x` and `y` hold the 16 floats a zmm load and store touch,
+        // and the lanes' AVX-512F is this function's feature.
+        unsafe { _mm512_storeu_ps(y.as_mut_ptr(), exp(_mm512_loadu_ps(x.as_ptr()))) };
+        y
     }
 }

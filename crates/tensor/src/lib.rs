@@ -18,6 +18,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
+mod arm;
 mod attention;
 mod error;
 mod init;
@@ -30,6 +31,7 @@ mod reduce;
 mod shape;
 mod tensor;
 
+pub use arm::{Arm, Level};
 pub use attention::{allowed_keys, AttentionKeys, AttentionRule, HeadKv, Keys};
 pub use error::TensorError;
 pub use init::{Initializer, KeepMask, Rng64};

@@ -34,10 +34,10 @@
 //! registers) and NT `4 × 16` (four banks of one register per row, 16
 //! again); under `#[target_feature(enable = "avx2")]` NN/TN `4 × 16` and
 //! NT `2 × 8` (8 of the 16 `ymm` each); at the build's baseline NN/TN
-//! `4 × 8` and NT `2 × 4`. `is_x86_feature_detected!` picks the widest per
-//! call (for NT once per call, before `Bᵀ` is packed to that arm's
-//! width); the baseline arm is the only one on pre-AVX2 x86 and on every
-//! other architecture. No arm fuses a multiply and an add — a fused
+//! `4 × 8` and NT `2 × 4`. Each call runs [`Arm::detected`]'s arm, the
+//! widest the CPU has (for NT once per call, before `Bᵀ` is packed to
+//! that arm's width); the baseline arm is the only one on pre-AVX2 x86 and
+//! on every other architecture. No arm fuses a multiply and an add — a fused
 //! multiply-add rounds once where the contract rounds twice. `avx512f`
 //! implies the `fma` feature, but the body writes `x += a * b` as two
 //! operations and Rust never contracts them, so the AVX-512 arms are held
@@ -50,7 +50,7 @@
 
 use std::ops::Range;
 
-use crate::{Result, Tensor, TensorError};
+use crate::{Arm, Level, Result, Tensor, TensorError};
 
 /// Output rows per parallel task and per cache block of the kernel (a
 /// multiple of every arm's `MR`). One task writes `PAR_ROWS * n` floats —
@@ -155,10 +155,10 @@ impl Tensor {
             other.dims()
         );
         let mut out = vec![0.0f32; b * m * n];
-        let (av, bv) = (self.data(), other.data());
+        let (av, bv, arm) = (self.data(), other.data(), Arm::detected());
         batch_parallel(&mut out, m * n, b * m * k * n, |i, c| {
             let a = Lhs::row_major(&av[i * m * k..(i + 1) * m * k], k);
-            gemm_rows(a, &bv[i * k * n..(i + 1) * k * n], c, m, k, n);
+            gemm_rows(arm, a, &bv[i * k * n..(i + 1) * k * n], c, m, k, n);
         });
         Tensor::from_vec(out, &[b, m, n])
     }
@@ -191,10 +191,10 @@ impl Tensor {
             other.dims()
         );
         let mut out = vec![0.0f32; b * m * n];
-        let (av, bvals) = (self.data(), other.data());
+        let (av, bvals, arm) = (self.data(), other.data(), Arm::detected());
         batch_parallel(&mut out, m * n, b * m * k * n, |i, c| {
             let a = Lhs::transposed(&av[i * k * m..(i + 1) * k * m], m);
-            gemm_rows(a, &bvals[i * k * n..(i + 1) * k * n], c, m, k, n);
+            gemm_rows(arm, a, &bvals[i * k * n..(i + 1) * k * n], c, m, k, n);
         });
         Tensor::from_vec(out, &[b, m, n])
     }
@@ -319,40 +319,34 @@ fn strip_width(nr: usize, j: usize, n: usize) -> usize {
 fn gemm_strided(a: Lhs, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    let arm = Arm::detected();
     // An empty dimension makes the flop count 0, so it stays sequential and
     // never reaches the `/ n` below.
     if m * k * n < PAR_MIN_FLOPS || wr_runtime::threads() <= 1 {
-        gemm_rows(a, b, c, m, k, n);
+        gemm_rows(arm, a, b, c, m, k, n);
         return;
     }
     wr_runtime::parallel_chunks_mut(c, PAR_ROWS * n, |ci, block| {
-        gemm_rows(a.skip_rows(ci * PAR_ROWS), b, block, block.len() / n, k, n);
+        gemm_rows(arm, a.skip_rows(ci * PAR_ROWS), b, block, block.len() / n, k, n);
     });
 }
 
-/// Sequential `C[rows×n] += A · B` on the widest kernel the CPU has. Every
-/// NN and TN product in the crate ends here.
-fn gemm_rows(a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+/// Sequential `C[rows×n] += A · B` on `arm`'s kernel. Every NN and TN
+/// product in the crate ends here.
+fn gemm_rows(arm: Arm, a: Lhs, b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
     if rows == 0 || k == 0 || n == 0 {
         return;
     }
     let b = Rhs::RowMajor(b, n);
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: `gemm_rows_avx512` requires only that the running CPU
-            // has AVX-512F, which the line above just established.
-            unsafe { gemm_rows_avx512::<8, 32, 1>(a, b, c, rows, k, n) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `gemm_rows_avx2` requires only that the running CPU has
-            // AVX2, which the line above just established.
-            unsafe { gemm_rows_avx2::<4, 16, 1>(a, b, c, rows, k, n) };
-            return;
-        }
+    match arm.level() {
+        Level::Baseline => gemm_rows_with::<4, 8, 1>(a, b, c, rows, k, n),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx2` token exists only on a CPU that runs AVX2.
+        Level::Avx2 => unsafe { gemm_rows_avx2::<4, 16, 1>(a, b, c, rows, k, n) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx512` token exists only on a CPU that runs AVX-512F.
+        Level::Avx512 => unsafe { gemm_rows_avx512::<8, 32, 1>(a, b, c, rows, k, n) },
     }
-    gemm_rows_with::<4, 8, 1>(a, b, c, rows, k, n);
 }
 
 /// `C = A · Bᵀ` for each of `batch` slices (`A` `[m, k]`, `B` `[n, k]`, `C`
@@ -364,7 +358,7 @@ fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], batch: usize, m: usize, k: usize
     if batch * m * k * n == 0 {
         return;
     }
-    let (nr, rows_on) = nt_arm();
+    let (nr, rows_on) = nt_arm(Arm::detected());
     let panels = pack_panels(b, batch, k, n, nr);
     let slice = |i: usize, i0: usize, c: &mut [f32]| {
         let rows = c.len() / n;
@@ -387,49 +381,27 @@ fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], batch: usize, m: usize, k: usize
 /// arm's width.
 type NtRows = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
-/// The widest NT arm the running CPU has: the width its panels are cut to,
-/// and the arm.
-fn nt_arm() -> (usize, NtRows) {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return (16, |a, panels, c, rows, k, n| {
-                // SAFETY: `gemm_rows_avx512` requires only that the running
-                // CPU has AVX-512F; this closure is handed out only after
-                // the check above.
-                unsafe {
-                    gemm_rows_avx512::<4, 16, 4>(
-                        Lhs::row_major(a, k),
-                        Rhs::Panels(panels, k),
-                        c,
-                        rows,
-                        k,
-                        n,
-                    )
-                }
-            });
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return (8, |a, panels, c, rows, k, n| {
-                // SAFETY: `gemm_rows_avx2` requires only that the running CPU
-                // has AVX2; this closure is handed out only after the check
-                // above.
-                unsafe {
-                    gemm_rows_avx2::<2, 8, 4>(
-                        Lhs::row_major(a, k),
-                        Rhs::Panels(panels, k),
-                        c,
-                        rows,
-                        k,
-                        n,
-                    )
-                }
-            });
-        }
+/// `arm`'s NT kernel: the width its panels are cut to, and the kernel.
+fn nt_arm(arm: Arm) -> (usize, NtRows) {
+    match arm.level() {
+        Level::Baseline => (4, |a, panels, c, rows, k, n| {
+            gemm_rows_with::<2, 4, 4>(Lhs::row_major(a, k), Rhs::Panels(panels, k), c, rows, k, n)
+        }),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Level::Avx2 => (8, |a, panels, c, rows, k, n| {
+            let (a, panels) = (Lhs::row_major(a, k), Rhs::Panels(panels, k));
+            // SAFETY: this closure is handed out only for an `Avx2` token,
+            // which exists only on a CPU that runs AVX2.
+            unsafe { gemm_rows_avx2::<2, 8, 4>(a, panels, c, rows, k, n) }
+        }),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Level::Avx512 => (16, |a, panels, c, rows, k, n| {
+            let (a, panels) = (Lhs::row_major(a, k), Rhs::Panels(panels, k));
+            // SAFETY: this closure is handed out only for an `Avx512`
+            // token, which exists only on a CPU that runs AVX-512F.
+            unsafe { gemm_rows_avx512::<4, 16, 4>(a, panels, c, rows, k, n) }
+        }),
     }
-    (4, |a, panels, c, rows, k, n| {
-        gemm_rows_with::<2, 4, 4>(Lhs::row_major(a, k), Rhs::Panels(panels, k), c, rows, k, n)
-    })
 }
 
 /// `Bᵀ` of each of `batch` slices `B` `[n, k]`, laid out as the strips of
@@ -725,7 +697,7 @@ mod tests {
         let a = pseudo_random(&[m, k], 3);
         let b = pseudo_random(&[k, n], 4);
         let mut serial = vec![0.0f32; m * n];
-        gemm_rows(Lhs::row_major(a.data(), k), b.data(), &mut serial, m, k, n);
+        gemm_rows(Arm::detected(), Lhs::row_major(a.data(), k), b.data(), &mut serial, m, k, n);
         assert_thread_independent("gemm", &serial, || {
             let mut c = vec![0.0f32; m * n];
             gemm(a.data(), b.data(), &mut c, m, k, n);
@@ -739,7 +711,7 @@ mod tests {
         let at = pseudo_random(&[k, m], 5);
         let b = pseudo_random(&[k, n], 6);
         let mut serial = vec![0.0f32; m * n];
-        gemm_rows(Lhs::transposed(at.data(), m), b.data(), &mut serial, m, k, n);
+        gemm_rows(Arm::detected(), Lhs::transposed(at.data(), m), b.data(), &mut serial, m, k, n);
         assert_thread_independent("matmul_tn", &serial, || at.matmul_tn(&b));
 
         let a = pseudo_random(&[m, k], 7);
@@ -766,12 +738,12 @@ mod tests {
         };
         let serial = per_slice(&|i, c| {
             let lhs = Lhs::row_major(&a.data()[i * m * k..(i + 1) * m * k], k);
-            gemm_rows(lhs, &b.data()[i * k * n..(i + 1) * k * n], c, m, k, n);
+            gemm_rows(Arm::detected(), lhs, &b.data()[i * k * n..(i + 1) * k * n], c, m, k, n);
         });
         assert_thread_independent("bmm", &serial, || a.bmm(&b));
         let serial = per_slice(&|i, c| {
             let lhs = Lhs::transposed(&at.data()[i * k * m..(i + 1) * k * m], m);
-            gemm_rows(lhs, &b.data()[i * k * n..(i + 1) * k * n], c, m, k, n);
+            gemm_rows(Arm::detected(), lhs, &b.data()[i * k * n..(i + 1) * k * n], c, m, k, n);
         });
         assert_thread_independent("bmm_tn", &serial, || at.bmm_tn(&b));
         let serial = per_slice(&|i, c| {
@@ -883,70 +855,8 @@ mod tests {
         });
     }
 
-    /// An NN/TN arm called directly, past the dispatch.
-    type Arm = fn(Lhs, &[f32], &mut [f32], usize, usize, usize);
-
-    /// One instruction set's instantiations: the NN/TN arm, and the NT arm
-    /// with the width its panels are cut to.
-    struct Arms {
-        name: &'static str,
-        nn: Arm,
-        nt: (usize, NtRows),
-    }
-
-    /// Every arm this CPU can run. The dispatch picks one of them per call, so
-    /// the arms it passes over — the baseline on any x86 box, AVX2 on an
-    /// AVX-512 one — are only covered when called by name.
-    fn arms() -> Vec<Arms> {
-        let mut arms = vec![Arms {
-            name: "baseline 4×8, NT 2×4",
-            nn: |a, b, c, m, k, n| gemm_rows_with::<4, 8, 1>(a, Rhs::RowMajor(b, n), c, m, k, n),
-            nt: (4, |a, p, c, m, k, n| {
-                gemm_rows_with::<2, 4, 4>(Lhs::row_major(a, k), Rhs::Panels(p, k), c, m, k, n)
-            }),
-        }];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                arms.push(Arms {
-                    name: "avx2 4×16, NT 2×8",
-                    // SAFETY: the CPU has AVX2, checked above.
-                    nn: |a, b, c, m, k, n| unsafe {
-                        gemm_rows_avx2::<4, 16, 1>(a, Rhs::RowMajor(b, n), c, m, k, n)
-                    },
-                    // SAFETY: the CPU has AVX2, checked above.
-                    nt: (8, |a, p, c, m, k, n| unsafe {
-                        gemm_rows_avx2::<2, 8, 4>(Lhs::row_major(a, k), Rhs::Panels(p, k), c, m, k, n)
-                    }),
-                });
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                arms.push(Arms {
-                    name: "avx512 8×32, NT 4×16",
-                    // SAFETY: the CPU has AVX-512F, checked above.
-                    nn: |a, b, c, m, k, n| unsafe {
-                        gemm_rows_avx512::<8, 32, 1>(a, Rhs::RowMajor(b, n), c, m, k, n)
-                    },
-                    // SAFETY: the CPU has AVX-512F, checked above.
-                    nt: (16, |a, p, c, m, k, n| unsafe {
-                        gemm_rows_avx512::<4, 16, 4>(
-                            Lhs::row_major(a, k),
-                            Rhs::Panels(p, k),
-                            c,
-                            m,
-                            k,
-                            n,
-                        )
-                    }),
-                });
-            }
-        }
-        arms
-    }
-
     #[test]
     fn every_arm_matches_the_contract_bit_for_bit() {
-        let arms = arms();
         sweep(|m, k, n| {
             let a = pseudo_random(&[m, k], 61);
             let b = pseudo_random(&[k, n], 62);
@@ -957,21 +867,21 @@ mod tests {
             let bt = b.transpose();
             let mut expected_nt = vec![0.0f32; m * n];
             contract_nt(a.data(), bt.data(), &mut expected_nt, m, k, n);
-            for arm in &arms {
-                let name = arm.name;
+            for arm in Arm::available() {
+                let name = arm.level();
                 let mut c = c0.data().to_vec();
-                (arm.nn)(Lhs::row_major(a.data(), k), b.data(), &mut c, m, k, n);
-                assert!(bits_equal(&c, &expected), "{name} NN m={m} k={k} n={n}");
+                gemm_rows(arm, Lhs::row_major(a.data(), k), b.data(), &mut c, m, k, n);
+                assert!(bits_equal(&c, &expected), "{name:?} NN m={m} k={k} n={n}");
 
                 let mut c = c0.data().to_vec();
-                (arm.nn)(Lhs::transposed(at.data(), m), b.data(), &mut c, m, k, n);
-                assert!(bits_equal(&c, &expected), "{name} TN m={m} k={k} n={n}");
+                gemm_rows(arm, Lhs::transposed(at.data(), m), b.data(), &mut c, m, k, n);
+                assert!(bits_equal(&c, &expected), "{name:?} TN m={m} k={k} n={n}");
 
-                let (nr, nt) = arm.nt;
+                let (nr, nt) = nt_arm(arm);
                 let panels = pack_panels(bt.data(), 1, k, n, nr);
                 let mut c = vec![0.0f32; m * n];
                 nt(a.data(), &panels, &mut c, m, k, n);
-                assert!(bits_equal(&c, &expected_nt), "{name} NT m={m} k={k} n={n}");
+                assert!(bits_equal(&c, &expected_nt), "{name:?} NT m={m} k={k} n={n}");
             }
         });
     }

@@ -1,6 +1,6 @@
 //! Elementwise and broadcast arithmetic on [`Tensor`].
 
-use crate::{Result, Tensor, TensorError};
+use crate::{Arm, Level, Result, Tensor, TensorError};
 
 macro_rules! binary_op {
     ($name:ident, $try_name:ident, $op:tt) => {
@@ -382,9 +382,9 @@ pub fn l2_normalize_row(row: &mut [f32]) -> f32 {
 /// rows (at most `max_seq` keys) stay under it, so the masked chain and the
 /// allowed-keys kernel sum each row in index order and agree to the bit.
 pub(crate) const SOFTMAX_BANKED_MIN: usize = 64;
-/// Rows at least this wide run the widest arm the CPU has; narrower ones
-/// the baseline. The arms compute the same bits at every width; what moves
-/// is the cost. Below 32 the vector arms lose on most widths (the loop
+/// Rows at least this wide run the arm `softmax_on` is handed; narrower
+/// ones the baseline. The arms compute the same bits at every width; what
+/// moves is the cost. Below 32 the vector arms lose on most widths (the loop
 /// tail runs alone), from 32 they win on average: 2 000 rows, first
 /// quartile of 40 interleaved trials on the 2-CPU AVX-512 box, summed over
 /// 16 widths in `32..64`, baseline 6.08 ms, AVX-512F 5.29, AVX2 5.87; over
@@ -403,23 +403,25 @@ const SOFTMAX_BANKS: usize = 16;
 /// `+0` for a row shorter than 64, otherwise in 16 banks, bank `j` taking
 /// elements `j, j + 16, …` in order, then banks 0–15 added in order; then
 /// each element divided by the sum when it is positive. Every step is
-/// lane-wise IEEE, so the AVX-512F, AVX2 and baseline arms — picked per
-/// call for a row of 32 or more — are equal to the bit.
+/// lane-wise IEEE, so the AVX-512F, AVX2 and baseline arms are equal to
+/// the bit; a row of 32 or more runs [`Arm::detected`]'s.
 pub fn softmax_in_place(row: &mut [f32]) -> f32 {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if row.len() >= SOFTMAX_VECTOR_MIN {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: `softmax_avx512` requires only that the running CPU
-            // has AVX-512F, which the line above just established.
-            return unsafe { softmax_avx512(row) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: `softmax_avx2` requires only that the running CPU has
-            // AVX2, which the line above just established.
-            return unsafe { softmax_avx2(row) };
-        }
+    softmax_on(Arm::detected(), row)
+}
+
+/// [`softmax_in_place`] on `arm`'s body for a row of [`SOFTMAX_VECTOR_MIN`]
+/// or more, on the baseline's for a shorter one.
+#[inline]
+fn softmax_on(arm: Arm, row: &mut [f32]) -> f32 {
+    match arm.level() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx512` token exists only on a CPU that runs AVX-512F.
+        Level::Avx512 if row.len() >= SOFTMAX_VECTOR_MIN => unsafe { softmax_avx512(row) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: an `Avx2` token exists only on a CPU that runs AVX2.
+        Level::Avx2 if row.len() >= SOFTMAX_VECTOR_MIN => unsafe { softmax_avx2(row) },
+        _ => softmax_with(row),
     }
-    softmax_with(row)
 }
 
 /// [`softmax_with`] compiled for AVX-512F: 16 lanes, one register of banks.
@@ -759,27 +761,6 @@ mod tests {
         sum
     }
 
-    type SoftmaxArm = fn(&mut [f32]) -> f32;
-
-    /// Every softmax arm this CPU can run, by name: the dispatch runs only
-    /// the widest, and only for a row of 32 or more.
-    fn softmax_arms() -> Vec<(&'static str, SoftmaxArm)> {
-        let mut arms: Vec<(&'static str, SoftmaxArm)> =
-            vec![("dispatch", softmax_in_place), ("baseline", |row| softmax_with(row))];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU has AVX2, checked above.
-                arms.push(("avx2", |row| unsafe { softmax_avx2(row) }));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the CPU has AVX-512F, checked above.
-                arms.push(("avx512", |row| unsafe { softmax_avx512(row) }));
-            }
-        }
-        arms
-    }
-
     /// `a` and `b` are the same `f32`, or both NaN.
     fn same(a: f32, b: f32) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
@@ -816,10 +797,10 @@ mod tests {
                 let mut want = row.clone();
                 let want_sum = softmax_reference(&mut want);
                 assert_eq!(want_sum.is_nan(), want.iter().any(|p| p.is_nan()), "{kind} row of {width}");
-                for (name, arm) in softmax_arms() {
+                for arm in Arm::available() {
                     let mut got = row.clone();
-                    let sum = arm(&mut got);
-                    let at = format!("{name} arm, {kind} row of {width}");
+                    let sum = softmax_on(arm, &mut got);
+                    let at = format!("{:?} arm, {kind} row of {width}", arm.level());
                     assert!(same(sum, want_sum), "{at}: sum {sum:e}, want {want_sum:e}");
                     for (j, (&g, &w)) in got.iter().zip(&want).enumerate() {
                         assert!(same(g, w), "{at}, entry {j}: {g:e}, want {w:e}");

@@ -104,15 +104,18 @@ raw_tanh="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 # correctly rounded. Scans the crates a model's forward or backward runs
 # in, each file up to its `#[cfg(test)]`; the one `.exp()` allowed is
 # `Graph::exp` calling `Tensor::exp`, which maps `exp_scalar`. `wr-eval`'s
-# f64 statistics and `wr-data`'s generator are not on that path and keep
-# libm (moving them would move every workload's inputs).
+# f64 statistics, the t-SNE and t-test that moved from it into `wr-bench`
+# (`tsne.rs`, `ttest.rs`: figure and table statistics, no model runs
+# through them) and `wr-data`'s generator are not on that path and keep
+# libm (moving them would move every workload's inputs and the record).
 echo "== check: no libm exp on the model path =="
 raw_exp="$(find crates/{tensor,autograd,nn,models,train,whitening,serve,gateway,ann,core,bench}/src \
         -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && /f(32|64)::exp|\.exp(_m1|2)?\(\)/ { print FILENAME ":" FNR ": " $0 }' \
-    | grep -v '^crates/autograd/src/ops\.rs:.*self\.val(a)\.exp()' || true)"
+    | grep -v '^crates/autograd/src/ops\.rs:.*self\.val(a)\.exp()' \
+    | grep -Ev '^crates/bench/src/(tsne|ttest)\.rs:' || true)"
 [ -z "$raw_exp" ] \
     || { echo "   raw exp outside wr_tensor::exp_scalar:"; echo "$raw_exp"; exit 1; }
 
@@ -130,6 +133,18 @@ fused="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     !in_tests && /mul_add\(|fmadd|fmsub|fnmadd|fnmsub/ { print FILENAME ":" FNR ": " $0 }')"
 [ -z "$fused" ] \
     || { echo "   fused multiply-add in a kernel:"; echo "$fused"; exit 1; }
+
+# One vector-arm decision (DESIGN.md §5c "One arm decision"): a kernel
+# runs the arm of the `wr_tensor::Arm` token it is handed, and only
+# `crates/tensor/src/arm.rs` detects CPU features to build one. A feature
+# check anywhere else would be a second decision, an arm the token's
+# `// SAFETY:` argument does not cover, or an arm test that runs code the
+# dispatch does not. Scans every source file, tests included.
+echo "== check: CPU features are detected in the Arm token's module only =="
+detect="$(grep -rn --include='*.rs' 'is_x86_feature_detected' crates/*/src \
+    | grep -v '^crates/tensor/src/arm\.rs:' || true)"
+[ -z "$detect" ] \
+    || { echo "   is_x86_feature_detected! outside crates/tensor/src/arm.rs:"; echo "$detect"; exit 1; }
 
 # `wr_tensor::gemm` is the only dot product the retrieval and serving
 # crates may take (DESIGN.md §5c, §10a): full-probe IVF ≡ exact holds
