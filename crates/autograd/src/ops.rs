@@ -5,7 +5,7 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use crate::graph::{Aux, Graph, Op, Var};
-use wr_tensor::{l2_normalize_row, layer_norm_row, softmax_in_place, AttentionKeys, HeadKv, KeepMask, Tensor};
+use wr_tensor::{l2_normalize_row, layer_norm_row, softmax_in_place, AttentionKeys, HeadKv, KeepMask, Tensor, Weights};
 
 impl Graph {
     fn any_requires(&self, vars: &[Var]) -> bool {
@@ -234,8 +234,10 @@ impl Graph {
     ///
     /// **The rule.** Query `i` of sequence `b` (row `keys.first_row(b) + i`)
     /// reads exactly `keys.of(b, i)` ([`wr_tensor::allowed_keys`]),
-    /// ascending, through the one row kernel [`HeadKv::attend`]: no mask, no
-    /// `[batch, seq, seq]` tensor, no per-head copy. Over the every-position
+    /// ascending, through [`HeadKv::attend_rows`], one call per (head,
+    /// sequence) — the entry `wr_nn::FrozenEncoder` calls too, which alone
+    /// decides whether the block or the row kernel computes a row: no mask,
+    /// no `[batch, seq, seq]` tensor, no per-head copy. Over the every-position
     /// layout ([`AttentionKeys::new`]) the values and the three gradients
     /// equal — to the bit, for finite operands — those of the chain it
     /// replaced (`slice_cols` → `reshape` → `bmm_nt` → `scale` → `add` mask
@@ -290,35 +292,36 @@ impl Graph {
             for (h, lo) in (0..heads).map(|h| (h, h * dh)) {
                 for b in 0..batch {
                     let held = keys.held(b);
-                    let rows = keys.first_row(b) * dim..(keys.first_row(b) + held) * dim;
+                    let first = keys.first_row(b) * dim + lo;
                     let head = HeadKv {
-                        k: &kv.data()[rows.clone()][lo..],
-                        v: &vv.data()[rows.clone()][lo..],
+                        k: &kv.data()[first..],
+                        v: &vv.data()[first..],
                         stride: dim,
                         scale,
                     };
-                    // Padded index of (h, b, query 0, key 0) of the rows held.
-                    let absent = seq - held;
-                    let origin = ((h * batch + b) * seq + absent) * seq + absent;
-                    for i in 0..held {
-                        let row_keys = keys.of(b, i);
-                        let saved_row = at..at + row_keys.len();
-                        at = saved_row.end;
-                        if let Some(mask) = &dropout {
-                            let row_factors = &mut factors[saved_row.clone()];
-                            for (f, j) in row_factors.iter_mut().zip(row_keys.clone()) {
-                                *f = mask.factor(origin + i * seq + j);
-                            }
+                    if let Some(mask) = &dropout {
+                        // Padded index of (h, b, query 0, key 0) of the rows
+                        // held, and of each allowed pair from there.
+                        let absent = seq - held;
+                        let origin = ((h * batch + b) * seq + absent) * seq + absent;
+                        let pairs = (0..held).flat_map(|i| keys.of(b, i).map(move |j| i * seq + j));
+                        for (f, pair) in factors[at..].iter_mut().zip(pairs) {
+                            *f = mask.factor(origin + pair);
                         }
-                        let first = rows.start + i * dim + lo;
-                        head.attend(
-                            &qv.data()[first..first + dh],
-                            row_keys,
-                            dropout.is_some().then(|| &factors[saved_row.clone()]),
-                            &mut weights[saved_row.clone()],
-                            &mut out[first..first + dh],
-                        );
                     }
+                    at += head.attend_rows(
+                        keys.rule(),
+                        &qv.data()[first..],
+                        dh,
+                        keys.start(b),
+                        held,
+                        0..held,
+                        Weights::Saved {
+                            weights: &mut weights[at..],
+                            factors: dropout.is_some().then(|| &factors[at..]),
+                        },
+                        &mut out[first..],
+                    );
                 }
             }
             (Tensor::from_vec(out, &[keys.rows(), dim]), weights, factors)

@@ -337,6 +337,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if n_shards.is_none() && has_flag(args, "--poison-shard") {
         return Err("--poison-shard configures a gateway: it needs --shards".into());
     }
+    if n_shards == Some(0) {
+        return Err("--shards must be at least 1".into());
+    }
+    let max_batch: usize = parse_num(args, "--batch", 64)?;
+    if max_batch == 0 {
+        return Err("--batch must be at least 1".into());
+    }
     // Chaos mode: a nonzero WR_FAULT_SEED arms a deterministic fault
     // schedule over the serving path (cache poison, score poison, induced
     // batch panics). The replay must survive it. Read before any work, so
@@ -388,7 +395,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     };
     let serve_cfg = ServeConfig {
         k: parse_num(args, "--k", 10)?,
-        max_batch: parse_num(args, "--batch", 64)?,
+        max_batch,
         max_seq: ctx.model_config.max_seq,
         filter_seen: !has_flag(args, "--no-filter-seen"),
     };

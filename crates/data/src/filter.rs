@@ -17,10 +17,6 @@ impl FilteredData {
     pub fn n_users(&self) -> usize {
         self.sequences.len()
     }
-
-    pub fn n_interactions(&self) -> usize {
-        self.sequences.iter().map(Vec::len).sum()
-    }
 }
 
 /// Iteratively drop users with fewer than `k` interactions and items with
@@ -144,7 +140,6 @@ mod tests {
         let f = five_core_filter(&seqs, 8, 5);
         assert_eq!(f.n_users(), 10);
         assert_eq!(f.n_items(), 8);
-        assert_eq!(f.n_interactions(), 80);
     }
 
     #[test]

@@ -74,10 +74,6 @@ impl FrozenTable {
         sess.graph.constant(Arc::clone(&self.table))
     }
 
-    pub fn raw(&self) -> &Tensor {
-        &self.table
-    }
-
     pub fn vocab(&self) -> usize {
         self.table.rows()
     }

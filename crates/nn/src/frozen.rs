@@ -17,7 +17,7 @@
 //! real tokens, or an empty history's final pad — the rows the taped
 //! forward's `AttentionKeys::packed` holds; pad positions are never
 //! looked up, normalised or multiplied. A query reads only the contiguous
-//! key range [`allowed_keys`] permits, so there is no mask value and no
+//! key range [`wr_tensor::allowed_keys`] permits, so there is no mask value and no
 //! `max_seq × max_seq` score matrix, and a history the batch already holds
 //! (a hot user under skewed traffic) is not encoded twice. What one call
 //! costs in time therefore follows the histories' lengths; what it asks
@@ -28,19 +28,17 @@
 //! `tower → forward_user` pipeline for every finite model (a non-finite
 //! one does not freeze): it performs the same scalar operations in the
 //! same order through the same kernels ([`wr_tensor::gemm`],
-//! [`wr_tensor::gelu_scalar`], and for attention the row the taped
-//! `Graph::attention` node runs, [`wr_tensor::HeadKv::attend`] over
-//! [`allowed_keys`]; its argument for skipping masked keys is in
-//! `wr_tensor`'s attention module). The final block's one query row, and
-//! every row of a sequence shorter than `BLOCK_MIN_SEQ`, call that row
-//! kernel itself. The other blocks' rows of a longer sequence go through
-//! [`wr_tensor::HeadKv::attend_causal`], the block kernel that runs 16
-//! rows to an AVX-512 register (8 to an AVX2 one), one row per lane. Each
-//! lane performs the row kernel's operations in the row kernel's order, so
-//! the two agree to the bit. That is a second statement of the row, not
-//! shared code, so frozen ≡ taped is a test here
-//! (`tests/frozen_encoder.rs`, every history length from 0 to past
-//! `max_seq` 50), not a fact of construction.
+//! [`wr_tensor::gelu_scalar`], and for attention the entry the taped
+//! `Graph::attention` node calls, [`wr_tensor::HeadKv::attend_rows`]; its
+//! argument for skipping masked keys is in `wr_tensor`'s attention
+//! module). Each block makes one call per head: over every row the
+//! sequence holds, and in the final block over the last row alone. The
+//! entry alone decides which kernel computes a row — the block kernel
+//! that runs 16 rows to an AVX-512 register (8 to an AVX2 one), or the
+//! row kernel for a lone row and short sequences — and every lane of the
+//! block kernel gives the row kernel's bits (`wr_tensor`'s bit tests;
+//! `tests/frozen_encoder.rs` checks the whole encode at every history
+//! length from 0 to past `max_seq` 50).
 //! Every row-wise kernel produces a row from that row's inputs alone, so a
 //! row's bits do not depend on which rows are computed beside it — one
 //! sequence or a batch of them. What the frozen forward drops is everything
@@ -48,9 +46,10 @@
 //! up in `V`), the per-op operand clones and the batch-sized planes.
 //! Scratch is sized once per call and dropped on return.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use wr_tensor::{allowed_keys, gelu_scalar, gemm, layer_norm_row, AttentionRule, HeadKv, Tensor};
+use wr_tensor::{gelu_scalar, gemm, layer_norm_row, AttentionRule, HeadKv, Tensor, Weights};
 
 fn all_finite(values: &[f32]) -> bool {
     values.iter().all(|v| v.is_finite())
@@ -166,69 +165,6 @@ struct Scratch {
     scores: Vec<f32>,
 }
 
-/// The rows of one sequence the blocks run over: `seq` of them (its last
-/// `held` positions), real tokens at `[start, seq)` — `start = 0`, or `1`
-/// for an empty history's lone pad row.
-#[derive(Clone, Copy)]
-struct Shape {
-    start: usize,
-    seq: usize,
-    dim: usize,
-    heads: usize,
-}
-
-/// Sequences at least this long run their causal rows through the block
-/// kernel ([`HeadKv::attend_causal`]); shorter ones, whose few keys do not
-/// repay a block's setup, through the row kernel.
-const BLOCK_MIN_SEQ: usize = 8;
-
-/// Causal multi-head attention into `s.ctx`. With `last_only` the one
-/// query is the last position, compacted to row 0 of `s.q` and `s.ctx`;
-/// otherwise every position queries. A query visits only the keys the
-/// mask rule lets it read: every row of a sequence of [`BLOCK_MIN_SEQ`] or
-/// more through the block kernel, which gives each row the bits of the row
-/// kernel the taped `Graph::attention` node runs, and the rest through that
-/// row kernel itself.
-fn attend(s: &mut Scratch, shape: Shape, last_only: bool) {
-    let Shape {
-        start,
-        seq,
-        dim,
-        heads,
-    } = shape;
-    let dh = dim / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    if !last_only && seq >= BLOCK_MIN_SEQ {
-        for lo in (0..heads).map(|h| h * dh) {
-            let head = HeadKv {
-                k: &s.k[lo..],
-                v: &s.v[lo..],
-                stride: dim,
-                scale,
-            };
-            head.attend_causal(&s.q[lo..], dh, start, seq, &mut s.scores, &mut s.ctx[lo..]);
-        }
-        return;
-    }
-    let queries = if last_only { seq - 1..seq } else { 0..seq };
-    for row in queries {
-        let q_row = if last_only { 0 } else { row };
-        let keys = allowed_keys(AttentionRule::Causal, row, start, seq);
-        let weights = &mut s.scores[..keys.len()];
-        for lo in (0..heads).map(|h| h * dh) {
-            let head = HeadKv {
-                k: &s.k[lo..],
-                v: &s.v[lo..],
-                stride: dim,
-                scale,
-            };
-            let at = q_row * dim + lo;
-            let (q, out) = (&s.q[at..at + dh], &mut s.ctx[at..at + dh]);
-            head.attend(q, keys.clone(), None, weights, out);
-        }
-    }
-}
-
 impl FrozenBlock {
     fn is_finite(&self) -> bool {
         [&self.wq, &self.wk, &self.wv, &self.wo, &self.ff1, &self.ff2]
@@ -238,11 +174,10 @@ impl FrozenBlock {
             && self.ln2.is_finite()
     }
 
-    /// Everything after attention for `rows` rows of `x`: output
+    /// Everything after attention for the `rows` rows `x` holds: output
     /// projection, residual + LayerNorm, feed-forward, residual +
     /// LayerNorm. `s.ctx[..rows * dim]` holds the attention output.
-    fn finish(&self, x: &mut [f32], s: &mut Scratch, rows: usize, dim: usize) {
-        let x = &mut x[..rows * dim];
+    fn finish(&self, x: &mut [f32], s: &mut Scratch, rows: usize) {
         self.wo.apply(&s.ctx, &mut s.tmp, rows);
         for (xv, a) in x.iter_mut().zip(&s.tmp) {
             *xv += a;
@@ -259,35 +194,37 @@ impl FrozenBlock {
         self.ln2.apply(x);
     }
 
-    /// The block over every row one sequence holds: `h[..shape.seq * dim]`
-    /// in and out.
-    fn forward_full(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
-        self.wq.apply(h, &mut s.q, shape.seq);
-        self.wk.apply(h, &mut s.k, shape.seq);
-        self.wv.apply(h, &mut s.v, shape.seq);
-        attend(s, shape, false);
-        self.finish(h, s, shape.seq, shape.dim);
-    }
-
-    /// The final block, for the one row the caller reads. Keys and values
-    /// are computed for every row the sequence holds, but the query,
-    /// attention, output projection, both LayerNorms and the feed-forward
-    /// run for the last position only. Legal bit for bit — here and for
-    /// the pad rows no block computes: every kernel on the path
-    /// accumulates one output row from that row's inputs alone (gemm over
-    /// `p = 0..k` in order whether the row sits in a full register tile or
-    /// the tail; attention scores are per-row dots), so a row's bits do not
-    /// depend on which other rows are computed, and no real query reads a
-    /// pad key. On return `h[..dim]` holds the user row.
-    fn forward_last(&self, h: &mut [f32], s: &mut Scratch, shape: Shape) {
-        let Shape { seq, dim, .. } = shape;
+    /// The block for `rows` of the `seq` rows one sequence holds — `h` is
+    /// `[seq, dim]`, its last `seq` positions, real tokens at `[start,
+    /// seq)` — in place: keys and values from every row, queries and
+    /// everything after attention for `rows` only. The body blocks run
+    /// every row; the final block runs the last, the one row the caller
+    /// reads. Legal bit for bit — here and for the pad rows no block
+    /// computes: every kernel on the path accumulates one output row from
+    /// that row's inputs alone (gemm over `p = 0..k` in order whether the
+    /// row sits in a full register tile or the tail; attention scores are
+    /// per-row dots), so a row's bits do not depend on which other rows
+    /// are computed, and no real query reads a pad key.
+    fn forward(&self, h: &mut [f32], s: &mut Scratch, start: usize, heads: usize, rows: Range<usize>) {
+        let dim = self.wq.n_in;
+        let seq = h.len() / dim;
         self.wk.apply(h, &mut s.k, seq);
         self.wv.apply(h, &mut s.v, seq);
-        // Left padding ⇒ the last row is the position the caller reads.
-        h.copy_within((seq - 1) * dim..seq * dim, 0);
-        self.wq.apply(h, &mut s.q, 1);
-        attend(s, shape, true);
-        self.finish(h, s, 1, dim);
+        let x = &mut h[rows.start * dim..rows.end * dim];
+        self.wq.apply(x, &mut s.q, rows.len());
+        let dh = dim / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        for lo in (0..heads).map(|h| h * dh) {
+            let head = HeadKv {
+                k: &s.k[lo..],
+                v: &s.v[lo..],
+                stride: dim,
+                scale,
+            };
+            let (q, out, scratch) = (&s.q[lo..], &mut s.ctx[lo..], Weights::Scratch(&mut s.scores));
+            head.attend_rows(AttentionRule::Causal, q, dh, start, seq, rows.clone(), scratch, out);
+        }
+        self.finish(x, s, rows.len());
     }
 }
 
@@ -422,17 +359,14 @@ impl FrozenEncoder {
                 }
             }
             self.input_ln.apply(h);
-            let shape = Shape {
-                start: held - lengths[b].min(seq),
-                seq: held,
-                dim,
-                heads: self.heads,
-            };
+            // Real tokens from 0, or from 1 for an empty history's lone pad.
+            let start = held - lengths[b].min(seq);
             for block in &self.body {
-                block.forward_full(h, &mut scratch, shape);
+                block.forward(h, &mut scratch, start, self.heads, 0..held);
             }
-            self.last.forward_last(h, &mut scratch, shape);
-            users[b * dim..(b + 1) * dim].copy_from_slice(&h[..dim]);
+            // Left padding ⇒ the last row is the position the caller reads.
+            self.last.forward(h, &mut scratch, start, self.heads, held - 1..held);
+            users[b * dim..(b + 1) * dim].copy_from_slice(&h[(held - 1) * dim..]);
         }
         Tensor::from_vec(users, &[batch, dim])
     }

@@ -43,14 +43,6 @@ impl Linear {
         let bias = self.bias.as_ref().map(Param::get);
         FrozenLinear::new(&self.weight.get(), bias.as_ref())
     }
-
-    pub fn in_dim(&self) -> usize {
-        self.weight.dims()[0]
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.weight.dims()[1]
-    }
 }
 
 impl Module for Linear {
@@ -100,10 +92,6 @@ impl Mlp {
             }
         }
         x
-    }
-
-    pub fn depth(&self) -> usize {
-        self.layers.len()
     }
 }
 
@@ -162,8 +150,6 @@ mod tests {
     fn linear_shapes_and_bias() {
         let mut rng = Rng64::seed_from(1);
         let l = Linear::new(3, 5, true, &mut rng);
-        assert_eq!(l.in_dim(), 3);
-        assert_eq!(l.out_dim(), 5);
         assert_eq!(l.param_count(), 3 * 5 + 5);
 
         let g = Graph::new();
@@ -177,7 +163,7 @@ mod tests {
     fn mlp_depth_and_activation() {
         let mut rng = Rng64::seed_from(2);
         let m = Mlp::new(&[4, 8, 8, 2], false, 0.0, &mut rng);
-        assert_eq!(m.depth(), 3);
+        assert_eq!(m.layers.len(), 3);
         let g = Graph::new();
         let mut s = Session::eval(&g);
         let x = g.constant(Tensor::ones(&[2, 4]));
@@ -192,7 +178,7 @@ mod tests {
         let lin = ProjectionHead::new(6, 4, 0, &mut rng);
         assert!(matches!(lin, ProjectionHead::Linear(_)));
         let mlp2 = ProjectionHead::new(6, 4, 2, &mut rng);
-        assert!(matches!(&mlp2, ProjectionHead::Mlp(m) if m.depth() == 2));
+        assert!(matches!(&mlp2, ProjectionHead::Mlp(m) if m.layers.len() == 2));
 
         let g = Graph::new();
         let mut s = Session::eval(&g);

@@ -59,10 +59,6 @@ impl MoEAdaptor {
         }
         combined.expect("at least one expert")
     }
-
-    pub fn n_experts(&self) -> usize {
-        self.experts.len()
-    }
 }
 
 impl Module for MoEAdaptor {

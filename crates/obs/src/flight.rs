@@ -12,7 +12,7 @@
 //!
 //! Recording is write-only and panic-free: one short mutex push per
 //! event, no clock reads (callers pass timestamps from their telemetry
-//! clock), and dump I/O failures are counted, never raised — telemetry
+//! clock), and dump I/O failures are swallowed, never raised — telemetry
 //! must not take down the serving path it observes.
 //!
 //! **Determinism.** The dump body is a *sorted* projection of the ring
@@ -74,7 +74,6 @@ pub struct FlightRecorder {
     inner: Mutex<FlightInner>,
     dump_path: Mutex<Option<PathBuf>>,
     dumps: AtomicU64,
-    dump_failures: AtomicU64,
 }
 
 impl Default for FlightRecorder {
@@ -94,7 +93,6 @@ impl FlightRecorder {
             inner: Mutex::new(FlightInner::default()),
             dump_path: Mutex::new(None),
             dumps: AtomicU64::new(0),
-            dump_failures: AtomicU64::new(0),
         }
     }
 
@@ -175,11 +173,6 @@ impl FlightRecorder {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// Dump attempts that failed on I/O (counted, never raised).
-    pub fn dump_failures(&self) -> u64 {
-        self.dump_failures.load(Ordering::Relaxed)
-    }
-
     /// Deterministic JSON-lines snapshot of the ring: a header line
     /// (`{"format":"wr-flight/v1",...}`) followed by one event object
     /// per line in a stable sorted order, sequence numbers assigned
@@ -226,7 +219,7 @@ impl FlightRecorder {
 
     /// Declare an incident: snapshot the ring to the armed dump path,
     /// CRC-sealed and atomically replaced. A no-op when unarmed; I/O
-    /// failures are counted in [`Self::dump_failures`] and swallowed —
+    /// failures are swallowed (the dump count does not move) —
     /// the serving path that declared the incident must keep serving.
     pub fn trigger(&self, reason: &str) {
         let path = self
@@ -236,13 +229,8 @@ impl FlightRecorder {
             .clone();
         let Some(path) = path else { return };
         let sealed = wr_fault::seal_lines(self.snapshot_json(reason));
-        match wr_fault::write_atomic(&path, sealed.as_bytes()) {
-            Ok(()) => {
-                self.dumps.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.dump_failures.fetch_add(1, Ordering::Relaxed);
-            }
+        if wr_fault::write_atomic(&path, sealed.as_bytes()).is_ok() {
+            self.dumps.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -363,6 +351,5 @@ mod tests {
         fr.arm_dump("/nonexistent-dir-zz/flight.json");
         fr.trigger("degraded");
         assert_eq!(fr.dumps(), 0);
-        assert_eq!(fr.dump_failures(), 1);
     }
 }

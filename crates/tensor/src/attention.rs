@@ -1,13 +1,13 @@
-//! One attention row over the keys its query may read.
+//! Attention rows over the keys their queries may read.
 //!
 //! The taped `wr_autograd::Graph::attention` node and the tape-free
-//! `wr_nn::FrozenEncoder` both compute attention here: [`allowed_keys`] is
-//! the one statement of the mask rule and [`HeadKv::attend`] the statement
-//! of the row. [`HeadKv::attend_causal`] runs a sequence's causal rows side
-//! by side, one per vector lane, each lane the row's operations in the
-//! row's order; the frozen encoder takes it for longer sequences, and the
-//! bit tests below hold it to [`HeadKv::attend`]. Neither builds a mask or
-//! a `[seq, seq]` score matrix.
+//! `wr_nn::FrozenEncoder` both compute attention through one entry,
+//! [`HeadKv::attend_rows`], the only place that decides which kernel
+//! computes a row: [`HeadKv::attend`], the statement of the row over the
+//! keys [`allowed_keys`] (the mask rule) lists, or for 8 rows or more a
+//! block kernel that runs them one per vector lane, each lane the row's
+//! operations in the row's order — which the bit tests below hold. Nothing
+//! builds a mask or a `[seq, seq]` score matrix.
 //!
 //! **Why skipping the other keys moves no bit** (DESIGN.md §5c "Attention
 //! and dropout order"). The per-head chain this replaced masked a
@@ -181,6 +181,16 @@ impl AttentionKeys {
         self.first_rows[b]
     }
 
+    /// Where sequence `b`'s real tokens start among the rows it holds.
+    pub fn start(&self, b: usize) -> usize {
+        self.starts[b]
+    }
+
+    /// The rule every query reads by.
+    pub fn rule(&self) -> AttentionRule {
+        self.rule
+    }
+
     /// The held rows as rows of the padded `[batch · seq, _]` plane,
     /// ascending: row `r` is position `r % seq` of sequence `r / seq`.
     pub fn padded_rows(&self) -> Vec<usize> {
@@ -220,6 +230,19 @@ pub struct HeadKv<'a> {
     pub scale: f32,
 }
 
+/// Where [`HeadKv::attend_rows`] leaves each row's softmax.
+#[derive(Debug)]
+pub enum Weights<'a> {
+    /// Nowhere: scratch of at least `seq` floats that each row overwrites.
+    Scratch(&'a mut [f32]),
+    /// The rows' softmax rows end to end, keys ascending — what a backward
+    /// pass reads — and, under dropout, the factors at the same places.
+    Saved {
+        weights: &'a mut [f32],
+        factors: Option<&'a [f32]>,
+    },
+}
+
 impl HeadKv<'_> {
     /// The attention row of query `q` (its `dh` head columns) over `keys`:
     /// `dot(q, k_j) · scale` → [`softmax_in_place`] → `Σ_j a_j · v_j` into
@@ -227,9 +250,10 @@ impl HeadKv<'_> {
     /// its own. `weights` (one per key) returns the softmax row — what a
     /// backward pass saves. `factors`, when given, are the inverted-dropout
     /// factors at those keys: `a_j = weights[j] · factors[j]`, rounded
-    /// before it multiplies `v_j`; without them `a_j = weights[j]`.
+    /// before it multiplies `v_j`; without them `a_j = weights[j]`. Other
+    /// crates reach it only through [`Self::attend_rows`].
     #[inline]
-    pub fn attend(
+    pub(crate) fn attend(
         &self,
         q: &[f32],
         keys: Keys,
@@ -238,93 +262,126 @@ impl HeadKv<'_> {
         out: &mut [f32],
     ) {
         let dh = q.len();
-        debug_assert_eq!(weights.len(), keys.len());
+        debug_assert!(keys.len() > 0 && weights.len() == keys.len(), "a query reads at least itself");
         for (w, j) in weights.iter_mut().zip(keys.clone()) {
             *w = dot(q, &self.k[j * self.stride..][..dh]) * self.scale;
         }
         softmax_in_place(weights);
-        out.fill(0.0);
         for (n, j) in keys.enumerate() {
             let a = factors.map_or(weights[n], |f| weights[n] * f[n]);
             for (c, &bv) in out.iter_mut().zip(&self.v[j * self.stride..][..dh]) {
-                *c += a * bv;
+                // `+0.0 + a·v` on the first key: a fill would be a `memset` call.
+                *c = if n == 0 { 0.0 } else { *c } + a * bv;
             }
         }
     }
 
-    /// Every query row of one sequence under the causal rule, real tokens
-    /// at `[start, seq)`: row `i`'s `dh` head columns are `q[i *
-    /// stride..][..dh]` and its output goes to `out[i * stride..][..dh]`
-    /// (planes laid out as `k` and `v` are). Each row gets the bits
-    /// [`Self::attend`] gives it over `allowed_keys(Causal, i, start, seq)`
-    /// without factors; `weights` is scratch of at least `seq` floats.
+    /// Rows `rows` of a sequence of `seq` positions, real tokens at `[start,
+    /// seq)`, each with the bits of the row kernel `HeadKv::attend` over
+    /// `allowed_keys(rule, i, start, seq)`: row `rows.start + r` reads
+    /// `q[r * stride..][..dh]` and writes `out[r * stride..][..dh]`.
+    /// [`Weights::Saved`] holds each row's `weights` and `factors`, row
+    /// after row; returns their length (the pairs the rows read).
     ///
-    /// With an AVX-512F (AVX2) [`Arm::detected`] the rows run 16 (8) to a
-    /// register, one row per lane, each lane the row kernel's operations in
-    /// its order (DESIGN.md §5c "Attention and dropout order"); a row of 64
-    /// keys or more, a head wider than 64 or not a multiple of 4, and the
-    /// baseline take [`Self::attend`].
-    pub fn attend_causal(
+    /// The one place a kernel is chosen. With an AVX-512F (AVX2)
+    /// [`Arm::detected`], a call of 8 rows or more runs them 16 (8) to a
+    /// register (DESIGN.md §5c); the row kernel takes fewer rows, a row of
+    /// 64 keys or more or of keys that are not one run (a bidirectional pad
+    /// query), a head wider than 64 or not a multiple of 4, and the baseline.
+    #[inline]
+    pub fn attend_rows(
         &self,
+        rule: AttentionRule,
         q: &[f32],
         dh: usize,
         start: usize,
         seq: usize,
-        weights: &mut [f32],
+        rows: Range<usize>,
+        weights: Weights<'_>,
         out: &mut [f32],
-    ) {
-        self.attend_causal_on(Arm::detected(), q, dh, start, seq, weights, out);
+    ) -> usize {
+        self.attend_rows_on(Arm::detected(), rule, q, dh, start, seq, rows, weights, out)
     }
 
-    /// [`Self::attend_causal`] on `arm`'s block kernel when the head fits
-    /// one, else row by row.
-    fn attend_causal_on(
+    /// [`Self::attend_rows`] on `arm`: the call's arm-selecting function.
+    /// Scratch, saved, and saved with dropout are each their own
+    /// instantiation, so a call that neither saves nor drops out compiles
+    /// to neither.
+    #[inline]
+    fn attend_rows_on(
         &self,
         arm: Arm,
+        rule: AttentionRule,
         q: &[f32],
         dh: usize,
         start: usize,
         seq: usize,
-        weights: &mut [f32],
+        rows: Range<usize>,
+        weights: Weights<'_>,
         out: &mut [f32],
-    ) {
+    ) -> usize {
+        let call = |weights, factors| Rows { head: self, rule, q, dh, start, seq, rows, factors, weights, out };
+        match weights {
+            Weights::Scratch(weights) => call(weights, &[]).run::<false, false>(arm),
+            Weights::Saved { weights, factors: None } => call(weights, &[]).run::<false, true>(arm),
+            Weights::Saved { weights, factors: Some(f) } => call(weights, f).run::<true, true>(arm),
+        }
+    }
+}
+
+/// One [`HeadKv::attend_rows`] call.
+struct Rows<'c, 'a> {
+    head: &'c HeadKv<'a>,
+    rule: AttentionRule,
+    q: &'c [f32],
+    dh: usize,
+    start: usize,
+    seq: usize,
+    /// The call's rows; the first one's columns open `q` and `out`.
+    rows: Range<usize>,
+    factors: &'c [f32],
+    weights: &'c mut [f32],
+    out: &'c mut [f32],
+}
+
+impl Rows<'_, '_> {
+    /// The rows through `arm`'s block kernel when the call fits one, else
+    /// row by row. `SAVE`: whether `weights` is the saved layout, not
+    /// scratch; `DROP` (saving calls only): whether `factors` holds the
+    /// rows' factors.
+    fn run<const DROP: bool, const SAVE: bool>(mut self, arm: Arm) -> usize {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        let fits = dh <= BLOCK_DH && dh % 4 == 0;
+        let fits = self.rows.len() >= BLOCK_MIN_SEQ && (4..=BLOCK_DH).contains(&self.dh) && self.dh % 4 == 0;
         match arm.level() {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             // SAFETY: an `Avx512` token exists only on a CPU that runs
             // AVX-512F.
-            Level::Avx512 if fits => unsafe { attend_causal_avx512(self, q, dh, start, seq, weights, out) },
+            Level::Avx512 if fits => unsafe { attend_rows_avx512::<DROP, SAVE>(&mut self) },
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             // SAFETY: an `Avx2` token exists only on a CPU that runs AVX2.
-            Level::Avx2 if fits => unsafe { attend_causal_avx2(self, q, dh, start, seq, weights, out) },
-            _ => {
-                for i in 0..seq {
-                    self.attend_row(q, dh, start, seq, i, weights, out);
-                }
-            }
+            Level::Avx2 if fits => unsafe { attend_rows_avx2::<DROP, SAVE>(&mut self) },
+            _ => self.rows.clone().fold(0, |at, i| self.row::<DROP, SAVE>(i, at)),
         }
     }
 
-    /// [`Self::attend`] for causal row `i` of the strided planes.
+    /// [`HeadKv::attend`] for row `i`, whose factors and saved softmax
+    /// start at `at`; returns where the next row's start.
     #[inline]
-    fn attend_row(
-        &self,
-        q: &[f32],
-        dh: usize,
-        start: usize,
-        seq: usize,
-        i: usize,
-        weights: &mut [f32],
-        out: &mut [f32],
-    ) {
-        let keys = allowed_keys(AttentionRule::Causal, i, start, seq);
-        let at = i * self.stride;
-        let weights = &mut weights[..keys.len()];
-        self.attend(&q[at..at + dh], keys, None, weights, &mut out[at..at + dh]);
+    fn row<const DROP: bool, const SAVE: bool>(&mut self, i: usize, at: usize) -> usize {
+        let keys = allowed_keys(self.rule, i, self.start, self.seq);
+        let next = at + keys.len();
+        let weights = if SAVE { &mut self.weights[at..next] } else { &mut self.weights[..keys.len()] };
+        let r = (i - self.rows.start) * self.head.stride;
+        let (q, out) = (&self.q[r..r + self.dh], &mut self.out[r..r + self.dh]);
+        self.head.attend(q, keys, DROP.then(|| &self.factors[at..next]), weights, out);
+        next
     }
 }
 
+/// Calls of fewer rows, whose few keys do not repay a block's setup, take
+/// the row kernel.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+const BLOCK_MIN_SEQ: usize = 8;
 /// A row with this many keys or more sums its softmax in banks
 /// (`softmax_in_place`), which no lane of the block kernel reproduces; the
 /// row kernel takes it.
@@ -334,72 +391,45 @@ const BLOCK_KEYS: usize = SOFTMAX_BANKED_MIN;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 const BLOCK_DH: usize = 64;
 
-/// [`attend_causal_with`] over AVX-512F registers: 16 rows to a block.
+/// [`attend_rows_with`] over AVX-512F registers: 16 rows to a block.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx512f")]
-fn attend_causal_avx512(
-    head: &HeadKv<'_>,
-    q: &[f32],
-    dh: usize,
-    start: usize,
-    seq: usize,
-    weights: &mut [f32],
-    out: &mut [f32],
-) {
+fn attend_rows_avx512<const DROP: bool, const SAVE: bool>(call: &mut Rows<'_, '_>) -> usize {
     // SAFETY: `__m512`'s lanes need AVX-512F, which this function enables.
-    unsafe { attend_causal_with::<__m512>(head, q, dh, start, seq, weights, out) };
+    unsafe { attend_rows_with::<__m512, DROP, SAVE>(call) }
 }
 
-/// [`attend_causal_with`] over AVX2 registers: 8 rows to a block.
+/// [`attend_rows_with`] over AVX2 registers: 8 rows to a block.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-fn attend_causal_avx2(
-    head: &HeadKv<'_>,
-    q: &[f32],
-    dh: usize,
-    start: usize,
-    seq: usize,
-    weights: &mut [f32],
-    out: &mut [f32],
-) {
+fn attend_rows_avx2<const DROP: bool, const SAVE: bool>(call: &mut Rows<'_, '_>) -> usize {
     // SAFETY: `__m256`'s lanes need AVX2, which this function enables.
-    unsafe { attend_causal_with::<__m256>(head, q, dh, start, seq, weights, out) };
+    unsafe { attend_rows_with::<__m256, DROP, SAVE>(call) }
 }
 
-/// The body of [`HeadKv::attend_causal`], `V::L` rows to a block: the
-/// block kernel over the rows it takes, the row kernel over the rest. The
-/// blocks end at `seq`, so a short one holds the first rows, which read
-/// the fewest keys. Requires `V`'s CPU feature, `dh ≤ BLOCK_DH` and `dh`
-/// a multiple of 4.
+/// The block arms of [`HeadKv::attend_rows`], `V::L` rows to a block. The
+/// blocks end at the call's last row, so a short one holds the first rows, which
+/// read the fewest causal keys. Requires `V`'s CPU feature, `dh ≤
+/// BLOCK_DH` and `dh` a multiple of 4.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[inline(always)]
-unsafe fn attend_causal_with<V: Lanes>(
-    head: &HeadKv<'_>,
-    q: &[f32],
-    dh: usize,
-    start: usize,
-    seq: usize,
-    weights: &mut [f32],
-    out: &mut [f32],
-) {
+unsafe fn attend_rows_with<V: Lanes, const DROP: bool, const SAVE: bool>(call: &mut Rows<'_, '_>) -> usize {
+    let rows = call.rows.clone();
     let mut planes = Planes::<V> {
         q: [V::splat(0.0); BLOCK_DH],
         w: [V::splat(0.0); BLOCK_KEYS],
         // The empty run `0..0`: no lane.
         reads: [V::holds(V::splat_int(0), V::splat_int(0), 0); BLOCK_KEYS],
     };
-    let mut rows = 0..seq % V::L;
-    while rows.start < seq {
-        if !rows.is_empty() {
-            let held = planes.attend(head, q, dh, start, seq, rows.clone(), out);
-            for i in rows.clone() {
-                if held & (1 << (i - rows.start)) == 0 {
-                    head.attend_row(q, dh, start, seq, i, weights, out);
-                }
-            }
+    let mut at = 0;
+    let mut block = rows.start..rows.start + rows.len() % V::L;
+    while block.start < rows.end {
+        if !block.is_empty() {
+            at = planes.attend::<DROP, SAVE>(call, block.clone(), at);
         }
-        rows = rows.end..rows.end + V::L;
+        block = block.end..block.end + V::L;
     }
+    at
 }
 
 /// One block's registers on the stack, lane `l` for the block's row `l`:
@@ -414,138 +444,153 @@ struct Planes<V: Lanes> {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 impl<V: Lanes> Planes<V> {
-    /// Those of the causal rows `rows` (at most `V::L`) with fewer than
-    /// [`BLOCK_KEYS`] keys, lane `l` holding row `rows.start + l`, each
-    /// lane [`HeadKv::attend`]'s row operation for operation: `dot`'s four
-    /// banks then `· scale`; the maximum folded from `−∞` in key order;
-    /// [`crate::exp_scalar`]'s sequence; the sum in key order from `+0`; each
-    /// weight divided by the sum when the sum is positive; `Σ a·v`
-    /// ascending from `+0`. A lane takes no part in a key it may not read —
-    /// no maximum, no addend. Returns the rows it wrote, bit `l` for row
-    /// `rows.start + l`.
+    /// The rows `rows` (at most `V::L`), whose factors and saved softmax
+    /// start at `at`; returns where the next row's start. Lane `l` holds
+    /// row `rows.start + l` when its keys are one run of fewer than
+    /// [`BLOCK_KEYS`] (the block's too), and performs [`HeadKv::attend`]'s
+    /// row operation for operation (DESIGN.md §5c lists them); it takes no
+    /// part in a key it may not read — no maximum, no addend. The row
+    /// kernel takes the other rows.
     #[inline(always)]
-    unsafe fn attend(
+    unsafe fn attend<const DROP: bool, const SAVE: bool>(
         &mut self,
-        head: &HeadKv<'_>,
-        q: &[f32],
-        dh: usize,
-        start: usize,
-        seq: usize,
+        call: &mut Rows<'_, '_>,
         rows: Range<usize>,
-        out: &mut [f32],
-    ) -> u32 {
-        let r0 = rows.start;
-        // Each lane's keys from the one statement of the rule. Under the
-        // causal rule they are one ascending run: a pad query's own
-        // position, or a real query's `start..=i`. A lane the block does
-        // not hold gets the empty run.
+        at: usize,
+    ) -> usize {
+        // Each lane's keys from the one statement of the rule, and where its
+        // row's factors and softmax start. A lane the block does not hold
+        // gets the empty run.
         let mut from = [i32::MAX; MAX_LANES];
         let mut to = [0i32; MAX_LANES];
-        let (mut first, mut end) = (usize::MAX, 0);
+        let mut row_at = [0usize; MAX_LANES];
+        let mut key_at = [0i32; MAX_LANES];
+        let (mut first, mut end, mut next) = (usize::MAX, 0, at);
         let mut held = 0u32;
-        for l in 0..rows.len().min(V::L) {
-            let keys = allowed_keys(AttentionRule::Causal, r0 + l, start, seq);
+        for (l, i) in rows.clone().enumerate() {
+            let keys = allowed_keys(call.rule, i, call.start, call.seq);
+            (row_at[l], next) = (next, next + keys.len());
+            // A bidirectional pad query's keys are not one run: itself,
+            // then the real range.
             let run = keys.own.map_or(keys.real.clone(), |i| i..i + 1);
-            debug_assert_eq!(run.len(), keys.len(), "causal keys are one run");
-            if run.len() >= BLOCK_KEYS {
+            if run.len() < keys.len() || run.len() >= BLOCK_KEYS {
                 continue;
             }
             (first, end) = (first.min(run.start), end.max(run.end));
             (from[l], to[l]) = (run.start as i32, run.end as i32);
+            key_at[l] = (row_at[l] - at) as i32 - run.start as i32;
             held |= 1 << l;
         }
-        // A block's keys span at most `BLOCK_KEYS`: its real rows read
-        // `start..` and its pad rows sit inside the block.
-        if held == 0 || end - first > BLOCK_KEYS {
-            return 0;
-        }
-        let (from, to) = (V::load_int(&from), V::load_int(&to));
-        let stride = head.stride;
-        // Lane `l`'s row starts `l · stride` floats into the block's rows,
-        // and `span` ends at the last held lane's `dh`-th column, so every
-        // float a gather or scatter below touches is inside `q_rows` /
-        // `out_rows` (column `c < dh`).
-        let mut offsets = [0i32; MAX_LANES];
-        for (l, at) in offsets.iter_mut().enumerate() {
-            *at = (l * stride) as i32;
-        }
-        let offsets = V::load_int(&offsets);
-        let span = r0 * stride..(r0 + rows.len().min(V::L) - 1) * stride + dh;
-        let q_rows = &q[span.clone()];
-        for (c, qc) in self.q[..dh].iter_mut().enumerate() {
-            *qc = V::gather(q_rows[c..].as_ptr(), offsets, held);
-        }
-
-        // Scores and their running maximum.
-        let zero = V::splat(0.0);
-        let mut max = V::splat(f32::NEG_INFINITY);
-        for ((j, wj), on) in (first..end).zip(self.w.iter_mut()).zip(self.reads.iter_mut()) {
-            *on = V::holds(from, to, j as i32);
-            let (mut s0, mut s1, mut s2, mut s3) = (zero, zero, zero, zero);
-            let k_quads = head.k[j * stride..][..dh].chunks_exact(4);
-            for (qs, ks) in self.q[..dh].chunks_exact(4).zip(k_quads) {
-                s0 = s0.add(qs[0].mul(V::splat(ks[0])));
-                s1 = s1.add(qs[1].mul(V::splat(ks[1])));
-                s2 = s2.add(qs[2].mul(V::splat(ks[2])));
-                s3 = s3.add(qs[3].mul(V::splat(ks[3])));
+        // Causal real rows read `start..`, so a block's keys span at most
+        // `BLOCK_KEYS` unless pad rows or the other rule widen it.
+        let block = held != 0 && end - first <= BLOCK_KEYS;
+        if block {
+            let (from, to) = (V::load_int(&from), V::load_int(&to));
+            let (head, dh, stride) = (call.head, call.dh, call.head.stride);
+            let on = V::lanes(held);
+            // Lane `l`'s row starts `l · stride` floats into the block's
+            // rows, and `cols` ends at the block's last row's `dh`-th
+            // column, so every float a gather or scatter below touches is
+            // inside `q_rows` / `out_rows` (column `c < dh`).
+            let mut offsets = [0i32; MAX_LANES];
+            for (l, at) in offsets.iter_mut().enumerate() {
+                *at = (l * stride) as i32;
             }
-            *wj = s0.add(s1).add(s2).add(s3).mul(V::splat(head.scale));
-            max = max.blend(*on, max.max(*wj));
-        }
+            let offsets = V::load_int(&offsets);
+            let r0 = rows.start - call.rows.start;
+            let cols = r0 * stride..(r0 + rows.len() - 1) * stride + dh;
+            let q_rows = &call.q[cols.clone()];
+            for (c, qc) in self.q[..dh].iter_mut().enumerate() {
+                *qc = V::gather(q_rows[c..].as_ptr(), offsets, on);
+            }
 
-        // `e^(x − max)` and their sum, keys ascending.
-        let keys = end - first;
-        let mut sum = zero;
-        for (wj, &on) in self.w[..keys].iter_mut().zip(&self.reads) {
-            *wj = exp(wj.sub(max));
-            sum = sum.blend(on, sum.add(*wj));
-        }
+            // Scores and their running maximum.
+            let zero = V::splat(0.0);
+            let mut max = V::splat(f32::NEG_INFINITY);
+            for ((j, wj), reads) in (first..end).zip(self.w.iter_mut()).zip(self.reads.iter_mut()) {
+                *reads = V::holds(from, to, j as i32);
+                let (mut s0, mut s1, mut s2, mut s3) = (zero, zero, zero, zero);
+                let k_quads = head.k[j * stride..][..dh].chunks_exact(4);
+                for (qs, ks) in self.q[..dh].chunks_exact(4).zip(k_quads) {
+                    s0 = s0.add(qs[0].mul(V::splat(ks[0])));
+                    s1 = s1.add(qs[1].mul(V::splat(ks[1])));
+                    s2 = s2.add(qs[2].mul(V::splat(ks[2])));
+                    s3 = s3.add(qs[3].mul(V::splat(ks[3])));
+                }
+                *wj = s0.add(s1).add(s2).add(s3).mul(V::splat(head.scale));
+                max = max.blend(*reads, max.max(*wj));
+            }
 
-        // `Σ a·v`, eight columns a pass (four for a last four); the first
-        // pass divides the weights on its way.
-        let out_rows = &mut out[span];
-        let mut divide = Some((zero.lt(sum), sum));
-        let mut c = 0;
-        while c < dh {
-            let v = &head.v[first * stride + c..];
-            let cols = &mut out_rows[c..];
-            if dh - c >= 8 {
-                self.mix::<8>(v, stride, keys, divide.take(), cols, offsets, held);
-                c += 8;
-            } else {
-                self.mix::<4>(v, stride, keys, divide.take(), cols, offsets, held);
-                c += 4;
+            // `e^(x − max)` and their sum, keys ascending.
+            let keys = end - first;
+            let mut sum = zero;
+            for (wj, &reads) in self.w[..keys].iter_mut().zip(&self.reads) {
+                *wj = exp(wj.sub(max));
+                sum = sum.blend(reads, sum.add(*wj));
+            }
+
+            // `Σ a·v`, eight columns a pass (four for a last four); the first
+            // pass finishes the weights on its way.
+            let saved = if SAVE { call.weights[at..next].as_mut_ptr() } else { std::ptr::null_mut() };
+            let factors = if DROP { call.factors[at..next].as_ptr() } else { std::ptr::null() };
+            let key_at = V::add_int(V::load_int(&key_at), V::splat_int(first as i32));
+            let mut finish = Some((zero.lt(sum), sum, key_at, saved, factors));
+            let out_rows = &mut call.out[cols];
+            let mut c = 0;
+            while c < dh {
+                let (v, out) = (&head.v[first * stride + c..], &mut out_rows[c..]);
+                if dh - c >= 8 {
+                    self.mix::<8, DROP, SAVE>(v, stride, keys, finish.take(), out, offsets, on);
+                    c += 8;
+                } else {
+                    self.mix::<4, DROP, SAVE>(v, stride, keys, finish.take(), out, offsets, on);
+                    c += 4;
+                }
             }
         }
-        held
+        for (l, i) in rows.enumerate() {
+            if !block || held & (1 << l) == 0 {
+                call.row::<DROP, SAVE>(i, row_at[l]);
+            }
+        }
+        next
     }
 
     /// `G` columns of `Σ a·v` over the block's `keys` keys into the held
     /// rows: `v` starts at the first key's first column (rows `stride`
     /// apart), `out` at the rows' first column. Accumulators start at `+0`
     /// and take each key a lane reads in ascending order, the product
-    /// rounded before the add. With `divide = Some((sum > 0, sum))` each
-    /// weight is first divided by its lane's sum where that is positive.
-    /// The `G` chains run over keys; `G` of them side by side keep the
-    /// adder busy.
+    /// rounded before the add. With `finish = Some((sum > 0, sum, key_at,
+    /// saved, factors))` each weight is first divided by its lane's sum
+    /// where that is positive, then (`SAVE`) written to its row's saved
+    /// softmax and (`DROP`) multiplied by its factor: lane `l`'s weight at
+    /// the block's key `n` sits `key_at[l] + n` floats into both. The `G`
+    /// chains run over keys; `G` of them side by side keep the adder busy.
     #[inline(always)]
-    unsafe fn mix<const G: usize>(
+    unsafe fn mix<const G: usize, const DROP: bool, const SAVE: bool>(
         &mut self,
         v: &[f32],
         stride: usize,
         keys: usize,
-        divide: Option<(V::Mask, V)>,
+        finish: Option<(V::Mask, V, V::Int, *mut f32, *const f32)>,
         out: &mut [f32],
         offsets: V::Int,
-        held: u32,
+        held: V::Mask,
     ) {
         let mut acc = [V::splat(0.0); G];
-        for (n, (wj, &on)) in self.w[..keys].iter_mut().zip(&self.reads).enumerate() {
-            if let Some((positive, sum)) = divide {
+        for (n, (wj, &reads)) in self.w[..keys].iter_mut().zip(&self.reads).enumerate() {
+            if let Some((positive, sum, key_at, saved, factors)) = finish {
                 *wj = wj.blend(positive, wj.div(sum));
+                let at = V::add_int(key_at, V::splat_int(n as i32));
+                if SAVE {
+                    wj.scatter(saved, at, reads);
+                }
+                if DROP {
+                    *wj = wj.mul(V::gather(factors, at, reads));
+                }
             }
             for (a, &vc) in acc.iter_mut().zip(&v[n * stride..][..G]) {
-                *a = a.blend(on, a.add(wj.mul(V::splat(vc))));
+                *a = a.blend(reads, a.add(wj.mul(V::splat(vc))));
             }
         }
         for (n, a) in acc.into_iter().enumerate() {
@@ -680,9 +725,14 @@ mod tests {
         for dh in [4, 8, 16, 32] {
             // Two heads side by side; the kernel reads head 1 in place.
             let dim = 2 * dh;
+            // Every length to past the 64-key cut.
             for seq in 1..=70usize {
                 let plane = |rng: &mut Rng64| (0..seq * dim).map(|_| rng.normal()).collect::<Vec<f32>>();
                 let (q, k, v) = (plane(&mut rng), plane(&mut rng), plane(&mut rng));
+                // Inverted-dropout factors at keep 0.8, zeros included;
+                // enough for every pair of any call below.
+                let factors: Vec<f32> =
+                    (0..seq * seq).map(|_| if rng.chance(0.2) { 0.0 } else { 1.25 }).collect();
                 let mut cases = vec![("finite", q.clone(), k.clone())];
                 // One key's score is NaN for every row that reads it.
                 let mut nan_k = k.clone();
@@ -703,15 +753,15 @@ mod tests {
                     (row[dh], row[dh + 1]) = (1.0, 1.0);
                 }
                 cases.push(("a NaN sum", nan_sum_q, nan_sum));
-                // Real tokens from 0 (the frozen encoder's full rows), the
-                // pad row of an empty history, and pads ahead of a history.
+                // Real tokens from 0 (the packed layout, the frozen
+                // encoder's rows), pads ahead of a history (the padded
+                // layout: `start > 1` from 6 rows on), and an empty
+                // history's pad rows.
                 let mut starts = vec![0, seq / 3, seq];
                 starts.dedup();
-                let layouts: Vec<(usize, usize)> = if seq == 1 {
-                    vec![(1, 0), (1, 1)]
-                } else {
-                    starts.into_iter().map(|start| (seq, start)).collect()
-                };
+                // Every row, the final one alone, and a run inside.
+                let mut row_sets = vec![0..seq, seq - 1..seq, seq / 4..seq - seq / 5];
+                row_sets.dedup();
                 for (kind, q, k) in &cases {
                     let head = HeadKv {
                         k: &k[dh..],
@@ -719,24 +769,54 @@ mod tests {
                         stride: dim,
                         scale: 1.0 / (dh as f32).sqrt(),
                     };
-                    for &(seq, start) in &layouts {
-                        let mut want = vec![9.0f32; seq * dim];
-                        let mut weights = vec![0.0f32; seq];
-                        for i in 0..seq {
-                            let keys = allowed_keys(Causal, i, start, seq);
-                            let at = i * dim + dh;
-                            head.attend(&q[at..at + dh], keys.clone(), None, &mut weights[..keys.len()], &mut want[at..at + dh]);
+                    let calls = [Causal, Bidirectional].into_iter().flat_map(|rule| {
+                        let row_sets = &row_sets;
+                        starts.iter().flat_map(move |&start| row_sets.iter().map(move |rows| (rule, start, rows)))
+                    });
+                    for (rule, start, rows) in calls {
+                        // The row kernel, row by row: its outputs without
+                        // and with the factors, and its softmax rows end
+                        // to end.
+                        let at = rows.start * dim + dh;
+                        let (mut plain, mut dropped) = (vec![9.0f32; seq * dim], vec![9.0f32; seq * dim]);
+                        let mut saved = Vec::new();
+                        for i in rows.clone() {
+                            let keys = allowed_keys(rule, i, start, seq);
+                            let (row, n, pair) = (i * dim + dh, keys.len(), saved.len());
+                            saved.resize(pair + n, 0.0);
+                            let w = &mut saved[pair..];
+                            head.attend(&q[row..row + dh], keys.clone(), None, w, &mut plain[row..row + dh]);
+                            let f = Some(&factors[pair..pair + n]);
+                            head.attend(&q[row..row + dh], keys, f, w, &mut dropped[row..row + dh]);
                         }
                         for arm in Arm::available() {
-                            let name = arm.level();
-                            let mut got = vec![9.0f32; seq * dim];
-                            head.attend_causal_on(arm, &q[dh..], dh, start, seq, &mut weights, &mut got[dh..]);
-                            for (n, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                                let (i, c) = (n / dim, n % dim);
-                                assert!(
-                                    same(g, w),
-                                    "{name:?} arm, {kind}, dh {dh}, seq {seq}, start {start}, row {i} col {c}: {g:e}, want {w:e}"
+                            for (drop, save) in [(false, false), (false, true), (true, true)] {
+                                let case = format!(
+                                    "{:?} arm, {kind}, {rule:?}, drop {drop}, save {save}, dh {dh}, seq {seq}, start {start}, rows {rows:?}",
+                                    arm.level()
                                 );
+                                let mut got = vec![9.0f32; seq * dim];
+                                let mut buf = vec![9.0f32; if save { saved.len() } else { seq }];
+                                let weights = match (drop, save) {
+                                    (false, false) => Weights::Scratch(&mut buf),
+                                    _ => Weights::Saved {
+                                        weights: &mut buf,
+                                        factors: drop.then(|| &factors[..saved.len()]),
+                                    },
+                                };
+                                let (q, out) = (&q[at..], &mut got[at..]);
+                                let pairs = head.attend_rows_on(arm, rule, q, dh, start, seq, rows.clone(), weights, out);
+                                assert_eq!(pairs, saved.len(), "{case}: pairs read");
+                                let want = if drop { &dropped } else { &plain };
+                                for (n, (&g, &w)) in got.iter().zip(want).enumerate() {
+                                    let (i, c) = (n / dim, n % dim);
+                                    assert!(same(g, w), "{case}, row {i} col {c}: {g:e}, want {w:e}");
+                                }
+                                if save {
+                                    for (n, (&g, &w)) in buf.iter().zip(&saved).enumerate() {
+                                        assert!(same(g, w), "{case}, saved weight {n}: {g:e}, want {w:e}");
+                                    }
+                                }
                             }
                         }
                     }

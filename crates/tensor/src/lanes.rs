@@ -53,6 +53,8 @@ pub(crate) trait Lanes: Copy {
     unsafe fn blend(self, on: Self::Mask, x: Self) -> Self;
     /// The lanes whose run `from..to` holds `j`.
     unsafe fn holds(from: Self::Int, to: Self::Int, j: i32) -> Self::Mask;
+    /// The lanes `l` whose bit `l` of `bits` is set.
+    unsafe fn lanes(bits: u32) -> Self::Mask;
     unsafe fn to_bits(self) -> Self::Int;
     unsafe fn from_bits(i: Self::Int) -> Self;
     /// Wrapping `a + b`.
@@ -63,12 +65,12 @@ pub(crate) trait Lanes: Copy {
     unsafe fn half_int(a: Self::Int) -> Self::Int;
     /// `a << 23`: an integer into the exponent field.
     unsafe fn exponent_int(a: Self::Int) -> Self::Int;
-    /// `base[offsets[l]]` in the lanes `l` whose bit `held` sets, `+0` in
-    /// the others. Reads only those lanes' floats: each must be in bounds.
-    unsafe fn gather(base: *const f32, offsets: Self::Int, held: u32) -> Self;
-    /// `base[offsets[l]] = self[l]` for the lanes whose bit `held` sets.
-    /// Writes only those lanes' floats: each must be in bounds.
-    unsafe fn scatter(self, base: *mut f32, offsets: Self::Int, held: u32);
+    /// `base[offsets[l]]` in the lanes `on` holds, `+0` in the others.
+    /// Reads only those lanes' floats: each must be in bounds.
+    unsafe fn gather(base: *const f32, offsets: Self::Int, on: Self::Mask) -> Self;
+    /// `base[offsets[l]] = self[l]` for the lanes `on` holds. Writes only
+    /// those lanes' floats: each must be in bounds.
+    unsafe fn scatter(self, base: *mut f32, offsets: Self::Int, on: Self::Mask);
 }
 
 impl Lanes for __m512 {
@@ -123,6 +125,10 @@ impl Lanes for __m512 {
         _mm512_cmple_epi32_mask(from, j) & _mm512_cmplt_epi32_mask(j, to)
     }
     #[inline(always)]
+    unsafe fn lanes(bits: u32) -> __mmask16 {
+        bits as __mmask16
+    }
+    #[inline(always)]
     unsafe fn to_bits(self) -> __m512i {
         _mm512_castps_si512(self)
     }
@@ -147,12 +153,12 @@ impl Lanes for __m512 {
         _mm512_slli_epi32::<23>(a)
     }
     #[inline(always)]
-    unsafe fn gather(base: *const f32, offsets: __m512i, held: u32) -> Self {
-        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), held as __mmask16, offsets, base)
+    unsafe fn gather(base: *const f32, offsets: __m512i, on: __mmask16) -> Self {
+        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), on, offsets, base)
     }
     #[inline(always)]
-    unsafe fn scatter(self, base: *mut f32, offsets: __m512i, held: u32) {
-        _mm512_mask_i32scatter_ps::<4>(base, held as __mmask16, offsets, self)
+    unsafe fn scatter(self, base: *mut f32, offsets: __m512i, on: __mmask16) {
+        _mm512_mask_i32scatter_ps::<4>(base, on, offsets, self)
     }
 }
 
@@ -209,6 +215,12 @@ impl Lanes for __m256 {
         _mm256_castsi256_ps(_mm256_andnot_si256(_mm256_cmpgt_epi32(from, j), _mm256_cmpgt_epi32(to, j)))
     }
     #[inline(always)]
+    unsafe fn lanes(bits: u32) -> __m256 {
+        // Lane `l`'s bit of `bits`, spread to the lane.
+        let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(bits as i32), bit), bit))
+    }
+    #[inline(always)]
     unsafe fn to_bits(self) -> __m256i {
         _mm256_castps_si256(self)
     }
@@ -233,15 +245,13 @@ impl Lanes for __m256 {
         _mm256_slli_epi32::<23>(a)
     }
     #[inline(always)]
-    unsafe fn gather(base: *const f32, offsets: __m256i, held: u32) -> Self {
-        // Lane `l`'s bit of `held`, spread to the lane.
-        let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-        let on = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(held as i32), bit), bit);
-        _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), base, offsets, _mm256_castsi256_ps(on))
+    unsafe fn gather(base: *const f32, offsets: __m256i, on: __m256) -> Self {
+        _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), base, offsets, on)
     }
     #[inline(always)]
-    unsafe fn scatter(self, base: *mut f32, offsets: __m256i, held: u32) {
+    unsafe fn scatter(self, base: *mut f32, offsets: __m256i, on: __m256) {
         // AVX2 has no scatter: lane by lane.
+        let held = _mm256_movemask_ps(on);
         let (mut lanes, mut at) = ([0.0f32; 8], [0i32; 8]);
         _mm256_storeu_ps(lanes.as_mut_ptr(), self);
         _mm256_storeu_si256(at.as_mut_ptr().cast(), offsets);

@@ -32,7 +32,7 @@ mod shape;
 mod tensor;
 
 pub use arm::{Arm, Level};
-pub use attention::{allowed_keys, AttentionKeys, AttentionRule, HeadKv, Keys};
+pub use attention::{allowed_keys, AttentionKeys, AttentionRule, HeadKv, Keys, Weights};
 pub use error::TensorError;
 pub use init::{Initializer, KeepMask, Rng64};
 pub use json::Json;

@@ -30,15 +30,6 @@ impl Shape {
     pub fn dim(&self, i: usize) -> usize {
         self.0[i]
     }
-
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
 }
 
 impl fmt::Display for Shape {
@@ -76,14 +67,6 @@ mod tests {
         let s = Shape::new(&[]);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.numel(), 1);
-    }
-
-    #[test]
-    fn strides_row_major() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        let m = Shape::new(&[5, 7]);
-        assert_eq!(m.strides(), vec![7, 1]);
     }
 
     #[test]

@@ -56,14 +56,6 @@ impl GroupWhitening {
         let refs: Vec<&Tensor> = parts.iter().collect();
         Tensor::concat_cols(&refs)
     }
-
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
 }
 
 /// One-shot convenience: fit on `x` and transform `x` itself.
@@ -215,8 +207,6 @@ mod tests {
     fn fit_apply_on_new_data() {
         let x = correlated(500, 6, 5);
         let gw = GroupWhitening::fit(&x, 3, WhiteningMethod::Zca, 1e-6);
-        assert_eq!(gw.groups(), 3);
-        assert_eq!(gw.group_size(), 2);
         let fresh = correlated(50, 6, 6);
         let z = gw.apply(&fresh);
         assert_eq!(z.dims(), &[50, 6]);

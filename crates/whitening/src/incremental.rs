@@ -7,8 +7,8 @@
 //! the whitening matrix on demand; re-deriving it from the moments costs
 //! one `d × d` eigendecomposition instead of an `n × d` pass.
 
+use crate::transform::zca_matrix;
 use crate::{WhiteningMethod, WhiteningTransform};
-use wr_linalg::sym_eig;
 use wr_tensor::Tensor;
 
 /// Running first/second moments of item embeddings, updatable one batch at
@@ -79,16 +79,9 @@ impl IncrementalWhitening {
         for i in 0..self.dim {
             *cov.at2_mut(i, i) += self.eps;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "cov is symmetric by construction (mirrored writes above) and Jacobi rotation on a symmetric matrix converges"
-        )]
-        let eig = sym_eig(&cov).expect("incremental covariance eigendecomposition");
-        let eps = self.eps;
-        let w = eig.rebuild_with(|l| 1.0 / l.max(eps).sqrt());
         WhiteningTransform {
             mean: Tensor::from_vec(mean, &[self.dim]),
-            w,
+            w: zca_matrix(&cov, self.eps),
             method: WhiteningMethod::Zca,
         }
     }

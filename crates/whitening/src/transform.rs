@@ -50,6 +50,19 @@ pub struct WhiteningTransform {
     pub method: WhiteningMethod,
 }
 
+/// The ZCA matrix `W = D Λ^{-1/2} Dᵀ` of a covariance that already
+/// carries its `+ eps` ridge, each eigenvalue floored at `eps` — the one
+/// rebuild behind [`WhiteningTransform::fit`]'s ZCA arm and
+/// [`crate::IncrementalWhitening::transform`].
+pub(crate) fn zca_matrix(cov: &Tensor, eps: f32) -> Tensor {
+    #[expect(
+        clippy::expect_used,
+        reason = "both callers build cov symmetric (mirrored writes); Jacobi on a symmetric matrix converges"
+    )]
+    let eig = sym_eig(cov).expect("covariance eigendecomposition failed");
+    eig.rebuild_with(|l| 1.0 / l.max(eps).sqrt())
+}
+
 impl WhiteningTransform {
     /// Fit on `x: [n, d]` (rows are items). `eps` regularizes Σ's diagonal.
     ///
@@ -63,16 +76,9 @@ impl WhiteningTransform {
         let cov = covariance_of_rows(x, eps);
 
         let w = match method {
-            WhiteningMethod::Zca => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "covariance_of_rows is symmetric by construction; Jacobi on symmetric matrices converges"
-                )]
-                let eig = sym_eig(&cov).expect("covariance eigendecomposition failed");
-                eig.rebuild_with(|l| 1.0 / l.max(eps).sqrt())
-            }
+            WhiteningMethod::Zca => zca_matrix(&cov, eps),
             WhiteningMethod::Pca => {
-                #[expect(clippy::expect_used, reason = "same symmetry argument as ZCA above")]
+                #[expect(clippy::expect_used, reason = "same symmetry argument as zca_matrix's")]
                 let eig = sym_eig(&cov).expect("covariance eigendecomposition failed");
                 // Row layout: z = c D Λ^{-1/2}; scale eigenvector columns.
                 let mut w = eig.vectors.clone();

@@ -17,14 +17,18 @@ What counts as a use:
   `struct name`, ..., and `impl name` / `impl Trait for name` headers).
 
 Which items: every `pub fn|struct|enum|const|trait|type|static` in the
-non-test part of `crates/*/src`, methods included. A name one definition
-holds is counted as a word over all of the text above. A top-level name
+non-test part of `crates/*/src`, methods included. A name defined only
+as indented `pub fn`s (a method, or a function inside an inline module)
+is counted by its call forms over all of the text above: `.name(`,
+`.name::<` and `::name` — a field, a parameter or a local of the same
+name is not a call. Another name one definition holds is counted as a
+word over that text. A top-level name
 that two or more crates define is counted per definition: its
 path-qualified uses outside its crate (`wr_x::name`, `wr_x::m::name`,
 `whitenrec::x::name` through core's re-export, `use wr_x::{...name...}`
 lists) plus its own crate's uses. Methods that share a name with another
-item are counted as one word, so a dead method with a common name
-(`new`, `len`) needs a by-hand grep of its call form.
+item are counted by their call forms together, so a dead method with a
+common name (`new`, `len`) needs a by-hand grep of its call form.
 
 It prints every item with no use, and for each the reason `EXEMPT` gives
 for keeping it. It exits non-zero when it finds an item `EXEMPT` does not
@@ -85,6 +89,8 @@ EXEMPT = {
     "shares_storage_with": "probe that a cache shares its table; engine.rs, cache.rs",
     "max_list_len": "IvfIndex probe; ann alloc_shape.rs",
     "steps": "Adam::steps probe; adam.rs, resume_differential.rs",
+    "dumps": "FlightRecorder::dumps probe; gateway tracing.rs checks chaos seals a dump",
+    "list": "IvfIndex::list probe; ann determinism.rs compares lists across thread counts",
 }
 
 USER_ROOTS = ("src", "bench/ledger/src", "examples")
@@ -250,10 +256,13 @@ def main():
     bare = {p: DEFINITION.sub(" ", t) for p, t in users.items()}
 
     items = {}  # name -> {crate: column-0 definition?}
+    not_method = set()  # names some definition holds as more than an indented `pub fn`
     for p, t in src.items():
         for m in re.finditer(r"^([ \t]*)" + ITEM, t, re.M):
             top = items.setdefault(m[2], {})
             top[owner(p)] = top.get(owner(p), False) or m[1] == ""
+            if m[1] == "" or not re.match(r"pub (?:const |unsafe |async )*fn ", m[0].lstrip()):
+                not_method.add(m[2])
 
     words = {}
     for t in bare.values():
@@ -263,6 +272,11 @@ def main():
     dead = []
     for name in sorted(items):
         tops = [c for c, top in items[name].items() if top]
+        if name not in not_method:
+            call = re.compile(rf"\.{name}\s*(?:\(|::<)|::{name}\b")
+            if not any(call.search(t) for t in bare.values()):
+                dead.append((name, sorted(items[name])))
+            continue
         if len(tops) < 2:
             if words.get(name, 0) == 0:
                 dead.append((name, sorted(items[name])))

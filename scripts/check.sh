@@ -454,6 +454,24 @@ grep -q -- '--replicas' "$smoke_dir/replicas.err" \
     || { echo "   bench --replicas failed without naming the flag"; exit 1; }
 echo "   retired flag ok: $(head -n 1 "$smoke_dir/replicas.err")"
 
+# Zero-sized serving flags: a micro-batch of no requests and a gateway of
+# no shards cannot serve, so the bench refuses both before it trains the
+# model it would serve (non-zero exit, the flag named, no `training`
+# line), not after the training with a panic or a late error.
+echo "== check: bench refuses --batch 0 and --shards 0 before training =="
+for zero in --batch --shards; do
+    if ./target/release/whitenrec bench --scale 0.05 --epochs 1 --queries 16 "$zero" 0 \
+        2> "$smoke_dir/zero.err" > /dev/null; then
+        echo "   bench $zero 0 exited 0"; exit 1
+    fi
+    grep -q -- "$zero" "$smoke_dir/zero.err" \
+        || { echo "   bench $zero 0 failed without naming the flag"; exit 1; }
+    if grep -q 'training' "$smoke_dir/zero.err"; then
+        echo "   bench $zero 0 trained before refusing"; exit 1
+    fi
+    echo "   $zero 0 refused: $(head -n 1 "$smoke_dir/zero.err")"
+done
+
 # Live telemetry smoke: chaos replay with the read-only HTTP endpoint up
 # and the flight recorder armed. The bench self-scrapes /metrics and
 # /flight through the real TCP surface (--obs-dump-dir) after the replay;
